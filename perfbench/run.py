@@ -12,6 +12,10 @@ line: {"correct", "attempted", "failed", "metrics"}. With --trace 0 the
 metrics are BENCHMARK.json's end_to_end metrics, with --trace 1 its
 per_layer metrics. Exit code 0 means every output check passed.
 
+setup_s is timed here, from launching the driver until it prints READY
+(its inputs exist): the median over the measured run and a few more
+launches with --setup-only.
+
 Other modes:
     --out FILE          also append this run's metrics to a results file
     --compare A B       compare two results files (refused when the host or
@@ -26,9 +30,12 @@ import argparse
 import fcntl
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import threading
+import time
 
 sys.dont_write_bytecode = True
 
@@ -41,6 +48,10 @@ PINNED = ("fleet_year", "web_survey")
 REQUIRED = ("CMakeLists.txt", "src", "tests/testutil.cpp",
             "examples/large_horizon.cfg")
 DRIVER_TIMEOUT_S = 170
+BUILD_JOBS = min(os.cpu_count() or 1, 4)
+# setup_s is a median over launches of the driver: at least SETUP_MIN, and
+# up to SETUP_MAX while their set-up has taken under SETUP_BUDGET_S.
+SETUP_MIN, SETUP_MAX, SETUP_BUDGET_S = 3, 15, 2.0
 
 
 def fail(message, code=2):
@@ -52,7 +63,7 @@ def build_dir():
     return os.path.join(ROOT, os.environ.get("CARGO_TARGET_DIR", ".bench_build"))
 
 
-def build_driver(lanes):
+def build_driver():
     """Configure and build perfbench_driver; build output goes to stderr."""
     missing = [p for p in REQUIRED if not os.path.exists(os.path.join(ROOT, p))]
     if missing:
@@ -69,12 +80,26 @@ def build_driver(lanes):
             steps.append(["cmake", "-S", HERE, "-B", out,
                           "-DCMAKE_BUILD_TYPE=Release"])
         steps.append(["cmake", "--build", out, "--target", "perfbench_driver",
-                      "-j", str(lanes)])
+                      "-j", str(BUILD_JOBS)])
         for cmd in steps:
             if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr,
                               env=env).returncode:
                 fail("build failed: " + " ".join(cmd))
     return os.path.join(out, "perfbench_driver")
+
+
+def nominal_mhz(model, current_mhz):
+    """The CPU's rated clock: cpufreq's maximum, else the GHz in the model
+    name, else /proc/cpuinfo's clock (the current one where scaling is on)."""
+    try:
+        with open("/sys/devices/system/cpu/cpu0/cpufreq/cpuinfo_max_freq") as f:
+            return round(int(f.read()) / 1000)
+    except (OSError, ValueError):
+        pass
+    rated = re.search(r"([0-9.]+)\s*GHz", model)
+    if rated:
+        return round(float(rated.group(1)) * 1000)
+    return current_mhz
 
 
 def host_fingerprint():
@@ -90,7 +115,8 @@ def host_fingerprint():
                     mhz = round(float(value))
     except OSError:
         pass
-    return {"nproc": os.cpu_count() or 1, "cpu_model": model, "cpu_mhz": mhz}
+    return {"nproc": os.cpu_count() or 1, "cpu_model": model,
+            "cpu_mhz": nominal_mhz(model, mhz)}
 
 
 def fingerprint(result):
@@ -103,22 +129,48 @@ def fingerprint(result):
 
 
 def run_driver(driver, args):
-    """Run the driver, echoing its lines; returns (returncode, RESULT dict)."""
+    """Run the driver, echoing its lines.
+
+    Returns (returncode, RESULT dict or None, seconds from launching the
+    process until it printed READY, or None).
+    """
+    t0 = time.perf_counter()
     proc = subprocess.Popen([driver] + args, cwd=ROOT, stdout=subprocess.PIPE,
                             text=True)
+    timer = threading.Timer(DRIVER_TIMEOUT_S, proc.kill)
+    timer.start()
+    ready_s = result = None
     try:
-        stdout, _ = proc.communicate(timeout=DRIVER_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+        for line in proc.stdout:
+            if line == "READY\n" and ready_s is None:
+                ready_s = time.perf_counter() - t0
+            elif line.startswith("RESULT "):
+                result = json.loads(line[len("RESULT "):])
+            else:
+                print(line, end="")
+        rc = proc.wait()
+    except BaseException:
         proc.kill()
         proc.wait()
-        fail(f"driver exceeded {DRIVER_TIMEOUT_S} s")
-    result = None
-    for line in stdout.splitlines():
-        if line.startswith("RESULT "):
-            result = json.loads(line[len("RESULT "):])
-        else:
-            print(line)
-    return proc.returncode, result
+        raise
+    finally:
+        timer.cancel()
+    if rc < 0:
+        fail(f"driver ended by signal {-rc} (time limit {DRIVER_TIMEOUT_S} s)")
+    return rc, result, ready_s
+
+
+def setup_samples(driver, args, first):
+    """Launch-to-READY times: `first` (the measured run's own) and those of
+    --setup-only launches, SETUP_MIN to SETUP_MAX in all."""
+    times = [first]
+    while len(times) < SETUP_MIN or (len(times) < SETUP_MAX
+                                     and sum(times) < SETUP_BUDGET_S):
+        rc, _, ready_s = run_driver(driver, args + ["--setup-only"])
+        if rc != 0 or ready_s is None:
+            fail(f"set-up launch exited {rc} without READY")
+        times.append(ready_s)
+    return times
 
 
 def load_json(path):
@@ -133,15 +185,12 @@ def pinned_digest(workload, seed, tiny):
     return expected.get(workload, {}).get(str(seed))
 
 
-def driver_args(a, lanes):
-    args = [f"--workload={a.workload}", f"--seed={a.seed}",
-            f"--seconds={a.seconds}", f"--lanes={lanes}",
-            "--config=" + os.path.join(ROOT, "examples", "large_horizon.cfg")]
-    if a.trace:
+def driver_args(workload, seed, seconds, trace=False, tiny=False, digest=None):
+    args = [f"--workload={workload}", f"--seed={seed}", f"--seconds={seconds}"]
+    if trace:
         args.append("--trace")
-    if a.tiny:
+    if tiny:
         args.append("--tiny")
-    digest = a.expect_digest or pinned_digest(a.workload, a.seed, a.tiny)
     if digest:
         args.append(f"--expect-digest={digest}")
     return args
@@ -224,14 +273,13 @@ def seed_list(text):
     return seeds
 
 
-def pin(driver, lanes, seeds):
+def pin(driver, seeds):
     expected = {}
     for workload in PINNED:
         expected[workload] = {}
         for seed in seeds:
-            a = argparse.Namespace(workload=workload, seed=seed, seconds=0.001,
-                                   trace=False, tiny=False, expect_digest="")
-            rc, result = run_driver(driver, driver_args(a, lanes))
+            rc, result, _ = run_driver(driver,
+                                       driver_args(workload, seed, 0.001))
             if rc != 0 or not result or not result["digest"]:
                 fail(f"{workload} seed {seed}: no digest (exit {rc})")
             expected[workload][str(seed)] = result["digest"]
@@ -248,10 +296,6 @@ def main():
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--tiny", action="store_true",
                    help="tiny inputs (the benchmark's own smoke test)")
-    p.add_argument("--expect-digest", default="",
-                   help="override the pinned output digest")
-    p.add_argument("--lanes", type=int, default=min(os.cpu_count() or 1, 4),
-                   help="thread budget N (default min(nproc, 4))")
     p.add_argument("--out", help="append this run's metrics to a results file")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"))
     p.add_argument("--pin", metavar="SEEDS")
@@ -262,14 +306,22 @@ def main():
         return 0
     if not a.workload and not a.pin:
         p.error("--workload is required")
-    driver = build_driver(a.lanes)
+    driver = build_driver()
     if a.pin:
-        pin(driver, a.lanes, seed_list(a.pin))
+        pin(driver, seed_list(a.pin))
         return 0
 
-    rc, result = run_driver(driver, driver_args(a, a.lanes))
-    if result is None:
+    args = driver_args(a.workload, a.seed, a.seconds, a.trace, a.tiny,
+                       pinned_digest(a.workload, a.seed, a.tiny))
+    rc, result, ready_s = run_driver(driver, args)
+    if result is None or ready_s is None:
         fail(f"{a.workload}: driver exited {rc} without a result")
+    if not a.trace:
+        setup = setup_samples(driver, args, ready_s)
+        print(f"  setup_s: {len(setup)} launches [" +
+              " ".join(f"{t:.6g}" for t in setup) + "] s")
+        result["metrics"]["setup_s"] = {"value": statistics.median(setup),
+                                        "unit": "s"}
     fp = fingerprint(result)
     print("host: " + ", ".join(f"{k}={v}" for k, v in fp.items()))
     for name, m in result["metrics"].items():

@@ -59,6 +59,12 @@ void fresh_heap() {
   }
 }
 
+bool inputs_ready(const Options& o) {
+  std::printf("READY\n");
+  std::fflush(stdout);
+  return o.setup_only;
+}
+
 double median(std::vector<double> v) {
   if (v.empty()) return std::nan("");
   std::sort(v.begin(), v.end());
@@ -98,13 +104,6 @@ bool same_counters(const nbv6::traffic::SimulationStats& a,
 void Report::metric(const std::string& name, double value,
                     const std::string& unit) {
   metrics_.push_back({name, value, unit});
-}
-
-void Report::median_metric(const std::string& name,
-                           const std::vector<double>& v,
-                           const std::string& unit) {
-  samples(name, v, unit);
-  metric(name, median(v), unit);
 }
 
 void Report::fastest_metric(const std::string& name,

@@ -7,11 +7,13 @@
 // src/ is instrumented.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "traffic/generator.h"
@@ -49,6 +51,13 @@ std::string hex64(std::uint64_t v);
 bool same_counters(const nbv6::traffic::SimulationStats& a,
                    const nbv6::traffic::SimulationStats& b);
 
+/// Thread budget N = min(hardware threads, 4): at most N threads alive in
+/// a run, the calling thread included.
+inline int thread_budget() {
+  return static_cast<int>(
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u));
+}
+
 struct Options {
   std::string workload;
   std::uint64_t seed = 1;
@@ -56,31 +65,16 @@ struct Options {
   bool trace = false;
   /// Tiny inputs, for the benchmark's own smoke test.
   bool tiny = false;
-  /// Thread budget N: lanes for the fleet workloads.
-  int lanes = 4;
-  /// Scenario file of fleet_year.
-  std::string config = "examples/large_horizon.cfg";
+  /// Make the inputs, print READY and stop: one set-up sample.
+  bool setup_only = false;
+  int lanes = thread_budget();
   /// Expected output digest for this (workload, seed); empty = not pinned.
   std::string expect_digest;
 };
 
-/// Build inputs `reps` times, timing each build, and keep the last; the
-/// earlier ones are destroyed before the next starts. `make` returns a
-/// std::unique_ptr. setup_s is the median of `times`.
-template <typename Make>
-auto timed_setup(int reps, std::vector<double>& times, Make make) {
-  auto t0 = Clock::now();
-  auto inputs = make();
-  times.push_back(since(t0));
-  for (int i = 1; i < reps; ++i) {
-    inputs.reset();
-    fresh_heap();
-    t0 = Clock::now();
-    inputs = make();
-    times.push_back(since(t0));
-  }
-  return inputs;
-}
+/// Prints READY once the inputs exist: perfbench/run.py times setup_s from
+/// launching this process to that line. True when the run stops there.
+bool inputs_ready(const Options& o);
 
 /// Call `iteration(k)` for about `seconds` of wall time, checks included:
 /// at least `min_iters` times, then again only while one more iteration of
@@ -104,9 +98,6 @@ void repeat_for(double seconds, int min_iters, Iteration iteration) {
 class Report {
  public:
   void metric(const std::string& name, double value, const std::string& unit);
-  /// Metric from repeated samples: the median, with the samples noted.
-  void median_metric(const std::string& name, const std::vector<double>& v,
-                     const std::string& unit);
   /// Metric from repeated timings: the fastest, with the samples noted.
   /// Other tenants of a shared host slow whole stretches of a run by up to
   /// a fifth; the fastest repetition is the least disturbed one, and it

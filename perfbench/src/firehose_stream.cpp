@@ -120,9 +120,8 @@ struct EmitClock {
 }  // namespace
 
 int run_firehose_stream(const Options& o, Report& rep) {
-  std::vector<double> setup;
-  const auto in = timed_setup(o.tiny ? 3 : 15, setup,
-                              [&] { return make_inputs(o); });
+  const auto in = make_inputs(o);
+  if (inputs_ready(o)) return 0;
   rep.check_thread_budget(o);
   rep.note("firehose_stream: " + std::to_string(in->cfg.residences.get()) +
            " homes x " + std::to_string(in->cfg.days.get()) +
@@ -196,7 +195,6 @@ int run_firehose_stream(const Options& o, Report& rep) {
   rep.samples("N-lane stream", wide_s, "s");
   rep.samples("1-lane stream", single_s, "s");
   rep.fastest_metric("wall_s", walls, "s");
-  rep.median_metric("setup_s", setup, "s");
   rep.metric("peak_rss_mb", hwm, "MB");
   rep.metric("flows_per_s", static_cast<double>(flows) / wide, "flows/s");
   rep.metric("flows_per_s_1lane", static_cast<double>(flows) / single,

@@ -41,14 +41,16 @@ struct Inputs {
   std::unique_ptr<engine::ThreadPool> pool;
 };
 
+// Scenario file, relative to the root of the source tree.
+constexpr const char* kConfig = "examples/large_horizon.cfg";
 // Residences the traced run splits `simulate` on: every stride-th home.
 constexpr int kSampleResidences = 64;
 
 std::unique_ptr<Inputs> make_inputs(const Options& o) {
   auto in = std::make_unique<Inputs>();
   std::string error;
-  auto cfg = engine::FleetConfig::load(o.config, &error);
-  if (!cfg) throw std::runtime_error(o.config + ": " + error);
+  auto cfg = engine::FleetConfig::load(kConfig, &error);
+  if (!cfg) throw std::runtime_error(std::string(kConfig) + ": " + error);
   in->cfg = *cfg;
   in->cfg.seed = in->cfg.seed.get() + o.seed;
   if (o.tiny) {
@@ -203,9 +205,8 @@ SimulateSplit split_simulate(const Inputs& in, const ChainOutputs& c,
 }  // namespace
 
 int run_fleet_year(const Options& o, Report& rep) {
-  std::vector<double> setup;
-  const auto in = timed_setup(o.tiny ? 3 : 15, setup,
-                              [&] { return make_inputs(o); });
+  const auto in = make_inputs(o);
+  if (inputs_ready(o)) return 0;
   rep.check_thread_budget(o);
   rep.note("fleet_year: " + std::to_string(in->cfg.residences.get()) +
            " homes x " + std::to_string(in->cfg.days.get()) + " days, seed " +
@@ -275,7 +276,6 @@ int run_fleet_year(const Options& o, Report& rep) {
   rep.check_thread_budget(o);
 
   rep.fastest_metric("wall_s", walls, "s");
-  rep.median_metric("setup_s", setup, "s");
   rep.metric("peak_rss_mb", hwm, "MB");
   if (!o.trace) return 0;
 

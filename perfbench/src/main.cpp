@@ -3,7 +3,11 @@
 // builds it, runs it, and turns the RESULT line into the benchmark's output.
 //
 //   perfbench_driver --workload=fleet_year --seed=1 --seconds=10
-//                    [--trace] [--tiny] [--lanes=4] [--expect-digest=HEX]
+//                    [--trace] [--tiny] [--setup-only] [--expect-digest=HEX]
+//
+// Run it from the root of the source tree (fleet_year reads
+// examples/large_horizon.cfg). The first stdout line is READY, printed once
+// the inputs exist. The thread budget is N = min(hardware threads, 4).
 //
 // Exit codes: 0 every check passed, 1 an output check failed, 2 the run
 // could not be made (bad flags, non-Release build, missing input, error).
@@ -27,8 +31,8 @@ int main(int argc, char** argv) {
   cli.flag_double("seconds", &o.seconds, "length of the timed phase");
   cli.flag_bool("trace", &o.trace, "per-layer decomposition run");
   cli.flag_bool("tiny", &o.tiny, "tiny inputs (smoke test)");
-  cli.flag_int("lanes", &o.lanes, "thread budget N");
-  cli.flag_string("config", &o.config, "fleet_year scenario file");
+  cli.flag_bool("setup-only", &o.setup_only,
+                "make the inputs, print READY and exit");
   cli.flag_string("expect-digest", &o.expect_digest,
                   "pinned output digest for this workload and seed");
   if (!cli.parse(argc, argv)) return cli.exit_code() == 0 ? 0 : 2;
@@ -43,8 +47,8 @@ int main(int argc, char** argv) {
                  PERFBENCH_BUILD_TYPE);
     return 2;
   }
-  if (o.lanes < 1 || o.seconds <= 0.0) {
-    std::fprintf(stderr, "perfbench: --lanes must be >= 1, --seconds > 0\n");
+  if (o.seconds <= 0.0) {
+    std::fprintf(stderr, "perfbench: --seconds must be > 0\n");
     return 2;
   }
 
@@ -68,7 +72,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "perfbench: %s: %s\n", o.workload.c_str(), e.what());
     return 2;
   }
-  if (rc != 0) return rc;
+  if (rc != 0 || o.setup_only) return rc;
   rep.print(o);
   return rep.ok() ? 0 : 1;
 }

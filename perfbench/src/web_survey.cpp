@@ -1,7 +1,7 @@
 // web_survey: the paper's server and cloud side on a 100k-site universe.
 //
-// Set-up builds the web::Universe (100k sites, seed from --seed) once per
-// repetition. Timed, single-threaded, at epoch jul2025:
+// Set-up builds the web::Universe (100k sites, seed from --seed). Timed,
+// single-threaded, at epoch jul2025:
 // core::run_server_survey (build_zone -> Crawler::crawl_all -> classify_all
 // -> tabulate), web::SpanAnalysis, then core::build_domain_records +
 // cloud::provider_breakdown. Exercises web, dns, cloud and net and none of
@@ -104,13 +104,19 @@ std::string digest_of(const Outputs& out) {
   for (int v : {c.total, c.nxdomain, c.other_failure, c.connection_success,
                 c.unknown_primary, c.ipv4_only, c.aaaa_enabled, c.ipv6_partial,
                 c.ipv6_full, c.full_browser_used_v4,
-                c.full_browser_used_v6_only})
-    text += " " + std::to_string(v);
-  text += "\n";
-  for (const auto& r : out.providers)
-    text += r.org + " " + std::to_string(r.total) + " " +
-            std::to_string(r.v4_only) + " " + std::to_string(r.v6_full) +
-            " " + std::to_string(r.v6_only) + "\n";
+                c.full_browser_used_v6_only}) {
+    text += ' ';
+    text += std::to_string(v);
+  }
+  text += '\n';
+  for (const auto& r : out.providers) {
+    text += r.org;
+    for (int v : {r.total, r.v4_only, r.v6_full, r.v6_only}) {
+      text += ' ';
+      text += std::to_string(v);
+    }
+    text += '\n';
+  }
   return hex64(fnv1a(text));
 }
 
@@ -148,9 +154,10 @@ void check_outputs(Report& rep, std::size_t op, const Options& o,
 }  // namespace
 
 int run_web_survey(const Options& o, Report& rep) {
-  std::vector<double> setup;
-  const auto in = timed_setup(o.tiny ? 3 : 5, setup,
-                              [&] { return make_inputs(o); });
+  const auto t0 = Clock::now();
+  const auto in = make_inputs(o);
+  const double universe_s = since(t0);
+  if (inputs_ready(o)) return 0;
   rep.check_thread_budget(o);
   rep.note("web_survey: " +
            std::to_string(in->universe->sites().size()) +
@@ -188,11 +195,10 @@ int run_web_survey(const Options& o, Report& rep) {
   });
 
   rep.fastest_metric("wall_s", walls, "s");
-  rep.median_metric("setup_s", setup, "s");
   rep.metric("peak_rss_mb", hwm, "MB");
   if (!o.trace) return 0;
 
-  rep.metric("web.universe.s", median(setup), "s");
+  rep.metric("web.universe.s", universe_s, "s");
   rep.metric("dns.build_zone.s", layers.zone, "s");
   rep.metric("web.crawl.s", layers.crawl, "s");
   rep.metric("web.classify.s", layers.classify, "s");

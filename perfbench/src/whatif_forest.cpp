@@ -8,7 +8,9 @@
 // N threads are ever alive (the scheduling thread waits while the forest
 // runs). After the timed phase, a serial Pipeline::run loop over one shared
 // PassCache, on the same pool plus the calling thread, is the reference:
-// every variant of every timed iteration must serialize byte-identically.
+// every variant of every timed iteration must serialize byte-identically
+// (compared as FNV-1a digests of the canonical text, so the timed phase holds
+// no serializations).
 //
 // The traced run times the serial chain through the stage functions (the
 // base population sampled once, as the cache shares it; then timeline,
@@ -62,15 +64,16 @@ std::unique_ptr<Inputs> make_inputs(const Options& o) {
   return in;
 }
 
-std::vector<std::string> serialize_all(
+// Digest of each variant's canonical serialization.
+std::vector<std::uint64_t> digest_all(
     const Inputs& in, const std::vector<std::unique_ptr<engine::Pipeline>>& p) {
-  std::vector<std::string> out;
+  std::vector<std::uint64_t> out;
   for (std::size_t v = 0; v < p.size(); ++v) {
     const engine::Pipeline& pipe = *p[v];
-    out.push_back(canonical_text(
+    out.push_back(fnv1a(canonical_text(
         in.variants[v], pipe.output<engine::FleetResult>("fleet_result"),
         pipe.output<core::FleetStatsReport>("stats_report"),
-        pipe.output<core::GroupComparison>("window_panel")));
+        pipe.output<core::GroupComparison>("window_panel"))));
   }
   return out;
 }
@@ -89,7 +92,7 @@ std::vector<std::unique_ptr<engine::Pipeline>> make_pipelines(
 // passes. Every variant's outputs stay alive to the end, as in the serial
 // pipeline loop, whose pipelines keep their resources bound.
 double traced_forest(const Inputs& in, PassSpans& spans,
-                     std::vector<std::string>& canon) {
+                     std::vector<std::uint64_t>& digests) {
   std::vector<std::unique_ptr<ChainOutputs>> kept;
   const auto t0 = Clock::now();
   const engine::SampledFleet population =
@@ -101,17 +104,16 @@ double traced_forest(const Inputs& in, PassSpans& spans,
   }
   const double wall = since(t0);
   for (std::size_t v = 0; v < kept.size(); ++v)
-    canon.push_back(canonical_text(in.variants[v], kept[v]->result,
-                                   kept[v]->report, kept[v]->panel));
+    digests.push_back(fnv1a(canonical_text(in.variants[v], kept[v]->result,
+                                           kept[v]->report, kept[v]->panel)));
   return wall;
 }
 
 }  // namespace
 
 int run_whatif_forest(const Options& o, Report& rep) {
-  std::vector<double> setup;
-  const auto in = timed_setup(o.tiny ? 3 : 15, setup,
-                              [&] { return make_inputs(o); });
+  const auto in = make_inputs(o);
+  if (inputs_ready(o)) return 0;
   rep.check_thread_budget(o);
   const auto& base = in->variants.front();
   rep.note("whatif_forest: " + std::to_string(in->variants.size()) +
@@ -124,7 +126,7 @@ int run_whatif_forest(const Options& o, Report& rep) {
   double hwm = 0.0;
   engine::ForestScheduler::Stats fstats;
   std::size_t cache_entries = 0;
-  std::vector<std::pair<std::size_t, std::vector<std::string>>> outputs;
+  std::vector<std::pair<std::size_t, std::vector<std::uint64_t>>> outputs;
 
   repeat_for(o.seconds, 1, [&](int) {
     fresh_heap();
@@ -146,13 +148,13 @@ int run_whatif_forest(const Options& o, Report& rep) {
     for (const auto& p : pipes) samples += p->executions("sample");
     rep.check(op, "forest sampled the base population once", samples == 1);
     cache_entries = cache.size();
-    outputs.emplace_back(op, serialize_all(*in, pipes));
+    outputs.emplace_back(op, digest_all(*in, pipes));
   });
   rep.check_thread_budget(o);
 
   // Reference: the serial loop over one shared cache.
   fresh_heap();
-  std::vector<std::string> reference;
+  std::vector<std::uint64_t> reference;
   double serial_s = 0.0;
   {
     const auto t0 = Clock::now();
@@ -160,30 +162,29 @@ int run_whatif_forest(const Options& o, Report& rep) {
     auto pipes = make_pipelines(*in);
     for (auto& p : pipes) p->run(&cache, in->pool.get());
     serial_s = since(t0);
-    reference = serialize_all(*in, pipes);
+    reference = digest_all(*in, pipes);
   }
-  for (const auto& [op, canon] : outputs) {
-    for (std::size_t v = 0; v < canon.size(); ++v)
+  for (const auto& [op, digests] : outputs) {
+    for (std::size_t v = 0; v < digests.size(); ++v)
       rep.check(op, "variant " + std::to_string(v) +
                         " overlapped output == serial reference",
-                canon[v] == reference[v]);
+                digests[v] == reference[v]);
   }
 
   const double wall = fastest(walls);
   rep.fastest_metric("wall_s", walls, "s");
-  rep.median_metric("setup_s", setup, "s");
   rep.metric("peak_rss_mb", hwm, "MB");
   if (!o.trace) return 0;
 
   fresh_heap();
   const std::size_t op = rep.begin_op();
   PassSpans l;
-  std::vector<std::string> traced_canon;
-  const double traced_s = traced_forest(*in, l, traced_canon);
-  for (std::size_t v = 0; v < traced_canon.size(); ++v)
+  std::vector<std::uint64_t> traced_digests;
+  const double traced_s = traced_forest(*in, l, traced_digests);
+  for (std::size_t v = 0; v < traced_digests.size(); ++v)
     rep.check(op, "variant " + std::to_string(v) +
                       " traced chain output == serial reference",
-              traced_canon[v] == reference[v]);
+              traced_digests[v] == reference[v]);
 
   const double bound = static_cast<double>(fstats.executed + fstats.cached +
                                            fstats.deduped);

@@ -22,6 +22,8 @@ sys.dont_write_bytecode = True
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 RUN = os.path.join(HERE, "run.py")
+sys.path.insert(0, HERE)
+import run as bench  # noqa: E402
 WORKLOADS = ("fleet_year", "firehose_stream", "whatif_forest", "web_survey")
 SCRATCH = os.path.join(ROOT, os.environ.get("CARGO_TARGET_DIR", ".bench_build"),
                        "test_scratch")
@@ -50,6 +52,17 @@ def run(*args, cwd=ROOT):
     if lines and lines[-1].startswith("{"):
         result = json.loads(lines[-1])
     return p.returncode, p.stdout, result
+
+
+def run_driver(*args):
+    """The driver itself, built as run.py builds it: (returncode, RESULT)."""
+    p = subprocess.run([bench.build_driver()] + list(args), cwd=ROOT,
+                       capture_output=True, text=True)
+    result = None
+    for line in p.stdout.splitlines():
+        if line.startswith("RESULT "):
+            result = json.loads(line[len("RESULT "):])
+    return p.returncode, result
 
 
 def spec():
@@ -105,26 +118,22 @@ class Smoke(unittest.TestCase):
     def test_perturbed_pinned_digest_fails_every_operation(self):
         for w in ("fleet_year", "web_survey"):
             with self.subTest(workload=w):
-                rc, out, result = run("--workload", w, "--seed", "1",
-                                      "--seconds", "0.5", "--tiny",
-                                      "--expect-digest", "0000000000000000")
-                self.assertNotEqual(rc, 0)
-                self.assertFalse(result["correct"])
+                rc, result = run_driver(f"--workload={w}", "--seed=1",
+                                        "--seconds=0.5", "--tiny",
+                                        "--expect-digest=0000000000000000")
+                self.assertEqual(rc, 1)
                 self.assertGreaterEqual(result["attempted"], 1)
-                self.assertEqual(result["failed"], result["attempted"])
-                self.assertIn("failed_frac = 1.0 ratio", out)
+                self.assertEqual(result["failed"] / result["attempted"], 1.0)
 
     def test_true_digest_passes(self):
-        rc, out, _ = run("--workload", "web_survey", "--seed", "1",
-                         "--seconds", "0.1", "--tiny")
-        self.assertEqual(rc, 0, out)
-        digest = [l for l in out.splitlines() if l.startswith("  digest = ")]
-        self.assertEqual(len(digest), 1, out)
-        rc, out, result = run("--workload", "web_survey", "--seed", "1",
-                              "--seconds", "0.1", "--tiny", "--expect-digest",
-                              digest[0].split()[2])
-        self.assertEqual(rc, 0, out)
-        self.assertTrue(result["correct"])
+        rc, result = run_driver("--workload=web_survey", "--seed=1",
+                                "--seconds=0.1", "--tiny")
+        self.assertEqual(rc, 0)
+        rc, result = run_driver("--workload=web_survey", "--seed=1",
+                                "--seconds=0.1", "--tiny",
+                                "--expect-digest=" + result["digest"])
+        self.assertEqual(rc, 0)
+        self.assertEqual(result["failed"], 0)
 
 
 class Fingerprints(unittest.TestCase):
