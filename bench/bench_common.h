@@ -10,18 +10,21 @@
 //   NBV6_DAYS   residence days      (default 274, Nov 2024 - Aug 2025)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_cli.h"
 #include "cloud/providers.h"
 #include "core/client_analysis.h"
 #include "engine/fleet.h"
+#include "engine/thread_pool.h"
 #include "core/server_analysis.h"
 #include "flowmon/monitor.h"
 #include "stats/descriptive.h"
@@ -96,21 +99,31 @@ inline engine::FleetConfig default_bench_fleet() {
   cfg.residences = 256;
   cfg.days = 14;
   cfg.seed = 20260726;
-  cfg.threads = 0;
   return cfg;
 }
 
-/// Register the shared fleet scenario flags on `cli`, targeting `cfg`
-/// (typically default_bench_fleet()). The old NBV6_FLEET_* env knobs stay
-/// wired in as deprecated fallbacks.
-inline void register_fleet_flags(Cli& cli, engine::FleetConfig& cfg) {
-  cli.flag_int("residences", &cfg.residences.mut(), "fleet size",
-               "NBV6_FLEET_RESIDENCES");
-  cli.flag_int("days", &cfg.days.mut(), "simulated horizon in days",
-               "NBV6_FLEET_DAYS");
-  cli.flag_u64("seed", &cfg.seed.mut(), "scenario master seed", "NBV6_FLEET_SEED");
-  cli.flag_int("threads", &cfg.threads.mut(), "worker lanes, 0 = hw concurrency",
-               "NBV6_FLEET_THREADS");
+/// Register the shared fleet flags on `cli`: the scenario knobs target
+/// `cfg` (typically default_bench_fleet()), `--threads` targets `threads`
+/// (a run setting, not part of the scenario).
+inline void register_fleet_flags(Cli& cli, engine::FleetConfig& cfg,
+                                 int& threads) {
+  cli.flag_int("residences", &cfg.residences.mut(), "fleet size");
+  cli.flag_int("days", &cfg.days.mut(), "simulated horizon in days");
+  cli.flag_u64("seed", &cfg.seed.mut(), "scenario master seed");
+  cli.flag_int("threads", &threads, "worker lanes, 0 = hw concurrency");
+}
+
+/// Worker lanes for a `--threads` value: <= 0 selects hardware concurrency.
+inline int resolve_lanes(int threads) {
+  if (threads > 0) return threads;
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// The pool for `lanes` lanes: the calling thread is one lane, the pool
+/// supplies the rest (nullptr for one lane).
+inline std::unique_ptr<engine::ThreadPool> lane_pool(int lanes) {
+  if (lanes <= 1) return nullptr;
+  return std::make_unique<engine::ThreadPool>(lanes - 1);
 }
 
 /// The standard web universe at NBV6_SITES scale.

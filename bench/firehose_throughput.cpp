@@ -8,8 +8,6 @@
 //   ./build/firehose_throughput [--residences=64 --days=14 --threads=0
 //                                --tph=12 --mode=poisson --seed=1]
 //
-// The old NBV6_FIREHOSE_* env knobs remain deprecated fallbacks.
-//
 // Output is one human line plus one machine-greppable `RESULT` line of
 // key=value pairs (the CI artifact).
 #include <chrono>
@@ -36,18 +34,12 @@ int main(int argc, char** argv) {
 
   bench::Cli cli("firehose_throughput",
                  "Streaming flow-firehose throughput measurement");
-  cli.flag_int("residences", &cfg.residences.mut(), "fleet size",
-               "NBV6_FIREHOSE_RESIDENCES");
-  cli.flag_int("days", &cfg.days.mut(), "simulated horizon in days",
-               "NBV6_FIREHOSE_DAYS");
-  cli.flag_int("threads", &threads, "worker lanes, 0 = hw concurrency",
-               "NBV6_FIREHOSE_THREADS");
-  cli.flag_int("tph", &cfg.arrival->ticks_per_hour, "arrival ticks per hour",
-               "NBV6_FIREHOSE_TPH");
-  cli.flag_string("mode", &mode, "arrival mode: batch|poisson|uniform",
-                  "NBV6_FIREHOSE_MODE");
-  cli.flag_u64("seed", &cfg.seed.mut(), "scenario master seed",
-               "NBV6_FIREHOSE_SEED");
+  cli.flag_int("residences", &cfg.residences.mut(), "fleet size");
+  cli.flag_int("days", &cfg.days.mut(), "simulated horizon in days");
+  cli.flag_int("threads", &threads, "worker lanes, 0 = hw concurrency");
+  cli.flag_int("tph", &cfg.arrival->ticks_per_hour, "arrival ticks per hour");
+  cli.flag_string("mode", &mode, "arrival mode: batch|poisson|uniform");
+  cli.flag_u64("seed", &cfg.seed.mut(), "scenario master seed");
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!traffic::parse_arrival_mode(mode, cfg.arrival->mode)) {
     std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());

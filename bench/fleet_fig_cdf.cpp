@@ -5,13 +5,13 @@
 //
 //   ./build/fleet_fig_cdf [--residences=N --days=N --seed=S --threads=T]
 //                         [cdf-out.csv] [summary-out.csv]
-//
-// (See --help; the old NBV6_FLEET_* env knobs remain deprecated fallbacks.)
 #include <cstdio>
 #include <string>
 
 #include "core/fleet_analysis.h"
+#include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
+#include "engine/pipeline.h"
 #include "traffic/service_catalog.h"
 
 #include "bench_common.h"
@@ -20,25 +20,27 @@ using namespace nbv6;
 
 int main(int argc, char** argv) {
   auto cfg = bench::default_bench_fleet();
+  int threads = 0;
   std::string cdf_path = "fleet_cdf.csv";
   std::string summary_path = "fleet_summary.csv";
   bench::Cli cli("fleet_fig_cdf",
                  "Population CDFs and summaries of per-residence metrics");
-  bench::register_fleet_flags(cli, cfg);
+  bench::register_fleet_flags(cli, cfg, threads);
   cli.positional("cdf-out.csv", &cdf_path, "CDF curves output");
   cli.positional("summary-out.csv", &summary_path, "box/summary output");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
   bench::section("Fleet figure: population CDFs of per-residence metrics");
   auto catalog = traffic::build_paper_catalog();
-  engine::FleetEngine fleet(catalog, cfg.threads);
+  const int lanes = bench::resolve_lanes(threads);
+  const auto pool = bench::lane_pool(lanes);
   std::printf("fleet: %d residences x %d days on %d lane(s)\n",
-              cfg.residences.get(), cfg.days.get(), fleet.lanes());
-  auto result = fleet.run(cfg);
+              cfg.residences.get(), cfg.days.get(), lanes);
+  engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+  pipe.run(nullptr, pool.get());
 
-  auto matrix = core::extract_metrics(result, core::default_fleet_metrics(),
-                                      fleet.pool());
-  auto dists = core::population_distributions(matrix);
+  const auto& dists =
+      pipe.output<core::FleetStatsReport>("stats_report").distributions;
 
   for (const auto& d : dists) {
     bench::print_boxplot(d.box, core::to_string(d.metric));

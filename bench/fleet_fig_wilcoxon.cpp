@@ -10,13 +10,13 @@
 //
 //   ./build/fleet_fig_wilcoxon [--residences=N --days=N --seed=S
 //                               --threads=T] [panel-out.tsv]
-//
-// (See --help; the old NBV6_FLEET_* env knobs remain deprecated fallbacks.)
 #include <cstdio>
 #include <string>
 
 #include "core/fleet_analysis.h"
+#include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
+#include "engine/pipeline.h"
 #include "traffic/service_catalog.h"
 
 #include "bench_common.h"
@@ -25,21 +25,23 @@ using namespace nbv6;
 
 int main(int argc, char** argv) {
   auto cfg = bench::default_bench_fleet();
+  int threads = 0;
   std::string panel_path = "fleet_wilcoxon.tsv";
   bench::Cli cli("fleet_fig_wilcoxon",
                  "Cross-fleet Wilcoxon group-comparison panels");
-  bench::register_fleet_flags(cli, cfg);
+  bench::register_fleet_flags(cli, cfg, threads);
   cli.positional("panel-out.tsv", &panel_path, "panel TSV output");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
   bench::section("Fleet figure: Wilcoxon group-comparison panels");
   auto catalog = traffic::build_paper_catalog();
-  engine::FleetEngine fleet(catalog, cfg.threads);
+  const int lanes = bench::resolve_lanes(threads);
+  const auto pool = bench::lane_pool(lanes);
   std::printf("fleet: %d residences x %d days on %d lane(s)\n",
-              cfg.residences.get(), cfg.days.get(), fleet.lanes());
-  auto result = fleet.run(cfg);
-
-  auto report = core::fleet_stats_report(result, fleet.pool());
+              cfg.residences.get(), cfg.days.get(), lanes);
+  engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+  pipe.run(nullptr, pool.get());
+  const auto& report = pipe.output<core::FleetStatsReport>("stats_report");
 
   std::FILE* out = std::fopen(panel_path.c_str(), "w");
   if (out == nullptr) {
@@ -64,11 +66,9 @@ int main(int argc, char** argv) {
   // day-resolved session stats make every row real — he_failure_rate
   // included.
   if (cfg.days >= 2) {
-    core::DayWindow pre{0, cfg.days / 2 - 1};
-    core::DayWindow post{cfg.days / 2, cfg.days - 1};
-    auto windows =
-        core::compare_windows(result, core::default_fleet_metrics(), pre,
-                              post, core::FleetGroup::all, fleet.pool());
+    const core::DayWindow pre{0, cfg.days / 2 - 1};
+    const core::DayWindow post{cfg.days / 2, cfg.days - 1};
+    const auto& windows = pipe.output<core::GroupComparison>("window_panel");
     std::printf("\n-- days %d-%d vs days %d-%d (paired, Holm alpha=0.05) --\n",
                 pre.first, pre.last, post.first, post.last);
     core::write_panel_tsv(stdout, windows);

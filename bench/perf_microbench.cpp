@@ -10,6 +10,7 @@
 #include "engine/firehose.h"
 #include "engine/flat_conntrack.h"
 #include "engine/fleet.h"
+#include "engine/run_spec.h"
 #include "engine/thread_pool.h"
 #include "flowmon/conntrack.h"
 #include "net/cryptopan.h"
@@ -143,11 +144,11 @@ void BM_FleetIngest(benchmark::State& state) {
   cfg.residences = static_cast<int>(state.range(0));
   cfg.days = 2;
   cfg.seed = 99;
-  auto configs = engine::sample_fleet(cfg, catalog);
-  engine::FleetEngine fleet(catalog, /*threads=*/4);
+  const auto configs = engine::sample_stage(cfg, catalog).configs;
+  engine::ThreadPool pool(3);  // + the calling thread = 4 lanes
   std::uint64_t flows = 0;
   for (auto _ : state) {
-    auto result = fleet.run(configs);
+    auto result = engine::simulate_fleet(catalog, configs, &pool);
     flows += result.totals.flows;
     benchmark::DoNotOptimize(result);
   }

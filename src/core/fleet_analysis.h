@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "engine/fleet.h"
+#include "engine/thread_pool.h"
 #include "stats/descriptive.h"
 #include "stats/fleet_stats.h"
 
@@ -191,7 +192,7 @@ struct FleetStatsReport {
 };
 
 /// Build the whole report from a fleet run that carried traits
-/// (run(FleetConfig) / run(SampledFleet)); throws std::invalid_argument
+/// (simulate_fleet of a SampledFleet); throws std::invalid_argument
 /// when the result has no index-aligned traits. Deterministic per
 /// (result, alpha) for any `pool` lane count.
 FleetStatsReport fleet_stats_report(const engine::FleetResult& result,

@@ -21,8 +21,8 @@ using engine::PipelineValue;
 using engine::SampledFleet;
 
 // The pre/post windows every scenario panel compares: the horizon's two
-// halves (the same split tests/testutil.cpp uses, so the pipelined panel
-// is byte-identical to the standalone one).
+// halves (the binaries that print the window panel label it with the same
+// split).
 DayWindow pre_window(const FleetConfig& cfg) { return {0, cfg.days / 2 - 1}; }
 DayWindow post_window(const FleetConfig& cfg) {
   return {cfg.days / 2, cfg.days - 1};
@@ -312,12 +312,7 @@ std::vector<PassReadAudit> audit_scenario_passes(
 }
 
 engine::ConfigReadSet uncovered_config_reads(const PassReadAudit& audit) {
-  engine::ConfigReadSet uncovered = audit.run_reads & ~audit.digest_reads;
-  // The one field read at run time that is digest-excluded by design:
-  // thread count can never change what a pass computes (lane invariance is
-  // golden-pinned), so it must not change pass identity either.
-  uncovered.reset(static_cast<std::size_t>(engine::ConfigField::threads));
-  return uncovered;
+  return audit.run_reads & ~audit.digest_reads;
 }
 
 std::string describe_read_set(const engine::ConfigReadSet& reads) {

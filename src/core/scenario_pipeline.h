@@ -14,11 +14,11 @@
 // passes ("panel_tsv", "cdf_csv", "summary_csv") that render the report
 // into figure-ready files and output the written paths.
 //
-// Every pass wraps the exact production stage function (sample_stage,
+// Every pass wraps the one production stage function (sample_stage,
 // apply_timeline, simulate_fleet, extract_metrics, fleet_stats_report,
-// compare_windows, write_*) — the pipelined run of a scenario is
-// byte-identical to the standalone FleetEngine::run path, which the
-// golden-parity test pins across lane counts.
+// compare_windows, write_*), and Pipeline::run is how a scenario runs end
+// to end: the golden-replay suite pins its output byte for byte at 1, 4
+// and 8 lanes.
 //
 // The config digests draw a deliberate line through FleetConfig: the
 // sample pass digests only the population slice (residences, seed,
@@ -46,8 +46,8 @@ namespace nbv6::core {
 // --------------------------------------------------------------- digests
 
 /// Digest of the population slice of `cfg` (everything sample_stage reads)
-/// plus the catalog content. Excludes threads, timeline, and plan mode:
-/// none of them can change what is sampled.
+/// plus the catalog content. Excludes timeline and plan mode: neither can
+/// change what is sampled.
 std::uint64_t population_digest(const engine::FleetConfig& cfg,
                                 const traffic::ServiceCatalog& catalog);
 
@@ -127,10 +127,9 @@ std::vector<PassReadAudit> audit_scenario_passes(
     const ScenarioPassOptions& opts = {},
     const ScenarioAuditHooks& hooks = {});
 
-/// Fields the pass body read that its digest slice does not cover, minus
-/// the one deliberate exclusion: `threads`. Lane count must never change
-/// results (the engine's determinism invariant), so it is excluded from
-/// every digest on purpose. A non-empty result is a stale-cache bug.
+/// Fields the pass body read that its digest slice does not cover. A
+/// non-empty result is a stale-cache bug. (Lane count is not a config
+/// field: it belongs to the run, so no digest can depend on it.)
 engine::ConfigReadSet uncovered_config_reads(const PassReadAudit& audit);
 
 /// "days, seed, timeline"-style rendering for audit failure messages.

@@ -39,7 +39,6 @@ namespace nbv6::engine {
 enum class ConfigField : unsigned {
   residences,
   days,
-  threads,
   seed,
   dual_stack_isp_frac,
   broken_v6_frac,
@@ -64,7 +63,6 @@ constexpr std::string_view to_string(ConfigField f) {
   switch (f) {
     case ConfigField::residences: return "residences";
     case ConfigField::days: return "days";
-    case ConfigField::threads: return "threads";
     case ConfigField::seed: return "seed";
     case ConfigField::dual_stack_isp_frac: return "dual_stack_isp_frac";
     case ConfigField::broken_v6_frac: return "broken_v6_frac";

@@ -18,14 +18,14 @@ Firehose::Firehose(const traffic::ServiceCatalog& catalog, int threads)
 }
 
 Firehose::Result Firehose::run(const FleetConfig& cfg, const Sink& sink) {
-  // Compatibility wrapper: the streaming loop lives in engine/run_spec.cpp
-  // (stream_fleet), selected by RunSpec::firehose.
-  RunOutput out =
-      RunSpec(cfg).firehose(sink).run_on(*catalog_, pool_.get(), lanes_);
+  SampledFleet fleet = sample_stage(cfg, *catalog_);
+  apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
+  StreamStats s =
+      stream_fleet(*catalog_, fleet, cfg.days, cfg.arrival, pool_.get(), sink);
   Result r;
-  r.flows = out.flows_streamed;
-  r.lanes = out.lanes;
-  r.totals = std::move(out.totals);
+  r.flows = s.flows;
+  r.lanes = lanes_;
+  r.totals = std::move(s.totals);
   return r;
 }
 

@@ -18,9 +18,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "engine/fleet.h"
+#include "engine/thread_pool.h"
 #include "flowmon/flow_record.h"
 #include "net/flow.h"
 
@@ -102,8 +104,8 @@ class Firehose {
     traffic::SimulationStats totals;
   };
 
-  /// `threads` as FleetConfig::threads: <= 0 selects hardware concurrency,
-  /// 1 is the sequential reference.
+  /// `threads` worker lanes: <= 0 selects hardware concurrency, 1 is the
+  /// sequential reference. Never changes the stream.
   explicit Firehose(const traffic::ServiceCatalog& catalog, int threads = 0);
 
   /// Sample + timeline + simulate the scenario, streaming every flow to

@@ -1,14 +1,10 @@
 #include "engine/fleet.h"
 
-#include <algorithm>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
-
-#include "engine/run_spec.h"
 
 namespace nbv6::engine {
 
@@ -82,7 +78,6 @@ std::optional<FleetConfig> FleetConfig::parse(std::string_view text,
     bool ok;
     if (key == "residences") ok = parse_int(val, cfg.residences.mut());
     else if (key == "days") ok = parse_int(val, cfg.days.mut());
-    else if (key == "threads") ok = parse_int(val, cfg.threads.mut());
     else if (key == "seed") ok = parse_u64(val, cfg.seed.mut());
     else if (key == "dual_stack_isp_frac") ok = frac(cfg.dual_stack_isp_frac.mut());
     else if (key == "broken_v6_frac") ok = frac(cfg.broken_v6_frac.mut());
@@ -146,47 +141,6 @@ std::optional<FleetConfig> FleetConfig::load(const std::string& path,
   std::ostringstream buf;
   buf << in.rdbuf();
   return parse(buf.str(), error);
-}
-
-std::vector<traffic::ResidenceConfig> sample_fleet(
-    const FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
-  return sample_fleet_detailed(cfg, catalog).configs;
-}
-
-SampledFleet sample_fleet_detailed(const FleetConfig& cfg,
-                                   const traffic::ServiceCatalog& catalog) {
-  // Compatibility wrapper: the sampling loop itself lives in
-  // engine/run_spec.cpp (sample_stage), the RunDetail::sample stage of the
-  // unified run entry point.
-  return RunSpec(cfg).detail(RunDetail::sample).run(catalog).sampled;
-}
-
-FleetEngine::FleetEngine(const traffic::ServiceCatalog& catalog, int threads)
-    : catalog_(&catalog) {
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    threads = std::max(threads, 1);
-  }
-  lanes_ = threads;
-  // The calling thread is one lane; the pool supplies the rest.
-  if (lanes_ > 1) pool_ = std::make_unique<ThreadPool>(lanes_ - 1);
-}
-
-FleetResult FleetEngine::run(
-    const std::vector<traffic::ResidenceConfig>& configs) {
-  return simulate_fleet(*catalog_, configs, pool_.get());
-}
-
-FleetResult FleetEngine::run(const SampledFleet& fleet) {
-  return simulate_fleet(*catalog_, fleet, pool_.get());
-}
-
-FleetResult FleetEngine::run(const FleetConfig& cfg, TimelinePlanMode mode) {
-  // Compatibility wrapper over the unified entry point, borrowing this
-  // engine's pool so repeated runs keep reusing one set of workers.
-  return std::move(*RunSpec(cfg).plan_mode(mode)
-                        .run_on(*catalog_, pool_.get(), lanes_)
-                        .result);
 }
 
 }  // namespace nbv6::engine

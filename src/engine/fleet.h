@@ -1,32 +1,36 @@
-// Fleet engine: population-scale residence simulation.
+// Fleet scenario types: population-scale residence simulation.
 //
 // The paper measures five instrumented households; reproducing its
 // population-level claims (Table 1 daily means across residences, the
 // cross-residence Wilcoxon comparisons) needs *many* residences run under
-// one roof. The fleet engine simulates N residences concurrently — each
-// worker lane owns a shard consisting of the residence's own RNG (seeded
-// per residence), its own FlatConntrack table, and its own FlowMonitor —
-// and reduces shard monitors into one fleet-level view in residence-index
-// order. Because residences share no mutable state and the reduction is a
-// fixed-order fold over associative counter merges, a T-thread run is
-// bit-identical to the sequential run of the same seeds for any T.
+// one roof. The simulate stage (engine/run_spec.h) runs N residences
+// concurrently — each worker lane owns a shard consisting of the
+// residence's own RNG (seeded per residence), its own FlatConntrack table,
+// and its own FlowMonitor — and reduces shard monitors into one
+// fleet-level view in residence-index order. Because residences share no
+// mutable state and the reduction is a fixed-order fold over associative
+// counter merges, a T-lane run is bit-identical to the sequential run of
+// the same seeds for any T.
 //
 // FleetConfig is the scenario layer: one small config (parseable from a
 // key=value file) describes a whole deployment — dual-stack rollout
 // fraction, broken-CPE households, heavy streamers, vacant homes, privacy
-// opt-outs, scripted absences — from which sample_fleet() deterministically
-// derives per-residence ResidenceConfigs.
+// opt-outs, scripted absences — from which sample_stage() deterministically
+// derives per-residence ResidenceConfigs. Lane count is not part of the
+// scenario: it belongs to the run (a pool the caller owns) and never
+// changes results.
+//
+// Running a scenario end to end is core::make_scenario_pipeline(...).run();
+// the stage functions themselves live in engine/run_spec.h.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "engine/config_tracking.h"
-#include "engine/thread_pool.h"
 #include "engine/timeline.h"
 #include "flowmon/monitor.h"
 #include "traffic/generator.h"
@@ -47,9 +51,6 @@ namespace nbv6::engine {
 struct FleetConfig {
   Tracked<int, ConfigField::residences> residences = 64;
   Tracked<int, ConfigField::days> days = 30;
-  /// Worker lanes. <= 0 selects hardware concurrency; 1 runs on the
-  /// calling thread only (the sequential reference).
-  Tracked<int, ConfigField::threads> threads = 0;
   Tracked<std::uint64_t, ConfigField::seed> seed = 1;
 
   // ---- population mix -------------------------------------------------
@@ -77,15 +78,15 @@ struct FleetConfig {
   /// batch (default, golden-pinned) or an open-loop tick-sliced arrival
   /// process. Config keys: `arrival.mode = batch|poisson|uniform` and
   /// `arrival.ticks_per_hour = N` (1..3600). Copied onto every sampled
-  /// ResidenceConfig by sample_fleet.
+  /// ResidenceConfig by sample_stage.
   Tracked<traffic::ArrivalConfig, ConfigField::arrival> arrival;
 
   // ---- timeline --------------------------------------------------------
   /// Scheduled mid-observation changes (rollout waves, CPE fixes, outages,
   /// NAT64 migrations, seasonal scaling). Built from repeatable
   /// "timeline.<kind> = ..." config lines; see engine/timeline.h.
-  /// Applied by FleetEngine::run(FleetConfig) — or explicitly via
-  /// apply_timeline() when sampling by hand.
+  /// Applied by the pipeline's timeline pass — or explicitly via
+  /// apply_timeline() when running the stages by hand.
   Tracked<Timeline, ConfigField::timeline> timeline;
 
   /// Parse "key = value" lines ('#' starts a comment). The parse fails on:
@@ -131,16 +132,6 @@ struct SampledFleet {
   std::vector<ResidenceTraits> traits;
 };
 
-/// Deterministically sample the residence population described by `cfg`.
-/// The catalog supplies service names for the per-household mix tilts.
-std::vector<traffic::ResidenceConfig> sample_fleet(
-    const FleetConfig& cfg, const traffic::ServiceCatalog& catalog);
-
-/// sample_fleet() plus the per-residence stratum labels. Draws the exact
-/// same RNG stream, so .configs is identical to sample_fleet()'s output.
-SampledFleet sample_fleet_detailed(const FleetConfig& cfg,
-                                   const traffic::ServiceCatalog& catalog);
-
 /// One shard's outcome: the residence, its generator stats, and its
 /// monitor (detached — the shard's conntrack table died with the worker).
 struct ResidenceRun {
@@ -153,8 +144,8 @@ struct FleetResult {
   /// Index-aligned with the input configs.
   std::vector<ResidenceRun> residences;
   /// Stratum labels, index-aligned with `residences`. Filled when the run
-  /// started from a FleetConfig or SampledFleet; empty for raw config
-  /// vectors (no sampling happened, so there are no strata).
+  /// started from a SampledFleet; empty for raw config vectors (no
+  /// sampling happened, so there are no strata).
   std::vector<ResidenceTraits> traits;
   /// All shard monitors merged in residence-index order; feeds the
   /// existing core analyses (analyze_residence, as_usage, ...) unchanged.
@@ -162,42 +153,6 @@ struct FleetResult {
   /// Horizon totals plus the merged per-day session-stat series
   /// (totals.daily[d] = day d summed across every residence).
   traffic::SimulationStats totals;
-};
-
-/// Batch aggregation engine. Since the RunSpec unification
-/// (engine/run_spec.h) this is a pool-owning convenience over the shared
-/// stage functions — run(FleetConfig) is a thin wrapper over RunSpec.
-class FleetEngine {
- public:
-  /// `threads` as FleetConfig::threads.
-  explicit FleetEngine(const traffic::ServiceCatalog& catalog,
-                       int threads = 0);
-
-  /// Simulate every residence and reduce. Deterministic for fixed configs
-  /// regardless of the engine's thread count.
-  FleetResult run(const std::vector<traffic::ResidenceConfig>& configs);
-
-  /// run(fleet.configs) carrying the stratum labels into the result.
-  FleetResult run(const SampledFleet& fleet);
-
-  /// sample_fleet_detailed() + apply_timeline() + run() in one step: the
-  /// full scenario pipeline, timeline included. `mode` selects lazy
-  /// (default) or materialized day plans — byte-identical outcomes, see
-  /// TimelinePlanMode.
-  FleetResult run(const FleetConfig& cfg,
-                  TimelinePlanMode mode = TimelinePlanMode::lazy);
-
-  /// Total worker lanes (pool workers + the calling thread).
-  [[nodiscard]] int lanes() const { return lanes_; }
-
-  /// The engine's pool (nullptr when lanes() == 1); usable for the
-  /// parallel statistics paths between fleet runs.
-  [[nodiscard]] ThreadPool* pool() { return pool_.get(); }
-
- private:
-  const traffic::ServiceCatalog* catalog_;
-  int lanes_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace nbv6::engine

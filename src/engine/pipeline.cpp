@@ -121,10 +121,6 @@ Pipeline& Pipeline::replace(const Pass& pass) {
   return *this;
 }
 
-void Pipeline::set_config_digest(std::string_view pass, std::uint64_t digest) {
-  nodes_[index_of(pass)].pass.config_digest = digest;
-}
-
 std::size_t Pipeline::index_of(std::string_view pass) const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].pass.name == pass) return i;
@@ -174,77 +170,10 @@ void Pipeline::ensure_order() {
   order_valid_ = true;
 }
 
-Pipeline::RunStats Pipeline::run(PassCache* cache, ThreadPool* pool) {
-  ensure_order();
-  bound_.clear();
-
-  RunStats stats;
-  stats.passes.reserve(order_.size());
-  // Per-resource digests for the digest cascade: a resource's digest is
-  // its producing pass's digest folded with the output's position.
-  std::unordered_map<std::string, std::uint64_t> resource_digest;
-
-  // A pass failure must not leave bound_ half-populated from this run —
-  // output_value would serve a mix of fresh upstream results and nothing
-  // downstream, indistinguishable from a completed run. Failure clears
-  // everything: no resource is bound until a run completes.
-  try {
-    for (std::size_t idx : order_) {
-      Node& node = nodes_[idx];
-      const Pass& pass = node.pass;
-
-      DigestBuilder db;
-      db.str(pass.name).u64(pass.config_digest);
-      for (const auto& in : pass.inputs) db.u64(resource_digest.at(in));
-      const std::uint64_t digest = db.value();
-      node.last_digest = digest;
-      for (std::size_t o = 0; o < pass.outputs.size(); ++o) {
-        resource_digest[pass.outputs[o]] =
-            DigestBuilder().u64(digest).u64(o).value();
-      }
-
-      std::optional<std::vector<PipelineValue>> hit;
-      if (cache != nullptr && pass.cache_outputs)
-        hit = cache->find(digest, pass.name, pass.outputs.size());
-      if (hit) {
-        for (std::size_t o = 0; o < pass.outputs.size(); ++o)
-          bound_[pass.outputs[o]] = std::move((*hit)[o]);
-        ++stats.cached;
-        stats.passes.push_back({pass.name, digest, true});
-        continue;
-      }
-
-      std::vector<PipelineValue*> inputs;
-      inputs.reserve(pass.inputs.size());
-      for (const auto& in : pass.inputs) inputs.push_back(&bound_.at(in));
-      std::vector<PipelineValue> outputs(pass.outputs.size());
-
-      PassContext ctx;
-      ctx.input_names_ = &pass.inputs;
-      ctx.inputs_ = &inputs;
-      ctx.output_names_ = &pass.outputs;
-      ctx.outputs_ = &outputs;
-      ctx.pool_ = pool;
-      pass.run(ctx);
-
-      for (std::size_t o = 0; o < outputs.size(); ++o) {
-        if (!outputs[o].has_value())
-          throw std::logic_error("pass '" + pass.name +
-                                 "' did not set declared output '" +
-                                 pass.outputs[o] + "'");
-        bound_[pass.outputs[o]] = outputs[o];
-      }
-      if (cache != nullptr && pass.cache_outputs)
-        cache->store(digest, pass.name, std::move(outputs));
-      ++node.executions;
-      ++stats.executed;
-      stats.passes.push_back({pass.name, digest, false});
-    }
-  } catch (...) {
-    bound_.clear();
-    throw;
-  }
-  return stats;
+ForestScheduler::Stats Pipeline::run(PassCache* cache, ThreadPool* pool) {
+  ForestScheduler::Options opts;
+  opts.pool = pool;  // workers = 1: the inline driver, on this thread
+  return ForestScheduler::run({this}, cache, opts);
 }
 
 const PipelineValue& Pipeline::output_value(std::string_view resource) const {
@@ -310,7 +239,7 @@ struct TransientInstance {
 
 struct ForestRun {
  public:
-  ForestRun(const std::vector<Pipeline*>& pipelines, PassCache& cache,
+  ForestRun(const std::vector<Pipeline*>& pipelines, PassCache* cache,
             const ForestScheduler::Options& opts)
       : pipes_(pipelines),
         cache_(cache),
@@ -342,8 +271,8 @@ struct ForestRun {
       stats = stats_;
     }
     if (err) {
-      // Same no-partial-state rule as Pipeline::run — a failed forest
-      // leaves no pipeline serving a stale/fresh mix.
+      // No partial state: a failed forest leaves no pipeline serving a
+      // stale/fresh mix.
       for (Pipeline* p : pipes_) p->bound_.clear();
       std::rethrow_exception(err);
     }
@@ -378,7 +307,7 @@ struct ForestRun {
 
     for (Pipeline* p : pipes_) {
       // Digests are a pure function of the graph, so the whole cascade is
-      // computable up front, exactly as Pipeline::run does in order.
+      // computable up front, in topological order (see Pass in pipeline.h).
       std::unordered_map<std::string, std::uint64_t> resource_digest;
       std::unordered_map<std::size_t, std::size_t> forest_idx;  // node->forest
       for (std::size_t idx : p->order_) {
@@ -462,8 +391,8 @@ struct ForestRun {
     for (const auto& in : pass.inputs)
       n.inputs.push_back(&n.pipe->bound_.at(in));
 
-    if (pass.cache_outputs) {
-      if (auto hit = cache_.find(n.digest, pass.name, pass.outputs.size())) {
+    if (pass.cache_outputs && cache_ != nullptr) {
+      if (auto hit = cache_->find(n.digest, pass.name, pass.outputs.size())) {
         bind_outputs(i, *hit);
         ++stats_.cached;
         finish_node(i);
@@ -537,8 +466,9 @@ struct ForestRun {
     --resident_;
     ++stats_.released;
     for (Pipeline* p : inst.holders) p->bound_.erase(inst.name);
-    if (inst.producer_cacheable && inst.producer_all_transient)
-      cache_.erase(inst.producer_digest, inst.producer_pass);
+    if (cache_ != nullptr && inst.producer_cacheable &&
+        inst.producer_all_transient)
+      cache_->erase(inst.producer_digest, inst.producer_pass);
   }
 
   void complete_executed(std::size_t i, std::vector<PipelineValue> outputs)
@@ -556,8 +486,8 @@ struct ForestRun {
     }
     bind_outputs(i, outputs);
     for (std::size_t w : waiters) bind_outputs(w, outputs);
-    if (pass.cache_outputs)
-      cache_.store(n.digest, pass.name, std::move(outputs));
+    if (pass.cache_outputs && cache_ != nullptr)
+      cache_->store(n.digest, pass.name, std::move(outputs));
     finish_node(i);
     for (std::size_t w : waiters) {
       ++stats_.deduped;
@@ -691,7 +621,7 @@ struct ForestRun {
   };
 
   const std::vector<Pipeline*>& pipes_;
-  PassCache& cache_;
+  PassCache* cache_;  ///< nullptr: nothing is looked up, stored or shared
   const ForestScheduler::Options& opts_;
   const int workers_;
   const bool parallel_;
@@ -726,7 +656,7 @@ struct ForestRun {
 }  // namespace detail
 
 ForestScheduler::Stats ForestScheduler::run(
-    const std::vector<Pipeline*>& pipelines, PassCache& cache,
+    const std::vector<Pipeline*>& pipelines, PassCache* cache,
     const Options& opts) {
   if (pipelines.empty()) return {};
   detail::ForestRun run(pipelines, cache, opts);

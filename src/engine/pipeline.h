@@ -183,7 +183,6 @@ class PassContext {
   void set_output(std::string_view name, PipelineValue v);
 
  private:
-  friend class Pipeline;
   friend struct detail::ForestRun;
   const std::vector<std::string>* input_names_ = nullptr;
   const std::vector<PipelineValue*>* inputs_ = nullptr;
@@ -196,6 +195,13 @@ class PassContext {
 /// input the run function reads that is not a declared resource — it is
 /// the pass's half of the content hash, so an undigested config read makes
 /// cache reuse unsound.
+///
+/// The digest cascade (the cache key of every pass, walked in topological
+/// order): a pass's digest is
+///   DigestBuilder().str(name).u64(config_digest)
+/// followed by .u64(d) for each declared input's resource digest d, in
+/// declaration order; output o of a pass with digest p has resource digest
+/// DigestBuilder().u64(p).u64(o).
 struct Pass {
   std::string name;                   ///< unique within the pipeline
   std::vector<std::string> inputs;    ///< resource names consumed
@@ -205,86 +211,6 @@ struct Pass {
   /// (its outputs still participate in scheduling and downstream digests).
   bool cache_outputs = true;
   std::function<void(PassContext&)> run;
-};
-
-// -------------------------------------------------------------- pipeline
-
-class Pipeline {
- public:
-  /// Register a pass. Throws std::invalid_argument on a duplicate pass
-  /// name, a duplicate output resource, or a missing run function.
-  Pipeline& add(Pass pass);
-
-  /// Replace a registered pass wholesale (same-name passes swap in place,
-  /// keeping execution counters) — the in-place path for dirty-node
-  /// experiments. Throws std::invalid_argument if no such pass exists.
-  Pipeline& replace(const Pass& pass);
-
-  /// Update just the config digest of `pass` (marks it — and transitively
-  /// everything downstream — dirty on the next run if the digest changed).
-  /// Only sound when the pass's run function reads the changed config via
-  /// shared state; passes that capture config by value need replace().
-  void set_config_digest(std::string_view pass, std::uint64_t digest);
-
-  struct PassRun {
-    std::string pass;
-    std::uint64_t digest = 0;
-    bool cached = false;
-  };
-  struct RunStats {
-    std::size_t executed = 0;
-    std::size_t cached = 0;
-    std::vector<PassRun> passes;  ///< in schedule order
-  };
-
-  /// Execute every pass in topological order. With a cache, digest-matching
-  /// passes bind their cached outputs instead of running. Throws
-  /// std::invalid_argument on an input no pass produces and on dependency
-  /// cycles. `pool` is handed to pass contexts; it never affects results.
-  /// If a pass throws, the exception propagates and the bound state is
-  /// cleared: output_value never serves a mix of stale and fresh resources
-  /// from a partially completed run.
-  RunStats run(PassCache* cache = nullptr, ThreadPool* pool = nullptr);
-
-  /// A resource bound by the last run. Throws std::logic_error when the
-  /// resource is unknown or the pipeline has not run yet.
-  [[nodiscard]] const PipelineValue& output_value(
-      std::string_view resource) const;
-  template <typename T>
-  [[nodiscard]] const T& output(std::string_view resource) const {
-    return output_value(resource).get<T>();
-  }
-
-  /// Lifetime count of actual executions (cache hits excluded) of `pass`.
-  [[nodiscard]] std::uint64_t executions(std::string_view pass) const;
-
-  /// Pass names in the schedule order the last run used (or the order the
-  /// next run will use, computed on demand).
-  [[nodiscard]] std::vector<std::string> schedule();
-
-  [[nodiscard]] std::size_t pass_count() const { return nodes_.size(); }
-
- private:
-  friend class ForestScheduler;
-  friend struct detail::ForestRun;
-
-  struct Node {
-    Pass pass;
-    std::uint64_t executions = 0;
-    std::uint64_t last_digest = 0;
-  };
-
-  std::size_t index_of(std::string_view pass) const;
-  void ensure_order();
-
-  std::vector<Node> nodes_;
-  /// resource name -> producing node index.
-  std::unordered_map<std::string, std::size_t> producer_;
-  /// Topological schedule (registration order among independent passes).
-  std::vector<std::size_t> order_;
-  bool order_valid_ = false;
-  /// resource name -> value bound by the last run.
-  std::unordered_map<std::string, PipelineValue> bound_;
 };
 
 // ---------------------------------------------------------------- forest
@@ -317,9 +243,13 @@ class Pipeline {
 /// and stats behave identically, and passes keep Options::pool for
 /// intra-pass parallel_for.
 ///
+/// Without a cache (nullptr) nothing is shared: no lookup, no store, no
+/// in-flight dedup, and every pass of every pipeline executes. This is the
+/// only executor; Pipeline::run is a one-pipeline forest run.
+///
 /// On a pass failure the first exception is rethrown after all in-flight
-/// tasks drain, and every pipeline's bound state is cleared (the same
-/// no-partial-state rule as Pipeline::run).
+/// tasks drain, and every pipeline's bound state is cleared: output_value
+/// never serves a mix of stale and fresh resources from a partial run.
 class ForestScheduler {
  public:
   struct Options {
@@ -350,12 +280,76 @@ class ForestScheduler {
 
   /// Run every pipeline in `pipelines` to completion. Pipelines must be
   /// distinct objects; results (bound resources, execution counters) land
-  /// exactly as if each had run alone against the same warm cache.
-  static Stats run(const std::vector<Pipeline*>& pipelines, PassCache& cache,
+  /// exactly as if each had run alone against the same warm cache. Throws
+  /// std::invalid_argument on an input no pass produces and on dependency
+  /// cycles.
+  static Stats run(const std::vector<Pipeline*>& pipelines, PassCache* cache,
                    const Options& opts);
-  static Stats run(const std::vector<Pipeline*>& pipelines, PassCache& cache) {
-    return run(pipelines, cache, Options{});
+  static Stats run(const std::vector<Pipeline*>& pipelines, PassCache& cache,
+                   const Options& opts) {
+    return run(pipelines, &cache, opts);
   }
+};
+
+// -------------------------------------------------------------- pipeline
+
+class Pipeline {
+ public:
+  /// Register a pass. Throws std::invalid_argument on a duplicate pass
+  /// name, a duplicate output resource, or a missing run function.
+  Pipeline& add(Pass pass);
+
+  /// Replace a registered pass wholesale (same-name passes swap in place,
+  /// keeping execution counters) — the in-place path for dirty-node
+  /// experiments. Throws std::invalid_argument if no such pass exists.
+  Pipeline& replace(const Pass& pass);
+
+  /// Execute every pass: a one-pipeline ForestScheduler run, inline on the
+  /// caller (no thread is started). With a cache, digest-matching passes
+  /// bind their cached outputs instead of running. `pool` is handed to pass
+  /// contexts for intra-pass lanes; it never affects results. Throws and
+  /// rolls back exactly as ForestScheduler::run does.
+  ForestScheduler::Stats run(PassCache* cache = nullptr,
+                             ThreadPool* pool = nullptr);
+
+  /// A resource bound by the last run. Throws std::logic_error when the
+  /// resource is unknown or the pipeline has not run yet.
+  [[nodiscard]] const PipelineValue& output_value(
+      std::string_view resource) const;
+  template <typename T>
+  [[nodiscard]] const T& output(std::string_view resource) const {
+    return output_value(resource).get<T>();
+  }
+
+  /// Lifetime count of actual executions (cache hits excluded) of `pass`.
+  [[nodiscard]] std::uint64_t executions(std::string_view pass) const;
+
+  /// Pass names in topological order (registration order among
+  /// independent passes) — the order the digest cascade walks.
+  [[nodiscard]] std::vector<std::string> schedule();
+
+  [[nodiscard]] std::size_t pass_count() const { return nodes_.size(); }
+
+ private:
+  friend struct detail::ForestRun;
+
+  struct Node {
+    Pass pass;
+    std::uint64_t executions = 0;
+    std::uint64_t last_digest = 0;
+  };
+
+  std::size_t index_of(std::string_view pass) const;
+  void ensure_order();
+
+  std::vector<Node> nodes_;
+  /// resource name -> producing node index.
+  std::unordered_map<std::string, std::size_t> producer_;
+  /// Topological order (registration order among independent passes).
+  std::vector<std::size_t> order_;
+  bool order_valid_ = false;
+  /// resource name -> value bound by the last run.
+  std::unordered_map<std::string, PipelineValue> bound_;
 };
 
 }  // namespace nbv6::engine

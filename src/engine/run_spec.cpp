@@ -1,10 +1,8 @@
 #include "engine/run_spec.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/flat_conntrack.h"
@@ -137,7 +135,7 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
 StreamStats stream_fleet(const traffic::ServiceCatalog& catalog,
                          const SampledFleet& fleet, int days,
                          const traffic::ArrivalConfig& arrival,
-                         ThreadPool* pool, const RunSpec::FlowSink& sink) {
+                         ThreadPool* pool, const Firehose::Sink& sink) {
   const size_t n = fleet.configs.size();
   std::vector<traffic::ResidenceSimulator> sims;
   sims.reserve(n);
@@ -199,41 +197,6 @@ StreamStats stream_fleet(const traffic::ServiceCatalog& catalog,
   for (size_t i = 0; i < n; ++i) {
     buffers[i].flush(horizon);
     out.totals += sims[i].stats();
-  }
-  return out;
-}
-
-RunOutput RunSpec::run(const traffic::ServiceCatalog& catalog) const {
-  if (detail_ != RunDetail::aggregate) return run_on(catalog, nullptr, 1);
-  int lanes = lanes_ != 0 ? lanes_ : int(cfg_.threads);
-  if (lanes <= 0) {
-    lanes = static_cast<int>(std::thread::hardware_concurrency());
-    lanes = std::max(lanes, 1);
-  }
-  // The calling thread is one lane; the pool supplies the rest.
-  std::unique_ptr<ThreadPool> pool;
-  if (lanes > 1) pool = std::make_unique<ThreadPool>(lanes - 1);
-  return run_on(catalog, pool.get(), lanes);
-}
-
-RunOutput RunSpec::run_on(const traffic::ServiceCatalog& catalog,
-                          ThreadPool* pool, int lanes) const {
-  RunOutput out;
-  out.lanes = std::max(lanes, 1);
-  out.sampled = sample_stage(cfg_, catalog);
-  if (detail_ == RunDetail::sample) return out;
-
-  apply_timeline(out.sampled, cfg_.timeline, cfg_.seed, cfg_.days, mode_);
-  if (detail_ == RunDetail::plan) return out;
-
-  if (sink_) {
-    StreamStats s =
-        stream_fleet(catalog, out.sampled, cfg_.days, cfg_.arrival, pool, sink_);
-    out.flows_streamed = s.flows;
-    out.totals = std::move(s.totals);
-  } else {
-    out.result = simulate_fleet(catalog, out.sampled, pool);
-    out.totals = out.result->totals;
   }
   return out;
 }

@@ -1,25 +1,16 @@
-// RunSpec: the one way to run a scenario.
+// The scenario stage functions: sample_stage, then apply_timeline
+// (engine/timeline.h), then simulate_fleet or stream_fleet. Each is a pure
+// function of its arguments; none depends on the pool's lane count.
 //
-// Before this header the repo had three run entry points, each hard-wiring
-// a slightly different slice of the sample → timeline → simulate pipeline:
-// FleetEngine::run(FleetConfig) (batch aggregation), sample_fleet_detailed
-// (population sampling only), and Firehose::run (streaming flow emission).
-// RunSpec unifies them behind one builder: callers state the scenario, how
-// many lanes, how day plans reach the simulator, how much of the pipeline
-// to run (RunDetail), and optionally a flow sink — and get one RunOutput
-// back. The legacy entry points survive as thin compatibility wrappers
-// over the same stage functions, so every replay guarantee (lane-count
-// invariance, golden byte-identity) is pinned to a single implementation.
-//
-// The stage functions (sample_stage / simulate_fleet / stream_fleet) are
-// deliberately public: the pass-graph pipeline (engine/pipeline.h +
-// core/scenario_pipeline.h) registers each one as a pass, which is how a
-// scenario sweep shares the sampled base population across variants.
+// These are the one implementation of each stage. The pass-graph pipeline
+// (engine/pipeline.h + core/scenario_pipeline.h) registers them as passes,
+// which is how a scenario runs end to end and how a sweep shares the
+// sampled base population across variants; Firehose::run chains them for
+// the streaming path. Callers that want one stage call it directly with a
+// pool they own.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <span>
 
 #include "engine/firehose.h"
@@ -28,104 +19,16 @@
 
 namespace nbv6::engine {
 
-/// How far down the pipeline a RunSpec run goes.
-enum class RunDetail {
-  /// Sample the population only (== sample_fleet_detailed): no timeline,
-  /// no simulation. Lanes are irrelevant; no thread pool is created.
-  sample,
-  /// Sample + apply_timeline: the fully planned fleet, ready to simulate.
-  plan,
-  /// The full run: sample + timeline + simulate (batch aggregation, or
-  /// streaming when a firehose sink is installed).
-  aggregate,
-};
-
-/// Everything a run can produce. Fields past the requested detail level
-/// stay in their default state; `result` is additionally empty on the
-/// streaming path (the firehose trades retained monitors for throughput,
-/// exactly as Firehose::run always has).
-struct RunOutput {
-  /// The sampled (and, from RunDetail::plan, timeline-planned) population.
-  SampledFleet sampled;
-  /// Batch aggregation outcome (RunDetail::aggregate without a sink).
-  std::optional<FleetResult> result;
-  /// Generator counters summed across the fleet. Filled at
-  /// RunDetail::aggregate on both paths; equals result->totals when
-  /// `result` is present.
-  traffic::SimulationStats totals;
-  /// Flow records handed to the firehose sink (streaming path only).
-  std::uint64_t flows_streamed = 0;
-  /// Worker lanes the run used (pool workers + calling thread).
-  int lanes = 1;
-};
-
-class RunSpec {
- public:
-  /// Receives every emitted flow in the canonical lane-invariant stream
-  /// order (see engine/firehose.h).
-  using FlowSink = std::function<void(const FlowEvent&)>;
-
-  RunSpec() = default;
-  explicit RunSpec(FleetConfig cfg) : cfg_(std::move(cfg)) {}
-
-  RunSpec& config(FleetConfig cfg) {
-    cfg_ = std::move(cfg);
-    return *this;
-  }
-  /// Worker lanes; 0 defers to cfg.threads (<= 0 there selects hardware
-  /// concurrency, 1 the sequential reference). Never changes results.
-  RunSpec& lanes(int n) {
-    lanes_ = n;
-    return *this;
-  }
-  /// Lazy (default) or materialized day plans — byte-identical outcomes.
-  RunSpec& plan_mode(TimelinePlanMode m) {
-    mode_ = m;
-    return *this;
-  }
-  RunSpec& detail(RunDetail d) {
-    detail_ = d;
-    return *this;
-  }
-  /// Install a streaming sink: the aggregate stage emits every generated
-  /// flow instead of retaining per-residence monitors.
-  RunSpec& firehose(FlowSink sink) {
-    sink_ = std::move(sink);
-    return *this;
-  }
-
-  [[nodiscard]] const FleetConfig& config() const { return cfg_; }
-
-  /// Execute. Creates a private pool for the run when one is needed
-  /// (RunDetail::aggregate with more than one lane).
-  [[nodiscard]] RunOutput run(const traffic::ServiceCatalog& catalog) const;
-
-  /// Execute on a borrowed pool (`lanes` as reported by the owner: pool
-  /// workers + 1). The FleetEngine / Firehose compatibility wrappers use
-  /// this so their long-lived pools keep being reused.
-  [[nodiscard]] RunOutput run_on(const traffic::ServiceCatalog& catalog,
-                                 ThreadPool* pool, int lanes) const;
-
- private:
-  FleetConfig cfg_;
-  int lanes_ = 0;
-  TimelinePlanMode mode_ = TimelinePlanMode::lazy;
-  RunDetail detail_ = RunDetail::aggregate;
-  FlowSink sink_;
-};
-
-// ------------------------------------------------------- stage functions
-// The pipeline stages RunSpec (and the pass graph) compose. Each is a pure
-// function of its arguments; none depends on the pool's lane count.
-
-/// Sample the residence population described by `cfg` with its stratum
-/// labels — the implementation behind sample_fleet_detailed.
+/// Deterministically sample the residence population described by `cfg`,
+/// with its stratum labels. Residence i depends only on (seed, i), so
+/// growing the population keeps existing households stable. The catalog
+/// supplies service names for the per-household mix tilts.
 SampledFleet sample_stage(const FleetConfig& cfg,
                           const traffic::ServiceCatalog& catalog);
 
 /// Simulate every residence into its own shard and reduce in residence-
-/// index order — the implementation behind FleetEngine::run(configs).
-/// `pool` may be null (sequential); results are bit-identical either way.
+/// index order. `pool` may be null (sequential); results are bit-identical
+/// for any lane count. The result carries no stratum labels.
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            std::span<const traffic::ResidenceConfig> configs,
                            ThreadPool* pool);
@@ -143,12 +46,12 @@ struct StreamStats {
 
 /// Drive the fleet day-by-day, emitting every generated flow to `sink` in
 /// the canonical (day, tick, residence, generation) order on the calling
-/// thread — the implementation behind Firehose::run. `days` and `arrival`
+/// thread — the streaming stage behind Firehose::run. `days` and `arrival`
 /// come from the scenario config (every sampled ResidenceConfig carries
 /// copies of both).
 StreamStats stream_fleet(const traffic::ServiceCatalog& catalog,
                          const SampledFleet& fleet, int days,
                          const traffic::ArrivalConfig& arrival,
-                         ThreadPool* pool, const RunSpec::FlowSink& sink);
+                         ThreadPool* pool, const Firehose::Sink& sink);
 
 }  // namespace nbv6::engine

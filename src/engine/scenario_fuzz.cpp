@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/run_spec.h"
 #include "engine/timeline.h"
 #include "stats/rng.h"
 #include "traffic/residence.h"
@@ -199,8 +200,6 @@ std::string generate_scenario_text(std::uint64_t seed,
   lines.push_back({"residences", std::to_string(residences)});
   lines.push_back({"days", std::to_string(days)});
   lines.push_back({"seed", fmt_u64(stats::splitmix64(seed))});
-  if (rng.chance(0.5))
-    lines.push_back({"threads", std::to_string(rng.between(0, 8))});
   for (const char* key :
        {"dual_stack_isp_frac", "broken_v6_frac", "heavy_streamer_frac",
         "background_only_frac", "opt_out_frac", "absence_prob"}) {
@@ -251,7 +250,6 @@ std::string to_config_text(const FleetConfig& cfg) {
   std::string out;
   out += "residences = " + std::to_string(cfg.residences) + "\n";
   out += "days = " + std::to_string(cfg.days) + "\n";
-  out += "threads = " + std::to_string(cfg.threads) + "\n";
   out += "seed = " + fmt_u64(cfg.seed) + "\n";
   out += "dual_stack_isp_frac = " + fmt_double(cfg.dual_stack_isp_frac) + "\n";
   out += "broken_v6_frac = " + fmt_double(cfg.broken_v6_frac) + "\n";
@@ -337,8 +335,8 @@ std::optional<std::string> check_parse_round_trip(std::string_view text) {
 
 std::optional<std::string> check_plan_parity(
     const FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
-  SampledFleet lazy = sample_fleet_detailed(cfg, catalog);
-  SampledFleet mat = sample_fleet_detailed(cfg, catalog);
+  SampledFleet lazy = sample_stage(cfg, catalog);
+  SampledFleet mat = sample_stage(cfg, catalog);
   apply_timeline(lazy, cfg.timeline, cfg.seed, cfg.days,
                  TimelinePlanMode::lazy);
   apply_timeline(mat, cfg.timeline, cfg.seed, cfg.days,

@@ -23,7 +23,7 @@ bool parse_arrival_mode(std::string_view text, ArrivalMode& out) {
 }
 
 stats::Rng arrival_tick_rng(std::uint64_t seed, int day, int tick) {
-  // Same derivation idiom as sample_fleet_detailed / draw_event: fold the
+  // Same derivation idiom as engine::sample_stage / draw_event: fold the
   // coordinates through distinct odd multipliers, then let splitmix64 (and
   // the Rng constructor's four further rounds) mix. +1 keeps coordinate 0
   // from vanishing.

@@ -231,15 +231,15 @@ TEST(Firehose, EmissionIsCanonicalAndLaneInvariant) {
 
 TEST(Firehose, BatchModeStreamsTheSameFleetTotalsAsTheEngine) {
   // The firehose in batch mode replays the exact per-hour generator, so
-  // its stats must agree with a FleetEngine run of the same config.
+  // its stats must agree with a batch simulate_fleet of the same config.
   engine::FleetConfig cfg;
   cfg.residences = 8;
   cfg.days = 5;
   cfg.seed = 31;
 
   auto catalog = traffic::build_paper_catalog();
-  engine::FleetEngine ref(catalog, 2);
-  const auto expected = ref.run(cfg);
+  engine::ThreadPool pool(1);
+  const auto expected = testutil::simulate_scenario(cfg, catalog, &pool);
 
   const FirehoseDigest d = digest_run(cfg, 2);
   EXPECT_EQ(d.sessions, expected.totals.sessions);

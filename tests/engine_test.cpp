@@ -1,6 +1,6 @@
-// Fleet-engine tests: thread-pool behaviour, scenario sampling
+// Fleet-stage tests: thread-pool behaviour, scenario sampling
 // determinism, monitor merge algebra, and the headline guarantee — a
-// multi-threaded fleet run is bit-identical to the sequential run of the
+// multi-lane simulate_fleet is bit-identical to the sequential run of the
 // same residence seeds.
 #include <gtest/gtest.h>
 
@@ -12,12 +12,12 @@
 #include <vector>
 
 #include "core/client_analysis.h"
-#include "engine/firehose.h"
 #include "engine/fleet.h"
 #include "engine/flat_conntrack.h"
 #include "engine/run_spec.h"
 #include "engine/thread_pool.h"
 #include "flowmon/monitor.h"
+#include "testutil.h"
 #include "traffic/generator.h"
 
 namespace nbv6::engine {
@@ -91,14 +91,12 @@ TEST(FleetConfigParse, RoundTripsKnownKeys) {
       "# a comment\n"
       "residences = 16\n"
       "days=7\n"
-      "threads = 2\n"
       "seed = 99\n"
       "dual_stack_isp_frac = 0.5  # inline comment\n"
       "heavy_streamer_frac = 0.75\n");
   ASSERT_TRUE(cfg.has_value());
   EXPECT_EQ(cfg->residences, 16);
   EXPECT_EQ(cfg->days, 7);
-  EXPECT_EQ(cfg->threads, 2);
   EXPECT_EQ(cfg->seed, 99u);
   EXPECT_DOUBLE_EQ(cfg->dual_stack_isp_frac, 0.5);
   EXPECT_DOUBLE_EQ(cfg->heavy_streamer_frac, 0.75);
@@ -111,6 +109,8 @@ TEST(FleetConfigParse, RejectsUnknownKeysAndBadValues) {
   EXPECT_FALSE(FleetConfig::parse("days = banana\n").has_value());
   EXPECT_FALSE(FleetConfig::parse("residences = 0\n").has_value());
   EXPECT_FALSE(FleetConfig::parse("just a line\n").has_value());
+  // Lane count is a run setting, not a scenario key.
+  EXPECT_FALSE(FleetConfig::parse("threads = 2\n").has_value());
 }
 
 TEST(FleetConfigParse, RejectsOutOfRangeAndNonFiniteValues) {
@@ -202,14 +202,14 @@ TEST(FleetConfigParse, ErrorMessagesCarryLineAndToken) {
   EXPECT_EQ(error, "sentinel");
 }
 
-TEST(SampleFleet, DeterministicPerSeedAndIndex) {
+TEST(SampleStage, DeterministicPerSeedAndIndex) {
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 32;
   cfg.days = 30;
 
-  auto a = sample_fleet(cfg, catalog);
-  auto b = sample_fleet(cfg, catalog);
+  auto a = sample_stage(cfg, catalog).configs;
+  auto b = sample_stage(cfg, catalog).configs;
   ASSERT_EQ(a.size(), 32u);
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].seed, b[i].seed);
@@ -222,7 +222,7 @@ TEST(SampleFleet, DeterministicPerSeedAndIndex) {
   // Residence i's config must not depend on the population size: growing
   // the fleet keeps the existing households stable.
   cfg.residences = 48;
-  auto c = sample_fleet(cfg, catalog);
+  auto c = sample_stage(cfg, catalog).configs;
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].seed, c[i].seed);
     EXPECT_DOUBLE_EQ(a[i].device_v6_ok_frac, c[i].device_v6_ok_frac);
@@ -231,85 +231,75 @@ TEST(SampleFleet, DeterministicPerSeedAndIndex) {
   // Different master seeds produce different populations.
   cfg.residences = 32;
   cfg.seed = 777;
-  auto d = sample_fleet(cfg, catalog);
+  auto d = sample_stage(cfg, catalog).configs;
   int diff = 0;
   for (size_t i = 0; i < a.size(); ++i)
     if (a[i].seed != d[i].seed) ++diff;
   EXPECT_GT(diff, 16);
 }
 
-TEST(SampleFleet, DetailedSamplerDrawsTheSameStream) {
-  // sample_fleet_detailed() must reproduce sample_fleet()'s configs
-  // exactly (same RNG draws) while adding the stratum labels.
+TEST(SampleStage, TraitsDescribeTheirConfigs) {
+  // The stratum labels are index-aligned with the configs and consistent
+  // with the config each one describes.
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 64;
   cfg.days = 30;
   cfg.seed = 11;
 
-  auto plain = sample_fleet(cfg, catalog);
-  auto detailed = sample_fleet_detailed(cfg, catalog);
-  ASSERT_EQ(detailed.configs.size(), plain.size());
-  ASSERT_EQ(detailed.traits.size(), plain.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(detailed.configs[i].seed, plain[i].seed);
-    EXPECT_DOUBLE_EQ(detailed.configs[i].activity_scale,
-                     plain[i].activity_scale);
-    EXPECT_DOUBLE_EQ(detailed.configs[i].device_v6_ok_frac,
-                     plain[i].device_v6_ok_frac);
-    EXPECT_DOUBLE_EQ(detailed.configs[i].visibility, plain[i].visibility);
-    EXPECT_EQ(detailed.configs[i].away_day_ranges, plain[i].away_day_ranges);
-
-    // Labels consistent with the config they describe.
-    const auto& t = detailed.traits[i];
+  auto sampled = sample_stage(cfg, catalog);
+  ASSERT_EQ(sampled.configs.size(), 64u);
+  ASSERT_EQ(sampled.traits.size(), 64u);
+  for (size_t i = 0; i < sampled.configs.size(); ++i) {
+    const auto& t = sampled.traits[i];
     if (!t.dual_stack_isp) {
-      EXPECT_DOUBLE_EQ(detailed.configs[i].device_v6_ok_frac, 0.0);
+      EXPECT_DOUBLE_EQ(sampled.configs[i].device_v6_ok_frac, 0.0);
     }
     if (t.broken_v6) {
       EXPECT_TRUE(t.dual_stack_isp);
     }
     if (t.vacant) {
-      EXPECT_DOUBLE_EQ(detailed.configs[i].activity_scale, 0.0);
+      EXPECT_DOUBLE_EQ(sampled.configs[i].activity_scale, 0.0);
     }
-    EXPECT_EQ(t.opt_out, detailed.configs[i].visibility < 1.0);
+    EXPECT_EQ(t.opt_out, sampled.configs[i].visibility < 1.0);
     EXPECT_EQ(t.scripted_absence,
-              !detailed.configs[i].away_day_ranges.empty());
+              !sampled.configs[i].away_day_ranges.empty());
   }
 }
 
-TEST(FleetEngine, RunCarriesTraitsThrough) {
+TEST(SimulateFleet, CarriesTraitsThrough) {
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 6;
   cfg.days = 1;
-  auto sampled = sample_fleet_detailed(cfg, catalog);
+  auto sampled = sample_stage(cfg, catalog);
 
-  FleetEngine engine(catalog, 2);
-  auto from_sampled = engine.run(sampled);
+  ThreadPool pool(1);
+  auto from_sampled = simulate_fleet(catalog, sampled, &pool);
   EXPECT_EQ(from_sampled.traits, sampled.traits);
-  auto from_cfg = engine.run(cfg);
+  auto from_cfg = testutil::simulate_scenario(cfg, catalog, &pool);
   EXPECT_EQ(from_cfg.traits, sampled.traits);
   // Raw config vectors carry no strata.
-  auto from_raw = engine.run(sampled.configs);
+  auto from_raw = simulate_fleet(catalog, sampled.configs, &pool);
   EXPECT_TRUE(from_raw.traits.empty());
 }
 
-TEST(SampleFleet, PopulationMixKnobsShapeThePopulation) {
+TEST(SampleStage, PopulationMixKnobsShapeThePopulation) {
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 200;
   cfg.days = 10;
   cfg.dual_stack_isp_frac = 0.0;
-  auto v4_only = sample_fleet(cfg, catalog);
+  auto v4_only = sample_stage(cfg, catalog).configs;
   for (const auto& r : v4_only) EXPECT_DOUBLE_EQ(r.device_v6_ok_frac, 0.0);
 
   cfg.dual_stack_isp_frac = 1.0;
   cfg.broken_v6_frac = 0.0;
-  auto all_v6 = sample_fleet(cfg, catalog);
+  auto all_v6 = sample_stage(cfg, catalog).configs;
   for (const auto& r : all_v6) EXPECT_DOUBLE_EQ(r.device_v6_ok_frac, 1.0);
 
   cfg.background_only_frac = 1.0;
-  auto vacant = sample_fleet(cfg, catalog);
+  auto vacant = sample_stage(cfg, catalog).configs;
   for (const auto& r : vacant) EXPECT_DOUBLE_EQ(r.activity_scale, 0.0);
 }
 
@@ -348,7 +338,7 @@ TEST(MonitorMerge, AssociativeAndOrderIndependent) {
   FleetConfig fc;
   fc.residences = 3;
   fc.days = 3;
-  auto configs = sample_fleet(fc, catalog);
+  auto configs = sample_stage(fc, catalog).configs;
   auto m0 = run_residence(catalog, configs[0]);
   auto m1 = run_residence(catalog, configs[1]);
   auto m2 = run_residence(catalog, configs[2]);
@@ -380,7 +370,7 @@ TEST(MonitorMerge, MergingEmptyIsIdentity) {
   FleetConfig fc;
   fc.residences = 1;
   fc.days = 2;
-  auto configs = sample_fleet(fc, catalog);
+  auto configs = sample_stage(fc, catalog).configs;
   auto m = run_residence(catalog, configs[0]);
 
   flowmon::FlowMonitor merged;
@@ -393,18 +383,17 @@ TEST(MonitorMerge, MergingEmptyIsIdentity) {
 
 // The acceptance bar: a 4-lane fleet run of 64 residences produces
 // aggregates bit-identical to the sequential run of the same seeds.
-TEST(FleetEngine, FourThreadRunMatchesSequentialBitForBit) {
+TEST(SimulateFleet, FourLaneRunMatchesSequentialBitForBit) {
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 64;
   cfg.days = 2;  // short horizon keeps the test fast; 64 shards is the point
   cfg.seed = 20260726;
-  auto configs = sample_fleet(cfg, catalog);
+  auto configs = sample_stage(cfg, catalog).configs;
 
-  FleetEngine sequential(catalog, /*threads=*/1);
-  FleetEngine parallel(catalog, /*threads=*/4);
-  auto seq = sequential.run(configs);
-  auto par = parallel.run(configs);
+  ThreadPool four(3);  // + the calling thread = 4 lanes
+  auto seq = simulate_fleet(catalog, configs, nullptr);
+  auto par = simulate_fleet(catalog, configs, &four);
 
   // Fleet-level reduction: bit-identical.
   expect_same_aggregates(seq.fleet, par.fleet);
@@ -424,20 +413,20 @@ TEST(FleetEngine, FourThreadRunMatchesSequentialBitForBit) {
                            par.residences[i].monitor);
   }
 
-  // And thread count must not matter beyond 4 either.
-  FleetEngine wide(catalog, /*threads=*/8);
-  auto w = wide.run(configs);
+  // And lane count must not matter beyond 4 either.
+  ThreadPool eight(7);
+  auto w = simulate_fleet(catalog, configs, &eight);
   expect_same_aggregates(seq.fleet, w.fleet);
 }
 
-TEST(FleetEngine, FlatShardMatchesReferenceTableAggregates) {
+TEST(SimulateFleet, FlatShardMatchesReferenceTableAggregates) {
   // One residence simulated into the reference unordered_map table and
   // into a flat shard: monitor aggregates must agree exactly.
   auto catalog = traffic::build_paper_catalog();
   FleetConfig fc;
   fc.residences = 1;
   fc.days = 4;
-  auto configs = sample_fleet(fc, catalog);
+  auto configs = sample_stage(fc, catalog).configs;
 
   flowmon::ConntrackTable ref_table;
   flowmon::FlowMonitor ref_mon(ref_table);
@@ -455,13 +444,13 @@ TEST(FleetEngine, FlatShardMatchesReferenceTableAggregates) {
   expect_same_aggregates(ref_mon, flat_mon);
 }
 
-TEST(FleetEngine, FleetViewFeedsCoreAnalyses) {
+TEST(SimulateFleet, FleetViewFeedsCoreAnalyses) {
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 8;
   cfg.days = 3;
-  FleetEngine engine(catalog, 2);
-  auto result = engine.run(cfg);
+  ThreadPool pool(1);
+  auto result = testutil::simulate_scenario(cfg, catalog, &pool);
 
   EXPECT_EQ(result.residences.size(), 8u);
   EXPECT_GT(result.totals.flows, 0u);
@@ -479,106 +468,6 @@ TEST(FleetEngine, FleetViewFeedsCoreAnalyses) {
   EXPECT_NEAR(report.fleet.external.total_gb,
               static_cast<double>(shard_bytes) / 1e9, 1e-9);
   EXPECT_GT(report.residence_byte_fraction.count, 0u);
-}
-
-// ------------------------------------------------------ RunSpec wrappers
-// The unified entry point must agree exactly with each legacy entry point
-// it replaced — same stage functions underneath, so any divergence is a
-// wiring bug.
-
-TEST(RunSpec, SampleDetailMatchesSampleFleetDetailed) {
-  auto catalog = traffic::build_paper_catalog();
-  FleetConfig cfg;
-  cfg.residences = 12;
-  cfg.days = 5;
-  cfg.seed = 99;
-
-  auto via_spec = RunSpec(cfg).detail(RunDetail::sample).run(catalog);
-  auto legacy = sample_fleet_detailed(cfg, catalog);
-  ASSERT_EQ(via_spec.sampled.configs.size(), legacy.configs.size());
-  EXPECT_EQ(via_spec.sampled.traits, legacy.traits);
-  for (size_t i = 0; i < legacy.configs.size(); ++i) {
-    EXPECT_EQ(via_spec.sampled.configs[i].seed, legacy.configs[i].seed) << i;
-    EXPECT_EQ(via_spec.sampled.configs[i].days, legacy.configs[i].days) << i;
-  }
-  // Sample detail stops before simulation.
-  EXPECT_FALSE(via_spec.result.has_value());
-  EXPECT_EQ(via_spec.flows_streamed, 0u);
-}
-
-TEST(RunSpec, PlanDetailAppliesTimeline) {
-  auto catalog = traffic::build_paper_catalog();
-  FleetConfig cfg;
-  cfg.residences = 6;
-  cfg.days = 8;
-  cfg.seed = 3;
-  TimelineEvent ev;
-  ev.kind = TimelineEventKind::outage;
-  ev.start_day = 2;
-  ev.end_day = 5;
-  ev.fraction = 1.0;
-  cfg.timeline->events.push_back(ev);
-
-  auto planned = RunSpec(cfg)
-                     .detail(RunDetail::plan)
-                     .plan_mode(TimelinePlanMode::materialized)
-                     .run(catalog);
-  ASSERT_EQ(planned.sampled.configs.size(), 6u);
-  // Materialized plans land on every sampled config.
-  for (const auto& rc : planned.sampled.configs)
-    EXPECT_EQ(rc.day_plan.size(), static_cast<size_t>(cfg.days));
-  EXPECT_FALSE(planned.result.has_value());
-}
-
-TEST(RunSpec, AggregateMatchesFleetEngineRun) {
-  auto catalog = traffic::build_paper_catalog();
-  FleetConfig cfg;
-  cfg.residences = 10;
-  cfg.days = 6;
-  cfg.seed = 17;
-
-  auto out = RunSpec(cfg).lanes(4).run(catalog);
-  ASSERT_TRUE(out.result.has_value());
-  EXPECT_EQ(out.lanes, 4);
-
-  FleetEngine legacy(catalog, 4);
-  auto direct = legacy.run(cfg);
-  EXPECT_EQ(out.result->totals.sessions, direct.totals.sessions);
-  EXPECT_EQ(out.result->totals.flows, direct.totals.flows);
-  EXPECT_EQ(out.result->totals.he_failures, direct.totals.he_failures);
-  EXPECT_EQ(out.result->fleet.external_bytes(), direct.fleet.external_bytes());
-  EXPECT_EQ(out.totals.sessions, direct.totals.sessions);
-  EXPECT_EQ(out.result->traits, direct.traits);
-}
-
-TEST(RunSpec, FirehoseSinkMatchesFirehoseRun) {
-  auto catalog = traffic::build_paper_catalog();
-  FleetConfig cfg;
-  cfg.residences = 8;
-  cfg.days = 4;
-  cfg.seed = 5;
-  cfg.arrival->mode = traffic::ArrivalMode::poisson;
-  cfg.arrival->ticks_per_hour = 6;
-
-  std::uint64_t spec_bytes = 0;
-  auto out = RunSpec(cfg)
-                 .lanes(4)
-                 .firehose([&](const FlowEvent& ev) {
-                   spec_bytes += ev.bytes_out + ev.bytes_in;
-                 })
-                 .run(catalog);
-  // Streaming trades retained monitors for throughput: no FleetResult.
-  EXPECT_FALSE(out.result.has_value());
-
-  std::uint64_t hose_bytes = 0;
-  Firehose hose(catalog, 4);
-  auto legacy = hose.run(cfg, [&](const FlowEvent& ev) {
-    hose_bytes += ev.bytes_out + ev.bytes_in;
-  });
-  EXPECT_EQ(out.flows_streamed, legacy.flows);
-  EXPECT_EQ(spec_bytes, hose_bytes);
-  EXPECT_EQ(out.totals.sessions, legacy.totals.sessions);
-  EXPECT_EQ(out.lanes, legacy.lanes);
 }
 
 }  // namespace

@@ -314,6 +314,32 @@ std::string serialize_pipe(const engine::FleetConfig& cfg, Pipeline& pipe) {
   return testutil::canonical_serialize(run);
 }
 
+// Without a cache, a one-pipeline forest run executes every pass on every
+// call (nothing is looked up, stored or shared) and binds the same outputs
+// as Pipeline::run(nullptr) — the run Pipeline::run itself delegates to.
+TEST(ForestScheduler, NullCacheRunExecutesEveryPassAndMatchesPipelineRun) {
+  const auto catalog = traffic::build_paper_catalog();
+  const engine::FleetConfig cfg = variant_configs(2)[1];
+
+  Pipeline reference = core::make_scenario_pipeline(cfg, catalog);
+  reference.run(nullptr);
+  const std::string expected = serialize_pipe(cfg, reference);
+
+  engine::ThreadPool pool(2);
+  Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+  ForestScheduler::Options opts;
+  opts.pool = &pool;
+  for (std::uint64_t call = 1; call <= 2; ++call) {
+    const auto stats = ForestScheduler::run({&pipe}, nullptr, opts);
+    EXPECT_EQ(stats.executed, pipe.pass_count()) << "call " << call;
+    EXPECT_EQ(stats.cached, 0u) << "call " << call;
+    EXPECT_EQ(stats.deduped, 0u) << "call " << call;
+    for (const auto& pass : pipe.schedule())
+      EXPECT_EQ(pipe.executions(pass), call) << pass << ", call " << call;
+    EXPECT_EQ(serialize_pipe(cfg, pipe), expected) << "call " << call;
+  }
+}
+
 // The determinism pin: a 25-variant what-if forest run overlapped at 1, 2,
 // and 8 workers produces byte-identical per-variant outputs to the plain
 // serial pipeline loop, samples the base population exactly once (asserted

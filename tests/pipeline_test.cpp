@@ -1,6 +1,6 @@
 // Pass-graph pipeline runtime: scheduling, caching, dirty-node sweeps, and
-// the golden-parity guarantee that the pipelined scenario chain is
-// byte-identical to the standalone FleetEngine::run path at any lane count.
+// the guarantee that a cached scenario run is byte-identical to an uncached
+// one at any lane count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -150,8 +150,11 @@ TEST(Pipeline, ConfigDigestChangeDirtiesDownstream) {
 
   PassCache cache;
   pipe.run(&cache);
-  // Dirty the middle pass: upstream stays cached, the dirty suffix re-runs.
-  pipe.set_config_digest("b", 42);
+  // Dirty the middle pass (same body, different config digest): upstream
+  // stays cached, the dirty suffix re-runs.
+  Pass dirty_b = make_pass("b", {"x"}, {"y"}, &runs_b);
+  dirty_b.config_digest = 42;
+  pipe.replace(dirty_b);
   auto stats = pipe.run(&cache);
   EXPECT_EQ(stats.cached, 1u);    // a
   EXPECT_EQ(stats.executed, 2u);  // b, c
@@ -159,7 +162,7 @@ TEST(Pipeline, ConfigDigestChangeDirtiesDownstream) {
   EXPECT_EQ(runs_b, 2);
   EXPECT_EQ(runs_c, 2);
   // Reverting the digest lands back on the original cache entries.
-  pipe.set_config_digest("b", 0);
+  pipe.replace(make_pass("b", {"x"}, {"y"}, &runs_b));
   auto back = pipe.run(&cache);
   EXPECT_EQ(back.executed, 0u);
   EXPECT_EQ(back.cached, 3u);
@@ -186,16 +189,17 @@ TEST(PassCache, CollidingEntryFromDifferentPassIsAMiss) {
 }
 
 // Forced end-to-end collision: pre-store an impostor entry under the exact
-// digest a two-output pass will compute. Pre-fix, Pipeline::run trusted the
+// digest a two-output pass will compute. Pre-fix, the executor trusted the
 // digest and read the impostor's single-element output list out of bounds;
 // now the mismatch reads as a miss and the pass executes.
 TEST(Pipeline, ForcedDigestCollisionTreatedAsMiss) {
   int runs = 0;
   Pipeline pipe;
   pipe.add(make_pass("wide", {}, {"x", "y"}, &runs));
-  const auto discovery = pipe.run();  // no cache: learn the digest
-  ASSERT_EQ(discovery.passes.size(), 1u);
-  const std::uint64_t digest = discovery.passes[0].digest;
+  // The digest cascade documented at engine::Pass: name, config digest,
+  // then the inputs' resource digests (none here).
+  const std::uint64_t digest =
+      engine::DigestBuilder().str("wide").u64(0).value();
 
   PassCache cache;
   cache.store(digest, "impostor",
@@ -203,7 +207,11 @@ TEST(Pipeline, ForcedDigestCollisionTreatedAsMiss) {
   const auto stats = pipe.run(&cache);
   EXPECT_EQ(stats.executed, 1u);
   EXPECT_EQ(stats.cached, 0u);
-  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(runs, 1);
+  // The impostor entry was exactly the slot the pass computed: the pass's
+  // own result overwrote it.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.find(digest, "wide", 2).has_value());
   EXPECT_EQ(pipe.output<int>("x"), 1);
   EXPECT_EQ(pipe.output<int>("y"), 1);
 }
@@ -353,11 +361,11 @@ TEST(ScenarioPipeline, WhatIfForestSamplesBaseExactlyOnce) {
 
 // -------------------------------------------------------- golden parity
 
-// The pipelined scenario chain must be byte-identical to the standalone
-// FleetEngine::run path for every committed scenario, at 1, 4, and 8
-// lanes, with cross-lane cache reuse in play (a cached pass result from a
-// 1-lane run binds into an 8-lane pipeline).
-TEST(ScenarioPipeline, PipelinedRunsMatchStandaloneByteForByte) {
+// A cached scenario run must be byte-identical to the uncached 1-lane run
+// for every committed scenario, at 1, 4, and 8 lanes, with cross-lane
+// cache reuse in play (a cached pass result from a 1-lane run binds into
+// an 8-lane pipeline).
+TEST(ScenarioPipeline, CachedRunsMatchUncachedByteForByte) {
   const auto catalog = traffic::build_paper_catalog();
   const auto files = testutil::scenario_files();
   ASSERT_FALSE(files.empty());

@@ -8,8 +8,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 
+#include "core/scenario_pipeline.h"
+#include "engine/pipeline.h"
+#include "engine/run_spec.h"
 #include "engine/scenario_fuzz.h"
 
 namespace nbv6::testutil {
@@ -104,20 +108,30 @@ std::string scenario_stem(const std::string& path) {
 ScenarioRun run_scenario(const engine::FleetConfig& cfg,
                          const traffic::ServiceCatalog& catalog, int lanes,
                          engine::TimelinePlanMode mode) {
+  std::unique_ptr<engine::ThreadPool> pool;
+  if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
+  core::ScenarioPassOptions opts;
+  opts.plan_mode = mode;
+  engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog, opts);
+  pipe.run(nullptr, pool.get());
+
   ScenarioRun run;
   run.cfg = cfg;
-  engine::FleetEngine engine(catalog, lanes);
-  run.result = engine.run(cfg, mode);  // sample + timeline + simulate
-  run.report = core::fleet_stats_report(run.result, engine.pool());
+  run.result = pipe.output<engine::FleetResult>("fleet_result");
+  run.report = pipe.output<core::FleetStatsReport>("stats_report");
   // Pre/post panel over the horizon's halves: with timeline events this is
   // the before/after comparison; without, a self-check near the null.
-  core::DayWindow pre{0, cfg.days / 2 - 1};
-  core::DayWindow post{cfg.days / 2, cfg.days - 1};
-  auto metrics = core::default_fleet_metrics();
-  run.window_panel =
-      core::compare_windows(run.result, metrics, pre, post,
-                            core::FleetGroup::all, engine.pool());
+  run.window_panel = pipe.output<core::GroupComparison>("window_panel");
   return run;
+}
+
+engine::FleetResult simulate_scenario(const engine::FleetConfig& cfg,
+                                      const traffic::ServiceCatalog& catalog,
+                                      engine::ThreadPool* pool,
+                                      engine::TimelinePlanMode mode) {
+  engine::SampledFleet fleet = engine::sample_stage(cfg, catalog);
+  engine::apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days, mode);
+  return engine::simulate_fleet(catalog, fleet, pool);
 }
 
 std::string canonical_serialize(const ScenarioRun& run) {

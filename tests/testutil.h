@@ -1,8 +1,8 @@
 // Shared test utilities: fleet builders and canonical serializers.
 //
 // The golden-replay suite needs two things no production header provides:
-// a one-call "run this scenario file end to end" builder (sample →
-// timeline → simulate → analyze), and a canonical text form of the whole
+// a one-call "run this scenario file end to end" builder (the scenario
+// pipeline, outputs copied out), and a canonical text form of the whole
 // outcome whose equality is exactly bit-equality of the underlying state.
 // Both live here so future conformance tests (and ad-hoc debugging — the
 // serializer makes any two runs diffable) reuse them instead of growing
@@ -16,6 +16,7 @@
 
 #include "core/fleet_analysis.h"
 #include "engine/fleet.h"
+#include "engine/thread_pool.h"
 #include "traffic/service_catalog.h"
 
 namespace nbv6::testutil {
@@ -48,13 +49,23 @@ struct ScenarioRun {
   core::GroupComparison window_panel;
 };
 
-/// `mode` selects how the timeline reaches the simulator: lazy per-day
-/// evaluation (the engine default) or up-front materialized plans. The two
-/// must serialize byte-identically — the parity the golden-replay suite
-/// pins.
+/// Runs the scenario pipeline (core::make_scenario_pipeline, uncached) on
+/// `lanes` lanes and copies out its fleet_result, stats_report and
+/// window_panel. `mode` selects how the timeline reaches the simulator:
+/// lazy per-day evaluation (the default) or up-front materialized plans.
+/// The two must serialize byte-identically — the parity the golden-replay
+/// suite pins.
 ScenarioRun run_scenario(
     const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
     int lanes,
+    engine::TimelinePlanMode mode = engine::TimelinePlanMode::lazy);
+
+/// The stage chain alone, for tests that need only the FleetResult:
+/// sample_stage → apply_timeline → simulate_fleet on `pool` (nullptr =
+/// sequential).
+engine::FleetResult simulate_scenario(
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
+    engine::ThreadPool* pool,
     engine::TimelinePlanMode mode = engine::TimelinePlanMode::lazy);
 
 // ------------------------------------------------------------- serializer

@@ -22,7 +22,7 @@ std::string ordered_serialize(const std::map<std::string, int>& counts) {
 }
 
 double documented_draw(std::uint64_t seed, int index) {
-  // Same derivation idiom as sample_fleet_detailed: fold the coordinates
+  // Same derivation idiom as sample_stage: fold the coordinates
   // through a distinct odd multiplier so the draw is order-independent.
   std::uint64_t state =
       seed ^ (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(index) + 1));
