@@ -23,6 +23,7 @@
 #include "bench_cli.h"
 #include "cloud/providers.h"
 #include "core/client_analysis.h"
+#include "engine/flat_conntrack.h"
 #include "engine/fleet.h"
 #include "engine/thread_pool.h"
 #include "core/server_analysis.h"
@@ -66,11 +67,10 @@ inline void print_boxplot(const stats::BoxPlot& b, const std::string& label) {
               b.whisker_high, b.outliers.size());
 }
 
-/// One simulated residence: config, conntrack table, monitor (tables and
-/// monitors are non-movable as a pair, hence the unique_ptr wrapper).
+/// One simulated residence: config and the monitor its flows fed (a
+/// monitor must not move while attached, hence the unique_ptr wrapper).
 struct SimulatedResidence {
   traffic::ResidenceConfig config;
-  std::unique_ptr<flowmon::ConntrackTable> table;
   std::unique_ptr<flowmon::FlowMonitor> monitor;
 };
 
@@ -83,10 +83,11 @@ inline std::vector<SimulatedResidence> simulate_residences(
     cfg.days = days;
     SimulatedResidence r;
     r.config = cfg;
-    r.table = std::make_unique<flowmon::ConntrackTable>();
-    r.monitor = std::make_unique<flowmon::FlowMonitor>(*r.table);
+    r.monitor = std::make_unique<flowmon::FlowMonitor>();
+    engine::FlatConntrack table;
+    r.monitor->attach(table);
     traffic::ResidenceSimulator sim(catalog, cfg);
-    sim.run(*r.table);
+    sim.run(table);
     out.push_back(std::move(r));
   }
   return out;

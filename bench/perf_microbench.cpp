@@ -12,7 +12,6 @@
 #include "engine/fleet.h"
 #include "engine/run_spec.h"
 #include "engine/thread_pool.h"
-#include "flowmon/conntrack.h"
 #include "net/cryptopan.h"
 #include "net/lpm_trie.h"
 #include "stats/fleet_stats.h"
@@ -100,25 +99,7 @@ void BM_DnsResolveChain(benchmark::State& state) {
 }
 BENCHMARK(BM_DnsResolveChain);
 
-void BM_ConntrackChurn(benchmark::State& state) {
-  flowmon::ConntrackTable table;
-  stats::Rng rng(3);
-  std::uint16_t port = 0;
-  for (auto _ : state) {
-    net::FlowKey k;
-    k.src = net::IPv4Addr(192, 168, 1, 10);
-    k.dst = net::IPv4Addr(static_cast<std::uint32_t>(rng()));
-    k.src_port = ++port;
-    k.dst_port = 443;
-    table.open(k, 0, flowmon::Scope::external);
-    table.account(k, 0, 1000, 50000);
-    table.close(k, 10);
-  }
-}
-BENCHMARK(BM_ConntrackChurn);
-
-// Identical churn loop against the flat open-addressing table; compare
-// with BM_ConntrackChurn for the fused-hash flat-table speedup.
+// Open/account/close churn against the flat open-addressing table.
 void BM_FlatConntrackChurn(benchmark::State& state) {
   engine::FlatConntrack table;
   stats::Rng rng(3);

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "core/client_analysis.h"
+#include "engine/flat_conntrack.h"
 #include "flowmon/monitor.h"
 #include "traffic/generator.h"
 
@@ -35,8 +36,9 @@ int main(int argc, char** argv) {
   };
   home.seed = 2026;
 
-  flowmon::ConntrackTable conntrack;
-  flowmon::FlowMonitor monitor(conntrack);
+  engine::FlatConntrack conntrack;
+  flowmon::FlowMonitor monitor;
+  monitor.attach(conntrack);
   traffic::ResidenceSimulator simulator(catalog, home);
   auto stats = simulator.run(conntrack);
   std::printf("simulated %d days: %llu sessions, %llu flows\n", days,

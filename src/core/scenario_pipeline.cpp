@@ -1,6 +1,8 @@
 #include "core/scenario_pipeline.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -48,6 +50,54 @@ std::uint64_t panel_digest(const FleetConfig& cfg, double alpha) {
       .value();
 }
 
+// Everything sample_stage reads plus the catalog content. Excludes the
+// timeline: it cannot change what is sampled.
+std::uint64_t population_digest(const FleetConfig& cfg,
+                                const traffic::ServiceCatalog& catalog) {
+  return DigestBuilder()
+      .str("population")
+      .i64(cfg.residences)
+      .i64(cfg.days)
+      .u64(cfg.seed)
+      .f64(cfg.dual_stack_isp_frac)
+      .f64(cfg.broken_v6_frac)
+      .f64(cfg.heavy_streamer_frac)
+      .f64(cfg.background_only_frac)
+      .f64(cfg.opt_out_frac)
+      .f64(cfg.absence_prob)
+      .f64(cfg.activity_scale_min)
+      .f64(cfg.activity_scale_max)
+      .u64(static_cast<std::uint64_t>(cfg.arrival->mode))
+      .i64(cfg.arrival->ticks_per_hour)
+      .u64(catalog.content_digest())
+      .value();
+}
+
+// Events (every field), master seed and horizon. The u64(0) fills the slot
+// of the retired plan-mode switch, so every committed scenario's timeline
+// digest (and with it every downstream cache key) is unchanged.
+std::uint64_t timeline_digest(const FleetConfig& cfg) {
+  DigestBuilder db;
+  db.str("timeline").u64(cfg.seed).i64(cfg.days).u64(0);
+  db.u64(cfg.timeline->events.size());
+  for (const auto& ev : cfg.timeline->events) {
+    db.u64(static_cast<std::uint64_t>(ev.kind))
+        .i64(ev.start_day)
+        .i64(ev.end_day)
+        .f64(ev.fraction)
+        .f64(ev.amplitude)
+        .i64(ev.period_days)
+        .i64(ev.duration_days)
+        .i64(ev.service)
+        .i64(ev.port_budget)
+        .f64(ev.turnover_rate)
+        .f64(ev.mult)
+        .i64(ev.hour)
+        .i64(ev.hour_span);
+  }
+  return db.value();
+}
+
 Pass sample_pass(const FleetConfig& cfg,
                  const traffic::ServiceCatalog& catalog) {
   Pass p;
@@ -60,17 +110,17 @@ Pass sample_pass(const FleetConfig& cfg,
   return p;
 }
 
-Pass timeline_pass(const FleetConfig& cfg, engine::TimelinePlanMode mode) {
+Pass timeline_pass(const FleetConfig& cfg) {
   Pass p;
   p.name = "timeline";
   p.inputs = {"population"};
   p.outputs = {"planned_fleet"};
-  p.config_digest = timeline_digest(cfg, mode);
-  p.run = [cfg, mode](PassContext& ctx) {
+  p.config_digest = timeline_digest(cfg);
+  p.run = [cfg](PassContext& ctx) {
     // Inputs are immutable; plan onto a copy. An empty timeline still
     // re-binds the copy so downstream passes have one resource to consume.
     SampledFleet planned = ctx.in<SampledFleet>("population");
-    engine::apply_timeline(planned, cfg.timeline, cfg.seed, cfg.days, mode);
+    engine::apply_timeline(planned, cfg.timeline, cfg.seed, cfg.days);
     ctx.out("planned_fleet", std::move(planned));
   };
   return p;
@@ -165,61 +215,17 @@ Pass file_sink_pass(std::string name, std::string input, std::string output,
 
 }  // namespace
 
-std::uint64_t population_digest(const FleetConfig& cfg,
-                                const traffic::ServiceCatalog& catalog) {
-  return DigestBuilder()
-      .str("population")
-      .i64(cfg.residences)
-      .i64(cfg.days)
-      .u64(cfg.seed)
-      .f64(cfg.dual_stack_isp_frac)
-      .f64(cfg.broken_v6_frac)
-      .f64(cfg.heavy_streamer_frac)
-      .f64(cfg.background_only_frac)
-      .f64(cfg.opt_out_frac)
-      .f64(cfg.absence_prob)
-      .f64(cfg.activity_scale_min)
-      .f64(cfg.activity_scale_max)
-      .u64(static_cast<std::uint64_t>(cfg.arrival->mode))
-      .i64(cfg.arrival->ticks_per_hour)
-      .u64(catalog.content_digest())
-      .value();
-}
-
-std::uint64_t timeline_digest(const FleetConfig& cfg,
-                              engine::TimelinePlanMode mode) {
-  DigestBuilder db;
-  db.str("timeline").u64(cfg.seed).i64(cfg.days).u64(
-      static_cast<std::uint64_t>(mode));
-  db.u64(cfg.timeline->events.size());
-  for (const auto& ev : cfg.timeline->events) {
-    db.u64(static_cast<std::uint64_t>(ev.kind))
-        .i64(ev.start_day)
-        .i64(ev.end_day)
-        .f64(ev.fraction)
-        .f64(ev.amplitude)
-        .i64(ev.period_days)
-        .i64(ev.duration_days)
-        .i64(ev.service)
-        .i64(ev.port_budget)
-        .f64(ev.turnover_rate)
-        .f64(ev.mult)
-        .i64(ev.hour)
-        .i64(ev.hour_span);
-  }
-  return db.value();
-}
-
-void register_scenario_passes(Pipeline& pipe, const FleetConfig& cfg,
-                              const traffic::ServiceCatalog& catalog,
-                              const ScenarioPassOptions& opts) {
+Pipeline make_scenario_pipeline(const FleetConfig& cfg,
+                                const traffic::ServiceCatalog& catalog,
+                                const ScenarioPassOptions& opts) {
+  Pipeline pipe;
   pipe.add(sample_pass(cfg, catalog))
-      .add(timeline_pass(cfg, opts.plan_mode))
+      .add(timeline_pass(cfg))
       .add(simulate_pass(catalog))
       .add(metrics_pass())
       .add(report_pass(opts.alpha))
       .add(window_panel_pass(cfg, opts.alpha));
-  if (opts.sink_dir.empty()) return;
+  if (opts.sink_dir.empty()) return pipe;
 
   const std::string base = opts.sink_dir + "/" + opts.scenario_tag;
   pipe.add(file_sink_pass(
@@ -237,13 +243,6 @@ void register_scenario_passes(Pipeline& pipe, const FleetConfig& cfg,
       [](std::FILE* f, const PipelineValue& v) {
         write_summary_csv(f, v.get<FleetStatsReport>().distributions);
       }));
-}
-
-Pipeline make_scenario_pipeline(const FleetConfig& cfg,
-                                const traffic::ServiceCatalog& catalog,
-                                const ScenarioPassOptions& opts) {
-  Pipeline pipe;
-  register_scenario_passes(pipe, cfg, catalog, opts);
   return pipe;
 }
 
@@ -253,44 +252,25 @@ std::vector<std::string> scenario_transient_resources() {
 
 std::vector<PassReadAudit> audit_scenario_passes(
     const FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
-    const ScenarioPassOptions& opts, const ScenarioAuditHooks& hooks) {
-  // Build the standard passes with no tracker active: the factories copy
-  // cfg into their run lambdas, and a copy must not count as a read.
+    const ScenarioPassOptions& opts) {
+  // Per-pass digest read sets: build each standard pass under its own
+  // tracker scope. A factory reads config only to compute its digest (its
+  // by-value capture of cfg is a copy, which records nothing), so the
+  // scope sees exactly the digest slice the cache key covers.
+  const std::function<Pass()> factories[] = {
+      [&] { return sample_pass(cfg, catalog); },
+      [&] { return timeline_pass(cfg); },
+      [&] { return simulate_pass(catalog); },
+      [] { return metrics_pass(); },
+      [&] { return report_pass(opts.alpha); },
+      [&] { return window_panel_pass(cfg, opts.alpha); },
+  };
   std::vector<Pass> passes;
-  passes.push_back(sample_pass(cfg, catalog));
-  passes.push_back(timeline_pass(cfg, opts.plan_mode));
-  passes.push_back(simulate_pass(catalog));
-  passes.push_back(metrics_pass());
-  passes.push_back(report_pass(opts.alpha));
-  passes.push_back(window_panel_pass(cfg, opts.alpha));
-
   auto audits = std::make_shared<std::vector<PassReadAudit>>();
-  audits->resize(passes.size());
-
-  // Per-pass digest read sets: re-run each pass's digest computation under
-  // its own tracker scope. The recomputed value also replaces the pass's
-  // config_digest, so a hooked (deliberately broken) slice is the one the
-  // audit actually measures.
-  for (std::size_t i = 0; i < passes.size(); ++i) {
-    Pass& p = passes[i];
+  for (const auto& make : factories) {
     engine::ConfigReadTracker::Scope scope;
-    if (p.name == "sample") {
-      p.config_digest = hooks.population_digest
-                            ? hooks.population_digest(cfg, catalog)
-                            : population_digest(cfg, catalog);
-    } else if (p.name == "timeline") {
-      p.config_digest = timeline_digest(cfg, opts.plan_mode);
-    } else if (p.name == "simulate") {
-      p.config_digest = catalog.content_digest();
-    } else if (p.name == "metrics") {
-      p.config_digest = metrics_digest(default_fleet_metrics());
-    } else if (p.name == "report") {
-      p.config_digest = DigestBuilder().f64(opts.alpha).value();
-    } else if (p.name == "window_panel") {
-      p.config_digest = panel_digest(cfg, opts.alpha);
-    }
-    (*audits)[i].pass = p.name;
-    (*audits)[i].digest_reads = scope.reads();
+    passes.push_back(make());
+    audits->push_back({passes.back().name, scope.reads(), {}});
   }
 
   // Per-pass run read sets: wrap each body in a tracker scope. The
@@ -329,7 +309,7 @@ void replace_scenario_config(Pipeline& pipe, const FleetConfig& cfg,
                              const traffic::ServiceCatalog& catalog,
                              const ScenarioPassOptions& opts) {
   pipe.replace(sample_pass(cfg, catalog));
-  pipe.replace(timeline_pass(cfg, opts.plan_mode));
+  pipe.replace(timeline_pass(cfg));
   pipe.replace(window_panel_pass(cfg, opts.alpha));
 }
 

@@ -23,14 +23,11 @@
 // The config digests draw a deliberate line through FleetConfig: the
 // sample pass digests only the population slice (residences, seed,
 // fractions, arrivals, horizon, catalog content), the timeline pass only
-// the timeline slice (events, seed, horizon, plan mode). Scenario variants
-// that differ only in their timeline therefore share one cached sample
-// pass — the base population is sampled once per sweep, not once per
-// variant.
+// the timeline slice (events, seed, horizon). Scenario variants that
+// differ only in their timeline therefore share one cached sample pass —
+// the base population is sampled once per sweep, not once per variant.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,31 +35,14 @@
 #include "engine/config_tracking.h"
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
-#include "engine/timeline.h"
 #include "traffic/service_catalog.h"
 
 namespace nbv6::core {
-
-// --------------------------------------------------------------- digests
-
-/// Digest of the population slice of `cfg` (everything sample_stage reads)
-/// plus the catalog content. Excludes timeline and plan mode: neither can
-/// change what is sampled.
-std::uint64_t population_digest(const engine::FleetConfig& cfg,
-                                const traffic::ServiceCatalog& catalog);
-
-/// Digest of the timeline slice: events (every field), master seed,
-/// horizon, and plan mode. Lazy and materialized plans are byte-identical
-/// downstream, but the planned_fleet value itself differs in representation
-/// (DayPlanFn vs materialized vectors), so mode is part of the identity.
-std::uint64_t timeline_digest(const engine::FleetConfig& cfg,
-                              engine::TimelinePlanMode mode);
 
 // ---------------------------------------------------------- registration
 
 /// Knobs for the standard passes.
 struct ScenarioPassOptions {
-  engine::TimelinePlanMode plan_mode = engine::TimelinePlanMode::lazy;
   /// Holm-correction level for the report and window panel.
   double alpha = 0.05;
   /// Non-empty: also register the three file-sink passes, writing
@@ -73,17 +53,11 @@ struct ScenarioPassOptions {
   std::string scenario_tag = "scenario";
 };
 
-/// Register the standard scenario chain on `pipe`. `cfg` is captured by
-/// value; `catalog` by reference and must outlive the pipeline. Digests
-/// are derived from the captured config, so a pipeline is dirtied by
-/// re-registering (Pipeline::replace via replace_scenario_config) rather
-/// than by mutating shared state.
-void register_scenario_passes(engine::Pipeline& pipe,
-                              const engine::FleetConfig& cfg,
-                              const traffic::ServiceCatalog& catalog,
-                              const ScenarioPassOptions& opts = {});
-
-/// Convenience: a fresh pipeline with the standard passes registered.
+/// A fresh pipeline with the standard scenario chain registered. `cfg` is
+/// captured by value; `catalog` by reference and must outlive the
+/// pipeline. Digests are derived from the captured config, so a pipeline
+/// is dirtied by re-registering (Pipeline::replace via
+/// replace_scenario_config) rather than by mutating shared state.
 engine::Pipeline make_scenario_pipeline(const engine::FleetConfig& cfg,
                                         const traffic::ServiceCatalog& catalog,
                                         const ScenarioPassOptions& opts = {});
@@ -99,21 +73,13 @@ std::vector<std::string> scenario_transient_resources();
 // ------------------------------------------------------------- auditing
 
 /// One standard pass's observed FleetConfig read sets: which fields its
-/// digest slice covered (recorded while computing the config digest) and
-/// which fields its body actually read (recorded while the pass ran).
+/// digest slice covered (recorded while the pass was built, which is when
+/// its config digest is computed) and which fields its body actually read
+/// (recorded while the pass ran).
 struct PassReadAudit {
   std::string pass;
   engine::ConfigReadSet digest_reads;
   engine::ConfigReadSet run_reads;
-};
-
-/// Negative-test seam for the digest auditor: when set, replaces the
-/// corresponding digest computation so a test can seed a deliberately
-/// incomplete slice and prove the audit catches it.
-struct ScenarioAuditHooks {
-  std::function<std::uint64_t(const engine::FleetConfig&,
-                              const traffic::ServiceCatalog&)>
-      population_digest;
 };
 
 /// Run the six standard scenario passes once, inline and uncached, under
@@ -124,8 +90,7 @@ struct ScenarioAuditHooks {
 /// reads a field its digest slice misses — the PR 8/9 stale-cache class.
 std::vector<PassReadAudit> audit_scenario_passes(
     const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
-    const ScenarioPassOptions& opts = {},
-    const ScenarioAuditHooks& hooks = {});
+    const ScenarioPassOptions& opts = {});
 
 /// Fields the pass body read that its digest slice does not cover. A
 /// non-empty result is a stale-cache bug. (Lane count is not a config

@@ -142,7 +142,7 @@ bool FlatConntrack::account(const net::FlowKey& key, flowmon::Timestamp now,
   auto& rec = s.record;
   rec.bytes_out += bytes_out;
   rec.bytes_in += bytes_in;
-  // Same packet approximation as ConntrackTable: one per full-ish MTU.
+  // Unmodelled packets: one per 1400 bytes (full-ish MTU).
   rec.packets_out += pkts_out > 0 ? pkts_out : (bytes_out + 1399) / 1400;
   rec.packets_in += pkts_in > 0 ? pkts_in : (bytes_in + 1399) / 1400;
   s.last_activity = now;
@@ -159,8 +159,8 @@ bool FlatConntrack::close(const net::FlowKey& key, flowmon::Timestamp now) {
   }
   slots_[idx].record.end = now;
   // Emit from the live slot (no record copy), then unlink. Listeners must
-  // not reenter the table — the same contract ConntrackTable's sweep/flush
-  // already impose while iterating.
+  // not reenter the table — the same contract sweep/flush impose while
+  // iterating.
   emit_destroy(slots_[idx].record);
   erase_slot(idx);
   return true;

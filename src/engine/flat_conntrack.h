@@ -1,19 +1,20 @@
-// FlatConntrack: the flow-ingest hot-path replacement for ConntrackTable.
+// FlatConntrack: the flow-ingest hot-path conntrack table.
 //
-// Same semantics and listener contract as flowmon::ConntrackTable (NEW on
-// open, DESTROY with final counters on close/sweep/flush), but the live-flow
-// store is an open-addressing flat table instead of std::unordered_map:
+// NEW on open, DESTROY with final counters on close/sweep/flush, delivered
+// to flowmon::ConntrackListener subscribers. The live-flow store is an
+// open-addressing flat table instead of std::unordered_map:
 //
 //   - keyed by the fused 5-tuple hash (net::fused_flow_hash), computed once
 //     per operation instead of per probe,
 //   - linear probing over a power-of-two slot array with backward-shift
 //     deletion (no tombstones, probe chains stay short under churn),
 //   - account() resolves find-or-insert in a single probe sequence where
-//     ConntrackTable pays up to three unordered_map lookups.
+//     an unordered_map table pays up to three lookups.
 //
-// Every fleet shard owns one of these; the single-threaded table remains
-// for the examples and as the behavioural reference in the shared test
-// fixture (tests/flowmon_test.cpp runs both through the same suite).
+// Every fleet shard owns one of these. The unordered_map table it
+// replaced is the behavioural reference in the tests
+// (tests/reference_conntrack.h; tests/flowmon_test.cpp runs both through
+// one typed suite).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,8 @@ namespace nbv6::engine {
 
 class FlatConntrack {
  public:
-  /// `idle_timeout` in seconds, as ConntrackTable.
+  /// `idle_timeout` in seconds: flows with no activity for this long are
+  /// evicted on the next sweep, as real conntrack does.
   explicit FlatConntrack(flowmon::Timestamp idle_timeout = 600,
                          std::size_t initial_capacity = 64);
 

@@ -8,11 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "engine/run_spec.h"
 #include "engine/timeline.h"
 #include "stats/rng.h"
 #include "traffic/residence.h"
-#include "traffic/service_catalog.h"
 
 namespace nbv6::engine {
 
@@ -330,53 +328,6 @@ std::optional<std::string> check_parse_round_trip(std::string_view text) {
   // changed a byte would mean non-canonical float formatting.
   if (to_config_text(*cfg2) != rendered)
     return "renderer is not a fixed point\nrendered:\n" + rendered;
-  return std::nullopt;
-}
-
-std::optional<std::string> check_plan_parity(
-    const FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
-  SampledFleet lazy = sample_stage(cfg, catalog);
-  SampledFleet mat = sample_stage(cfg, catalog);
-  apply_timeline(lazy, cfg.timeline, cfg.seed, cfg.days,
-                 TimelinePlanMode::lazy);
-  apply_timeline(mat, cfg.timeline, cfg.seed, cfg.days,
-                 TimelinePlanMode::materialized);
-
-  auto cell = [](size_t i, int d) {
-    return "residence " + std::to_string(i) + " day " + std::to_string(d);
-  };
-  for (size_t i = 0; i < lazy.configs.size(); ++i) {
-    const auto& lz = lazy.configs[i];
-    const auto& mt = mat.configs[i];
-    if (cfg.timeline->empty()) {
-      if (lz.day_plan_fn || !lz.day_plan.empty() || mt.day_plan_fn ||
-          !mt.day_plan.empty())
-        return "empty timeline left plan state on residence " +
-               std::to_string(i);
-      continue;
-    }
-    if (!lz.day_plan_fn)
-      return "lazy mode missing day_plan_fn on residence " + std::to_string(i);
-    if (mt.day_plan.size() != static_cast<size_t>(cfg.days))
-      return "materialized plan has " + std::to_string(mt.day_plan.size()) +
-             " days, expected " + std::to_string(cfg.days) + " on residence " +
-             std::to_string(i);
-    for (int d = 0; d < cfg.days; ++d) {
-      const traffic::DayPlan a = lz.day_plan_fn(d);
-      const traffic::DayPlan b = mt.day_plan[static_cast<size_t>(d)];
-      if (!(a == b)) return "lazy/materialized plan mismatch at " + cell(i, d);
-      // The plan must also be a pure function of the day: a second
-      // evaluation through the lazy closure has no state to vary on.
-      if (!(lz.day_plan_fn(d) == a))
-        return "lazy plan not pure at " + cell(i, d);
-    }
-    // Out-of-horizon days fall back to the static plan in both modes (the
-    // materialized vector via its bounds check, the closure explicitly).
-    if (!(lz.day_plan_fn(cfg.days) == traffic::kStaticDayPlan) ||
-        !(lz.day_plan_fn(-1) == traffic::kStaticDayPlan))
-      return "lazy plan out-of-horizon fallback broken on residence " +
-             std::to_string(i);
-  }
   return std::nullopt;
 }
 

@@ -2,12 +2,13 @@
 //
 // The timeline subsystem's guarantees — every per-residence decision a
 // pure function of (seed, event ordinal, index, day), lane-count
-// invariance, lazy-vs-materialized plan parity, byte-stable replay — are
-// only as strong as the scenarios that exercise them. Seven hand-written
-// configs cover the happy paths; this module generates arbitrarily many
-// adversarial ones: boundary fractions (0, 1, one-ulp neighbours),
-// one-day horizons, overlapping and degenerate event windows, every event
-// kind in every legal shape, stacked renumbers and competing CGN budgets.
+// invariance, lazy day plans equal to eager evaluation, byte-stable
+// replay — are only as strong as the scenarios that exercise them. Seven
+// hand-written configs cover the happy paths; this module generates
+// arbitrarily many adversarial ones: boundary fractions (0, 1, one-ulp
+// neighbours), one-day horizons, overlapping and degenerate event windows,
+// every event kind in every legal shape, stacked renumbers and competing
+// CGN budgets.
 //
 // Each generated config is valid by construction (it must parse), and the
 // differential harness in tests/testutil checks the invariants on it.
@@ -22,10 +23,6 @@
 #include <string_view>
 
 #include "engine/fleet.h"
-
-namespace nbv6::traffic {
-class ServiceCatalog;
-}
 
 namespace nbv6::engine {
 
@@ -60,12 +57,5 @@ std::string to_config_text(const FleetConfig& cfg);
 /// description of the first failure (initial parse rejection, renderer
 /// output rejected, or field mismatch after the round trip).
 std::optional<std::string> check_parse_round_trip(std::string_view text);
-
-/// Lazy vs materialized day plans, cell by cell: sample the fleet twice,
-/// apply the timeline in each mode, and require every (residence, day)
-/// DayPlan equal, plus the out-of-horizon fallback to kStaticDayPlan.
-/// nullopt on success; otherwise the first mismatching cell.
-std::optional<std::string> check_plan_parity(
-    const FleetConfig& cfg, const traffic::ServiceCatalog& catalog);
 
 }  // namespace nbv6::engine

@@ -437,9 +437,9 @@ TimelineDayState day_state_from_draws(const Timeline& tl,
 }
 
 /// TimelineDayState -> the traffic layer's DayPlan for one residence. The
-/// single conversion both plan modes share, so lazy and materialized paths
-/// cannot drift apart. `static_internal_v6_frac` is the residence's sampled
-/// internal_v6_frac and `static_device_v6_ok_frac` its sampled
+/// single conversion timeline_day_plan and the lazy providers share, so
+/// the two cannot drift apart. `static_internal_v6_frac` is the residence's
+/// sampled internal_v6_frac and `static_device_v6_ok_frac` its sampled
 /// device_v6_ok_frac (the values negative plan fields fall back to).
 traffic::DayPlan day_plan_from_state(const TimelineDayState& s,
                                      const ResidenceTraits& base,
@@ -492,52 +492,44 @@ TimelineDayState timeline_day_state(const Timeline& tl, std::uint64_t seed,
                               days, base);
 }
 
+traffic::DayPlan timeline_day_plan(const Timeline& tl, std::uint64_t seed,
+                                   int index, int day, int days,
+                                   const ResidenceTraits& base,
+                                   const traffic::ResidenceConfig& sampled) {
+  if (day < 0 || day >= days) return traffic::kStaticDayPlan;
+  return day_plan_from_state(
+      timeline_day_state(tl, seed, index, day, days, base), base,
+      sampled.internal_v6_frac, sampled.device_v6_ok_frac);
+}
+
 void apply_timeline(SampledFleet& fleet, const Timeline& tl,
-                    std::uint64_t seed, int days, TimelinePlanMode mode) {
+                    std::uint64_t seed, int days) {
   if (tl.empty()) {
-    for (auto& cfg : fleet.configs) {
-      cfg.day_plan.clear();
-      cfg.day_plan_fn = nullptr;
-    }
+    for (auto& cfg : fleet.configs) cfg.day_plan_fn = nullptr;
     return;
   }
-  // One shared timeline copy for every lazy provider: the captured state
-  // per residence is a shared_ptr, the per-event draws, the traits, and two
+  // One shared timeline copy for every provider: the captured state per
+  // residence is a shared_ptr, the per-event draws, the traits, and two
   // scalars — nothing proportional to the horizon.
-  const auto shared_tl = mode == TimelinePlanMode::lazy
-                             ? std::make_shared<const Timeline>(tl)
-                             : nullptr;
+  const auto shared_tl = std::make_shared<const Timeline>(tl);
   for (size_t i = 0; i < fleet.configs.size(); ++i) {
     traffic::ResidenceConfig& cfg = fleet.configs[i];
-    const ResidenceTraits& base = fleet.traits[i];
     // The per-(event, residence) draws are day-invariant: derive them once
     // per residence, not once per (residence, day).
-    auto draws = draw_all_events(tl, seed, static_cast<int>(i), days);
-
-    if (mode == TimelinePlanMode::lazy) {
-      cfg.day_plan.clear();
-      cfg.day_plan_fn = [shared_tl, draws = std::move(draws), base, days,
-                         internal_v6 = cfg.internal_v6_frac,
-                         device_v6 = cfg.device_v6_ok_frac](int day) {
-        // Outside the horizon the materialized vector falls back to the
-        // static configuration (the day_plan.size() bounds check); the
-        // lazy provider must match or the two modes diverge whenever a
-        // config's days exceeds the horizon given to apply_timeline.
-        if (day < 0 || day >= days) return traffic::kStaticDayPlan;
-        return day_plan_from_state(
-            day_state_from_draws(*shared_tl, draws, day, days, base), base,
-            internal_v6, device_v6);
-      };
-      continue;
-    }
-
-    cfg.day_plan_fn = nullptr;
-    cfg.day_plan.assign(static_cast<size_t>(std::max(days, 0)),
-                        traffic::DayPlan{});
-    for (int day = 0; day < days; ++day)
-      cfg.day_plan[static_cast<size_t>(day)] = day_plan_from_state(
-          day_state_from_draws(tl, draws, day, days, base), base,
-          cfg.internal_v6_frac, cfg.device_v6_ok_frac);
+    cfg.day_plan_fn = [shared_tl,
+                       draws = draw_all_events(tl, seed, static_cast<int>(i),
+                                               days),
+                       base = fleet.traits[i], days,
+                       internal_v6 = cfg.internal_v6_frac,
+                       device_v6 = cfg.device_v6_ok_frac](int day) {
+      // Days outside the horizon keep the static configuration, even when
+      // a config's days exceed the horizon given to apply_timeline: fired
+      // events must not leak into days the timeline never covered.
+      if (day < 0 || day >= days) return traffic::kStaticDayPlan;
+      return day_plan_from_state(
+          day_state_from_draws(*shared_tl, draws, day, days, base), base,
+          internal_v6, device_v6);
+    };
   }
 }
 

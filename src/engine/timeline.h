@@ -18,15 +18,20 @@
 // engine thread count, so a timeline replay is bit-identical for any lane
 // count — the invariant the golden-replay suite pins.
 //
-// apply_timeline() materializes the day states into per-day DayPlan
-// entries on each sampled ResidenceConfig; the traffic generator consults
-// the plan at the start of every simulated day.
+// apply_timeline() installs a per-day DayPlan provider on each sampled
+// ResidenceConfig; the traffic generator consults the plan at the start of
+// every simulated day.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string_view>
 #include <vector>
+
+namespace nbv6::traffic {
+struct DayPlan;
+struct ResidenceConfig;
+}  // namespace nbv6::traffic
 
 namespace nbv6::engine {
 
@@ -203,28 +208,25 @@ TimelineDayState timeline_day_state(const Timeline& tl, std::uint64_t seed,
                                     int index, int day, int days,
                                     const ResidenceTraits& base);
 
-/// How apply_timeline hands day plans to the traffic layer.
-enum class TimelinePlanMode {
-  /// Install a per-residence DayPlanFn that computes timeline_day_state on
-  /// the fly (one evaluation per simulated day). Memory stays
-  /// O(lanes x days) — nothing proportional to residences x days is ever
-  /// allocated. The default, and bit-identical to `materialized` (pinned by
-  /// the golden-replay suite and the lazy/materialized parity tests).
-  lazy,
-  /// Materialize residences x days DayPlan entries up front (~32 B per
-  /// day per home). Kept as the parity reference and for callers that want
-  /// to inspect or mutate plans directly.
-  materialized,
-};
+/// The traffic layer's plan for residence `index` on `day`: its
+/// timeline_day_state converted against `sampled`, the residence's sampled
+/// static config (the values "keep static" plan fields fall back to).
+/// kStaticDayPlan outside [0, days). Pure in the same arguments as
+/// timeline_day_state; what every provider apply_timeline installs returns.
+traffic::DayPlan timeline_day_plan(const Timeline& tl, std::uint64_t seed,
+                                   int index, int day, int days,
+                                   const ResidenceTraits& base,
+                                   const traffic::ResidenceConfig& sampled);
 
-/// Hand the timeline's per-day plans to every sampled config — lazily by
-/// default (see TimelinePlanMode), or materialized on request. A no-op for
-/// an empty timeline, leaving the static fast path untouched. `seed` and
-/// `days` are the scenario's master seed and horizon. Idempotent: each call
-/// recomputes from scratch and clears the other mode's state.
+/// Hand the timeline's per-day plans to every sampled config as a lazy
+/// DayPlanFn: one timeline_day_plan evaluation per simulated day, with the
+/// day-invariant per-event draws taken once per residence. Memory stays
+/// O(lanes x days) — nothing proportional to residences x days is ever
+/// allocated. An empty timeline clears the providers, leaving the static
+/// fast path untouched. `seed` and `days` are the scenario's master seed
+/// and horizon. Idempotent: each call recomputes from scratch.
 void apply_timeline(SampledFleet& fleet, const Timeline& tl,
-                    std::uint64_t seed, int days,
-                    TimelinePlanMode mode = TimelinePlanMode::lazy);
+                    std::uint64_t seed, int days);
 
 // ------------------------------------------------ shared config parsing
 // Helpers shared by FleetConfig::parse and Timeline::parse_event so the

@@ -1,15 +1,14 @@
-// Connection-tracking table with NEW/DESTROY event delivery.
+// Conntrack event delivery.
 //
 // Models the Linux conntrack facility the paper's router monitor subscribes
 // to (§3.1): flows are opened (NEW), accumulate per-direction byte and
 // packet counters while live (nf_conntrack_acct), and emit a DESTROY event
 // carrying the final counters when closed or when the idle timeout garbage-
-// collects them. Listeners (the FlowMonitor) receive both events.
+// collects them. Listeners (the FlowMonitor) receive both events from a
+// conntrack table (engine::FlatConntrack).
 #pragma once
 
 #include <functional>
-#include <unordered_map>
-#include <vector>
 
 #include "flowmon/flow_record.h"
 #include "net/flow.h"
@@ -21,52 +20,6 @@ namespace nbv6::flowmon {
 struct ConntrackListener {
   std::function<void(const net::FlowKey&, Timestamp)> on_new;
   std::function<void(const FlowRecord&)> on_destroy;
-};
-
-class ConntrackTable {
- public:
-  /// `idle_timeout` in seconds: flows with no activity for this long are
-  /// evicted on the next sweep, as real conntrack does.
-  explicit ConntrackTable(Timestamp idle_timeout = 600)
-      : idle_timeout_(idle_timeout) {}
-
-  void subscribe(ConntrackListener listener) {
-    listeners_.push_back(std::move(listener));
-  }
-
-  /// Open a flow. Opening an existing live flow is a no-op (packets of a
-  /// tracked connection don't re-fire NEW).
-  void open(const net::FlowKey& key, Timestamp now, Scope scope);
-
-  /// Account traffic on a live flow. Opens the flow implicitly if unknown
-  /// (conntrack mid-stream pickup). Returns false if the key had to be
-  /// implicitly opened.
-  bool account(const net::FlowKey& key, Timestamp now, std::uint64_t bytes_out,
-               std::uint64_t bytes_in, std::uint64_t pkts_out = 0,
-               std::uint64_t pkts_in = 0, Scope scope = Scope::external);
-
-  /// Close a flow now, emitting DESTROY. Returns false if unknown.
-  bool close(const net::FlowKey& key, Timestamp now);
-
-  /// Evict flows idle past the timeout. Returns number evicted.
-  size_t sweep(Timestamp now);
-
-  /// Close everything (end of capture).
-  void flush(Timestamp now);
-
-  [[nodiscard]] size_t live_count() const { return live_.size(); }
-
- private:
-  struct Live {
-    FlowRecord record;
-    Timestamp last_activity = 0;
-  };
-
-  void emit_destroy(const FlowRecord& r);
-
-  Timestamp idle_timeout_;
-  std::unordered_map<net::FlowKey, Live, net::FlowKeyHash> live_;
-  std::vector<ConntrackListener> listeners_;
 };
 
 }  // namespace nbv6::flowmon

@@ -51,7 +51,7 @@ class Exporter {
  public:
   explicit Exporter(const net::CryptoPan::Secret& secret) : cpan_(secret) {}
 
-  /// Queue a record (typically from a ConntrackTable DESTROY callback).
+  /// Queue a record (typically from a conntrack DESTROY callback).
   void add(const FlowRecord& record);
 
   /// Anonymized batch for `day` (records whose start falls on that day),

@@ -6,11 +6,6 @@ std::string_view to_string(Scope s) {
   return s == Scope::external ? "external" : "internal";
 }
 
-FlowMonitor::FlowMonitor(ConntrackTable& table, bool retain_records)
-    : retain_records_(retain_records) {
-  attach(table);
-}
-
 ConntrackListener FlowMonitor::make_listener() {
   ConntrackListener listener;
   listener.on_new = [this](const net::FlowKey&, Timestamp) { ++new_events_; };
@@ -31,8 +26,6 @@ void FlowMonitor::merge(const FlowMonitor& o) {
     dest_external_[addr] += tally;
   new_events_ += o.new_events_;
   destroy_events_ += o.destroy_events_;
-  if (retain_records_)
-    records_.insert(records_.end(), o.records_.begin(), o.records_.end());
 }
 
 void FlowMonitor::ingest(const FlowRecord& r) {
@@ -58,8 +51,6 @@ void FlowMonitor::ingest(const FlowRecord& r) {
       hourly.v4 += t;
     dest_external_[r.key.dst] += t;
   }
-
-  if (retain_records_) records_.push_back(r);
 }
 
 std::vector<double> FlowMonitor::daily_v6_fractions(Scope s,

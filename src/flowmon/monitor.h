@@ -1,15 +1,15 @@
 // FlowMonitor: the router-side aggregation the paper's measurement runs on.
 //
-// Subscribes to a ConntrackTable and incrementally maintains exactly the
+// Subscribes to a conntrack table and incrementally maintains exactly the
 // aggregates §3 reports on:
 //   - per-(day, scope, family) byte and flow tallies (Table 1, Fig. 1),
 //   - per-(hour, family) external tallies (the MSTL series of Fig. 2),
 //   - per-destination-address external tallies (the AS- and domain-level
 //     service analysis of §3.4, Figs. 3/4/17).
 //
-// Aggregation is streaming: the monitor never retains raw flow records
-// unless asked (tests do), mirroring the privacy posture of the real
-// deployment where only flow summaries leave the router.
+// Aggregation is streaming: the monitor never retains raw flow records,
+// mirroring the privacy posture of the real deployment where only flow
+// summaries leave the router.
 #pragma once
 
 #include <array>
@@ -74,17 +74,9 @@ struct DestTally {
 
 class FlowMonitor {
  public:
-  /// A detached monitor: aggregates only, no table. Used as the reduction
-  /// target when merging shard monitors into a fleet view, and by attach().
-  explicit FlowMonitor(bool retain_records = false)
-      : retain_records_(retain_records) {}
-
-  /// Wires the monitor into `table`. `retain_records` keeps every record
-  /// (tests and small runs only).
-  explicit FlowMonitor(ConntrackTable& table, bool retain_records = false);
-
-  /// Subscribe this monitor to any conntrack-shaped table (ConntrackTable,
-  /// engine::FlatConntrack, ...). The table must not outlive the monitor,
+  /// Subscribe this monitor to a conntrack-shaped table
+  /// (engine::FlatConntrack, ...); a monitor never attached is a pure
+  /// reduction target for merge(). The table must not outlive the monitor,
   /// and the monitor must not be moved while attached (the listener holds
   /// a pointer to it); moving it *after* the table is gone is fine.
   template <typename Table>
@@ -95,7 +87,6 @@ class FlowMonitor {
   /// Fold another monitor's aggregates into this one. Associative and
   /// commutative over the counter state (all sums), so any reduction tree
   /// over shard monitors yields bit-identical totals/daily/hourly views.
-  /// Records are appended in call order when both monitors retain them.
   void merge(const FlowMonitor& other);
 
   // --- aggregate views -----------------------------------------------
@@ -135,9 +126,6 @@ class FlowMonitor {
     return totals(Scope::external).total_bytes();
   }
 
-  [[nodiscard]] const std::vector<FlowRecord>& records() const {
-    return records_;
-  }
   [[nodiscard]] std::uint64_t new_events() const { return new_events_; }
   [[nodiscard]] std::uint64_t destroy_events() const { return destroy_events_; }
 
@@ -146,12 +134,10 @@ class FlowMonitor {
   ConntrackListener make_listener();
   void ingest(const FlowRecord& r);
 
-  bool retain_records_;
   std::array<FamilySplit, 2> totals_{};
   std::array<std::map<int, FamilySplit>, 2> daily_{};
   std::map<int, FamilySplit> hourly_external_;
   std::map<net::IpAddr, Tally> dest_external_;
-  std::vector<FlowRecord> records_;
   std::uint64_t new_events_ = 0;
   std::uint64_t destroy_events_ = 0;
 };

@@ -39,14 +39,15 @@ constexpr std::uint64_t top_mask64(int i) {
 
 }  // namespace
 
-CryptoPan::CryptoPan(const Secret& secret, bool enable_prefix_cache)
+CryptoPan::CryptoPan(const Secret& secret)
     : cipher_([&secret] {
         Aes128::Key key{};
         for (int i = 0; i < 16; ++i)
           key[static_cast<size_t>(i)] = secret[static_cast<size_t>(i)];
         return Aes128(key);
       }()),
-      cache_enabled_(enable_prefix_cache) {
+      cache4_(size_t{1} << kCache4Bits, CacheEntry4{kEmptyKey4, 0}),
+      cache6_(size_t{1} << kCache6Bits, CacheEntry6{0, 0, 0xff, 0}) {
   // Per the reference implementation, the second half of the secret is
   // itself encrypted once to form the canonical padding block.
   Aes128::Block raw_pad{};
@@ -60,10 +61,6 @@ CryptoPan::CryptoPan(const Secret& secret, bool enable_prefix_cache)
         (std::uint32_t{pad[static_cast<size_t>(4 * w + 2)]} << 8) |
         std::uint32_t{pad[static_cast<size_t>(4 * w + 3)]};
   }
-  if (cache_enabled_) {
-    cache4_.assign(size_t{1} << kCache4Bits, CacheEntry4{kEmptyKey4, 0});
-    cache6_.assign(size_t{1} << kCache6Bits, CacheEntry6{0, 0, 0xff, 0});
-  }
 }
 
 std::uint8_t CryptoPan::chunk_flips(std::uint32_t addr, int chunk) const {
@@ -74,11 +71,9 @@ std::uint8_t CryptoPan::chunk_flips(std::uint32_t addr, int chunk) const {
   const std::uint64_t key =
       (std::uint64_t{prefix} << 2) | static_cast<std::uint64_t>(chunk);
 
-  CacheEntry4* slot = nullptr;
-  if (cache_enabled_) {
-    slot = &cache4_[mix64(key) & ((size_t{1} << kCache4Bits) - 1)];
-    if (slot->key == key) return slot->flips;
-  }
+  CacheEntry4& slot =
+      cache4_[mix64(key) & ((size_t{1} << kCache4Bits) - 1)];
+  if (slot.key == key) return slot.flips;
 
   // PRF input for bit i: original bits [0, i) then padding — only word 0
   // ever differs from the padding block for a v4 address, so each step is
@@ -92,7 +87,7 @@ std::uint8_t CryptoPan::chunk_flips(std::uint32_t addr, int chunk) const {
     ++prf_calls_;
     flips = static_cast<std::uint8_t>((flips << 1) | (out[0] >> 31));
   }
-  if (slot != nullptr) *slot = CacheEntry4{key, flips};
+  slot = CacheEntry4{key, flips};
   return flips;
 }
 
@@ -103,14 +98,11 @@ std::uint8_t CryptoPan::chunk_flips(std::uint64_t hi, std::uint64_t lo,
   const std::uint64_t mhi = end >= 64 ? hi : hi & top_mask64(end);
   const std::uint64_t mlo = end <= 64 ? 0 : lo & top_mask64(end - 64);
 
-  CacheEntry6* slot = nullptr;
-  if (cache_enabled_) {
-    const std::uint64_t h =
-        mix64(mhi ^ mix64(mlo ^ static_cast<std::uint64_t>(chunk)));
-    slot = &cache6_[h & ((size_t{1} << kCache6Bits) - 1)];
-    if (slot->chunk == chunk && slot->hi == mhi && slot->lo == mlo)
-      return slot->flips;
-  }
+  const std::uint64_t h =
+      mix64(mhi ^ mix64(mlo ^ static_cast<std::uint64_t>(chunk)));
+  CacheEntry6& slot = cache6_[h & ((size_t{1} << kCache6Bits) - 1)];
+  if (slot.chunk == chunk && slot.hi == mhi && slot.lo == mlo)
+    return slot.flips;
 
   // Words 0..3 hold the address big-endian; word `wi` is the one the
   // current chunk lives in (chunks are byte-aligned, so they never span
@@ -134,8 +126,7 @@ std::uint8_t CryptoPan::chunk_flips(std::uint64_t hi, std::uint64_t lo,
     ++prf_calls_;
     flips = static_cast<std::uint8_t>((flips << 1) | (out[0] >> 31));
   }
-  if (slot != nullptr)
-    *slot = CacheEntry6{mhi, mlo, static_cast<std::uint8_t>(chunk), flips};
+  slot = CacheEntry6{mhi, mlo, static_cast<std::uint8_t>(chunk), flips};
   return flips;
 }
 

@@ -40,10 +40,7 @@ class CryptoPan {
  public:
   using Secret = std::array<std::uint8_t, 32>;
 
-  /// `enable_prefix_cache = false` disables PRF memoization (every bit
-  /// recomputed through AES); results are identical either way — the flag
-  /// exists for equivalence testing and memory-constrained callers.
-  explicit CryptoPan(const Secret& secret, bool enable_prefix_cache = true);
+  explicit CryptoPan(const Secret& secret);
 
   /// Anonymize the low `bits` bits of an IPv4 address, preserving prefixes
   /// within that range and leaving the top (32 - bits) bits untouched.
@@ -93,7 +90,7 @@ class CryptoPan {
   };
 
   /// Flip bits for v4 byte `chunk` (positions [8c, 8c+8)) of `addr`,
-  /// through the cache when enabled.
+  /// through the cache.
   [[nodiscard]] std::uint8_t chunk_flips(std::uint32_t addr, int chunk) const;
   /// Same for the v6 byte `chunk` of the address given as two halves.
   [[nodiscard]] std::uint8_t chunk_flips(std::uint64_t hi, std::uint64_t lo,
@@ -103,7 +100,6 @@ class CryptoPan {
   // The canonical padding block, packed as big-endian words (the form the
   // incremental PRF input assembly consumes).
   std::array<std::uint32_t, 4> pad_words_{};
-  bool cache_enabled_;
   mutable std::vector<CacheEntry4> cache4_;
   mutable std::vector<CacheEntry6> cache6_;
   mutable std::uint64_t prf_calls_ = 0;

@@ -45,10 +45,7 @@ bool ResidenceSimulator::is_away(int day) const {
 }
 
 DayPlan ResidenceSimulator::plan(int day) const {
-  if (cfg_.day_plan_fn) return cfg_.day_plan_fn(day);
-  if (day >= 0 && static_cast<size_t>(day) < cfg_.day_plan.size())
-    return cfg_.day_plan[static_cast<size_t>(day)];
-  return kStaticDayPlan;
+  return cfg_.day_plan_fn ? cfg_.day_plan_fn(day) : kStaticDayPlan;
 }
 
 double ResidenceSimulator::presence(int day, int hour) const {
@@ -490,12 +487,10 @@ SimulationStats ResidenceSimulator::run(Table& table) {
   return stats_;
 }
 
-// The conntrack sinks the library ships plus the firehose capture buffer.
+// The conntrack table the library ships plus the firehose capture buffer.
 // New table types only need an explicit instantiation here.
-template SimulationStats ResidenceSimulator::run(flowmon::ConntrackTable&);
 template SimulationStats ResidenceSimulator::run(engine::FlatConntrack&);
 template SimulationStats ResidenceSimulator::run(engine::FlowEventBuffer&);
-template void ResidenceSimulator::run_day(flowmon::ConntrackTable&, int);
 template void ResidenceSimulator::run_day(engine::FlatConntrack&, int);
 template void ResidenceSimulator::run_day(engine::FlowEventBuffer&, int);
 

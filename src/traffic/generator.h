@@ -1,7 +1,7 @@
 // ResidenceSimulator: generates nine months of household traffic.
 //
 // The synthetic stand-in for the paper's IRB-protected residence captures.
-// Drives a ConntrackTable with flows whose statistical structure follows
+// Drives a conntrack table with flows whose statistical structure follows
 // the causal model §3 establishes:
 //
 //   - Interactive traffic follows human presence: strong evening peak, a
@@ -88,12 +88,12 @@ class ResidenceSimulator {
   /// Run the full configured period, feeding `table`. Callers typically
   /// attach a FlowMonitor to the table first. `Table` is any conntrack-
   /// shaped sink (open/account/close/flush); instantiated in generator.cpp
-  /// for flowmon::ConntrackTable, engine::FlatConntrack and the firehose's
-  /// engine::FlowEventBuffer, so fleet shards drive the flat hot-path table
-  /// with the exact same generator code. If the table additionally exposes
-  /// `advance(int day, int tick)`, the generator calls it at the start of
-  /// every time slot (hour in batch mode, tick otherwise) — how the
-  /// firehose attributes flows to ticks without widening the sink API.
+  /// for engine::FlatConntrack and the firehose's engine::FlowEventBuffer,
+  /// so fleet shards and the firehose drive the exact same generator code.
+  /// If the table additionally exposes `advance(int day, int tick)`, the
+  /// generator calls it at the start of every time slot (hour in batch
+  /// mode, tick otherwise) — how the firehose attributes flows to ticks
+  /// without widening the sink API.
   template <typename Table>
   SimulationStats run(Table& table);
 
@@ -145,9 +145,9 @@ class ResidenceSimulator {
   /// background-profile services); shared by the batch and tick paths.
   size_t background_service(stats::Rng& rng);
   [[nodiscard]] bool is_away(int day) const;
-  /// The timeline plan governing `day`: the lazy provider when the config
-  /// carries one, else the materialized vector, else kStaticDayPlan.
-  /// Evaluated once per simulated day by run().
+  /// The timeline plan governing `day`: the config's provider when it
+  /// carries one, else kStaticDayPlan. Evaluated once per simulated day by
+  /// run().
   [[nodiscard]] DayPlan plan(int day) const;
 
   /// Per-profile flow count and byte sampling, off the caller's stream.

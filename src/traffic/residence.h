@@ -105,14 +105,9 @@ struct ResidenceConfig {
   /// (only background traffic). Day 135 ≈ mid-March 2025.
   std::vector<std::pair<int, int>> away_day_ranges;
 
-  /// Day-indexed timeline overrides (entry d applies to simulated day d);
-  /// empty = static behaviour for the whole horizon. Days past the end of
-  /// the vector also fall back to the static configuration.
-  std::vector<DayPlan> day_plan;
-
-  /// Lazy alternative to `day_plan`: when set it takes precedence and is
-  /// consulted once per simulated day. engine::apply_timeline installs one
-  /// by default so a million-home, year-long fleet never materializes
+  /// Timeline overrides, consulted once per simulated day; unset = static
+  /// behaviour for the whole horizon. engine::apply_timeline installs one
+  /// per residence so a million-home, year-long fleet never materializes
   /// residences x days plans.
   DayPlanFn day_plan_fn;
 

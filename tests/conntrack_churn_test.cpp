@@ -1,6 +1,6 @@
 // Deletion-heavy churn: randomized differential test of the flat
 // open-addressing conntrack against the std::unordered_map reference
-// implementation (flowmon::ConntrackTable).
+// implementation (testutil::ReferenceConntrack).
 //
 // The existing conntrack suites cover steady-state behaviour; this one
 // targets exactly the machinery that only misbehaves under churn:
@@ -19,6 +19,7 @@
 #include "engine/flat_conntrack.h"
 #include "flowmon/conntrack.h"
 #include "flowmon/flow_record.h"
+#include "reference_conntrack.h"
 #include "stats/rng.h"
 
 namespace nbv6::engine {
@@ -81,7 +82,7 @@ void expect_same_records(std::vector<FlowRecord> a, std::vector<FlowRecord> b,
 TEST(FlatConntrackChurn, RandomizedDifferentialWithEraseBursts) {
   // Tiny initial capacity so the op stream forces several grows.
   FlatConntrack flat(/*idle_timeout=*/120, /*initial_capacity=*/4);
-  flowmon::ConntrackTable ref(/*idle_timeout=*/120);
+  testutil::ReferenceConntrack ref(/*idle_timeout=*/120);
   Sink flat_sink, ref_sink;
   flat.subscribe(flat_sink.listener());
   ref.subscribe(ref_sink.listener());

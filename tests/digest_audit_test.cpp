@@ -3,9 +3,9 @@
 // PassCache can serve stale hits when the uncovered field changes — the
 // PR 8/9 bug class. The audit records per-field FleetConfig reads (see
 // engine/config_tracking.h) separately for each pass's digest computation
-// and its body, then checks run_reads ⊆ digest_reads ∪ {threads} for
-// every committed scenario. A negative test seeds a deliberately broken
-// population digest and proves the auditor catches it.
+// and its body, then checks run_reads ⊆ digest_reads for every committed
+// scenario. A negative test pairs the sample pass's real read set with a
+// deliberately broken population digest and proves the check catches it.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -127,14 +127,38 @@ TEST(DigestAudit, SamplePassActuallyReadsThePopulationSlice) {
   }
 }
 
+TEST(DigestAudit, DigestReadSetsAreSlices) {
+  // Guard the other direction: digest read sets are recorded while each
+  // pass is built, so a by-value capture of the config that started
+  // counting as a read would make every slice "cover" every field and the
+  // audit vacuous. Each pass's digest slice must stay its own slice.
+  const auto catalog = traffic::build_paper_catalog();
+  const auto audits =
+      core::audit_scenario_passes(shrunk(FleetConfig{}), catalog);
+  ASSERT_EQ(audits.size(), 6u);
+  ASSERT_EQ(audits[0].pass, "sample");
+  EXPECT_FALSE(audits[0].digest_reads.test(bit(ConfigField::timeline)));
+  ASSERT_EQ(audits[1].pass, "timeline");
+  ConfigReadSet timeline_slice;
+  for (ConfigField f : {ConfigField::seed, ConfigField::days,
+                        ConfigField::timeline})
+    timeline_slice.set(bit(f));
+  EXPECT_EQ(audits[1].digest_reads, timeline_slice)
+      << core::describe_read_set(audits[1].digest_reads);
+  ASSERT_EQ(audits[2].pass, "simulate");
+  EXPECT_TRUE(audits[2].digest_reads.none())
+      << core::describe_read_set(audits[2].digest_reads);
+}
+
 TEST(DigestAudit, CatchesAnOmittedDigestField) {
   // Seed the PR 8/9 bug on purpose: a population digest that forgets
   // broken_v6_frac. Two configs differing only there would collide in the
-  // cache; the auditor must flag the omission.
+  // cache; paired with what the sample pass really reads, the audit must
+  // flag the omission.
   const auto catalog = traffic::build_paper_catalog();
-  core::ScenarioAuditHooks hooks;
-  hooks.population_digest = [](const FleetConfig& cfg,
-                               const traffic::ServiceCatalog& cat) {
+  const FleetConfig config = shrunk(FleetConfig{});
+  auto broken_population_digest = [](const FleetConfig& cfg,
+                                     const traffic::ServiceCatalog& cat) {
     return engine::DigestBuilder()
         .str("population")
         .i64(cfg.residences)
@@ -153,10 +177,14 @@ TEST(DigestAudit, CatchesAnOmittedDigestField) {
         .u64(cat.content_digest())
         .value();
   };
-  const auto audits =
-      core::audit_scenario_passes(shrunk(FleetConfig{}), catalog, {}, hooks);
-  const auto& sample = audits.front();
+  core::PassReadAudit sample =
+      core::audit_scenario_passes(config, catalog).front();
   ASSERT_EQ(sample.pass, "sample");
+  {
+    ConfigReadTracker::Scope scope;
+    (void)broken_population_digest(config, catalog);
+    sample.digest_reads = scope.reads();
+  }
   const ConfigReadSet uncovered = core::uncovered_config_reads(sample);
   EXPECT_TRUE(uncovered.test(bit(ConfigField::broken_v6_frac)))
       << "auditor failed to flag the seeded omission; uncovered: {"

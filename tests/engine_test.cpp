@@ -12,11 +12,13 @@
 #include <vector>
 
 #include "core/client_analysis.h"
+#include "engine/firehose.h"
 #include "engine/fleet.h"
 #include "engine/flat_conntrack.h"
 #include "engine/run_spec.h"
 #include "engine/thread_pool.h"
 #include "flowmon/monitor.h"
+#include "reference_conntrack.h"
 #include "testutil.h"
 #include "traffic/generator.h"
 
@@ -420,18 +422,14 @@ TEST(SimulateFleet, FourLaneRunMatchesSequentialBitForBit) {
 }
 
 TEST(SimulateFleet, FlatShardMatchesReferenceTableAggregates) {
-  // One residence simulated into the reference unordered_map table and
-  // into a flat shard: monitor aggregates must agree exactly.
+  // One residence simulated into a flat shard, and the same residence's
+  // flow stream (captured by a FlowEventBuffer) replayed into the reference
+  // unordered_map table: monitor aggregates must agree exactly.
   auto catalog = traffic::build_paper_catalog();
   FleetConfig fc;
   fc.residences = 1;
   fc.days = 4;
   auto configs = sample_stage(fc, catalog).configs;
-
-  flowmon::ConntrackTable ref_table;
-  flowmon::FlowMonitor ref_mon(ref_table);
-  traffic::ResidenceSimulator ref_sim(catalog, configs[0]);
-  auto ref_stats = ref_sim.run(ref_table);
 
   FlatConntrack flat_table;
   flowmon::FlowMonitor flat_mon;
@@ -439,8 +437,21 @@ TEST(SimulateFleet, FlatShardMatchesReferenceTableAggregates) {
   traffic::ResidenceSimulator flat_sim(catalog, configs[0]);
   auto flat_stats = flat_sim.run(flat_table);
 
-  EXPECT_EQ(ref_stats.sessions, flat_stats.sessions);
-  EXPECT_EQ(ref_stats.flows, flat_stats.flows);
+  FlowEventBuffer stream;
+  traffic::ResidenceSimulator capture_sim(catalog, configs[0]);
+  auto capture_stats = capture_sim.run(stream);
+  testutil::ReferenceConntrack ref_table;
+  flowmon::FlowMonitor ref_mon;
+  ref_mon.attach(ref_table);
+  for (const FlowEvent& ev : stream.events()) {
+    ref_table.open(ev.key, ev.start, ev.scope);
+    ref_table.account(ev.key, ev.start, ev.bytes_out, ev.bytes_in);
+    ref_table.close(ev.key, ev.end);
+  }
+
+  EXPECT_EQ(capture_stats.sessions, flat_stats.sessions);
+  EXPECT_EQ(capture_stats.flows, flat_stats.flows);
+  EXPECT_EQ(stream.events().size(), flat_mon.destroy_events());
   expect_same_aggregates(ref_mon, flat_mon);
 }
 

@@ -5,6 +5,7 @@
 #include "engine/flat_conntrack.h"
 #include "flowmon/conntrack.h"
 #include "flowmon/monitor.h"
+#include "reference_conntrack.h"
 #include "stats/rng.h"
 
 namespace nbv6::flowmon {
@@ -28,11 +29,12 @@ net::FlowKey make_key(std::uint8_t host, std::uint16_t port,
 
 // Shared fixture: every conntrack behaviour test runs against both the
 // std::unordered_map reference table and the flat open-addressing table,
-// pinning engine::FlatConntrack to ConntrackTable semantics.
+// pinning engine::FlatConntrack to the reference semantics.
 template <typename Table>
 class ConntrackLike : public ::testing::Test {};
 
-using ConntrackImpls = ::testing::Types<ConntrackTable, engine::FlatConntrack>;
+using ConntrackImpls =
+    ::testing::Types<testutil::ReferenceConntrack, engine::FlatConntrack>;
 TYPED_TEST_SUITE(ConntrackLike, ConntrackImpls);
 
 TYPED_TEST(ConntrackLike, NewAndDestroyEventsFire) {
@@ -158,7 +160,7 @@ TYPED_TEST(ConntrackLike, ChurnThroughGrowthKeepsBookkeeping) {
 // drive an identical randomized open/account/close/sweep schedule into both
 // and compare the full per-key destroy records.
 TEST(FlatConntrackEquivalence, MatchesReferenceTablePerFlow) {
-  ConntrackTable ref(/*idle_timeout=*/120);
+  testutil::ReferenceConntrack ref(/*idle_timeout=*/120);
   engine::FlatConntrack flat(/*idle_timeout=*/120);
   std::map<net::FlowKey, FlowRecord> ref_records, flat_records;
   ConntrackListener rl, fl;
@@ -212,8 +214,9 @@ TEST(FlatConntrackEquivalence, MatchesReferenceTablePerFlow) {
 // ------------------------------------------------------------ monitor
 
 TEST(Monitor, SplitsByFamilyAndScope) {
-  ConntrackTable table;
-  FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  FlowMonitor mon;
+  mon.attach(table);
 
   auto k4 = make_key(1, 10, false);
   table.open(k4, 10, Scope::external);
@@ -244,14 +247,16 @@ TEST(Monitor, SplitsByFamilyAndScope) {
 }
 
 TEST(Monitor, EmptyFractionIsSentinel) {
-  ConntrackTable table;
-  FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  FlowMonitor mon;
+  mon.attach(table);
   EXPECT_LT(mon.totals(Scope::external).v6_byte_fraction(), 0.0);
 }
 
 TEST(Monitor, DailyBucketsByStartTime) {
-  ConntrackTable table;
-  FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  FlowMonitor mon;
+  mon.attach(table);
 
   auto day0 = make_key(1, 20, true);
   table.open(day0, 1000, Scope::external);
@@ -275,8 +280,9 @@ TEST(Monitor, DailyBucketsByStartTime) {
 }
 
 TEST(Monitor, HourlySeriesFillsGaps) {
-  ConntrackTable table;
-  FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  FlowMonitor mon;
+  mon.attach(table);
 
   auto h0 = make_key(1, 30, true);
   table.open(h0, 0, Scope::external);
@@ -297,8 +303,9 @@ TEST(Monitor, HourlySeriesFillsGaps) {
 }
 
 TEST(Monitor, DestinationTalliesExternalOnly) {
-  ConntrackTable table;
-  FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  FlowMonitor mon;
+  mon.attach(table);
 
   auto ext = make_key(1, 40, false);
   table.open(ext, 0, Scope::external);
@@ -316,15 +323,17 @@ TEST(Monitor, DestinationTalliesExternalOnly) {
   EXPECT_EQ(tallies[0].tally.bytes, 100u);
 }
 
-TEST(Monitor, RetainsRecordsWhenAsked) {
-  ConntrackTable table;
-  FlowMonitor keep(table, /*retain_records=*/true);
+TEST(Monitor, CountsNewAndDestroyEvents) {
+  engine::FlatConntrack table;
+  FlowMonitor mon;
+  mon.attach(table);
   auto k = make_key(1, 50);
   table.open(k, 0, Scope::external);
+  EXPECT_EQ(mon.new_events(), 1u);
+  EXPECT_EQ(mon.destroy_events(), 0u);
   table.close(k, 1);
-  EXPECT_EQ(keep.records().size(), 1u);
-  EXPECT_EQ(keep.new_events(), 1u);
-  EXPECT_EQ(keep.destroy_events(), 1u);
+  EXPECT_EQ(mon.new_events(), 1u);
+  EXPECT_EQ(mon.destroy_events(), 1u);
 }
 
 TEST(FlowRecordHelpers, DayAndHour) {

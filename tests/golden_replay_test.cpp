@@ -89,11 +89,11 @@ TEST(GoldenReplay, BitIdenticalAcrossLanesAndMatchesGolden) {
   }
 }
 
-// Lazy day-plan evaluation (the engine default) and up-front materialized
-// plans are two routes to the same pure function; a full scenario run must
-// serialize byte-identically either way, at every lane count. One
-// timeline-heavy scenario suffices here — the plan layer itself is compared
-// cell by cell across all scenarios in timeline_test.
+// Lazy day-plan evaluation (the engine's path) and up-front materialized
+// plans (testutil's reference) are two routes to the same pure function;
+// a full scenario run must serialize byte-identically either way, at every
+// lane count. A few timeline-heavy scenarios suffice here — the plan layer
+// itself is compared cell by cell across all scenarios in timeline_test.
 TEST(GoldenReplay, LazyAndMaterializedPlansAreByteIdentical) {
   auto catalog = nbv6::traffic::build_paper_catalog();
   // One batch-mode timeline scenario plus the open-loop trio: the lazy and
@@ -112,7 +112,7 @@ TEST(GoldenReplay, LazyAndMaterializedPlansAreByteIdentical) {
     ASSERT_FALSE(lazy.empty());
     for (int lanes : {1, 4, 8}) {
       auto run = run_scenario(*cfg, catalog, lanes,
-                              nbv6::engine::TimelinePlanMode::materialized);
+                              nbv6::testutil::PlanSource::materialized);
       std::string text = canonical_serialize(run);
       EXPECT_EQ(text, lazy)
           << "materialized plans at " << lanes << " lane(s) diverged from the "

@@ -81,6 +81,25 @@ void append_panel(std::string& out, const char* label,
   }
 }
 
+// apply_timeline's reference counterpart: providers that index
+// materialize_day_plans' vectors (kStaticDayPlan outside [0, days)).
+void apply_materialized_timeline(engine::SampledFleet& fleet,
+                                 const engine::Timeline& tl,
+                                 std::uint64_t seed, int days) {
+  if (tl.empty()) {
+    for (auto& cfg : fleet.configs) cfg.day_plan_fn = nullptr;
+    return;
+  }
+  auto plans = materialize_day_plans(fleet, tl, seed, days);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    fleet.configs[i].day_plan_fn = [p = std::move(plans[i])](int day) {
+      return day >= 0 && static_cast<size_t>(day) < p.size()
+                 ? p[static_cast<size_t>(day)]
+                 : traffic::kStaticDayPlan;
+    };
+  }
+}
+
 }  // namespace
 
 std::string source_dir() { return NBV6_SOURCE_DIR; }
@@ -107,12 +126,22 @@ std::string scenario_stem(const std::string& path) {
 
 ScenarioRun run_scenario(const engine::FleetConfig& cfg,
                          const traffic::ServiceCatalog& catalog, int lanes,
-                         engine::TimelinePlanMode mode) {
+                         PlanSource plans) {
   std::unique_ptr<engine::ThreadPool> pool;
   if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
-  core::ScenarioPassOptions opts;
-  opts.plan_mode = mode;
-  engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog, opts);
+  engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+  if (plans == PlanSource::materialized) {
+    engine::Pass timeline;
+    timeline.name = "timeline";
+    timeline.inputs = {"population"};
+    timeline.outputs = {"planned_fleet"};
+    timeline.run = [cfg](engine::PassContext& ctx) {
+      engine::SampledFleet planned = ctx.in<engine::SampledFleet>("population");
+      apply_materialized_timeline(planned, cfg.timeline, cfg.seed, cfg.days);
+      ctx.out("planned_fleet", std::move(planned));
+    };
+    pipe.replace(timeline);
+  }
   pipe.run(nullptr, pool.get());
 
   ScenarioRun run;
@@ -127,11 +156,57 @@ ScenarioRun run_scenario(const engine::FleetConfig& cfg,
 
 engine::FleetResult simulate_scenario(const engine::FleetConfig& cfg,
                                       const traffic::ServiceCatalog& catalog,
-                                      engine::ThreadPool* pool,
-                                      engine::TimelinePlanMode mode) {
+                                      engine::ThreadPool* pool) {
   engine::SampledFleet fleet = engine::sample_stage(cfg, catalog);
-  engine::apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days, mode);
+  engine::apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
   return engine::simulate_fleet(catalog, fleet, pool);
+}
+
+std::vector<std::vector<traffic::DayPlan>> materialize_day_plans(
+    const engine::SampledFleet& fleet, const engine::Timeline& tl,
+    std::uint64_t seed, int days) {
+  std::vector<std::vector<traffic::DayPlan>> plans(fleet.configs.size());
+  for (size_t i = 0; i < plans.size(); ++i)
+    for (int d = 0; d < days; ++d)
+      plans[i].push_back(engine::timeline_day_plan(
+          tl, seed, static_cast<int>(i), d, days, fleet.traits[i],
+          fleet.configs[i]));
+  return plans;
+}
+
+std::optional<std::string> check_plan_parity(
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
+  engine::SampledFleet fleet = engine::sample_stage(cfg, catalog);
+  engine::apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
+  const auto want = materialize_day_plans(fleet, cfg.timeline, cfg.seed,
+                                          cfg.days);
+
+  auto cell = [](size_t i, int d) {
+    return "residence " + std::to_string(i) + " day " + std::to_string(d);
+  };
+  for (size_t i = 0; i < fleet.configs.size(); ++i) {
+    const traffic::DayPlanFn& lazy = fleet.configs[i].day_plan_fn;
+    if (cfg.timeline->empty()) {
+      if (lazy)
+        return "empty timeline left a provider on residence " +
+               std::to_string(i);
+      continue;
+    }
+    if (!lazy) return "no provider on residence " + std::to_string(i);
+    for (int d = 0; d < cfg.days; ++d) {
+      const traffic::DayPlan a = lazy(d);
+      if (!(a == want[i][static_cast<size_t>(d)]))
+        return "lazy/materialized plan mismatch at " + cell(i, d);
+      // The plan must also be a pure function of the day: a second
+      // evaluation through the lazy closure has no state to vary on.
+      if (!(lazy(d) == a)) return "lazy plan not pure at " + cell(i, d);
+    }
+    if (!(lazy(cfg.days) == traffic::kStaticDayPlan) ||
+        !(lazy(-1) == traffic::kStaticDayPlan))
+      return "lazy plan out-of-horizon fallback broken on residence " +
+             std::to_string(i);
+  }
+  return std::nullopt;
 }
 
 std::string canonical_serialize(const ScenarioRun& run) {
@@ -301,7 +376,7 @@ std::optional<std::string> fuzz_check_scenario(
   auto cfg = engine::FleetConfig::parse(text, &parse_error);
   if (!cfg) return "parse: " + parse_error;  // unreachable after round-trip
 
-  if (auto err = engine::check_plan_parity(*cfg, catalog))
+  if (auto err = check_plan_parity(*cfg, catalog))
     return "plan-parity: " + *err;
 
   // Lane-count invariance and lazy/materialized simulation parity, both
@@ -316,8 +391,8 @@ std::optional<std::string> fuzz_check_scenario(
              "-lane serializations differ\n" + first_diff(base_text, other);
   }
   {
-    const std::string mat = canonical_serialize(run_scenario(
-        *cfg, catalog, 1, engine::TimelinePlanMode::materialized));
+    const std::string mat = canonical_serialize(
+        run_scenario(*cfg, catalog, 1, PlanSource::materialized));
     if (mat != base_text)
       return "mode-parity: lazy vs materialized serializations differ\n" +
              first_diff(base_text, mat);

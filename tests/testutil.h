@@ -9,6 +9,7 @@
 // private copies.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -17,6 +18,8 @@
 #include "core/fleet_analysis.h"
 #include "engine/fleet.h"
 #include "engine/thread_pool.h"
+#include "engine/timeline.h"
+#include "traffic/residence.h"
 #include "traffic/service_catalog.h"
 
 namespace nbv6::testutil {
@@ -49,24 +52,50 @@ struct ScenarioRun {
   core::GroupComparison window_panel;
 };
 
+/// How the timeline's day plans reach the simulator in run_scenario.
+enum class PlanSource {
+  /// engine::apply_timeline's lazy providers (production).
+  lazy,
+  /// Plans materialized up front by materialize_day_plans: the reference.
+  materialized,
+};
+
 /// Runs the scenario pipeline (core::make_scenario_pipeline, uncached) on
 /// `lanes` lanes and copies out its fleet_result, stats_report and
-/// window_panel. `mode` selects how the timeline reaches the simulator:
-/// lazy per-day evaluation (the default) or up-front materialized plans.
-/// The two must serialize byte-identically — the parity the golden-replay
-/// suite pins.
-ScenarioRun run_scenario(
-    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
-    int lanes,
-    engine::TimelinePlanMode mode = engine::TimelinePlanMode::lazy);
+/// window_panel. With PlanSource::materialized the timeline pass is
+/// swapped for one installing providers that index materialize_day_plans'
+/// vectors; both sources must serialize byte-identically — the parity the
+/// golden-replay suite pins.
+ScenarioRun run_scenario(const engine::FleetConfig& cfg,
+                         const traffic::ServiceCatalog& catalog, int lanes,
+                         PlanSource plans = PlanSource::lazy);
 
 /// The stage chain alone, for tests that need only the FleetResult:
 /// sample_stage → apply_timeline → simulate_fleet on `pool` (nullptr =
 /// sequential).
-engine::FleetResult simulate_scenario(
-    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
-    engine::ThreadPool* pool,
-    engine::TimelinePlanMode mode = engine::TimelinePlanMode::lazy);
+engine::FleetResult simulate_scenario(const engine::FleetConfig& cfg,
+                                      const traffic::ServiceCatalog& catalog,
+                                      engine::ThreadPool* pool);
+
+// ------------------------------------------------------ materialized plans
+
+/// Every residence's DayPlan for days [0, days), computed eagerly cell by
+/// cell through engine::timeline_day_plan — which redraws each event per
+/// call, where apply_timeline's lazy providers capture the draws once per
+/// residence. plans[i][d] is residence i's plan on day d. The reference
+/// the lazy providers are checked against.
+std::vector<std::vector<traffic::DayPlan>> materialize_day_plans(
+    const engine::SampledFleet& fleet, const engine::Timeline& tl,
+    std::uint64_t seed, int days);
+
+/// Lazy providers vs materialized plans, cell by cell: sample `cfg`'s
+/// fleet, apply its timeline, and require every (residence, day) DayPlan
+/// equal to materialize_day_plans', a second evaluation equal to the first
+/// (providers are pure), kStaticDayPlan on either side of the horizon, and
+/// no provider at all for an empty timeline. nullopt on success; otherwise
+/// the first mismatching cell.
+std::optional<std::string> check_plan_parity(
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog);
 
 // ------------------------------------------------------------- serializer
 
@@ -83,7 +112,7 @@ std::string canonical_serialize(const ScenarioRun& run);
 /// The full differential check the scenario fuzzer runs on one generated
 /// config text, in order:
 ///   1. parse -> render -> reparse round trip (engine::check_parse_round_trip)
-///   2. lazy vs materialized day plans, cell by cell (engine::check_plan_parity)
+///   2. lazy vs materialized day plans, cell by cell (check_plan_parity)
 ///   3. byte-identical canonical serializations across 1/4/8-lane replays
 ///      and across lazy vs materialized simulation of the 1-lane run
 ///   4. windowed extract_metrics finiteness: over the full horizon, both

@@ -180,32 +180,30 @@ TEST(TimelineApply, PrefixStableUnderPopulationGrowth) {
   cfg.timeline->events.push_back(
       *Timeline::parse_event("outage", "start=8 end=10 frac=0.4"));
 
-  auto small = sample_stage(cfg, catalog);
-  apply_timeline(small, cfg.timeline, cfg.seed, cfg.days,
-                 TimelinePlanMode::materialized);
+  const auto small = nbv6::testutil::materialize_day_plans(
+      sample_stage(cfg, catalog), cfg.timeline, cfg.seed, cfg.days);
 
   cfg.residences = 40;
   auto big = sample_stage(cfg, catalog);
-  apply_timeline(big, cfg.timeline, cfg.seed, cfg.days,
-                 TimelinePlanMode::materialized);
+  const auto big_plans = nbv6::testutil::materialize_day_plans(
+      big, cfg.timeline, cfg.seed, cfg.days);
   // And the lazy providers for the grown population must agree day by day
   // with the small population's materialized plans.
-  auto big_lazy = sample_stage(cfg, catalog);
-  apply_timeline(big_lazy, cfg.timeline, cfg.seed, cfg.days);
+  apply_timeline(big, cfg.timeline, cfg.seed, cfg.days);
 
-  for (size_t i = 0; i < small.configs.size(); ++i) {
-    EXPECT_EQ(small.configs[i].day_plan, big.configs[i].day_plan) << i;
-    ASSERT_TRUE(big_lazy.configs[i].day_plan_fn) << i;
+  for (size_t i = 0; i < small.size(); ++i) {
+    EXPECT_EQ(small[i], big_plans[i]) << i;
+    ASSERT_TRUE(big.configs[i].day_plan_fn) << i;
     for (int d = 0; d < cfg.days; ++d)
-      EXPECT_EQ(big_lazy.configs[i].day_plan_fn(d),
-                small.configs[i].day_plan[static_cast<size_t>(d)])
+      EXPECT_EQ(big.configs[i].day_plan_fn(d),
+                small[i][static_cast<size_t>(d)])
           << "residence " << i << " day " << d;
   }
 }
 
 TEST(TimelineApply, LazyMatchesMaterializedOnAllScenarios) {
-  // The lazy provider and the materialized vector are two routes to the
-  // same pure function; every committed scenario must agree on every
+  // The lazy providers and the materialized reference are two routes to
+  // the same pure function; every committed scenario must agree on every
   // (residence, day) cell. (Full-simulation byte-parity is pinned by the
   // golden-replay suite; this covers the plan layer exhaustively and
   // cheaply.)
@@ -214,34 +212,8 @@ TEST(TimelineApply, LazyMatchesMaterializedOnAllScenarios) {
     SCOPED_TRACE(file);
     auto cfg = FleetConfig::load(file);
     ASSERT_TRUE(cfg.has_value());
-
-    auto lazy = sample_stage(*cfg, catalog);
-    apply_timeline(lazy, cfg->timeline, cfg->seed, cfg->days,
-                   TimelinePlanMode::lazy);
-    auto mat = sample_stage(*cfg, catalog);
-    apply_timeline(mat, cfg->timeline, cfg->seed, cfg->days,
-                   TimelinePlanMode::materialized);
-
-    if (cfg->timeline->empty()) {
-      // The static fast path: neither mode installs anything.
-      for (const auto& c : lazy.configs) {
-        EXPECT_TRUE(c.day_plan.empty());
-        EXPECT_FALSE(c.day_plan_fn);
-      }
-      continue;
-    }
-    for (size_t i = 0; i < lazy.configs.size(); ++i) {
-      // The default path must not keep any residences x days allocation.
-      EXPECT_TRUE(lazy.configs[i].day_plan.empty()) << i;
-      ASSERT_TRUE(lazy.configs[i].day_plan_fn) << i;
-      EXPECT_FALSE(mat.configs[i].day_plan_fn) << i;
-      ASSERT_EQ(mat.configs[i].day_plan.size(),
-                static_cast<size_t>(cfg->days));
-      for (int d = 0; d < cfg->days; ++d)
-        EXPECT_EQ(lazy.configs[i].day_plan_fn(d),
-                  mat.configs[i].day_plan[static_cast<size_t>(d)])
-            << "residence " << i << " day " << d;
-    }
+    const auto err = nbv6::testutil::check_plan_parity(*cfg, catalog);
+    EXPECT_FALSE(err.has_value()) << *err;
   }
 }
 
@@ -261,11 +233,10 @@ TEST(TimelineDayStateTest, ExtremeStartAndLenStayDefined) {
 }
 
 TEST(TimelineApply, LazyFallsBackToStaticOutsideTheHorizon) {
-  // The materialized vector falls back to the static configuration for
-  // any day outside [0, days): the simulator's bounds check returns
-  // kStaticDayPlan. The lazy provider must match even when a config's
-  // horizon is later extended past the days given to apply_timeline —
-  // fired events must not leak into days the timeline never covered.
+  // Any day outside [0, days) keeps the static configuration
+  // (kStaticDayPlan), even when a config's horizon is later extended past
+  // the days given to apply_timeline — fired events must not leak into
+  // days the timeline never covered.
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 6;
@@ -294,10 +265,8 @@ TEST(TimelineApply, EmptyTimelineLeavesPlansEmpty) {
   cfg.days = 10;
   auto fleet = sample_stage(cfg, catalog);
   apply_timeline(fleet, Timeline{}, cfg.seed, cfg.days);
-  for (const auto& c : fleet.configs) {
-    EXPECT_TRUE(c.day_plan.empty());
+  for (const auto& c : fleet.configs)
     EXPECT_FALSE(c.day_plan_fn);  // static fast path stays function-free
-  }
 }
 
 // ------------------------------------------------------------ behaviour

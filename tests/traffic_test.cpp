@@ -3,6 +3,7 @@
 #include <set>
 
 #include "core/client_analysis.h"
+#include "engine/flat_conntrack.h"
 #include "flowmon/monitor.h"
 #include "traffic/generator.h"
 #include "traffic/happy_eyeballs.h"
@@ -195,8 +196,9 @@ TEST(Generator, ShortRunProducesSaneTraffic) {
   auto cat = build_paper_catalog();
   ResidenceConfig cfg = paper_residences()[0];
   cfg.days = 7;
-  flowmon::ConntrackTable table;
-  flowmon::FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  flowmon::FlowMonitor mon;
+  mon.attach(table);
   ResidenceSimulator sim(cat, cfg);
   auto stats = sim.run(table);
 
@@ -219,8 +221,9 @@ TEST(Generator, DeterministicBySeed) {
   cfg.days = 3;
 
   auto run_once = [&] {
-    flowmon::ConntrackTable table;
-    flowmon::FlowMonitor mon(table);
+    engine::FlatConntrack table;
+    flowmon::FlowMonitor mon;
+    mon.attach(table);
     ResidenceSimulator sim(cat, cfg);
     sim.run(table);
     return mon.totals(flowmon::Scope::external).total_bytes();
@@ -240,8 +243,9 @@ TEST(Generator, BrokenDeviceV6SuppressesV6Share) {
   broken.device_v6_ok_frac = 0.2;
 
   auto fraction = [&](const ResidenceConfig& cfg) {
-    flowmon::ConntrackTable table;
-    flowmon::FlowMonitor mon(table);
+    engine::FlatConntrack table;
+    flowmon::FlowMonitor mon;
+    mon.attach(table);
     ResidenceSimulator sim(cat, cfg);
     sim.run(table);
     return mon.totals(flowmon::Scope::external).v6_byte_fraction();
@@ -259,8 +263,9 @@ TEST(Generator, VisibilityScalesVolumeDown) {
   partial.visibility = 0.3;
 
   auto volume = [&](const ResidenceConfig& cfg) {
-    flowmon::ConntrackTable table;
-    flowmon::FlowMonitor mon(table);
+    engine::FlatConntrack table;
+    flowmon::FlowMonitor mon;
+    mon.attach(table);
     ResidenceSimulator sim(cat, cfg);
     sim.run(table);
     return mon.totals(flowmon::Scope::external).total_bytes();
@@ -275,8 +280,9 @@ TEST(Generator, AwayPeriodKillsInteractiveTraffic) {
   cfg.days = 4;
   cfg.away_day_ranges = {{1, 2}};
   cfg.seed = 5;
-  flowmon::ConntrackTable table;
-  flowmon::FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  flowmon::FlowMonitor mon;
+  mon.attach(table);
   ResidenceSimulator sim(cat, cfg);
   sim.run(table);
 
@@ -295,8 +301,9 @@ TEST(ClientAnalysis, AsUsageAttributesTraffic) {
   auto cat = build_paper_catalog();
   ResidenceConfig cfg = paper_residences()[0];
   cfg.days = 10;
-  flowmon::ConntrackTable table;
-  flowmon::FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  flowmon::FlowMonitor mon;
+  mon.attach(table);
   ResidenceSimulator sim(cat, cfg);
   sim.run(table);
 
@@ -317,8 +324,9 @@ TEST(ClientAnalysis, V4OnlyServicesShowZeroV6) {
   auto cat = build_paper_catalog();
   ResidenceConfig cfg = paper_residences()[2];  // Twitch/Zoom heavy
   cfg.days = 10;
-  flowmon::ConntrackTable table;
-  flowmon::FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  flowmon::FlowMonitor mon;
+  mon.attach(table);
   ResidenceSimulator sim(cat, cfg);
   sim.run(table);
 
@@ -333,8 +341,9 @@ TEST(ClientAnalysis, ResidenceReportConsistency) {
   auto cat = build_paper_catalog();
   ResidenceConfig cfg = paper_residences()[0];
   cfg.days = 5;
-  flowmon::ConntrackTable table;
-  flowmon::FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  flowmon::FlowMonitor mon;
+  mon.attach(table);
   ResidenceSimulator sim(cat, cfg);
   sim.run(table);
 
@@ -372,8 +381,9 @@ TEST(ClientAnalysis, DiurnalDecompositionShapes) {
   auto cat = build_paper_catalog();
   ResidenceConfig cfg = paper_residences()[0];
   cfg.days = 28;  // four weeks: enough for the weekly season
-  flowmon::ConntrackTable table;
-  flowmon::FlowMonitor mon(table);
+  engine::FlatConntrack table;
+  flowmon::FlowMonitor mon;
+  mon.attach(table);
   ResidenceSimulator sim(cat, cfg);
   sim.run(table);
 
