@@ -3,15 +3,14 @@
 // Every table and figure of the paper has its own binary under bench/.
 // Each prints the same rows/series the paper reports, against the synthetic
 // substrate, so the *shape* of every result can be compared directly with
-// the published numbers (see EXPERIMENTS.md for the side-by-side).
+// the published numbers.
 //
-// Scale knobs via environment:
+// Scale knobs via environment (positive integers; anything else exits 2):
 //   NBV6_SITES  web universe size   (default 100000, the paper's scale)
 //   NBV6_DAYS   residence days      (default 274, Nov 2024 - Aug 2025)
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -36,14 +35,41 @@
 
 namespace nbv6::bench {
 
+/// A scale knob from the environment, `fallback` when unset. The value goes
+/// through the same strict lexer as the flags; a malformed value or one
+/// below 1 exits with status 2 and a message naming the variable, so a typo
+/// never silently runs a 0-day or 1-site experiment.
 inline int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+  if (v == nullptr) return fallback;
+  int out = 0;
+  if (!engine::cfgparse::parse_int(v, out) || out < 1) {
+    std::fprintf(stderr, "%s must be a positive integer, got '%s'\n", name, v);
+    std::exit(2);
+  }
+  return out;
 }
 
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
+/// Write `path` through `render(FILE*)`. False, with the reason on stderr,
+/// when the file cannot be opened, written or closed. The file is closed on
+/// every path, a throwing `render` included.
+template <typename Render>
+bool write_file(const std::string& path, Render&& render) {
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  std::unique_ptr<std::FILE, Closer> f(std::fopen(path.c_str(), "w"));
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  render(f.get());
+  const bool write_failed = std::ferror(f.get()) != 0;
+  if (std::fclose(f.release()) != 0 || write_failed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 inline void section(const std::string& title) {

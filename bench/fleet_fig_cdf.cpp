@@ -46,17 +46,12 @@ int main(int argc, char** argv) {
     bench::print_boxplot(d.box, core::to_string(d.metric));
   }
 
-  std::FILE* cdf_out = std::fopen(cdf_path.c_str(), "w");
-  std::FILE* summary_out = std::fopen(summary_path.c_str(), "w");
-  if (cdf_out == nullptr || summary_out == nullptr) {
-    std::fprintf(stderr, "cannot open %s / %s for writing\n", cdf_path.c_str(),
-                 summary_path.c_str());
+  if (!bench::write_file(cdf_path, [&](std::FILE* f) {
+        core::write_cdf_csv(f, dists);
+      }) || !bench::write_file(summary_path, [&](std::FILE* f) {
+        core::write_summary_csv(f, dists);
+      }))
     return 1;
-  }
-  core::write_cdf_csv(cdf_out, dists);
-  core::write_summary_csv(summary_out, dists);
-  std::fclose(cdf_out);
-  std::fclose(summary_out);
   std::printf("\nwrote %s and %s\n", cdf_path.c_str(), summary_path.c_str());
 
   std::printf(

@@ -43,38 +43,35 @@ int main(int argc, char** argv) {
   pipe.run(nullptr, pool.get());
   const auto& report = pipe.output<core::FleetStatsReport>("stats_report");
 
-  std::FILE* out = std::fopen(panel_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", panel_path.c_str());
-    return 1;
-  }
-  bool first = true;
-  for (const auto& cmp : report.comparisons) {
-    std::printf("\n-- %s vs %s --\n", core::to_string(cmp.group_a),
-                core::to_string(cmp.group_b));
-    core::write_panel_tsv(stdout, cmp);
-    core::write_panel_tsv(out, cmp, first);
-    first = false;
-  }
-  std::printf("\n-- paired metric panel (active homes) --\n");
-  core::write_panel_tsv(stdout, report.paired);
-  core::write_panel_tsv(out, report.paired, first);
-  first = false;
-
-  // Pre/post panel over the horizon's halves: with a timeline this is the
-  // before/after comparison, without one a self-check near the null. The
-  // day-resolved session stats make every row real — he_failure_rate
-  // included.
-  if (cfg.days >= 2) {
-    const core::DayWindow pre{0, cfg.days / 2 - 1};
-    const core::DayWindow post{cfg.days / 2, cfg.days - 1};
-    const auto& windows = pipe.output<core::GroupComparison>("window_panel");
-    std::printf("\n-- days %d-%d vs days %d-%d (paired, Holm alpha=0.05) --\n",
-                pre.first, pre.last, post.first, post.last);
-    core::write_panel_tsv(stdout, windows);
-    core::write_panel_tsv(out, windows, first);
-  }
-  std::fclose(out);
+  // Every panel is printed under a label and appended to the TSV under
+  // one shared header.
+  const bool wrote = bench::write_file(panel_path, [&](std::FILE* out) {
+    bool first = true;
+    auto emit = [&](const core::GroupComparison& cmp) {
+      core::write_panel_tsv(stdout, cmp);
+      core::write_panel_tsv(out, cmp, first);
+      first = false;
+    };
+    for (const auto& cmp : report.comparisons) {
+      std::printf("\n-- %s vs %s --\n", core::to_string(cmp.group_a),
+                  core::to_string(cmp.group_b));
+      emit(cmp);
+    }
+    std::printf("\n-- paired metric panel (active homes) --\n");
+    emit(report.paired);
+    // Pre/post panel over the horizon's halves: with a timeline this is the
+    // before/after comparison, without one a self-check near the null. The
+    // day-resolved session stats make every row real — he_failure_rate
+    // included.
+    if (cfg.days >= 2) {
+      const auto [pre, post] = core::panel_windows(cfg.days);
+      std::printf(
+          "\n-- days %d-%d vs days %d-%d (paired, Holm alpha=0.05) --\n",
+          pre.first, pre.last, post.first, post.last);
+      emit(pipe.output<core::GroupComparison>("window_panel"));
+    }
+  });
+  if (!wrote) return 1;
   std::printf("\nwrote %s\n", panel_path.c_str());
 
   std::printf(

@@ -25,9 +25,10 @@
 //                            --residences=48 --days=14 --seed=20260808
 //                            --outdir=DIR --scenario=base.cfg]
 //
-// With --outdir, each variant also renders its panel/CDF/summary files
-// there through the uncached sink passes. With --scenario, the base config
-// is loaded from a scenario file instead of the embedded defaults.
+// With --outdir, each variant's window panel, CDF and summary are written
+// there after the serial run, as variant_<v>_{panel.tsv,cdf.csv,summary.csv}.
+// With --scenario, the base config is loaded from a scenario file instead
+// of the embedded defaults.
 //
 // Output ends with one machine-greppable `RESULT` line (the CI artifact).
 #include <chrono>
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/fleet_analysis.h"
 #include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
@@ -60,6 +62,25 @@ std::string serialize_variant(const engine::FleetConfig& cfg,
   run.report = pipe.output<core::FleetStatsReport>("stats_report");
   run.window_panel = pipe.output<core::GroupComparison>("window_panel");
   return testutil::canonical_serialize(run);
+}
+
+// One variant's figure files: <dir>/variant_<v>_{panel.tsv,cdf.csv,
+// summary.csv}, rendered from its window panel and stats report.
+bool write_variant_files(const std::string& dir, int v,
+                         const engine::Pipeline& pipe) {
+  const auto& panel = pipe.output<core::GroupComparison>("window_panel");
+  const auto& dists =
+      pipe.output<core::FleetStatsReport>("stats_report").distributions;
+  const std::string base = dir + "/variant_" + std::to_string(v);
+  return bench::write_file(
+             base + "_panel.tsv",
+             [&](std::FILE* f) { core::write_panel_tsv(f, panel); }) &&
+         bench::write_file(
+             base + "_cdf.csv",
+             [&](std::FILE* f) { core::write_cdf_csv(f, dists); }) &&
+         bench::write_file(
+             base + "_summary.csv",
+             [&](std::FILE* f) { core::write_summary_csv(f, dists); });
 }
 
 }  // namespace
@@ -135,7 +156,6 @@ int main(int argc, char** argv) {
   // stays digest-identical across the whole forest while
   // timeline/simulate/analysis re-run per variant.
   std::vector<engine::FleetConfig> cfgs;
-  std::vector<core::ScenarioPassOptions> opts;
   for (int v = 0; v < variants; ++v) {
     engine::FleetConfig cfg = base;
     if (v > 0) {
@@ -146,11 +166,7 @@ int main(int argc, char** argv) {
       fix.fraction = static_cast<double>(v) / variants;
       cfg.timeline->events.push_back(fix);
     }
-    core::ScenarioPassOptions o;
-    o.sink_dir = outdir;
-    o.scenario_tag = "variant_" + std::to_string(v);
     cfgs.push_back(std::move(cfg));
-    opts.push_back(std::move(o));
   }
 
   // ------------------------------------------------------ serial reference
@@ -163,7 +179,7 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   for (int v = 0; v < variants; ++v) {
     pipes.push_back(std::make_unique<engine::Pipeline>(
-        core::make_scenario_pipeline(cfgs[v], catalog, opts[v])));
+        core::make_scenario_pipeline(cfgs[v], catalog)));
     const auto stats = pipes.back()->run(&cache, pool.get());
     executed += stats.executed;
     cached += stats.cached;
@@ -183,13 +199,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Warm re-run of the base variant: every cacheable pass must hit.
+  // Warm re-run of the base variant: every pass must hit.
   const auto warm = pipes[0]->run(&cache, pool.get());
-  const std::size_t sinks = outdir.empty() ? 0 : 3;
-  if (warm.executed != sinks) {
+  if (warm.executed != 0) {
     std::fprintf(stderr,
-                 "FAIL: warm re-run executed %zu passes (expected %zu)\n",
-                 warm.executed, sinks);
+                 "FAIL: warm re-run executed %zu passes (expected 0)\n",
+                 warm.executed);
     return 1;
   }
 
@@ -201,6 +216,12 @@ int main(int argc, char** argv) {
       "  base sampled once; %zu passes executed, %zu served from cache\n"
       "  warm re-run: %zu executed / %zu cached; cache holds %zu results\n",
       executed, cached, warm.executed, warm.cached, cache.size());
+
+  if (!outdir.empty()) {
+    for (int v = 0; v < variants; ++v)
+      if (!write_variant_files(outdir, v, *pipes[v])) return 1;
+    std::printf("  wrote %d files to %s\n", 3 * variants, outdir.c_str());
+  }
 
   // ----------------------------------------------------- overlapped forest
   // Fresh pipelines, fresh cache: the overlapped run must reproduce the
@@ -218,7 +239,7 @@ int main(int argc, char** argv) {
     std::vector<engine::Pipeline*> ptrs;
     for (int v = 0; v < variants; ++v) {
       forest_pipes.push_back(std::make_unique<engine::Pipeline>(
-          core::make_scenario_pipeline(cfgs[v], catalog, opts[v])));
+          core::make_scenario_pipeline(cfgs[v], catalog)));
       ptrs.push_back(forest_pipes.back().get());
     }
     engine::ForestScheduler::Options fopts;

@@ -154,8 +154,7 @@ int main(int argc, char** argv) {
   // before/after view of whatever the scenario scheduled (rollout waves,
   // fixes, migrations) with the paired signed-rank machinery.
   if (!cfg.timeline->empty() && cfg.days >= 2) {
-    const core::DayWindow pre{0, cfg.days / 2 - 1};
-    const core::DayWindow post{cfg.days / 2, cfg.days - 1};
+    const auto [pre, post] = core::panel_windows(cfg.days);
     const auto& windows = pipe.output<core::GroupComparison>("window_panel");
     std::printf("\n-- days %d-%d vs days %d-%d (paired, Holm alpha=0.05) --\n",
                 pre.first, pre.last, post.first, post.last);

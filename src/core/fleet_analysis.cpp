@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <map>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "stats/wilcoxon.h"
 
@@ -13,132 +16,115 @@ namespace nbv6::core {
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr int kCdfBins = 128;   ///< population CDF resolution
+constexpr int kCdfPoints = 100; ///< quantile steps per written CDF curve
 
-/// One shard's value for one metric; NaN when undefined there.
-double metric_value(const engine::ResidenceRun& run, FleetMetric m) {
-  const auto& mon = run.monitor;
-  const auto& ext = mon.totals(flowmon::Scope::external);
+/// One shard's aggregates over the days inside a window: everything a
+/// metric reads, summed once per shard.
+struct WindowSums {
+  flowmon::FamilySplit external;
+  flowmon::FamilySplit internal;
+  traffic::DaySessionStats sessions;
+  double day_fraction_sum = 0;  ///< v6 byte fractions of non-empty days
+  size_t day_fraction_days = 0;
+};
+
+WindowSums window_sums(const engine::ResidenceRun& run,
+                       const DayWindow& window) {
+  WindowSums s;
+  for (const auto& [day, split] : run.monitor.daily(flowmon::Scope::external)) {
+    if (!window.contains(day)) continue;
+    s.external += split;
+    const double f = split.v6_byte_fraction();
+    if (f < 0) continue;  // empty day
+    s.day_fraction_sum += f;
+    ++s.day_fraction_days;
+  }
+  for (const auto& [day, split] : run.monitor.daily(flowmon::Scope::internal))
+    if (window.contains(day)) s.internal += split;
+  // The simulator sizes `daily` to the horizon, so the clamp is belt and
+  // braces for hand-built results.
+  const auto& daily = run.stats.daily;
+  for (size_t d = 0; d < daily.size(); ++d)
+    if (window.contains(static_cast<int>(d))) s.sessions += daily[d];
+  return s;
+}
+
+/// One metric from a shard's window sums; NaN when undefined there (no
+/// traffic in the scope, or no session for a per-session rate).
+double metric_of(const WindowSums& s, FleetMetric m) {
+  auto fraction = [](double f) { return f < 0 ? kNan : f; };
+  auto per_session = [&s](std::uint64_t n) {
+    return s.sessions.sessions == 0
+               ? kNan
+               : static_cast<double>(n) /
+                     static_cast<double>(s.sessions.sessions);
+  };
   switch (m) {
-    case FleetMetric::v6_byte_fraction: {
-      double f = ext.v6_byte_fraction();
-      return f < 0 ? kNan : f;
-    }
-    case FleetMetric::v6_flow_fraction: {
-      double f = ext.v6_flow_fraction();
-      return f < 0 ? kNan : f;
-    }
-    case FleetMetric::daily_v6_byte_fraction: {
-      auto daily = mon.daily_v6_fractions(flowmon::Scope::external, true);
-      return daily.empty() ? kNan : stats::mean(daily);
-    }
+    case FleetMetric::v6_byte_fraction:
+      return fraction(s.external.v6_byte_fraction());
+    case FleetMetric::v6_flow_fraction:
+      return fraction(s.external.v6_flow_fraction());
+    case FleetMetric::daily_v6_byte_fraction:
+      return s.day_fraction_days == 0
+                 ? kNan
+                 : s.day_fraction_sum /
+                       static_cast<double>(s.day_fraction_days);
     case FleetMetric::external_gb:
-      return static_cast<double>(ext.total_bytes()) / 1e9;
+      return static_cast<double>(s.external.total_bytes()) / 1e9;
     case FleetMetric::external_flows_k:
-      return static_cast<double>(ext.total_flows()) / 1e3;
+      return static_cast<double>(s.external.total_flows()) / 1e3;
     case FleetMetric::internal_gb:
-      return static_cast<double>(
-                 mon.totals(flowmon::Scope::internal).total_bytes()) /
-             1e9;
+      return static_cast<double>(s.internal.total_bytes()) / 1e9;
     case FleetMetric::he_failure_rate:
-      return run.stats.sessions == 0
-                 ? kNan
-                 : static_cast<double>(run.stats.he_failures) /
-                       static_cast<double>(run.stats.sessions);
+      return per_session(s.sessions.he_failures);
     case FleetMetric::sessions_k:
-      return static_cast<double>(run.stats.sessions) / 1e3;
+      return static_cast<double>(s.sessions.sessions) / 1e3;
     case FleetMetric::outage_suppressed_k:
-      return static_cast<double>(run.stats.outage_suppressed) / 1e3;
+      return static_cast<double>(s.sessions.outage_suppressed) / 1e3;
     case FleetMetric::service_outage_k:
-      return static_cast<double>(run.stats.service_outage_failed) / 1e3;
+      return static_cast<double>(s.sessions.service_outage_failed) / 1e3;
     case FleetMetric::cgn_failure_rate:
-      return run.stats.sessions == 0
-                 ? kNan
-                 : static_cast<double>(run.stats.cgn_failures) /
-                       static_cast<double>(run.stats.sessions);
+      return per_session(s.sessions.cgn_failures);
   }
   return kNan;
 }
 
-/// `metric_value` restricted to the days inside `window`, recomputed from
-/// the monitor's per-day aggregates and the simulator's per-day session
-/// stats. Mirrors metric_value's undefined-value conventions; a window
-/// that does not intersect the residence's simulated horizon (inverted, or
-/// entirely past the last day) is NaN for every metric — there is no day
-/// to count, so even the count metrics are undefined rather than zero.
-double metric_value_window(const engine::ResidenceRun& run, FleetMetric m,
-                           const DayWindow& window) {
-  if (!window.valid() || window.first >= run.config.days || window.last < 0)
-    return kNan;
-  const auto& mon = run.monitor;
-  auto windowed = [&window](const std::map<int, flowmon::FamilySplit>& daily) {
-    flowmon::FamilySplit sum;
-    for (const auto& [day, split] : daily)
-      if (window.contains(day)) sum += split;
-    return sum;
-  };
-  // The windowed slice of the per-day session-stat series; the simulator
-  // sizes `daily` to the horizon, so the clamp is belt and braces for
-  // hand-built results.
-  auto windowed_stats = [&window, &run] {
-    traffic::DaySessionStats sum;
-    const auto& daily = run.stats.daily;
-    for (size_t d = 0; d < daily.size(); ++d)
-      if (window.contains(static_cast<int>(d))) sum += daily[d];
-    return sum;
-  };
-  switch (m) {
-    case FleetMetric::v6_byte_fraction: {
-      double f = windowed(mon.daily(flowmon::Scope::external)).v6_byte_fraction();
-      return f < 0 ? kNan : f;
-    }
-    case FleetMetric::v6_flow_fraction: {
-      double f = windowed(mon.daily(flowmon::Scope::external)).v6_flow_fraction();
-      return f < 0 ? kNan : f;
-    }
-    case FleetMetric::daily_v6_byte_fraction: {
-      double sum = 0;
-      size_t n = 0;
-      for (const auto& [day, split] : mon.daily(flowmon::Scope::external)) {
-        if (!window.contains(day)) continue;
-        double f = split.v6_byte_fraction();
-        if (f < 0) continue;  // empty day
-        sum += f;
-        ++n;
-      }
-      return n == 0 ? kNan : sum / static_cast<double>(n);
-    }
-    case FleetMetric::external_gb:
-      return static_cast<double>(
-                 windowed(mon.daily(flowmon::Scope::external)).total_bytes()) /
-             1e9;
-    case FleetMetric::external_flows_k:
-      return static_cast<double>(
-                 windowed(mon.daily(flowmon::Scope::external)).total_flows()) /
-             1e3;
-    case FleetMetric::internal_gb:
-      return static_cast<double>(
-                 windowed(mon.daily(flowmon::Scope::internal)).total_bytes()) /
-             1e9;
-    case FleetMetric::he_failure_rate: {
-      const auto s = windowed_stats();
-      return s.sessions == 0 ? kNan
-                             : static_cast<double>(s.he_failures) /
-                                   static_cast<double>(s.sessions);
-    }
-    case FleetMetric::sessions_k:
-      return static_cast<double>(windowed_stats().sessions) / 1e3;
-    case FleetMetric::outage_suppressed_k:
-      return static_cast<double>(windowed_stats().outage_suppressed) / 1e3;
-    case FleetMetric::service_outage_k:
-      return static_cast<double>(windowed_stats().service_outage_failed) / 1e3;
-    case FleetMetric::cgn_failure_rate: {
-      const auto s = windowed_stats();
-      return s.sessions == 0 ? kNan
-                             : static_cast<double>(s.cgn_failures) /
-                                   static_cast<double>(s.sessions);
-    }
+/// The paired signed-rank row for `metric` between rows `a` and `b`, over
+/// the residences in `members` where both are defined; nullopt when no
+/// such residence is left to test.
+std::optional<stats::PanelRow> paired_row(std::string metric,
+                                          std::span<const double> a,
+                                          std::span<const double> b,
+                                          std::span<const size_t> members) {
+  std::vector<double> xs, ys;
+  for (size_t i : members) {
+    if (std::isnan(a[i]) || std::isnan(b[i])) continue;
+    xs.push_back(a[i]);
+    ys.push_back(b[i]);
   }
-  return kNan;
+  auto test = stats::wilcoxon_signed_rank(xs, ys);
+  if (!test) return std::nullopt;
+  stats::PanelRow row;
+  row.metric = std::move(metric);
+  row.paired = true;
+  row.n_a = row.n_b = test->n;
+  row.median_a = stats::median(xs);
+  row.median_b = stats::median(ys);
+  row.z = test->z;
+  row.effect_r = test->effect_size_r;
+  row.p_raw = test->p_value;
+  return row;
+}
+
+/// Traits index into the metric rows: a hand-built result with mismatched
+/// sizes must fail here rather than read out of bounds in a comparison.
+void require_traits(const engine::FleetResult& result, const char* caller) {
+  if (result.traits.size() != result.residences.size())
+    throw std::invalid_argument(
+        std::string(caller) +
+        ": result carries no index-aligned traits (run the engine via a "
+        "FleetConfig or SampledFleet)");
 }
 
 /// Defined (non-NaN) values of `row` at the given residence indices.
@@ -162,6 +148,91 @@ bool is_fraction_metric(FleetMetric m) {
     default:
       return false;
   }
+}
+
+bool in_group(const engine::ResidenceTraits& t, FleetGroup g) {
+  switch (g) {
+    case FleetGroup::all: return true;
+    case FleetGroup::active: return !t.vacant;
+    case FleetGroup::dual_stack: return t.dual_stack_isp;
+    case FleetGroup::v4_only: return !t.dual_stack_isp;
+    case FleetGroup::healthy_v6: return t.dual_stack_isp && !t.broken_v6;
+    case FleetGroup::broken_cpe: return t.dual_stack_isp && t.broken_v6;
+    // Streamer and baseline both exclude vacant homes so the default
+    // streamer-vs-baseline panel compares like with like.
+    case FleetGroup::heavy_streamer: return t.heavy_streamer && !t.vacant;
+    case FleetGroup::baseline: return !t.heavy_streamer && !t.vacant;
+    case FleetGroup::opt_out: return t.opt_out;
+    case FleetGroup::fully_visible: return !t.opt_out;
+  }
+  return false;
+}
+
+/// The default comparison pairs: each isolates one causal factor the paper
+/// identifies for cross-residence variation.
+std::vector<std::pair<FleetGroup, FleetGroup>> default_group_pairs() {
+  return {
+      {FleetGroup::healthy_v6, FleetGroup::broken_cpe},
+      {FleetGroup::dual_stack, FleetGroup::v4_only},
+      {FleetGroup::heavy_streamer, FleetGroup::baseline},
+      {FleetGroup::fully_visible, FleetGroup::opt_out},
+  };
+}
+
+/// Paired signed-rank panel over one group: each (first, second) metric
+/// pair tested across the residences where both are defined, Holm-corrected
+/// across the pairs.
+GroupComparison compare_metrics_paired(
+    const FleetMetricMatrix& matrix,
+    std::span<const engine::ResidenceTraits> traits, FleetGroup group,
+    std::span<const std::pair<FleetMetric, FleetMetric>> metric_pairs,
+    double alpha) {
+  GroupComparison out{group, group, {}};
+  auto members = group_members(traits, group);
+
+  for (const auto& [ma, mb] : metric_pairs) {
+    auto row_a = matrix.row(ma);
+    auto row_b = matrix.row(mb);
+    if (row_a.empty() || row_b.empty()) continue;
+    if (auto row = paired_row(std::string(to_string(ma)) + " vs " +
+                                  to_string(mb),
+                              row_a, row_b, members))
+      out.rows.push_back(std::move(*row));
+  }
+  stats::holm_adjust(out.rows, alpha);
+  return out;
+}
+
+/// Distributions for every matrix row. Fraction metrics bin over [0, 1];
+/// unbounded metrics over [0, observed max].
+std::vector<PopulationDistribution> population_distributions(
+    const FleetMetricMatrix& matrix) {
+  std::vector<PopulationDistribution> out;
+  out.reserve(matrix.metrics.size());
+  for (size_t m = 0; m < matrix.metrics.size(); ++m) {
+    std::vector<double> defined;
+    defined.reserve(matrix.values[m].size());
+    for (double v : matrix.values[m])
+      if (!std::isnan(v)) defined.push_back(v);
+
+    // Fractions live on [0, 1]; unbounded metrics bin over the observed
+    // range (an upstream producer can instead stream into a pre-sized
+    // StreamingCdf — the accumulator itself never needs the vector).
+    double hi = 1.0;
+    if (!is_fraction_metric(matrix.metrics[m])) {
+      hi = defined.empty() ? 1.0 : *std::max_element(defined.begin(),
+                                                     defined.end());
+      if (hi <= 0.0) hi = 1.0;
+    }
+    PopulationDistribution d{matrix.metrics[m], defined.size(),
+                             stats::StreamingCdf(0.0, hi, kCdfBins),
+                             {}, {}};
+    d.cdf.add(defined);
+    d.box = stats::boxplot(defined);
+    d.summary = stats::summarize(defined);
+    out.push_back(std::move(d));
+  }
+  return out;
 }
 
 }  // namespace
@@ -202,24 +273,7 @@ std::span<const double> FleetMetricMatrix::row(FleetMetric m) const {
 FleetMetricMatrix extract_metrics(const engine::FleetResult& result,
                                   std::span<const FleetMetric> metrics,
                                   engine::ThreadPool* pool) {
-  FleetMetricMatrix out;
-  out.metrics.assign(metrics.begin(), metrics.end());
-  out.values.assign(metrics.size(),
-                    std::vector<double>(result.residences.size(), kNan));
-
-  // One task per residence, writing that residence's column of every row:
-  // pure per-shard work into preallocated slots, so the fan-out is
-  // bit-identical for any lane count.
-  auto extract_one = [&](std::size_t i) {
-    for (size_t m = 0; m < out.metrics.size(); ++m)
-      out.values[m][i] = metric_value(result.residences[i], out.metrics[m]);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(result.residences.size(), extract_one);
-  } else {
-    for (std::size_t i = 0; i < result.residences.size(); ++i) extract_one(i);
-  }
-  return out;
+  return extract_metrics(result, metrics, DayWindow{}, pool);
 }
 
 FleetMetricMatrix extract_metrics(const engine::FleetResult& result,
@@ -230,12 +284,19 @@ FleetMetricMatrix extract_metrics(const engine::FleetResult& result,
   out.metrics.assign(metrics.begin(), metrics.end());
   out.values.assign(metrics.size(),
                     std::vector<double>(result.residences.size(), kNan));
-  // Same index-addressed fan-out as the unwindowed extraction: any lane
-  // count is bit-identical.
+  // One task per residence, writing that residence's column of every row:
+  // pure per-shard work into preallocated slots, so the fan-out is
+  // bit-identical for any lane count.
   auto extract_one = [&](std::size_t i) {
+    const auto& run = result.residences[i];
+    // A window that does not intersect the residence's simulated horizon
+    // (inverted, or entirely outside it) leaves every metric NaN: there is
+    // no day to count, so even the count metrics are undefined, not zero.
+    if (!window.valid() || window.first >= run.config.days || window.last < 0)
+      return;
+    const WindowSums sums = window_sums(run, window);
     for (size_t m = 0; m < out.metrics.size(); ++m)
-      out.values[m][i] =
-          metric_value_window(result.residences[i], out.metrics[m], window);
+      out.values[m][i] = metric_of(sums, out.metrics[m]);
   };
   if (pool != nullptr) {
     pool->parallel_for(result.residences.size(), extract_one);
@@ -250,10 +311,7 @@ GroupComparison compare_windows(const engine::FleetResult& result,
                                 DayWindow pre, DayWindow post,
                                 FleetGroup group, engine::ThreadPool* pool,
                                 double alpha) {
-  if (result.traits.size() != result.residences.size())
-    throw std::invalid_argument(
-        "compare_windows: result carries no index-aligned traits "
-        "(run the engine via a FleetConfig or SampledFleet)");
+  require_traits(result, "compare_windows");
   GroupComparison out{group, group, {}};
   // Degenerate windows are a defined no-result, not a silent wrong answer:
   // an inverted window contains no day, so there is nothing to test. (A
@@ -265,27 +323,9 @@ GroupComparison compare_windows(const engine::FleetResult& result,
   auto m_post = extract_metrics(result, metrics, post, pool);
 
   for (size_t m = 0; m < metrics.size(); ++m) {
-    // Residences of the group where the metric is defined in both windows.
-    std::vector<double> xs, ys;
-    for (size_t i : members) {
-      double a = m_pre.values[m][i];
-      double b = m_post.values[m][i];
-      if (std::isnan(a) || std::isnan(b)) continue;
-      xs.push_back(a);
-      ys.push_back(b);
-    }
-    auto test = stats::wilcoxon_signed_rank(xs, ys);
-    if (!test) continue;  // no residence defined in both windows
-    stats::PanelRow row;
-    row.metric = to_string(metrics[m]);
-    row.paired = true;
-    row.n_a = row.n_b = test->n;
-    row.median_a = stats::median(xs);
-    row.median_b = stats::median(ys);
-    row.z = test->z;
-    row.effect_r = test->effect_size_r;
-    row.p_raw = test->p_value;
-    out.rows.push_back(std::move(row));
+    if (auto row = paired_row(to_string(metrics[m]), m_pre.values[m],
+                              m_post.values[m], members))
+      out.rows.push_back(std::move(*row));
   }
   stats::holm_adjust(out.rows, alpha);
   return out;
@@ -307,39 +347,12 @@ const char* to_string(FleetGroup g) {
   return "?";
 }
 
-bool in_group(const engine::ResidenceTraits& t, FleetGroup g) {
-  switch (g) {
-    case FleetGroup::all: return true;
-    case FleetGroup::active: return !t.vacant;
-    case FleetGroup::dual_stack: return t.dual_stack_isp;
-    case FleetGroup::v4_only: return !t.dual_stack_isp;
-    case FleetGroup::healthy_v6: return t.dual_stack_isp && !t.broken_v6;
-    case FleetGroup::broken_cpe: return t.dual_stack_isp && t.broken_v6;
-    // Streamer and baseline both exclude vacant homes so the default
-    // streamer-vs-baseline panel compares like with like.
-    case FleetGroup::heavy_streamer: return t.heavy_streamer && !t.vacant;
-    case FleetGroup::baseline: return !t.heavy_streamer && !t.vacant;
-    case FleetGroup::opt_out: return t.opt_out;
-    case FleetGroup::fully_visible: return !t.opt_out;
-  }
-  return false;
-}
-
 std::vector<size_t> group_members(
     std::span<const engine::ResidenceTraits> traits, FleetGroup g) {
   std::vector<size_t> out;
   for (size_t i = 0; i < traits.size(); ++i)
     if (in_group(traits[i], g)) out.push_back(i);
   return out;
-}
-
-std::vector<std::pair<FleetGroup, FleetGroup>> default_group_pairs() {
-  return {
-      {FleetGroup::healthy_v6, FleetGroup::broken_cpe},
-      {FleetGroup::dual_stack, FleetGroup::v4_only},
-      {FleetGroup::heavy_streamer, FleetGroup::baseline},
-      {FleetGroup::fully_visible, FleetGroup::opt_out},
-  };
 }
 
 GroupComparison compare_groups(const FleetMetricMatrix& matrix,
@@ -369,80 +382,9 @@ GroupComparison compare_groups(const FleetMetricMatrix& matrix,
   return out;
 }
 
-GroupComparison compare_metrics_paired(
-    const FleetMetricMatrix& matrix,
-    std::span<const engine::ResidenceTraits> traits, FleetGroup group,
-    std::span<const std::pair<FleetMetric, FleetMetric>> metric_pairs,
-    double alpha) {
-  GroupComparison out{group, group, {}};
-  auto members = group_members(traits, group);
-
-  for (const auto& [ma, mb] : metric_pairs) {
-    auto row_a = matrix.row(ma);
-    auto row_b = matrix.row(mb);
-    if (row_a.empty() || row_b.empty()) continue;
-    // Pairs where both metrics are defined at the same residence.
-    std::vector<double> xs, ys;
-    for (size_t i : members) {
-      if (std::isnan(row_a[i]) || std::isnan(row_b[i])) continue;
-      xs.push_back(row_a[i]);
-      ys.push_back(row_b[i]);
-    }
-    auto test = stats::wilcoxon_signed_rank(xs, ys);
-    if (!test) continue;
-    stats::PanelRow row;
-    row.metric = std::string(to_string(ma)) + " vs " + to_string(mb);
-    row.paired = true;
-    row.n_a = row.n_b = test->n;
-    row.median_a = stats::median(xs);
-    row.median_b = stats::median(ys);
-    row.z = test->z;
-    row.effect_r = test->effect_size_r;
-    row.p_raw = test->p_value;
-    out.rows.push_back(std::move(row));
-  }
-  stats::holm_adjust(out.rows, alpha);
-  return out;
-}
-
-std::vector<PopulationDistribution> population_distributions(
-    const FleetMetricMatrix& matrix, int bins) {
-  std::vector<PopulationDistribution> out;
-  out.reserve(matrix.metrics.size());
-  for (size_t m = 0; m < matrix.metrics.size(); ++m) {
-    std::vector<double> defined;
-    defined.reserve(matrix.values[m].size());
-    for (double v : matrix.values[m])
-      if (!std::isnan(v)) defined.push_back(v);
-
-    // Fractions live on [0, 1]; unbounded metrics bin over the observed
-    // range (an upstream producer can instead stream into a pre-sized
-    // StreamingCdf — the accumulator itself never needs the vector).
-    double hi = 1.0;
-    if (!is_fraction_metric(matrix.metrics[m])) {
-      hi = defined.empty() ? 1.0 : *std::max_element(defined.begin(),
-                                                     defined.end());
-      if (hi <= 0.0) hi = 1.0;
-    }
-    PopulationDistribution d{matrix.metrics[m], defined.size(),
-                             stats::StreamingCdf(0.0, hi, bins),
-                             {}, {}};
-    d.cdf.add(defined);
-    d.box = stats::boxplot(defined);
-    d.summary = stats::summarize(defined);
-    out.push_back(std::move(d));
-  }
-  return out;
-}
-
 FleetStatsReport fleet_stats_report(const engine::FleetResult& result,
                                     engine::ThreadPool* pool, double alpha) {
-  // Traits index into the metric rows; a hand-built result with mismatched
-  // sizes must fail here rather than read out of bounds in a comparison.
-  if (result.traits.size() != result.residences.size())
-    throw std::invalid_argument(
-        "fleet_stats_report: result carries no index-aligned traits "
-        "(run the engine via a FleetConfig or SampledFleet)");
+  require_traits(result, "fleet_stats_report");
   FleetStatsReport report;
   auto metrics = default_fleet_metrics();
   report.matrix = extract_metrics(result, metrics, pool);
@@ -478,12 +420,11 @@ void write_panel_tsv(std::FILE* out, const GroupComparison& cmp,
 }
 
 void write_cdf_csv(std::FILE* out,
-                   std::span<const PopulationDistribution> dists,
-                   int points) {
+                   std::span<const PopulationDistribution> dists) {
   std::fprintf(out, "metric,q,value\n");
   for (const auto& d : dists) {
-    for (int i = 0; i <= points; ++i) {
-      double q = static_cast<double>(i) / points;
+    for (int i = 0; i <= kCdfPoints; ++i) {
+      double q = static_cast<double>(i) / kCdfPoints;
       std::fprintf(out, "%s,%.4f,%.6g\n", to_string(d.metric), q,
                    d.cdf.quantile(q));
     }

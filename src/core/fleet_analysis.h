@@ -18,7 +18,6 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "engine/fleet.h"
@@ -57,12 +56,10 @@ struct FleetMetricMatrix {
   std::vector<std::vector<double>> values;
 
   [[nodiscard]] std::span<const double> row(FleetMetric m) const;
-  [[nodiscard]] size_t residences() const {
-    return values.empty() ? 0 : values[0].size();
-  }
 };
 
-/// Extract every requested metric from every shard. `pool` fans residences
+/// Extract every requested metric from every shard over the whole horizon:
+/// the windowed overload below with DayWindow{}. `pool` fans residences
 /// out (nullptr runs sequentially); each shard's metrics land in its own
 /// index-addressed slot, so results are bit-identical for any lane count.
 FleetMetricMatrix extract_metrics(const engine::FleetResult& result,
@@ -118,15 +115,9 @@ enum class FleetGroup {
 
 const char* to_string(FleetGroup g);
 
-[[nodiscard]] bool in_group(const engine::ResidenceTraits& t, FleetGroup g);
-
 /// Residence indices belonging to `g`, in index order.
 std::vector<size_t> group_members(
     std::span<const engine::ResidenceTraits> traits, FleetGroup g);
-
-/// The default comparison pairs: each isolates one causal factor the paper
-/// identifies for cross-residence variation.
-std::vector<std::pair<FleetGroup, FleetGroup>> default_group_pairs();
 
 // ------------------------------------------------------------- reporting
 
@@ -142,15 +133,6 @@ GroupComparison compare_groups(const FleetMetricMatrix& matrix,
                                std::span<const engine::ResidenceTraits> traits,
                                FleetGroup a, FleetGroup b,
                                double alpha = 0.05);
-
-/// Paired signed-rank panel over one group: each (first, second) metric
-/// pair tested across the residences where both are defined, Holm-corrected
-/// across the pairs.
-GroupComparison compare_metrics_paired(
-    const FleetMetricMatrix& matrix,
-    std::span<const engine::ResidenceTraits> traits, FleetGroup group,
-    std::span<const std::pair<FleetMetric, FleetMetric>> metric_pairs,
-    double alpha = 0.05);
 
 /// Pre/post-event panel: every metric tested `pre` vs `post` with the
 /// paired signed-rank test across the residences of `group` where the
@@ -178,11 +160,6 @@ struct PopulationDistribution {
   stats::Summary summary;
 };
 
-/// Distributions for every matrix row. Fraction metrics bin over [0, 1];
-/// unbounded metrics over [0, observed max].
-std::vector<PopulationDistribution> population_distributions(
-    const FleetMetricMatrix& matrix, int bins = 128);
-
 /// The full fleet-statistics report.
 struct FleetStatsReport {
   FleetMetricMatrix matrix;
@@ -206,10 +183,10 @@ FleetStatsReport fleet_stats_report(const engine::FleetResult& result,
 void write_panel_tsv(std::FILE* out, const GroupComparison& cmp,
                      bool header = true);
 
-/// CDF curves as CSV rows "metric,q,value", `points + 1` rows per metric.
+/// CDF curves as CSV rows "metric,q,value", 101 rows per metric (q = 0,
+/// 0.01, ..., 1).
 void write_cdf_csv(std::FILE* out,
-                   std::span<const PopulationDistribution> dists,
-                   int points = 100);
+                   std::span<const PopulationDistribution> dists);
 
 /// Box/summary rows as CSV "metric,count,mean,sd,min,p25,median,p75,max".
 void write_summary_csv(std::FILE* out,

@@ -1,10 +1,8 @@
 #include "core/scenario_pipeline.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -19,16 +17,11 @@ using engine::FleetConfig;
 using engine::Pass;
 using engine::PassContext;
 using engine::Pipeline;
-using engine::PipelineValue;
 using engine::SampledFleet;
 
-// The pre/post windows every scenario panel compares: the horizon's two
-// halves (the binaries that print the window panel label it with the same
-// split).
-DayWindow pre_window(const FleetConfig& cfg) { return {0, cfg.days / 2 - 1}; }
-DayWindow post_window(const FleetConfig& cfg) {
-  return {cfg.days / 2, cfg.days - 1};
-}
+// Holm-correction level of the report and the window panel. Both digests
+// fold it, so it stays part of their cache keys.
+constexpr double kAlpha = 0.05;
 
 std::uint64_t metrics_digest(const std::vector<FleetMetric>& metrics) {
   DigestBuilder db;
@@ -37,16 +30,15 @@ std::uint64_t metrics_digest(const std::vector<FleetMetric>& metrics) {
   return db.value();
 }
 
-std::uint64_t panel_digest(const FleetConfig& cfg, double alpha) {
-  const DayWindow pre = pre_window(cfg);
-  const DayWindow post = post_window(cfg);
+std::uint64_t panel_digest(const FleetConfig& cfg) {
+  const PanelWindows w = panel_windows(cfg.days);
   return DigestBuilder()
-      .i64(pre.first)
-      .i64(pre.last)
-      .i64(post.first)
-      .i64(post.last)
+      .i64(w.pre.first)
+      .i64(w.pre.last)
+      .i64(w.post.first)
+      .i64(w.post.last)
       .u64(static_cast<std::uint64_t>(FleetGroup::all))
-      .f64(alpha)
+      .f64(kAlpha)
       .value();
 }
 
@@ -156,93 +148,59 @@ Pass metrics_pass() {
   return p;
 }
 
-Pass report_pass(double alpha) {
+Pass report_pass() {
   Pass p;
   p.name = "report";
   p.inputs = {"fleet_result"};
   p.outputs = {"stats_report"};
-  p.config_digest = DigestBuilder().f64(alpha).value();
-  p.run = [alpha](PassContext& ctx) {
+  p.config_digest = DigestBuilder().f64(kAlpha).value();
+  p.run = [](PassContext& ctx) {
     ctx.out("stats_report",
             fleet_stats_report(ctx.in<engine::FleetResult>("fleet_result"),
-                               ctx.pool(), alpha));
+                               ctx.pool(), kAlpha));
   };
   return p;
 }
 
-Pass window_panel_pass(const FleetConfig& cfg, double alpha) {
+Pass window_panel_pass(const FleetConfig& cfg) {
   Pass p;
   p.name = "window_panel";
   p.inputs = {"fleet_result"};
   p.outputs = {"window_panel"};
-  p.config_digest = panel_digest(cfg, alpha);
-  p.run = [cfg, alpha](PassContext& ctx) {
+  p.config_digest = panel_digest(cfg);
+  p.run = [cfg](PassContext& ctx) {
     const auto metrics = default_fleet_metrics();
+    const PanelWindows w = panel_windows(cfg.days);
     ctx.out("window_panel",
             compare_windows(ctx.in<engine::FleetResult>("fleet_result"),
-                            metrics, pre_window(cfg), post_window(cfg),
-                            FleetGroup::all, ctx.pool(), alpha));
+                            metrics, w.pre, w.post, FleetGroup::all,
+                            ctx.pool(), kAlpha));
   };
   return p;
 }
 
-// One file-sink pass: renders into <dir>/<tag>_<suffix> and outputs the
-// written path. Uncached — a sink exists for its side effect, so it
-// re-executes every run (rewriting the file from the cached upstream
-// values costs nothing compared to simulation).
-Pass file_sink_pass(std::string name, std::string input, std::string output,
-                    std::string path,
-                    std::function<void(std::FILE*, const PipelineValue&)>
-                        render) {
-  Pass p;
-  p.name = std::move(name);
-  p.inputs = {input};
-  p.outputs = {output};
-  p.cache_outputs = false;
-  p.config_digest = DigestBuilder().str(path).value();
-  p.run = [path = std::move(path), input = std::move(input),
-           output = std::move(output),
-           render = std::move(render)](PassContext& ctx) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-      throw std::runtime_error("cannot write '" + path + "'");
-    render(f, ctx.input_value(input));
-    std::fclose(f);
-    ctx.out(output, path);
+// The standard chain in registration order: the one list both
+// make_scenario_pipeline and the audit build from. Factories rather than
+// passes, because the audit builds each pass under its own tracker scope.
+std::vector<std::function<Pass()>> scenario_pass_factories(
+    const FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
+  return {
+      [&cfg, &catalog] { return sample_pass(cfg, catalog); },
+      [&cfg] { return timeline_pass(cfg); },
+      [&catalog] { return simulate_pass(catalog); },
+      [] { return metrics_pass(); },
+      [] { return report_pass(); },
+      [&cfg] { return window_panel_pass(cfg); },
   };
-  return p;
 }
 
 }  // namespace
 
 Pipeline make_scenario_pipeline(const FleetConfig& cfg,
-                                const traffic::ServiceCatalog& catalog,
-                                const ScenarioPassOptions& opts) {
+                                const traffic::ServiceCatalog& catalog) {
   Pipeline pipe;
-  pipe.add(sample_pass(cfg, catalog))
-      .add(timeline_pass(cfg))
-      .add(simulate_pass(catalog))
-      .add(metrics_pass())
-      .add(report_pass(opts.alpha))
-      .add(window_panel_pass(cfg, opts.alpha));
-  if (opts.sink_dir.empty()) return pipe;
-
-  const std::string base = opts.sink_dir + "/" + opts.scenario_tag;
-  pipe.add(file_sink_pass(
-      "panel_tsv", "window_panel", "panel_tsv_path", base + "_panel.tsv",
-      [](std::FILE* f, const PipelineValue& v) {
-        write_panel_tsv(f, v.get<GroupComparison>());
-      }));
-  pipe.add(file_sink_pass(
-      "cdf_csv", "stats_report", "cdf_csv_path", base + "_cdf.csv",
-      [](std::FILE* f, const PipelineValue& v) {
-        write_cdf_csv(f, v.get<FleetStatsReport>().distributions);
-      }));
-  pipe.add(file_sink_pass(
-      "summary_csv", "stats_report", "summary_csv_path", base + "_summary.csv",
-      [](std::FILE* f, const PipelineValue& v) {
-        write_summary_csv(f, v.get<FleetStatsReport>().distributions);
-      }));
+  for (const auto& make : scenario_pass_factories(cfg, catalog))
+    pipe.add(make());
   return pipe;
 }
 
@@ -251,42 +209,31 @@ std::vector<std::string> scenario_transient_resources() {
 }
 
 std::vector<PassReadAudit> audit_scenario_passes(
-    const FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
-    const ScenarioPassOptions& opts) {
-  // Per-pass digest read sets: build each standard pass under its own
-  // tracker scope. A factory reads config only to compute its digest (its
-  // by-value capture of cfg is a copy, which records nothing), so the
-  // scope sees exactly the digest slice the cache key covers.
-  const std::function<Pass()> factories[] = {
-      [&] { return sample_pass(cfg, catalog); },
-      [&] { return timeline_pass(cfg); },
-      [&] { return simulate_pass(catalog); },
-      [] { return metrics_pass(); },
-      [&] { return report_pass(opts.alpha); },
-      [&] { return window_panel_pass(cfg, opts.alpha); },
-  };
-  std::vector<Pass> passes;
+    const FleetConfig& cfg, const traffic::ServiceCatalog& catalog) {
   auto audits = std::make_shared<std::vector<PassReadAudit>>();
-  for (const auto& make : factories) {
-    engine::ConfigReadTracker::Scope scope;
-    passes.push_back(make());
-    audits->push_back({passes.back().name, scope.reads(), {}});
-  }
-
-  // Per-pass run read sets: wrap each body in a tracker scope. The
-  // pipeline runs uncached (every pass executes) and poolless (every read
-  // lands on this thread, where the scope is active).
   Pipeline pipe;
-  for (std::size_t i = 0; i < passes.size(); ++i) {
-    Pass p = std::move(passes[i]);
-    auto inner = std::move(p.run);
-    p.run = [inner = std::move(inner), audits, i](PassContext& ctx) {
+  for (const auto& make : scenario_pass_factories(cfg, catalog)) {
+    // Digest read set: build the pass under its own tracker scope. A
+    // factory reads config only to compute its digest (its by-value capture
+    // of cfg is a copy, which records nothing), so the scope sees exactly
+    // the digest slice the cache key covers.
+    Pass p;
+    {
+      engine::ConfigReadTracker::Scope scope;
+      p = make();
+      audits->push_back({p.name, scope.reads(), {}});
+    }
+    // Run read set: wrap the body in a tracker scope of its own.
+    p.run = [inner = std::move(p.run), audits,
+             i = audits->size() - 1](PassContext& ctx) {
       engine::ConfigReadTracker::Scope scope;
       inner(ctx);
       (*audits)[i].run_reads = scope.reads();
     };
     pipe.add(std::move(p));
   }
+  // Uncached (every pass executes) and poolless (every read lands on this
+  // thread, where the scopes are active).
   pipe.run(/*cache=*/nullptr, /*pool=*/nullptr);
   return *audits;
 }
@@ -303,14 +250,6 @@ std::string describe_read_set(const engine::ConfigReadSet& reads) {
     out += to_string(static_cast<engine::ConfigField>(i));
   }
   return out;
-}
-
-void replace_scenario_config(Pipeline& pipe, const FleetConfig& cfg,
-                             const traffic::ServiceCatalog& catalog,
-                             const ScenarioPassOptions& opts) {
-  pipe.replace(sample_pass(cfg, catalog));
-  pipe.replace(timeline_pass(cfg));
-  pipe.replace(window_panel_pass(cfg, opts.alpha));
 }
 
 }  // namespace nbv6::core

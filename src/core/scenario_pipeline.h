@@ -10,15 +10,13 @@
 //   report        ->  "stats_report"   (core::FleetStatsReport)
 //   window_panel  ->  "window_panel"   (core::GroupComparison)
 //
-// and, when a sink directory is configured, three uncached file-sink
-// passes ("panel_tsv", "cdf_csv", "summary_csv") that render the report
-// into figure-ready files and output the written paths.
-//
 // Every pass wraps the one production stage function (sample_stage,
 // apply_timeline, simulate_fleet, extract_metrics, fleet_stats_report,
-// compare_windows, write_*), and Pipeline::run is how a scenario runs end
-// to end: the golden-replay suite pins its output byte for byte at 1, 4
-// and 8 lanes.
+// compare_windows), and Pipeline::run is how a scenario runs end to end:
+// the golden-replay suite pins its output byte for byte at 1, 4 and 8
+// lanes. The chain has no knobs: the report and the window panel are
+// Holm-corrected at alpha = 0.05, and the panel compares the horizon's two
+// halves (panel_windows).
 //
 // The config digests draw a deliberate line through FleetConfig: the
 // sample pass digests only the population slice (residences, seed,
@@ -41,26 +39,23 @@ namespace nbv6::core {
 
 // ---------------------------------------------------------- registration
 
-/// Knobs for the standard passes.
-struct ScenarioPassOptions {
-  /// Holm-correction level for the report and window panel.
-  double alpha = 0.05;
-  /// Non-empty: also register the three file-sink passes, writing
-  /// <sink_dir>/<scenario_tag>_{panel.tsv,cdf.csv,summary.csv}. Sink
-  /// passes are never cached (they exist for their side effect).
-  std::string sink_dir;
-  /// File-name prefix for sink outputs (e.g. the scenario stem).
-  std::string scenario_tag = "scenario";
-};
-
 /// A fresh pipeline with the standard scenario chain registered. `cfg` is
 /// captured by value; `catalog` by reference and must outlive the
-/// pipeline. Digests are derived from the captured config, so a pipeline
-/// is dirtied by re-registering (Pipeline::replace via
-/// replace_scenario_config) rather than by mutating shared state.
+/// pipeline. Digests are derived from the captured config, so a changed
+/// config means a new pipeline (or a pass swapped in with
+/// Pipeline::replace), never mutated shared state.
 engine::Pipeline make_scenario_pipeline(const engine::FleetConfig& cfg,
-                                        const traffic::ServiceCatalog& catalog,
-                                        const ScenarioPassOptions& opts = {});
+                                        const traffic::ServiceCatalog& catalog);
+
+/// The pre/post windows the "window_panel" pass compares: the horizon's
+/// two halves, pre = [0, days/2 - 1] and post = [days/2, days - 1].
+struct PanelWindows {
+  DayWindow pre;
+  DayWindow post;
+};
+inline PanelWindows panel_windows(int days) {
+  return {{0, days / 2 - 1}, {days / 2, days - 1}};
+}
 
 /// Resource names safe to release mid-forest (engine::ForestScheduler's
 /// Options::transient): intermediates every scenario pipeline consumes
@@ -82,15 +77,14 @@ struct PassReadAudit {
   engine::ConfigReadSet run_reads;
 };
 
-/// Run the six standard scenario passes once, inline and uncached, under
-/// config read tracking, and report each pass's digest_reads vs run_reads.
-/// File-sink passes are not registered (they read paths, not config).
+/// Run the standard scenario passes (the same list make_scenario_pipeline
+/// registers) once, inline and uncached, under config read tracking, and
+/// report each pass's digest_reads vs run_reads, in registration order.
 /// This is the enforcement side of the digest-slice contract documented at
 /// the top of this header: tests/digest_audit_test.cpp fails when any pass
 /// reads a field its digest slice misses — the PR 8/9 stale-cache class.
 std::vector<PassReadAudit> audit_scenario_passes(
-    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog,
-    const ScenarioPassOptions& opts = {});
+    const engine::FleetConfig& cfg, const traffic::ServiceCatalog& catalog);
 
 /// Fields the pass body read that its digest slice does not cover. A
 /// non-empty result is a stale-cache bug. (Lane count is not a config
@@ -99,15 +93,5 @@ engine::ConfigReadSet uncovered_config_reads(const PassReadAudit& audit);
 
 /// "days, seed, timeline"-style rendering for audit failure messages.
 std::string describe_read_set(const engine::ConfigReadSet& reads);
-
-/// Swap a new scenario config into an already-registered pipeline,
-/// replacing the sample/timeline/window passes in place (execution
-/// counters survive — the sweep driver's per-pass reuse assertions count
-/// across variants this way). Passes whose config slice is unchanged keep
-/// their digest and therefore stay cache-warm.
-void replace_scenario_config(engine::Pipeline& pipe,
-                             const engine::FleetConfig& cfg,
-                             const traffic::ServiceCatalog& catalog,
-                             const ScenarioPassOptions& opts = {});
 
 }  // namespace nbv6::core

@@ -12,8 +12,9 @@
 // stream a downstream consumer (exporter, ingest daemon, backpressure
 // experiment) could tap live.
 //
-// Throughput of this path — flows/sec/core out of bench/firehose_throughput
-// — is the repo's headline benchmark.
+// Throughput of this path (flows/s at N and 1 lanes) is measured end to
+// end by the perfbench `firehose_stream` workload; bench/firehose_throughput
+// is the quick standalone run.
 #pragma once
 
 #include <cstdint>

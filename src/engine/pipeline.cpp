@@ -50,11 +50,6 @@ std::size_t PassCache::size() const {
   return map_.size();
 }
 
-void PassCache::clear() {
-  core::MutexLock lock(mutex_);
-  map_.clear();
-}
-
 // --------------------------------------------------------------- context
 
 const PipelineValue& PassContext::input_value(std::string_view name) const {
@@ -223,7 +218,6 @@ struct TransientInstance {
   std::string name;
   std::uint64_t producer_digest = 0;  ///< cache key of the producing pass
   std::string producer_pass;
-  bool producer_cacheable = true;
   /// Cache entries hold the producer's whole output list, so the entry is
   /// erased on release only when every output of that pass is transient.
   bool producer_all_transient = true;
@@ -349,7 +343,6 @@ struct ForestRun {
           inst.name = name;
           inst.producer_digest = prod.last_digest;
           inst.producer_pass = prod.pass.name;
-          inst.producer_cacheable = prod.pass.cache_outputs;
           inst.producer_all_transient = true;
           for (const auto& out : prod.pass.outputs)
             if (!is_transient(out)) inst.producer_all_transient = false;
@@ -391,7 +384,7 @@ struct ForestRun {
     for (const auto& in : pass.inputs)
       n.inputs.push_back(&n.pipe->bound_.at(in));
 
-    if (pass.cache_outputs && cache_ != nullptr) {
+    if (cache_ != nullptr) {
       if (auto hit = cache_->find(n.digest, pass.name, pass.outputs.size())) {
         bind_outputs(i, *hit);
         ++stats_.cached;
@@ -466,8 +459,7 @@ struct ForestRun {
     --resident_;
     ++stats_.released;
     for (Pipeline* p : inst.holders) p->bound_.erase(inst.name);
-    if (cache_ != nullptr && inst.producer_cacheable &&
-        inst.producer_all_transient)
+    if (cache_ != nullptr && inst.producer_all_transient)
       cache_->erase(inst.producer_digest, inst.producer_pass);
   }
 
@@ -486,7 +478,7 @@ struct ForestRun {
     }
     bind_outputs(i, outputs);
     for (std::size_t w : waiters) bind_outputs(w, outputs);
-    if (pass.cache_outputs && cache_ != nullptr)
+    if (cache_ != nullptr)
       cache_->store(n.digest, pass.name, std::move(outputs));
     finish_node(i);
     for (std::size_t w : waiters) {

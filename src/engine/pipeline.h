@@ -139,7 +139,6 @@ class PassCache {
   bool erase(std::uint64_t digest, std::string_view pass);
 
   [[nodiscard]] std::size_t size() const;
-  void clear();
 
  private:
   struct Entry {
@@ -207,9 +206,6 @@ struct Pass {
   std::vector<std::string> inputs;    ///< resource names consumed
   std::vector<std::string> outputs;   ///< resource names produced (unique)
   std::uint64_t config_digest = 0;
-  /// false = sink/side-effecting pass: never cached, re-executes every run
-  /// (its outputs still participate in scheduling and downstream digests).
-  bool cache_outputs = true;
   std::function<void(PassContext&)> run;
 };
 

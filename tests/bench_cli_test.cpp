@@ -1,11 +1,14 @@
 // The shared experiment-harness flag grammar (bench/bench_cli.h): one
-// parser, one --help.
+// parser, one --help. Also the environment scale knobs (bench_common.h),
+// which go through the same lexer.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_cli.h"
+#include "bench_common.h"
 
 namespace {
 
@@ -104,6 +107,26 @@ TEST(BenchCli, PositionalsConsumeInOrder) {
   cli2.positional("second", &second, "");
   EXPECT_FALSE(cli2.parse(b.argc(), b.argv()));  // third has no slot
   EXPECT_EQ(cli2.exit_code(), 2);
+}
+
+TEST(BenchEnv, UnsetUsesFallbackAndValidValueParses) {
+  ::unsetenv("NBV6_TEST_KNOB");
+  EXPECT_EQ(nbv6::bench::env_int("NBV6_TEST_KNOB", 274), 274);
+  ::setenv("NBV6_TEST_KNOB", "30", 1);
+  EXPECT_EQ(nbv6::bench::env_int("NBV6_TEST_KNOB", 274), 30);
+  ::unsetenv("NBV6_TEST_KNOB");
+}
+
+TEST(BenchEnvDeathTest, MalformedOrNonPositiveValueExitsNamingTheVariable) {
+  // Each of these used to run: atoi read "abc" and "" as 0 days and "1e5"
+  // as a 1-site universe.
+  for (const char* bad : {"abc", "1e5", "", "0", "-3", "12x"}) {
+    ::setenv("NBV6_DAYS", bad, 1);
+    EXPECT_EXIT(nbv6::bench::env_int("NBV6_DAYS", 274),
+                ::testing::ExitedWithCode(2), "NBV6_DAYS")
+        << "value '" << bad << "'";
+  }
+  ::unsetenv("NBV6_DAYS");
 }
 
 }  // namespace

@@ -109,6 +109,26 @@ TEST(DigestAudit, EveryCommittedScenarioIsCovered) {
   }
 }
 
+TEST(DigestAudit, AuditCoversEveryPipelinePass) {
+  // The audit and the production pipeline build from one pass list: a pass
+  // registered in make_scenario_pipeline but missing from the audit would
+  // go unaudited silently.
+  const auto catalog = traffic::build_paper_catalog();
+  const auto files = testutil::scenario_files();
+  ASSERT_FALSE(files.empty());
+  for (const auto& path : files) {
+    std::string err;
+    auto cfg = FleetConfig::load(path, &err);
+    ASSERT_TRUE(cfg.has_value()) << path << ": " << err;
+    const FleetConfig small = shrunk(*cfg);
+    std::vector<std::string> audited;
+    for (const auto& a : core::audit_scenario_passes(small, catalog))
+      audited.push_back(a.pass);
+    EXPECT_EQ(audited, core::make_scenario_pipeline(small, catalog).schedule())
+        << path;
+  }
+}
+
 TEST(DigestAudit, SamplePassActuallyReadsThePopulationSlice) {
   // Guard against a vacuous auditor: if tracking broke (recording nothing),
   // EveryCommittedScenarioIsCovered would pass trivially. The default

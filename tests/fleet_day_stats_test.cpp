@@ -7,7 +7,10 @@
 // panels or silent wrong answers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -157,8 +160,9 @@ TEST_F(Nat64ScenarioTest, DegenerateWindowsAreDefinedNoResults) {
   }
 }
 
-TEST(FleetDayStats, PerDayMergeBitIdenticalAcrossLanes) {
-  auto catalog = traffic::build_paper_catalog();
+/// 16 homes x 12 days with an outage window and a NAT64 migration: every
+/// per-day series has empty days, suppressed sessions and failures in it.
+engine::FleetConfig nat64_outage_config() {
   engine::FleetConfig cfg;
   cfg.residences = 16;
   cfg.days = 12;
@@ -167,6 +171,12 @@ TEST(FleetDayStats, PerDayMergeBitIdenticalAcrossLanes) {
       "outage", "start=3 end=8 frac=0.5 len=2"));
   cfg.timeline->events.push_back(
       *engine::Timeline::parse_event("nat64_migration", "start=6 frac=0.4"));
+  return cfg;
+}
+
+TEST(FleetDayStats, PerDayMergeBitIdenticalAcrossLanes) {
+  auto catalog = traffic::build_paper_catalog();
+  const auto cfg = nat64_outage_config();
 
   std::optional<engine::FleetResult> reference;
   for (int lanes : {1, 4, 8}) {
@@ -220,6 +230,76 @@ TEST(FleetDayStats, OutageDaysCarrySuppressedSessions) {
     ASSERT_TRUE(std::isfinite(in.values[0][i])) << i;
     EXPECT_GT(in.values[0][i], 0.0) << i;
     EXPECT_DOUBLE_EQ(out.values[0][i], 0.0) << i;
+  }
+}
+
+// The unwindowed extraction is the windowed kernel over the whole horizon.
+// Every metric must equal, bit for bit, its value computed straight from the
+// monitor's horizon totals and the simulator's horizon session stats.
+TEST(ExtractMetrics, WholeHorizonMatchesTotals) {
+  auto catalog = traffic::build_paper_catalog();
+  engine::ThreadPool pool(1);
+  const auto result =
+      testutil::simulate_scenario(nat64_outage_config(), catalog, &pool);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto fraction = [nan](double f) { return f < 0 ? nan : f; };
+  auto per_session = [nan](std::uint64_t n, std::uint64_t sessions) {
+    return sessions == 0 ? nan
+                         : static_cast<double>(n) /
+                               static_cast<double>(sessions);
+  };
+  auto from_totals = [&](const engine::ResidenceRun& run, core::FleetMetric m) {
+    const auto& ext = run.monitor.totals(flowmon::Scope::external);
+    const auto& s = run.stats;
+    switch (m) {
+      case core::FleetMetric::v6_byte_fraction:
+        return fraction(ext.v6_byte_fraction());
+      case core::FleetMetric::v6_flow_fraction:
+        return fraction(ext.v6_flow_fraction());
+      case core::FleetMetric::daily_v6_byte_fraction: {
+        const auto daily =
+            run.monitor.daily_v6_fractions(flowmon::Scope::external, true);
+        return daily.empty() ? nan : stats::mean(daily);
+      }
+      case core::FleetMetric::external_gb:
+        return static_cast<double>(ext.total_bytes()) / 1e9;
+      case core::FleetMetric::external_flows_k:
+        return static_cast<double>(ext.total_flows()) / 1e3;
+      case core::FleetMetric::internal_gb:
+        return static_cast<double>(
+                   run.monitor.totals(flowmon::Scope::internal).total_bytes()) /
+               1e9;
+      case core::FleetMetric::he_failure_rate:
+        return per_session(s.he_failures, s.sessions);
+      case core::FleetMetric::sessions_k:
+        return static_cast<double>(s.sessions) / 1e3;
+      case core::FleetMetric::outage_suppressed_k:
+        return static_cast<double>(s.outage_suppressed) / 1e3;
+      case core::FleetMetric::service_outage_k:
+        return static_cast<double>(s.service_outage_failed) / 1e3;
+      case core::FleetMetric::cgn_failure_rate:
+        return per_session(s.cgn_failures, s.sessions);
+    }
+    return nan;
+  };
+
+  auto metrics = core::default_fleet_metrics();
+  for (auto m : {core::FleetMetric::sessions_k,
+                 core::FleetMetric::outage_suppressed_k,
+                 core::FleetMetric::service_outage_k,
+                 core::FleetMetric::cgn_failure_rate})
+    metrics.push_back(m);
+  const auto matrix = core::extract_metrics(result, metrics);
+  ASSERT_EQ(matrix.values.size(), metrics.size());
+  for (size_t m = 0; m < metrics.size(); ++m) {
+    for (size_t i = 0; i < result.residences.size(); ++i) {
+      const double want = from_totals(result.residences[i], metrics[m]);
+      const double got = matrix.values[m][i];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << core::to_string(metrics[m]) << " residence " << i << ": " << got
+          << " vs " << want;
+    }
   }
 }
 
