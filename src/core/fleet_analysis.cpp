@@ -32,16 +32,18 @@ struct WindowSums {
 WindowSums window_sums(const engine::ResidenceRun& run,
                        const DayWindow& window) {
   WindowSums s;
-  for (const auto& [day, split] : run.monitor.daily(flowmon::Scope::external)) {
-    if (!window.contains(day)) continue;
-    s.external += split;
-    const double f = split.v6_byte_fraction();
+  const auto& external = run.monitor.daily(flowmon::Scope::external);
+  for (size_t d = 0; d < external.size(); ++d) {
+    if (!window.contains(static_cast<int>(d))) continue;
+    s.external += external[d];
+    const double f = external[d].v6_byte_fraction();
     if (f < 0) continue;  // empty day
     s.day_fraction_sum += f;
     ++s.day_fraction_days;
   }
-  for (const auto& [day, split] : run.monitor.daily(flowmon::Scope::internal))
-    if (window.contains(day)) s.internal += split;
+  const auto& internal = run.monitor.daily(flowmon::Scope::internal);
+  for (size_t d = 0; d < internal.size(); ++d)
+    if (window.contains(static_cast<int>(d))) s.internal += internal[d];
   // The simulator sizes `daily` to the horizon, so the clamp is belt and
   // braces for hand-built results.
   const auto& daily = run.stats.daily;

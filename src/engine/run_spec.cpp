@@ -109,9 +109,9 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
     for (std::size_t i = 0; i < configs.size(); ++i) run_one(i);
   }
 
-  // Fixed-order reduction: counter merges are associative and commutative,
-  // so the fold order only matters for retained records (none here) — the
-  // fleet view is bit-identical for any lane count.
+  // The fold only adds integers, so it is associative and commutative and
+  // the order does not matter: the fleet view is bit-identical for any
+  // lane count.
   for (const auto& run : out.residences) {
     out.fleet.merge(run.monitor);
     out.totals += run.stats;  // horizon totals + the per-day series

@@ -12,8 +12,8 @@
 
 namespace nbv6::flowmon {
 
-/// Seconds since an arbitrary epoch; the traffic generator uses seconds
-/// since its simulation start.
+/// Seconds since simulation start, >= 0. FlowMonitor indexes its day and
+/// hour series from time 0 and rejects records that start earlier.
 using Timestamp = std::int64_t;
 
 constexpr Timestamp kSecondsPerDay = 86400;

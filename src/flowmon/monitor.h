@@ -10,10 +10,16 @@
 // Aggregation is streaming: the monitor never retains raw flow records,
 // mirroring the privacy posture of the real deployment where only flow
 // summaries leave the router.
+//
+// Storage is flat. The day and hour series are dense vectors indexed from
+// time 0, sized to their last non-empty cell (a cell with no flows means
+// "no traffic"), so `==` on two series compares contents. Destinations
+// live in an open-addressing table: a dense entries vector plus a
+// power-of-two slot array, the interning pattern of dns::ZoneDb.
 #pragma once
 
 #include <array>
-#include <map>
+#include <cstdint>
 #include <vector>
 
 #include "flowmon/conntrack.h"
@@ -96,8 +102,10 @@ class FlowMonitor {
     return totals_[index(s)];
   }
 
-  /// Day-indexed series for one scope (sorted by day).
-  [[nodiscard]] const std::map<int, FamilySplit>& daily(Scope s) const {
+  /// Day-indexed series for one scope: element d is day d; a cell with
+  /// total_flows() == 0 saw no traffic. Empty, or its last cell is
+  /// non-empty.
+  [[nodiscard]] const std::vector<FamilySplit>& daily(Scope s) const {
     return daily_[index(s)];
   }
 
@@ -107,18 +115,19 @@ class FlowMonitor {
   [[nodiscard]] std::vector<double> daily_v6_fractions(Scope s,
                                                        bool by_bytes) const;
 
-  /// Hour-indexed external series (hour = absolute hour since epoch).
-  [[nodiscard]] const std::map<int, FamilySplit>& hourly_external() const {
+  /// Hour-indexed external series (element h = hour h since time 0), in
+  /// the same dense form as daily().
+  [[nodiscard]] const std::vector<FamilySplit>& hourly_external() const {
     return hourly_external_;
   }
 
-  /// Hourly external IPv6 fraction series over [first, last] hours present,
+  /// Hourly external IPv6 fraction series over [first, last] non-empty hours,
   /// with gaps filled by carrying the previous value (MSTL needs a regular
   /// series). Empty when no external traffic.
   [[nodiscard]] std::vector<double> hourly_v6_fraction_series(
       bool by_bytes) const;
 
-  /// Per-destination external tallies (unordered).
+  /// Per-destination external tallies, sorted ascending by address.
   [[nodiscard]] std::vector<DestTally> destination_tallies() const;
 
   /// Total external traffic bytes (both families).
@@ -132,12 +141,19 @@ class FlowMonitor {
  private:
   static size_t index(Scope s) { return s == Scope::external ? 0 : 1; }
   ConntrackListener make_listener();
+  /// Throws std::out_of_range for a record starting before time 0, before
+  /// touching any counter.
   void ingest(const FlowRecord& r);
+  /// The destination's tally, inserted as zero on first sight.
+  Tally& dest_tally(const net::IpAddr& addr);
+  void grow_dest_slots();
 
   std::array<FamilySplit, 2> totals_{};
-  std::array<std::map<int, FamilySplit>, 2> daily_{};
-  std::map<int, FamilySplit> hourly_external_;
-  std::map<net::IpAddr, Tally> dest_external_;
+  std::array<std::vector<FamilySplit>, 2> daily_{};
+  std::vector<FamilySplit> hourly_external_;
+  std::vector<DestTally> dests_;  ///< insertion order
+  /// Power-of-two probe table of dests_ indices + 1; 0 = empty slot.
+  std::vector<std::uint32_t> dest_slots_;
   std::uint64_t new_events_ = 0;
   std::uint64_t destroy_events_ = 0;
 };

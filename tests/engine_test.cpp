@@ -18,12 +18,16 @@
 #include "engine/run_spec.h"
 #include "engine/thread_pool.h"
 #include "flowmon/monitor.h"
+#include "monitor_checks.h"
 #include "reference_conntrack.h"
 #include "testutil.h"
 #include "traffic/generator.h"
 
 namespace nbv6::engine {
 namespace {
+
+using testutil::expect_canonical;
+using testutil::expect_same_aggregates;
 
 // ---------------------------------------------------------- thread pool
 
@@ -317,24 +321,6 @@ flowmon::FlowMonitor run_residence(const traffic::ServiceCatalog& catalog,
   return mon;
 }
 
-void expect_same_aggregates(const flowmon::FlowMonitor& a,
-                            const flowmon::FlowMonitor& b) {
-  using flowmon::Scope;
-  EXPECT_EQ(a.totals(Scope::external), b.totals(Scope::external));
-  EXPECT_EQ(a.totals(Scope::internal), b.totals(Scope::internal));
-  EXPECT_EQ(a.daily(Scope::external), b.daily(Scope::external));
-  EXPECT_EQ(a.daily(Scope::internal), b.daily(Scope::internal));
-  EXPECT_EQ(a.hourly_external(), b.hourly_external());
-  EXPECT_EQ(a.destination_tallies(), b.destination_tallies());
-  EXPECT_EQ(a.new_events(), b.new_events());
-  EXPECT_EQ(a.destroy_events(), b.destroy_events());
-  // Derived fraction series are pure functions of the integer state.
-  EXPECT_EQ(a.daily_v6_fractions(Scope::external, true),
-            b.daily_v6_fractions(Scope::external, true));
-  EXPECT_EQ(a.hourly_v6_fraction_series(true),
-            b.hourly_v6_fraction_series(true));
-}
-
 TEST(MonitorMerge, AssociativeAndOrderIndependent) {
   auto catalog = traffic::build_paper_catalog();
   FleetConfig fc;
@@ -379,6 +365,102 @@ TEST(MonitorMerge, MergingEmptyIsIdentity) {
   merged.merge(m);
   merged.merge(flowmon::FlowMonitor{});
   expect_same_aggregates(merged, m);
+
+  // Empty on either side, and empty into empty.
+  flowmon::FlowMonitor copy = m;
+  copy.merge(flowmon::FlowMonitor{});
+  expect_same_aggregates(copy, m);
+  flowmon::FlowMonitor empty;
+  empty.merge(flowmon::FlowMonitor{});
+  expect_same_aggregates(empty, flowmon::FlowMonitor{});
+  EXPECT_TRUE(empty.hourly_external().empty());
+  EXPECT_TRUE(empty.destination_tallies().empty());
+}
+
+TEST(MonitorMerge, SelfMergeDoublesEveryAggregate) {
+  using flowmon::Scope;
+  auto catalog = traffic::build_paper_catalog();
+  FleetConfig fc;
+  fc.residences = 1;
+  fc.days = 3;
+  auto configs = sample_stage(fc, catalog).configs;
+  const auto m = run_residence(catalog, configs[0]);
+  ASSERT_GT(m.destination_tallies().size(), 16u);  // past the first rehash
+
+  flowmon::FlowMonitor self = m;
+  self.merge(self);
+  flowmon::FlowMonitor twice;
+  twice.merge(m);
+  twice.merge(m);
+  expect_same_aggregates(self, twice);
+
+  // Also against `m` directly, not only through merge: totals, every
+  // destination tally and the event counts double.
+  EXPECT_EQ(self.totals(Scope::external).total_bytes(),
+            2 * m.totals(Scope::external).total_bytes());
+  const auto once = m.destination_tallies();
+  const auto dests = self.destination_tallies();
+  ASSERT_EQ(dests.size(), once.size());
+  for (size_t i = 0; i < once.size(); ++i) {
+    EXPECT_EQ(dests[i].addr, once[i].addr);
+    EXPECT_EQ(dests[i].tally.bytes, 2 * once[i].tally.bytes);
+    EXPECT_EQ(dests[i].tally.flows, 2 * once[i].tally.flows);
+  }
+  EXPECT_EQ(self.new_events(), 2 * m.new_events());
+  EXPECT_EQ(self.destroy_events(), 2 * m.destroy_events());
+}
+
+// One closed flow at `start` into `table`.
+void feed(FlatConntrack& table, std::uint8_t host, flowmon::Timestamp start,
+          flowmon::Scope scope) {
+  net::FlowKey k;
+  k.src = net::IPv4Addr(192, 168, 1, host);
+  k.dst = net::IPv4Addr(20, 0, 0, host);
+  k.src_port = static_cast<std::uint16_t>(1000 + host);
+  k.dst_port = 443;
+  table.open(k, start, scope);
+  table.account(k, start, 100, 900, 0, 0, scope);
+  table.close(k, start + 1);
+}
+
+TEST(MonitorMerge, SeriesStayCanonicalThroughIngestAndMerge) {
+  using flowmon::kSecondsPerDay;
+  using flowmon::Scope;
+  // `late` has traffic on day 5 only, `early` on day 1 only, so each merge
+  // direction grows one side's series across gap cells.
+  FlatConntrack late_table;
+  flowmon::FlowMonitor late;
+  late.attach(late_table);
+  feed(late_table, 1, 5 * kSecondsPerDay + 7, Scope::external);
+  feed(late_table, 2, 5 * kSecondsPerDay + 9, Scope::internal);
+  FlatConntrack early_table;
+  flowmon::FlowMonitor early;
+  early.attach(early_table);
+  feed(early_table, 3, 1 * kSecondsPerDay, Scope::external);
+  feed(early_table, 4, 1 * kSecondsPerDay, Scope::internal);
+  expect_canonical(late);
+  expect_canonical(early);
+  EXPECT_EQ(late.daily(Scope::external).size(), 6u);
+  EXPECT_EQ(late.hourly_external().size(), 5u * 24 + 1);
+  EXPECT_EQ(early.daily(Scope::internal).size(), 2u);
+
+  flowmon::FlowMonitor a = late;
+  a.merge(early);
+  flowmon::FlowMonitor b = early;
+  b.merge(late);
+  expect_same_aggregates(a, b);
+  EXPECT_EQ(a.daily(Scope::external).size(), 6u);
+  EXPECT_EQ(a.daily(Scope::external)[1].total_flows(), 1u);
+  EXPECT_EQ(a.daily(Scope::external)[3], flowmon::FamilySplit{});
+  EXPECT_EQ(a.daily_v6_fractions(Scope::external, true).size(), 2u);
+
+  // Ingest after a merge keeps the form too: a flow on a day past the end
+  // grows the series; one inside it does not.
+  feed(early_table, 5, 8 * kSecondsPerDay, Scope::external);
+  feed(early_table, 6, 0, Scope::external);
+  expect_canonical(early);
+  EXPECT_EQ(early.daily(Scope::external).size(), 9u);
+  EXPECT_EQ(early.daily(Scope::external)[0].total_flows(), 1u);
 }
 
 // -------------------------------------------------- fleet determinism

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <vector>
 
 #include "engine/flat_conntrack.h"
 #include "flowmon/conntrack.h"
 #include "flowmon/monitor.h"
+#include "monitor_checks.h"
 #include "reference_conntrack.h"
 #include "stats/rng.h"
 
@@ -268,10 +272,12 @@ TEST(Monitor, DailyBucketsByStartTime) {
   table.account(day2, 2 * kSecondsPerDay + 5, 0, 300);
   table.close(day2, 2 * kSecondsPerDay + 10);
 
+  // Dense series: days 0..2, with day 1 an empty (no-traffic) cell.
   const auto& daily = mon.daily(Scope::external);
-  ASSERT_EQ(daily.size(), 2u);
-  EXPECT_NEAR(daily.at(0).v6_byte_fraction(), 1.0, 1e-12);
-  EXPECT_NEAR(daily.at(2).v6_byte_fraction(), 0.0, 1e-12);
+  ASSERT_EQ(daily.size(), 3u);
+  EXPECT_EQ(daily[1], FamilySplit{});
+  EXPECT_NEAR(daily[0].v6_byte_fraction(), 1.0, 1e-12);
+  EXPECT_NEAR(daily[2].v6_byte_fraction(), 0.0, 1e-12);
 
   auto fracs = mon.daily_v6_fractions(Scope::external, true);
   ASSERT_EQ(fracs.size(), 2u);
@@ -334,6 +340,85 @@ TEST(Monitor, CountsNewAndDestroyEvents) {
   table.close(k, 1);
   EXPECT_EQ(mon.new_events(), 1u);
   EXPECT_EQ(mon.destroy_events(), 1u);
+}
+
+TEST(Monitor, RejectsPreEpochRecordAndStaysUnchanged) {
+  engine::FlatConntrack table;
+  FlowMonitor mon;
+  mon.attach(table);
+  // Prior traffic in both scopes, so "unchanged" covers non-empty state.
+  auto v6 = make_key(1, 60, true);
+  table.open(v6, 3 * kSecondsPerHour, Scope::external);
+  table.account(v6, 3 * kSecondsPerHour, 0, 500);
+  table.close(v6, 3 * kSecondsPerHour + 5);
+  auto lan = make_key(2, 61);
+  table.open(lan, kSecondsPerDay, Scope::internal);
+  table.close(lan, kSecondsPerDay + 1);
+
+  for (Scope scope : {Scope::external, Scope::internal}) {
+    auto early = make_key(3, scope == Scope::external ? 62 : 63);
+    table.open(early, -30, scope);
+    table.account(early, -20, 100, 900);
+    const FlowMonitor before = mon;
+    EXPECT_THROW(table.close(early, -10), std::out_of_range)
+        << to_string(scope);
+    testutil::expect_same_aggregates(mon, before);
+  }
+  EXPECT_EQ(mon.destroy_events(), 2u);
+  EXPECT_EQ(mon.totals(Scope::external).total_flows(), 1u);
+}
+
+TEST(Monitor, DestinationTableMatchesMapReference) {
+  // ~10k distinct destinations of both families, some seen several times,
+  // ingested in a shuffled order: the table rehashes from 16 slots to 32k.
+  std::vector<net::IpAddr> addrs;
+  for (std::uint32_t i = 0; i < 5000; ++i)
+    addrs.emplace_back(net::IPv4Addr(0x14000000u + i * 7919u));
+  for (std::uint64_t i = 0; i < 2500; ++i) {
+    // Half differ only in the interface id, half only in the prefix.
+    addrs.emplace_back(net::IPv6Addr::from_halves(0x26000000ull << 32, i));
+    addrs.emplace_back(
+        net::IPv6Addr::from_halves((0x2a000000ull << 32) | (i << 16), 1));
+  }
+  std::vector<net::IpAddr> flows;
+  for (size_t i = 0; i < addrs.size(); ++i)
+    for (size_t n = 0; n < 1 + i % 3; ++n) flows.push_back(addrs[i]);
+  stats::Rng rng(15);
+  for (size_t i = flows.size(); i > 1; --i)
+    std::swap(flows[i - 1], flows[rng.below(i)]);
+
+  engine::FlatConntrack table;
+  FlowMonitor mon;
+  mon.attach(table);
+  std::map<net::IpAddr, Tally> reference;
+  const net::IpAddr src_v4 = net::IPv4Addr(192, 168, 1, 2);
+  const net::IpAddr src_v6 = net::IPv6Addr::from_halves(0x26008800ull << 32, 1);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    net::FlowKey k;
+    k.dst = flows[i];
+    k.src = flows[i].is_v6() ? src_v6 : src_v4;
+    k.src_port = static_cast<std::uint16_t>(i);
+    const auto t = static_cast<Timestamp>(i);
+    const std::uint64_t bytes = 40 + i % 1000;
+    table.open(k, t, Scope::external);
+    table.account(k, t, 0, bytes);
+    table.close(k, t + 1);
+    reference[flows[i]] += Tally{bytes, 1};
+  }
+
+  const auto tallies = mon.destination_tallies();
+  ASSERT_EQ(reference.size(), 10000u);
+  ASSERT_EQ(tallies.size(), reference.size());
+  EXPECT_TRUE(std::is_sorted(
+      tallies.begin(), tallies.end(),
+      [](const DestTally& a, const DestTally& b) { return a.addr < b.addr; }));
+  size_t i = 0;
+  for (const auto& [addr, tally] : reference) {
+    EXPECT_EQ(tallies[i].addr, addr) << "entry " << i;
+    EXPECT_EQ(tallies[i].tally, tally) << addr.to_string();
+    ++i;
+  }
+  EXPECT_EQ(mon.totals(Scope::external).total_flows(), flows.size());
 }
 
 TEST(FlowRecordHelpers, DayAndHour) {

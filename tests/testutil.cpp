@@ -271,30 +271,42 @@ std::string canonical_serialize(const ScenarioRun& run) {
   const auto& fleet = run.result.fleet;
   append_split(out, "fleet external", fleet.totals(Scope::external));
   append_split(out, "fleet internal", fleet.totals(Scope::internal));
+  // Dense series: a cell with no flows is a day or hour without traffic,
+  // and is skipped, so only days and hours that saw traffic are printed.
   for (Scope s : {Scope::external, Scope::internal}) {
-    for (const auto& [day, split] : fleet.daily(s)) {
+    const auto& daily = fleet.daily(s);
+    for (size_t day = 0; day < daily.size(); ++day) {
+      const auto& split = daily[day];
+      if (split.total_flows() == 0) continue;
       append(out,
              "daily %s day=%d v4_bytes=%" PRIu64 " v6_bytes=%" PRIu64
              " v4_flows=%" PRIu64 " v6_flows=%" PRIu64 "\n",
-             s == Scope::external ? "external" : "internal", day,
+             s == Scope::external ? "external" : "internal",
+             static_cast<int>(day),
              split.v4.bytes, split.v6.bytes, split.v4.flows, split.v6.flows);
     }
   }
   {
     Fnv fnv;
-    for (const auto& [hour, split] : fleet.hourly_external()) {
+    size_t hours = 0;
+    const auto& hourly = fleet.hourly_external();
+    for (size_t hour = 0; hour < hourly.size(); ++hour) {
+      const auto& split = hourly[hour];
+      if (split.total_flows() == 0) continue;
       fnv.add(static_cast<std::uint64_t>(hour));
       fnv.add(split.v4.bytes);
       fnv.add(split.v6.bytes);
       fnv.add(split.v4.flows);
       fnv.add(split.v6.flows);
+      ++hours;
     }
-    append(out, "hourly_external count=%zu fnv=%016" PRIx64 "\n",
-           fleet.hourly_external().size(), fnv.h);
+    append(out, "hourly_external count=%zu fnv=%016" PRIx64 "\n", hours,
+           fnv.h);
   }
   {
     Fnv fnv;
-    auto dests = fleet.destination_tallies();  // map-ordered: deterministic
+    // Sorted by address at readout, so the order is deterministic.
+    auto dests = fleet.destination_tallies();
     for (const auto& d : dests) {
       if (d.addr.is_v4()) {
         fnv.add(d.addr.v4().value());

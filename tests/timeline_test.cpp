@@ -328,18 +328,15 @@ TEST(TimelineBehaviour, OutageSilencesExternalTrafficOnly) {
   for (const auto& run : result.residences) {
     const auto& ext = run.monitor.daily(flowmon::Scope::external);
     const auto& internal = run.monitor.daily(flowmon::Scope::internal);
-    for (int day = 3; day <= 5; ++day) {
-      auto it = ext.find(day);
-      EXPECT_TRUE(it == ext.end() || it->second.total_flows() == 0)
+    for (size_t day = 3; day <= 5; ++day) {
+      EXPECT_TRUE(day >= ext.size() || ext[day].total_flows() == 0)
           << run.config.name << " day " << day << " leaked external flows";
     }
     // The LAN stays noisy through the outage (flows start every hour, so
     // with 3 whole days some internal traffic is effectively certain).
     std::uint64_t internal_flows = 0;
-    for (int day = 3; day <= 5; ++day) {
-      auto it = internal.find(day);
-      if (it != internal.end()) internal_flows += it->second.total_flows();
-    }
+    for (size_t day = 3; day <= 5 && day < internal.size(); ++day)
+      internal_flows += internal[day].total_flows();
     EXPECT_GT(internal_flows, 0u) << run.config.name;
   }
 }
@@ -390,8 +387,10 @@ TEST(TimelineBehaviour, SeasonalScalesActivityUpAndDown) {
 
   auto day_flows = [](const engine::FleetResult& r, int lo, int hi) {
     std::uint64_t sum = 0;
-    for (const auto& [day, split] : r.fleet.daily(flowmon::Scope::external))
-      if (day >= lo && day <= hi) sum += split.total_flows();
+    const auto& daily = r.fleet.daily(flowmon::Scope::external);
+    for (int day = lo; day <= hi && day < static_cast<int>(daily.size());
+         ++day)
+      sum += daily[static_cast<size_t>(day)].total_flows();
     return sum;
   };
   // The boosted half clearly outgrows the suppressed half relative to the
