@@ -11,9 +11,8 @@
 // Grammar: `--key=value`, `--key value`, bare `--key` for booleans, and
 // `--help`. Values go through the same cfgparse lexers the scenario-file
 // parser uses, so "what is a valid int" has one answer repo-wide; unknown
-// flags and malformed values fail loudly with usage on stderr. Bare
-// positionals (declared in order) keep legacy invocations like
-// `fuzz_scenarios 64 1 outdir` working.
+// flags, bare arguments and malformed values fail loudly with usage on
+// stderr.
 #pragma once
 
 #include <cstdint>
@@ -48,17 +47,11 @@ class Cli {
   void flag_bool(std::string name, bool* target, std::string help) {
     flags_.push_back({std::move(name), target, std::move(help)});
   }
-  /// Optional bare positional, consumed in declaration order; always a
-  /// string (legacy callers parse as they always did).
-  void positional(std::string name, std::string* target, std::string help) {
-    positionals_.push_back({std::move(name), target, std::move(help)});
-  }
 
   /// True when parsing succeeded and the program should proceed. False
   /// after --help (exit_code() == 0) or a parse error (exit_code() == 2,
   /// message + usage already on stderr).
   bool parse(int argc, char** argv) {
-    std::size_t next_pos = 0;
     for (int i = 1; i < argc; ++i) {
       std::string_view arg = argv[i];
       if (arg == "--help" || arg == "-h") {
@@ -66,32 +59,28 @@ class Cli {
         exit_code_ = 0;
         return false;
       }
-      if (arg.rfind("--", 0) == 0) {
-        std::string_view body = arg.substr(2);
-        std::string_view name = body;
-        std::string_view value;
-        bool has_value = false;
-        if (auto eq = body.find('='); eq != std::string_view::npos) {
-          name = body.substr(0, eq);
-          value = body.substr(eq + 1);
-          has_value = true;
-        }
-        Flag* f = find_flag(name);
-        if (f == nullptr) return fail("unknown flag '--" + std::string(name) + "'");
-        if (!has_value && !std::holds_alternative<bool*>(f->target)) {
-          if (i + 1 >= argc)
-            return fail("flag '--" + std::string(name) + "' needs a value");
-          value = argv[++i];
-          has_value = true;
-        }
-        if (!apply(*f, has_value ? value : std::string_view("true")))
-          return fail("invalid value '" + std::string(value) + "' for '--" +
-                      std::string(name) + "'");
-      } else {
-        if (next_pos >= positionals_.size())
-          return fail("unexpected argument '" + std::string(arg) + "'");
-        *positionals_[next_pos++].target = std::string(arg);
+      if (arg.rfind("--", 0) != 0)
+        return fail("unexpected argument '" + std::string(arg) + "'");
+      std::string_view body = arg.substr(2);
+      std::string_view name = body;
+      std::string_view value;
+      bool has_value = false;
+      if (auto eq = body.find('='); eq != std::string_view::npos) {
+        name = body.substr(0, eq);
+        value = body.substr(eq + 1);
+        has_value = true;
       }
+      Flag* f = find_flag(name);
+      if (f == nullptr) return fail("unknown flag '--" + std::string(name) + "'");
+      if (!has_value && !std::holds_alternative<bool*>(f->target)) {
+        if (i + 1 >= argc)
+          return fail("flag '--" + std::string(name) + "' needs a value");
+        value = argv[++i];
+        has_value = true;
+      }
+      if (!apply(*f, has_value ? value : std::string_view("true")))
+        return fail("invalid value '" + std::string(value) + "' for '--" +
+                    std::string(name) + "'");
     }
     return true;
   }
@@ -99,18 +88,12 @@ class Cli {
   [[nodiscard]] int exit_code() const { return exit_code_; }
 
   void print_usage(std::FILE* out) const {
-    std::fprintf(out, "%s: %s\n\nusage: %s [--flag=value ...]", program_.c_str(),
-                 description_.c_str(), program_.c_str());
-    for (const auto& p : positionals_)
-      std::fprintf(out, " [%s]", p.name.c_str());
-    std::fprintf(out, "\n\nflags:\n");
+    std::fprintf(out, "%s: %s\n\nusage: %s [--flag=value ...]\n\nflags:\n",
+                 program_.c_str(), description_.c_str(), program_.c_str());
     for (const auto& f : flags_) {
       std::string label = "--" + f.name + "=" + default_text(f);
       std::fprintf(out, "  %-34s %s\n", label.c_str(), f.help.c_str());
     }
-    for (const auto& p : positionals_)
-      std::fprintf(out, "  %-34s %s (positional)\n", p.name.c_str(),
-                   p.help.c_str());
   }
 
  private:
@@ -119,11 +102,6 @@ class Cli {
   struct Flag {
     std::string name;
     Target target;
-    std::string help;
-  };
-  struct Positional {
-    std::string name;
-    std::string* target;
     std::string help;
   };
 
@@ -175,7 +153,6 @@ class Cli {
   std::string program_;
   std::string description_;
   std::vector<Flag> flags_;
-  std::vector<Positional> positionals_;
   int exit_code_ = 0;
 };
 

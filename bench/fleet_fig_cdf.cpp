@@ -3,8 +3,8 @@
 // to a simulated fleet. Writes two CSVs (CDF curves, box/summary rows) for
 // plotting or CI artifact upload, and prints the summaries to stdout.
 //
-//   ./build/fleet_fig_cdf [--residences=N --days=N --seed=S --threads=T]
-//                         [cdf-out.csv] [summary-out.csv]
+//   ./build/fleet_fig_cdf [--residences=N --days=N --seed=S --threads=T
+//                          --cdf-out=PATH --summary-out=PATH]
 #include <cstdio>
 #include <string>
 
@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   bench::Cli cli("fleet_fig_cdf",
                  "Population CDFs and summaries of per-residence metrics");
   bench::register_fleet_flags(cli, cfg, threads);
-  cli.positional("cdf-out.csv", &cdf_path, "CDF curves output");
-  cli.positional("summary-out.csv", &summary_path, "box/summary output");
+  cli.flag_string("cdf-out", &cdf_path, "CDF curves output");
+  cli.flag_string("summary-out", &summary_path, "box/summary output");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
   bench::section("Fleet figure: population CDFs of per-residence metrics");

@@ -9,7 +9,7 @@
 // plotting or CI artifact upload and prints it to stdout.
 //
 //   ./build/fleet_fig_wilcoxon [--residences=N --days=N --seed=S
-//                               --threads=T] [panel-out.tsv]
+//                               --threads=T --panel-out=PATH]
 #include <cstdio>
 #include <string>
 
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   bench::Cli cli("fleet_fig_wilcoxon",
                  "Cross-fleet Wilcoxon group-comparison panels");
   bench::register_fleet_flags(cli, cfg, threads);
-  cli.positional("panel-out.tsv", &panel_path, "panel TSV output");
+  cli.flag_string("panel-out", &panel_path, "panel TSV output");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
   bench::section("Fleet figure: Wilcoxon group-comparison panels");

@@ -1,7 +1,6 @@
 // fuzz_scenarios: standalone differential scenario fuzzer.
 //
 //   fuzz_scenarios [--count=500 --base-seed=1 --outdir=fuzz-failures]
-//   fuzz_scenarios [count] [base_seed] [outdir]     (legacy positionals)
 //
 // Generates `count` scenarios starting at `base_seed`, runs the full
 // differential battery on each (parse/render round trip,
@@ -12,12 +11,11 @@
 // an artifact, and the .cfg file alone reproduces the failure under
 // scenario_fuzz_test.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
 #include "bench_cli.h"
-#include "engine/scenario_fuzz.h"
+#include "scenario_fuzz.h"
 #include "testutil.h"
 #include "traffic/service_catalog.h"
 
@@ -26,25 +24,18 @@ int main(int argc, char** argv) {
   std::uint64_t count = 500;
   std::uint64_t base = 1;
   std::string outdir = "fuzz-failures";
-  std::string count_pos;
-  std::string base_pos;
 
   bench::Cli cli("fuzz_scenarios", "Differential scenario fuzzer");
   cli.flag_u64("count", &count, "scenarios to generate");
   cli.flag_u64("base-seed", &base, "first scenario seed");
   cli.flag_string("outdir", &outdir, "failing-config output directory");
-  cli.positional("count", &count_pos, "legacy form of --count");
-  cli.positional("base_seed", &base_pos, "legacy form of --base-seed");
-  cli.positional("outdir", &outdir, "legacy form of --outdir");
   if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!count_pos.empty()) count = std::strtoull(count_pos.c_str(), nullptr, 10);
-  if (!base_pos.empty()) base = std::strtoull(base_pos.c_str(), nullptr, 10);
 
   const auto catalog = traffic::build_paper_catalog();
   std::uint64_t failures = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t seed = base + i;
-    const std::string text = engine::generate_scenario_text(seed);
+    const std::string text = testutil::generate_scenario_text(seed);
     auto err = testutil::fuzz_check_scenario(text, catalog);
     if (err) {
       ++failures;

@@ -6,11 +6,11 @@
 namespace nbv6::core {
 
 ServerSurvey run_server_survey(const web::Universe& universe, web::Epoch epoch,
-                               std::uint64_t seed, web::CrawlerConfig cfg) {
+                               std::uint64_t seed) {
   ServerSurvey s;
   s.epoch = epoch;
   auto zone = universe.build_zone(epoch);
-  web::Crawler crawler(universe, zone, epoch, cfg);
+  web::Crawler crawler(universe, zone, epoch);
   s.crawls = crawler.crawl_all(seed);
   s.classifications = web::classify_all(s.crawls);
   s.counts = web::tabulate(s.classifications);

@@ -21,8 +21,7 @@ struct ServerSurvey {
 /// Crawl every site of `universe` at `epoch` and classify. Deterministic
 /// in `seed`.
 ServerSurvey run_server_survey(const web::Universe& universe, web::Epoch epoch,
-                               std::uint64_t seed,
-                               web::CrawlerConfig cfg = {});
+                               std::uint64_t seed);
 
 /// Readiness by top-N rank prefix (Fig. 6). Percentages are of
 /// connection-success sites within the prefix.

@@ -143,4 +143,48 @@ std::optional<FleetConfig> FleetConfig::load(const std::string& path,
   return parse(buf.str(), error);
 }
 
+std::string to_config_text(const FleetConfig& cfg) {
+  using cfgparse::format_double;
+  std::string out;
+  auto line = [&out](std::string_view key, const std::string& value) {
+    out.append(key).append(" = ").append(value) += '\n';
+  };
+  line("residences", std::to_string(cfg.residences));
+  line("days", std::to_string(cfg.days));
+  line("seed", std::to_string(cfg.seed));
+  line("dual_stack_isp_frac", format_double(cfg.dual_stack_isp_frac));
+  line("broken_v6_frac", format_double(cfg.broken_v6_frac));
+  line("heavy_streamer_frac", format_double(cfg.heavy_streamer_frac));
+  line("background_only_frac", format_double(cfg.background_only_frac));
+  line("opt_out_frac", format_double(cfg.opt_out_frac));
+  line("absence_prob", format_double(cfg.absence_prob));
+  line("activity_scale_min", format_double(cfg.activity_scale_min));
+  line("activity_scale_max", format_double(cfg.activity_scale_max));
+  line("arrival.mode", traffic::to_string(cfg.arrival->mode));
+  line("arrival.ticks_per_hour", std::to_string(cfg.arrival->ticks_per_hour));
+  for (const auto& ev : cfg.timeline->events)
+    line(std::string("timeline.") + to_string(ev.kind),
+         Timeline::render_event(ev));
+  return out;
+}
+
+std::optional<std::string> check_parse_round_trip(std::string_view text) {
+  std::string error;
+  auto cfg = FleetConfig::parse(text, &error);
+  if (!cfg) return "initial parse failed: " + error;
+
+  const std::string rendered = to_config_text(*cfg);
+  auto cfg2 = FleetConfig::parse(rendered, &error);
+  if (!cfg2)
+    return "rendered text failed to reparse: " + error +
+           "\nrendered:\n" + rendered;
+  if (!(*cfg == *cfg2))
+    return "config changed across render/reparse\nrendered:\n" + rendered;
+  // Render must be a fixed point: a second pass through the renderer that
+  // changed a byte would mean non-canonical float formatting.
+  if (to_config_text(*cfg2) != rendered)
+    return "renderer is not a fixed point\nrendered:\n" + rendered;
+  return std::nullopt;
+}
+
 }  // namespace nbv6::engine

@@ -109,6 +109,18 @@ struct FleetConfig {
   friend bool operator==(const FleetConfig&, const FleetConfig&) = default;
 };
 
+/// Canonical text form of a config: every scalar key in fixed order,
+/// doubles rendered with %.17g (so text equality is bit equality), one
+/// timeline line per event in ordinal order (Timeline::render_event).
+/// parse(to_config_text(cfg)) == cfg for every parseable cfg — the tool
+/// that promotes a surviving fuzz config into a committed scenario file.
+std::string to_config_text(const FleetConfig& cfg);
+
+/// Parse -> render -> reparse -> compare. nullopt on success; otherwise a
+/// description of the first failure (initial parse rejection, renderer
+/// output rejected, or field mismatch after the round trip).
+std::optional<std::string> check_parse_round_trip(std::string_view text);
+
 /// Which population strata a sampled residence fell into — the group
 /// labels the fleet-statistics layer compares across (dual-stack vs
 /// broken-CPE, streamer vs baseline, ...). Pure function of (seed, index),

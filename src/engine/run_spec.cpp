@@ -143,12 +143,7 @@ StreamStats stream_fleet(const traffic::ServiceCatalog& catalog,
   std::vector<FlowEventBuffer> buffers(n);
   for (auto& sim : sims) sim.begin_run();
 
-  // Slots per day: hours in batch mode, ticks otherwise (the same clamp
-  // the generator's tick loop applies).
-  const int tph = arrival.mode == traffic::ArrivalMode::batch
-                      ? 1
-                      : std::clamp(arrival.ticks_per_hour, 1, 3600);
-  const int slots_per_day = 24 * tph;
+  const int slots_per_day = 24 * arrival.slots_per_hour();
 
   StreamStats out;
   std::vector<size_t> cursor(n);

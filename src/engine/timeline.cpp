@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -46,24 +48,13 @@ bool parse_u64(std::string_view v, std::uint64_t& out) {
   return ec == std::errc{} && p == v.data() + v.size();
 }
 
-}  // namespace cfgparse
-
-const char* to_string(TimelineEventKind k) {
-  switch (k) {
-    case TimelineEventKind::rollout_wave: return "rollout_wave";
-    case TimelineEventKind::cpe_fix: return "cpe_fix";
-    case TimelineEventKind::outage: return "outage";
-    case TimelineEventKind::nat64_migration: return "nat64_migration";
-    case TimelineEventKind::seasonal: return "seasonal";
-    case TimelineEventKind::prefix_renumber: return "prefix_renumber";
-    case TimelineEventKind::service_outage: return "service_outage";
-    case TimelineEventKind::cgn_exhaustion: return "cgn_exhaustion";
-    case TimelineEventKind::device_turnover: return "device_turnover";
-    case TimelineEventKind::lambda_ramp: return "lambda_ramp";
-    case TimelineEventKind::flash_crowd: return "flash_crowd";
-  }
-  return "?";
+std::string format_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
+
+}  // namespace cfgparse
 
 namespace {
 
@@ -84,54 +75,121 @@ std::string quoted(std::string_view s) {
   return out;
 }
 
+/// One event key besides the window keys (day/start/end): the field it
+/// sets (exactly one pointer is non-null) and its legal range. Every
+/// field's default outside [lo, hi] is its "not given" sentinel, which is
+/// what lets render_event omit exactly those keys.
+struct EventKey {
+  std::string_view name;
+  int TimelineEvent::*int_field;
+  double TimelineEvent::*double_field;
+  double lo, hi;
+};
+
+constexpr double kIntMax = std::numeric_limits<int>::max();
+
+/// Every event key, in render order.
+constexpr EventKey kKeys[] = {
+    {"frac", nullptr, &TimelineEvent::fraction, 0.0, 1.0},
+    {"amp", nullptr, &TimelineEvent::amplitude, 0.0, 1.0},
+    {"period", &TimelineEvent::period_days, nullptr, 1, kIntMax},
+    {"len", &TimelineEvent::duration_days, nullptr, 1, kIntMax},
+    // The day-state service mask is 64 bits wide; indices must fit it.
+    {"svc", &TimelineEvent::service, nullptr, 0, 63},
+    {"ports", &TimelineEvent::port_budget, nullptr, 0, kIntMax},
+    {"rate", nullptr, &TimelineEvent::turnover_rate, 0.0, 1.0},
+    {"hour", &TimelineEvent::hour, nullptr, 0, 23},
+    {"hours", &TimelineEvent::hour_span, nullptr, 1, 24},
+    // (0, 16]: the smallest positive double as the lower bound opens the
+    // range at 0. The day-state composition clamps stacked multipliers to
+    // the same ceiling, so a single event never exceeds what a stack can.
+    {"mult", nullptr, &TimelineEvent::mult,
+     std::numeric_limits<double>::denorm_min(), 16.0},
+};
+
+/// The mask bit of kKeys entry `name`. A name missing from the table reads
+/// past its end, which fails to compile.
+consteval unsigned key_bit(std::string_view name) {
+  size_t i = 0;
+  while (kKeys[i].name != name) ++i;
+  return 1u << i;
+}
+
+bool in_range(const EventKey& k, const TimelineEvent& ev) {
+  const double v =
+      k.int_field != nullptr ? ev.*k.int_field : ev.*k.double_field;
+  return v >= k.lo && v <= k.hi;
+}
+
+/// Every event kind, indexed by TimelineEventKind: the keys it takes
+/// besides day/start/end, and which of those it requires.
+struct EventKind {
+  const char* name;
+  TimelineEventKind kind;
+  unsigned keys;
+  unsigned required;
+};
+
+constexpr unsigned kFrac = key_bit("frac");
+constexpr EventKind kKinds[] = {
+    {"rollout_wave", TimelineEventKind::rollout_wave, kFrac, 0},
+    {"cpe_fix", TimelineEventKind::cpe_fix, kFrac, 0},
+    {"outage", TimelineEventKind::outage, kFrac | key_bit("len"), 0},
+    {"nat64_migration", TimelineEventKind::nat64_migration, kFrac, 0},
+    {"seasonal", TimelineEventKind::seasonal,
+     kFrac | key_bit("amp") | key_bit("period"), 0},
+    {"prefix_renumber", TimelineEventKind::prefix_renumber, kFrac, 0},
+    {"service_outage", TimelineEventKind::service_outage,
+     kFrac | key_bit("len") | key_bit("svc"), key_bit("svc")},
+    {"cgn_exhaustion", TimelineEventKind::cgn_exhaustion,
+     kFrac | key_bit("ports"), key_bit("ports")},
+    {"device_turnover", TimelineEventKind::device_turnover,
+     kFrac | key_bit("rate"), 0},
+    {"lambda_ramp", TimelineEventKind::lambda_ramp, kFrac | key_bit("mult"),
+     key_bit("mult")},
+    {"flash_crowd", TimelineEventKind::flash_crowd,
+     kFrac | key_bit("hour") | key_bit("hours") | key_bit("mult"),
+     key_bit("hour") | key_bit("mult")},
+};
+
+constexpr bool kinds_indexed_by_enum() {
+  for (size_t i = 0; i < std::size(kKinds); ++i)
+    if (static_cast<size_t>(kKinds[i].kind) != i) return false;
+  return true;
+}
+static_assert(kinds_indexed_by_enum());
+
 }  // namespace
+
+const char* to_string(TimelineEventKind k) {
+  const auto i = static_cast<size_t>(k);
+  return i < std::size(kKinds) ? kKinds[i].name : "?";
+}
 
 std::optional<TimelineEvent> Timeline::parse_event(std::string_view kind,
                                                    std::string_view spec,
                                                    std::string* error) {
-  TimelineEvent ev;
-  if (kind == "rollout_wave") ev.kind = TimelineEventKind::rollout_wave;
-  else if (kind == "cpe_fix") ev.kind = TimelineEventKind::cpe_fix;
-  else if (kind == "outage") ev.kind = TimelineEventKind::outage;
-  else if (kind == "nat64_migration") ev.kind = TimelineEventKind::nat64_migration;
-  else if (kind == "seasonal") ev.kind = TimelineEventKind::seasonal;
-  else if (kind == "prefix_renumber") ev.kind = TimelineEventKind::prefix_renumber;
-  else if (kind == "service_outage") ev.kind = TimelineEventKind::service_outage;
-  else if (kind == "cgn_exhaustion") ev.kind = TimelineEventKind::cgn_exhaustion;
-  else if (kind == "device_turnover") ev.kind = TimelineEventKind::device_turnover;
-  else if (kind == "lambda_ramp") ev.kind = TimelineEventKind::lambda_ramp;
-  else if (kind == "flash_crowd") ev.kind = TimelineEventKind::flash_crowd;
-  else
+  const auto* ks = std::find_if(
+      std::begin(kKinds), std::end(kKinds),
+      [&](const EventKind& k) { return k.name == kind; });
+  if (ks == std::end(kKinds))
     return fail(error, "unknown timeline event kind " + quoted(kind));
-
-  const bool is_seasonal = ev.kind == TimelineEventKind::seasonal;
-  const bool takes_len = ev.kind == TimelineEventKind::outage ||
-                         ev.kind == TimelineEventKind::service_outage;
-  const bool is_service = ev.kind == TimelineEventKind::service_outage;
-  const bool is_cgn = ev.kind == TimelineEventKind::cgn_exhaustion;
-  const bool is_turnover = ev.kind == TimelineEventKind::device_turnover;
-  const bool is_flash = ev.kind == TimelineEventKind::flash_crowd;
-  const bool takes_mult = is_flash || ev.kind == TimelineEventKind::lambda_ramp;
-  bool have_end = false;
+  TimelineEvent ev;
+  ev.kind = ks->kind;
 
   auto bad_value = [&](std::string_view key, std::string_view val) {
     return fail(error, "invalid value " + quoted(val) + " for event key " +
                            quoted(key));
   };
-  auto wrong_kind = [&](std::string_view key) {
-    return fail(error, "event key " + quoted(key) + " not valid for kind " +
-                           quoted(kind));
-  };
   auto duplicate = [&](std::string_view key) {
     return fail(error, "duplicate event key " + quoted(key));
   };
 
-  // Whitespace-separated k=v tokens; every key at most once.
-  bool seen_day = false, seen_start = false, seen_end = false,
-       seen_frac = false, seen_amp = false, seen_period = false,
-       seen_len = false, seen_svc = false, seen_ports = false,
-       seen_rate = false, seen_mult = false, seen_hour = false,
-       seen_hours = false;
+  // Whitespace-separated k=v tokens; every key at most once. `day=N` is
+  // shorthand for `start=N end=N`, so it conflicts with both.
+  enum : unsigned { kDay = 1, kStart = 2, kEnd = 4 };
+  unsigned window_seen = 0;
+  unsigned seen = 0;  // kKeys bits
   size_t pos = 0;
   while (pos < spec.size()) {
     while (pos < spec.size() &&
@@ -150,117 +208,73 @@ std::optional<TimelineEvent> Timeline::parse_event(std::string_view kind,
     std::string_view key = tok.substr(0, eq);
     std::string_view val = tok.substr(eq + 1);
 
-    if (key == "day") {
-      if (seen_day) return duplicate(key);
-      if (seen_start || seen_end)
-        return fail(error, "'day' conflicts with 'start'/'end'");
-      seen_day = true;
+    if (key == "day" || key == "start" || key == "end") {
+      const unsigned bit = key == "day" ? kDay : key == "start" ? kStart : kEnd;
+      if ((window_seen & bit) != 0) return duplicate(key);
+      if (bit == kDay ? window_seen != 0 : (window_seen & kDay) != 0)
+        return fail(error, quoted(key) + " conflicts with " +
+                               (bit == kDay ? "'start'/'end'" : "'day'"));
+      window_seen |= bit;
       int d = 0;
       if (!cfgparse::parse_int(val, d) || d < 0) return bad_value(key, val);
-      ev.start_day = ev.end_day = d;
-      have_end = true;
-    } else if (key == "start") {
-      if (seen_start) return duplicate(key);
-      if (seen_day) return fail(error, "'start' conflicts with 'day'");
-      seen_start = true;
-      if (!cfgparse::parse_int(val, ev.start_day) || ev.start_day < 0)
-        return bad_value(key, val);
-    } else if (key == "end") {
-      if (seen_end) return duplicate(key);
-      if (seen_day) return fail(error, "'end' conflicts with 'day'");
-      seen_end = true;
-      if (!cfgparse::parse_int(val, ev.end_day) || ev.end_day < 0)
-        return bad_value(key, val);
-      have_end = true;
-    } else if (key == "frac") {
-      if (seen_frac) return duplicate(key);
-      seen_frac = true;
-      if (!cfgparse::parse_double(val, ev.fraction) || ev.fraction < 0.0 ||
-          ev.fraction > 1.0)
-        return bad_value(key, val);
-    } else if (key == "amp") {
-      if (!is_seasonal) return wrong_kind(key);
-      if (seen_amp) return duplicate(key);
-      seen_amp = true;
-      if (!cfgparse::parse_double(val, ev.amplitude) || ev.amplitude < 0.0 ||
-          ev.amplitude > 1.0)
-        return bad_value(key, val);
-    } else if (key == "period") {
-      if (!is_seasonal) return wrong_kind(key);
-      if (seen_period) return duplicate(key);
-      seen_period = true;
-      if (!cfgparse::parse_int(val, ev.period_days) || ev.period_days < 1)
-        return bad_value(key, val);
-    } else if (key == "len") {
-      if (!takes_len) return wrong_kind(key);
-      if (seen_len) return duplicate(key);
-      seen_len = true;
-      if (!cfgparse::parse_int(val, ev.duration_days) || ev.duration_days < 1)
-        return bad_value(key, val);
-    } else if (key == "svc") {
-      if (!is_service) return wrong_kind(key);
-      if (seen_svc) return duplicate(key);
-      seen_svc = true;
-      // The day-state service mask is 64 bits wide; indices must fit it.
-      if (!cfgparse::parse_int(val, ev.service) || ev.service < 0 ||
-          ev.service > 63)
-        return bad_value(key, val);
-    } else if (key == "ports") {
-      if (!is_cgn) return wrong_kind(key);
-      if (seen_ports) return duplicate(key);
-      seen_ports = true;
-      if (!cfgparse::parse_int(val, ev.port_budget) || ev.port_budget < 0)
-        return bad_value(key, val);
-    } else if (key == "rate") {
-      if (!is_turnover) return wrong_kind(key);
-      if (seen_rate) return duplicate(key);
-      seen_rate = true;
-      if (!cfgparse::parse_double(val, ev.turnover_rate) ||
-          ev.turnover_rate < 0.0 || ev.turnover_rate > 1.0)
-        return bad_value(key, val);
-    } else if (key == "mult") {
-      if (!takes_mult) return wrong_kind(key);
-      if (seen_mult) return duplicate(key);
-      seen_mult = true;
-      // (0, 16]: the day-state composition clamps stacked multipliers to
-      // the same ceiling, so a single event never exceeds what a stack can.
-      if (!cfgparse::parse_double(val, ev.mult) || ev.mult <= 0.0 ||
-          ev.mult > 16.0)
-        return bad_value(key, val);
-    } else if (key == "hour") {
-      if (!is_flash) return wrong_kind(key);
-      if (seen_hour) return duplicate(key);
-      seen_hour = true;
-      if (!cfgparse::parse_int(val, ev.hour) || ev.hour < 0 || ev.hour > 23)
-        return bad_value(key, val);
-    } else if (key == "hours") {
-      if (!is_flash) return wrong_kind(key);
-      if (seen_hours) return duplicate(key);
-      seen_hours = true;
-      if (!cfgparse::parse_int(val, ev.hour_span) || ev.hour_span < 1 ||
-          ev.hour_span > 24)
-        return bad_value(key, val);
-    } else {
-      return fail(error, "unknown event key " + quoted(key));
+      if (bit != kEnd) ev.start_day = d;
+      if (bit != kStart) ev.end_day = d;
+      continue;
     }
+
+    const auto* k = std::find_if(
+        std::begin(kKeys), std::end(kKeys),
+        [&](const EventKey& e) { return e.name == key; });
+    if (k == std::end(kKeys))
+      return fail(error, "unknown event key " + quoted(key));
+    const unsigned bit = 1u << (k - std::begin(kKeys));
+    if ((ks->keys & bit) == 0)
+      return fail(error, "event key " + quoted(key) + " not valid for kind " +
+                             quoted(kind));
+    if ((seen & bit) != 0) return duplicate(key);
+    seen |= bit;
+    const bool parsed = k->int_field != nullptr
+                            ? cfgparse::parse_int(val, ev.*k->int_field)
+                            : cfgparse::parse_double(val, ev.*k->double_field);
+    if (!parsed || !in_range(*k, ev)) return bad_value(key, val);
   }
 
-  if (is_service && !seen_svc)
-    return fail(error, "'svc' is required for service_outage");
-  if (is_cgn && !seen_ports)
-    return fail(error, "'ports' is required for cgn_exhaustion");
-  if (takes_mult && !seen_mult)
-    return fail(error, std::string("'mult' is required for ") +
-                           std::string(kind));
-  if (is_flash && !seen_hour)
-    return fail(error, "'hour' is required for flash_crowd");
+  // Walked from the table's end so flash_crowd reports 'mult' before 'hour'.
+  for (size_t i = std::size(kKeys); i-- > 0;)
+    if ((ks->required & ~seen & (1u << i)) != 0)
+      return fail(error, quoted(kKeys[i].name) + " is required for " +
+                             std::string(kind));
 
   // A window event with no end runs to the horizon.
-  if (!have_end) ev.end_day = std::numeric_limits<int>::max();
+  if ((window_seen & (kDay | kEnd)) == 0)
+    ev.end_day = std::numeric_limits<int>::max();
   if (ev.end_day < ev.start_day)
     return fail(error, "event window end " + std::to_string(ev.end_day) +
                            " precedes start " + std::to_string(ev.start_day));
   return ev;
+}
+
+std::string Timeline::render_event(const TimelineEvent& ev) {
+  std::string out;
+  if (ev.start_day == ev.end_day) {
+    out = "day=" + std::to_string(ev.start_day);
+  } else if (ev.end_day == std::numeric_limits<int>::max()) {
+    out = "start=" + std::to_string(ev.start_day);  // to the horizon
+  } else {
+    out = "start=" + std::to_string(ev.start_day) +
+          " end=" + std::to_string(ev.end_day);
+  }
+  const unsigned keys = kKinds[static_cast<size_t>(ev.kind)].keys;
+  for (size_t i = 0; i < std::size(kKeys); ++i) {
+    const EventKey& k = kKeys[i];
+    if ((keys & (1u << i)) == 0 || !in_range(k, ev)) continue;
+    out += ' ';
+    out += k.name;
+    out += '=';
+    out += k.int_field != nullptr ? std::to_string(ev.*k.int_field)
+                                  : cfgparse::format_double(ev.*k.double_field);
+  }
+  return out;
 }
 
 namespace {

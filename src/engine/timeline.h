@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -150,19 +151,22 @@ struct Timeline {
   [[nodiscard]] bool empty() const { return events.empty(); }
 
   /// Parse one event spec: `kind` is the text after "timeline." in the
-  /// config key ("rollout_wave", "cpe_fix", "outage", "nat64_migration",
-  /// "seasonal", "prefix_renumber", "service_outage", "cgn_exhaustion",
-  /// "device_turnover", "lambda_ramp", "flash_crowd"); `spec` is the
-  /// value — whitespace-separated k=v pairs over keys {day, start, end,
-  /// frac, amp, period, len, svc, ports, rate, mult, hour, hours}.
-  /// `day=N` is shorthand for `start=N end=N`. Unknown kinds,
-  /// unknown or kind-inapplicable keys, values outside their documented
-  /// ranges, NaN/inf, and end < start all fail the parse; when `error` is
-  /// non-null it receives a one-line description naming the offending
-  /// token (never silently ignored).
+  /// config key; `spec` is the value — whitespace-separated k=v pairs.
+  /// Every kind takes the window keys `start`, `end` and `day` (shorthand
+  /// for `start=N end=N`); which other keys it takes or requires, and each
+  /// key's field and range, come from the kind and key tables in
+  /// timeline.cpp. Unknown kinds, unknown or kind-inapplicable keys,
+  /// values outside their ranges, NaN/inf, and end < start all fail the
+  /// parse; when `error` is non-null it receives a one-line description
+  /// naming the offending token (never silently ignored).
   static std::optional<TimelineEvent> parse_event(std::string_view kind,
                                                   std::string_view spec,
                                                   std::string* error = nullptr);
+  /// The inverse of parse_event: the window, then the kind's keys in table
+  /// order, omitting a key whose value is outside its range (the field's
+  /// "not given" default). parse_event(to_string(ev.kind),
+  /// render_event(ev)) == ev for every parsed event.
+  static std::string render_event(const TimelineEvent& ev);
 
   friend bool operator==(const Timeline&, const Timeline&) = default;
 };
@@ -240,6 +244,9 @@ std::string_view trim(std::string_view s);
 bool parse_double(std::string_view v, double& out);
 bool parse_int(std::string_view v, int& out);
 bool parse_u64(std::string_view v, std::uint64_t& out);
+/// %.17g: the shortest printf form that round-trips any double, so text
+/// equality is bit equality.
+std::string format_double(double v);
 
 }  // namespace cfgparse
 

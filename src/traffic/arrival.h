@@ -30,6 +30,7 @@
 //              E[count] = lambda exactly; variance is sub-Poisson.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 
@@ -56,6 +57,13 @@ struct ArrivalConfig {
   /// with integer-truncated boundaries, so the slots tile the hour exactly.
   int ticks_per_hour = 60;
 
+  /// Time slots per simulated hour: 1 in batch mode (the hour is the
+  /// slot), else ticks_per_hour clamped to [1, 3600].
+  [[nodiscard]] int slots_per_hour() const {
+    return mode == ArrivalMode::batch ? 1
+                                      : std::clamp(ticks_per_hour, 1, 3600);
+  }
+
   friend bool operator==(const ArrivalConfig&, const ArrivalConfig&) = default;
 };
 
@@ -79,11 +87,12 @@ int poisson_count(stats::Rng& rng, double lambda);
 /// per-tick restart.
 int uniform_count(stats::Rng& rng, double lambda);
 
-/// Dispatch on an open-loop mode (batch mode never calls this — it keeps
-/// the original per-hour code path). `lambda` is the expected count for
-/// this tick. Rates are clamped to kMaxTickLambda first: a denial-of-
-/// service guard against hand-written configs with absurd activity scales,
-/// far above anything the scenario grammar's validated knobs can express.
+/// One slot's arrival count: a uniform-renewal count in uniform mode, a
+/// Poisson count otherwise (batch mode draws its per-hour counts here
+/// too). `lambda` is the expected count for this slot. Rates are clamped
+/// to kMaxTickLambda first: a denial-of-service guard against configs with
+/// absurd activity scales, which the scenario grammar accepts (it bounds
+/// activity_scale_max only from below).
 int draw_arrivals(ArrivalMode mode, stats::Rng& rng, double lambda);
 
 /// See draw_arrivals.

@@ -348,54 +348,11 @@ double ResidenceSimulator::hour_lambda(int day, int hour,
 }
 
 template <typename Table>
-void ResidenceSimulator::simulate_hour(Table& table, int day, int hour,
-                                       const DayPlan& today) {
-  // Optional tick hook: in batch mode an hour is the tick.
-  if constexpr (requires(Table& t) { t.advance(0, 0); })
-    table.advance(day, hour);
-  const Timestamp hour_start =
-      static_cast<Timestamp>(day) * flowmon::kSecondsPerDay +
-      static_cast<Timestamp>(hour) * flowmon::kSecondsPerHour;
-
-  int sessions = poisson_count(rng_, hour_lambda(day, hour, today));
-  for (int s = 0; s < sessions; ++s) {
-    if (today.outage) {
-      // Connectivity is down: the session never reaches the WAN and the
-      // router sees nothing (humans notice and give up).
-      ++stats_.outage_suppressed;
-      continue;
-    }
-    Timestamp t = hour_start + static_cast<Timestamp>(rng_.below(3600));
-    run_session(rng_, table, t, service_sampler_.sample(rng_),
-                /*background=*/false, today);
-  }
-
-  // Background chatter runs regardless of presence (phones at home, TVs
-  // polling, OS updates) at a low constant rate.
-  int bg = poisson_count(rng_, 1.2);
-  for (int s = 0; s < bg; ++s) {
-    if (today.outage) {
-      ++stats_.outage_suppressed;
-      continue;
-    }
-    Timestamp t = hour_start + static_cast<Timestamp>(rng_.below(3600));
-    size_t idx = background_service(rng_);
-    run_session(rng_, table, t, idx, /*background=*/true, today);
-  }
-
-  // Internal LAN flows: the one thing an outage does not stop.
-  int internal = poisson_count(rng_, cfg_.internal_flows_per_hour *
-                                         std::max(0.2, presence(day, hour)));
-  for (int s = 0; s < internal; ++s)
-    run_internal(rng_, table, hour_start, /*window=*/3600, today);
-}
-
-template <typename Table>
-void ResidenceSimulator::simulate_tick(Table& table, int day, int tick,
+void ResidenceSimulator::simulate_slot(Table& table, int day, int tick,
+                                       int tph, stats::Rng& rng,
                                        const DayPlan& today) {
   if constexpr (requires(Table& t) { t.advance(0, 0); })
     table.advance(day, tick);
-  const int tph = std::clamp(cfg_.arrival.ticks_per_hour, 1, 3600);
   const int hour = tick / tph;
   const int slot = tick % tph;
   const Timestamp hour_start =
@@ -407,16 +364,14 @@ void ResidenceSimulator::simulate_tick(Table& table, int day, int tick,
   const Timestamp t1 =
       hour_start + (static_cast<Timestamp>(slot + 1) * 3600) / tph;
   const Timestamp tick_len = std::max<Timestamp>(t1 - t0, 1);
-
-  // The whole slot runs off one fresh counter-based stream — arrivals and
-  // session bodies alike are pure in (seed, index, day, tick).
-  stats::Rng rng = arrival_tick_rng(cfg_.seed, day, tick);
   const double inv_tph = 1.0 / static_cast<double>(tph);
 
   int sessions = draw_arrivals(cfg_.arrival.mode, rng,
                                hour_lambda(day, hour, today) * inv_tph);
   for (int s = 0; s < sessions; ++s) {
     if (today.outage) {
+      // Connectivity is down: the session never reaches the WAN and the
+      // router sees nothing (humans notice and give up).
       ++stats_.outage_suppressed;
       continue;
     }
@@ -426,6 +381,8 @@ void ResidenceSimulator::simulate_tick(Table& table, int day, int tick,
                 /*background=*/false, today);
   }
 
+  // Background chatter runs regardless of presence (phones at home, TVs
+  // polling, OS updates) at a low constant rate.
   int bg = draw_arrivals(cfg_.arrival.mode, rng, 1.2 * inv_tph);
   for (int s = 0; s < bg; ++s) {
     if (today.outage) {
@@ -438,6 +395,7 @@ void ResidenceSimulator::simulate_tick(Table& table, int day, int tick,
     run_session(rng, table, t, idx, /*background=*/true, today);
   }
 
+  // Internal LAN flows: the one thing an outage does not stop.
   int internal = draw_arrivals(
       cfg_.arrival.mode, rng,
       cfg_.internal_flows_per_hour * std::max(0.2, presence(day, hour)) *
@@ -462,13 +420,18 @@ void ResidenceSimulator::run_day(Table& table, int day) {
                                stats_.outage_suppressed,
                                stats_.service_outage_failed,
                                stats_.cgn_failures};
-  if (cfg_.arrival.mode == ArrivalMode::batch) {
-    for (int hour = 0; hour < 24; ++hour)
-      simulate_hour(table, day, hour, today);
-  } else {
-    const int tph = std::clamp(cfg_.arrival.ticks_per_hour, 1, 3600);
-    for (int tick = 0; tick < 24 * tph; ++tick)
-      simulate_tick(table, day, tick, today);
+  const int tph = cfg_.arrival.slots_per_hour();
+  for (int tick = 0; tick < 24 * tph; ++tick) {
+    if (cfg_.arrival.mode == ArrivalMode::batch) {
+      // One slot per hour on the run-long stream: at tph = 1 the slot
+      // arithmetic is exact, so this is the original per-hour generator.
+      simulate_slot(table, day, tick, tph, rng_, today);
+    } else {
+      // The whole slot runs off one fresh counter-based stream — arrivals
+      // and session bodies alike are pure in (seed, index, day, tick).
+      stats::Rng rng = arrival_tick_rng(cfg_.seed, day, tick);
+      simulate_slot(table, day, tick, tph, rng, today);
+    }
   }
   if (day >= 0 && static_cast<size_t>(day) < stats_.daily.size())
     stats_.daily[static_cast<size_t>(day)] = {

@@ -124,14 +124,14 @@ class ResidenceSimulator {
     flowmon::Timestamp duration;
   };
 
-  template <typename Table>
-  void simulate_hour(Table& table, int day, int hour, const DayPlan& today);
-  /// One open-loop time slot: a fresh counter-based Rng keyed on
-  /// (residence seed, day, tick) draws this tick's arrivals and drives the
-  /// session bodies, so everything inside the slot is pure in
+  /// One time slot (`tph` per hour): `rng` draws the slot's arrivals and
+  /// drives its session bodies. Batch mode passes the run-long rng_ at
+  /// tph = 1; open-loop modes pass a fresh counter-based stream keyed on
+  /// (residence seed, day, tick), so everything inside the slot is pure in
   /// (seed, index, day, tick).
   template <typename Table>
-  void simulate_tick(Table& table, int day, int tick, const DayPlan& today);
+  void simulate_slot(Table& table, int day, int tick, int tph,
+                     stats::Rng& rng, const DayPlan& today);
   /// Session/flow bodies draw from the caller's stream: the batch path
   /// passes the run-long rng_ (bit-identical to the pre-arrival generator),
   /// the open-loop path passes the per-tick stream.
@@ -142,7 +142,7 @@ class ResidenceSimulator {
   void run_internal(stats::Rng& rng, Table& table, flowmon::Timestamp t,
                     flowmon::Timestamp window, const DayPlan& day);
   /// The background-chatter service pick (with its single re-roll toward
-  /// background-profile services); shared by the batch and tick paths.
+  /// background-profile services).
   size_t background_service(stats::Rng& rng);
   [[nodiscard]] bool is_away(int day) const;
   /// The timeline plan governing `day`: the config's provider when it

@@ -5,13 +5,19 @@
 
 namespace nbv6::web {
 
+namespace {
+
+/// Same-site links to click beyond the main page (paper: 5).
+constexpr int kLinkClicks = 5;
+/// Per dual-stack fetch, the probability IPv4 wins the Happy Eyeballs race
+/// anyway (the paper's "about 1 in 10 *sites*" via ~30 fetches).
+constexpr double kHeV4WinProb = 0.004;
+
+}  // namespace
+
 Crawler::Crawler(const Universe& universe, const dns::ZoneDb& zone,
-                 Epoch epoch, CrawlerConfig cfg)
-    : universe_(&universe),
-      zone_(&zone),
-      resolver_(zone),
-      epoch_(epoch),
-      cfg_(cfg) {}
+                 Epoch epoch)
+    : universe_(&universe), zone_(&zone), resolver_(zone), epoch_(epoch) {}
 
 void Crawler::load_page(const Page& page, SiteCrawl& out,
                         stats::Rng& rng) const {
@@ -40,8 +46,8 @@ void Crawler::load_page(const Page& page, SiteCrawl& out,
     obs.has_aaaa = dual.has_v6();
     obs.failed = !dual.reachable();
     if (obs.has_a && obs.has_aaaa) {
-      obs.used = rng.chance(cfg_.he_v4_win_prob) ? net::Family::v4
-                                                 : net::Family::v6;
+      obs.used =
+          rng.chance(kHeV4WinProb) ? net::Family::v4 : net::Family::v6;
     } else {
       obs.used = obs.has_aaaa ? net::Family::v6 : net::Family::v4;
     }
@@ -93,8 +99,8 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
   out.unknown_primary =
       !universe_->psl().registrable_domain(out.main_host).has_value();
   if (out.main_has_a && out.main_has_aaaa) {
-    out.main_used = rng.chance(cfg_.he_v4_win_prob) ? net::Family::v4
-                                                    : net::Family::v6;
+    out.main_used =
+        rng.chance(kHeV4WinProb) ? net::Family::v4 : net::Family::v6;
   } else {
     out.main_used = out.main_has_aaaa ? net::Family::v6 : net::Family::v4;
   }
@@ -117,7 +123,7 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
 }
 
 SiteCrawl Crawler::crawl(std::uint32_t site_index, stats::Rng& rng) const {
-  return crawl_impl(site_index, rng, cfg_.link_clicks);
+  return crawl_impl(site_index, rng, kLinkClicks);
 }
 
 SiteCrawl Crawler::crawl_main_page_only(std::uint32_t site_index,

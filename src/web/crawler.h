@@ -19,14 +19,6 @@
 
 namespace nbv6::web {
 
-struct CrawlerConfig {
-  /// Same-site links to click beyond the main page (paper: 5).
-  int link_clicks = 5;
-  /// Per dual-stack fetch, the probability IPv4 wins the Happy Eyeballs
-  /// race anyway (the paper's "about 1 in 10 *sites*" via ~30 fetches).
-  double he_v4_win_prob = 0.004;
-};
-
 struct ResourceObservation {
   std::uint32_t fqdn = 0;
   ResourceType type = ResourceType::image;
@@ -61,8 +53,7 @@ struct SiteCrawl {
 
 class Crawler {
  public:
-  Crawler(const Universe& universe, const dns::ZoneDb& zone, Epoch epoch,
-          CrawlerConfig cfg = {});
+  Crawler(const Universe& universe, const dns::ZoneDb& zone, Epoch epoch);
 
   /// Crawl one site. `rng` drives link selection and Happy Eyeballs.
   [[nodiscard]] SiteCrawl crawl(std::uint32_t site_index,
@@ -85,7 +76,6 @@ class Crawler {
   const dns::ZoneDb* zone_;
   dns::Resolver resolver_;
   Epoch epoch_;
-  CrawlerConfig cfg_;
 };
 
 }  // namespace nbv6::web

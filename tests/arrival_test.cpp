@@ -125,6 +125,30 @@ TEST(ArrivalDraws, RunawayRatesAreClamped) {
   EXPECT_LT(c, 1.03 * traffic::kMaxTickLambda);
 }
 
+TEST(ArrivalEngine, BatchHoursClampRunawayRates) {
+  // activity_scale has no parse ceiling, so a batch hour must clamp its
+  // rate like an open-loop tick. Unclamped, this one day draws about
+  // 1e12 / 30 Knuth chunks per hour and never finishes.
+  const auto catalog = traffic::build_paper_catalog();
+  traffic::ResidenceConfig cfg = traffic::paper_residences()[0];
+  cfg.days = 1;
+  cfg.activity_scale = 1e12;
+  cfg.arrival.mode = ArrivalMode::batch;
+  cfg.day_plan_fn = [](int) {
+    traffic::DayPlan p;
+    p.outage = true;  // suppressed sessions are counted, never simulated
+    return p;
+  };
+  engine::FlowEventBuffer table;
+  traffic::ResidenceSimulator sim(catalog, cfg);
+  const auto stats = sim.run(table);
+  EXPECT_EQ(stats.sessions, 0u);
+  EXPECT_GE(stats.outage_suppressed, 0.97 * traffic::kMaxTickLambda);
+  // At most the clamp per hour, plus slack for Poisson noise and the
+  // background chatter's ~1.2 sessions an hour.
+  EXPECT_LE(stats.outage_suppressed, 24 * 1.03 * traffic::kMaxTickLambda);
+}
+
 TEST(ArrivalEngine, BatchModeIsBitIdenticalToTheDefaultPath) {
   // An explicit `arrival.mode = batch` — whatever the tick granularity
   // says — must replay byte-for-byte like a config that never mentions

@@ -90,23 +90,13 @@ TEST(BenchCli, HelpReturnsFalseWithExitCode0) {
   EXPECT_EQ(cli.exit_code(), 0);
 }
 
-TEST(BenchCli, PositionalsConsumeInOrder) {
-  std::string first = "f-default";
-  std::string second = "s-default";
+TEST(BenchCli, BareArgumentFailsWithExitCode2) {
+  int n = 0;
   Cli cli("t", "test");
-  cli.positional("first", &first, "");
-  cli.positional("second", &second, "");
-  Argv a({"one"});
-  ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
-  EXPECT_EQ(first, "one");
-  EXPECT_EQ(second, "s-default");  // optional: default survives
-
-  Argv b({"one", "two", "three"});
-  Cli cli2("t", "test");
-  cli2.positional("first", &first, "");
-  cli2.positional("second", &second, "");
-  EXPECT_FALSE(cli2.parse(b.argc(), b.argv()));  // third has no slot
-  EXPECT_EQ(cli2.exit_code(), 2);
+  cli.flag_int("n", &n, "");
+  Argv a({"--n=1", "out.csv"});
+  EXPECT_FALSE(cli.parse(a.argc(), a.argv()));
+  EXPECT_EQ(cli.exit_code(), 2);
 }
 
 TEST(BenchEnv, UnsetUsesFallbackAndValidValueParses) {

@@ -1,35 +1,25 @@
-#include "engine/scenario_fuzz.h"
+#include "scenario_fuzz.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <iterator>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "engine/timeline.h"
 #include "stats/rng.h"
-#include "traffic/residence.h"
 
-namespace nbv6::engine {
+namespace nbv6::testutil {
+
+using engine::cfgparse::format_double;
 
 namespace {
 
-// %.17g: shortest text that round-trips any double exactly — the same
-// convention as the golden serializer, so a promoted fuzz config carries
-// its fractions bit-exactly into examples/scenarios/.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
+// Size caps: one differential check stays cheap enough to run hundreds per
+// CI job (population x horizon in the low thousands of residence-days)
+// while leaving room for every grammar shape.
+constexpr int kMaxResidences = 32;
+constexpr int kMaxDays = 56;
+constexpr int kMaxEvents = 8;
 
 // Boundary-biased draws: determinism bugs live at the edges (a fraction of
 // exactly 0 or 1 flips every per-residence draw the same way; a one-ulp
@@ -143,10 +133,12 @@ std::string fuzz_event_line(stats::Rng& rng, int days) {
   WindowSpec w = fuzz_window(rng, days, sep);
 
   std::string spec = w.text;
-  if (rng.chance(0.8)) spec += sep + "frac=" + fmt_double(fuzz_fraction(rng));
+  if (rng.chance(0.8))
+    spec += sep + "frac=" + format_double(fuzz_fraction(rng));
 
   if (kind == "seasonal") {
-    if (rng.chance(0.7)) spec += sep + "amp=" + fmt_double(fuzz_fraction(rng));
+    if (rng.chance(0.7))
+      spec += sep + "amp=" + format_double(fuzz_fraction(rng));
     if (rng.chance(0.7))
       spec += sep + "period=" + std::to_string(rng.between(1, 3 * days));
   } else if (kind == "outage" || kind == "service_outage") {
@@ -166,28 +158,27 @@ std::string fuzz_event_line(stats::Rng& rng, int days) {
                     : static_cast<int>(rng.between(0, 5000));
     spec += sep + "ports=" + std::to_string(ports);
   } else if (kind == "device_turnover") {
-    spec += sep + "rate=" + fmt_double(fuzz_fraction(rng));
+    spec += sep + "rate=" + format_double(fuzz_fraction(rng));
   } else if (kind == "lambda_ramp") {
-    spec += sep + "mult=" + fmt_double(fuzz_mult(rng));
+    spec += sep + "mult=" + format_double(fuzz_mult(rng));
   } else if (kind == "flash_crowd") {
     spec += sep + "hour=" + std::to_string(rng.below(24));
     if (rng.chance(0.6))
       spec += sep + "hours=" + std::to_string(rng.between(1, 24));
-    spec += sep + "mult=" + fmt_double(fuzz_mult(rng));
+    spec += sep + "mult=" + format_double(fuzz_mult(rng));
   }
   return "timeline." + kind + " = " + spec;
 }
 
 }  // namespace
 
-std::string generate_scenario_text(std::uint64_t seed,
-                                   const ScenarioFuzzOptions& opts) {
+std::string generate_scenario_text(std::uint64_t seed) {
   stats::Rng rng(seed ^ 0x5ce7a7105fu);
-  std::string out = "# fuzz scenario seed=" + fmt_u64(seed) + "\n";
+  std::string out = "# fuzz scenario seed=" + std::to_string(seed) + "\n";
 
-  const int days = fuzz_pick(rng, {1, 2, 7, opts.max_days}, 1, opts.max_days);
+  const int days = fuzz_pick(rng, {1, 2, 7, kMaxDays}, 1, kMaxDays);
   const int residences =
-      fuzz_pick(rng, {1, 2, 3, opts.max_residences}, 1, opts.max_residences);
+      fuzz_pick(rng, {1, 2, 3, kMaxResidences}, 1, kMaxResidences);
 
   // Scalar section: a random subset in a random order (the parser must not
   // care), always including the keys that shape the run.
@@ -197,19 +188,20 @@ std::string generate_scenario_text(std::uint64_t seed,
   std::vector<KV> lines;
   lines.push_back({"residences", std::to_string(residences)});
   lines.push_back({"days", std::to_string(days)});
-  lines.push_back({"seed", fmt_u64(stats::splitmix64(seed))});
+  lines.push_back({"seed", std::to_string(stats::splitmix64(seed))});
   for (const char* key :
        {"dual_stack_isp_frac", "broken_v6_frac", "heavy_streamer_frac",
         "background_only_frac", "opt_out_frac", "absence_prob"}) {
-    if (rng.chance(0.6)) lines.push_back({key, fmt_double(fuzz_fraction(rng))});
+    if (rng.chance(0.6))
+      lines.push_back({key, format_double(fuzz_fraction(rng))});
   }
   if (rng.chance(0.6)) {
     // min <= max by construction, including the degenerate min == max == 0
     // fleet (background chatter only).
     double lo = rng.chance(0.25) ? 0.0 : rng.uniform(0.0, 6.0);
     double hi = rng.chance(0.25) ? lo : lo + rng.uniform(0.0, 6.0);
-    lines.push_back({"activity_scale_min", fmt_double(lo)});
-    lines.push_back({"activity_scale_max", fmt_double(hi)});
+    lines.push_back({"activity_scale_min", format_double(lo)});
+    lines.push_back({"activity_scale_max", format_double(hi)});
   }
   if (rng.chance(0.5)) {
     static constexpr const char* kModes[] = {"batch", "poisson", "uniform"};
@@ -235,7 +227,7 @@ std::string generate_scenario_text(std::uint64_t seed,
   for (const auto& kv : lines) emit_line(out, rng, kv.key, kv.value);
 
   const int events =
-      static_cast<int>(rng.below(static_cast<std::uint64_t>(opts.max_events + 1)));
+      static_cast<int>(rng.below(static_cast<std::uint64_t>(kMaxEvents + 1)));
   for (int e = 0; e < events; ++e) {
     out += fuzz_event_line(rng, days);
     if (rng.chance(0.2)) out += "  # event";
@@ -244,91 +236,4 @@ std::string generate_scenario_text(std::uint64_t seed,
   return out;
 }
 
-std::string to_config_text(const FleetConfig& cfg) {
-  std::string out;
-  out += "residences = " + std::to_string(cfg.residences) + "\n";
-  out += "days = " + std::to_string(cfg.days) + "\n";
-  out += "seed = " + fmt_u64(cfg.seed) + "\n";
-  out += "dual_stack_isp_frac = " + fmt_double(cfg.dual_stack_isp_frac) + "\n";
-  out += "broken_v6_frac = " + fmt_double(cfg.broken_v6_frac) + "\n";
-  out += "heavy_streamer_frac = " + fmt_double(cfg.heavy_streamer_frac) + "\n";
-  out +=
-      "background_only_frac = " + fmt_double(cfg.background_only_frac) + "\n";
-  out += "opt_out_frac = " + fmt_double(cfg.opt_out_frac) + "\n";
-  out += "absence_prob = " + fmt_double(cfg.absence_prob) + "\n";
-  out += "activity_scale_min = " + fmt_double(cfg.activity_scale_min) + "\n";
-  out += "activity_scale_max = " + fmt_double(cfg.activity_scale_max) + "\n";
-  out += "arrival.mode = " +
-         std::string(traffic::to_string(cfg.arrival->mode)) + "\n";
-  out += "arrival.ticks_per_hour = " +
-         std::to_string(cfg.arrival->ticks_per_hour) + "\n";
-  for (const auto& ev : cfg.timeline->events) {
-    out += "timeline.";
-    out += to_string(ev.kind);
-    out += " = ";
-    if (ev.start_day == ev.end_day) {
-      out += "day=" + std::to_string(ev.start_day);
-    } else if (ev.end_day == std::numeric_limits<int>::max()) {
-      out += "start=" + std::to_string(ev.start_day);  // to the horizon
-    } else {
-      out += "start=" + std::to_string(ev.start_day) +
-             " end=" + std::to_string(ev.end_day);
-    }
-    out += " frac=" + fmt_double(ev.fraction);
-    switch (ev.kind) {
-      case TimelineEventKind::seasonal:
-        out += " amp=" + fmt_double(ev.amplitude);
-        if (ev.period_days > 0)
-          out += " period=" + std::to_string(ev.period_days);
-        break;
-      case TimelineEventKind::outage:
-        if (ev.duration_days > 0)
-          out += " len=" + std::to_string(ev.duration_days);
-        break;
-      case TimelineEventKind::service_outage:
-        if (ev.duration_days > 0)
-          out += " len=" + std::to_string(ev.duration_days);
-        out += " svc=" + std::to_string(ev.service);
-        break;
-      case TimelineEventKind::cgn_exhaustion:
-        out += " ports=" + std::to_string(ev.port_budget);
-        break;
-      case TimelineEventKind::device_turnover:
-        out += " rate=" + fmt_double(ev.turnover_rate);
-        break;
-      case TimelineEventKind::lambda_ramp:
-        out += " mult=" + fmt_double(ev.mult);
-        break;
-      case TimelineEventKind::flash_crowd:
-        out += " hour=" + std::to_string(ev.hour) +
-               " hours=" + std::to_string(ev.hour_span) +
-               " mult=" + fmt_double(ev.mult);
-        break;
-      default:
-        break;
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::optional<std::string> check_parse_round_trip(std::string_view text) {
-  std::string error;
-  auto cfg = FleetConfig::parse(text, &error);
-  if (!cfg) return "initial parse failed: " + error;
-
-  const std::string rendered = to_config_text(*cfg);
-  auto cfg2 = FleetConfig::parse(rendered, &error);
-  if (!cfg2)
-    return "rendered text failed to reparse: " + error +
-           "\nrendered:\n" + rendered;
-  if (!(*cfg == *cfg2))
-    return "config changed across render/reparse\nrendered:\n" + rendered;
-  // Render must be a fixed point: a second pass through the renderer that
-  // changed a byte would mean non-canonical float formatting.
-  if (to_config_text(*cfg2) != rendered)
-    return "renderer is not a fixed point\nrendered:\n" + rendered;
-  return std::nullopt;
-}
-
-}  // namespace nbv6::engine
+}  // namespace nbv6::testutil

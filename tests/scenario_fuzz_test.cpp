@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/scenario_fuzz.h"
+#include "scenario_fuzz.h"
 #include "testutil.h"
 #include "traffic/arrival.h"
 #include "traffic/service_catalog.h"
@@ -34,7 +34,7 @@ TEST(ScenarioFuzz, GeneratedScenariosAlwaysParse) {
   // rejection here means the generator and the grammar disagree — exactly
   // the silent drift this test exists to catch.
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
-    const std::string text = engine::generate_scenario_text(seed);
+    const std::string text = testutil::generate_scenario_text(seed);
     std::string error;
     auto cfg = engine::FleetConfig::parse(text, &error);
     ASSERT_TRUE(cfg.has_value())
@@ -50,7 +50,8 @@ TEST(ScenarioFuzz, GeneratorCoversTheEventGrammar) {
   std::set<traffic::ArrivalMode> modes;
   bool saw_day = false, saw_open = false, saw_closed = false;
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
-    auto cfg = engine::FleetConfig::parse(engine::generate_scenario_text(seed));
+    auto cfg =
+        engine::FleetConfig::parse(testutil::generate_scenario_text(seed));
     ASSERT_TRUE(cfg.has_value());
     modes.insert(cfg->arrival->mode);
     for (const auto& ev : cfg->timeline->events) {
@@ -87,7 +88,7 @@ TEST(ScenarioFuzz, DifferentialInvariantsHoldOnGeneratedScenarios) {
   const std::uint64_t count = env_u64("NBV6_FUZZ_SCENARIOS", 64);
   const std::uint64_t base = env_u64("NBV6_FUZZ_SEED", 0x1a5c0ffeeull);
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string text = engine::generate_scenario_text(base + i);
+    const std::string text = testutil::generate_scenario_text(base + i);
     auto err = testutil::fuzz_check_scenario(text, catalog);
     ASSERT_FALSE(err.has_value())
         << "scenario seed " << (base + i) << " failed: " << *err

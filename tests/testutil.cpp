@@ -14,7 +14,6 @@
 #include "core/scenario_pipeline.h"
 #include "engine/pipeline.h"
 #include "engine/run_spec.h"
-#include "engine/scenario_fuzz.h"
 
 namespace nbv6::testutil {
 

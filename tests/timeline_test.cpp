@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/fleet_analysis.h"
@@ -65,6 +67,87 @@ TEST(TimelineParse, RejectsBadSpecs) {
   EXPECT_FALSE(Timeline::parse_event("outage", "start=1 start=2").has_value());
   // Malformed tokens.
   EXPECT_FALSE(Timeline::parse_event("outage", "start").has_value());
+}
+
+TEST(TimelineParse, EveryKindNameParsesBackToItsKind) {
+  // The keys each kind requires; the rest parse from a window alone.
+  auto required = [](TimelineEventKind k) -> std::string {
+    switch (k) {
+      case TimelineEventKind::service_outage: return " svc=1";
+      case TimelineEventKind::cgn_exhaustion: return " ports=1";
+      case TimelineEventKind::lambda_ramp: return " mult=2";
+      case TimelineEventKind::flash_crowd: return " hour=1 mult=2";
+      default: return "";
+    }
+  };
+  const int kinds = static_cast<int>(TimelineEventKind::flash_crowd) + 1;
+  std::set<std::string> names;
+  for (int i = 0; i < kinds; ++i) {
+    const auto kind = static_cast<TimelineEventKind>(i);
+    const std::string name = to_string(kind);
+    names.insert(name);
+    std::string error;
+    auto ev = Timeline::parse_event(name, "day=1" + required(kind), &error);
+    ASSERT_TRUE(ev.has_value()) << name << ": " << error;
+    EXPECT_EQ(ev->kind, kind) << name;
+  }
+  EXPECT_EQ(names.size(), static_cast<size_t>(kinds));
+}
+
+TEST(TimelineRender, EveryKindAndOptionalKeyRendersToAPinnedText) {
+  // Keys are given out of order; the render puts them in table order after
+  // the window and omits the ones left at their "not given" default
+  // (period, len) while printing defaults that are legal values (frac,
+  // amp, rate, hours).
+  auto cfg = FleetConfig::parse(
+      "days = 30\n"
+      "timeline.rollout_wave = frac=0.25 end=5 start=1\n"
+      "timeline.cpe_fix = day=2\n"
+      "timeline.outage = len=2 start=3\n"
+      "timeline.outage = day=4\n"
+      "timeline.nat64_migration = end=9 start=5 frac=0.5\n"
+      "timeline.seasonal = period=28 amp=0.5 start=0\n"
+      "timeline.seasonal = start=1\n"
+      "timeline.prefix_renumber = day=6 frac=1\n"
+      "timeline.service_outage = len=2 svc=3 day=7\n"
+      "timeline.service_outage = svc=63 day=7\n"
+      "timeline.cgn_exhaustion = ports=0 day=8\n"
+      "timeline.device_turnover = rate=0.75 end=9 start=2\n"
+      "timeline.device_turnover = start=2\n"
+      "timeline.lambda_ramp = mult=0.0625 start=3\n"
+      "timeline.flash_crowd = mult=16 hours=3 hour=22 day=9\n"
+      "timeline.flash_crowd = hour=0 mult=2 day=9\n");
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(to_config_text(*cfg),
+            "residences = 64\n"
+            "days = 30\n"
+            "seed = 1\n"
+            "dual_stack_isp_frac = 0.84999999999999998\n"
+            "broken_v6_frac = 0.10000000000000001\n"
+            "heavy_streamer_frac = 0.25\n"
+            "background_only_frac = 0.050000000000000003\n"
+            "opt_out_frac = 0.20000000000000001\n"
+            "absence_prob = 0.29999999999999999\n"
+            "activity_scale_min = 1\n"
+            "activity_scale_max = 9.5\n"
+            "arrival.mode = batch\n"
+            "arrival.ticks_per_hour = 60\n"
+            "timeline.rollout_wave = start=1 end=5 frac=0.25\n"
+            "timeline.cpe_fix = day=2 frac=1\n"
+            "timeline.outage = start=3 frac=1 len=2\n"
+            "timeline.outage = day=4 frac=1\n"
+            "timeline.nat64_migration = start=5 end=9 frac=0.5\n"
+            "timeline.seasonal = start=0 frac=1 amp=0.5 period=28\n"
+            "timeline.seasonal = start=1 frac=1 amp=0.29999999999999999\n"
+            "timeline.prefix_renumber = day=6 frac=1\n"
+            "timeline.service_outage = day=7 frac=1 len=2 svc=3\n"
+            "timeline.service_outage = day=7 frac=1 svc=63\n"
+            "timeline.cgn_exhaustion = day=8 frac=1 ports=0\n"
+            "timeline.device_turnover = start=2 end=9 frac=1 rate=0.75\n"
+            "timeline.device_turnover = start=2 frac=1 rate=1\n"
+            "timeline.lambda_ramp = start=3 frac=1 mult=0.0625\n"
+            "timeline.flash_crowd = day=9 frac=1 hour=22 hours=3 mult=16\n"
+            "timeline.flash_crowd = day=9 frac=1 hour=0 hours=1 mult=2\n");
 }
 
 TEST(TimelineParse, FleetConfigTimelineSection) {

@@ -1,4 +1,5 @@
-// nbv6_lint — repo-specific determinism lint over src/.
+// nbv6_lint — repo-specific determinism lint over src/ (and the scenario
+// fuzz generator in tests/).
 //
 // The engine's core promise is bit-identical output for a fixed (config,
 // seed) at any thread count. That dies quietly when someone reaches for an
@@ -17,9 +18,10 @@
 //                    between machines.
 //   unordered-iter   range-for over a std::unordered_{map,set} variable in
 //                    the files that feed canonical serialization
-//                    (core/fleet_analysis.*, engine/scenario_fuzz.*,
-//                    flowmon/export.*) — iteration order there is part of
-//                    golden bytes.
+//                    (core/fleet_analysis.*, flowmon/export.*, the config
+//                    renderer in engine/fleet.* and engine/timeline.*, and
+//                    the fuzz generator tests/scenario_fuzz.*) — iteration
+//                    order there is part of golden bytes.
 //   purity-comment   every splitmix64( / stats::Rng( draw site in
 //                    engine/timeline.cpp and traffic/arrival.cpp must have
 //                    a nearby comment (<= 16 lines above) containing
@@ -32,8 +34,10 @@
 // same line — grep-able, reviewed, and per-line.
 //
 // Modes:
-//   nbv6_lint <dir> [<dir>...]     lint every .h/.cpp/.cc under the dirs;
-//                                  print findings, exit 1 if any.
+//   nbv6_lint <path> [<path>...]   lint every .h/.cpp/.cc under each
+//                                  directory and each named file; print
+//                                  findings, exit 1 if any. A file is
+//                                  reported under the path as given.
 //   nbv6_lint --self-test <dir>    fixture mode: each file's first line
 //                                  declares `// nbv6-lint-fixture:
 //                                  expect(<rule>)` (or expect(none)); the
@@ -208,8 +212,10 @@ struct Options {
 /// Files whose iteration order becomes golden bytes.
 bool canonical_serialization_file(const std::string& rel) {
   return path_contains(rel, "core/fleet_analysis.") ||
-         path_contains(rel, "engine/scenario_fuzz.") ||
-         path_contains(rel, "flowmon/export.");
+         path_contains(rel, "engine/fleet.") ||
+         path_contains(rel, "engine/timeline.") ||
+         path_contains(rel, "flowmon/export.") ||
+         path_contains(rel, "tests/scenario_fuzz.");
 }
 
 /// Files under the purity comment contract for RNG draw sites.
@@ -342,12 +348,17 @@ std::string relative_to(const fs::path& p, const fs::path& root) {
   return fs::relative(p, root).generic_string();
 }
 
-int run_lint(const std::vector<std::string>& dirs) {
+int run_lint(const std::vector<std::string>& paths) {
   std::vector<Finding> findings;
-  for (const auto& d : dirs) {
-    const fs::path root(d);
-    if (!fs::exists(root)) {
-      std::fprintf(stderr, "nbv6_lint: no such directory: %s\n", d.c_str());
+  for (const auto& p : paths) {
+    const fs::path root(p);
+    if (fs::is_regular_file(root)) {
+      lint_file(root, root.generic_string(), Options{}, findings);
+      continue;
+    }
+    if (!fs::is_directory(root)) {
+      std::fprintf(stderr, "nbv6_lint: no such file or directory: %s\n",
+                   p.c_str());
       return 2;
     }
     for (const auto& f : source_files(root))
@@ -429,7 +440,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) {
     std::fprintf(stderr,
-                 "usage: nbv6_lint <dir> [<dir>...]\n"
+                 "usage: nbv6_lint <dir-or-file> [<dir-or-file>...]\n"
                  "       nbv6_lint --self-test <fixtures-dir>\n");
     return 2;
   }
