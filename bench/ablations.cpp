@@ -33,10 +33,10 @@ void ablation_crawl_depth() {
 void ablation_bytes_vs_flows() {
   bench::section("Ablation 2: byte- vs flow-based IPv6 fractions");
   auto catalog = traffic::build_paper_catalog();
-  auto residences = bench::simulate_residences(catalog);
+  const auto residences = bench::simulate_residences(catalog).residences;
   for (const auto& r : residences) {
-    auto bytes = r.monitor->daily_v6_fractions(flowmon::Scope::external, true);
-    auto flows = r.monitor->daily_v6_fractions(flowmon::Scope::external, false);
+    auto bytes = r.monitor.daily_v6_fractions(flowmon::Scope::external, true);
+    auto flows = r.monitor.daily_v6_fractions(flowmon::Scope::external, false);
     std::printf(
         "  Residence %s: daily byte-fraction sd=%.3f, flow-fraction sd=%.3f "
         "(flows steadier: %s)\n",
@@ -69,10 +69,10 @@ void ablation_dup_flows() {
 void ablation_as_vs_domain() {
   bench::section("Ablation 4: AS-level vs domain-level attribution");
   auto catalog = traffic::build_paper_catalog();
-  auto residences = bench::simulate_residences(catalog);
+  const auto residences = bench::simulate_residences(catalog).residences;
   const auto& r = residences[0];
-  auto by_as = core::as_usage(*r.monitor, catalog.as_map(), 0.0);
-  auto by_domain = core::domain_usage(*r.monitor, catalog, 0);
+  auto by_as = core::as_usage(r.monitor, catalog.as_map(), 0.0);
+  auto by_domain = core::domain_usage(r.monitor, catalog, 0);
   std::printf("  Residence A: %zu ASes vs %zu reverse-DNS domains\n",
               by_as.size(), by_domain.size());
   // Domains that several ASes collapse into (the cloud-canonical-name

@@ -22,8 +22,8 @@
 #include "bench_cli.h"
 #include "cloud/providers.h"
 #include "core/client_analysis.h"
-#include "engine/flat_conntrack.h"
 #include "engine/fleet.h"
+#include "engine/run_spec.h"
 #include "engine/thread_pool.h"
 #include "core/server_analysis.h"
 #include "flowmon/monitor.h"
@@ -93,32 +93,6 @@ inline void print_boxplot(const stats::BoxPlot& b, const std::string& label) {
               b.whisker_high, b.outliers.size());
 }
 
-/// One simulated residence: config and the monitor its flows fed (a
-/// monitor must not move while attached, hence the unique_ptr wrapper).
-struct SimulatedResidence {
-  traffic::ResidenceConfig config;
-  std::unique_ptr<flowmon::FlowMonitor> monitor;
-};
-
-/// Run all five paper residences for NBV6_DAYS days.
-inline std::vector<SimulatedResidence> simulate_residences(
-    const traffic::ServiceCatalog& catalog) {
-  int days = env_int("NBV6_DAYS", 274);
-  std::vector<SimulatedResidence> out;
-  for (auto cfg : traffic::paper_residences()) {
-    cfg.days = days;
-    SimulatedResidence r;
-    r.config = cfg;
-    r.monitor = std::make_unique<flowmon::FlowMonitor>();
-    engine::FlatConntrack table;
-    r.monitor->attach(table);
-    traffic::ResidenceSimulator sim(catalog, cfg);
-    sim.run(table);
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 /// The fleet figure binaries' shared scenario defaults, one place so both
 /// figures always run the same fleet.
 inline engine::FleetConfig default_bench_fleet() {
@@ -151,6 +125,18 @@ inline int resolve_lanes(int threads) {
 inline std::unique_ptr<engine::ThreadPool> lane_pool(int lanes) {
   if (lanes <= 1) return nullptr;
   return std::make_unique<engine::ThreadPool>(lanes - 1);
+}
+
+/// Run all five paper residences for NBV6_DAYS days through
+/// engine::simulate_fleet on a hardware-concurrency pool; `residences[i]`
+/// is paper residence i.
+inline engine::FleetResult simulate_residences(
+    const traffic::ServiceCatalog& catalog) {
+  auto configs = traffic::paper_residences();
+  const int days = env_int("NBV6_DAYS", 274);
+  for (auto& cfg : configs) cfg.days = days;
+  const auto pool = lane_pool(resolve_lanes(0));
+  return engine::simulate_fleet(catalog, configs, pool.get());
 }
 
 /// The standard web universe at NBV6_SITES scale.

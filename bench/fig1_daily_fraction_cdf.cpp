@@ -7,12 +7,12 @@ using namespace nbv6;
 int main() {
   bench::section("Figure 1 / Figure 16: daily IPv6 fraction CDFs");
   auto catalog = traffic::build_paper_catalog();
-  auto residences = bench::simulate_residences(catalog);
+  const auto residences = bench::simulate_residences(catalog).residences;
 
   for (const auto& r : residences) {
     for (auto scope : {flowmon::Scope::external, flowmon::Scope::internal}) {
       for (bool by_bytes : {true, false}) {
-        auto fracs = r.monitor->daily_v6_fractions(scope, by_bytes);
+        auto fracs = r.monitor.daily_v6_fractions(scope, by_bytes);
         if (fracs.empty()) continue;
         std::string label = "Residence " + r.config.name + " " +
                             std::string(flowmon::to_string(scope)) +

@@ -55,18 +55,18 @@ void describe(const core::DiurnalDecomposition& d, const std::string& label) {
 int main() {
   bench::section("Figure 2 / 13-15: MSTL decomposition of IPv6 fractions");
   auto catalog = traffic::build_paper_catalog();
-  auto residences = bench::simulate_residences(catalog);
+  const auto residences = bench::simulate_residences(catalog).residences;
 
   // Fig. 2: Residence A, byte fraction.
-  describe(core::diurnal_decomposition(*residences[0].monitor, true),
+  describe(core::diurnal_decomposition(residences[0].monitor, true),
            "Fig 2: Residence A, hourly IPv6 byte fraction");
   // Fig. 13: Residence A, flow fraction.
-  describe(core::diurnal_decomposition(*residences[0].monitor, false),
+  describe(core::diurnal_decomposition(residences[0].monitor, false),
            "Fig 13: Residence A, hourly IPv6 flow fraction");
   // Figs. 14-15: Residences B and C, byte fraction, full period.
-  describe(core::diurnal_decomposition(*residences[1].monitor, true),
+  describe(core::diurnal_decomposition(residences[1].monitor, true),
            "Fig 14: Residence B, hourly IPv6 byte fraction");
-  describe(core::diurnal_decomposition(*residences[2].monitor, true),
+  describe(core::diurnal_decomposition(residences[2].monitor, true),
            "Fig 15: Residence C, hourly IPv6 byte fraction");
 
   std::printf(

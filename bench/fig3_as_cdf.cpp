@@ -7,12 +7,12 @@ using namespace nbv6;
 int main() {
   bench::section("Figure 3: per-AS IPv6 byte fraction CDFs by residence");
   auto catalog = traffic::build_paper_catalog();
-  auto residences = bench::simulate_residences(catalog);
+  const auto residences = bench::simulate_residences(catalog).residences;
 
   // Per-residence AS usage at the paper's >= 0.01% traffic threshold.
   std::vector<std::vector<core::AsUsage>> per_res;
   for (const auto& r : residences)
-    per_res.push_back(core::as_usage(*r.monitor, catalog.as_map(), 1e-4));
+    per_res.push_back(core::as_usage(r.monitor, catalog.as_map(), 1e-4));
 
   // ASes present at >= 3 residences (the paper's 35).
   auto shared = core::ases_at_min_residences(per_res, 3);

@@ -11,11 +11,11 @@ using namespace nbv6;
 int main() {
   bench::section("Figure 4: per-AS IPv6 fraction box plots by category");
   auto catalog = traffic::build_paper_catalog();
-  auto residences = bench::simulate_residences(catalog);
+  const auto residences = bench::simulate_residences(catalog).residences;
 
   std::vector<std::vector<core::AsUsage>> per_res;
   for (const auto& r : residences)
-    per_res.push_back(core::as_usage(*r.monitor, catalog.as_map(), 1e-4));
+    per_res.push_back(core::as_usage(r.monitor, catalog.as_map(), 1e-4));
   auto shared = core::ases_at_min_residences(per_res, 3);
 
   // Group by catalog category; sort by median within each group.
@@ -42,7 +42,7 @@ int main() {
   bench::section("Figure 17: per-domain (reverse DNS) IPv6 fraction box plots");
   std::vector<std::vector<core::DomainUsage>> dom_per_res;
   for (const auto& r : residences)
-    dom_per_res.push_back(core::domain_usage(*r.monitor, catalog, 0));
+    dom_per_res.push_back(core::domain_usage(r.monitor, catalog, 0));
   // Paper threshold: >= 3 residences and >= 100 MB total.
   auto domains = core::domains_at_min_residences(dom_per_res, 3, 100'000'000);
   std::sort(domains.begin(), domains.end(), [](const auto& a, const auto& b) {

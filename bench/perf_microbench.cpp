@@ -138,27 +138,6 @@ void BM_FleetIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetIngest)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
-// Parallel cycle-subseries MSTL (4 lanes) on the same series shape as
-// BM_MstlDecompose for a direct speedup read-out.
-void BM_MstlDecomposeParallel(benchmark::State& state) {
-  stats::Rng rng(4);
-  std::vector<double> ys(static_cast<size_t>(state.range(0)));
-  for (size_t i = 0; i < ys.size(); ++i)
-    ys[i] = 0.5 + 0.2 * std::sin(2 * 3.14159 * static_cast<double>(i) / 24.0) +
-            rng.normal(0, 0.05);
-  engine::ThreadPool pool(4);
-  stats::MstlConfig cfg;
-  cfg.periods = {24, 168};
-  cfg.pool = &pool;
-  stats::StlWorkspace ws;
-  stats::MstlResult r;
-  for (auto _ : state) {
-    stats::mstl_decompose(ys, cfg, ws, r);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_MstlDecomposeParallel)->Arg(24 * 30)->Arg(24 * 90)->Arg(24 * 365)->Unit(benchmark::kMillisecond);
-
 void BM_MstlDecompose(benchmark::State& state) {
   stats::Rng rng(4);
   std::vector<double> ys(static_cast<size_t>(state.range(0)));

@@ -25,10 +25,10 @@ void print_scope_row(const char* scope, const core::ScopeReport& r) {
 int main() {
   bench::section("Table 1: per-residence IPv6 traffic (external & internal)");
   auto catalog = traffic::build_paper_catalog();
-  auto residences = bench::simulate_residences(catalog);
+  const auto residences = bench::simulate_residences(catalog).residences;
 
   for (const auto& r : residences) {
-    auto report = core::analyze_residence(r.config.name, *r.monitor);
+    auto report = core::analyze_residence(r.config.name, r.monitor);
     std::printf("Residence %s\n", report.name.c_str());
     print_scope_row("External", report.external);
     print_scope_row("Internal", report.internal);

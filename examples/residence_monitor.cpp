@@ -7,19 +7,24 @@
 // prints the Table-1-style report, the per-service leaders/laggards, and
 // the diurnal decomposition summary.
 //
-//   ./build/examples/residence_monitor [days]
+//   ./build/example_residence_monitor [days]   (days >= 1, default 90)
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/client_analysis.h"
 #include "engine/flat_conntrack.h"
+#include "engine/timeline.h"
 #include "flowmon/monitor.h"
 #include "traffic/generator.h"
 
 using namespace nbv6;
 
 int main(int argc, char** argv) {
-  int days = argc > 1 ? std::atoi(argv[1]) : 90;
+  int days = 90;
+  if (argc > 1 && (!engine::cfgparse::parse_int(argv[1], days) || days < 1)) {
+    std::fprintf(stderr, "days must be a positive integer, got '%s'\n",
+                 argv[1]);
+    return 2;
+  }
 
   auto catalog = traffic::build_paper_catalog();
 

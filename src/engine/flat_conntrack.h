@@ -58,7 +58,6 @@ class FlatConntrack {
   void flush(flowmon::Timestamp now);
 
   [[nodiscard]] std::size_t live_count() const { return live_; }
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
  private:
   struct Slot {

@@ -1,13 +1,13 @@
 // A small reusable worker pool for the fleet engine and the parallel
-// statistics paths.
+// analysis passes.
 //
 // Design goals, in order: deterministic results (the pool never decides
 // *what* work produces — callers partition work into index-addressed units
 // whose outputs land in caller-owned slots), low overhead for coarse tasks
 // (one condition-variable wake per task batch, not per task), and zero
 // dependencies beyond std::thread. This is deliberately not a work-stealing
-// scheduler: fleet shards and STL cycle-subseries are coarse, uniform-ish
-// units where an atomic ticket counter load-balances fine.
+// scheduler: fleet shards and per-residence analyses are coarse,
+// uniform-ish units where an atomic ticket counter load-balances fine.
 #pragma once
 
 #include <atomic>

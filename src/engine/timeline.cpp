@@ -94,14 +94,14 @@ constexpr EventKey kKeys[] = {
     {"amp", nullptr, &TimelineEvent::amplitude, 0.0, 1.0},
     {"period", &TimelineEvent::period_days, nullptr, 1, kIntMax},
     {"len", &TimelineEvent::duration_days, nullptr, 1, kIntMax},
-    // The day-state service mask is 64 bits wide; indices must fit it.
+    // The day plan's service mask is 64 bits wide; indices must fit it.
     {"svc", &TimelineEvent::service, nullptr, 0, 63},
     {"ports", &TimelineEvent::port_budget, nullptr, 0, kIntMax},
     {"rate", nullptr, &TimelineEvent::turnover_rate, 0.0, 1.0},
     {"hour", &TimelineEvent::hour, nullptr, 0, 23},
     {"hours", &TimelineEvent::hour_span, nullptr, 1, 24},
     // (0, 16]: the smallest positive double as the lower bound opens the
-    // range at 0. The day-state composition clamps stacked multipliers to
+    // range at 0. The day-plan composition clamps stacked multipliers to
     // the same ceiling, so a single event never exceeds what a stack can.
     {"mult", nullptr, &TimelineEvent::mult,
      std::numeric_limits<double>::denorm_min(), 16.0},
@@ -308,6 +308,37 @@ EventDraw draw_event(const TimelineEvent& ev, int window_end,
   return d;
 }
 
+/// Last day of `ev`'s window inside the horizon. An event whose whole
+/// window lies past the horizon keeps a one-day window at its start and
+/// simply never fires.
+int window_last(const TimelineEvent& ev, int days) {
+  return std::max(ev.start_day, std::min(ev.end_day, days - 1));
+}
+
+bool in_window(const TimelineEvent& ev, int day, int days) {
+  return day >= ev.start_day && day <= window_last(ev, days);
+}
+
+/// outage / service_outage: with len > 0 each affected home is down for
+/// its own len days from its drawn day, otherwise for the whole window.
+bool down_today(const TimelineEvent& ev, const EventDraw& d, int day,
+                int days) {
+  // 64-bit bound: start + len near INT_MAX is parser-legal.
+  if (ev.duration_days > 0)
+    return day >= d.day &&
+           day < static_cast<long long>(d.day) + ev.duration_days;
+  return in_window(ev, day, days);
+}
+
+/// lambda_ramp / device_turnover: the linear ramp's progress across the
+/// clamped window on `day` >= start_day, holding at 1 after the window
+/// (ramped rates stay, replaced devices stay replaced).
+double ramp_progress(const TimelineEvent& ev, int day, int days) {
+  const int last = window_last(ev, days);
+  const double span = static_cast<double>(last - ev.start_day + 1);
+  return static_cast<double>(std::min(day, last) - ev.start_day + 1) / span;
+}
+
 constexpr double kTau = 6.28318530717958647692;
 
 /// One residence's draws for every event, hoisted out of the day loop:
@@ -316,24 +347,28 @@ std::vector<EventDraw> draw_all_events(const Timeline& tl, std::uint64_t seed,
                                        int index, int days) {
   std::vector<EventDraw> draws;
   draws.reserve(tl.events.size());
-  for (size_t e = 0; e < tl.events.size(); ++e) {
-    const TimelineEvent& ev = tl.events[e];
-    // Clamp the window to the horizon (events whose whole window lies past
-    // the horizon keep a one-day window there and simply never fire).
-    const int window_end =
-        std::max(ev.start_day, std::min(ev.end_day, days - 1));
-    draws.push_back(draw_event(ev, window_end, seed, e, index));
-  }
+  for (size_t e = 0; e < tl.events.size(); ++e)
+    draws.push_back(draw_event(tl.events[e], window_last(tl.events[e], days),
+                               seed, e, index));
   return draws;
 }
 
-TimelineDayState day_state_from_draws(const Timeline& tl,
-                                      std::span<const EventDraw> draws,
-                                      int day, int days,
-                                      const ResidenceTraits& base) {
-  TimelineDayState s;
-  s.isp_v6 = base.dual_stack_isp;
-  s.cpe_broken = base.dual_stack_isp && base.broken_v6;
+/// The plan for one residence-day: every event applied to the sampled base
+/// traits, then the day's IPv6 state resolved against the residence's
+/// sampled internal_v6_frac and device_v6_ok_frac (the values negative
+/// plan fields fall back to). kStaticDayPlan outside [0, days). The one
+/// evaluator timeline_day_plan and the lazy providers share.
+traffic::DayPlan plan_day(const Timeline& tl, std::span<const EventDraw> draws,
+                          int day, int days, const ResidenceTraits& base,
+                          double static_internal_v6_frac,
+                          double static_device_v6_ok_frac) {
+  if (day < 0 || day >= days) return traffic::kStaticDayPlan;
+  traffic::DayPlan p;
+  bool isp_v6 = base.dual_stack_isp;  // the ISP delegates IPv6 today
+  bool cpe_broken = base.dual_stack_isp && base.broken_v6;
+  // Share of the broken-device gap closed by turnover so far; concurrent
+  // turnover events compose as independent repairs, staying inside [0, 1].
+  double v6_ok_uplift = 0.0;
 
   for (size_t e = 0; e < tl.events.size(); ++e) {
     const TimelineEvent& ev = tl.events[e];
@@ -341,33 +376,24 @@ TimelineDayState day_state_from_draws(const Timeline& tl,
     if (!d.affected) continue;
     switch (ev.kind) {
       case TimelineEventKind::rollout_wave:
-        if (!base.dual_stack_isp && day >= d.day) s.isp_v6 = true;
+        if (!base.dual_stack_isp && day >= d.day) isp_v6 = true;
         break;
       case TimelineEventKind::cpe_fix:
-        if (day >= d.day) s.cpe_broken = false;
+        if (day >= d.day) cpe_broken = false;
         break;
       case TimelineEventKind::outage:
-        if (ev.duration_days > 0) {
-          // 64-bit bound: start + len near INT_MAX is parser-legal.
-          if (day >= d.day &&
-              day < static_cast<long long>(d.day) + ev.duration_days)
-            s.outage = true;
-        } else if (day >= ev.start_day &&
-                   day <= std::max(ev.start_day,
-                                   std::min(ev.end_day, days - 1))) {
-          s.outage = true;
-        }
+        if (down_today(ev, d, day, days)) p.outage = true;
         break;
       case TimelineEventKind::nat64_migration:
         if (day >= d.day) {
-          s.nat64 = true;
-          s.isp_v6 = true;  // the v6-only access network delegates v6
+          p.nat64 = true;
+          isp_v6 = true;  // the v6-only access network delegates v6
         }
         break;
       case TimelineEventKind::seasonal:
-        if (day >= ev.start_day && day <= ev.end_day) {
+        if (in_window(ev, day, days)) {
           int period = ev.period_days > 0 ? ev.period_days : 364;
-          s.activity_mult *=
+          p.activity_mult *=
               1.0 + ev.amplitude *
                         std::sin(kTau * static_cast<double>(day - ev.start_day) /
                                  static_cast<double>(period));
@@ -377,110 +403,64 @@ TimelineDayState day_state_from_draws(const Timeline& tl,
         // Each rotation is permanent; overlapping renumber events stack one
         // epoch each, in event order, so the epoch is reproducible for any
         // subset of events landing by `day`.
-        if (day >= d.day) ++s.prefix_epoch;
+        if (day >= d.day) ++p.prefix_epoch;
         break;
       case TimelineEventKind::service_outage:
-        if (ev.duration_days > 0) {
-          if (day >= d.day &&
-              day < static_cast<long long>(d.day) + ev.duration_days)
-            s.service_down_mask |= 1ull << ev.service;
-        } else if (day >= ev.start_day &&
-                   day <= std::max(ev.start_day,
-                                   std::min(ev.end_day, days - 1))) {
-          s.service_down_mask |= 1ull << ev.service;
-        }
+        if (down_today(ev, d, day, days))
+          p.service_down_mask |= 1ull << ev.service;
         break;
       case TimelineEventKind::cgn_exhaustion:
-        if (day >= ev.start_day &&
-            day <= std::max(ev.start_day, std::min(ev.end_day, days - 1))) {
-          s.cgn_port_budget = s.cgn_port_budget < 0
+        if (in_window(ev, day, days)) {
+          p.cgn_port_budget = p.cgn_port_budget < 0
                                   ? ev.port_budget
-                                  : std::min(s.cgn_port_budget, ev.port_budget);
+                                  : std::min(p.cgn_port_budget, ev.port_budget);
         }
         break;
-      case TimelineEventKind::lambda_ramp: {
-        if (day < ev.start_day) break;
-        // Linear ramp across the clamped window toward `mult`, holding at
-        // `mult` afterwards (same shape as device_turnover). Multiple
-        // ramps compose multiplicatively; see the clamp after the loop.
-        const int wend =
-            std::max(ev.start_day, std::min(ev.end_day, days - 1));
-        const double span = static_cast<double>(wend - ev.start_day + 1);
-        double progress =
-            static_cast<double>(std::min(day, wend) - ev.start_day + 1) / span;
-        s.lambda_mult *= 1.0 + (ev.mult - 1.0) * progress;
+      case TimelineEventKind::lambda_ramp:
+        // Ramps toward `mult` and holds there. Multiple ramps compose
+        // multiplicatively; see the clamp after the loop.
+        if (day >= ev.start_day)
+          p.lambda_mult *= 1.0 + (ev.mult - 1.0) * ramp_progress(ev, day, days);
         break;
-      }
       case TimelineEventKind::flash_crowd:
-        if (day >= ev.start_day &&
-            day <= std::max(ev.start_day, std::min(ev.end_day, days - 1))) {
+        if (in_window(ev, day, days)) {
           // The burst slots come from the event, not a per-home draw:
           // every affected home spikes in the same hours. Slots past hour
           // 23 are dropped (no wrap into the next day).
           const int first = ev.hour;
           const int last = std::min(first + ev.hour_span, 24);
           for (int h = first; h < last; ++h)
-            s.flash_hour_mask |= 1u << h;
-          s.flash_mult *= ev.mult;
+            p.flash_hour_mask |= 1u << h;
+          p.flash_mult *= ev.mult;
         }
         break;
-      case TimelineEventKind::device_turnover: {
-        if (day < ev.start_day) break;
-        // Linear ramp across the clamped window, holding at the window's
-        // terminal value afterwards (replaced devices stay replaced).
-        const int wend =
-            std::max(ev.start_day, std::min(ev.end_day, days - 1));
-        const double span = static_cast<double>(wend - ev.start_day + 1);
-        double progress =
-            static_cast<double>(std::min(day, wend) - ev.start_day + 1) / span;
-        const double uplift = ev.turnover_rate * progress;
-        // Concurrent turnover events compose as independent repairs of the
-        // remaining broken share, so the composite stays inside [0, 1].
-        s.v6_ok_uplift = 1.0 - (1.0 - s.v6_ok_uplift) * (1.0 - uplift);
+      case TimelineEventKind::device_turnover:
+        if (day >= ev.start_day) {
+          const double uplift =
+              ev.turnover_rate * ramp_progress(ev, day, days);
+          v6_ok_uplift = 1.0 - (1.0 - v6_ok_uplift) * (1.0 - uplift);
+        }
         break;
-      }
     }
   }
   // Stacked ramps/crowds could grow without bound; clamp the composites to
   // the single-event parse ceiling. std::clamp returns the value itself
   // when in range, so un-modulated days keep their exact 1.0 (the batch
   // bit-identity) and single events are never altered.
-  s.lambda_mult = std::clamp(s.lambda_mult, 1.0 / 16.0, 16.0);
-  s.flash_mult = std::clamp(s.flash_mult, 1.0 / 16.0, 16.0);
-  return s;
-}
+  p.lambda_mult = std::clamp(p.lambda_mult, 1.0 / 16.0, 16.0);
+  p.flash_mult = std::clamp(p.flash_mult, 1.0 / 16.0, 16.0);
 
-/// TimelineDayState -> the traffic layer's DayPlan for one residence. The
-/// single conversion timeline_day_plan and the lazy providers share, so
-/// the two cannot drift apart. `static_internal_v6_frac` is the residence's
-/// sampled internal_v6_frac and `static_device_v6_ok_frac` its sampled
-/// device_v6_ok_frac (the values negative plan fields fall back to).
-traffic::DayPlan day_plan_from_state(const TimelineDayState& s,
-                                     const ResidenceTraits& base,
-                                     double static_internal_v6_frac,
-                                     double static_device_v6_ok_frac) {
-  traffic::DayPlan p;
-  p.activity_mult = s.activity_mult;
-  p.outage = s.outage;
-  p.nat64 = s.nat64;
-  p.prefix_epoch = s.prefix_epoch;
-  p.service_down_mask = s.service_down_mask;
-  p.cgn_port_budget = s.cgn_port_budget;
-  p.lambda_mult = s.lambda_mult;
-  p.flash_hour_mask = s.flash_hour_mask;
-  p.flash_mult = s.flash_mult;
-  // Effective device/internal IPv6 for the day. Negative values mean
-  // "keep the sampled static config"; only genuine state changes are
-  // materialized so a no-op event leaves the plan at defaults.
-  if (s.nat64 && !base.dual_stack_isp) {
+  // Effective device/internal IPv6 for the day. Only genuine state changes
+  // are materialized, so a no-op event leaves the plan at its defaults.
+  if (p.nat64 && !base.dual_stack_isp) {
     // A formerly v4-only home behind the new v6-only access network:
     // devices overwhelmingly speak v6 once a prefix finally exists.
     p.device_v6_ok_frac = 0.95;
     p.internal_v6_frac = std::max(static_internal_v6_frac, 0.75);
   } else if (base.dual_stack_isp) {
-    if (base.broken_v6 && !s.cpe_broken)
+    if (base.broken_v6 && !cpe_broken)
       p.device_v6_ok_frac = 1.0;  // firmware fix landed
-  } else if (s.isp_v6) {
+  } else if (isp_v6) {
     // Rollout wave flipped a v4-only home on: working device IPv6 and
     // a LAN that starts using it.
     p.device_v6_ok_frac = 1.0;
@@ -489,31 +469,22 @@ traffic::DayPlan day_plan_from_state(const TimelineDayState& s,
   // Device turnover closes part of the remaining broken-device gap. Only
   // homes with delegated IPv6 feel it — a fresh device without a prefix is
   // still v4-only on the WAN.
-  if (s.v6_ok_uplift > 0.0 && s.isp_v6) {
+  if (v6_ok_uplift > 0.0 && isp_v6) {
     const double eff = p.device_v6_ok_frac >= 0.0 ? p.device_v6_ok_frac
                                                   : static_device_v6_ok_frac;
-    p.device_v6_ok_frac = eff + (1.0 - eff) * s.v6_ok_uplift;
+    p.device_v6_ok_frac = eff + (1.0 - eff) * v6_ok_uplift;
   }
   return p;
 }
 
 }  // namespace
 
-TimelineDayState timeline_day_state(const Timeline& tl, std::uint64_t seed,
-                                    int index, int day, int days,
-                                    const ResidenceTraits& base) {
-  return day_state_from_draws(tl, draw_all_events(tl, seed, index, days), day,
-                              days, base);
-}
-
 traffic::DayPlan timeline_day_plan(const Timeline& tl, std::uint64_t seed,
                                    int index, int day, int days,
                                    const ResidenceTraits& base,
                                    const traffic::ResidenceConfig& sampled) {
-  if (day < 0 || day >= days) return traffic::kStaticDayPlan;
-  return day_plan_from_state(
-      timeline_day_state(tl, seed, index, day, days, base), base,
-      sampled.internal_v6_frac, sampled.device_v6_ok_frac);
+  return plan_day(tl, draw_all_events(tl, seed, index, days), day, days, base,
+                  sampled.internal_v6_frac, sampled.device_v6_ok_frac);
 }
 
 void apply_timeline(SampledFleet& fleet, const Timeline& tl,
@@ -529,20 +500,18 @@ void apply_timeline(SampledFleet& fleet, const Timeline& tl,
   for (size_t i = 0; i < fleet.configs.size(); ++i) {
     traffic::ResidenceConfig& cfg = fleet.configs[i];
     // The per-(event, residence) draws are day-invariant: derive them once
-    // per residence, not once per (residence, day).
+    // per residence, not once per (residence, day). Days outside the
+    // horizon keep the static configuration, even when a config's days
+    // exceed the horizon given here: fired events must not leak into days
+    // the timeline never covered.
     cfg.day_plan_fn = [shared_tl,
                        draws = draw_all_events(tl, seed, static_cast<int>(i),
                                                days),
                        base = fleet.traits[i], days,
                        internal_v6 = cfg.internal_v6_frac,
                        device_v6 = cfg.device_v6_ok_frac](int day) {
-      // Days outside the horizon keep the static configuration, even when
-      // a config's days exceed the horizon given to apply_timeline: fired
-      // events must not leak into days the timeline never covered.
-      if (day < 0 || day >= days) return traffic::kStaticDayPlan;
-      return day_plan_from_state(
-          day_state_from_draws(*shared_tl, draws, day, days, base), base,
-          internal_v6, device_v6);
+      return plan_day(*shared_tl, draws, day, days, base, internal_v6,
+                      device_v6);
     };
   }
 }

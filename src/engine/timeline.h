@@ -13,7 +13,7 @@
 // per event, repeatable). Every per-residence decision an event makes —
 // whether a home is affected, on which day its flip/fix/migration lands —
 // is a pure function of (scenario seed, event ordinal, residence index),
-// and the resulting day state is a pure function of (seed, index, day).
+// and the resulting day plan is a pure function of (seed, index, day).
 // Nothing depends on sampling order, population size beyond the index, or
 // engine thread count, so a timeline replay is bit-identical for any lane
 // count — the invariant the golden-replay suite pins.
@@ -171,52 +171,18 @@ struct Timeline {
   friend bool operator==(const Timeline&, const Timeline&) = default;
 };
 
-/// The effective condition of residence `index` on `day` after every event
-/// is applied to its sampled base traits. Pure function of (seed, index,
-/// day, horizon, base) — see the file comment for why that purity matters.
-struct TimelineDayState {
-  bool isp_v6 = false;       ///< ISP delegates IPv6 this day
-  bool cpe_broken = false;   ///< device IPv6 still flaky this day
-  bool outage = false;       ///< external connectivity down this day
-  bool nat64 = false;        ///< behind a v6-only (NAT64) access network
-  double activity_mult = 1.0;  ///< seasonal interactive-activity multiplier
-  /// Delegated-prefix generation: 0 until a prefix_renumber event lands,
-  /// +1 per landed rotation. Changes every LAN v6 source prefix.
-  int prefix_epoch = 0;
-  /// Bit s set = catalog service s is unreachable this day.
-  std::uint64_t service_down_mask = 0;
-  /// Per-day v4 CGN port budget; -1 = unconstrained. Overlapping
-  /// cgn_exhaustion events take the minimum.
-  int cgn_port_budget = -1;
-  /// Share of the broken-IPv6 device gap closed by turnover so far, in
-  /// [0, 1]; concurrent turnover events compose as independent repairs.
-  double v6_ok_uplift = 0.0;
-  /// Composite lambda_ramp multiplier; exactly 1.0 when no ramp applies
-  /// (the bit-identity batch-mode goldens rely on).
-  double lambda_mult = 1.0;
-  /// Union of active flash-crowd hour slots (bit h = hour h bursts).
-  std::uint32_t flash_hour_mask = 0;
-  /// Composite flash-crowd intensity for masked hours; exactly 1.0 when no
-  /// crowd is active.
-  double flash_mult = 1.0;
-
-  friend bool operator==(const TimelineDayState&,
-                         const TimelineDayState&) = default;
-};
-
-/// `days` is the scenario horizon: event windows are clamped to
-/// [start_day, days - 1] before the per-residence day draw, so "to the
-/// horizon" windows (no `end=` in the spec) stagger changes across the
-/// simulated period rather than an unbounded future.
-TimelineDayState timeline_day_state(const Timeline& tl, std::uint64_t seed,
-                                    int index, int day, int days,
-                                    const ResidenceTraits& base);
-
-/// The traffic layer's plan for residence `index` on `day`: its
-/// timeline_day_state converted against `sampled`, the residence's sampled
-/// static config (the values "keep static" plan fields fall back to).
-/// kStaticDayPlan outside [0, days). Pure in the same arguments as
-/// timeline_day_state; what every provider apply_timeline installs returns.
+/// The traffic layer's plan for residence `index` on `day`: every event
+/// applied to its sampled base traits, with the day's device and LAN IPv6
+/// resolved against `sampled`, the residence's sampled static config (the
+/// values "keep static" plan fields fall back to). Pure function of (tl,
+/// seed, index, day, days, base, sampled) — see the file comment for why
+/// that purity matters. `days` is the scenario horizon: event windows are
+/// clamped to [start_day, days - 1] before the per-residence day draw, so
+/// "to the horizon" windows (no `end=` in the spec) stagger changes across
+/// the simulated period rather than an unbounded future; kStaticDayPlan
+/// outside [0, days). Runs the same evaluator as the providers
+/// apply_timeline installs, but redraws the residence's events on every
+/// call: the materialized reference the lazy providers are checked against.
 traffic::DayPlan timeline_day_plan(const Timeline& tl, std::uint64_t seed,
                                    int index, int day, int days,
                                    const ResidenceTraits& base,

@@ -138,18 +138,14 @@ void loess_core(XAt x_at, std::span<const double> ys, const LoessConfig& cfg,
       out[i] = ys[i];
       continue;
     }
-    if (cfg.degree == 0) {
-      out[i] = swy / sw;
+    double denom = sw * swxx - swx * swx;
+    if (std::abs(denom) < 1e-12 * sw * sw || swxx == 0.0) {
+      out[i] = swy / sw;  // degenerate: all x equal, fall back to mean
     } else {
-      double denom = sw * swxx - swx * swx;
-      if (std::abs(denom) < 1e-12 * sw * sw || swxx == 0.0) {
-        out[i] = swy / sw;  // degenerate: all x equal, fall back to mean
-      } else {
-        // Fit y = a + b*dx around dx = 0; value at the target is `a`.
-        double b = (sw * swxy - swx * swy) / denom;
-        double a = (swy - b * swx) / sw;
-        out[i] = a;
-      }
+      // Fit y = a + b*dx around dx = 0; value at the target is `a`.
+      double b = (sw * swxy - swx * swy) / denom;
+      double a = (swy - b * swx) / sw;
+      out[i] = a;
     }
   }
 }

@@ -23,8 +23,6 @@ struct LoessConfig {
   double span_fraction = 0.3;
   /// Absolute neighbourhood size; overrides span_fraction when > 0.
   int span_points = 0;
-  /// Polynomial degree of the local fit: 0 (mean) or 1 (linear).
-  int degree = 1;
 };
 
 /// Smooth `ys` observed at `xs` (strictly increasing), evaluated back at

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "engine/thread_pool.h"
 #include "stats/loess.h"
 
 namespace nbv6::stats {
@@ -93,45 +92,30 @@ void stl_decompose(std::span<const double> ys, const StlConfig& cfg,
 
       // 2. Cycle-subseries smoothing: gather each phase into workspace
       // buffers, smooth, scatter back — no per-phase allocations once the
-      // buffers hit their high-water marks. The phases are independent
-      // (disjoint gather/scatter index sets), so with a pool configured
-      // they fan out across lanes, each phase on its own buffer set;
-      // either way every phase runs the identical FP sequence, so pooled
-      // and sequential results are bit-identical.
+      // buffers hit their high-water marks.
       const bool robust = !ws.robustness.empty();
-      auto smooth_phase = [&](int phase, StlSubseriesBuffers& b) {
+      for (int phase = 0; phase < period; ++phase) {
         const size_t count =
             (n - static_cast<size_t>(phase) + static_cast<size_t>(period) - 1) /
             static_cast<size_t>(period);
-        b.sub.resize(count);
-        b.smooth.resize(count);
-        b.rob.resize(robust ? count : 0);
+        ws.sub.resize(count);
+        ws.sub_smooth.resize(count);
+        ws.sub_rob.resize(robust ? count : 0);
         size_t k = 0;
         for (size_t i = static_cast<size_t>(phase); i < n;
              i += static_cast<size_t>(period)) {
-          b.sub[k] = ws.detrended[i];
-          if (robust) b.rob[k] = ws.robustness[i];
+          ws.sub[k] = ws.detrended[i];
+          if (robust) ws.sub_rob[k] = ws.robustness[i];
           ++k;
         }
         LoessConfig lc;
         lc.span_points = std::min<int>(seasonal_span, static_cast<int>(count));
-        lc.degree = 1;
-        loess_unit_into(b.sub, lc, b.rob, b.smooth);
+        loess_unit_into(ws.sub, lc, ws.sub_rob, ws.sub_smooth);
         k = 0;
         for (size_t i = static_cast<size_t>(phase); i < n;
              i += static_cast<size_t>(period)) {
-          ws.cycle[i] = b.smooth[k++];
+          ws.cycle[i] = ws.sub_smooth[k++];
         }
-      };
-      if (cfg.pool != nullptr && period > 1) {
-        ws.subseries_par.resize(static_cast<size_t>(period));
-        cfg.pool->parallel_for(
-            static_cast<size_t>(period), [&](size_t phase) {
-              smooth_phase(static_cast<int>(phase), ws.subseries_par[phase]);
-            });
-      } else {
-        for (int phase = 0; phase < period; ++phase)
-          smooth_phase(phase, ws.subseries);
       }
 
       // 3. Low-pass filter the preliminary seasonal and subtract, so the
@@ -142,7 +126,6 @@ void stl_decompose(std::span<const double> ys, const StlConfig& cfg,
       moving_average_into(ws.lowpass2, 3, ws.lowpass);
       LoessConfig lp_cfg;
       lp_cfg.span_points = trend_span;
-      lp_cfg.degree = 1;
       loess_unit_into(ws.lowpass, lp_cfg, {}, ws.lowpass2);
       for (size_t i = 0; i < n; ++i) r.seasonal[i] = ws.cycle[i] - ws.lowpass2[i];
 
@@ -150,7 +133,6 @@ void stl_decompose(std::span<const double> ys, const StlConfig& cfg,
       for (size_t i = 0; i < n; ++i) ws.deseason[i] = ys[i] - r.seasonal[i];
       LoessConfig tc;
       tc.span_points = std::min<int>(trend_span, static_cast<int>(n));
-      tc.degree = 1;
       loess_unit_into(ws.deseason, tc, ws.robustness, r.trend);
     }
 
@@ -229,7 +211,6 @@ void mstl_decompose(std::span<const double> ys, const MstlConfig& cfg,
       sc.period = periods[k];
       sc.inner_iterations = cfg.inner_iterations;
       sc.outer_iterations = cfg.outer_iterations;
-      sc.pool = cfg.pool;
       stl_decompose(ws.partial, sc, ws, ws.stl_scratch);
       std::swap(r.seasonals[k], ws.stl_scratch.seasonal);
       // The trend from the longest-period STL (last refined) is the final

@@ -25,10 +25,6 @@
 #include <span>
 #include <vector>
 
-namespace nbv6::engine {
-class ThreadPool;
-}  // namespace nbv6::engine
-
 namespace nbv6::stats {
 
 struct StlConfig {
@@ -38,27 +34,12 @@ struct StlConfig {
   int trend_span = 0;            ///< LOESS span (points) for trend; 0 = auto
   int inner_iterations = 2;
   int outer_iterations = 0;      ///< robustness iterations (0 = none)
-  /// Optional pool for the cycle-subseries smoothing: the `period` per-phase
-  /// LOESS fits are independent, so they fan out across the pool's lanes.
-  /// Results are bit-identical to the sequential path (each phase performs
-  /// the same FP operations on the same data either way). nullptr = run
-  /// sequentially.
-  engine::ThreadPool* pool = nullptr;
 };
 
 struct StlResult {
   std::vector<double> trend;
   std::vector<double> seasonal;
   std::vector<double> remainder;
-};
-
-/// Gather/smooth buffers for one cycle-subseries phase. The sequential
-/// path reuses one set; the pooled path holds one per phase so lanes never
-/// share scratch.
-struct StlSubseriesBuffers {
-  std::vector<double> sub;     ///< gathered cycle-subseries
-  std::vector<double> rob;     ///< gathered robustness weights
-  std::vector<double> smooth;  ///< smoothed cycle-subseries
 };
 
 /// Reusable scratch space for stl_decompose / mstl_decompose. Buffers grow
@@ -71,8 +52,9 @@ struct StlWorkspace {
   std::vector<double> lowpass;     ///< low-pass ping buffer
   std::vector<double> lowpass2;    ///< low-pass pong buffer
   std::vector<double> deseason;    ///< ys - seasonal
-  StlSubseriesBuffers subseries;   ///< sequential cycle-subseries scratch
-  std::vector<StlSubseriesBuffers> subseries_par;  ///< pooled: one per phase
+  std::vector<double> sub;         ///< one phase's gathered cycle-subseries
+  std::vector<double> sub_rob;     ///< its gathered robustness weights
+  std::vector<double> sub_smooth;  ///< its smoothed cycle-subseries
   std::vector<double> robustness;  ///< bisquare outer weights (empty = 1.0)
   std::vector<double> abs_rem;     ///< |remainder| for the weight update
   std::vector<double> partial;     ///< MSTL: series minus other seasonals
@@ -93,8 +75,6 @@ struct MstlConfig {
   int refinement_passes = 2;     ///< outer MSTL iterations over the periods
   int inner_iterations = 2;
   int outer_iterations = 0;
-  /// Forwarded to each per-period STL fit; see StlConfig::pool.
-  engine::ThreadPool* pool = nullptr;
 };
 
 struct MstlResult {

@@ -631,11 +631,4 @@ std::optional<DomainCategory> Universe::categorize(
   return tenants_[it->second].category;
 }
 
-std::optional<std::uint32_t> Universe::find_tenant(
-    std::string_view etld1) const {
-  auto it = tenant_by_name_.find(etld1);
-  if (it == tenant_by_name_.end()) return std::nullopt;
-  return it->second;
-}
-
 }  // namespace nbv6::web

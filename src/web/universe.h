@@ -200,10 +200,6 @@ class Universe {
   [[nodiscard]] std::optional<DomainCategory> categorize(
       std::string_view etld1) const;
 
-  /// Tenant index of an eTLD+1, if present.
-  [[nodiscard]] std::optional<std::uint32_t> find_tenant(
-      std::string_view etld1) const;
-
  private:
   void build_third_parties(stats::Rng& rng);
   void build_sites(stats::Rng& rng);

@@ -1,5 +1,5 @@
 // Timeline tests: event-spec parsing (including the extended FleetConfig
-// section), the purity guarantee — day states depend only on (seed, index,
+// section), the purity guarantee — day plans depend only on (seed, index,
 // day, horizon) — and the end-to-end behavioural effects of each event
 // kind on a simulated fleet.
 #include <gtest/gtest.h>
@@ -201,7 +201,16 @@ TEST(TimelineParse, RejectsEventsStartingPastTheHorizon) {
 
 // -------------------------------------------------------------- purity
 
-TEST(TimelineDayStateTest, PureFunctionOfSeedIndexDay) {
+/// A sampled static config for timeline_day_plan: `device` is the device
+/// IPv6 share turnover composes on when no event resolved one.
+traffic::ResidenceConfig sampled_config(double device = 1.0) {
+  traffic::ResidenceConfig c;
+  c.device_v6_ok_frac = device;
+  c.internal_v6_frac = 0.5;
+  return c;
+}
+
+TEST(TimelinePlan, PureFunctionOfSeedIndexDay) {
   Timeline tl;
   tl.events.push_back(
       *Timeline::parse_event("rollout_wave", "start=5 end=25 frac=0.6"));
@@ -219,11 +228,12 @@ TEST(TimelineDayStateTest, PureFunctionOfSeedIndexDay) {
 
   // Same (seed, index, day) -> same state, no matter the call order or how
   // many other (index, day) pairs were evaluated in between.
+  const auto sampled = sampled_config();
   auto probe = [&](int index, int day) {
-    return timeline_day_state(tl, seed, index, day, days,
-                              index % 2 ? ds_home : v4_home);
+    return timeline_day_plan(tl, seed, index, day, days,
+                             index % 2 ? ds_home : v4_home, sampled);
   };
-  std::vector<TimelineDayState> forward, scrambled;
+  std::vector<traffic::DayPlan> forward, scrambled;
   for (int i = 0; i < 16; ++i)
     for (int d = 0; d < days; ++d) forward.push_back(probe(i, d));
   for (int d = days - 1; d >= 0; --d)
@@ -237,16 +247,105 @@ TEST(TimelineDayStateTest, PureFunctionOfSeedIndexDay) {
       EXPECT_EQ(forward[fwd], scrambled[scr]) << "i=" << i << " d=" << d;
     }
 
-  // Monotone events stay monotone: once rolled out / migrated, never back.
+  // Monotone events stay monotone: once rolled out, never back. A v4-only
+  // home has IPv6 exactly when its plan resolves a device share; a
+  // dual-stack home has it throughout and its healthy devices never change.
   for (int i = 0; i < 16; ++i) {
     bool was_v6 = false;
     for (int d = 0; d < days; ++d) {
-      auto s = probe(i, d);
-      if (was_v6) {
-        EXPECT_TRUE(s.isp_v6) << "rollback at i=" << i << " d=" << d;
+      auto p = probe(i, d);
+      if (i % 2 != 0) {
+        EXPECT_EQ(p.device_v6_ok_frac, -1.0) << "i=" << i << " d=" << d;
+        continue;
       }
-      was_v6 = s.isp_v6;
+      const bool v6 = p.device_v6_ok_frac >= 0.0;
+      if (was_v6) {
+        EXPECT_TRUE(v6) << "rollback at i=" << i << " d=" << d;
+      }
+      was_v6 = v6;
     }
+  }
+}
+
+TEST(TimelinePlan, ResolvesAgainstSampledStatics) {
+  // The device/LAN IPv6 fields of a plan resolve the day's ISP and CPE
+  // state against the residence's sampled statics; a negative field means
+  // "keep the sampled value".
+  ResidenceTraits v4_home;
+  ResidenceTraits broken_home;
+  broken_home.dual_stack_isp = true;
+  broken_home.broken_v6 = true;
+  ResidenceTraits healthy_home;
+  healthy_home.dual_stack_isp = true;
+  traffic::ResidenceConfig low_lan;  // LAN share below the 0.75 floor
+  low_lan.device_v6_ok_frac = 0.0;
+  low_lan.internal_v6_frac = 0.2;
+  traffic::ResidenceConfig high_lan;  // and above it
+  high_lan.device_v6_ok_frac = 0.0;
+  high_lan.internal_v6_frac = 0.9;
+  traffic::ResidenceConfig flaky;
+  flaky.device_v6_ok_frac = 0.4;
+  flaky.internal_v6_frac = 0.5;
+  auto one = [](std::string_view kind, std::string_view spec) {
+    Timeline tl;
+    tl.events.push_back(*Timeline::parse_event(kind, spec));
+    return tl;
+  };
+  auto plan = [](const Timeline& tl, int day, const ResidenceTraits& base,
+                 const traffic::ResidenceConfig& sampled) {
+    return timeline_day_plan(tl, 17, 0, day, 10, base, sampled);
+  };
+
+  // Rollout on a v4-only home: working devices, LAN at least 0.75.
+  const Timeline rollout = one("rollout_wave", "day=3");
+  EXPECT_EQ(plan(rollout, 2, v4_home, low_lan), traffic::kStaticDayPlan);
+  for (const auto* sampled : {&low_lan, &high_lan}) {
+    const auto p = plan(rollout, 3, v4_home, *sampled);
+    EXPECT_EQ(p.device_v6_ok_frac, 1.0);
+    EXPECT_EQ(p.internal_v6_frac, std::max(sampled->internal_v6_frac, 0.75));
+  }
+
+  // Firmware fix on a broken dual-stack home: devices work, LAN untouched.
+  const Timeline fix = one("cpe_fix", "day=4");
+  EXPECT_EQ(plan(fix, 3, broken_home, flaky), traffic::kStaticDayPlan);
+  EXPECT_EQ(plan(fix, 4, broken_home, flaky).device_v6_ok_frac, 1.0);
+  EXPECT_EQ(plan(fix, 4, broken_home, flaky).internal_v6_frac, -1.0);
+
+  // NAT64 on a v4-only home: 0.95 device share, LAN at least 0.75.
+  const Timeline nat64 = one("nat64_migration", "day=5");
+  for (const auto* sampled : {&low_lan, &high_lan}) {
+    const auto p = plan(nat64, 5, v4_home, *sampled);
+    EXPECT_TRUE(p.nat64);
+    EXPECT_EQ(p.device_v6_ok_frac, 0.95);
+    EXPECT_EQ(p.internal_v6_frac, std::max(sampled->internal_v6_frac, 0.75));
+  }
+
+  // Turnover composes on the day's resolved device share: the sampled one
+  // before the fix lands, the fixed 1.0 after it.
+  Timeline fix_then_turnover = one("device_turnover", "start=2 end=5 rate=0.5");
+  fix_then_turnover.events.push_back(*Timeline::parse_event("cpe_fix", "day=4"));
+  const double uplift_day3 = 0.5 * (2.0 / 4.0);
+  EXPECT_EQ(plan(fix_then_turnover, 3, broken_home, flaky).device_v6_ok_frac,
+            0.4 + (1.0 - 0.4) * uplift_day3);
+  EXPECT_EQ(plan(fix_then_turnover, 4, broken_home, flaky).device_v6_ok_frac,
+            1.0);
+  // Behind NAT64 the composition starts from 0.95.
+  Timeline nat64_turnover = one("nat64_migration", "day=1");
+  nat64_turnover.events.push_back(
+      *Timeline::parse_event("device_turnover", "start=2 end=5 rate=0.5"));
+  EXPECT_EQ(plan(nat64_turnover, 3, v4_home, low_lan).device_v6_ok_frac,
+            0.95 + (1.0 - 0.95) * uplift_day3);
+  // Without delegated IPv6 a turnover does nothing.
+  const Timeline turnover = one("device_turnover", "start=2 end=5 rate=0.5");
+  EXPECT_EQ(plan(turnover, 3, v4_home, low_lan), traffic::kStaticDayPlan);
+
+  // Events that change nothing leave the -1 sentinels.
+  for (const auto& [tl, base] :
+       {std::pair{rollout, healthy_home}, std::pair{fix, healthy_home},
+        std::pair{fix, v4_home}, std::pair{nat64, healthy_home}}) {
+    const auto p = plan(tl, 9, base, flaky);
+    EXPECT_EQ(p.device_v6_ok_frac, -1.0);
+    EXPECT_EQ(p.internal_v6_frac, -1.0);
   }
 }
 
@@ -300,7 +399,7 @@ TEST(TimelineApply, LazyMatchesMaterializedOnAllScenarios) {
   }
 }
 
-TEST(TimelineDayStateTest, ExtremeStartAndLenStayDefined) {
+TEST(TimelinePlan, ExtremeStartAndLenStayDefined) {
   // Parser-legal but absurd values (start and len at INT_MAX) must not
   // overflow the window arithmetic; the event simply never fires inside
   // the horizon.
@@ -310,8 +409,8 @@ TEST(TimelineDayStateTest, ExtremeStartAndLenStayDefined) {
   ResidenceTraits base;
   base.dual_stack_isp = true;
   for (int day = 0; day < 10; ++day) {
-    auto s = timeline_day_state(tl, 1, 0, day, 10, base);
-    EXPECT_FALSE(s.outage) << day;
+    auto p = timeline_day_plan(tl, 1, 0, day, 10, base, sampled_config());
+    EXPECT_FALSE(p.outage) << day;
   }
 }
 
@@ -549,7 +648,7 @@ TEST(TimelineParse, ErrorMessagesNameTheOffendingToken) {
             std::string::npos);
 }
 
-TEST(TimelineDayStateTest, PrefixRenumberStacksEpochsPermanently) {
+TEST(TimelinePlan, PrefixRenumberStacksEpochsPermanently) {
   Timeline tl;
   tl.events.push_back(*Timeline::parse_event("prefix_renumber", "day=5"));
   tl.events.push_back(*Timeline::parse_event("prefix_renumber", "day=10"));
@@ -558,20 +657,21 @@ TEST(TimelineDayStateTest, PrefixRenumberStacksEpochsPermanently) {
   for (int index = 0; index < 8; ++index) {
     int prev = 0;
     for (int day = 0; day < 20; ++day) {
-      auto s = timeline_day_state(tl, 99, index, day, 20, base);
-      EXPECT_GE(s.prefix_epoch, prev) << "epoch rolled back";
-      prev = s.prefix_epoch;
+      auto p = timeline_day_plan(tl, 99, index, day, 20, base,
+                                 sampled_config());
+      EXPECT_GE(p.prefix_epoch, prev) << "epoch rolled back";
+      prev = p.prefix_epoch;
       if (day < 5) {
-        EXPECT_EQ(s.prefix_epoch, 0);
+        EXPECT_EQ(p.prefix_epoch, 0);
       }
       if (day >= 10) {
-        EXPECT_EQ(s.prefix_epoch, 2);  // both rotations landed
+        EXPECT_EQ(p.prefix_epoch, 2);  // both rotations landed
       }
     }
   }
 }
 
-TEST(TimelineDayStateTest, CgnBudgetTakesTheMinimumOfOverlappingEvents) {
+TEST(TimelinePlan, CgnBudgetTakesTheMinimumOfOverlappingEvents) {
   Timeline tl;
   tl.events.push_back(
       *Timeline::parse_event("cgn_exhaustion", "start=2 end=10 ports=500"));
@@ -579,40 +679,47 @@ TEST(TimelineDayStateTest, CgnBudgetTakesTheMinimumOfOverlappingEvents) {
       *Timeline::parse_event("cgn_exhaustion", "start=5 end=7 ports=100"));
   ResidenceTraits base;
   for (int day = 0; day < 14; ++day) {
-    auto s = timeline_day_state(tl, 7, 0, day, 14, base);
+    auto p = timeline_day_plan(tl, 7, 0, day, 14, base, sampled_config());
     if (day < 2 || day > 10) {
-      EXPECT_EQ(s.cgn_port_budget, -1) << "day " << day;
+      EXPECT_EQ(p.cgn_port_budget, -1) << "day " << day;
     } else if (day >= 5 && day <= 7) {
-      EXPECT_EQ(s.cgn_port_budget, 100) << "day " << day;
+      EXPECT_EQ(p.cgn_port_budget, 100) << "day " << day;
     } else {
-      EXPECT_EQ(s.cgn_port_budget, 500) << "day " << day;
+      EXPECT_EQ(p.cgn_port_budget, 500) << "day " << day;
     }
   }
 }
 
-TEST(TimelineDayStateTest, DeviceTurnoverRampsAndPersists) {
+TEST(TimelinePlan, DeviceTurnoverRampsAndPersists) {
   Timeline tl;
   tl.events.push_back(
       *Timeline::parse_event("device_turnover", "start=4 end=7 rate=0.8"));
   ResidenceTraits base;
   base.dual_stack_isp = true;
-  double prev = 0.0;
+  // The uplift closes part of the sampled device share's broken gap:
+  // device = eff + (1 - eff) * uplift.
+  const double eff = 0.5;
+  const auto sampled = sampled_config(eff);
+  auto device = [&](int day) {
+    return timeline_day_plan(tl, 3, 0, day, 12, base, sampled)
+        .device_v6_ok_frac;
+  };
+  double prev = eff;
   for (int day = 0; day < 12; ++day) {
-    auto s = timeline_day_state(tl, 3, 0, day, 12, base);
-    EXPECT_GE(s.v6_ok_uplift, 0.0);
-    EXPECT_LE(s.v6_ok_uplift, 1.0);
+    const double d = device(day);
     if (day < 4) {
-      EXPECT_EQ(s.v6_ok_uplift, 0.0) << "day " << day;
-    } else {
-      EXPECT_GE(s.v6_ok_uplift, prev) << "uplift must never regress";
+      // No uplift yet: the plan keeps the sampled share.
+      EXPECT_EQ(d, -1.0) << "day " << day;
+      continue;
     }
-    prev = s.v6_ok_uplift;
+    EXPECT_GE(d, eff);
+    EXPECT_LE(d, 1.0);
+    EXPECT_GE(d, prev) << "uplift must never regress";
+    prev = d;
   }
   // Terminal value: the full rate by the window's end, held afterwards.
-  auto end_state = timeline_day_state(tl, 3, 0, 7, 12, base);
-  auto after = timeline_day_state(tl, 3, 0, 11, 12, base);
-  EXPECT_DOUBLE_EQ(end_state.v6_ok_uplift, 0.8);
-  EXPECT_DOUBLE_EQ(after.v6_ok_uplift, 0.8);
+  EXPECT_DOUBLE_EQ(device(7), eff + (1.0 - eff) * 0.8);
+  EXPECT_DOUBLE_EQ(device(11), eff + (1.0 - eff) * 0.8);
 }
 
 TEST(TimelineApply, DayPlanCarriesAdversarialState) {
@@ -777,40 +884,44 @@ TEST(TimelineParse, ArrivalShapingKindsParseWithTheirKeys) {
   EXPECT_NE(error.find("'hour' is required"), std::string::npos);
 }
 
-TEST(TimelineDayStateTest, LambdaRampClimbsLinearlyAndHolds) {
+TEST(TimelinePlan, LambdaRampClimbsLinearlyAndHolds) {
   Timeline tl;
   tl.events.push_back(
       *Timeline::parse_event("lambda_ramp", "start=4 end=7 mult=5"));
   ResidenceTraits base;
+  auto lambda = [&](int day) {
+    return timeline_day_plan(tl, 3, 0, day, 12, base, sampled_config())
+        .lambda_mult;
+  };
   double prev = 1.0;
   for (int day = 0; day < 12; ++day) {
-    auto s = timeline_day_state(tl, 3, 0, day, 12, base);
+    const double m = lambda(day);
     if (day < 4) {
       // Pre-window days must be *exactly* 1.0 — batch-mode bit identity
       // depends on the multiplier being the multiplicative identity.
-      EXPECT_EQ(s.lambda_mult, 1.0) << "day " << day;
+      EXPECT_EQ(m, 1.0) << "day " << day;
     } else {
-      EXPECT_GE(s.lambda_mult, prev) << "ramp must never regress";
-      EXPECT_LE(s.lambda_mult, 5.0);
+      EXPECT_GE(m, prev) << "ramp must never regress";
+      EXPECT_LE(m, 5.0);
     }
-    prev = s.lambda_mult;
+    prev = m;
   }
-  EXPECT_DOUBLE_EQ(timeline_day_state(tl, 3, 0, 7, 12, base).lambda_mult, 5.0);
-  EXPECT_DOUBLE_EQ(timeline_day_state(tl, 3, 0, 11, 12, base).lambda_mult, 5.0);
+  EXPECT_DOUBLE_EQ(lambda(7), 5.0);
+  EXPECT_DOUBLE_EQ(lambda(11), 5.0);
 }
 
-TEST(TimelineDayStateTest, StackedRampsComposeAndClampAtSixteen) {
+TEST(TimelinePlan, StackedRampsComposeAndClampAtSixteen) {
   Timeline tl;
   for (int i = 0; i < 3; ++i)
     tl.events.push_back(
         *Timeline::parse_event("lambda_ramp", "start=0 end=0 mult=8"));
   ResidenceTraits base;
   // 8^3 = 512 raw; the composite clamps to the documented ceiling.
-  auto s = timeline_day_state(tl, 5, 0, 3, 6, base);
-  EXPECT_DOUBLE_EQ(s.lambda_mult, 16.0);
+  auto p = timeline_day_plan(tl, 5, 0, 3, 6, base, sampled_config());
+  EXPECT_DOUBLE_EQ(p.lambda_mult, 16.0);
 }
 
-TEST(TimelineDayStateTest, FlashCrowdsUnionHoursAndMultiplyIntensity) {
+TEST(TimelinePlan, FlashCrowdsUnionHoursAndMultiplyIntensity) {
   Timeline tl;
   tl.events.push_back(
       *Timeline::parse_event("flash_crowd", "start=2 end=4 hour=20 hours=2 mult=3"));
@@ -818,26 +929,26 @@ TEST(TimelineDayStateTest, FlashCrowdsUnionHoursAndMultiplyIntensity) {
       *Timeline::parse_event("flash_crowd", "day=3 hour=21 hours=3 mult=2"));
   ResidenceTraits base;
   for (int day = 0; day < 6; ++day) {
-    auto s = timeline_day_state(tl, 9, 0, day, 6, base);
+    auto p = timeline_day_plan(tl, 9, 0, day, 6, base, sampled_config());
     if (day < 2 || day > 4) {
-      EXPECT_EQ(s.flash_hour_mask, 0u) << "day " << day;
-      EXPECT_EQ(s.flash_mult, 1.0) << "day " << day;
+      EXPECT_EQ(p.flash_hour_mask, 0u) << "day " << day;
+      EXPECT_EQ(p.flash_mult, 1.0) << "day " << day;
     } else if (day == 3) {
       // Both crowds active: hours {20,21} ∪ {21,22,23}, intensity 3*2.
-      EXPECT_EQ(s.flash_hour_mask,
+      EXPECT_EQ(p.flash_hour_mask,
                 (1u << 20) | (1u << 21) | (1u << 22) | (1u << 23));
-      EXPECT_DOUBLE_EQ(s.flash_mult, 6.0);
+      EXPECT_DOUBLE_EQ(p.flash_mult, 6.0);
     } else {
-      EXPECT_EQ(s.flash_hour_mask, (1u << 20) | (1u << 21)) << "day " << day;
-      EXPECT_DOUBLE_EQ(s.flash_mult, 3.0) << "day " << day;
+      EXPECT_EQ(p.flash_hour_mask, (1u << 20) | (1u << 21)) << "day " << day;
+      EXPECT_DOUBLE_EQ(p.flash_mult, 3.0) << "day " << day;
     }
   }
   // A span running past hour 23 drops the overflow instead of wrapping.
   Timeline late;
   late.events.push_back(
       *Timeline::parse_event("flash_crowd", "day=0 hour=23 hours=4 mult=2"));
-  auto s = timeline_day_state(late, 9, 0, 0, 2, base);
-  EXPECT_EQ(s.flash_hour_mask, 1u << 23);
+  auto p = timeline_day_plan(late, 9, 0, 0, 2, base, sampled_config());
+  EXPECT_EQ(p.flash_hour_mask, 1u << 23);
 }
 
 }  // namespace
