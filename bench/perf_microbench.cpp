@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the hot substrate paths: address
 // parsing, LPM lookup, AES/CryptoPAN, DNS resolution, conntrack churn,
-// LOESS/MSTL, and Wilcoxon — the operations every experiment binary leans
-// on.
+// LOESS/MSTL, Wilcoxon, and the web crawl — the operations every experiment
+// binary leans on.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -19,6 +19,8 @@
 #include "stats/rng.h"
 #include "stats/stl.h"
 #include "stats/wilcoxon.h"
+#include "web/crawler.h"
+#include "web/universe.h"
 
 namespace {
 
@@ -98,6 +100,28 @@ void BM_DnsResolveChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DnsResolveChain);
+
+// The crawl layer: a 2,000-site universe at the last epoch, timing the
+// crawler's per-epoch table build plus a full crawl (the zone is built
+// once, outside the loop).
+void BM_CrawlAll(benchmark::State& state) {
+  cloud::ProviderCatalog providers;
+  web::UniverseConfig cfg;
+  cfg.site_count = 2000;
+  cfg.seed = 5;
+  const web::Universe universe(cfg, providers);
+  const auto zone = universe.build_zone(web::Epoch::jul2025);
+  std::size_t resources = 0;
+  for (auto _ : state) {
+    const web::Crawler crawler(universe, zone, web::Epoch::jul2025);
+    auto crawls = crawler.crawl_all(7);
+    for (const auto& c : crawls) resources += c.resources.size();
+    benchmark::DoNotOptimize(crawls);
+  }
+  state.counters["resources"] = benchmark::Counter(
+      static_cast<double>(resources), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CrawlAll)->Unit(benchmark::kMillisecond);
 
 // Open/account/close churn against the flat open-addressing table.
 void BM_FlatConntrackChurn(benchmark::State& state) {

@@ -1,7 +1,12 @@
 #include "web/crawler.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
+#include <utility>
+
+#include "dns/resolver.h"
 
 namespace nbv6::web {
 
@@ -13,44 +18,65 @@ constexpr int kLinkClicks = 5;
 /// anyway (the paper's "about 1 in 10 *sites*" via ~30 fetches).
 constexpr double kHeV4WinProb = 0.004;
 
+/// The Happy Eyeballs outcome for a fetch of a name with these records.
+net::Family race(bool has_a, bool has_aaaa, stats::Rng& rng) {
+  if (has_a && has_aaaa)
+    return rng.chance(kHeV4WinProb) ? net::Family::v4 : net::Family::v6;
+  return has_aaaa ? net::Family::v6 : net::Family::v4;
+}
+
 }  // namespace
 
 Crawler::Crawler(const Universe& universe, const dns::ZoneDb& zone,
                  Epoch epoch)
-    : universe_(&universe), zone_(&zone), resolver_(zone), epoch_(epoch) {}
+    : universe_(&universe), epoch_(epoch) {
+  const auto& fqdns = universe.fqdns();
+  // Distinct registrable domains never outnumber FQDNs, so this bounds
+  // every interned id below the 30-bit field.
+  if (fqdns.size() >= (std::size_t{1} << 30))
+    throw std::length_error("Crawler: too many FQDNs for a 30-bit site id");
 
-void Crawler::load_page(const Page& page, SiteCrawl& out,
+  const dns::Resolver resolver(zone);
+  std::unordered_map<std::string, std::uint32_t> site_ids;
+  site_ids.reserve(fqdns.size());
+  facts_.reserve(fqdns.size());
+  for (const Fqdn& f : fqdns) {
+    const auto dual = resolver.resolve_dual(f.name);
+    std::uint32_t site = 0;
+    if (auto reg = universe.psl().registrable_domain(f.name)) {
+      site = site_ids
+                 .try_emplace(std::move(*reg),
+                              static_cast<std::uint32_t>(site_ids.size() + 1))
+                 .first->second;
+    }
+    facts_.push_back({.has_a = dual.has_v4(),
+                      .has_aaaa = dual.has_v6(),
+                      .site = site});
+  }
+}
+
+void Crawler::load_page(const Page& page, std::uint32_t main_site,
+                        std::vector<std::uint64_t>& seen, SiteCrawl& out,
                         stats::Rng& rng) const {
   // Dedup observations by (fqdn, type): re-fetches of the same resource on
-  // later pages don't create new observations. The seen-set is rebuilt from
-  // the accumulated observations; pages are small, so this stays cheap.
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(out.resources.size() * 2);
-  for (const auto& r : out.resources)
-    seen.insert((static_cast<std::uint64_t>(r.fqdn) << 3) |
-                static_cast<std::uint64_t>(r.type));
-
+  // later pages don't create new observations. A site has at most a few
+  // hundred distinct keys (a few dozen on average), so a flat vector
+  // scanned linearly is enough.
   for (const auto& ref : page.resources) {
-    std::uint64_t key = (static_cast<std::uint64_t>(ref.fqdn) << 3) |
-                        static_cast<std::uint64_t>(ref.type);
-    if (!seen.insert(key).second) continue;
+    const std::uint64_t key = (static_cast<std::uint64_t>(ref.fqdn) << 3) |
+                              static_cast<std::uint64_t>(ref.type);
+    if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
+    seen.push_back(key);
 
-    const Fqdn& f = universe_->fqdns()[ref.fqdn];
-    auto dual = resolver_.resolve_dual(f.name);
-
+    const FqdnFacts f = facts_[ref.fqdn];
     ResourceObservation obs;
     obs.fqdn = ref.fqdn;
     obs.type = ref.type;
-    obs.first_party = universe_->psl().same_site(f.name, out.main_host);
-    obs.has_a = dual.has_v4();
-    obs.has_aaaa = dual.has_v6();
-    obs.failed = !dual.reachable();
-    if (obs.has_a && obs.has_aaaa) {
-      obs.used =
-          rng.chance(kHeV4WinProb) ? net::Family::v4 : net::Family::v6;
-    } else {
-      obs.used = obs.has_aaaa ? net::Family::v6 : net::Family::v4;
-    }
+    obs.first_party = f.site != 0 && f.site == main_site;
+    obs.has_a = f.has_a;
+    obs.has_aaaa = f.has_aaaa;
+    obs.failed = !f.reachable();
+    obs.used = race(obs.has_a, obs.has_aaaa, rng);
     out.resources.push_back(obs);
   }
 
@@ -68,11 +94,10 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
   out.site_index = site_index;
   out.fate = universe_->fate(site, epoch_);
 
-  // Resolve the main domain. NXDOMAIN sites are unregistered, so the
+  // The main domain's DNS answer. NXDOMAIN sites are unregistered, so the
   // failure is discovered through DNS exactly as a real crawler would.
-  const Fqdn& main = universe_->fqdns()[site.main_fqdn];
-  auto dual = resolver_.resolve_dual(main.name);
-  if (!dual.reachable()) {
+  FqdnFacts host = facts_[site.main_fqdn];
+  if (!host.reachable()) {
     out.fate = SiteFate::nxdomain;
     return out;
   }
@@ -87,26 +112,21 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
   std::uint32_t effective_main = site.main_fqdn;
   if (site.redirect_to) {
     effective_main = *site.redirect_to;
-    dual = resolver_.resolve_dual(universe_->fqdns()[effective_main].name);
-    if (!dual.reachable()) {
+    host = facts_[effective_main];
+    if (!host.reachable()) {
       out.fate = SiteFate::other_failure;  // broken redirect target
       return out;
     }
   }
   out.main_host = universe_->fqdns()[effective_main].name;
-  out.main_has_a = dual.has_v4();
-  out.main_has_aaaa = dual.has_v6();
-  out.unknown_primary =
-      !universe_->psl().registrable_domain(out.main_host).has_value();
-  if (out.main_has_a && out.main_has_aaaa) {
-    out.main_used =
-        rng.chance(kHeV4WinProb) ? net::Family::v4 : net::Family::v6;
-  } else {
-    out.main_used = out.main_has_aaaa ? net::Family::v6 : net::Family::v4;
-  }
+  out.main_has_a = host.has_a;
+  out.main_has_aaaa = host.has_aaaa;
+  out.unknown_primary = host.site == 0;
+  out.main_used = race(out.main_has_a, out.main_has_aaaa, rng);
 
   // Load the main page.
-  load_page(site.pages[0], out, rng);
+  std::vector<std::uint64_t> seen;
+  load_page(site.pages[0], host.site, seen, out, rng);
   out.pages_loaded = 1;
 
   // Click up to `link_clicks` distinct same-site links, chosen at random
@@ -116,7 +136,7 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
     size_t pick = rng.below(candidates.size());
     std::uint32_t page_idx = candidates[pick];
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
-    load_page(site.pages[page_idx], out, rng);
+    load_page(site.pages[page_idx], host.site, seen, out, rng);
     ++out.pages_loaded;
   }
   return out;

@@ -7,12 +7,16 @@
 // via the PSL same-site test), recording for every fetched resource its
 // FQDN, resource type, party, DNS outcome per family, and which family the
 // Happy Eyeballs race actually used.
+//
+// DNS and the PSL are consulted once per FQDN, not once per fetch: the
+// constructor resolves every FQDN of the universe against the epoch's zone
+// and interns each one's registrable domain, so a crawl reads one dense
+// per-FQDN table and decides same-site by comparing two integer ids.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "dns/resolver.h"
 #include "dns/zone.h"
 #include "stats/rng.h"
 #include "web/universe.h"
@@ -53,6 +57,10 @@ struct SiteCrawl {
 
 class Crawler {
  public:
+  /// Resolves every FQDN of `universe` against `zone` and classifies it
+  /// with `universe.psl()`, once. The crawler keeps only the resulting
+  /// table, so `zone` need only outlive the constructor; `universe` must
+  /// outlive the crawler.
   Crawler(const Universe& universe, const dns::ZoneDb& zone, Epoch epoch);
 
   /// Crawl one site. `rng` drives link selection and Happy Eyeballs.
@@ -68,14 +76,30 @@ class Crawler {
                                                stats::Rng& rng) const;
 
  private:
+  /// What the crawl needs to know about one FQDN at this epoch, packed
+  /// into 4 bytes. `site` is the FQDN's registrable domain interned to an
+  /// id, 0 when it has none (the name is itself a public suffix); two
+  /// names are same-site exactly when their nonzero ids are equal.
+  struct FqdnFacts {
+    std::uint32_t has_a : 1;
+    std::uint32_t has_aaaa : 1;
+    std::uint32_t site : 30;
+
+    [[nodiscard]] bool reachable() const { return has_a || has_aaaa; }
+  };
+  static_assert(sizeof(FqdnFacts) == 4);
+
   SiteCrawl crawl_impl(std::uint32_t site_index, stats::Rng& rng,
                        int link_clicks) const;
-  void load_page(const Page& page, SiteCrawl& out, stats::Rng& rng) const;
+  /// `seen` holds the (fqdn, type) keys already observed on this site.
+  void load_page(const Page& page, std::uint32_t main_site,
+                 std::vector<std::uint64_t>& seen, SiteCrawl& out,
+                 stats::Rng& rng) const;
 
   const Universe* universe_;
-  const dns::ZoneDb* zone_;
-  dns::Resolver resolver_;
   Epoch epoch_;
+  /// Indexed by FQDN id.
+  std::vector<FqdnFacts> facts_;
 };
 
 }  // namespace nbv6::web

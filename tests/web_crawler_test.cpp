@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/server_analysis.h"
+#include "dns/resolver.h"
 #include "web/classify.h"
 #include "web/crawler.h"
 #include "web/metrics.h"
@@ -109,6 +110,89 @@ TEST_F(CrawlerTest, DualStackResourcesPreferV6) {
   ASSERT_GT(dual, 100);
   // Happy Eyeballs: v6 nearly always wins for dual-stack fetches.
   EXPECT_GT(static_cast<double>(used_v6) / dual, 0.98);
+}
+
+// Every field the crawler derives from DNS or the PSL agrees with a fresh
+// resolver over the epoch's zone and with the universe's PSL, for every
+// fixture site at every epoch.
+TEST_F(CrawlerTest, ObservationsMatchResolverAndPsl) {
+  const auto& psl = universe_.psl();
+  for (int e = 0; e < kEpochCount; ++e) {
+    const auto epoch = static_cast<Epoch>(e);
+    const dns::ZoneDb zone = universe_.build_zone(epoch);
+    const dns::Resolver resolver(zone);
+    const auto crawls = Crawler(universe_, zone, epoch).crawl_all(20 + e);
+    ASSERT_EQ(crawls.size(), universe_.sites().size());
+    int ok = 0;
+    for (const auto& c : crawls) {
+      const Site& site = universe_.sites()[c.site_index];
+      const auto& main_name = universe_.fqdns()[site.main_fqdn].name;
+      EXPECT_EQ(c.fate == SiteFate::nxdomain,
+                !resolver.resolve_dual(main_name).reachable())
+          << main_name << " at " << to_string(epoch);
+      if (c.fate != SiteFate::ok) continue;
+      ++ok;
+      const auto main = resolver.resolve_dual(c.main_host);
+      EXPECT_EQ(c.main_has_a, main.has_v4()) << c.main_host;
+      EXPECT_EQ(c.main_has_aaaa, main.has_v6()) << c.main_host;
+      EXPECT_EQ(c.unknown_primary,
+                !psl.registrable_domain(c.main_host).has_value())
+          << c.main_host;
+      for (const auto& r : c.resources) {
+        const auto& name = universe_.fqdns()[r.fqdn].name;
+        const auto dual = resolver.resolve_dual(name);
+        EXPECT_EQ(r.has_a, dual.has_v4()) << name;
+        EXPECT_EQ(r.has_aaaa, dual.has_v6()) << name;
+        EXPECT_EQ(r.failed, !dual.reachable()) << name;
+        EXPECT_EQ(r.first_party, psl.same_site(name, c.main_host))
+            << name << " on " << c.main_host;
+      }
+    }
+    EXPECT_GT(ok, 900) << to_string(epoch);
+  }
+}
+
+// Sites whose apex sits under the wildcard rule "*.ck" first appear at rank
+// 30018, past the fixture universe, so this builds a universe just large
+// enough to hold two of them. Site 30018 is itself a public suffix; site
+// 60029 redirects to "www.zone60029.ck", which is its own registrable
+// domain, so its "static."/"img."/"api." siblings are third party even
+// though the universe files them under the same tenant.
+TEST(CrawlerWildcardPsl, SuffixSitesClassifyByRegistrableDomain) {
+  cloud::ProviderCatalog providers;
+  UniverseConfig cfg;
+  cfg.site_count = 60'030;
+  cfg.seed = 777;
+  const Universe universe(cfg, providers);
+  const dns::ZoneDb zone = universe.build_zone(Epoch::jul2025);
+  const Crawler crawler(universe, zone, Epoch::jul2025);
+
+  stats::Rng rng1(1);
+  const auto suffix_site = crawler.crawl(30018, rng1);
+  EXPECT_EQ(universe.fqdns()[universe.sites()[30018].main_fqdn].name,
+            "zone30018.ck");
+  ASSERT_EQ(suffix_site.fate, SiteFate::ok);
+  EXPECT_TRUE(suffix_site.unknown_primary);
+  EXPECT_EQ(classify(suffix_site).cls, SiteClass::unknown_primary);
+  ASSERT_FALSE(suffix_site.resources.empty());
+  for (const auto& r : suffix_site.resources)
+    EXPECT_FALSE(r.first_party) << universe.fqdns()[r.fqdn].name;
+
+  stats::Rng rng2(2);
+  const auto www_site = crawler.crawl(60029, rng2);
+  ASSERT_EQ(www_site.fate, SiteFate::ok);
+  ASSERT_EQ(www_site.main_host, "www.zone60029.ck");
+  EXPECT_FALSE(www_site.unknown_primary);
+  int www = 0, siblings = 0;
+  for (const auto& r : www_site.resources) {
+    const auto& f = universe.fqdns()[r.fqdn];
+    const bool is_www = f.name == "www.zone60029.ck";
+    EXPECT_EQ(r.first_party, is_www) << f.name;
+    www += is_www;
+    siblings += !is_www && f.tenant == universe.sites()[60029].tenant;
+  }
+  EXPECT_GT(www, 0);
+  EXPECT_GT(siblings, 0);
 }
 
 // ------------------------------------------------------------ classify
