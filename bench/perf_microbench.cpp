@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks for the hot substrate paths: address
 // parsing, LPM lookup, AES/CryptoPAN, DNS resolution, conntrack churn,
-// LOESS/MSTL, Wilcoxon, and the web crawl — the operations every experiment
-// binary leans on.
+// LOESS/MSTL, Wilcoxon, the web crawl and its cloud attribution — the
+// operations every experiment binary leans on.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "core/cloud_analysis.h"
+#include "core/server_analysis.h"
 #include "dns/resolver.h"
 #include "engine/firehose.h"
 #include "engine/flat_conntrack.h"
@@ -122,6 +124,27 @@ void BM_CrawlAll(benchmark::State& state) {
       static_cast<double>(resources), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_CrawlAll)->Unit(benchmark::kMillisecond);
+
+// The cloud attribution: DomainRecords for every FQDN a 2,000-site survey
+// at the last epoch observed. The survey is built once, outside the loop.
+void BM_DomainRecords(benchmark::State& state) {
+  cloud::ProviderCatalog providers;
+  web::UniverseConfig cfg;
+  cfg.site_count = 2000;
+  cfg.seed = 5;
+  const web::Universe universe(cfg, providers);
+  const auto survey =
+      core::run_server_survey(universe, web::Epoch::jul2025, 7);
+  std::size_t records = 0;
+  for (auto _ : state) {
+    auto out = core::build_domain_records(universe, survey);
+    records += out.size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["records"] = benchmark::Counter(
+      static_cast<double>(records), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DomainRecords)->Unit(benchmark::kMillisecond);
 
 // Open/account/close churn against the flat open-addressing table.
 void BM_FlatConntrackChurn(benchmark::State& state) {

@@ -5,26 +5,6 @@
 
 namespace nbv6::cloud {
 
-std::vector<DomainRecord> collect_domain_records(
-    const dns::Resolver& resolver, std::span<const std::string> names,
-    const std::function<std::string(std::string_view)>& etld1_of) {
-  std::vector<DomainRecord> out;
-  out.reserve(names.size());
-  for (const auto& name : names) {
-    auto dual = resolver.resolve_dual(name);
-    if (!dual.reachable()) continue;
-    DomainRecord r;
-    r.fqdn = dns::canonicalize(name);
-    r.etld1 = etld1_of(r.fqdn);
-    if (dual.has_v4()) r.a_addr = dual.v4.addresses.front();
-    if (dual.has_v6()) r.aaaa_addr = dual.v6.addresses.front();
-    r.cname_terminal =
-        dual.has_v4() ? dual.v4.terminal() : dual.v6.terminal();
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 namespace {
 
 /// Per-record provider attribution: (A-record provider, AAAA-record

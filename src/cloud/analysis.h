@@ -1,8 +1,9 @@
 // Cloud adoption analyses (§5).
 //
-// Inputs are DomainRecords: one per observed FQDN, carrying its resolved A
-// and AAAA addresses and CNAME terminal (built by the caller from any DNS
-// view). Three analyses mirror the paper's:
+// Inputs are DomainRecords: one per observed FQDN, carrying its first A and
+// AAAA answers, its CNAME terminal and its eTLD+1 (core::build_domain_records
+// fills them from a survey's per-epoch FQDN table). Three analyses mirror
+// the paper's:
 //
 //   - provider_breakdown: attribute each record to the organization(s)
 //     originating the BGP prefixes of its addresses and classify it as
@@ -18,7 +19,6 @@
 //     (Fig. 12).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -26,16 +26,20 @@
 #include <vector>
 
 #include "cloud/providers.h"
-#include "dns/resolver.h"
 #include "net/ip.h"
 #include "stats/wilcoxon.h"
 
 namespace nbv6::cloud {
 
+/// One observed FQDN as the cloud analyses see it. A record is reachable:
+/// it has an A, an AAAA, or both.
 struct DomainRecord {
   std::string fqdn;
+  /// Registrable domain (the tenant); equals fqdn when the name has none.
   std::string etld1;
+  /// First A answer, if any.
   std::optional<net::IpAddr> a_addr;
+  /// First AAAA answer, if any.
   std::optional<net::IpAddr> aaaa_addr;
   /// Terminal name of the CNAME chain (equals fqdn when chain-free).
   std::string cname_terminal;
@@ -43,13 +47,6 @@ struct DomainRecord {
   [[nodiscard]] bool has_a() const { return a_addr.has_value(); }
   [[nodiscard]] bool has_aaaa() const { return aaaa_addr.has_value(); }
 };
-
-/// Resolve `names` against `resolver` into DomainRecords. `etld1_of` maps a
-/// hostname to its registrable domain (keeps this module independent of
-/// the PSL implementation). Unresolvable names are dropped.
-std::vector<DomainRecord> collect_domain_records(
-    const dns::Resolver& resolver, std::span<const std::string> names,
-    const std::function<std::string(std::string_view)>& etld1_of);
 
 struct ProviderBreakdownRow {
   std::string org;

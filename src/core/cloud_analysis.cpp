@@ -1,19 +1,35 @@
 #include "core/cloud_analysis.h"
 
-#include "dns/resolver.h"
+#include <cstdint>
+#include <memory>
 
 namespace nbv6::core {
 
 std::vector<cloud::DomainRecord> build_domain_records(
     const web::Universe& universe, const ServerSurvey& survey) {
-  auto names = observed_fqdn_names(universe, survey);
-  auto zone = universe.build_zone(survey.epoch);
-  dns::Resolver resolver(zone);
-  const auto& psl = universe.psl();
-  return cloud::collect_domain_records(
-      resolver, names, [&psl](std::string_view host) {
-        return psl.registrable_domain(host).value_or(std::string(host));
-      });
+  std::shared_ptr<const web::FqdnTable> table = survey.fqdn_table;
+  if (!table) {
+    const dns::ZoneDb zone = universe.build_zone(survey.epoch);
+    table = web::Crawler(universe, zone, survey.epoch).table();
+  }
+  const auto& fqdns = universe.fqdns();
+  const auto ids = observed_fqdn_ids(universe, survey);
+  std::vector<cloud::DomainRecord> out;
+  out.reserve(ids.size());
+  for (const std::uint32_t id : ids) {
+    const web::FqdnFacts f = table->facts[id];
+    if (!f.reachable()) continue;
+    const std::string& name = fqdns[id].name;
+    cloud::DomainRecord r;
+    r.fqdn = name;
+    r.etld1 = f.site != 0 ? table->site_names[f.site] : name;
+    if (f.has_a) r.a_addr = table->first_a[id];
+    if (f.has_aaaa) r.aaaa_addr = table->first_aaaa[id];
+    const std::uint32_t terminal = table->terminal[id];
+    r.cname_terminal = terminal != 0 ? table->terminal_names[terminal] : name;
+    out.push_back(std::move(r));
+  }
+  return out;
 }
 
 std::map<std::string, std::string> paper_org_merge_map() {

@@ -12,8 +12,11 @@
 
 namespace nbv6::core {
 
-/// Resolve every FQDN a survey observed and build cloud DomainRecords
-/// (addresses, CNAME terminals, eTLD+1 via the universe's PSL).
+/// One cloud DomainRecord per FQDN the survey observed, in
+/// `observed_fqdn_ids` order, skipping names that resolve in neither
+/// family. Reads the survey's per-epoch FQDN table by FQDN id: no zone,
+/// resolver or PSL lookup, unless the survey has no table, in which case
+/// one is built by the same web::Crawler constructor.
 std::vector<cloud::DomainRecord> build_domain_records(
     const web::Universe& universe, const ServerSurvey& survey);
 

@@ -1,8 +1,5 @@
 #include "core/server_analysis.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 namespace nbv6::core {
 
 ServerSurvey run_server_survey(const web::Universe& universe, web::Epoch epoch,
@@ -14,6 +11,7 @@ ServerSurvey run_server_survey(const web::Universe& universe, web::Epoch epoch,
   s.crawls = crawler.crawl_all(seed);
   s.classifications = web::classify_all(s.crawls);
   s.counts = web::tabulate(s.classifications);
+  s.fqdn_table = crawler.table();
   return s;
 }
 
@@ -46,8 +44,8 @@ LinkClickAblation link_click_ablation(const web::Universe& universe,
   std::vector<web::SiteClassification> with_clicks;
   std::vector<web::SiteClassification> main_only;
   for (std::uint32_t i = 0; i < universe.sites().size(); ++i) {
-    stats::Rng rng1(seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
-    stats::Rng rng2(seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
+    stats::Rng rng1 = web::Crawler::site_rng(seed, i);
+    stats::Rng rng2 = web::Crawler::site_rng(seed, i);
     with_clicks.push_back(web::classify(crawler.crawl(i, rng1)));
     main_only.push_back(web::classify(crawler.crawl_main_page_only(i, rng2)));
   }
@@ -60,13 +58,14 @@ LinkClickAblation link_click_ablation(const web::Universe& universe,
   return a;
 }
 
-std::vector<std::string> observed_fqdn_names(const web::Universe& universe,
+std::vector<std::uint32_t> observed_fqdn_ids(const web::Universe& universe,
                                              const ServerSurvey& survey) {
-  std::unordered_set<std::uint32_t> seen;
-  std::vector<std::string> out;
+  std::vector<bool> seen(universe.fqdns().size());
+  std::vector<std::uint32_t> out;
   auto push = [&](std::uint32_t fqdn) {
-    if (seen.insert(fqdn).second)
-      out.push_back(universe.fqdns()[fqdn].name);
+    if (seen[fqdn]) return;
+    seen[fqdn] = true;
+    out.push_back(fqdn);
   };
   for (const auto& crawl : survey.crawls) {
     if (crawl.fate != web::SiteFate::ok) continue;
@@ -75,6 +74,15 @@ std::vector<std::string> observed_fqdn_names(const web::Universe& universe,
     // The main host itself is part of the observed FQDN population.
     push(universe.sites()[crawl.site_index].main_fqdn);
   }
+  return out;
+}
+
+std::vector<std::string> observed_fqdn_names(const web::Universe& universe,
+                                             const ServerSurvey& survey) {
+  const auto ids = observed_fqdn_ids(universe, survey);
+  std::vector<std::string> out;
+  out.reserve(ids.size());
+  for (const std::uint32_t id : ids) out.push_back(universe.fqdns()[id].name);
   return out;
 }
 

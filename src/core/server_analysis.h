@@ -1,7 +1,10 @@
 // Server-side adoption analysis (§4): one-call survey of a web universe.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "web/classify.h"
@@ -16,10 +19,14 @@ struct ServerSurvey {
   std::vector<web::SiteCrawl> crawls;
   std::vector<web::SiteClassification> classifications;
   web::ClassificationCounts counts;
+  /// The crawler's FQDN table at `epoch`, which the cloud attribution
+  /// reads by FQDN id. Null in a survey assembled by hand from crawls;
+  /// build_domain_records then builds one.
+  std::shared_ptr<const web::FqdnTable> fqdn_table;
 };
 
-/// Crawl every site of `universe` at `epoch` and classify. Deterministic
-/// in `seed`.
+/// Crawl every site of `universe` at `epoch` and classify, keeping the
+/// crawler's FQDN table. Deterministic in `seed`.
 ServerSurvey run_server_survey(const web::Universe& universe, web::Epoch epoch,
                                std::uint64_t seed);
 
@@ -46,8 +53,13 @@ struct LinkClickAblation {
 LinkClickAblation link_click_ablation(const web::Universe& universe,
                                       web::Epoch epoch, std::uint64_t seed);
 
-/// All distinct resource+main FQDN names observed by a survey — the §5
-/// input dataset (the paper's 265k FQDNs).
+/// All distinct FQDN ids observed by a survey — the §5 input dataset (the
+/// paper's 265k FQDNs): each ok crawl's reachable resources, then its main
+/// host, in order of first observation.
+std::vector<std::uint32_t> observed_fqdn_ids(const web::Universe& universe,
+                                             const ServerSurvey& survey);
+
+/// The names of `observed_fqdn_ids`, in the same order.
 std::vector<std::string> observed_fqdn_names(const web::Universe& universe,
                                              const ServerSurvey& survey);
 

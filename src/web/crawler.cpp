@@ -25,34 +25,63 @@ net::Family race(bool has_a, bool has_aaaa, stats::Rng& rng) {
   return has_aaaa ? net::Family::v6 : net::Family::v4;
 }
 
-}  // namespace
-
-Crawler::Crawler(const Universe& universe, const dns::ZoneDb& zone,
-                 Epoch epoch)
-    : universe_(&universe), epoch_(epoch) {
+/// Resolves every FQDN of `universe` against `zone` and interns its
+/// registrable domain and CNAME terminal, once.
+std::shared_ptr<const FqdnTable> build_table(const Universe& universe,
+                                             const dns::ZoneDb& zone) {
   const auto& fqdns = universe.fqdns();
   // Distinct registrable domains never outnumber FQDNs, so this bounds
   // every interned id below the 30-bit field.
   if (fqdns.size() >= (std::size_t{1} << 30))
     throw std::length_error("Crawler: too many FQDNs for a 30-bit site id");
 
+  auto t = std::make_shared<FqdnTable>();
+  t->facts.reserve(fqdns.size());
+  t->first_a.resize(fqdns.size());
+  t->first_aaaa.resize(fqdns.size());
+  t->terminal.resize(fqdns.size());
+  t->terminal_names.emplace_back();
+  t->site_names.emplace_back();
+
   const dns::Resolver resolver(zone);
   std::unordered_map<std::string, std::uint32_t> site_ids;
   site_ids.reserve(fqdns.size());
-  facts_.reserve(fqdns.size());
-  for (const Fqdn& f : fqdns) {
-    const auto dual = resolver.resolve_dual(f.name);
+  for (std::uint32_t id = 0; id < fqdns.size(); ++id) {
+    const std::string& name = fqdns[id].name;
+    auto dual = resolver.resolve_dual(name);
     std::uint32_t site = 0;
-    if (auto reg = universe.psl().registrable_domain(f.name)) {
-      site = site_ids
-                 .try_emplace(std::move(*reg),
-                              static_cast<std::uint32_t>(site_ids.size() + 1))
-                 .first->second;
+    if (auto reg = universe.psl().registrable_domain(name)) {
+      const auto [it, fresh] = site_ids.try_emplace(
+          std::move(*reg), static_cast<std::uint32_t>(t->site_names.size()));
+      if (fresh) t->site_names.push_back(it->first);
+      site = it->second;
     }
-    facts_.push_back({.has_a = dual.has_v4(),
-                      .has_aaaa = dual.has_v6(),
-                      .site = site});
+    t->facts.push_back({.has_a = dual.has_v4(),
+                        .has_aaaa = dual.has_v6(),
+                        .site = site});
+    if (dual.has_v4()) t->first_a[id] = dual.v4.addresses.front().v4();
+    if (dual.has_v6()) t->first_aaaa[id] = dual.v6.addresses.front().v6();
+    // The terminal of the A answer when there is one, else the AAAA's.
+    auto& chain = (dual.has_v4() ? dual.v4 : dual.v6).chain;
+    if (dual.reachable() && chain.size() > 1) {
+      t->terminal[id] = static_cast<std::uint32_t>(t->terminal_names.size());
+      t->terminal_names.push_back(std::move(chain.back()));
+    }
   }
+  return t;
+}
+
+}  // namespace
+
+Crawler::Crawler(const Universe& universe, const dns::ZoneDb& zone,
+                 Epoch epoch)
+    : universe_(&universe),
+      epoch_(epoch),
+      table_(build_table(universe, zone)),
+      facts_(table_->facts) {}
+
+stats::Rng Crawler::site_rng(std::uint64_t seed, std::uint32_t site_index) {
+  return stats::Rng(seed ^ (0x9e3779b97f4a7c15ull * (site_index + 1)));
 }
 
 void Crawler::load_page(const Page& page, std::uint32_t main_site,
@@ -155,7 +184,7 @@ std::vector<SiteCrawl> Crawler::crawl_all(std::uint64_t seed) const {
   std::vector<SiteCrawl> out;
   out.reserve(universe_->sites().size());
   for (std::uint32_t i = 0; i < universe_->sites().size(); ++i) {
-    stats::Rng rng(seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
+    stats::Rng rng = site_rng(seed, i);
     out.push_back(crawl(i, rng));
   }
   return out;

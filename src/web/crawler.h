@@ -10,18 +10,56 @@
 //
 // DNS and the PSL are consulted once per FQDN, not once per fetch: the
 // constructor resolves every FQDN of the universe against the epoch's zone
-// and interns each one's registrable domain, so a crawl reads one dense
-// per-FQDN table and decides same-site by comparing two integer ids.
+// and interns each one's registrable domain into an FqdnTable, so a crawl
+// reads one dense per-FQDN array and decides same-site by comparing two
+// integer ids. The table is shared, not private: a survey keeps it, and
+// the §5 cloud attribution reads addresses, CNAME terminals and eTLD+1
+// from it by FQDN id.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dns/zone.h"
+#include "net/ip.h"
 #include "stats/rng.h"
 #include "web/universe.h"
 
 namespace nbv6::web {
+
+/// What the crawl needs to know about one FQDN at an epoch, packed into 4
+/// bytes. `site` is the FQDN's registrable domain interned to an id, 0 when
+/// it has none (the name is itself a public suffix); two names are
+/// same-site exactly when their nonzero ids are equal.
+struct FqdnFacts {
+  std::uint32_t has_a : 1;
+  std::uint32_t has_aaaa : 1;
+  std::uint32_t site : 30;
+
+  [[nodiscard]] bool reachable() const { return has_a || has_aaaa; }
+};
+static_assert(sizeof(FqdnFacts) == 4);
+
+/// Every FQDN of a universe resolved against one epoch's zone and
+/// classified by the PSL, indexed by FQDN id. `facts` is the crawl's hot
+/// array; the other columns are what the cloud attribution reads.
+struct FqdnTable {
+  std::vector<FqdnFacts> facts;
+  /// First A answer; valid iff `facts[id].has_a`.
+  std::vector<net::IPv4Addr> first_a;
+  /// First AAAA answer; valid iff `facts[id].has_aaaa`.
+  std::vector<net::IPv6Addr> first_aaaa;
+  /// CNAME terminal id: 0 = chain-free (the terminal is the name itself),
+  /// else an index into `terminal_names`.
+  std::vector<std::uint32_t> terminal;
+  /// Terminal names by terminal id; entry 0 is unused.
+  std::vector<std::string> terminal_names;
+  /// Registrable domains by site id; entry 0 is unused.
+  std::vector<std::string> site_names;
+};
 
 struct ResourceObservation {
   std::uint32_t fqdn = 0;
@@ -58,16 +96,26 @@ struct SiteCrawl {
 class Crawler {
  public:
   /// Resolves every FQDN of `universe` against `zone` and classifies it
-  /// with `universe.psl()`, once. The crawler keeps only the resulting
-  /// table, so `zone` need only outlive the constructor; `universe` must
-  /// outlive the crawler.
+  /// with `universe.psl()`, once, into the FqdnTable that `table()` shares.
+  /// Nothing else is read from `zone`, so it need only outlive the
+  /// constructor; `universe` must outlive the crawler.
   Crawler(const Universe& universe, const dns::ZoneDb& zone, Epoch epoch);
+
+  /// The per-epoch FQDN table; it outlives the crawler for whoever holds it.
+  [[nodiscard]] const std::shared_ptr<const FqdnTable>& table() const {
+    return table_;
+  }
+
+  /// The RNG that drives site `site_index` in a crawl seeded with `seed`
+  /// (`crawl_all` and the link-click ablation draw the same streams).
+  [[nodiscard]] static stats::Rng site_rng(std::uint64_t seed,
+                                           std::uint32_t site_index);
 
   /// Crawl one site. `rng` drives link selection and Happy Eyeballs.
   [[nodiscard]] SiteCrawl crawl(std::uint32_t site_index,
                                 stats::Rng& rng) const;
 
-  /// Crawl every site in the universe with a per-site deterministic RNG.
+  /// Crawl every site in the universe, site i with `site_rng(seed, i)`.
   [[nodiscard]] std::vector<SiteCrawl> crawl_all(std::uint64_t seed) const;
 
   /// Crawl without clicking links (the ablation of §4.2: main page only
@@ -76,19 +124,6 @@ class Crawler {
                                                stats::Rng& rng) const;
 
  private:
-  /// What the crawl needs to know about one FQDN at this epoch, packed
-  /// into 4 bytes. `site` is the FQDN's registrable domain interned to an
-  /// id, 0 when it has none (the name is itself a public suffix); two
-  /// names are same-site exactly when their nonzero ids are equal.
-  struct FqdnFacts {
-    std::uint32_t has_a : 1;
-    std::uint32_t has_aaaa : 1;
-    std::uint32_t site : 30;
-
-    [[nodiscard]] bool reachable() const { return has_a || has_aaaa; }
-  };
-  static_assert(sizeof(FqdnFacts) == 4);
-
   SiteCrawl crawl_impl(std::uint32_t site_index, stats::Rng& rng,
                        int link_clicks) const;
   /// `seen` holds the (fqdn, type) keys already observed on this site.
@@ -98,8 +133,9 @@ class Crawler {
 
   const Universe* universe_;
   Epoch epoch_;
-  /// Indexed by FQDN id.
-  std::vector<FqdnFacts> facts_;
+  std::shared_ptr<const FqdnTable> table_;
+  /// `table_->facts`, indexed by FQDN id.
+  std::span<const FqdnFacts> facts_;
 };
 
 }  // namespace nbv6::web

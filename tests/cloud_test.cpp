@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "cloud/analysis.h"
 #include "cloud/providers.h"
 #include "core/cloud_analysis.h"
 #include "core/server_analysis.h"
+#include "dns/resolver.h"
+#include "reference_domain_records.h"
+#include "web/crawler.h"
 #include "web/universe.h"
 
 namespace nbv6::cloud {
@@ -314,6 +322,162 @@ TEST(CloudEndToEnd, MultiCloudComparisonOnUniverse) {
       EXPECT_TRUE(p.comparable);
     }
   }
+}
+
+// ------------------------------------- domain records vs resolver + PSL
+
+/// What one parity comparison covered, counted on the reference records.
+struct ParityCoverage {
+  int records = 0;
+  int cnamed = 0;         ///< terminal differs from the name
+  int aaaa_only = 0;      ///< AAAA without A
+  int cnamed_aaaa_only = 0;
+  int etld1_is_fqdn = 0;  ///< the name has no registrable domain
+
+};
+
+/// The observed-name walk as a hash set over FQDN ids: each ok crawl's
+/// reachable resources, then its main host, first observation wins.
+std::vector<std::string> reference_observed_names(
+    const web::Universe& universe, const core::ServerSurvey& survey) {
+  std::unordered_set<std::uint32_t> seen;
+  std::vector<std::string> out;
+  auto push = [&](std::uint32_t fqdn) {
+    if (seen.insert(fqdn).second) out.push_back(universe.fqdns()[fqdn].name);
+  };
+  for (const auto& crawl : survey.crawls) {
+    if (crawl.fate != web::SiteFate::ok) continue;
+    for (const auto& r : crawl.resources)
+      if (!r.failed) push(r.fqdn);
+    push(universe.sites()[crawl.site_index].main_fqdn);
+  }
+  return out;
+}
+
+std::string describe(const DomainRecord& r) {
+  auto addr = [](const std::optional<net::IpAddr>& a) {
+    return a ? a->to_string() : std::string("-");
+  };
+  return r.fqdn + " etld1=" + r.etld1 + " a=" + addr(r.a_addr) +
+         " aaaa=" + addr(r.aaaa_addr) + " terminal=" + r.cname_terminal;
+}
+
+/// core::build_domain_records on `survey`, compared in order and field by
+/// field with a fresh resolver over `zone` and the universe's PSL. Adds
+/// what the comparison covered to `cov` and returns the records.
+std::vector<DomainRecord> expect_records_match_reference(
+    const web::Universe& universe, const dns::ZoneDb& zone,
+    const core::ServerSurvey& survey, ParityCoverage& cov) {
+  const auto names = core::observed_fqdn_names(universe, survey);
+  EXPECT_EQ(names, reference_observed_names(universe, survey));
+  const auto& psl = universe.psl();
+  const auto want = testutil::collect_domain_records(
+      dns::Resolver(zone), names, [&psl](std::string_view host) {
+        return psl.registrable_domain(host).value_or(std::string(host));
+      });
+  const auto got = core::build_domain_records(universe, survey);
+  EXPECT_EQ(got.size(), want.size());
+
+  int mismatches = 0;
+  std::string first;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    const DomainRecord& g = got[i];
+    const DomainRecord& w = want[i];
+    if (g.fqdn != w.fqdn || g.etld1 != w.etld1 || g.a_addr != w.a_addr ||
+        g.aaaa_addr != w.aaaa_addr || g.cname_terminal != w.cname_terminal) {
+      if (mismatches++ == 0)
+        first = "record " + std::to_string(i) + ": got " + describe(g) +
+                ", want " + describe(w);
+    }
+    ++cov.records;
+    cov.cnamed += w.cname_terminal != w.fqdn;
+    cov.aaaa_only += w.has_aaaa() && !w.has_a();
+    cov.cnamed_aaaa_only +=
+        w.has_aaaa() && !w.has_a() && w.cname_terminal != w.fqdn;
+    cov.etld1_is_fqdn += !psl.registrable_domain(w.fqdn).has_value();
+  }
+  EXPECT_EQ(mismatches, 0) << first;
+  return got;
+}
+
+// At every epoch, on a run_server_survey survey and on one assembled by
+// hand from a crawl alone.
+TEST(DomainRecordParity, MatchesResolverAndPslAtEveryEpoch) {
+  cloud::ProviderCatalog providers;
+  web::UniverseConfig cfg;
+  cfg.site_count = 2000;
+  cfg.seed = 8080;
+  const web::Universe universe(cfg, providers);
+  ParityCoverage cov;
+  for (int e = 0; e < web::kEpochCount; ++e) {
+    const auto epoch = static_cast<web::Epoch>(e);
+    const dns::ZoneDb zone = universe.build_zone(epoch);
+    const auto seed = static_cast<std::uint64_t>(60 + e);
+    const auto survey = core::run_server_survey(universe, epoch, seed);
+    EXPECT_NE(survey.fqdn_table, nullptr);
+    expect_records_match_reference(universe, zone, survey, cov);
+
+    core::ServerSurvey by_hand;
+    by_hand.epoch = epoch;
+    by_hand.crawls = web::Crawler(universe, zone, epoch).crawl_all(seed + 1);
+    expect_records_match_reference(universe, zone, by_hand, cov);
+  }
+  EXPECT_GT(cov.records, 6 * 1000);
+  EXPECT_GT(cov.cnamed, 100);
+}
+
+// The universe's zones give every reachable name an A, so this strips the
+// A records from a quarter of the dual-stack names and surveys that zone
+// through the crawler's own table: AAAA-only names, with and without a
+// CNAME chain, must read their AAAA and their terminal from the table.
+TEST(DomainRecordParity, AaaaOnlyNamesReadTheirOwnAnswer) {
+  cloud::ProviderCatalog providers;
+  web::UniverseConfig cfg;
+  cfg.site_count = 2000;
+  cfg.seed = 8081;
+  const web::Universe universe(cfg, providers);
+  const auto epoch = web::Epoch::jul2025;
+  dns::ZoneDb zone = universe.build_zone(epoch);
+  const auto& fqdns = universe.fqdns();
+  for (std::uint32_t id = 0; id < fqdns.size(); id += 4) {
+    // Terminal names are per FQDN, so no other name loses its A.
+    const auto dual = dns::Resolver(zone).resolve_dual(fqdns[id].name);
+    if (dual.has_v4() && dual.has_v6())
+      zone.remove(dual.v4.terminal(), dns::RecordType::a);
+  }
+  const web::Crawler crawler(universe, zone, epoch);
+  core::ServerSurvey survey;
+  survey.epoch = epoch;
+  survey.crawls = crawler.crawl_all(70);
+  survey.fqdn_table = crawler.table();
+
+  ParityCoverage cov;
+  expect_records_match_reference(universe, zone, survey, cov);
+  EXPECT_GT(cov.aaaa_only, 100);
+  EXPECT_GT(cov.cnamed_aaaa_only, 10);
+  EXPECT_GT(cov.cnamed - cov.cnamed_aaaa_only, 10);
+}
+
+// Sites whose apex sits under the wildcard rule "*.ck" first appear at rank
+// 30018: "zone30018.ck" is itself a public suffix, so its record's eTLD+1
+// falls back to the name.
+TEST(DomainRecordParity, WildcardSuffixFallsBackToTheName) {
+  cloud::ProviderCatalog providers;
+  web::UniverseConfig cfg;
+  cfg.site_count = 60'030;
+  cfg.seed = 777;
+  const web::Universe universe(cfg, providers);
+  const auto epoch = web::Epoch::jul2025;
+  ParityCoverage cov;
+  const auto records = expect_records_match_reference(
+      universe, universe.build_zone(epoch),
+      core::run_server_survey(universe, epoch, 3), cov);
+  EXPECT_GT(cov.etld1_is_fqdn, 0);
+  const auto it = std::find_if(
+      records.begin(), records.end(),
+      [](const DomainRecord& r) { return r.fqdn == "zone30018.ck"; });
+  ASSERT_NE(it, records.end());
+  EXPECT_EQ(it->etld1, "zone30018.ck");
 }
 
 }  // namespace

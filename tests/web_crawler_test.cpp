@@ -257,6 +257,15 @@ TEST_F(CrawlerTest, LinkClickAblationFindsMoreFullSitesMainOnly) {
   EXPECT_GE(ab.pct_full_main_only, ab.pct_full_with_clicks);
 }
 
+// The ablation's with-clicks arm draws each site's RNG the way crawl_all
+// does, so it reproduces the survey's IPv6-full share exactly.
+TEST_F(CrawlerTest, LinkClickAblationWithClicksIsTheSurvey) {
+  const auto ab = core::link_click_ablation(universe_, Epoch::jul2025, 14);
+  const auto survey = core::run_server_survey(universe_, Epoch::jul2025, 14);
+  EXPECT_EQ(ab.pct_full_with_clicks,
+            survey.counts.pct_of_success(survey.counts.ipv6_full));
+}
+
 // ------------------------------------------------------------ metrics
 
 TEST_F(CrawlerTest, SpanAnalysisInvariants) {
