@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "core/client_analysis.h"
@@ -29,8 +30,6 @@
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
 #include "engine/thread_pool.h"
-#include "stats/descriptive.h"
-#include "stats/wilcoxon.h"
 #include "traffic/service_catalog.h"
 
 using namespace nbv6;
@@ -38,9 +37,11 @@ using namespace nbv6;
 int main(int argc, char** argv) {
   engine::FleetConfig cfg;  // defaults: 64 residences, 30 days
   if (argc > 1) {
-    auto loaded = engine::FleetConfig::load(argv[1]);
+    std::string error;
+    auto loaded = engine::FleetConfig::load(argv[1], &error);
     if (!loaded) {
-      std::fprintf(stderr, "failed to load scenario config: %s\n", argv[1]);
+      std::fprintf(stderr, "failed to load scenario config: %s: %s\n",
+                   argv[1], error.c_str());
       return 1;
     }
     cfg = *loaded;
@@ -100,39 +101,37 @@ int main(int argc, char** argv) {
                                        static_cast<double>(ds.sessions));
   }
 
-  // Fleet-level Table-1 rows + population spread from the merged monitor:
-  // the core analyses run unchanged on the reduced view.
-  auto report = core::analyze_fleet(result);
+  // The fleet's Table-1 row: the per-residence analysis runs unchanged on
+  // the merged monitor.
+  const auto fleet = core::analyze_residence("fleet", result.fleet);
   std::printf("\nfleet external traffic: %.1f GB, %.1f%% IPv6 by bytes, "
               "%.1f%% by flows\n",
-              report.fleet.external.total_gb,
-              100 * report.fleet.external.overall_byte_fraction,
-              100 * report.fleet.external.overall_flow_fraction);
+              fleet.external.total_gb,
+              100 * fleet.external.overall_byte_fraction,
+              100 * fleet.external.overall_flow_fraction);
   std::printf("fleet daily byte fraction: mean %.3f, sd %.3f\n",
-              report.fleet.external.daily_byte_fraction.mean,
-              report.fleet.external.daily_byte_fraction.stddev);
+              fleet.external.daily_byte_fraction.mean,
+              fleet.external.daily_byte_fraction.stddev);
 
   // Population distribution of per-residence adoption (the cross-residence
-  // spread Table 1 shows for five homes, here for the whole fleet).
-  const auto& by = report.residence_byte_fraction;
-  std::printf("\nper-residence IPv6 byte fraction across %zu active homes:\n"
-              "  mean %.3f  sd %.3f  p25 %.3f  median %.3f  p75 %.3f\n",
-              by.count, by.mean, by.stddev, by.p25, by.median, by.p75);
-
-  // Paired cross-residence comparison: flow fractions systematically exceed
-  // byte fractions (Happy Eyeballs opens v6 control flows even where bytes
-  // go v4) — the Wilcoxon machinery the paper applies across homes.
-  if (auto w = stats::wilcoxon_signed_rank(report.flow_fracs,
-                                           report.byte_fracs)) {
-    std::printf("\nflow- vs byte-fraction (paired Wilcoxon, n=%zu): z=%.2f, "
-                "p=%.2g, effect r=%.2f\n",
-                w->n, w->z, w->p_value, w->effect_size_r);
+  // spread Table 1 shows for five homes, here for the whole fleet), from
+  // the stats report. Vacant homes with background traffic count too.
+  const auto& stats_report =
+      pipe.output<core::FleetStatsReport>("stats_report");
+  for (const auto& dist : stats_report.distributions) {
+    if (dist.metric != core::FleetMetric::v6_byte_fraction) continue;
+    const auto& by = dist.summary;
+    std::printf("\nper-residence IPv6 byte fraction across %zu homes with "
+                "external traffic:\n"
+                "  mean %.3f  sd %.3f  p25 %.3f  median %.3f  p75 %.3f\n",
+                by.count, by.mean, by.stddev, by.p25, by.median, by.p75);
   }
 
   // Fleet statistics: stratum sizes, then the Holm-corrected Wilcoxon
-  // group-comparison panels over the per-residence shards.
-  const auto& stats_report =
-      pipe.output<core::FleetStatsReport>("stats_report");
+  // group-comparison panels over the per-residence shards. The paired
+  // panel's flow- vs byte-fraction row is the paper's cross-home paired
+  // comparison (Happy Eyeballs opens v6 control flows even where bytes go
+  // v4).
   std::printf("\npopulation strata:");
   for (auto g : {core::FleetGroup::healthy_v6, core::FleetGroup::broken_cpe,
                  core::FleetGroup::v4_only, core::FleetGroup::heavy_streamer,

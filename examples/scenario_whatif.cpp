@@ -10,6 +10,7 @@
 //
 //   ./build/example_scenario_whatif [scenario.cfg]
 #include <cstdio>
+#include <string>
 
 #include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
@@ -24,9 +25,11 @@ int main(int argc, char** argv) {
   base.days = 14;
   base.seed = 20260808;
   if (argc > 1) {
-    auto loaded = engine::FleetConfig::load(argv[1]);
+    std::string error;
+    auto loaded = engine::FleetConfig::load(argv[1], &error);
     if (!loaded) {
-      std::fprintf(stderr, "failed to load scenario config: %s\n", argv[1]);
+      std::fprintf(stderr, "failed to load scenario config: %s: %s\n",
+                   argv[1], error.c_str());
       return 1;
     }
     base = *loaded;

@@ -167,8 +167,6 @@ MultiCloudComparison::MultiCloudComparison(
   }
 
   // Keep multi-cloud tenants only.
-  std::map<std::string, std::vector<std::pair<std::string, double>>>
-      fractions_by_org_pairable;
   std::vector<const std::map<std::string, Share>*> multi;
   std::map<std::string, bool> org_seen;
   for (const auto& [etld1, shares] : tenants) {

@@ -40,23 +40,6 @@ ResidenceReport analyze_residence(const std::string& name,
   return r;
 }
 
-FleetReport analyze_fleet(const engine::FleetResult& result) {
-  FleetReport out;
-  out.residences.reserve(result.residences.size());
-  for (const auto& run : result.residences) {
-    out.residences.push_back(
-        analyze_residence(run.config.name, run.monitor));
-    const auto& ext = run.monitor.totals(flowmon::Scope::external);
-    if (ext.total_bytes() == 0) continue;  // vacant/invisible homes
-    out.byte_fracs.push_back(ext.v6_byte_fraction());
-    out.flow_fracs.push_back(ext.v6_flow_fraction());
-  }
-  out.fleet = analyze_residence("fleet", result.fleet);
-  out.residence_byte_fraction = stats::summarize(out.byte_fracs);
-  out.residence_flow_fraction = stats::summarize(out.flow_fracs);
-  return out;
-}
-
 std::vector<AsUsage> as_usage(const flowmon::FlowMonitor& monitor,
                               const net::AsMap& as_map,
                               double min_traffic_share) {

@@ -2,11 +2,9 @@
 // paper's tables and series.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "engine/fleet.h"
 #include "flowmon/monitor.h"
 #include "net/asn.h"
 #include "stats/descriptive.h"
@@ -38,24 +36,6 @@ struct ResidenceReport {
 /// Build Table 1's row for one residence from its monitor.
 ResidenceReport analyze_residence(const std::string& name,
                                   const flowmon::FlowMonitor& monitor);
-
-/// Population-level reporting: Table-1-style rows for every residence of
-/// a fleet run plus the merged fleet row, and the cross-residence spread
-/// of per-home adoption (the Table 1 "daily mean" column generalized from
-/// five homes to a population).
-struct FleetReport {
-  std::vector<ResidenceReport> residences;  ///< index-aligned with the run
-  ResidenceReport fleet;                    ///< from the merged monitor
-  /// Per-residence overall external IPv6 fractions, homes with traffic
-  /// only, in residence order (paired: byte_fracs[i] and flow_fracs[i]
-  /// are the same home — ready for paired tests like Wilcoxon).
-  std::vector<double> byte_fracs;
-  std::vector<double> flow_fracs;
-  stats::Summary residence_byte_fraction;  ///< summarize(byte_fracs)
-  stats::Summary residence_flow_fraction;  ///< summarize(flow_fracs)
-};
-
-FleetReport analyze_fleet(const engine::FleetResult& result);
 
 /// Per-AS IPv6 usage at one residence (§3.4, Figs. 3-4). Only ASes with at
 /// least `min_traffic_share` of the residence's external bytes are kept

@@ -160,8 +160,12 @@ struct PopulationDistribution {
   stats::Summary summary;
 };
 
-/// The full fleet-statistics report.
+/// The full fleet-statistics report: the fleet layer's one aggregate
+/// product.
 struct FleetStatsReport {
+  /// Whole-horizon matrix over default_fleet_metrics(), bit for bit
+  /// extract_metrics(result, default_fleet_metrics()). The scenario chain
+  /// exposes it only here, in its "stats_report" resource.
   FleetMetricMatrix matrix;
   std::vector<GroupComparison> comparisons;  ///< unpaired, default pairs
   GroupComparison paired;                    ///< flow- vs byte-fraction etc.

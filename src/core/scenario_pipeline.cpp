@@ -23,13 +23,6 @@ using engine::SampledFleet;
 // fold it, so it stays part of their cache keys.
 constexpr double kAlpha = 0.05;
 
-std::uint64_t metrics_digest(const std::vector<FleetMetric>& metrics) {
-  DigestBuilder db;
-  db.u64(metrics.size());
-  for (FleetMetric m : metrics) db.u64(static_cast<std::uint64_t>(m));
-  return db.value();
-}
-
 std::uint64_t panel_digest(const FleetConfig& cfg) {
   const PanelWindows w = panel_windows(cfg.days);
   return DigestBuilder()
@@ -133,21 +126,6 @@ Pass simulate_pass(const traffic::ServiceCatalog& catalog) {
   return p;
 }
 
-Pass metrics_pass() {
-  Pass p;
-  p.name = "metrics";
-  p.inputs = {"fleet_result"};
-  p.outputs = {"metric_matrix"};
-  p.config_digest = metrics_digest(default_fleet_metrics());
-  p.run = [](PassContext& ctx) {
-    const auto metrics = default_fleet_metrics();
-    ctx.out("metric_matrix",
-            extract_metrics(ctx.in<engine::FleetResult>("fleet_result"),
-                            metrics, ctx.pool()));
-  };
-  return p;
-}
-
 Pass report_pass() {
   Pass p;
   p.name = "report";
@@ -188,7 +166,6 @@ std::vector<std::function<Pass()>> scenario_pass_factories(
       [&cfg, &catalog] { return sample_pass(cfg, catalog); },
       [&cfg] { return timeline_pass(cfg); },
       [&catalog] { return simulate_pass(catalog); },
-      [] { return metrics_pass(); },
       [] { return report_pass(); },
       [&cfg] { return window_panel_pass(cfg); },
   };

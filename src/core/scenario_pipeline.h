@@ -6,17 +6,16 @@
 //   sample        ->  "population"     (engine::SampledFleet)
 //   timeline      ->  "planned_fleet"  (engine::SampledFleet)
 //   simulate      ->  "fleet_result"   (engine::FleetResult)
-//   metrics       ->  "metric_matrix"  (core::FleetMetricMatrix)
 //   report        ->  "stats_report"   (core::FleetStatsReport)
 //   window_panel  ->  "window_panel"   (core::GroupComparison)
 //
 // Every pass wraps the one production stage function (sample_stage,
-// apply_timeline, simulate_fleet, extract_metrics, fleet_stats_report,
-// compare_windows), and Pipeline::run is how a scenario runs end to end:
-// the golden-replay suite pins its output byte for byte at 1, 4 and 8
-// lanes. The chain has no knobs: the report and the window panel are
-// Holm-corrected at alpha = 0.05, and the panel compares the horizon's two
-// halves (panel_windows).
+// apply_timeline, simulate_fleet, fleet_stats_report, compare_windows), and
+// the whole-horizon metric matrix is the report's `matrix` member.
+// Pipeline::run is how a scenario runs end to end: the golden-replay suite
+// pins its output byte for byte at 1, 4 and 8 lanes. The chain has no
+// knobs: the report and the window panel are Holm-corrected at alpha =
+// 0.05, and the panel compares the horizon's two halves (panel_windows).
 //
 // The config digests draw a deliberate line through FleetConfig: the
 // sample pass digests only the population slice (residences, seed,

@@ -11,102 +11,6 @@
 
 namespace nbv6::stats {
 
-namespace {
-
-// Exact null distribution of the rank sum R1 for n1 untied ranks drawn
-// from {1..n}: counts[k][s] = number of k-subsets summing to s, via DP.
-// Used when both samples are small and there are no ties.
-double exact_rank_sum_two_sided_p(int n1, int n2, double u1) {
-  const int n = n1 + n2;
-  const int max_sum = n * (n + 1) / 2;
-  // counts[k][s], rolled over k in decreasing order.
-  std::vector<std::vector<double>> counts(
-      static_cast<size_t>(n1) + 1,
-      std::vector<double>(static_cast<size_t>(max_sum) + 1, 0.0));
-  counts[0][0] = 1.0;
-  for (int r = 1; r <= n; ++r)
-    for (int k = std::min(n1, r); k >= 1; --k)
-      for (int s = max_sum; s >= r; --s)
-        counts[static_cast<size_t>(k)][static_cast<size_t>(s)] +=
-            counts[static_cast<size_t>(k - 1)][static_cast<size_t>(s - r)];
-
-  double total = 0.0;
-  for (double c : counts[static_cast<size_t>(n1)]) total += c;
-
-  // U1 = R1 - n1(n1+1)/2 ranges over [0, n1*n2], symmetric around its
-  // midpoint under the null. Two-sided: double the smaller tail.
-  const int offset = n1 * (n1 + 1) / 2;
-  const double u_max = static_cast<double>(n1) * n2;
-  double lo_stat = std::min(u1, u_max - u1);
-  double tail = 0.0;
-  for (int u = 0; u <= static_cast<int>(std::floor(lo_stat + 1e-9)); ++u)
-    tail += counts[static_cast<size_t>(n1)][static_cast<size_t>(u + offset)];
-  return std::min(1.0, 2.0 * tail / total);
-}
-
-}  // namespace
-
-std::optional<RankSumResult> wilcoxon_rank_sum(std::span<const double> xs,
-                                               std::span<const double> ys) {
-  // Non-finite observations (the fleet layer's NaN undefined-metric
-  // sentinel, infs from degenerate ratios) have no defined rank; drop them
-  // so a raw metric column can stream in unfiltered, and report a defined
-  // no-result (nullopt) when either sample has nothing testable left.
-  std::vector<double> pooled;
-  pooled.reserve(xs.size() + ys.size());
-  for (double x : xs)
-    if (std::isfinite(x)) pooled.push_back(x);
-  const size_t n1 = pooled.size();
-  for (double y : ys)
-    if (std::isfinite(y)) pooled.push_back(y);
-  const size_t n2 = pooled.size() - n1;
-  if (n1 == 0 || n2 == 0) return std::nullopt;
-  const size_t n = n1 + n2;
-
-  // Midranks of the pooled sample by signed value, with the tie structure
-  // collected in the same pass. tie_term > 0 iff any tie group exists.
-  double tie_term = 0.0;
-  auto ranks = midranks_signed(pooled, tie_term);
-  const bool has_ties = tie_term > 0.0;
-
-  double r1 = 0.0;
-  for (size_t i = 0; i < n1; ++i) r1 += ranks[i];
-
-  RankSumResult out;
-  out.n1 = n1;
-  out.n2 = n2;
-  out.u1 = r1 - static_cast<double>(n1) * (static_cast<double>(n1) + 1.0) / 2.0;
-
-  const double dn1 = static_cast<double>(n1);
-  const double dn2 = static_cast<double>(n2);
-  const double dn = static_cast<double>(n);
-  const double mean_u = dn1 * dn2 / 2.0;
-
-  if (!has_ties && n1 <= 12 && n2 <= 12) {
-    out.p_value = exact_rank_sum_two_sided_p(static_cast<int>(n1),
-                                             static_cast<int>(n2), out.u1);
-    double var_u = dn1 * dn2 * (dn + 1.0) / 12.0;
-    out.z = var_u > 0 ? (out.u1 - mean_u) / std::sqrt(var_u) : 0.0;
-  } else {
-    // Normal approximation; ties shrink the variance by the pooled tie
-    // term, and the continuity correction pulls toward the mean.
-    double var_u =
-        dn1 * dn2 / 12.0 * ((dn + 1.0) - tie_term / (dn * (dn - 1.0)));
-    if (var_u <= 0) {
-      out.p_value = 1.0;  // every pooled value identical: no evidence
-      out.z = 0.0;
-    } else {
-      double num = out.u1 - mean_u;
-      double cc = num > 0 ? -0.5 : (num < 0 ? 0.5 : 0.0);
-      out.z = (num + cc) / std::sqrt(var_u);
-      out.p_value = std::min(1.0, 2.0 * (1.0 - normal_cdf(std::abs(out.z))));
-    }
-  }
-
-  out.effect_size_r = std::clamp(out.z / std::sqrt(dn), -1.0, 1.0);
-  return out;
-}
-
 // ------------------------------------------------------- StreamingCdf
 
 StreamingCdf::StreamingCdf(double lo, double hi, int bins)

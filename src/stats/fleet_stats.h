@@ -2,58 +2,25 @@
 // paper's cross-residence comparisons, generalized from five instrumented
 // households to arbitrarily large simulated fleets.
 //
-// Three pieces live here, all pure statistics (no engine dependency):
-//   - the unpaired Wilcoxon rank-sum (Mann-Whitney U) test, complementing
-//     the paired signed-rank test in wilcoxon.h for comparisons between
-//     *disjoint* residence groups (dual-stack vs broken-CPE homes, heavy
-//     streamers vs baseline households),
+// Two pieces live here, both pure statistics (no engine dependency):
 //   - StreamingCdf, a mergeable fixed-bin CDF/quantile accumulator so
 //     population distributions over millions of residences never need the
 //     full sample materialized in one vector, and
 //   - the group-comparison panel row plus Holm-Bonferroni adjustment
 //     across a panel's metrics (the family-wise control of Fig. 12 applied
 //     to fleet metric panels).
+// The rank tests the panels run (signed-rank and rank-sum) live in
+// wilcoxon.h.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "stats/descriptive.h"
 
 namespace nbv6::stats {
-
-// ------------------------------------------------ Wilcoxon rank-sum test
-
-struct RankSumResult {
-  /// Sample sizes actually tested.
-  size_t n1 = 0;
-  size_t n2 = 0;
-  /// Mann-Whitney U statistic of the first sample (number of (x, y) pairs
-  /// with x > y, ties counted half).
-  double u1 = 0;
-  /// Two-sided p-value. Exact distribution when both samples are small
-  /// (n1, n2 <= 12) and the pooled sample has no tied values at all (ties
-  /// within one sample also disqualify); normal approximation (with tie
-  /// and continuity corrections) otherwise.
-  double p_value = 1.0;
-  /// Signed standardized statistic; >0 means the first sample tends larger.
-  double z = 0;
-  /// Effect size r = Z / sqrt(n1 + n2), in [-1, 1].
-  double effect_size_r = 0;
-};
-
-/// Unpaired two-sided Wilcoxon rank-sum (Mann-Whitney U) test of xs vs ys.
-/// Non-finite observations (NaN undefined-metric sentinels, infs) are
-/// dropped before ranking; returns nullopt — a defined no-result, never
-/// NaN statistics — when either sample has no finite values left.
-/// Degenerate but testable inputs stay defined too: single observations
-/// take the exact path, and an all-tied pool reports p = 1, z = 0.
-std::optional<RankSumResult> wilcoxon_rank_sum(std::span<const double> xs,
-                                               std::span<const double> ys);
 
 // ------------------------------------------------------- streaming CDF
 

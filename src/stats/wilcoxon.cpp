@@ -1,7 +1,6 @@
 #include "stats/wilcoxon.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 
@@ -41,19 +40,42 @@ std::vector<double> midranks_by(std::span<const double> values, Key key,
   return ranks;
 }
 
-}  // namespace
+constexpr auto abs_key = [](double v) { return std::abs(v); };
 
-std::vector<double> midranks(std::span<const double> values) {
-  return midranks_by(values, [](double v) { return std::abs(v); }, nullptr);
-}
-
+// Midranks of signed values plus the pooled tie term: the rank-sum test's
+// ranking of the pooled sample.
 std::vector<double> midranks_signed(std::span<const double> values,
                                     double& tie_term) {
   tie_term = 0.0;
   return midranks_by(values, [](double v) { return v; }, &tie_term);
 }
 
-namespace {
+struct NormalApprox {
+  double z = 0.0;
+  double p_value = 1.0;
+};
+
+// Normal approximation of a rank statistic: `deviation` is the statistic
+// minus its null mean and `var` its tie-corrected null variance. The
+// continuity correction pulls toward the mean. No variance (every value
+// tied) means no evidence either way: z = 0, p = 1.
+NormalApprox normal_approx(double deviation, double var) {
+  if (var <= 0) return {};
+  const double cc = deviation > 0 ? -0.5 : (deviation < 0 ? 0.5 : 0.0);
+  const double z = (deviation + cc) / std::sqrt(var);
+  return {z, std::min(1.0, 2.0 * (1.0 - normal_cdf(std::abs(z))))};
+}
+
+// Z beside an exact p-value, from the untied variance, so the effect size
+// stays consistent with the approximation's.
+double exact_z(double deviation, double var) {
+  return var > 0 ? deviation / std::sqrt(var) : 0.0;
+}
+
+// Effect size r = Z / sqrt(n), clamped to [-1, 1].
+double effect_size(double z, double n) {
+  return std::clamp(z / std::sqrt(n), -1.0, 1.0);
+}
 
 // Exact null distribution of W+ for n untied ranks: counts of subsets of
 // {1..n} summing to each value, via DP. Feasible well past n = 25.
@@ -78,7 +100,42 @@ double exact_two_sided_p(int n, double w_plus) {
   return std::min(1.0, p);
 }
 
+// Exact null distribution of the rank sum R1 for n1 untied ranks drawn
+// from {1..n}: counts[k][s] = number of k-subsets summing to s, via DP.
+// Used when both samples are small and there are no ties.
+double exact_rank_sum_two_sided_p(int n1, int n2, double u1) {
+  const int n = n1 + n2;
+  const int max_sum = n * (n + 1) / 2;
+  // counts[k][s], rolled over k in decreasing order.
+  std::vector<std::vector<double>> counts(
+      static_cast<size_t>(n1) + 1,
+      std::vector<double>(static_cast<size_t>(max_sum) + 1, 0.0));
+  counts[0][0] = 1.0;
+  for (int r = 1; r <= n; ++r)
+    for (int k = std::min(n1, r); k >= 1; --k)
+      for (int s = max_sum; s >= r; --s)
+        counts[static_cast<size_t>(k)][static_cast<size_t>(s)] +=
+            counts[static_cast<size_t>(k - 1)][static_cast<size_t>(s - r)];
+
+  double total = 0.0;
+  for (double c : counts[static_cast<size_t>(n1)]) total += c;
+
+  // U1 = R1 - n1(n1+1)/2 ranges over [0, n1*n2], symmetric around its
+  // midpoint under the null. Two-sided: double the smaller tail.
+  const int offset = n1 * (n1 + 1) / 2;
+  const double u_max = static_cast<double>(n1) * n2;
+  double lo_stat = std::min(u1, u_max - u1);
+  double tail = 0.0;
+  for (int u = 0; u <= static_cast<int>(std::floor(lo_stat + 1e-9)); ++u)
+    tail += counts[static_cast<size_t>(n1)][static_cast<size_t>(u + offset)];
+  return std::min(1.0, 2.0 * tail / total);
+}
+
 }  // namespace
+
+std::vector<double> midranks(std::span<const double> values) {
+  return midranks_by(values, abs_key, nullptr);
+}
 
 std::optional<WilcoxonResult> wilcoxon_signed_rank(
     std::span<const double> diffs) {
@@ -93,7 +150,11 @@ std::optional<WilcoxonResult> wilcoxon_signed_rank(
     if (x != 0.0 && std::isfinite(x)) d.push_back(x);
   if (d.empty()) return std::nullopt;
 
-  auto ranks = midranks(d);
+  // Midranks of |d|, with the tie structure of |d| collected in the same
+  // pass. tie_term > 0 iff any tie group exists.
+  double tie_term = 0.0;
+  auto ranks = midranks_by(d, abs_key, &tie_term);
+  const bool has_ties = tie_term > 0.0;
   const size_t n = d.size();
 
   WilcoxonResult r;
@@ -103,57 +164,21 @@ std::optional<WilcoxonResult> wilcoxon_signed_rank(
     if (d[i] > 0) w_plus += ranks[i];
   r.w_plus = w_plus;
 
-  bool has_ties = [&] {
-    std::vector<double> abs_sorted(n);
-    for (size_t i = 0; i < n; ++i) abs_sorted[i] = std::abs(d[i]);
-    std::sort(abs_sorted.begin(), abs_sorted.end());
-    return std::adjacent_find(abs_sorted.begin(), abs_sorted.end()) !=
-           abs_sorted.end();
-  }();
-
   const double nn = static_cast<double>(n);
   const double mean_w = nn * (nn + 1.0) / 4.0;
+  const double var_untied = nn * (nn + 1.0) * (2.0 * nn + 1.0) / 24.0;
 
   if (!has_ties && n <= 25) {
     r.p_value = exact_two_sided_p(static_cast<int>(n), w_plus);
-    // Z from the exact variance so the effect size stays consistent.
-    double var_w = nn * (nn + 1.0) * (2.0 * nn + 1.0) / 24.0;
-    r.z = var_w > 0 ? (w_plus - mean_w) / std::sqrt(var_w) : 0.0;
+    r.z = exact_z(w_plus - mean_w, var_untied);
   } else {
-    // Normal approximation with tie correction: the variance shrinks by
-    // sum(t^3 - t) / 48 per tie group of size t.
-    double tie_term = 0.0;
-    {
-      std::vector<double> abs_d(n);
-      for (size_t i = 0; i < n; ++i) abs_d[i] = std::abs(d[i]);
-      std::sort(abs_d.begin(), abs_d.end());
-      size_t i = 0;
-      while (i < n) {
-        size_t j = i;
-        while (j + 1 < n && abs_d[j + 1] == abs_d[i]) ++j;
-        double t = static_cast<double>(j - i + 1);
-        tie_term += t * t * t - t;
-        i = j + 1;
-      }
-    }
-    double var_w =
-        nn * (nn + 1.0) * (2.0 * nn + 1.0) / 24.0 - tie_term / 48.0;
-    if (var_w <= 0) {
-      // All differences tied at one magnitude with both signs impossible:
-      // no variance means no evidence either way.
-      r.p_value = 1.0;
-      r.z = 0.0;
-    } else {
-      // Continuity correction toward the mean.
-      double num = w_plus - mean_w;
-      double cc = num > 0 ? -0.5 : (num < 0 ? 0.5 : 0.0);
-      r.z = (num + cc) / std::sqrt(var_w);
-      r.p_value = std::min(1.0, 2.0 * (1.0 - normal_cdf(std::abs(r.z))));
-    }
+    // Ties shrink the variance by sum(t^3 - t) / 48 per tie group of size t.
+    const auto approx = normal_approx(w_plus - mean_w,
+                                      var_untied - tie_term / 48.0);
+    r.z = approx.z;
+    r.p_value = approx.p_value;
   }
-
-  r.effect_size_r = r.z / std::sqrt(nn);
-  r.effect_size_r = std::clamp(r.effect_size_r, -1.0, 1.0);
+  r.effect_size_r = effect_size(r.z, nn);
   return r;
 }
 
@@ -165,6 +190,58 @@ std::optional<WilcoxonResult> wilcoxon_signed_rank(std::span<const double> xs,
   std::vector<double> d(xs.size());
   for (size_t i = 0; i < xs.size(); ++i) d[i] = xs[i] - ys[i];
   return wilcoxon_signed_rank(d);
+}
+
+std::optional<RankSumResult> wilcoxon_rank_sum(std::span<const double> xs,
+                                               std::span<const double> ys) {
+  // Non-finite observations (the fleet layer's NaN undefined-metric
+  // sentinel, infs from degenerate ratios) have no defined rank; drop them
+  // so a raw metric column can stream in unfiltered, and report a defined
+  // no-result (nullopt) when either sample has nothing testable left.
+  std::vector<double> pooled;
+  pooled.reserve(xs.size() + ys.size());
+  for (double x : xs)
+    if (std::isfinite(x)) pooled.push_back(x);
+  const size_t n1 = pooled.size();
+  for (double y : ys)
+    if (std::isfinite(y)) pooled.push_back(y);
+  const size_t n2 = pooled.size() - n1;
+  if (n1 == 0 || n2 == 0) return std::nullopt;
+  const size_t n = n1 + n2;
+
+  // Midranks of the pooled sample by signed value, with the tie structure
+  // collected in the same pass. tie_term > 0 iff any tie group exists.
+  double tie_term = 0.0;
+  auto ranks = midranks_signed(pooled, tie_term);
+  const bool has_ties = tie_term > 0.0;
+
+  double r1 = 0.0;
+  for (size_t i = 0; i < n1; ++i) r1 += ranks[i];
+
+  RankSumResult out;
+  out.n1 = n1;
+  out.n2 = n2;
+  out.u1 = r1 - static_cast<double>(n1) * (static_cast<double>(n1) + 1.0) / 2.0;
+
+  const double dn1 = static_cast<double>(n1);
+  const double dn2 = static_cast<double>(n2);
+  const double dn = static_cast<double>(n);
+  const double mean_u = dn1 * dn2 / 2.0;
+
+  if (!has_ties && n1 <= 12 && n2 <= 12) {
+    out.p_value = exact_rank_sum_two_sided_p(static_cast<int>(n1),
+                                             static_cast<int>(n2), out.u1);
+    out.z = exact_z(out.u1 - mean_u, dn1 * dn2 * (dn + 1.0) / 12.0);
+  } else {
+    // Ties shrink the variance by the pooled tie term.
+    const auto approx = normal_approx(
+        out.u1 - mean_u,
+        dn1 * dn2 / 12.0 * ((dn + 1.0) - tie_term / (dn * (dn - 1.0))));
+    out.z = approx.z;
+    out.p_value = approx.p_value;
+  }
+  out.effect_size_r = effect_size(out.z, dn);
+  return out;
 }
 
 HolmResult holm_bonferroni(std::span<const double> p_values, double alpha) {

@@ -1,10 +1,13 @@
-// Wilcoxon signed-rank test and Holm-Bonferroni multiple-testing control.
+// Wilcoxon rank tests and Holm-Bonferroni multiple-testing control.
 //
 // §5.2 of the paper compares IPv6 readiness of cloud-provider pairs over
 // shared multi-cloud tenants with a two-sided Wilcoxon signed-rank test,
 // reports the effect size r, and controls the family-wise error rate over
 // all 67 comparable pairs with Holm-Bonferroni at α = 0.05. This module is
-// that exact statistical machinery.
+// that exact statistical machinery, plus the unpaired rank-sum (Mann-
+// Whitney U) test the fleet layer runs between disjoint residence groups
+// (dual-stack vs broken-CPE homes, heavy streamers vs baseline
+// households). Both tests share one normal approximation.
 #pragma once
 
 #include <optional>
@@ -40,15 +43,35 @@ std::optional<WilcoxonResult> wilcoxon_signed_rank(std::span<const double> xs,
 std::optional<WilcoxonResult> wilcoxon_signed_rank(
     std::span<const double> diffs);
 
+struct RankSumResult {
+  /// Sample sizes actually tested.
+  size_t n1 = 0;
+  size_t n2 = 0;
+  /// Mann-Whitney U statistic of the first sample (number of (x, y) pairs
+  /// with x > y, ties counted half).
+  double u1 = 0;
+  /// Two-sided p-value. Exact distribution when both samples are small
+  /// (n1, n2 <= 12) and the pooled sample has no tied values at all (ties
+  /// within one sample also disqualify); normal approximation (with tie
+  /// and continuity corrections) otherwise.
+  double p_value = 1.0;
+  /// Signed standardized statistic; >0 means the first sample tends larger.
+  double z = 0;
+  /// Effect size r = Z / sqrt(n1 + n2), in [-1, 1].
+  double effect_size_r = 0;
+};
+
+/// Unpaired two-sided Wilcoxon rank-sum (Mann-Whitney U) test of xs vs ys.
+/// Non-finite observations (NaN undefined-metric sentinels, infs) are
+/// dropped before ranking; returns nullopt — a defined no-result, never
+/// NaN statistics — when either sample has no finite values left.
+/// Degenerate but testable inputs stay defined too: single observations
+/// take the exact path, and an all-tied pool reports p = 1, z = 0.
+std::optional<RankSumResult> wilcoxon_rank_sum(std::span<const double> xs,
+                                               std::span<const double> ys);
+
 /// Midranks of |values|: ties share the average of the ranks they occupy.
 std::vector<double> midranks(std::span<const double> values);
-
-/// Midranks of signed values (ties share averages as above), additionally
-/// accumulating the pooled tie term sum(t^3 - t) over tie groups — the
-/// quantity tie-corrected rank-test variances need. Used by the unpaired
-/// rank-sum test in fleet_stats.
-std::vector<double> midranks_signed(std::span<const double> values,
-                                    double& tie_term);
 
 /// Holm-Bonferroni step-down procedure. Given raw p-values, returns for
 /// each whether it is rejected at family-wise level `alpha`, plus the

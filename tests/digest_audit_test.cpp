@@ -96,7 +96,7 @@ TEST(DigestAudit, EveryCommittedScenarioIsCovered) {
     auto cfg = FleetConfig::load(path, &err);
     ASSERT_TRUE(cfg.has_value()) << path << ": " << err;
     const auto audits = core::audit_scenario_passes(shrunk(*cfg), catalog);
-    ASSERT_EQ(audits.size(), 6u) << path;
+    ASSERT_EQ(audits.size(), 5u) << path;
     for (const auto& a : audits) {
       const ConfigReadSet uncovered = core::uncovered_config_reads(a);
       EXPECT_TRUE(uncovered.none())
@@ -155,7 +155,7 @@ TEST(DigestAudit, DigestReadSetsAreSlices) {
   const auto catalog = traffic::build_paper_catalog();
   const auto audits =
       core::audit_scenario_passes(shrunk(FleetConfig{}), catalog);
-  ASSERT_EQ(audits.size(), 6u);
+  ASSERT_EQ(audits.size(), 5u);
   ASSERT_EQ(audits[0].pass, "sample");
   EXPECT_FALSE(audits[0].digest_reads.test(bit(ConfigField::timeline)));
   ASSERT_EQ(audits[1].pass, "timeline");

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "core/client_analysis.h"
+#include "core/fleet_analysis.h"
 #include "engine/firehose.h"
 #include "engine/fleet.h"
 #include "engine/flat_conntrack.h"
@@ -555,12 +558,27 @@ TEST(SimulateFleet, FleetViewFeedsCoreAnalyses) {
   EXPECT_EQ(result.fleet.external_bytes(), shard_bytes);
 
   // And the core reporting layer consumes the fleet result directly.
-  auto report = core::analyze_fleet(result);
-  EXPECT_EQ(report.residences.size(), 8u);
-  EXPECT_EQ(report.fleet.name, "fleet");
-  EXPECT_NEAR(report.fleet.external.total_gb,
+  const auto fleet = core::analyze_residence("fleet", result.fleet);
+  EXPECT_EQ(fleet.name, "fleet");
+  EXPECT_NEAR(fleet.external.total_gb,
               static_cast<double>(shard_bytes) / 1e9, 1e-9);
-  EXPECT_GT(report.residence_byte_fraction.count, 0u);
+
+  // The stats report's matrix is the whole-horizon metric matrix, bit for
+  // bit: the one place the scenario chain exposes it.
+  const auto report = core::fleet_stats_report(result, &pool);
+  const auto direct =
+      core::extract_metrics(result, core::default_fleet_metrics());
+  EXPECT_EQ(report.matrix.metrics, direct.metrics);
+  ASSERT_EQ(report.matrix.values.size(), direct.values.size());
+  for (std::size_t m = 0; m < direct.values.size(); ++m) {
+    ASSERT_EQ(report.matrix.values[m].size(), direct.values[m].size());
+    EXPECT_EQ(std::memcmp(report.matrix.values[m].data(),
+                          direct.values[m].data(),
+                          direct.values[m].size() * sizeof(double)),
+              0)
+        << core::to_string(direct.metrics[m]);
+  }
+  EXPECT_GT(report.matrix.values[0].size(), 0u);
 }
 
 }  // namespace

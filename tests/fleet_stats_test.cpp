@@ -21,6 +21,7 @@
 #include "stats/descriptive.h"
 #include "stats/fleet_stats.h"
 #include "stats/rng.h"
+#include "stats/wilcoxon.h"
 #include "testutil.h"
 #include "traffic/service_catalog.h"
 

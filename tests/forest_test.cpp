@@ -436,14 +436,14 @@ TEST(ForestScheduler, ScenarioForestAgainstWarmCacheMatchesSerial) {
   const auto stats = ForestScheduler::run(ptrs, cache, opts);
 
   EXPECT_EQ(stats.executed, 0u);
-  EXPECT_EQ(stats.cached, 18u);  // 3 variants x 6 passes, all warm
+  EXPECT_EQ(stats.cached, 15u);  // 3 variants x 5 passes, all warm
   for (std::size_t v = 0; v < cfgs.size(); ++v) {
     EXPECT_EQ(serialize_pipe(cfgs[v], *pipes[v]), expected[v])
         << "variant " << v;
   }
   // Transient release behaves as in the cold run: the shared sample entry
-  // and the three timeline entries are erased, 12 survive.
-  EXPECT_EQ(cache.size(), 12u);
+  // and the three timeline entries are erased, 9 survive.
+  EXPECT_EQ(cache.size(), 9u);
 }
 
 // Transient release on the scenario chain observable from the cache side:
@@ -465,15 +465,15 @@ TEST(ForestScheduler, ScenarioTransientsLeaveCacheAfterForestRun) {
   opts.transient = core::scenario_transient_resources();
   ForestScheduler::run(ptrs, cache, opts);
 
-  // 3 variants x 6 cacheable passes = 18 stored minus 1 sample (shared,
-  // erased) minus 3 timelines (erased) = 12 surviving entries.
-  EXPECT_EQ(cache.size(), 12u);
+  // 1 shared sample + 3 variants x 4 passes = 13 stored, minus the sample
+  // and the 3 timelines (erased) = 9 surviving entries.
+  EXPECT_EQ(cache.size(), 9u);
 
   // Warm serial re-run of variant 0: the released prefix re-executes, the
   // kept suffix binds from cache.
   const auto warm = pipes[0]->run(&cache);
   EXPECT_EQ(warm.executed, 2u);  // sample + timeline
-  EXPECT_EQ(warm.cached, 4u);    // simulate, metrics, report, window_panel
+  EXPECT_EQ(warm.cached, 3u);    // simulate, report, window_panel
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/scenario_pipeline.h"
@@ -275,6 +277,15 @@ engine::TimelineEvent fix_event(double fraction) {
   return ev;
 }
 
+// The chain's one statistics product is the report: no pass recomputes
+// its whole-horizon metric matrix.
+TEST(ScenarioPipeline, ChainIsFivePassesInOrder) {
+  const auto catalog = traffic::build_paper_catalog();
+  EXPECT_EQ(core::make_scenario_pipeline(small_config(), catalog).schedule(),
+            (std::vector<std::string>{"sample", "timeline", "simulate",
+                                      "report", "window_panel"}));
+}
+
 TEST(ScenarioPipeline, TimelineChangeKeepsSampleCached) {
   const auto catalog = traffic::build_paper_catalog();
   PassCache cache;
@@ -294,7 +305,7 @@ TEST(ScenarioPipeline, TimelineChangeKeepsSampleCached) {
   EXPECT_EQ(p2.executions("timeline"), 1u);
   EXPECT_EQ(p2.executions("simulate"), 1u);
   EXPECT_EQ(stats.cached, 1u);
-  EXPECT_EQ(stats.executed, 5u);
+  EXPECT_EQ(stats.executed, 4u);
 }
 
 TEST(ScenarioPipeline, SeedChangeRerunsEverything) {
@@ -309,7 +320,60 @@ TEST(ScenarioPipeline, SeedChangeRerunsEverything) {
   Pipeline p2 = core::make_scenario_pipeline(reseeded, catalog);
   auto stats = p2.run(&cache);
   EXPECT_EQ(stats.cached, 0u);
-  EXPECT_EQ(stats.executed, 6u);
+  EXPECT_EQ(stats.executed, 5u);
+}
+
+// The digest audit tracks the timeline as one FleetConfig field, so it
+// cannot see a TimelineEvent field missing from the timeline pass's digest.
+// Such a field would bind a stale cached plan across what-if variants:
+// changing any one field must re-run the timeline pass while the sample
+// still hits.
+TEST(ScenarioPipeline, EveryTimelineEventFieldReachesTheTimelineCacheKey) {
+  const auto catalog = traffic::build_paper_catalog();
+  engine::FleetConfig base;
+  base.residences = 4;
+  base.days = 4;
+  base.seed = 7;
+  engine::TimelineEvent fix;
+  fix.kind = engine::TimelineEventKind::cpe_fix;
+  fix.start_day = 1;
+  fix.end_day = 2;
+  fix.fraction = 0.5;
+  base.timeline->events.push_back(fix);
+
+  PassCache cache;
+  core::make_scenario_pipeline(base, catalog).run(&cache);
+
+  using Mutation = void (*)(engine::TimelineEvent&);
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"unchanged", [](engine::TimelineEvent&) {}},
+      {"kind",
+       [](engine::TimelineEvent& e) {
+         e.kind = engine::TimelineEventKind::rollout_wave;
+       }},
+      {"start_day", [](engine::TimelineEvent& e) { e.start_day = 0; }},
+      {"end_day", [](engine::TimelineEvent& e) { e.end_day = 3; }},
+      {"fraction", [](engine::TimelineEvent& e) { e.fraction = 0.25; }},
+      {"amplitude", [](engine::TimelineEvent& e) { e.amplitude = 0.5; }},
+      {"period_days", [](engine::TimelineEvent& e) { e.period_days = 7; }},
+      {"duration_days", [](engine::TimelineEvent& e) { e.duration_days = 1; }},
+      {"service", [](engine::TimelineEvent& e) { e.service = 3; }},
+      {"port_budget", [](engine::TimelineEvent& e) { e.port_budget = 10; }},
+      {"turnover_rate", [](engine::TimelineEvent& e) { e.turnover_rate = 0.5; }},
+      {"mult", [](engine::TimelineEvent& e) { e.mult = 2.0; }},
+      {"hour", [](engine::TimelineEvent& e) { e.hour = 5; }},
+      {"hour_span", [](engine::TimelineEvent& e) { e.hour_span = 2; }},
+  };
+  for (const auto& [field, mutate] : mutations) {
+    auto cfg = base;
+    mutate(cfg.timeline->events[0]);
+    Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+    pipe.run(&cache);
+    const bool changed = std::string_view(field) != "unchanged";
+    EXPECT_EQ(changed, !(cfg == base)) << field;
+    EXPECT_EQ(pipe.executions("sample"), 0u) << field;
+    EXPECT_EQ(pipe.executions("timeline"), changed ? 1u : 0u) << field;
+  }
 }
 
 TEST(ScenarioPipeline, WhatIfForestSamplesBaseExactlyOnce) {
