@@ -31,5 +31,8 @@ int main() {
       "\nPaper reference: count p25=3 p50=7 p75=21; fraction p25=0.09 "
       "p50=0.21 p75=0.41.\n75%% of partial sites need three or more "
       "IPv4-only resources fixed.\n");
+  std::printf("first-party-only partial sites (easily fixable): %d of %zu "
+              "(paper: 565)\n",
+              span.first_party_only_count(), span.partial_sites().size());
   return 0;
 }

@@ -191,10 +191,9 @@ void BM_MstlDecompose(benchmark::State& state) {
   for (size_t i = 0; i < ys.size(); ++i)
     ys[i] = 0.5 + 0.2 * std::sin(2 * 3.14159 * static_cast<double>(i) / 24.0) +
             rng.normal(0, 0.05);
-  stats::MstlConfig cfg;
-  cfg.periods = {24, 168};
+  constexpr int kPeriods[] = {24, 168};
   for (auto _ : state) {
-    auto r = stats::mstl_decompose(ys, cfg);
+    auto r = stats::mstl_decompose(ys, kPeriods);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -212,7 +211,7 @@ void BM_LoessUnit(benchmark::State& state) {
   stats::LoessConfig cfg;
   cfg.span_fraction = 0.1;
   for (auto _ : state) {
-    stats::loess_unit_into(ys, cfg, {}, out);
+    stats::loess_unit_into(ys, cfg, out);
     benchmark::DoNotOptimize(out.data());
   }
 }

@@ -145,9 +145,8 @@ DiurnalDecomposition diurnal_decomposition(const flowmon::FlowMonitor& monitor,
   DiurnalDecomposition d;
   d.observed = monitor.hourly_v6_fraction_series(by_bytes);
 
-  stats::MstlConfig cfg;
-  cfg.periods = {24, 168};  // daily and weekly, hourly samples
-  auto res = stats::mstl_decompose(d.observed, cfg);
+  constexpr int kPeriods[] = {24, 168};  // daily and weekly, hourly samples
+  auto res = stats::mstl_decompose(d.observed, kPeriods);
   d.trend = std::move(res.trend);
   if (!res.seasonals.empty()) d.daily = std::move(res.seasonals[0]);
   if (res.seasonals.size() > 1) d.weekly = std::move(res.seasonals[1]);

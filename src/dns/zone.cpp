@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <numeric>
 #include <utility>
 
 namespace nbv6::dns {
@@ -85,7 +84,6 @@ ZoneDb::Entry& ZoneDb::intern(std::string canon) {
   e.name = std::move(canon);
   entries_.push_back(std::move(e));
   slots_[s] = static_cast<std::uint32_t>(entries_.size());
-  sorted_valid_ = false;
   return entries_.back();
 }
 
@@ -119,18 +117,6 @@ void ZoneDb::erase_entry(std::uint32_t idx) {
     slots_[t] = idx + 1;
   }
   entries_.pop_back();
-  sorted_valid_ = false;
-}
-
-void ZoneDb::ensure_sorted() const {
-  if (sorted_valid_) return;
-  sorted_.resize(entries_.size());
-  std::iota(sorted_.begin(), sorted_.end(), 0u);
-  std::sort(sorted_.begin(), sorted_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return entries_[a].name < entries_[b].name;
-            });
-  sorted_valid_ = true;
 }
 
 bool ZoneDb::add_a(std::string_view name, net::IPv4Addr addr) {
@@ -178,29 +164,6 @@ size_t ZoneDb::remove(std::string_view name, RecordType type) {
   }
   if (e.empty()) erase_entry(idx);
   return removed;
-}
-
-std::vector<net::IPv4Addr> ZoneDb::a_records(std::string_view name) const {
-  const Entry* e = find_entry(name);
-  return e == nullptr ? std::vector<net::IPv4Addr>{} : e->a;
-}
-
-std::vector<net::IPv6Addr> ZoneDb::aaaa_records(std::string_view name) const {
-  const Entry* e = find_entry(name);
-  return e == nullptr ? std::vector<net::IPv6Addr>{} : e->aaaa;
-}
-
-std::string ZoneDb::cname(std::string_view name) const {
-  return std::string(cname_view(name));
-}
-
-std::string_view ZoneDb::cname_view(std::string_view name) const {
-  const Entry* e = find_entry(name);
-  return e == nullptr ? std::string_view{} : std::string_view(e->cname);
-}
-
-bool ZoneDb::exists(std::string_view name) const {
-  return find_entry(name) != nullptr;
 }
 
 ZoneDb::NameView ZoneDb::lookup(std::string_view name) const {

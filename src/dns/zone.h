@@ -10,9 +10,8 @@
 // canonical names to entry indices. Resolution chains probe the flat table
 // instead of walking a red-black tree — BM_DnsResolveChain's hot path is a
 // hash and a few contiguous slot reads per hop rather than O(log n)
-// pointer-chasing string compares. The sorted iteration order
-// for_each_name has always promised is preserved via a lazily rebuilt
-// sorted index.
+// pointer-chasing string compares. Names carry no order: lookup() is the
+// one reader.
 #pragma once
 
 #include <cstdint>
@@ -51,18 +50,6 @@ class ZoneDb {
   /// Remove every record of `type` at `name`. Returns number removed.
   size_t remove(std::string_view name, RecordType type);
 
-  [[nodiscard]] std::vector<net::IPv4Addr> a_records(std::string_view name) const;
-  [[nodiscard]] std::vector<net::IPv6Addr> aaaa_records(std::string_view name) const;
-  /// CNAME target, or empty string if none.
-  [[nodiscard]] std::string cname(std::string_view name) const;
-  /// CNAME target as a view into the zone's own storage (empty if none).
-  /// Valid until the zone is modified — the resolver's chain walk uses this
-  /// to follow hops without allocating a std::string per hop.
-  [[nodiscard]] std::string_view cname_view(std::string_view name) const;
-
-  /// True when the name owns any record at all.
-  [[nodiscard]] bool exists(std::string_view name) const;
-
   /// Everything one resolution hop needs from a single table probe. Views
   /// and pointers reference the zone's own storage: valid until the zone
   /// is modified.
@@ -75,13 +62,6 @@ class ZoneDb {
   [[nodiscard]] NameView lookup(std::string_view name) const;
 
   [[nodiscard]] size_t name_count() const { return entries_.size(); }
-
-  /// Visit every name in the database (canonical form, sorted).
-  template <typename Fn>
-  void for_each_name(Fn&& fn) const {
-    ensure_sorted();
-    for (std::uint32_t idx : sorted_) fn(entries_[idx].name);
-  }
 
  private:
   struct Entry {
@@ -113,17 +93,11 @@ class ZoneDb {
   /// (backward-shift deletion keeps every probe chain intact).
   void erase_entry(std::uint32_t idx);
 
-  void ensure_sorted() const;
-
   /// Dense record store; erasure swap-pops, so indices are not stable.
   std::vector<Entry> entries_;
   /// Open-addressing table: entry index + 1, 0 = empty. Power-of-two size,
   /// linear probing, grown past 3/4 load.
   std::vector<std::uint32_t> slots_;
-  /// Entry indices in name order, rebuilt lazily after mutations — keeps
-  /// for_each_name's sorted contract without ordering the hot path.
-  mutable std::vector<std::uint32_t> sorted_;
-  mutable bool sorted_valid_ = false;
 };
 
 }  // namespace nbv6::dns

@@ -74,10 +74,6 @@ class AsMap {
     return it == names_.end() ? "AS" + std::to_string(asn) : it->second;
   }
 
-  [[nodiscard]] size_t announcement_count() const {
-    return v4_.size() + v6_.size();
-  }
-
  private:
   LpmTrie4<Asn> v4_;
   LpmTrie6<Asn> v6_;

@@ -2,14 +2,13 @@
 //
 // The smoothing primitive inside STL/MSTL (§3.3 of the paper decomposes
 // daily IPv6 fractions with MSTL, whose inner loops are LOESS fits).
-// Local linear fits with tricube weights; an optional robustness weight
-// vector supports STL's outer iterations.
+// Local linear fits with tricube weights over a unit-spaced series
+// (x = 0..n-1).
 //
-// Two API layers: the vector-returning conveniences below, and
-// allocation-free `_into` variants that write into caller-provided output
-// spans. STL/MSTL call the `_into` forms with workspace buffers so the
-// decomposition inner loops perform no heap allocation; the unit-spaced
-// variant additionally never materializes an x array.
+// Two API layers: the vector-returning convenience below, and the
+// allocation-free `_into` variant that writes into a caller-provided
+// output span. STL/MSTL call the `_into` form with workspace buffers so the
+// decomposition inner loops perform no heap allocation.
 #pragma once
 
 #include <span>
@@ -25,26 +24,12 @@ struct LoessConfig {
   int span_points = 0;
 };
 
-/// Smooth `ys` observed at `xs` (strictly increasing), evaluated back at
-/// every xs[i], into `out` (out.size() == ys.size(); `out` must not alias
-/// `ys`). `robustness` is either empty or per-point multiplicative weights
-/// in [0,1] (STL's outer-loop bisquare weights).
-void loess_into(std::span<const double> xs, std::span<const double> ys,
-                const LoessConfig& cfg, std::span<const double> robustness,
-                std::span<double> out);
-
-/// Unit-spaced variant (x = 0..n-1): no x array needed.
+/// Smooth `ys` observed at x = 0..n-1, evaluated back at every x, into
+/// `out` (out.size() == ys.size(); `out` must not alias `ys`).
 void loess_unit_into(std::span<const double> ys, const LoessConfig& cfg,
-                     std::span<const double> robustness,
                      std::span<double> out);
 
-/// Convenience wrappers returning a fresh vector.
-std::vector<double> loess(std::span<const double> xs,
-                          std::span<const double> ys, const LoessConfig& cfg,
-                          std::span<const double> robustness = {});
-
-/// Convenience for unit-spaced series (x = 0..n-1).
-std::vector<double> loess(std::span<const double> ys, const LoessConfig& cfg,
-                          std::span<const double> robustness = {});
+/// Convenience wrapper returning a fresh vector.
+std::vector<double> loess(std::span<const double> ys, const LoessConfig& cfg);
 
 }  // namespace nbv6::stats

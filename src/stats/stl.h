@@ -8,11 +8,12 @@
 // the seasonal, (2) low-pass filtering (two moving averages of length
 // `period`, an MA(3), and a LOESS pass) to de-trend the seasonal, and
 // (3) LOESS smoothing of the deseasonalized series to update the trend.
-// Outer iterations compute bisquare robustness weights from the remainder.
+// Two inner iterations run; the LOESS spans derive from the period and the
+// series length (no robustness loop: every point weighs one).
 //
 // MSTL iteratively refines one seasonal component per period: on each
-// refinement pass, each period's seasonal is re-estimated by STL applied to
-// the series minus all other seasonal components.
+// refinement pass (two of them), each period's seasonal is re-estimated by
+// STL applied to the series minus all other seasonal components.
 //
 // Allocation discipline: the workspace-taking overloads perform no heap
 // allocation in the inner iterations — every detrend/gather/scatter/
@@ -26,15 +27,6 @@
 #include <vector>
 
 namespace nbv6::stats {
-
-struct StlConfig {
-  int period = 0;                ///< seasonal period in samples (required)
-  int seasonal_span = 0;         ///< LOESS span (points) for cycle-subseries;
-                                 ///< 0 = "periodic-ish" default (10*n+1 style)
-  int trend_span = 0;            ///< LOESS span (points) for trend; 0 = auto
-  int inner_iterations = 2;
-  int outer_iterations = 0;      ///< robustness iterations (0 = none)
-};
 
 struct StlResult {
   std::vector<double> trend;
@@ -53,10 +45,7 @@ struct StlWorkspace {
   std::vector<double> lowpass2;    ///< low-pass pong buffer
   std::vector<double> deseason;    ///< ys - seasonal
   std::vector<double> sub;         ///< one phase's gathered cycle-subseries
-  std::vector<double> sub_rob;     ///< its gathered robustness weights
   std::vector<double> sub_smooth;  ///< its smoothed cycle-subseries
-  std::vector<double> robustness;  ///< bisquare outer weights (empty = 1.0)
-  std::vector<double> abs_rem;     ///< |remainder| for the weight update
   std::vector<double> partial;     ///< MSTL: series minus other seasonals
   StlResult stl_scratch;           ///< MSTL: per-period STL refinement target
 };
@@ -64,29 +53,23 @@ struct StlWorkspace {
 /// Decompose ys into trend + seasonal + remainder. Requires
 /// ys.size() >= 2 * period and period >= 2. `out` vectors are resized as
 /// needed (reusing capacity when called repeatedly with the same shape).
-void stl_decompose(std::span<const double> ys, const StlConfig& cfg,
-                   StlWorkspace& ws, StlResult& out);
+void stl_decompose(std::span<const double> ys, int period, StlWorkspace& ws,
+                   StlResult& out);
 
 /// Convenience overload owning a transient workspace.
-StlResult stl_decompose(std::span<const double> ys, const StlConfig& cfg);
-
-struct MstlConfig {
-  std::vector<int> periods;      ///< ascending, e.g. {24, 168} for hourly data
-  int refinement_passes = 2;     ///< outer MSTL iterations over the periods
-  int inner_iterations = 2;
-  int outer_iterations = 0;
-};
+StlResult stl_decompose(std::span<const double> ys, int period);
 
 struct MstlResult {
   std::vector<double> trend;
-  /// One seasonal component per configured period, same order.
+  /// One seasonal component per kept period, ascending.
   std::vector<std::vector<double>> seasonals;
   std::vector<double> remainder;
 };
 
-/// Multi-seasonal decomposition. Periods whose 2×period exceeds the series
-/// length are dropped (matching the statsmodels MSTL behaviour).
-void mstl_decompose(std::span<const double> ys, const MstlConfig& cfg,
+/// Multi-seasonal decomposition over `periods` (e.g. {24, 168} for hourly
+/// data; sorted ascending internally). Periods whose 2×period exceeds the
+/// series length are dropped (matching the statsmodels MSTL behaviour).
+void mstl_decompose(std::span<const double> ys, std::span<const int> periods,
                     StlWorkspace& ws, MstlResult& out);
 
 /// STL's low-pass moving average (exposed for tests): centered MA of
@@ -98,6 +81,7 @@ void moving_average_into(std::span<const double> ys, int w,
                          std::span<double> out);
 
 /// Convenience overload owning a transient workspace.
-MstlResult mstl_decompose(std::span<const double> ys, const MstlConfig& cfg);
+MstlResult mstl_decompose(std::span<const double> ys,
+                          std::span<const int> periods);
 
 }  // namespace nbv6::stats

@@ -1,7 +1,7 @@
 #include "web/metrics.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "stats/descriptive.h"
@@ -11,6 +11,10 @@ namespace nbv6::web {
 VersionSubdomainEstimate estimate_version_subdomain_misclassification(
     const Universe& universe, std::span<const SiteCrawl> crawls,
     std::span<const SiteClassification> classifications) {
+  if (crawls.size() != classifications.size())
+    throw std::invalid_argument(
+        "estimate_version_subdomain_misclassification: size mismatch");
+
   auto has_version_marker = [](std::string_view name) {
     return name.find("ipv4") != std::string_view::npos ||
            name.find("px4") != std::string_view::npos ||
@@ -41,7 +45,8 @@ VersionSubdomainEstimate estimate_version_subdomain_misclassification(
 SpanAnalysis::SpanAnalysis(const Universe& universe,
                            std::span<const SiteCrawl> crawls,
                            std::span<const SiteClassification> classifications) {
-  assert(crawls.size() == classifications.size());
+  if (crawls.size() != classifications.size())
+    throw std::invalid_argument("SpanAnalysis: size mismatch");
 
   // Working state per dependency domain.
   struct Acc {

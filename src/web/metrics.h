@@ -64,12 +64,16 @@ struct VersionSubdomainEstimate {
   }
 };
 
+/// Throws std::invalid_argument unless there is one classification per
+/// crawl.
 VersionSubdomainEstimate estimate_version_subdomain_misclassification(
     const Universe& universe, std::span<const SiteCrawl> crawls,
     std::span<const SiteClassification> classifications);
 
 class SpanAnalysis {
  public:
+  /// Throws std::invalid_argument unless there is one classification per
+  /// crawl.
   SpanAnalysis(const Universe& universe, std::span<const SiteCrawl> crawls,
                std::span<const SiteClassification> classifications);
 

@@ -104,6 +104,48 @@ double category_adoption_factor(DomainCategory c) {
 
 namespace {
 
+// Generator constants. Every universe differs only in site_count and seed.
+/// Third-party tenant pool size as a fraction of site count.
+constexpr double kThirdPartyRatio = 0.35;
+/// Zipf exponent for third-party popularity (span heavy-tail).
+constexpr double kThirdPartyZipf = 1.15;
+/// Pages per site beyond the main page (the crawler clicks 5).
+constexpr int kSubpagesMin = 4;
+constexpr int kSubpagesMax = 7;
+constexpr int kResourcesPerPageMin = 6;
+constexpr int kResourcesPerPageMax = 26;
+/// First-party subdomains per site and the AAAA rate they enjoy when the
+/// site's main domain is AAAA-enabled (below 1.0 to produce §4.3's rare
+/// first-party-only-partial sites).
+constexpr int kFirstPartyFqdns = 3;
+constexpr double kFirstPartyAdoptionGivenSiteV6 = 0.985;
+/// Site main-domain adoption is max(own choice, hosting default): the
+/// site's own propensity rises toward the top of the list, and sites on
+/// IPv6-forward hosts get AAAA by default (the §5 mechanism).
+/// own_choice(rank) = base + boost * exp(-rank/decay).
+constexpr double kSiteAdoptionBase = 0.18;
+constexpr double kSiteAdoptionBoost = 0.42;
+constexpr double kSiteAdoptionDecay = 400.0;
+/// Fraction of sites that embed an ads/tracker stack at all; ad-free
+/// sites are the main source of IPv6-full sites.
+constexpr double kAdsSiteFraction = 0.55;
+/// Third-party pool-head domains outside the seeded ad-tech set are
+/// treated as mature infrastructure with high adoption.
+constexpr int kPopularThirdPartyCount = 3000;
+constexpr double kPopularThirdPartyAdoption = 0.97;
+/// Seeded ad-tech heavy hitters stay essentially IPv4-only (Fig. 18).
+constexpr double kSeedThirdPartyAdoption = 0.05;
+/// Loading failures at epoch 0 (grow slightly per epoch as domains rot).
+constexpr double kNxdomainRate = 0.124;
+constexpr double kOtherFailureRate = 0.0445;
+/// Per-epoch additive drift on adoption thresholds and failure rates.
+constexpr double kEpochAdoptionDrift = 0.006;
+constexpr double kEpochFailureDrift = 0.006;
+/// Fraction of site mains hosted in a catalogued cloud (rest self-host).
+constexpr double kCloudHostedFraction = 0.78;
+/// Probability a multi-FQDN third-party tenant spreads across providers.
+constexpr double kMultiCloudProb = 0.35;
+
 // Paper-named heavy hitters seeded into the most popular pool slots so the
 // Fig. 9 / Fig. 18 outputs read like the originals.
 struct SeedDomain {
@@ -300,7 +342,7 @@ std::pair<int, int> Universe::sample_hosting(stats::Rng& rng, bool prefer_cdn,
 
 void Universe::build_third_parties(stats::Rng& rng) {
   const auto n = static_cast<size_t>(
-      std::max(8.0, cfg_.third_party_ratio * cfg_.site_count));
+      std::max(8.0, kThirdPartyRatio * cfg_.site_count));
 
   for (size_t t = 0; t < n; ++t) {
     DomainCategory cat;
@@ -330,7 +372,7 @@ void Universe::build_third_parties(stats::Rng& rng) {
     for (int k = 0; k < nfqdns; ++k) {
       int provider = p0;
       int service = s0;
-      if (k > 0 && rng.chance(cfg_.multi_cloud_prob)) {
+      if (k > 0 && rng.chance(kMultiCloudProb)) {
         std::tie(provider, service) = sample_hosting(rng, false, affinity);
       }
       // Adoption causality: on a catalogued service, the service's policy
@@ -354,15 +396,15 @@ void Universe::build_third_parties(stats::Rng& rng) {
       // Pool-head overrides: the seeded ad-tech giants stay IPv4-only;
       // other highly popular infrastructure domains are mature dual-stack.
       if (t < std::size(kSeedThirdParties)) {
-        rate = cfg_.seed_third_party_adoption;
-      } else if (t < static_cast<size_t>(cfg_.popular_third_party_count) &&
+        rate = kSeedThirdPartyAdoption;
+      } else if (t < static_cast<size_t>(kPopularThirdPartyCount) &&
                  cat != DomainCategory::ads &&
                  cat != DomainCategory::trackers) {
         // Popular non-ad infrastructure is mature dual-stack; popular ad
         // networks keep their category's laggard rate, which is exactly
         // what makes them the high-span IPv4-only heavy hitters of
         // Figs. 9 and 18.
-        rate = std::max(rate, cfg_.popular_third_party_adoption);
+        rate = std::max(rate, kPopularThirdPartyAdoption);
       }
       static constexpr const char* kSubLabels[] = {"cdn", "static", "api",
                                                    "edge"};
@@ -374,12 +416,11 @@ void Universe::build_third_parties(stats::Rng& rng) {
 
       // Zipf popularity by tenant rank; split across the tenant's FQDNs.
       // Seed weights are assigned in a second pass below.
-      double w = 1.0 / std::pow(static_cast<double>(t + 1),
-                                cfg_.third_party_zipf) /
-                 nfqdns;
+      double w =
+          1.0 / std::pow(static_cast<double>(t + 1), kThirdPartyZipf) / nfqdns;
       third_party_pool_.push_back(id);
       third_party_weights_.push_back(w);
-      if (t >= static_cast<size_t>(cfg_.popular_third_party_count))
+      if (t >= static_cast<size_t>(kPopularThirdPartyCount))
         tail_pool_.push_back(id);
     }
   }
@@ -432,11 +473,10 @@ void Universe::build_sites(stats::Rng& rng) {
     auto [prov, svc] = sample_hosting(rng, /*prefer_cdn=*/rank < 2000,
                                       /*service_affinity=*/0.0);
     svc = -1;
-    if (!rng.chance(cfg_.cloud_hosted_fraction)) prov = -1;
+    if (!rng.chance(kCloudHostedFraction)) prov = -1;
 
-    double own_choice =
-        cfg_.site_adoption_base +
-        cfg_.site_adoption_boost * std::exp(-rank / cfg_.site_adoption_decay);
+    double own_choice = kSiteAdoptionBase +
+                        kSiteAdoptionBoost * std::exp(-rank / kSiteAdoptionDecay);
     double hosting_default =
         prov >= 0 ? providers_->at(static_cast<size_t>(prov)).generic_v6_rate
                   : 0.0;
@@ -450,8 +490,8 @@ void Universe::build_sites(stats::Rng& rng) {
     // follow suit, but not always (assets.national-geographic.org, §4.3).
     static constexpr const char* kFp[] = {"www", "static", "img", "api"};
     std::vector<std::uint32_t> fp_ids{site.main_fqdn};
-    for (int k = 0; k < cfg_.first_party_fqdns; ++k) {
-      double rate = cfg_.first_party_adoption_given_site_v6;
+    for (int k = 0; k < kFirstPartyFqdns; ++k) {
+      double rate = kFirstPartyAdoptionGivenSiteV6;
       auto id = add_fqdn(std::string(kFp[k]) + "." + etld1, tenant, prov, svc,
                          rate, rng);
       // First-party AAAA is conditional on the site itself being AAAA:
@@ -480,7 +520,7 @@ void Universe::build_sites(stats::Rng& rng) {
     // mostly come from.
     // The most popular sites monetize through their own (dual-stack)
     // platforms more often than through embedded third-party ad stacks.
-    double ads_p = cfg_.ads_site_fraction * (rank < 300 ? 0.45 : 1.0);
+    double ads_p = kAdsSiteFraction * (rank < 300 ? 0.45 : 1.0);
     bool has_ads = rng.chance(ads_p);
     // Ad-free sites carry none of the commercial ad/tracking stack — no
     // seeds, no ads, no trackers. They are where IPv6-full comes from.
@@ -517,13 +557,12 @@ void Universe::build_sites(stats::Rng& rng) {
       site_tp.push_back(third_party_pool_[tp_sampler.sample(rng)]);
 
     // Pages.
-    int nsub = static_cast<int>(
-        rng.between(cfg_.subpages_min, cfg_.subpages_max));
+    int nsub = static_cast<int>(rng.between(kSubpagesMin, kSubpagesMax));
     site.pages.resize(static_cast<size_t>(1 + nsub));
     for (size_t pi = 0; pi < site.pages.size(); ++pi) {
       Page& page = site.pages[pi];
-      int nres = static_cast<int>(rng.between(cfg_.resources_per_page_min,
-                                              cfg_.resources_per_page_max));
+      int nres = static_cast<int>(
+          rng.between(kResourcesPerPageMin, kResourcesPerPageMax));
       page.resources.reserve(static_cast<size_t>(nres));
       for (int r = 0; r < nres; ++r) {
         ResourceRef ref;
@@ -559,8 +598,8 @@ void Universe::build_sites(stats::Rng& rng) {
 
 SiteFate Universe::fate(const Site& s, Epoch e) const {
   const auto ei = static_cast<int>(e);
-  double nx = cfg_.nxdomain_rate + cfg_.epoch_failure_drift * ei * 0.7;
-  double other = cfg_.other_failure_rate + cfg_.epoch_failure_drift * ei * 0.3;
+  double nx = kNxdomainRate + kEpochFailureDrift * ei * 0.7;
+  double other = kOtherFailureRate + kEpochFailureDrift * ei * 0.3;
   if (s.fail_u < nx) return SiteFate::nxdomain;
   if (s.fail_u < nx + other) return SiteFate::other_failure;
   return SiteFate::ok;
@@ -568,8 +607,7 @@ SiteFate Universe::fate(const Site& s, Epoch e) const {
 
 bool Universe::has_aaaa(std::uint32_t fqdn, Epoch e) const {
   const Fqdn& f = fqdns_[fqdn];
-  double rate = f.adoption_rate +
-                cfg_.epoch_adoption_drift * static_cast<int>(e);
+  double rate = f.adoption_rate + kEpochAdoptionDrift * static_cast<int>(e);
   return f.adopt_u < std::min(1.0, rate);
 }
 

@@ -117,48 +117,12 @@ struct Site {
   std::vector<Page> pages;  ///< pages[0] is the main page
 };
 
+/// What varies between universes: the top-list size and the generator
+/// seed. Every other generator parameter (third-party pool ratio and Zipf
+/// exponent, page and resource counts, adoption and failure rates, epoch
+/// drift, cloud hosting shares) is a named constant in universe.cpp.
 struct UniverseConfig {
   int site_count = 100'000;
-  /// Third-party tenant pool size as a fraction of site count.
-  double third_party_ratio = 0.35;
-  /// Zipf exponent for third-party popularity (span heavy-tail).
-  double third_party_zipf = 1.15;
-  /// Pages per site beyond the main page (the crawler clicks 5).
-  int subpages_min = 4;
-  int subpages_max = 7;
-  int resources_per_page_min = 6;
-  int resources_per_page_max = 26;
-  /// First-party subdomains per site and the AAAA rate they enjoy when the
-  /// site's main domain is AAAA-enabled (set below 1.0 to produce §4.3's
-  /// rare first-party-only-partial sites).
-  int first_party_fqdns = 3;
-  double first_party_adoption_given_site_v6 = 0.985;
-  /// Site main-domain adoption is max(own choice, hosting default): the
-  /// site's own propensity rises toward the top of the list, and sites on
-  /// IPv6-forward hosts get AAAA by default (the §5 mechanism).
-  /// own_choice(rank) = base + boost * exp(-rank/decay).
-  double site_adoption_base = 0.18;
-  double site_adoption_boost = 0.42;
-  double site_adoption_decay = 400.0;
-  /// Fraction of sites that embed an ads/tracker stack at all; ad-free
-  /// sites are the main source of IPv6-full sites.
-  double ads_site_fraction = 0.55;
-  /// Third-party pool-head domains (below) outside the seeded ad-tech set
-  /// are treated as mature infrastructure with high adoption.
-  int popular_third_party_count = 3000;
-  double popular_third_party_adoption = 0.97;
-  /// Seeded ad-tech heavy hitters stay essentially IPv4-only (Fig. 18).
-  double seed_third_party_adoption = 0.05;
-  /// Loading failures at epoch 0 (grow slightly per epoch as domains rot).
-  double nxdomain_rate = 0.124;
-  double other_failure_rate = 0.0445;
-  /// Per-epoch additive drift on adoption thresholds and failure rates.
-  double epoch_adoption_drift = 0.006;
-  double epoch_failure_drift = 0.006;
-  /// Fraction of site mains hosted in a catalogued cloud (rest self-host).
-  double cloud_hosted_fraction = 0.78;
-  /// Probability a multi-FQDN third-party tenant spreads across providers.
-  double multi_cloud_prob = 0.35;
   std::uint64_t seed = 0x7eb0'1234;
 };
 

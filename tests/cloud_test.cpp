@@ -303,7 +303,6 @@ TEST(CloudEndToEnd, MultiCloudComparisonOnUniverse) {
   cloud::ProviderCatalog providers;
   web::UniverseConfig cfg;
   cfg.site_count = 1500;
-  cfg.multi_cloud_prob = 0.5;
   cfg.seed = 424242;
   web::Universe universe(cfg, providers);
   auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 6);

