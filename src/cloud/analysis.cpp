@@ -7,44 +7,23 @@ namespace nbv6::cloud {
 
 namespace {
 
-/// Per-record provider attribution: (A-record provider, AAAA-record
-/// provider) indices. All present addresses go through the catalog's
-/// batch LPM path in one pass instead of two trie walks per record.
-std::vector<std::pair<std::optional<size_t>, std::optional<size_t>>>
-attribute_records(std::span<const DomainRecord> records,
-                  const ProviderCatalog& catalog) {
-  std::vector<net::IpAddr> addrs;
-  addrs.reserve(2 * records.size());
-  for (const auto& r : records) {
-    if (r.a_addr) addrs.push_back(*r.a_addr);
-    if (r.aaaa_addr) addrs.push_back(*r.aaaa_addr);
-  }
-  std::vector<std::optional<size_t>> providers(addrs.size());
-  catalog.providers_of(addrs, providers);
-
-  std::vector<std::pair<std::optional<size_t>, std::optional<size_t>>> out;
-  out.reserve(records.size());
-  size_t k = 0;
-  for (const auto& r : records) {
-    std::pair<std::optional<size_t>, std::optional<size_t>> p;
-    if (r.a_addr) p.first = providers[k++];
-    if (r.aaaa_addr) p.second = providers[k++];
-    out.push_back(p);
-  }
-  return out;
+/// (A-record provider, AAAA-record provider) of one record: one catalog
+/// lookup per present address.
+std::pair<std::optional<size_t>, std::optional<size_t>> attribute_record(
+    const DomainRecord& r, const ProviderCatalog& catalog) {
+  return {r.a_addr ? catalog.provider_of(*r.a_addr) : std::nullopt,
+          r.aaaa_addr ? catalog.provider_of(*r.aaaa_addr) : std::nullopt};
 }
 
 }  // namespace
 
 std::vector<ProviderBreakdownRow> provider_breakdown(
     std::span<const DomainRecord> records, const ProviderCatalog& catalog) {
-  const auto attributed = attribute_records(records, catalog);
   std::map<size_t, ProviderBreakdownRow> rows;  // keyed by provider index
   ProviderBreakdownRow overall;
   overall.org = "Overall";
 
-  for (size_t i = 0; i < records.size(); ++i) {
-    const auto& r = records[i];
+  for (const auto& r : records) {
     // Global classification, independent of attribution.
     ++overall.total;
     if (r.has_a() && r.has_aaaa())
@@ -54,7 +33,7 @@ std::vector<ProviderBreakdownRow> provider_breakdown(
     else
       ++overall.v6_only;
 
-    const auto& [prov_a, prov_6] = attributed[i];
+    const auto [prov_a, prov_6] = attribute_record(r, catalog);
 
     auto classify_under = [&](size_t prov) {
       auto& row = rows[prov];
@@ -155,11 +134,9 @@ MultiCloudComparison::MultiCloudComparison(
     int full = 0;
   };
   std::map<std::string, std::map<std::string, Share>> tenants;
-  const auto attributed = attribute_records(records, catalog);
-  for (size_t i = 0; i < records.size(); ++i) {
-    const auto& r = records[i];
-    const auto prov = attributed[i].first ? attributed[i].first
-                                          : attributed[i].second;
+  for (const auto& r : records) {
+    const auto [prov_a, prov_6] = attribute_record(r, catalog);
+    const auto prov = prov_a ? prov_a : prov_6;
     if (!prov || r.etld1.empty()) continue;
     auto& share = tenants[r.etld1][canonical_org(catalog.at(*prov).org_name)];
     ++share.n;

@@ -226,7 +226,6 @@ ProviderCatalog::ProviderCatalog() {
       as_map_.register_name(asn, providers_[i].org_name);
       asn_slot_v4_[asn] = base_value;
       asn_slot_hi_[asn] = hi;
-      org_by_asn_[asn] = providers_[i].org_name;
       provider_by_asn_[asn] = i;
       ++slot;
     }
@@ -237,11 +236,6 @@ std::optional<size_t> ProviderCatalog::find(std::string_view org_name) const {
   for (size_t i = 0; i < providers_.size(); ++i)
     if (providers_[i].org_name == org_name) return i;
   return std::nullopt;
-}
-
-std::string ProviderCatalog::org_of_asn(net::Asn asn) const {
-  auto it = org_by_asn_.find(asn);
-  return it == org_by_asn_.end() ? std::string{} : it->second;
 }
 
 net::IPv4Addr ProviderCatalog::v4_address(size_t provider,
@@ -264,18 +258,6 @@ std::optional<size_t> ProviderCatalog::provider_of(const net::IpAddr& a) const {
   auto it = provider_by_asn_.find(*asn);
   if (it == provider_by_asn_.end()) return std::nullopt;
   return it->second;
-}
-
-void ProviderCatalog::providers_of(std::span<const net::IpAddr> addrs,
-                                   std::span<std::optional<size_t>> out) const {
-  std::vector<std::optional<net::Asn>> asns(addrs.size());
-  as_map_.lookup_batch(addrs, asns);
-  for (size_t i = 0; i < addrs.size(); ++i) {
-    out[i] = std::nullopt;
-    if (!asns[i]) continue;
-    auto it = provider_by_asn_.find(*asns[i]);
-    if (it != provider_by_asn_.end()) out[i] = it->second;
-  }
 }
 
 std::optional<size_t> ProviderCatalog::a_record_host(size_t provider) const {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -79,9 +78,6 @@ class ProviderCatalog {
   /// The BGP table announcing every provider prefix.
   [[nodiscard]] const net::AsMap& as_map() const { return as_map_; }
 
-  /// Org name that `asn` belongs to (CAIDA AS-to-Org join), empty if none.
-  [[nodiscard]] std::string org_of_asn(net::Asn asn) const;
-
   /// Allocate the i-th v4 / v6 address inside a provider's space. The
   /// address plan gives each AS its own /16 (v4) and /40 (v6).
   [[nodiscard]] net::IPv4Addr v4_address(size_t provider, std::uint32_t i) const;
@@ -89,12 +85,6 @@ class ProviderCatalog {
 
   /// Provider index owning an address (via BGP + org join).
   [[nodiscard]] std::optional<size_t> provider_of(const net::IpAddr& a) const;
-
-  /// Batch attribution through the LPM trie's batch path: `out[i]` is the
-  /// provider index owning `addrs[i]`. The shape the analysis loops have —
-  /// resolve every record's addresses in one pass, then aggregate.
-  void providers_of(std::span<const net::IpAddr> addrs,
-                    std::span<std::optional<size_t>> out) const;
 
   /// Index of the provider whose AS hosts A records for `provider`'s
   /// tenants (the Bunnyway→Datacamp quirk); nullopt when no quirk.
@@ -106,7 +96,6 @@ class ProviderCatalog {
   std::vector<net::Asn> primary_asn_;  // per provider, for the address plan
   std::unordered_map<net::Asn, std::uint32_t> asn_slot_v4_;
   std::unordered_map<net::Asn, std::uint64_t> asn_slot_hi_;
-  std::unordered_map<net::Asn, std::string> org_by_asn_;
   std::unordered_map<net::Asn, size_t> provider_by_asn_;
 };
 

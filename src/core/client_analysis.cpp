@@ -43,21 +43,14 @@ ResidenceReport analyze_residence(const std::string& name,
 std::vector<AsUsage> as_usage(const flowmon::FlowMonitor& monitor,
                               const net::AsMap& as_map,
                               double min_traffic_share) {
-  // Attribute every destination in one batch LPM pass, then aggregate.
-  const auto& dests = monitor.destination_tallies();
-  std::vector<net::IpAddr> addrs;
-  addrs.reserve(dests.size());
-  for (const auto& dest : dests) addrs.push_back(dest.addr);
-  const auto asns = as_map.lookup_batch(addrs);
-
   std::map<net::Asn, AsUsage> by_asn;
   std::uint64_t total = 0;
-  for (size_t i = 0; i < dests.size(); ++i) {
-    const auto& dest = dests[i];
+  for (const auto& dest : monitor.destination_tallies()) {
     total += dest.tally.bytes;
-    if (!asns[i]) continue;
-    auto& u = by_asn[*asns[i]];
-    u.asn = *asns[i];
+    const auto asn = as_map.lookup(dest.addr);
+    if (!asn) continue;
+    auto& u = by_asn[*asn];
+    u.asn = *asn;
     u.bytes += dest.tally.bytes;
     if (dest.addr.is_v6()) u.v6_bytes += dest.tally.bytes;
   }

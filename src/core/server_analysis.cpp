@@ -77,13 +77,4 @@ std::vector<std::uint32_t> observed_fqdn_ids(const web::Universe& universe,
   return out;
 }
 
-std::vector<std::string> observed_fqdn_names(const web::Universe& universe,
-                                             const ServerSurvey& survey) {
-  const auto ids = observed_fqdn_ids(universe, survey);
-  std::vector<std::string> out;
-  out.reserve(ids.size());
-  for (const std::uint32_t id : ids) out.push_back(universe.fqdns()[id].name);
-  return out;
-}
-
 }  // namespace nbv6::core

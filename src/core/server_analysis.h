@@ -59,8 +59,4 @@ LinkClickAblation link_click_ablation(const web::Universe& universe,
 std::vector<std::uint32_t> observed_fqdn_ids(const web::Universe& universe,
                                              const ServerSurvey& survey);
 
-/// The names of `observed_fqdn_ids`, in the same order.
-std::vector<std::string> observed_fqdn_names(const web::Universe& universe,
-                                             const ServerSurvey& survey);
-
 }  // namespace nbv6::core

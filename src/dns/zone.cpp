@@ -6,18 +6,6 @@
 
 namespace nbv6::dns {
 
-std::string_view to_string(RecordType t) {
-  switch (t) {
-    case RecordType::a:
-      return "A";
-    case RecordType::aaaa:
-      return "AAAA";
-    case RecordType::cname:
-      return "CNAME";
-  }
-  return "?";
-}
-
 std::string canonicalize(std::string_view name) {
   if (!name.empty() && name.back() == '.') name.remove_suffix(1);
   std::string out(name);
@@ -87,38 +75,6 @@ ZoneDb::Entry& ZoneDb::intern(std::string canon) {
   return entries_.back();
 }
 
-void ZoneDb::erase_entry(std::uint32_t idx) {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t s = hash_name(entries_[idx].name) & mask;
-  while (slots_[s] != idx + 1) s = (s + 1) & mask;
-
-  // Backward-shift deletion: refill the hole with any later chain member
-  // that is still reachable from its ideal slot through the hole, so no
-  // probe sequence ever crosses an empty slot to reach its entry.
-  slots_[s] = 0;
-  std::size_t j = s;
-  while (true) {
-    j = (j + 1) & mask;
-    if (slots_[j] == 0) break;
-    const std::size_t ideal = hash_name(entries_[slots_[j] - 1].name) & mask;
-    if (((j - ideal) & mask) >= ((j - s) & mask)) {
-      slots_[s] = slots_[j];
-      slots_[j] = 0;
-      s = j;
-    }
-  }
-
-  // Swap-pop the dense store; the moved entry's slot gets its new index.
-  const std::uint32_t last = static_cast<std::uint32_t>(entries_.size()) - 1;
-  if (idx != last) {
-    entries_[idx] = std::move(entries_[last]);
-    std::size_t t = hash_name(entries_[idx].name) & mask;
-    while (slots_[t] != last + 1) t = (t + 1) & mask;
-    slots_[t] = idx + 1;
-  }
-  entries_.pop_back();
-}
-
 bool ZoneDb::add_a(std::string_view name, net::IPv4Addr addr) {
   auto& e = intern(canonicalize(name));
   if (!e.cname.empty()) return false;
@@ -140,30 +96,6 @@ bool ZoneDb::add_cname(std::string_view name, std::string_view target) {
   if (!e.cname.empty() && e.cname != canonicalize(target)) return false;
   e.cname = canonicalize(target);
   return true;
-}
-
-size_t ZoneDb::remove(std::string_view name, RecordType type) {
-  const std::uint32_t idx =
-      is_canonical(name) ? find_index(name) : find_index(canonicalize(name));
-  if (idx == kNoEntry) return 0;
-  Entry& e = entries_[idx];
-  size_t removed = 0;
-  switch (type) {
-    case RecordType::a:
-      removed = e.a.size();
-      e.a.clear();
-      break;
-    case RecordType::aaaa:
-      removed = e.aaaa.size();
-      e.aaaa.clear();
-      break;
-    case RecordType::cname:
-      removed = e.cname.empty() ? 0 : 1;
-      e.cname.clear();
-      break;
-  }
-  if (e.empty()) erase_entry(idx);
-  return removed;
 }
 
 ZoneDb::NameView ZoneDb::lookup(std::string_view name) const {

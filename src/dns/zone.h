@@ -12,6 +12,10 @@
 // hash and a few contiguous slot reads per hop rather than O(log n)
 // pointer-chasing string compares. Names carry no order: lookup() is the
 // one reader.
+//
+// The zone is insert-only: no record or name is ever removed, so an
+// entry's index in the dense store is stable once interned. lookup() is a
+// const read, so a built zone is safe to share across threads.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +26,6 @@
 #include "net/ip.h"
 
 namespace nbv6::dns {
-
-enum class RecordType : std::uint8_t { a, aaaa, cname };
-
-std::string_view to_string(RecordType t);
 
 /// Lowercase, strip one trailing dot. DNS names in this codebase are always
 /// stored in this canonical form.
@@ -47,9 +47,6 @@ class ZoneDb {
   bool add_aaaa(std::string_view name, net::IPv6Addr addr);
   bool add_cname(std::string_view name, std::string_view target);
 
-  /// Remove every record of `type` at `name`. Returns number removed.
-  size_t remove(std::string_view name, RecordType type);
-
   /// Everything one resolution hop needs from a single table probe. Views
   /// and pointers reference the zone's own storage: valid until the zone
   /// is modified.
@@ -69,9 +66,6 @@ class ZoneDb {
     std::vector<net::IPv4Addr> a;
     std::vector<net::IPv6Addr> aaaa;
     std::string cname;  // empty = none
-    [[nodiscard]] bool empty() const {
-      return a.empty() && aaaa.empty() && cname.empty();
-    }
   };
 
   static constexpr std::uint32_t kNoEntry = 0xffffffffu;
@@ -89,11 +83,8 @@ class ZoneDb {
   Entry& intern(std::string canon);
   /// Rebuild the slot table at double capacity (or the initial 16).
   void grow_slots();
-  /// Swap-pop `idx` out of the dense store, patching both affected slots
-  /// (backward-shift deletion keeps every probe chain intact).
-  void erase_entry(std::uint32_t idx);
 
-  /// Dense record store; erasure swap-pops, so indices are not stable.
+  /// Dense record store in interning order; indices never change.
   std::vector<Entry> entries_;
   /// Open-addressing table: entry index + 1, 0 = empty. Power-of-two size,
   /// linear probing, grown past 3/4 load.

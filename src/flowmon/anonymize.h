@@ -3,11 +3,10 @@
 // Before a flow record leaves the residence router, its endpoint addresses
 // are anonymized with CryptoPAN under the paper's policy (IPv4: scramble
 // the low 8 bits; IPv6: the low /64), which preserves prefixes so AS- and
-// domain-level aggregation still work downstream.
+// domain-level aggregation still work downstream. One call per record:
+// CryptoPan's prefix cache already amortizes the AES work across records
+// that share prefixes.
 #pragma once
-
-#include <span>
-#include <vector>
 
 #include "flowmon/flow_record.h"
 #include "net/cryptopan.h"
@@ -17,11 +16,5 @@ namespace nbv6::flowmon {
 /// Anonymize one record's endpoints (paper policy). Ports, counters, and
 /// timestamps are unchanged — they carry no identity.
 FlowRecord anonymize(const FlowRecord& record, const net::CryptoPan& cpan);
-
-/// Anonymize a whole batch through CryptoPan's batch entry point: endpoint
-/// addresses across the batch share prefixes (one residence, few remote
-/// /24s), so the PRF cache amortizes the AES work across records.
-std::vector<FlowRecord> anonymize_batch(std::span<const FlowRecord> records,
-                                        const net::CryptoPan& cpan);
 
 }  // namespace nbv6::flowmon

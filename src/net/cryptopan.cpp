@@ -1,11 +1,7 @@
 #include "net/cryptopan.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <numeric>
-#include <tuple>
-#include <vector>
 
 using std::size_t;
 
@@ -172,69 +168,6 @@ IPv6Addr CryptoPan::anonymize(const IPv6Addr& addr, int bits) const {
 IpAddr CryptoPan::anonymize_paper_policy(const IpAddr& addr) const {
   if (addr.is_v4()) return anonymize(addr.v4(), 8);
   return anonymize(addr.v6(), 64);
-}
-
-void CryptoPan::anonymize_batch(std::span<const IPv4Addr> in,
-                                std::span<IPv4Addr> out, int bits) const {
-  assert(in.size() == out.size());
-  for (size_t i = 0; i < in.size(); ++i) out[i] = anonymize(in[i], bits);
-}
-
-void CryptoPan::anonymize_batch(std::span<const IPv6Addr> in,
-                                std::span<IPv6Addr> out, int bits) const {
-  assert(in.size() == out.size());
-  // Flow batches repeat /64s heavily (every flow from one home shares the
-  // delegated prefix), but arrive interleaved across homes — the access
-  // pattern that thrashes a direct-mapped prefix cache. Process in
-  // (hi, lo)-sorted order instead: equal addresses collapse to one
-  // computation, shared prefixes hit the cache back to back, and the
-  // index indirection scatters each result to its original slot, so the
-  // output order — and every output value (anonymize is pure) — is
-  // exactly the naive loop's.
-  const size_t n = in.size();
-  if (n < 2) {
-    for (size_t i = 0; i < n; ++i) out[i] = anonymize(in[i], bits);
-    return;
-  }
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  auto key = [&in](std::uint32_t i) {
-    return std::make_tuple(in[i].high64(), in[i].low64());
-  };
-  std::sort(order.begin(), order.end(),
-            [&key](std::uint32_t a, std::uint32_t b) { return key(a) < key(b); });
-  IPv6Addr prev_in, prev_out;
-  bool have_prev = false;
-  for (std::uint32_t idx : order) {
-    const IPv6Addr& a = in[idx];
-    if (!have_prev || !(a == prev_in)) {
-      prev_in = a;
-      prev_out = anonymize(a, bits);
-      have_prev = true;
-    }
-    out[idx] = prev_out;
-  }
-}
-
-void CryptoPan::anonymize_paper_policy_batch(std::span<const IpAddr> in,
-                                             std::span<IpAddr> out) const {
-  assert(in.size() == out.size());
-  // Route the v6 portion through the sorted batch layout above; v4 stays
-  // a straight loop (its cache is rarely contended at /8 depth).
-  std::vector<std::uint32_t> v6_idx;
-  std::vector<IPv6Addr> v6_in;
-  for (size_t i = 0; i < in.size(); ++i) {
-    if (in[i].is_v4()) {
-      out[i] = anonymize(in[i].v4(), 8);
-    } else {
-      v6_idx.push_back(static_cast<std::uint32_t>(i));
-      v6_in.push_back(in[i].v6());
-    }
-  }
-  if (v6_in.empty()) return;
-  std::vector<IPv6Addr> v6_out(v6_in.size());
-  anonymize_batch(std::span<const IPv6Addr>(v6_in), std::span(v6_out), 64);
-  for (size_t k = 0; k < v6_idx.size(); ++k) out[v6_idx[k]] = v6_out[k];
 }
 
 }  // namespace nbv6::net

@@ -17,16 +17,15 @@
 // PRF depends only on the bit-prefix, its outputs are memoized in a
 // direct-mapped prefix cache at byte-chunk granularity: one cache entry
 // holds the eight flip bits of one address byte, keyed by the address
-// prefix through that byte. Flow batches with shared prefixes (the common
-// case for a residence's flow log) then pay the AES cost only for the
-// bytes that actually differ. The cache makes anonymize() non-reentrant:
-// a CryptoPan instance must not be shared across threads without external
-// synchronization.
+// prefix through that byte. Successive calls on addresses with shared
+// prefixes (the common case for a residence's flow log) then pay the AES
+// cost only for the bytes that actually differ. The cache makes
+// anonymize() non-reentrant: a CryptoPan instance must not be shared
+// across threads without external synchronization.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "net/aes.h"
@@ -54,23 +53,6 @@ class CryptoPan {
   /// Family-dispatching convenience applying the paper's policy
   /// (v4: low 8 bits; v6: low 64 bits).
   [[nodiscard]] IpAddr anonymize_paper_policy(const IpAddr& addr) const;
-
-  /// Batch entry points. Semantically identical to mapping the scalar call
-  /// over `in`, but intended for flow-export batches: shared prefixes
-  /// across the batch hit the PRF cache, so the amortized cost per address
-  /// approaches one AES call per differing byte. The v6 batch additionally
-  /// processes addresses in (hi, lo)-sorted order — repeated /64s land
-  /// back to back, so duplicates collapse to one computation and shared
-  /// prefixes stop conflict-evicting each other in the direct-mapped
-  /// cache — and scatters results back, so output order and every output
-  /// value match the naive loop exactly. `out.size()` must equal
-  /// `in.size()`.
-  void anonymize_batch(std::span<const IPv4Addr> in, std::span<IPv4Addr> out,
-                       int bits = 32) const;
-  void anonymize_batch(std::span<const IPv6Addr> in, std::span<IPv6Addr> out,
-                       int bits = 64) const;
-  void anonymize_paper_policy_batch(std::span<const IpAddr> in,
-                                    std::span<IpAddr> out) const;
 
   /// Number of AES block encryptions performed so far (cache misses only).
   /// Exposed so tests and benchmarks can observe cache amortization.

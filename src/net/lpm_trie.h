@@ -10,17 +10,9 @@
 // allocation, good locality, trivially destroyed), and runs of
 // single-child nodes are collapsed into up-to-64-bit "skip" strings, so a
 // lookup visits O(distinct branch points) nodes instead of O(address bits).
-// A batch-lookup entry point amortizes the per-call setup over address
-// vectors (the shape the attribution loops naturally have).
 //
-// Large tries additionally carry a root stride table: 2^14 slots indexed
-// by the top address bits, each recording where in the trie a lookup for
-// that slot resumes plus the best match accumulated above that point. It
-// collapses the first 14 levels of pointer chasing into one array read.
-// The table is rebuilt lazily on the first lookup after a mutation —
-// matching the build-then-query shape of every call site — which makes
-// lookups non-reentrant against concurrent inserts (document users:
-// single-threaded, or external synchronization).
+// Lookups are const walks that write nothing, so a built trie is safe to
+// share across threads; inserts need exclusive access.
 //
 // Values are stored by copy. Inserting at an existing (address, length)
 // replaces the stored value.
@@ -31,7 +23,6 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -87,7 +78,6 @@ class LpmTrie {
 
   /// Insert or replace the value at `prefix`.
   void insert(const Prefix& prefix, V value) {
-    stride_dirty_ = true;
     const auto key = detail::lpm_key(prefix.address());
     const int len = prefix.length();
     std::uint32_t cur = 0;
@@ -134,32 +124,10 @@ class LpmTrie {
   /// Longest-prefix match: the value of the most specific stored prefix
   /// containing `addr`, or nullopt when nothing matches.
   [[nodiscard]] std::optional<V> lookup(const Addr& addr) const {
-    ensure_stride();
     const std::int32_t idx = lookup_index(detail::lpm_key(addr),
                                           detail::lpm_key_bits(addr));
     if (idx < 0) return std::nullopt;
     return values_[static_cast<size_t>(idx)];
-  }
-
-  /// Batch lookup: `out[i]` receives the LPM result for `addrs[i]`.
-  /// Equivalent to calling lookup() per element; one call site for the
-  /// attribution loops and a single place to add prefetching later.
-  void lookup_batch(std::span<const Addr> addrs,
-                    std::span<std::optional<V>> out) const {
-    ensure_stride();
-    for (size_t i = 0; i < addrs.size(); ++i) {
-      const std::int32_t idx = lookup_index(detail::lpm_key(addrs[i]),
-                                            detail::lpm_key_bits(addrs[i]));
-      out[i] = idx < 0 ? std::nullopt
-                       : std::optional<V>(values_[static_cast<size_t>(idx)]);
-    }
-  }
-
-  [[nodiscard]] std::vector<std::optional<V>> lookup_batch(
-      std::span<const Addr> addrs) const {
-    std::vector<std::optional<V>> out(addrs.size());
-    lookup_batch(addrs, out);
-    return out;
   }
 
   /// Exact-match lookup at a specific prefix.
@@ -208,14 +176,6 @@ class LpmTrie {
     std::uint32_t cur = 0;
     int depth = 0;
     std::int32_t best = -1;
-    if (!stride_.empty()) {
-      const StrideEntry& e =
-          stride_[static_cast<size_t>(key[0] >> (64 - kStrideBits))];
-      best = e.best;
-      if (e.node == kNil) return best;
-      cur = e.node;
-      depth = e.depth;
-    }
     for (;;) {
       const Node& n = nodes_[cur];
       if (n.skip_len > 0) {
@@ -273,74 +233,9 @@ class LpmTrie {
     return static_cast<std::uint32_t>(nodes_.size() - 1);
   }
 
-  // ---------------------------------------------------------- stride table
-  static constexpr int kStrideBits = 14;
-  // Below this size the plain walk is already cheap; don't pay the table.
-  static constexpr size_t kStrideMinPrefixes = 64;
-
-  struct StrideEntry {
-    std::uint32_t node;  // where the walk resumes; kNil = dead end
-    std::int32_t best;   // best value index accumulated above `node`
-    std::uint8_t depth;  // trie depth at which `node`'s processing begins
-  };
-
-  void ensure_stride() const {
-    if (!stride_dirty_) return;
-    stride_dirty_ = false;
-    if (size_ < kStrideMinPrefixes) {
-      stride_.clear();
-      return;
-    }
-    stride_.assign(size_t{1} << kStrideBits, StrideEntry{kNil, -1, 0});
-    build_stride(0, 0, 0, -1);
-  }
-
-  /// Fill every slot whose top-`kStrideBits` address bits are consistent
-  /// with reaching `node` at depth `d` along path `p` (the d low bits of
-  /// p), with `best` accumulated strictly above the node.
-  void build_stride(std::uint32_t node, int d, std::uint32_t p,
-                    std::int32_t best) const {
-    const Node& n = nodes_[node];
-    const int nd = d + n.skip_len;
-    if (nd >= kStrideBits) {
-      // The walk restarted at (node, d) re-verifies the skip itself, so
-      // every slot under path p shares this entry — both the slots that
-      // match the skip and the ones that diverge inside it.
-      fill_stride(p, d, StrideEntry{node, best, static_cast<std::uint8_t>(d)});
-      return;
-    }
-    if (n.skip_len > 0) {
-      // Slots that diverge from the address path inside this node's skip
-      // stay on this default entry; the recursion below overwrites the
-      // slots that match the skip.
-      fill_stride(p, d, StrideEntry{node, best, static_cast<std::uint8_t>(d)});
-    }
-    const std::uint32_t p2 =
-        n.skip_len == 0
-            ? p
-            : (p << n.skip_len) |
-                  static_cast<std::uint32_t>(n.skip >> (64 - n.skip_len));
-    const std::int32_t best2 = n.value >= 0 ? n.value : best;
-    for (int b = 0; b < 2; ++b) {
-      const std::uint32_t p3 = (p2 << 1) | static_cast<std::uint32_t>(b);
-      if (n.child[b] == kNil)
-        fill_stride(p3, nd + 1, StrideEntry{kNil, best2, 0});
-      else
-        build_stride(n.child[b], nd + 1, p3, best2);
-    }
-  }
-
-  void fill_stride(std::uint32_t p, int d, StrideEntry e) const {
-    const size_t lo = size_t{p} << (kStrideBits - d);
-    const size_t hi = size_t{p + 1} << (kStrideBits - d);
-    for (size_t s = lo; s < hi; ++s) stride_[s] = e;
-  }
-
   std::vector<Node> nodes_;
   std::vector<V> values_;
   size_t size_ = 0;
-  mutable std::vector<StrideEntry> stride_;
-  mutable bool stride_dirty_ = true;
 };
 
 template <typename V>

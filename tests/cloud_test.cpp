@@ -367,7 +367,7 @@ std::string describe(const DomainRecord& r) {
 std::vector<DomainRecord> expect_records_match_reference(
     const web::Universe& universe, const dns::ZoneDb& zone,
     const core::ServerSurvey& survey, ParityCoverage& cov) {
-  const auto names = core::observed_fqdn_names(universe, survey);
+  const auto names = testutil::observed_fqdn_names(universe, survey);
   EXPECT_EQ(names, reference_observed_names(universe, survey));
   const auto& psl = universe.psl();
   const auto want = testutil::collect_domain_records(
@@ -425,10 +425,11 @@ TEST(DomainRecordParity, MatchesResolverAndPslAtEveryEpoch) {
   EXPECT_GT(cov.cnamed, 100);
 }
 
-// The universe's zones give every reachable name an A, so this strips the
-// A records from a quarter of the dual-stack names and surveys that zone
-// through the crawler's own table: AAAA-only names, with and without a
-// CNAME chain, must read their AAAA and their terminal from the table.
+// The universe's zones give every reachable name an A, so this copies the
+// zone, name chain by name chain, without the A records of a quarter of the
+// dual-stack names and surveys the copy through the crawler's own table:
+// AAAA-only names, with and without a CNAME chain, must read their AAAA and
+// their terminal from the table.
 TEST(DomainRecordParity, AaaaOnlyNamesReadTheirOwnAnswer) {
   cloud::ProviderCatalog providers;
   web::UniverseConfig cfg;
@@ -436,13 +437,20 @@ TEST(DomainRecordParity, AaaaOnlyNamesReadTheirOwnAnswer) {
   cfg.seed = 8081;
   const web::Universe universe(cfg, providers);
   const auto epoch = web::Epoch::jul2025;
-  dns::ZoneDb zone = universe.build_zone(epoch);
+  const dns::ZoneDb full = universe.build_zone(epoch);
+  const dns::Resolver full_resolver(full);
+  dns::ZoneDb zone;
   const auto& fqdns = universe.fqdns();
-  for (std::uint32_t id = 0; id < fqdns.size(); id += 4) {
+  for (std::uint32_t id = 0; id < fqdns.size(); ++id) {
+    const auto dual = full_resolver.resolve_dual(fqdns[id].name);
+    if (!dual.reachable()) continue;
+    const auto& chain = dual.has_v4() ? dual.v4.chain : dual.v6.chain;
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i)
+      zone.add_cname(chain[i], chain[i + 1]);
     // Terminal names are per FQDN, so no other name loses its A.
-    const auto dual = dns::Resolver(zone).resolve_dual(fqdns[id].name);
-    if (dual.has_v4() && dual.has_v6())
-      zone.remove(dual.v4.terminal(), dns::RecordType::a);
+    if (id % 4 != 0 || !dual.has_v6())
+      for (const auto& a : dual.v4.addresses) zone.add_a(chain.back(), a.v4());
+    for (const auto& a : dual.v6.addresses) zone.add_aaaa(chain.back(), a.v6());
   }
   const web::Crawler crawler(universe, zone, epoch);
   core::ServerSurvey survey;

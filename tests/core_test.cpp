@@ -6,6 +6,7 @@
 #include "core/adoption.h"
 #include "core/cloud_analysis.h"
 #include "core/server_analysis.h"
+#include "reference_domain_records.h"
 #include "web/metrics.h"
 
 namespace nbv6::core {
@@ -59,7 +60,7 @@ TEST_F(SurveyFixture, DifferentSeedsVaryOnlyStochastics) {
 }
 
 TEST_F(SurveyFixture, ObservedFqdnsAreUniqueAndReachable) {
-  auto names = observed_fqdn_names(*universe_, survey_);
+  auto names = testutil::observed_fqdn_names(*universe_, survey_);
   EXPECT_GT(names.size(), 1000u);
   std::set<std::string> unique(names.begin(), names.end());
   EXPECT_EQ(unique.size(), names.size());

@@ -56,25 +56,6 @@ TEST(ZoneDb, CnameExclusivity) {
   EXPECT_FALSE(zone.add_cname("alias.test", "other.test"));
 }
 
-TEST(ZoneDb, RemoveCleansUp) {
-  ZoneDb zone;
-  zone.add_a("x.test", v4(1));
-  EXPECT_EQ(zone.remove("x.test", RecordType::a), 1u);
-  EXPECT_FALSE(zone.lookup("x.test").exists);
-  EXPECT_EQ(zone.remove("x.test", RecordType::a), 0u);
-}
-
-TEST(ZoneDb, RemoveAaaaOnlyDowngrades) {
-  ZoneDb zone;
-  zone.add_a("dual.test", v4(1));
-  zone.add_aaaa("dual.test", v6(1));
-  EXPECT_EQ(zone.remove("dual.test", RecordType::aaaa), 1u);
-  const auto dual = zone.lookup("dual.test");
-  ASSERT_TRUE(dual.exists);
-  EXPECT_TRUE(dual.aaaa->empty());
-  EXPECT_EQ(dual.a->size(), 1u);
-}
-
 TEST(Resolver, DirectAddressLookup) {
   ZoneDb zone;
   zone.add_a("host.test", v4(9));
@@ -228,8 +209,7 @@ TEST(ResolveStatusNames, ToString) {
 
 // ----------------------------------------------- interned-store checking
 // The open-addressing interning store must behave exactly like the
-// ordered-map implementation it replaced: same records, same removal
-// semantics.
+// ordered-map implementation it replaced: same records, same refusals.
 
 TEST(ZoneDbIntern, RandomizedDifferentialAgainstOrderedMap) {
   // Reference model: the exact structure the pre-interning ZoneDb used.
@@ -243,13 +223,13 @@ TEST(ZoneDbIntern, RandomizedDifferentialAgainstOrderedMap) {
   std::mt19937_64 rng(20260808);
   auto rand_name = [&rng] {
     std::string name = "h";
-    name += std::to_string(rng() % 64);
+    name += std::to_string(rng() % 512);
     name += ".example";
     return name;
   };
   for (int step = 0; step < 4000; ++step) {
     const std::string name = rand_name();
-    switch (rng() % 4) {
+    switch (rng() % 3) {
       case 0: {  // add A
         const auto addr = v4(static_cast<std::uint8_t>(rng() % 8));
         const bool ok = zone.add_a(name, addr);
@@ -277,26 +257,13 @@ TEST(ZoneDbIntern, RandomizedDifferentialAgainstOrderedMap) {
         }
         break;
       }
-      case 2: {  // remove A set
-        const size_t got = zone.remove(name, RecordType::a);
-        auto it = ref.find(name);
-        const size_t want = it == ref.end() ? 0 : it->second.a.size();
-        EXPECT_EQ(got, want) << name;
-        if (it != ref.end()) {
-          it->second.a.clear();
-          if (it->second.cname.empty()) ref.erase(it);
-        }
-        break;
-      }
-      default: {  // remove CNAME
-        const size_t got = zone.remove(name, RecordType::cname);
-        auto it = ref.find(name);
-        const size_t want =
-            it == ref.end() || it->second.cname.empty() ? 0 : 1;
-        EXPECT_EQ(got, want) << name;
-        if (it != ref.end()) {
-          it->second.cname.clear();
-          if (it->second.a.empty()) ref.erase(it);
+      default: {  // look up mid-walk
+        const auto v = zone.lookup(name);
+        const auto it = ref.find(name);
+        ASSERT_EQ(v.exists, it != ref.end()) << name;
+        if (v.exists) {
+          EXPECT_EQ(*v.a, it->second.a) << name;
+          EXPECT_EQ(v.cname, it->second.cname) << name;
         }
         break;
       }

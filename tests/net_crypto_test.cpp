@@ -269,72 +269,23 @@ TEST(CryptoPanEquivalence, CacheHitsMatchReferenceOnRepeats) {
   }
 }
 
-TEST(CryptoPanBatch, MatchesScalarAndAmortizesPrfWork) {
+TEST(CryptoPanCache, ScalarLoopAmortizesPrfWorkOnSharedSlash16) {
   auto secret = test_secret(0x42);
-  CryptoPan scalar_cp(secret);
-  CryptoPan batch_cp(secret);
+  ReferenceCryptoPan ref(secret);
+  CryptoPan cp(secret);
   stats::Rng rng(558);
 
   std::vector<IPv4Addr> in;
   for (int i = 0; i < 500; ++i) {
-    // One /16 worth of flow endpoints — the flow-batch shape.
+    // One /16 worth of flow endpoints — the flow-log shape.
     in.emplace_back(0xCB007100u | static_cast<std::uint32_t>(rng.below(65536)));
   }
-  std::vector<IPv4Addr> out(in.size());
-  batch_cp.anonymize_batch(in, out);
-  for (size_t i = 0; i < in.size(); ++i)
-    EXPECT_EQ(out[i].value(), scalar_cp.anonymize(in[i]).value());
+  for (const auto a : in)
+    EXPECT_EQ(cp.anonymize(a).value(), ref.anonymize_v4(a.value(), 32));
 
-  // The batch shares the top two bytes, so cached PRF work must be far
+  // The addresses share their top two bytes, so cached PRF work must be far
   // below the cache-free cost of 32 AES calls per address.
-  EXPECT_LT(batch_cp.prf_calls(), in.size() * 32 / 2);
-}
-
-TEST(CryptoPanBatch, SortedV6LayoutMatchesScalarOnSharedPrefixes) {
-  // A randomized flow-batch shape: a handful of /64s (homes), many
-  // addresses each, interleaved in arrival order with exact duplicates —
-  // the access pattern the sorted batch layout reorders. Results must be
-  // element-for-element identical to the scalar call in original order.
-  auto secret = test_secret(0x5A);
-  CryptoPan scalar_cp(secret);
-  for (std::uint64_t round = 0; round < 5; ++round) {
-    stats::Rng rng(1000 + round);
-    std::vector<std::uint64_t> prefixes;
-    for (int p = 0; p < 6; ++p)
-      prefixes.push_back(0x20010DB800000000ull | rng());
-    std::vector<IPv6Addr> in;
-    for (int i = 0; i < 400; ++i) {
-      const std::uint64_t hi = prefixes[rng.below(prefixes.size())];
-      // Low bits from a tiny pool so exact duplicates occur often.
-      in.push_back(IPv6Addr::from_halves(hi, rng.below(32)));
-    }
-    std::vector<IPv6Addr> out(in.size());
-    CryptoPan batch_cp(secret);
-    batch_cp.anonymize_batch(in, out);
-    for (size_t i = 0; i < in.size(); ++i)
-      EXPECT_EQ(out[i], scalar_cp.anonymize(in[i], 64)) << "round " << round
-                                                        << " index " << i;
-    // Shared /64s: 400 draws under six prefixes must do far fewer PRF
-    // calls than 400 independent 64-bit anonymizations.
-    EXPECT_LT(batch_cp.prf_calls(), 400ull * 64ull / 4);
-  }
-}
-
-TEST(CryptoPanBatch, PaperPolicyBatchMatchesScalar) {
-  auto secret = test_secret(0x77);
-  CryptoPan cp(secret);
-  stats::Rng rng(559);
-  std::vector<IpAddr> in;
-  for (int i = 0; i < 60; ++i) {
-    if (i % 2 == 0)
-      in.emplace_back(IPv4Addr(static_cast<std::uint32_t>(rng())));
-    else
-      in.emplace_back(IPv6Addr::from_halves(rng(), rng()));
-  }
-  std::vector<IpAddr> out(in.size());
-  cp.anonymize_paper_policy_batch(in, out);
-  for (size_t i = 0; i < in.size(); ++i)
-    EXPECT_EQ(out[i], cp.anonymize_paper_policy(in[i]));
+  EXPECT_LT(cp.prf_calls(), in.size() * 32 / 2);
 }
 
 }  // namespace

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
+#include <thread>
+#include <vector>
+
+#include "net/asn.h"
 #include "net/lpm_trie.h"
 #include "stats/rng.h"
+#include "traffic/service_catalog.h"
 
 namespace nbv6::net {
 namespace {
@@ -202,26 +209,9 @@ TEST_P(LpmOracleTest, MatchesLinearScanV6) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LpmOracleTest,
                          ::testing::Values(1u, 2u, 3u, 42u, 1337u));
 
-TEST_P(LpmOracleTest, BatchLookupMatchesScalar) {
-  stats::Rng rng(GetParam() ^ 0xba7c4u);
-  LpmTrie4<int> trie;
-  for (int i = 0; i < 300; ++i) {
-    trie.insert(Prefix4(IPv4Addr(static_cast<std::uint32_t>(rng())),
-                        static_cast<int>(rng.below(33))),
-                i);
-  }
-  std::vector<IPv4Addr> probes;
-  for (int t = 0; t < 400; ++t)
-    probes.emplace_back(static_cast<std::uint32_t>(rng()));
-  auto batch = trie.lookup_batch(probes);
-  ASSERT_EQ(batch.size(), probes.size());
-  for (size_t i = 0; i < probes.size(); ++i)
-    EXPECT_EQ(batch[i], trie.lookup(probes[i])) << probes[i].to_string();
-}
-
 TEST(LpmTrie, InterleavedInsertAndLookupStaysConsistent) {
-  // The stride accelerator is rebuilt lazily after mutations; alternate
-  // insert and lookup phases to exercise the invalidation path.
+  // Alternate insert and lookup phases: every lookup must see every
+  // insert made before it.
   stats::Rng rng(2718);
   std::vector<std::pair<Prefix4, int>> prefixes;
   LpmTrie4<int> trie;
@@ -250,6 +240,57 @@ TEST(LpmTrie, InterleavedInsertAndLookupStaysConsistent) {
       auto probe = IPv4Addr(static_cast<std::uint32_t>(rng()));
       EXPECT_EQ(trie.lookup(probe), oracle(probe)) << probe.to_string();
     }
+  }
+}
+
+// A built table may be shared across threads, so its first lookups may
+// come from several threads at once. They must be plain reads (TSan
+// reports any write) and give the serial answers.
+TEST(LpmTrie, ConcurrentConstLookups) {
+  stats::Rng rng(4242);
+  AsMap fresh;
+  std::vector<IpAddr> probes;
+  for (int i = 0; i < 200; ++i) {
+    const Prefix4 p4(IPv4Addr(static_cast<std::uint32_t>(rng())),
+                     static_cast<int>(8 + rng.below(17)));
+    const Prefix6 p6(IPv6Addr::from_halves(rng(), rng()),
+                     static_cast<int>(16 + rng.below(49)));
+    fresh.announce(p4, static_cast<Asn>(i));
+    fresh.announce(p6, static_cast<Asn>(1000 + i));
+    probes.emplace_back(p4.address());
+    probes.emplace_back(p6.address());
+  }
+  const auto catalog = traffic::build_paper_catalog();
+  for (size_t s = 0; s < catalog.size(); ++s) {
+    const auto e = catalog.endpoint(s, 1);
+    probes.emplace_back(e.v4);
+    if (e.v6) probes.emplace_back(*e.v6);
+  }
+  for (int i = 0; i < 200; ++i) {
+    probes.emplace_back(IPv4Addr(static_cast<std::uint32_t>(rng())));
+    probes.emplace_back(IPv6Addr::from_halves(rng(), rng()));
+  }
+
+  const AsMap* const maps[] = {&fresh, &catalog.as_map()};
+  for (const AsMap* map : maps) {
+    constexpr int kThreads = 4;
+    std::latch start(kThreads);
+    std::vector<std::vector<std::optional<Asn>>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (const auto& a : probes) got[t].push_back(map->lookup(a));
+      });
+    }
+    for (auto& th : threads) th.join();
+    std::vector<std::optional<Asn>> serial;
+    for (const auto& a : probes) serial.push_back(map->lookup(a));
+    // Each table answers at least one probe per catalog service.
+    EXPECT_GE(std::count_if(serial.begin(), serial.end(),
+                            [](const auto& asn) { return asn.has_value(); }),
+              static_cast<std::ptrdiff_t>(catalog.size()));
+    for (const auto& g : got) EXPECT_EQ(g, serial);
   }
 }
 

@@ -3,6 +3,7 @@
 // per-epoch FQDN table, kept as the reference cloud_test checks that table
 // against: every name is resolved afresh for both families and mapped
 // through `etld1_of`, and unresolvable names are dropped.
+// observed_fqdn_names gives it the survey's names to resolve.
 #pragma once
 
 #include <functional>
@@ -13,9 +14,21 @@
 #include <vector>
 
 #include "cloud/analysis.h"
+#include "core/server_analysis.h"
 #include "dns/resolver.h"
+#include "web/universe.h"
 
 namespace nbv6::testutil {
+
+/// The names of core::observed_fqdn_ids, in the same order.
+inline std::vector<std::string> observed_fqdn_names(
+    const web::Universe& universe, const core::ServerSurvey& survey) {
+  const auto ids = core::observed_fqdn_ids(universe, survey);
+  std::vector<std::string> out;
+  out.reserve(ids.size());
+  for (const std::uint32_t id : ids) out.push_back(universe.fqdns()[id].name);
+  return out;
+}
 
 inline std::vector<cloud::DomainRecord> collect_domain_records(
     const dns::Resolver& resolver, std::span<const std::string> names,

@@ -230,9 +230,9 @@ TEST(ProviderCatalogTest, AddressPlanRoundTrips) {
 
 TEST(ProviderCatalogTest, OrgOfAsnJoins) {
   cloud::ProviderCatalog catalog;
-  EXPECT_EQ(catalog.org_of_asn(13335), "Cloudflare, Inc.");
-  EXPECT_EQ(catalog.org_of_asn(16509), "Amazon.com, Inc.");
-  EXPECT_EQ(catalog.org_of_asn(999999999), "");
+  EXPECT_EQ(catalog.as_map().name(13335), "Cloudflare, Inc.");
+  EXPECT_EQ(catalog.as_map().name(16509), "Amazon.com, Inc.");
+  EXPECT_EQ(catalog.as_map().name(999999999), "AS999999999");
 }
 
 TEST(ProviderCatalogTest, ServicePoliciesMatchPaper) {
