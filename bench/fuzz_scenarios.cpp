@@ -5,7 +5,8 @@
 // Generates `count` scenarios starting at `base_seed`, runs the full
 // differential battery on each (parse/render round trip,
 // lazy-vs-materialized plan cells, 1/4/8-lane byte-identical replays,
-// windowed metric finiteness), and exits non-zero if any scenario fails.
+// shard-reuse parity, windowed metric finiteness), and exits non-zero if
+// any scenario fails.
 // Failing configs are written to `outdir` as fail_<seed>.cfg next to a
 // .err file with the failure description — CI uploads that directory as
 // an artifact, and the .cfg file alone reproduces the failure under

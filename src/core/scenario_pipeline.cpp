@@ -117,11 +117,13 @@ Pass simulate_pass(const traffic::ServiceCatalog& catalog) {
   p.inputs = {"planned_fleet"};
   p.outputs = {"fleet_result"};
   p.config_digest = catalog.content_digest();
+  // Residence shards go through the run's cache too (engine::shard_key), so
+  // a what-if variant re-simulates only the homes its timeline changes.
   p.run = [&catalog](PassContext& ctx) {
     ctx.out("fleet_result",
             engine::simulate_fleet(catalog,
                                    ctx.in<SampledFleet>("planned_fleet"),
-                                   ctx.pool()));
+                                   ctx.pool(), ctx.cache()));
   };
   return p;
 }

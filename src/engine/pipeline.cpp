@@ -511,6 +511,7 @@ struct ForestRun {
     ctx.output_names_ = &pass.outputs;
     ctx.outputs_ = &outputs;
     ctx.pool_ = pass_pool;
+    ctx.cache_ = cache_;
     pass.run(ctx);
     for (std::size_t o = 0; o < outputs.size(); ++o) {
       if (!outputs[o].has_value())

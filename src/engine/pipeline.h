@@ -13,7 +13,12 @@
 //     of one base scenario differ only in their timeline slice, so their
 //     "sample" passes digest identically — the base population is sampled
 //     once and every variant binds the cached value (asserted by the sweep
-//     driver's per-pass execution counters).
+//     driver's per-pass execution counters). Below the passes, the
+//     simulate pass keeps each residence's shard in the same cache under
+//     engine::shard_key (pass name "simulate.shard"): the catalog digest,
+//     the ResidenceConfig without its day_plan_fn, and the DayPlans that
+//     closure returns for the horizon. A variant whose timeline re-plans
+//     a few homes re-simulates only those homes.
 //   - Dirty-node sweeps. Changing one timeline parameter changes the
 //     timeline pass's config digest, which cascades through downstream
 //     digests; upstream passes keep hitting the cache and only the dirty
@@ -177,6 +182,10 @@ class PassContext {
   /// The run's pool; nullptr = sequential. Passes must produce
   /// lane-invariant results (everything built on the fleet stages does).
   [[nodiscard]] ThreadPool* pool() const { return pool_; }
+  /// The run's PassCache; nullptr when the run is uncached. A pass may
+  /// store and look up sub-results of its own under names no pass uses
+  /// (simulate keeps residence shards under "simulate.shard").
+  [[nodiscard]] PassCache* cache() const { return cache_; }
 
   [[nodiscard]] const PipelineValue& input_value(std::string_view name) const;
   void set_output(std::string_view name, PipelineValue v);
@@ -188,6 +197,7 @@ class PassContext {
   const std::vector<std::string>* output_names_ = nullptr;
   std::vector<PipelineValue>* outputs_ = nullptr;
   ThreadPool* pool_ = nullptr;
+  PassCache* cache_ = nullptr;
 };
 
 /// One registered pass. `config_digest` must cover every configuration

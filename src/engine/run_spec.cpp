@@ -3,13 +3,22 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/flat_conntrack.h"
+#include "engine/pipeline.h"
 #include "stats/rng.h"
 #include "traffic/arrival.h"
 
 namespace nbv6::engine {
+
+namespace {
+
+// Pass name of cached residence shards; shard_key's tag.
+constexpr std::string_view kShardPass = "simulate.shard";
+
+}  // namespace
 
 SampledFleet sample_stage(const FleetConfig& cfg,
                           const traffic::ServiceCatalog& catalog) {
@@ -84,9 +93,50 @@ SampledFleet sample_stage(const FleetConfig& cfg,
   return out;
 }
 
+std::uint64_t shard_key(const traffic::ServiceCatalog& catalog,
+                        const traffic::ResidenceConfig& config) {
+  DigestBuilder db;
+  db.str(kShardPass).u64(catalog.content_digest());
+  db.str(config.name)
+      .i64(config.days)
+      .i64(config.start_weekday)
+      .f64(config.activity_scale)
+      .f64(config.device_v6_ok_frac)
+      .f64(config.visibility)
+      .f64(config.internal_flows_per_hour)
+      .f64(config.internal_v6_frac)
+      .f64(config.background_v4_bias);
+  db.u64(config.service_weight_overrides.size());
+  for (const auto& [service, weight] : config.service_weight_overrides)
+    db.str(service).f64(weight);
+  db.u64(config.away_day_ranges.size());
+  for (const auto& [first, last] : config.away_day_ranges)
+    db.i64(first).i64(last);
+  db.u64(static_cast<std::uint64_t>(config.arrival.mode))
+      .i64(config.arrival.ticks_per_hour)
+      .u64(config.seed);
+  // The plans the simulator will see, not the closure that makes them.
+  for (int day = 0; day < config.days; ++day) {
+    const traffic::DayPlan p = config.day_plan_fn ? config.day_plan_fn(day)
+                                                  : traffic::kStaticDayPlan;
+    db.f64(p.activity_mult)
+        .f64(p.device_v6_ok_frac)
+        .f64(p.internal_v6_frac)
+        .u64(p.outage ? 1 : 0)
+        .u64(p.nat64 ? 1 : 0)
+        .i64(p.prefix_epoch)
+        .u64(p.service_down_mask)
+        .i64(p.cgn_port_budget)
+        .f64(p.lambda_mult)
+        .u64(p.flash_hour_mask)
+        .f64(p.flash_mult);
+  }
+  return db.value();
+}
+
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            std::span<const traffic::ResidenceConfig> configs,
-                           ThreadPool* pool) {
+                           ThreadPool* pool, PassCache* cache) {
   FleetResult out;
   out.residences.resize(configs.size());
 
@@ -94,13 +144,34 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
   // flat conntrack table, private monitor. The slot vector is preallocated,
   // so each monitor is attached at its final address and never moves while
   // its table is alive.
-  auto run_one = [&](std::size_t i) {
+  auto simulate_one = [&](std::size_t i) {
     ResidenceRun& slot = out.residences[i];
     slot.config = configs[i];
     FlatConntrack table;
     slot.monitor.attach(table);
     traffic::ResidenceSimulator sim(catalog, configs[i]);
     slot.stats = sim.run(table);
+  };
+  // With a cache, a shard another run already simulated is copied in; a
+  // miss is simulated and stored. Lanes (or overlapped twins) that miss on
+  // one key at once both simulate it and store equal shards.
+  auto run_one = [&](std::size_t i) {
+    if (cache == nullptr) {
+      simulate_one(i);
+      return;
+    }
+    const std::uint64_t key = shard_key(catalog, configs[i]);
+    ResidenceRun& slot = out.residences[i];
+    if (auto hit = cache->find(key, kShardPass, 2)) {
+      slot.config = configs[i];
+      slot.stats = (*hit)[0].get<traffic::SimulationStats>();
+      slot.monitor = (*hit)[1].get<flowmon::FlowMonitor>();
+      return;
+    }
+    simulate_one(i);
+    cache->store(key, kShardPass,
+                 {PipelineValue::wrap(slot.stats),
+                  PipelineValue::wrap(slot.monitor)});
   };
 
   if (pool != nullptr) {
@@ -120,14 +191,15 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
 }
 
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
-                           const SampledFleet& fleet, ThreadPool* pool) {
+                           const SampledFleet& fleet, ThreadPool* pool,
+                           PassCache* cache) {
   // Traits index into the residence vector downstream (group comparisons),
   // so a hand-built SampledFleet with mismatched sizes must fail here, not
   // as an out-of-bounds read later.
   if (fleet.traits.size() != fleet.configs.size())
     throw std::invalid_argument(
         "simulate_fleet: SampledFleet traits/configs size mismatch");
-  FleetResult out = simulate_fleet(catalog, fleet.configs, pool);
+  FleetResult out = simulate_fleet(catalog, fleet.configs, pool, cache);
   out.traits = fleet.traits;
   return out;
 }

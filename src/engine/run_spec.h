@@ -19,6 +19,8 @@
 
 namespace nbv6::engine {
 
+class PassCache;  // engine/pipeline.h
+
 /// Deterministically sample the residence population described by `cfg`,
 /// with its stratum labels. Residence i depends only on (seed, i), so
 /// growing the population keeps existing households stable. The catalog
@@ -26,17 +28,40 @@ namespace nbv6::engine {
 SampledFleet sample_stage(const FleetConfig& cfg,
                           const traffic::ServiceCatalog& catalog);
 
+/// Cache key of one residence's simulation. A shard is a pure function of
+/// the catalog, its ResidenceConfig and the DayPlans it is handed, so the
+/// key folds a "simulate.shard" tag, catalog.content_digest(), every
+/// ResidenceConfig field except day_plan_fn (name, days, start weekday, the
+/// six scalars, each override's name and weight, the away ranges, arrival
+/// mode and ticks, seed), and every field of the evaluated DayPlan for days
+/// 0..days-1 — taken from day_plan_fn, or kStaticDayPlan without one,
+/// exactly as the simulator takes it. The closure itself never enters the
+/// key: two providers that return equal plans share a key, and so do a null
+/// provider and one that returns kStaticDayPlan.
+std::uint64_t shard_key(const traffic::ServiceCatalog& catalog,
+                        const traffic::ResidenceConfig& config);
+
 /// Simulate every residence into its own shard and reduce in residence-
 /// index order. `pool` may be null (sequential); results are bit-identical
 /// for any lane count. The result carries no stratum labels.
+///
+/// With a `cache`, each residence is looked up under its shard_key (pass
+/// name "simulate.shard"): a hit copies the cached {SimulationStats,
+/// FlowMonitor} into the slot, a miss simulates on the pool's lanes and
+/// stores its shard. The config always comes from `configs`, and the fold
+/// is the same index-order fold, so a cached run is byte-identical to an
+/// uncached one. This is how what-if variants that change a few homes
+/// re-simulate only those homes. Without a cache no key is computed and
+/// nothing is looked up or stored.
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            std::span<const traffic::ResidenceConfig> configs,
-                           ThreadPool* pool);
+                           ThreadPool* pool, PassCache* cache = nullptr);
 
 /// simulate_fleet(fleet.configs) carrying the stratum labels into the
 /// result. Throws std::invalid_argument on traits/configs size mismatch.
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
-                           const SampledFleet& fleet, ThreadPool* pool);
+                           const SampledFleet& fleet, ThreadPool* pool,
+                           PassCache* cache = nullptr);
 
 /// Streaming outcome of stream_fleet.
 struct StreamStats {

@@ -341,25 +341,34 @@ TEST(ForestScheduler, NullCacheRunExecutesEveryPassAndMatchesPipelineRun) {
 }
 
 // The determinism pin: a 25-variant what-if forest run overlapped at 1, 2,
-// and 8 workers produces byte-identical per-variant outputs to the plain
-// serial pipeline loop, samples the base population exactly once (asserted
-// via execution counters — in-flight dedup, since every sample twin is
-// seed-ready before any executes), and releases every transient fleet.
+// and 8 workers produces byte-identical per-variant outputs to uncached
+// per-variant runs (as does the serial loop over one shared cache, which
+// shares the sample and every residence shard), samples the base
+// population exactly once (asserted via execution counters — in-flight
+// dedup, since every sample twin is seed-ready before any executes), and
+// releases every transient fleet.
 TEST(ForestScheduler, TwentyFiveVariantForestMatchesSerialByteForByte) {
   const auto catalog = traffic::build_paper_catalog();
   const int variants = 25;
   const auto cfgs = variant_configs(variants);
 
-  // Serial reference: one pipeline per variant, shared cache, run in order.
+  // Cold reference: each variant alone, uncached, so no pass and no
+  // residence shard is shared with any other variant.
   std::vector<std::string> expected;
+  for (int v = 0; v < variants; ++v) {
+    Pipeline pipe = core::make_scenario_pipeline(cfgs[v], catalog);
+    pipe.run(nullptr);
+    expected.push_back(serialize_pipe(cfgs[v], pipe));
+  }
+  // The serial loop over one shared cache, which reuses the sample and the
+  // shards, must agree with the cold runs too.
   {
     PassCache cache;
-    std::vector<std::unique_ptr<Pipeline>> pipes;
     for (int v = 0; v < variants; ++v) {
-      pipes.push_back(std::make_unique<Pipeline>(
-          core::make_scenario_pipeline(cfgs[v], catalog)));
-      pipes.back()->run(&cache);
-      expected.push_back(serialize_pipe(cfgs[v], *pipes.back()));
+      Pipeline pipe = core::make_scenario_pipeline(cfgs[v], catalog);
+      pipe.run(&cache);
+      EXPECT_EQ(serialize_pipe(cfgs[v], pipe), expected[v])
+          << "serial variant " << v;
     }
   }
 
@@ -442,8 +451,11 @@ TEST(ForestScheduler, ScenarioForestAgainstWarmCacheMatchesSerial) {
         << "variant " << v;
   }
   // Transient release behaves as in the cold run: the shared sample entry
-  // and the three timeline entries are erased, 9 survive.
-  EXPECT_EQ(cache.size(), 9u);
+  // and the three timeline entries are erased, 9 pass entries survive. The
+  // 6 homes' shards are the other 6: no tiny home has a broken CPE, so the
+  // cpe_fix variants change no plan and all three share one shard per
+  // home. 9 + 6 = 15.
+  EXPECT_EQ(cache.size(), 15u);
 }
 
 // Transient release on the scenario chain observable from the cache side:
@@ -466,8 +478,10 @@ TEST(ForestScheduler, ScenarioTransientsLeaveCacheAfterForestRun) {
   ForestScheduler::run(ptrs, cache, opts);
 
   // 1 shared sample + 3 variants x 4 passes = 13 stored, minus the sample
-  // and the 3 timelines (erased) = 9 surviving entries.
-  EXPECT_EQ(cache.size(), 9u);
+  // and the 3 timelines (erased) = 9 surviving pass entries, plus one
+  // "simulate.shard" entry per home (6; the three variants plan every home
+  // alike, see above) = 15.
+  EXPECT_EQ(cache.size(), 15u);
 
   // Warm serial re-run of variant 0: the released prefix re-executes, the
   // kept suffix binds from cache.

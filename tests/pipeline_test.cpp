@@ -400,6 +400,13 @@ TEST(ScenarioPipeline, WhatIfForestSamplesBaseExactlyOnce) {
 // for every committed scenario, at 1, 4, and 8 lanes, with cross-lane
 // cache reuse in play (a cached pass result from a 1-lane run binds into
 // an 8-lane pipeline).
+//
+// Then shard-level reuse: a twin with one more event, a whole-horizon
+// cpe_fix, primes a fresh cache at each lane count and the scenario runs on
+// it. The fix re-plans only broken-CPE homes, so the simulate pass must
+// re-run (the planned fleet differs) while every other home's shard hits.
+// (Dropping an event instead, as the fuzzer's twin does, can re-plan every
+// home: a fleet-wide CGN budget or seasonal swing.)
 TEST(ScenarioPipeline, CachedRunsMatchUncachedByteForByte) {
   const auto catalog = traffic::build_paper_catalog();
   const auto files = testutil::scenario_files();
@@ -409,18 +416,11 @@ TEST(ScenarioPipeline, CachedRunsMatchUncachedByteForByte) {
     std::string error;
     auto cfg = engine::FleetConfig::load(path, &error);
     ASSERT_TRUE(cfg) << path << ": " << error;
+    const std::string stem = testutil::scenario_stem(path);
 
     const std::string expected =
         testutil::canonical_serialize(testutil::run_scenario(*cfg, catalog, 1));
-
-    PassCache cache;  // shared across lane counts on purpose
-    for (int lanes : {1, 4, 8}) {
-      std::unique_ptr<engine::ThreadPool> pool;
-      if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
-
-      Pipeline pipe = core::make_scenario_pipeline(*cfg, catalog);
-      pipe.run(&cache, pool.get());
-
+    auto check = [&](const Pipeline& pipe, const std::string& where) {
       testutil::ScenarioRun run;
       run.cfg = *cfg;
       run.result = pipe.output<engine::FleetResult>("fleet_result");
@@ -428,8 +428,38 @@ TEST(ScenarioPipeline, CachedRunsMatchUncachedByteForByte) {
       run.window_panel = pipe.output<core::GroupComparison>("window_panel");
       const std::string got = testutil::canonical_serialize(run);
       EXPECT_EQ(got, expected)
-          << testutil::scenario_stem(path) << " @ " << lanes << " lanes: "
-          << testutil::first_diff(got, expected);
+          << stem << " " << where << ": " << testutil::first_diff(got, expected);
+    };
+
+    engine::FleetConfig twin = *cfg;
+    engine::TimelineEvent fix = fix_event(0.5);
+    fix.start_day = 0;
+    fix.end_day = cfg->days - 1;
+    twin.timeline->events.push_back(fix);
+
+    PassCache shared;  // shared across lane counts on purpose
+    for (int lanes : {1, 4, 8}) {
+      std::unique_ptr<engine::ThreadPool> pool;
+      if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
+      const std::string at = "@ " + std::to_string(lanes) + " lanes";
+
+      Pipeline pipe = core::make_scenario_pipeline(*cfg, catalog);
+      pipe.run(&shared, pool.get());
+      check(pipe, at);
+
+      PassCache primed;
+      core::make_scenario_pipeline(twin, catalog).run(&primed, pool.get());
+      const std::size_t before = primed.size();
+      Pipeline reuse = core::make_scenario_pipeline(*cfg, catalog);
+      reuse.run(&primed, pool.get());
+      EXPECT_EQ(reuse.executions("sample"), 0u) << stem << " " << at;
+      EXPECT_EQ(reuse.executions("simulate"), 1u) << stem << " " << at;
+      // The run adds its timeline, simulate, report and window_panel
+      // entries plus one shard per home the twin planned differently.
+      EXPECT_LT(primed.size() - before - 4,
+                static_cast<std::size_t>(cfg->residences))
+          << stem << " " << at << ": no shard hit";
+      check(reuse, "on a twin-primed cache " + at);
     }
   }
 }

@@ -2,8 +2,9 @@
 //
 // Each generated config runs the full invariant battery in
 // testutil::fuzz_check_scenario: parse/render round trip, lazy vs
-// materialized day-plan cells, 1/4/8-lane byte-identical replays, and
-// windowed metric finiteness. The scenario count and base seed come from
+// materialized day-plan cells, 1/4/8-lane byte-identical replays,
+// shard-reuse parity on a twin-primed cache, and windowed metric
+// finiteness. The scenario count and base seed come from
 // NBV6_FUZZ_SCENARIOS / NBV6_FUZZ_SEED so CI can run a deep sweep while
 // the default local run stays fast; a failure prints the offending config
 // text verbatim, which is the whole reproducer.

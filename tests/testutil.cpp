@@ -99,6 +99,26 @@ void apply_materialized_timeline(engine::SampledFleet& fleet,
   }
 }
 
+// The fuzzer's shard-reuse twin: `cfg` with the last timeline event
+// dropped, or one whole-horizon cpe_fix added when there is none. It
+// samples the same population, so on a shared cache it leaves behind the
+// shards of every home the perturbation does not re-plan.
+engine::FleetConfig timeline_twin(const engine::FleetConfig& cfg) {
+  engine::FleetConfig twin = cfg;
+  auto& events = twin.timeline->events;
+  if (!events.empty()) {
+    events.pop_back();
+  } else {
+    engine::TimelineEvent fix;
+    fix.kind = engine::TimelineEventKind::cpe_fix;
+    fix.start_day = 0;
+    fix.end_day = cfg.days - 1;
+    fix.fraction = 0.5;
+    events.push_back(fix);
+  }
+  return twin;
+}
+
 }  // namespace
 
 std::string source_dir() { return NBV6_SOURCE_DIR; }
@@ -125,7 +145,7 @@ std::string scenario_stem(const std::string& path) {
 
 ScenarioRun run_scenario(const engine::FleetConfig& cfg,
                          const traffic::ServiceCatalog& catalog, int lanes,
-                         PlanSource plans) {
+                         PlanSource plans, engine::PassCache* cache) {
   std::unique_ptr<engine::ThreadPool> pool;
   if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
   engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
@@ -141,7 +161,7 @@ ScenarioRun run_scenario(const engine::FleetConfig& cfg,
     };
     pipe.replace(timeline);
   }
-  pipe.run(nullptr, pool.get());
+  pipe.run(cache, pool.get());
 
   ScenarioRun run;
   run.cfg = cfg;
@@ -407,6 +427,20 @@ std::optional<std::string> fuzz_check_scenario(
     if (mat != base_text)
       return "mode-parity: lazy vs materialized serializations differ\n" +
              first_diff(base_text, mat);
+  }
+
+  // Shard-level reuse: the twin leaves its sample and the shards of every
+  // home it plans alike in the cache; the config must bind those and still
+  // serialize exactly as the uncached run.
+  {
+    engine::PassCache cache;
+    run_scenario(timeline_twin(*cfg), catalog, 4, PlanSource::lazy, &cache);
+    const std::string shared = canonical_serialize(
+        run_scenario(*cfg, catalog, 4, PlanSource::lazy, &cache));
+    if (shared != base_text)
+      return "shard-reuse: run on the twin's cache vs uncached serializations "
+             "differ\n" +
+             first_diff(base_text, shared);
   }
 
   // Windowed metric finiteness. Count/sum metrics must be real numbers on

@@ -17,6 +17,7 @@
 
 #include "core/fleet_analysis.h"
 #include "engine/fleet.h"
+#include "engine/pipeline.h"
 #include "engine/thread_pool.h"
 #include "engine/timeline.h"
 #include "traffic/residence.h"
@@ -60,15 +61,18 @@ enum class PlanSource {
   materialized,
 };
 
-/// Runs the scenario pipeline (core::make_scenario_pipeline, uncached) on
-/// `lanes` lanes and copies out its fleet_result, stats_report and
-/// window_panel. With PlanSource::materialized the timeline pass is
-/// swapped for one installing providers that index materialize_day_plans'
-/// vectors; both sources must serialize byte-identically — the parity the
-/// golden-replay suite pins.
+/// Runs the scenario pipeline (core::make_scenario_pipeline) on `lanes`
+/// lanes and copies out its fleet_result, stats_report and window_panel.
+/// Uncached unless a `cache` is given, in which case passes and residence
+/// shards are looked up in it and stored to it. With
+/// PlanSource::materialized the timeline pass is swapped for one
+/// installing providers that index materialize_day_plans' vectors; both
+/// sources must serialize byte-identically — the parity the golden-replay
+/// suite pins.
 ScenarioRun run_scenario(const engine::FleetConfig& cfg,
                          const traffic::ServiceCatalog& catalog, int lanes,
-                         PlanSource plans = PlanSource::lazy);
+                         PlanSource plans = PlanSource::lazy,
+                         engine::PassCache* cache = nullptr);
 
 /// The stage chain alone, for tests that need only the FleetResult:
 /// sample_stage → apply_timeline → simulate_fleet on `pool` (nullptr =
@@ -115,7 +119,11 @@ std::string canonical_serialize(const ScenarioRun& run);
 ///   2. lazy vs materialized day plans, cell by cell (check_plan_parity)
 ///   3. byte-identical canonical serializations across 1/4/8-lane replays
 ///      and across lazy vs materialized simulation of the 1-lane run
-///   4. windowed extract_metrics finiteness: over the full horizon, both
+///   4. shard-reuse parity: a twin with the last timeline event dropped
+///      (or one cpe_fix added when there is none) runs first on a fresh
+///      PassCache, then the config on the same cache (reusing the twin's
+///      sample and shards) must serialize to the uncached 1-lane text
+///   5. windowed extract_metrics finiteness: over the full horizon, both
 ///      halves, first/middle/last single days, and every event's clamped
 ///      window, no metric may be +-inf, and count/sum metrics (sessions_k,
 ///      external_gb, ...) may not be NaN either — only rate/fraction
