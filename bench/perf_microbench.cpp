@@ -124,19 +124,51 @@ void BM_DnsResolveChain(benchmark::State& state) {
 }
 BENCHMARK(BM_DnsResolveChain);
 
-// The crawl layer: a 2,000-site universe at the last epoch, timing the
-// crawler's per-epoch table build plus a full crawl (the zone is built
-// once, outside the loop).
-void BM_CrawlAll(benchmark::State& state) {
-  cloud::ProviderCatalog providers;
-  web::UniverseConfig cfg;
-  cfg.site_count = 2000;
-  cfg.seed = 5;
-  const web::Universe universe(cfg, providers);
+// The web survey, layer by layer, on one 2,000-site universe at the last
+// epoch: the zone build, the crawler's per-epoch FQDN table (DNS walk and
+// PSL per name), the crawl alone, the PSL alone, and the cloud attribution.
+// Each benchmark builds its inputs once, outside the loop.
+const web::Universe& survey_universe() {
+  static const cloud::ProviderCatalog providers;
+  static const web::Universe universe = [] {
+    web::UniverseConfig cfg;
+    cfg.site_count = 2000;
+    cfg.seed = 5;
+    return web::Universe(cfg, providers);
+  }();
+  return universe;
+}
+
+void BM_BuildZone(benchmark::State& state) {
+  const auto& universe = survey_universe();
+  std::size_t names = 0;
+  for (auto _ : state) {
+    const auto zone = universe.build_zone(web::Epoch::jul2025);
+    names += zone.name_count();
+    benchmark::DoNotOptimize(zone);
+  }
+  state.counters["names"] = benchmark::Counter(
+      static_cast<double>(names), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_BuildZone)->Unit(benchmark::kMillisecond);
+
+void BM_SurveyTable(benchmark::State& state) {
+  const auto& universe = survey_universe();
   const auto zone = universe.build_zone(web::Epoch::jul2025);
-  std::size_t resources = 0;
   for (auto _ : state) {
     const web::Crawler crawler(universe, zone, web::Epoch::jul2025);
+    benchmark::DoNotOptimize(crawler.table());
+  }
+  state.counters["fqdns"] = static_cast<double>(universe.fqdns().size());
+}
+BENCHMARK(BM_SurveyTable)->Unit(benchmark::kMillisecond);
+
+void BM_CrawlAll(benchmark::State& state) {
+  const auto& universe = survey_universe();
+  const auto zone = universe.build_zone(web::Epoch::jul2025);
+  const web::Crawler crawler(universe, zone, web::Epoch::jul2025);
+  std::size_t resources = 0;
+  for (auto _ : state) {
     auto crawls = crawler.crawl_all(7);
     for (const auto& c : crawls) resources += c.resources.size();
     benchmark::DoNotOptimize(crawls);
@@ -146,14 +178,23 @@ void BM_CrawlAll(benchmark::State& state) {
 }
 BENCHMARK(BM_CrawlAll)->Unit(benchmark::kMillisecond);
 
-// The cloud attribution: DomainRecords for every FQDN a 2,000-site survey
-// at the last epoch observed. The survey is built once, outside the loop.
+// One registrable_domain call per iteration, cycling through every FQDN of
+// the universe.
+void BM_PslRegistrableDomain(benchmark::State& state) {
+  const auto& universe = survey_universe();
+  const auto& fqdns = universe.fqdns();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto reg = universe.psl().registrable_domain(fqdns[i].name);
+    benchmark::DoNotOptimize(reg);
+    if (++i == fqdns.size()) i = 0;
+  }
+}
+BENCHMARK(BM_PslRegistrableDomain);
+
+// The cloud attribution: DomainRecords for every FQDN the survey observed.
 void BM_DomainRecords(benchmark::State& state) {
-  cloud::ProviderCatalog providers;
-  web::UniverseConfig cfg;
-  cfg.site_count = 2000;
-  cfg.seed = 5;
-  const web::Universe universe(cfg, providers);
+  const auto& universe = survey_universe();
   const auto survey =
       core::run_server_survey(universe, web::Epoch::jul2025, 7);
   std::size_t records = 0;

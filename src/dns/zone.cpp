@@ -58,32 +58,35 @@ void ZoneDb::grow_slots() {
   }
 }
 
-ZoneDb::Entry& ZoneDb::intern(std::string canon) {
+ZoneDb::Entry& ZoneDb::intern(std::string_view name) {
+  if (!is_canonical(name)) return intern(canonicalize(name));
   // Keep load under 3/4 so probe chains stay short.
   if ((entries_.size() + 1) * 4 > slots_.size() * 3) grow_slots();
   const std::size_t mask = slots_.size() - 1;
-  std::size_t s = hash_name(canon) & mask;
+  std::size_t s = hash_name(name) & mask;
   while (slots_[s] != 0) {
     Entry& e = entries_[slots_[s] - 1];
-    if (e.name == canon) return e;
+    if (e.name == name) return e;
     s = (s + 1) & mask;
   }
-  Entry e;
-  e.name = std::move(canon);
-  entries_.push_back(std::move(e));
+  // Copy before growing the store: `name` may view one of its strings (a
+  // CNAME target read back from lookup()), which growth would move.
+  std::string owned(name);
+  Entry& e = entries_.emplace_back();
+  e.name = std::move(owned);
   slots_[s] = static_cast<std::uint32_t>(entries_.size());
-  return entries_.back();
+  return e;
 }
 
 bool ZoneDb::add_a(std::string_view name, net::IPv4Addr addr) {
-  auto& e = intern(canonicalize(name));
+  auto& e = intern(name);
   if (!e.cname.empty()) return false;
   if (std::find(e.a.begin(), e.a.end(), addr) == e.a.end()) e.a.push_back(addr);
   return true;
 }
 
 bool ZoneDb::add_aaaa(std::string_view name, net::IPv6Addr addr) {
-  auto& e = intern(canonicalize(name));
+  auto& e = intern(name);
   if (!e.cname.empty()) return false;
   if (std::find(e.aaaa.begin(), e.aaaa.end(), addr) == e.aaaa.end())
     e.aaaa.push_back(addr);
@@ -91,11 +94,11 @@ bool ZoneDb::add_aaaa(std::string_view name, net::IPv6Addr addr) {
 }
 
 bool ZoneDb::add_cname(std::string_view name, std::string_view target) {
-  auto& e = intern(canonicalize(name));
+  if (!is_canonical(target)) return add_cname(name, canonicalize(target));
+  auto& e = intern(name);
   if (!e.a.empty() || !e.aaaa.empty()) return false;
-  if (!e.cname.empty() && e.cname != canonicalize(target)) return false;
-  e.cname = canonicalize(target);
-  return true;
+  if (e.cname.empty()) e.cname = target;
+  return e.cname == target;
 }
 
 ZoneDb::NameView ZoneDb::lookup(std::string_view name) const {

@@ -11,7 +11,9 @@
 // instead of walking a red-black tree — BM_DnsResolveChain's hot path is a
 // hash and a few contiguous slot reads per hop rather than O(log n)
 // pointer-chasing string compares. Names carry no order: lookup() is the
-// one reader.
+// one reader. Writers probe straight from their string_view as well: a
+// string is built only for a name not yet interned, or one that is not
+// canonical.
 //
 // The zone is insert-only: no record or name is ever removed, so an
 // entry's index in the dense store is stable once interned. lookup() is a
@@ -79,8 +81,9 @@ class ZoneDb {
   [[nodiscard]] const Entry* find_entry(std::string_view name) const;
   [[nodiscard]] std::uint32_t find_index(std::string_view canon) const;
 
-  /// Find-or-insert the entry for an already-canonical name.
-  Entry& intern(std::string canon);
+  /// Find-or-insert the entry for `name`, probing straight from the view:
+  /// a string is built only for a new entry or a non-canonical name.
+  Entry& intern(std::string_view name);
   /// Rebuild the slot table at double capacity (or the initial 16).
   void grow_slots();
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <utility>
 
 #include "dns/resolver.h"
 
@@ -26,10 +26,19 @@ net::Family race(bool has_a, bool has_aaaa, stats::Rng& rng) {
 }
 
 /// Resolves every FQDN of `universe` against `zone` and interns its
-/// registrable domain and CNAME terminal, once.
+/// registrable domain and CNAME terminal, once. One resolver walk per name
+/// answers both families; the PSL runs on every name and answers a view
+/// into it. Site ids are interned through the name's tenant: when the
+/// registrable domain is the tenant's eTLD+1 (nearly always), the tenant's
+/// id is reused without a probe. Only a tenant's first such name and the
+/// names whose registrable domain is something else (under a wildcard rule
+/// like *.ck) probe the by-name map, whose keys are views into the
+/// universe's names, so it allocates only its nodes. Ids come out in order
+/// of first appearance either way.
 std::shared_ptr<const FqdnTable> build_table(const Universe& universe,
                                              const dns::ZoneDb& zone) {
   const auto& fqdns = universe.fqdns();
+  const auto& tenants = universe.tenants();
   // Distinct registrable domains never outnumber FQDNs, so this bounds
   // every interned id below the 30-bit field.
   if (fqdns.size() >= (std::size_t{1} << 30))
@@ -43,29 +52,40 @@ std::shared_ptr<const FqdnTable> build_table(const Universe& universe,
   t->terminal_names.emplace_back();
   t->site_names.emplace_back();
 
+  std::unordered_map<std::string_view, std::uint32_t> site_ids;
+  site_ids.reserve(tenants.size());
+  auto intern_site = [&](std::string_view reg) {
+    const auto [it, fresh] = site_ids.try_emplace(
+        reg, static_cast<std::uint32_t>(t->site_names.size()));
+    if (fresh) t->site_names.emplace_back(reg);
+    return it->second;
+  };
+  std::vector<std::uint32_t> tenant_site(tenants.size(), 0);
+
   const dns::Resolver resolver(zone);
-  std::unordered_map<std::string, std::uint32_t> site_ids;
-  site_ids.reserve(fqdns.size());
   for (std::uint32_t id = 0; id < fqdns.size(); ++id) {
-    const std::string& name = fqdns[id].name;
-    auto dual = resolver.resolve_dual(name);
+    const Fqdn& f = fqdns[id];
+    const dns::Resolver::Walk w = resolver.walk(f.name);
     std::uint32_t site = 0;
-    if (auto reg = universe.psl().registrable_domain(name)) {
-      const auto [it, fresh] = site_ids.try_emplace(
-          std::move(*reg), static_cast<std::uint32_t>(t->site_names.size()));
-      if (fresh) t->site_names.push_back(it->first);
-      site = it->second;
+    if (const auto reg = universe.psl().registrable_domain(f.name)) {
+      if (*reg == tenants[f.tenant].etld1) {
+        std::uint32_t& cached = tenant_site[f.tenant];
+        if (cached == 0) cached = intern_site(*reg);
+        site = cached;
+      } else {
+        site = intern_site(*reg);
+      }
     }
-    t->facts.push_back({.has_a = dual.has_v4(),
-                        .has_aaaa = dual.has_v6(),
-                        .site = site});
-    if (dual.has_v4()) t->first_a[id] = dual.v4.addresses.front().v4();
-    if (dual.has_v6()) t->first_aaaa[id] = dual.v6.addresses.front().v6();
-    // The terminal of the A answer when there is one, else the AAAA's.
-    auto& chain = (dual.has_v4() ? dual.v4 : dual.v6).chain;
-    if (dual.reachable() && chain.size() > 1) {
+    const bool has_a = w.has_a();
+    const bool has_aaaa = w.has_aaaa();
+    t->facts.push_back({.has_a = has_a, .has_aaaa = has_aaaa, .site = site});
+    if (has_a) t->first_a[id] = w.a->front();
+    if (has_aaaa) t->first_aaaa[id] = w.aaaa->front();
+    // A reachable name's walk ended at its terminal, the same for both
+    // families.
+    if ((has_a || has_aaaa) && w.length > 1) {
       t->terminal[id] = static_cast<std::uint32_t>(t->terminal_names.size());
-      t->terminal_names.push_back(std::move(chain.back()));
+      t->terminal_names.emplace_back(w.chain().back());
     }
   }
   return t;

@@ -12,9 +12,13 @@
 // constructor resolves every FQDN of the universe against the epoch's zone
 // and interns each one's registrable domain into an FqdnTable, so a crawl
 // reads one dense per-FQDN array and decides same-site by comparing two
-// integer ids. The table is shared, not private: a survey keeps it, and
-// the §5 cloud attribution reads addresses, CNAME terminals and eTLD+1
-// from it by FQDN id.
+// integer ids. The build allocates nothing per name: one resolver walk
+// (dns::Resolver::walk, views into the zone) answers both families and the
+// CNAME terminal, the PSL answers a view into the name, and a name whose
+// registrable domain is its tenant's eTLD+1 reuses the tenant's site id.
+// The table is shared, not private: a survey keeps it, and the §5 cloud
+// attribution reads addresses, CNAME terminals and eTLD+1 from it by FQDN
+// id.
 #pragma once
 
 #include <cstdint>

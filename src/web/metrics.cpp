@@ -75,7 +75,7 @@ SpanAnalysis::SpanAnalysis(const Universe& universe,
       if (!(r.has_a && !r.has_aaaa)) continue;
       ++deps.v4only_resources;
       const auto& name = universe.fqdns()[r.fqdn].name;
-      auto etld1 = psl.registrable_domain(name).value_or(name);
+      const std::string etld1(psl.registrable_domain(name).value_or(name));
       ++deps.v4only_domains[etld1];
       types_here[etld1][static_cast<size_t>(r.type)] = true;
       if (!r.first_party) third_party_here[etld1] = true;

@@ -1,135 +1,145 @@
 #include "web/psl.h"
 
 #include <algorithm>
-#include <vector>
 
 namespace nbv6::web {
 
-std::vector<std::string_view> split_labels(std::string_view host) {
-  std::vector<std::string_view> labels;
-  size_t start = 0;
-  while (start <= host.size()) {
-    size_t dot = host.find('.', start);
-    if (dot == std::string_view::npos) {
-      labels.push_back(host.substr(start));
-      break;
-    }
-    labels.push_back(host.substr(start, dot - start));
-    start = dot + 1;
+namespace {
+
+unsigned char fold(unsigned char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<unsigned char>(c | 0x20) : c;
+}
+
+bool equal_folded(std::string_view a, std::string_view b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](unsigned char x, unsigned char y) {
+                      return fold(x) == fold(y);
+                    });
+}
+
+/// The host without one trailing dot (the DNS root label).
+std::string_view strip_root(std::string_view host) {
+  if (!host.empty() && host.back() == '.') host.remove_suffix(1);
+  return host;
+}
+
+constexpr std::string_view kBuiltinRules[] = {
+    // gTLDs and common new TLDs.
+    "com", "org", "net", "edu", "gov", "mil", "int", "io", "co", "ai",
+    "app", "dev", "cloud", "online", "shop", "site", "xyz", "info", "biz",
+    "tv", "me", "us", "ca", "de", "fr", "nl", "es", "it", "pl", "ru", "cn",
+    "in", "br", "mx", "se", "no", "fi", "ch", "at", "be", "cz", "gr", "pt",
+    "ro", "hu", "dk", "ie", "il", "tr", "za", "kr", "vn", "id", "th", "my",
+    "sg", "hk", "tw", "ar", "cl", "pe", "ve",
+    // Two-level public suffixes.
+    "co.uk", "org.uk", "ac.uk", "gov.uk", "me.uk",
+    "com.au", "net.au", "org.au", "edu.au",
+    "co.jp", "ne.jp", "or.jp", "ac.jp",
+    "com.br", "net.br", "org.br",
+    "co.in", "net.in", "org.in",
+    "com.cn", "net.cn", "org.cn",
+    "co.nz", "net.nz", "org.nz",
+    "com.mx", "com.ar", "com.tr", "com.sg", "com.hk", "com.tw",
+    "co.kr", "co.za", "com.vn",
+    // Private-registry suffixes on the real PSL that matter for
+    // third-party hosting analysis.
+    "github.io", "gitlab.io", "netlify.app", "vercel.app", "web.app",
+    "firebaseapp.com", "herokuapp.com", "azurewebsites.net",
+    "cloudfront.net", "appspot.com", "run.app", "b-cdn.net",
+    "amazonaws.com",
+    // Wildcard and exception rules (the ck classic).
+    "*.ck", "!www.ck",
+};
+
+}  // namespace
+
+std::size_t PublicSuffixList::FoldHash::operator()(
+    std::string_view s) const noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= fold(c);
+    h *= 0x100000001b3ull;
   }
-  return labels;
+  return static_cast<std::size_t>(h);
+}
+
+bool PublicSuffixList::FoldEqual::operator()(
+    std::string_view a, std::string_view b) const noexcept {
+  return equal_folded(a, b);
 }
 
 void PublicSuffixList::add_rule(std::string_view rule) {
   if (rule.empty()) return;
   if (rule[0] == '!') {
-    exception_rules_.emplace(rule.substr(1));
-  } else if (rule.rfind("*.", 0) == 0) {
-    wildcard_rules_.emplace(rule.substr(2));
+    rules_[std::string(rule.substr(1))] |= kException;
+  } else if (rule.starts_with("*.")) {
+    rules_[std::string(rule.substr(2))] |= kWildcard;
   } else {
-    rules_.emplace(rule);
+    rules_[std::string(rule)] |= kRule;
   }
+}
+
+std::span<const std::string_view> PublicSuffixList::builtin_rules() {
+  return kBuiltinRules;
 }
 
 PublicSuffixList PublicSuffixList::builtin() {
   PublicSuffixList psl;
-  static constexpr const char* kRules[] = {
-      // gTLDs and common new TLDs.
-      "com", "org", "net", "edu", "gov", "mil", "int", "io", "co", "ai",
-      "app", "dev", "cloud", "online", "shop", "site", "xyz", "info", "biz",
-      "tv", "me", "us", "ca", "de", "fr", "nl", "es", "it", "pl", "ru", "cn",
-      "in", "br", "mx", "se", "no", "fi", "ch", "at", "be", "cz", "gr", "pt",
-      "ro", "hu", "dk", "ie", "il", "tr", "za", "kr", "vn", "id", "th", "my",
-      "sg", "hk", "tw", "ar", "cl", "pe", "ve",
-      // Two-level public suffixes.
-      "co.uk", "org.uk", "ac.uk", "gov.uk", "me.uk",
-      "com.au", "net.au", "org.au", "edu.au",
-      "co.jp", "ne.jp", "or.jp", "ac.jp",
-      "com.br", "net.br", "org.br",
-      "co.in", "net.in", "org.in",
-      "com.cn", "net.cn", "org.cn",
-      "co.nz", "net.nz", "org.nz",
-      "com.mx", "com.ar", "com.tr", "com.sg", "com.hk", "com.tw",
-      "co.kr", "co.za", "com.vn",
-      // Private-registry suffixes on the real PSL that matter for
-      // third-party hosting analysis.
-      "github.io", "gitlab.io", "netlify.app", "vercel.app", "web.app",
-      "firebaseapp.com", "herokuapp.com", "azurewebsites.net",
-      "cloudfront.net", "appspot.com", "run.app", "b-cdn.net",
-      "amazonaws.com",
-      // Wildcard and exception rules (the ck classic).
-      "*.ck", "!www.ck",
-  };
-  for (auto* r : kRules) psl.add_rule(r);
+  for (const std::string_view r : kBuiltinRules) psl.add_rule(r);
   return psl;
 }
 
-std::string PublicSuffixList::public_suffix(std::string_view host) const {
-  auto labels = split_labels(host);
-  if (labels.empty()) return std::string(host);
-
-  // Walk suffixes from the full host down; track the longest match. PSL
-  // semantics: exception beats wildcard; wildcard "*.X" makes "<label>.X"
-  // a suffix; otherwise the literal rules; fall back to the last label
-  // (implicit "*").
-  int best = -1;  // index into labels where the suffix starts
-  for (size_t start = 0; start < labels.size(); ++start) {
-    std::string suffix;
-    for (size_t i = start; i < labels.size(); ++i) {
-      if (!suffix.empty()) suffix += '.';
-      suffix += labels[i];
-    }
-    if (exception_rules_.contains(suffix)) {
-      // The exception rule says this exact name is NOT a public suffix;
-      // its public suffix is one label shorter.
-      best = static_cast<int>(start) + 1;
-      break;
-    }
-    if (rules_.contains(suffix)) {
-      best = static_cast<int>(start);
-      break;
-    }
-    // Wildcard: "*.X" matches "<l>.X...": check the parent.
-    if (start + 1 < labels.size()) {
-      std::string parent;
-      for (size_t i = start + 1; i < labels.size(); ++i) {
-        if (!parent.empty()) parent += '.';
-        parent += labels[i];
-      }
-      if (wildcard_rules_.contains(parent)) {
-        best = static_cast<int>(start);
-        break;
-      }
-    }
-  }
-  if (best < 0) best = static_cast<int>(labels.size()) - 1;  // implicit "*"
-
-  std::string out;
-  for (size_t i = static_cast<size_t>(best); i < labels.size(); ++i) {
-    if (!out.empty()) out += '.';
-    out += labels[i];
-  }
-  return out;
+std::uint8_t PublicSuffixList::kinds(std::string_view name) const {
+  const auto it = rules_.find(name);
+  return it == rules_.end() ? 0 : it->second;
 }
 
-std::optional<std::string> PublicSuffixList::registrable_domain(
+std::string_view PublicSuffixList::walk(std::string_view name) const {
+  // Walk suffixes from the full host down, one rule probe each; the first
+  // (longest) suffix a rule claims wins. PSL semantics: an exception "!X"
+  // makes X's parent the suffix; a literal rule makes the name itself one;
+  // a wildcard "*.X" makes "<label>.X" one, so each step also probes the
+  // parent, whose kinds the next step reuses. No rule: the last label
+  // (implicit "*").
+  std::string_view suffix = name;
+  std::uint8_t here = kinds(suffix);
+  for (;;) {
+    const std::size_t dot = suffix.find('.');
+    const std::string_view parent = dot == std::string_view::npos
+                                        ? suffix.substr(suffix.size())
+                                        : suffix.substr(dot + 1);
+    if (here & kException) return parent;
+    if ((here & kRule) || dot == std::string_view::npos) return suffix;
+    const std::uint8_t up = kinds(parent);
+    if (up & kWildcard) return suffix;
+    suffix = parent;
+    here = up;
+  }
+}
+
+std::string_view PublicSuffixList::public_suffix(std::string_view host) const {
+  return walk(strip_root(host));
+}
+
+std::optional<std::string_view> PublicSuffixList::registrable_domain(
     std::string_view host) const {
-  std::string suffix = public_suffix(host);
-  if (suffix.size() >= host.size()) return std::nullopt;  // host IS a suffix
+  host = strip_root(host);
+  if (host.ends_with('.')) return std::nullopt;  // an empty last label
+  const std::size_t suffix = walk(host).size();
+  if (suffix >= host.size()) return std::nullopt;  // host IS a suffix
   // One more label than the suffix.
-  std::string_view rest = host.substr(0, host.size() - suffix.size() - 1);
-  size_t last_dot = rest.rfind('.');
-  std::string_view label =
-      last_dot == std::string_view::npos ? rest : rest.substr(last_dot + 1);
-  if (label.empty()) return std::nullopt;
-  return std::string(label) + "." + suffix;
+  const std::string_view rest = host.substr(0, host.size() - suffix - 1);
+  const std::size_t dot = rest.rfind('.');
+  const std::size_t start = dot == std::string_view::npos ? 0 : dot + 1;
+  if (start == rest.size()) return std::nullopt;  // empty label
+  return host.substr(start);
 }
 
 bool PublicSuffixList::same_site(std::string_view a,
                                  std::string_view b) const {
-  auto ra = registrable_domain(a);
-  auto rb = registrable_domain(b);
-  return ra && rb && *ra == *rb;
+  const auto ra = registrable_domain(a);
+  const auto rb = registrable_domain(b);
+  return ra && rb && equal_folded(*ra, *rb);
 }
 
 }  // namespace nbv6::web

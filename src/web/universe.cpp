@@ -618,18 +618,21 @@ dns::ZoneDb Universe::build_zone(Epoch e) const {
     const Fqdn& f = fqdns_[id];
     bool aaaa = has_aaaa(id, e);
 
-    std::string owner = f.name;
+    // The name that holds the addresses: the FQDN itself, or its CNAME
+    // target. Both are interned straight from these views.
+    std::string_view owner = f.name;
+    std::string target;
     if (f.provider >= 0 && f.service >= 0) {
       // CNAME chain into the provider service's namespace: the §5.3
       // identification signal.
       const auto& svc = providers_->at(static_cast<size_t>(f.provider))
                             .services[static_cast<size_t>(f.service)];
-      std::string target = "t";
+      target = "t";
       target += std::to_string(id);
       target += '.';
       target += svc.cname_suffix;
       zone.add_cname(owner, target);
-      owner = std::move(target);
+      owner = target;
     }
 
     if (f.provider >= 0) {

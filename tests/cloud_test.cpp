@@ -372,7 +372,7 @@ std::vector<DomainRecord> expect_records_match_reference(
   const auto& psl = universe.psl();
   const auto want = testutil::collect_domain_records(
       dns::Resolver(zone), names, [&psl](std::string_view host) {
-        return psl.registrable_domain(host).value_or(std::string(host));
+        return std::string(psl.registrable_domain(host).value_or(host));
       });
   const auto got = core::build_domain_records(universe, survey);
   EXPECT_EQ(got.size(), want.size());

@@ -8,6 +8,7 @@
 
 #include "dns/resolver.h"
 #include "dns/zone.h"
+#include "reference_resolver.h"
 
 namespace nbv6::dns {
 namespace {
@@ -294,6 +295,147 @@ TEST(ZoneDbIntern, LookupSurvivesTableGrowth) {
     EXPECT_EQ(v.a->size(), 1u) << name;
   }
   EXPECT_FALSE(zone.lookup("host5000.example").exists);
+}
+
+// ------------------------------------------------ walk against reference
+// resolve() and resolve_dual() wrap one allocation-free chain walk; they
+// must report what the per-family reference resolver reports — status,
+// chain and addresses — on zones full of loops, dangling targets and chains
+// at and past the hop limit.
+
+void expect_same(const ResolveResult& got, const ResolveResult& want,
+                 std::string_view query, std::string_view what) {
+  EXPECT_EQ(got.status, want.status) << what << " " << query;
+  EXPECT_EQ(got.chain, want.chain) << what << " " << query;
+  EXPECT_EQ(got.addresses, want.addresses) << what << " " << query;
+}
+
+TEST(ResolverWalk, MatchesReferenceOnRandomZones) {
+  constexpr int kMax = Resolver::kMaxChain;
+  constexpr int kNames = 64;
+  constexpr int kDangling = 8;
+  std::mt19937_64 rng(20261017);
+  int seen[4] = {};
+  int limit_ok = 0, past_limit = 0, cycle_at_limit = 0;
+
+  for (int z = 0; z < 40; ++z) {
+    ZoneDb zone;
+    std::vector<std::string> queries;
+    auto name = [](std::string_view prefix, int i) {
+      return std::string(prefix) + std::to_string(i) + ".test";
+    };
+    // Random names: CNAMEs to any name (itself and the never-defined
+    // d-names included), address sets of either family, or both.
+    for (int i = 0; i < kNames; ++i) {
+      const std::string owner = name("n", i);
+      queries.push_back(owner);
+      const auto kind = rng() % 4;
+      if (kind == 0) {
+        const auto t = static_cast<int>(rng() % (kNames + kDangling));
+        zone.add_cname(owner, t < kNames ? name("n", t) : name("d", t));
+        continue;
+      }
+      for (int k = static_cast<int>(rng() % 3); k > 0 && kind != 2; --k)
+        zone.add_a(owner, v4(static_cast<std::uint8_t>(rng() % 16)));
+      for (int k = static_cast<int>(rng() % 3); k > 0 && kind != 1; --k)
+        zone.add_aaaa(owner, v6(rng() % 16));
+    }
+    for (int i = kNames; i < kNames + kDangling; ++i)
+      queries.push_back(name("d", i));
+    // Straight chains of kMax and kMax + 1 hops to an address, and rings
+    // of kMax + 1 and kMax + 2 names: the last hop inside the limit either
+    // closes the cycle or runs past the limit.
+    for (int hops : {kMax, kMax + 1}) {
+      std::string prefix = "c";
+      prefix += std::to_string(hops) + '-';
+      for (int k = 0; k < hops; ++k)
+        zone.add_cname(name(prefix, k), name(prefix, k + 1));
+      zone.add_a(name(prefix, hops), v4(1));
+      zone.add_aaaa(name(prefix, hops), v6(1));
+      queries.push_back(name(prefix, 0));
+      queries.push_back(name(prefix, 1));
+    }
+    for (int ring : {kMax + 1, kMax + 2}) {
+      std::string prefix = "r";
+      prefix += std::to_string(ring) + '-';
+      for (int k = 0; k < ring; ++k)
+        zone.add_cname(name(prefix, k), name(prefix, (k + 1) % ring));
+      queries.push_back(name(prefix, 0));
+    }
+    // Other spellings of a few names.
+    queries.push_back("N1.TEST");
+    queries.push_back("n2.test.");
+    queries.push_back("C16-0.Test.");
+
+    const Resolver r(zone);
+    for (const auto& q : queries) {
+      const auto want_a = testutil::reference_resolve(zone, q, net::Family::v4);
+      const auto want_aaaa =
+          testutil::reference_resolve(zone, q, net::Family::v6);
+      expect_same(r.resolve_a(q), want_a, q, "A");
+      expect_same(r.resolve_aaaa(q), want_aaaa, q, "AAAA");
+      const auto dual = r.resolve_dual(q);
+      expect_same(dual.v4, want_a, q, "dual A");
+      expect_same(dual.v6, want_aaaa, q, "dual AAAA");
+
+      // The walk itself, on the canonical query.
+      const std::string canon = canonicalize(q);
+      const auto w = r.walk(canon);
+      EXPECT_EQ(w.status(net::Family::v4), want_a.status) << q;
+      EXPECT_EQ(w.status(net::Family::v6), want_aaaa.status) << q;
+      EXPECT_EQ(w.has_a(), want_a.ok()) << q;
+      EXPECT_EQ(w.has_aaaa(), want_aaaa.ok()) << q;
+
+      ++seen[static_cast<int>(want_a.status)];
+      const auto hops = static_cast<int>(want_a.chain.size()) - 1;
+      limit_ok += want_a.ok() && hops == kMax;
+      past_limit += hops == kMax + 1;
+      cycle_at_limit +=
+          want_a.status == ResolveStatus::cname_loop && hops == kMax;
+    }
+  }
+  // Every outcome and both sides of the hop limit were compared.
+  for (int n : seen) EXPECT_GT(n, 0);
+  EXPECT_GT(limit_ok, 0);
+  EXPECT_GT(past_limit, 0);
+  EXPECT_GT(cycle_at_limit, 0);
+}
+
+// A name read back from the zone may be added to it: the store copies it
+// before it grows. Short targets live inside their std::string, so growth
+// would move their bytes out from under the view.
+TEST(ZoneDb, AddsNamesViewedFromItsOwnStorage) {
+  auto name = [](const char* prefix, int i) {
+    std::string s = prefix;
+    s += std::to_string(i);
+    s += ".test";
+    return s;
+  };
+  ZoneDb zone;
+  for (int i = 0; i < 100; ++i) {
+    const std::string owner = name("alias", i);
+    zone.add_cname(owner, name("t", i));
+    EXPECT_TRUE(zone.add_a(zone.lookup(owner).cname, v4(1))) << owner;
+  }
+  for (int i = 0; i < 100; ++i) {
+    const std::string target = name("t", i);
+    const auto v = zone.lookup(target);
+    ASSERT_TRUE(v.exists) << target;
+    EXPECT_EQ(v.a->size(), 1u) << target;
+  }
+}
+
+TEST(ZoneDb, EverySpellingInternsOneName) {
+  ZoneDb zone;
+  EXPECT_TRUE(zone.add_a("Host.Test.", v4(1)));
+  EXPECT_TRUE(zone.add_a("host.test", v4(1)));
+  EXPECT_TRUE(zone.add_aaaa("HOST.TEST", v6(1)));
+  EXPECT_TRUE(zone.add_cname("Alias.Test", "HOST.test."));
+  EXPECT_TRUE(zone.add_cname("alias.test.", "host.test"));
+  EXPECT_FALSE(zone.add_cname("ALIAS.TEST", "other.test"));
+  EXPECT_EQ(zone.name_count(), 2u);
+  EXPECT_EQ(zone.lookup("host.test").a->size(), 1u);
+  EXPECT_EQ(zone.lookup("alias.test").cname, "host.test");
 }
 
 }  // namespace

@@ -49,6 +49,8 @@ TEST_F(UniverseTest, FqdnTenantLinksAreConsistent) {
     EXPECT_TRUE(f.name == t.etld1 ||
                 f.name.ends_with("." + t.etld1))
         << f.name << " vs " << t.etld1;
+    // Canonical, as the crawler's resolver walk requires of its queries.
+    EXPECT_TRUE(dns::is_canonical(f.name)) << f.name;
   }
 }
 
