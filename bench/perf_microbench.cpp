@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks for the hot substrate paths: address
-// parsing, LPM lookup, AES/CryptoPAN, DNS resolution, conntrack churn,
+// parsing, AS-map lookup, AES/CryptoPAN, DNS resolution, conntrack churn,
 // LOESS/MSTL, Wilcoxon, the web crawl and its cloud attribution — the
 // operations every experiment binary leans on.
 #include <benchmark/benchmark.h>
@@ -47,9 +47,9 @@ void BM_FormatIPv6(benchmark::State& state) {
 }
 BENCHMARK(BM_FormatIPv6);
 
-// AS attribution on the program's two BGP tables: arg 0 is the §3.4
-// service catalog (build_paper_catalog), arg 1 the §5 cloud provider
-// catalog. Probes cycle over addresses each table attributes, both families.
+// AsMap::lookup (one exact probe per announced length) on both BGP tables:
+// arg 0 the §3.4 service catalog, arg 1 the §5 cloud provider catalog.
+// Probes cycle over addresses each table attributes, both families.
 void BM_LpmLookup(benchmark::State& state) {
   const auto services = traffic::build_paper_catalog();
   const cloud::ProviderCatalog providers;

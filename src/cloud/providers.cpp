@@ -211,10 +211,9 @@ ProviderCatalog::ProviderCatalog() {
   }
 
   // Address plan + BGP announcements: each ASN owns a /12 of v4 at
-  // 41.0.0.0 and a /44 of v6 at 2a00::, indexed by global ASN slot.
+  // 40.0.0.0 and a /44 of v6 at 2a00::, indexed by global ASN slot.
   std::uint32_t slot = 0;
   for (size_t i = 0; i < providers_.size(); ++i) {
-    primary_asn_.push_back(providers_[i].asns.front());
     for (net::Asn asn : providers_[i].asns) {
       // /12 per AS slot carved from 40.0.0.0/8 onward; addition (not OR)
       // so slots past 15 carry cleanly into the next /8.
@@ -224,8 +223,10 @@ ProviderCatalog::ProviderCatalog() {
       as_map_.announce(
           net::Prefix6(net::IPv6Addr::from_halves(hi, 0), 44), asn);
       as_map_.register_name(asn, providers_[i].org_name);
-      asn_slot_v4_[asn] = base_value;
-      asn_slot_hi_[asn] = hi;
+      if (asn == providers_[i].asns.front()) {
+        slot_v4_.push_back(base_value);
+        slot_hi_.push_back(hi);
+      }
       provider_by_asn_[asn] = i;
       ++slot;
     }
@@ -241,15 +242,13 @@ std::optional<size_t> ProviderCatalog::find(std::string_view org_name) const {
 net::IPv4Addr ProviderCatalog::v4_address(size_t provider,
                                           std::uint32_t i) const {
   assert(provider < providers_.size());
-  auto base = asn_slot_v4_.at(primary_asn_[provider]);
-  return net::IPv4Addr(base | ((i + 1) & 0x000fffffu));
+  return net::IPv4Addr(slot_v4_[provider] | ((i + 1) & 0x000fffffu));
 }
 
 net::IPv6Addr ProviderCatalog::v6_address(size_t provider,
                                           std::uint32_t i) const {
   assert(provider < providers_.size());
-  auto hi = asn_slot_hi_.at(primary_asn_[provider]);
-  return net::IPv6Addr::from_halves(hi, i + 1);
+  return net::IPv6Addr::from_halves(slot_hi_[provider], i + 1);
 }
 
 std::optional<size_t> ProviderCatalog::provider_of(const net::IpAddr& a) const {

@@ -79,7 +79,9 @@ class ProviderCatalog {
   [[nodiscard]] const net::AsMap& as_map() const { return as_map_; }
 
   /// Allocate the i-th v4 / v6 address inside a provider's space. The
-  /// address plan gives each AS its own /16 (v4) and /40 (v6).
+  /// address plan gives each AS its own /12 (v4) and /44 (v6); a
+  /// provider's addresses come from its first AS's slot. v4 host indices
+  /// wrap within the /12, v6 ones fill the low 32 bits of the /44.
   [[nodiscard]] net::IPv4Addr v4_address(size_t provider, std::uint32_t i) const;
   [[nodiscard]] net::IPv6Addr v6_address(size_t provider, std::uint32_t i) const;
 
@@ -93,9 +95,9 @@ class ProviderCatalog {
  private:
   std::vector<Provider> providers_;
   net::AsMap as_map_;
-  std::vector<net::Asn> primary_asn_;  // per provider, for the address plan
-  std::unordered_map<net::Asn, std::uint32_t> asn_slot_v4_;
-  std::unordered_map<net::Asn, std::uint64_t> asn_slot_hi_;
+  // Per provider: its first AS's v4 /12 base and v6 /44 high half.
+  std::vector<std::uint32_t> slot_v4_;
+  std::vector<std::uint64_t> slot_hi_;
   std::unordered_map<net::Asn, size_t> provider_by_asn_;
 };
 

@@ -47,11 +47,6 @@ class IPv4Addr {
     return static_cast<std::uint8_t>(value_ >> (8 * (3 - i)));
   }
 
-  /// Bit i counted from the most significant bit (bit 0 = top bit).
-  [[nodiscard]] constexpr bool bit(int i) const {
-    return ((value_ >> (31 - i)) & 1u) != 0;
-  }
-
   friend constexpr auto operator<=>(IPv4Addr, IPv4Addr) = default;
 
  private:
@@ -86,11 +81,6 @@ class IPv6Addr {
 
   /// RFC 5952 canonical text.
   [[nodiscard]] std::string to_string() const;
-
-  /// Bit i counted from the most significant bit of byte 0.
-  [[nodiscard]] bool bit(int i) const {
-    return ((bytes_[i / 8] >> (7 - i % 8)) & 1) != 0;
-  }
 
   friend auto operator<=>(const IPv6Addr&, const IPv6Addr&) = default;
 

@@ -1,20 +1,8 @@
 #include "net/prefix.h"
 
 #include <cassert>
-#include <charconv>
 
 namespace nbv6::net {
-namespace {
-
-std::optional<int> parse_length(std::string_view text, int max) {
-  int len = -1;
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), len);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return std::nullopt;
-  if (len < 0 || len > max) return std::nullopt;
-  return len;
-}
-
-}  // namespace
 
 IPv4Addr mask_to_length(IPv4Addr a, int length) {
   assert(length >= 0 && length <= 32);
@@ -40,51 +28,15 @@ IPv6Addr mask_to_length(const IPv6Addr& a, int length) {
 Prefix4::Prefix4(IPv4Addr addr, int length)
     : addr_(mask_to_length(addr, length)), length_(length) {}
 
-std::optional<Prefix4> Prefix4::parse(std::string_view text) {
-  size_t slash = text.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  auto addr = IPv4Addr::parse(text.substr(0, slash));
-  if (!addr) return std::nullopt;
-  auto len = parse_length(text.substr(slash + 1), 32);
-  if (!len) return std::nullopt;
-  return Prefix4(*addr, *len);
-}
-
 bool Prefix4::contains(IPv4Addr a) const {
   return mask_to_length(a, length_) == addr_;
-}
-
-bool Prefix4::contains(const Prefix4& other) const {
-  return other.length_ >= length_ && contains(other.addr_);
-}
-
-std::string Prefix4::to_string() const {
-  return addr_.to_string() + "/" + std::to_string(length_);
 }
 
 Prefix6::Prefix6(IPv6Addr addr, int length)
     : addr_(mask_to_length(addr, length)), length_(length) {}
 
-std::optional<Prefix6> Prefix6::parse(std::string_view text) {
-  size_t slash = text.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  auto addr = IPv6Addr::parse(text.substr(0, slash));
-  if (!addr) return std::nullopt;
-  auto len = parse_length(text.substr(slash + 1), 128);
-  if (!len) return std::nullopt;
-  return Prefix6(*addr, *len);
-}
-
 bool Prefix6::contains(const IPv6Addr& a) const {
   return mask_to_length(a, length_) == addr_;
-}
-
-bool Prefix6::contains(const Prefix6& other) const {
-  return other.length_ >= length_ && contains(other.addr_);
-}
-
-std::string Prefix6::to_string() const {
-  return addr_.to_string() + "/" + std::to_string(length_);
 }
 
 }  // namespace nbv6::net

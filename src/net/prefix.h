@@ -2,13 +2,9 @@
 //
 // A prefix is stored normalized: bits past the prefix length are zero, so
 // equal prefixes compare equal regardless of how they were constructed.
-// Prefixes are the key type of the BGP table (cloud/bgp_table.h) and the
-// unit of allocation in the synthetic address plan.
+// Prefixes are the key type of the AS map (net/asn.h) and the unit of
+// allocation in the synthetic address plan.
 #pragma once
-
-#include <optional>
-#include <string>
-#include <string_view>
 
 #include "net/ip.h"
 
@@ -22,20 +18,9 @@ class Prefix4 {
   /// Construct, zeroing host bits. `length` must be in [0, 32].
   Prefix4(IPv4Addr addr, int length);
 
-  /// Parse "a.b.c.d/len".
-  static std::optional<Prefix4> parse(std::string_view text);
-
   [[nodiscard]] IPv4Addr address() const { return addr_; }
   [[nodiscard]] int length() const { return length_; }
   [[nodiscard]] bool contains(IPv4Addr a) const;
-  [[nodiscard]] bool contains(const Prefix4& other) const;
-  [[nodiscard]] std::string to_string() const;
-
-  /// Number of addresses covered (2^(32-length)), as 64-bit to avoid
-  /// overflow at /0.
-  [[nodiscard]] std::uint64_t size() const {
-    return std::uint64_t{1} << (32 - length_);
-  }
 
   friend constexpr auto operator<=>(const Prefix4&, const Prefix4&) = default;
 
@@ -50,13 +35,9 @@ class Prefix6 {
   Prefix6() = default;
   Prefix6(IPv6Addr addr, int length);
 
-  static std::optional<Prefix6> parse(std::string_view text);
-
   [[nodiscard]] const IPv6Addr& address() const { return addr_; }
   [[nodiscard]] int length() const { return length_; }
   [[nodiscard]] bool contains(const IPv6Addr& a) const;
-  [[nodiscard]] bool contains(const Prefix6& other) const;
-  [[nodiscard]] std::string to_string() const;
 
   friend auto operator<=>(const Prefix6&, const Prefix6&) = default;
 

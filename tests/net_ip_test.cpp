@@ -44,14 +44,6 @@ TEST(IPv4Addr, OctetAccess) {
   EXPECT_EQ(a.octet(3), 4);
 }
 
-TEST(IPv4Addr, BitAccessMsbFirst) {
-  IPv4Addr a(0x80000001u);
-  EXPECT_TRUE(a.bit(0));
-  EXPECT_FALSE(a.bit(1));
-  EXPECT_FALSE(a.bit(30));
-  EXPECT_TRUE(a.bit(31));
-}
-
 TEST(IPv4Addr, Ordering) {
   EXPECT_LT(IPv4Addr(1, 0, 0, 0), IPv4Addr(2, 0, 0, 0));
   EXPECT_EQ(IPv4Addr(9, 9, 9, 9), *IPv4Addr::parse("9.9.9.9"));
@@ -154,14 +146,6 @@ TEST(IPv6Addr, FromHalvesRoundTrip) {
   EXPECT_EQ(a.high64(), 0x20010db8'00000000ull);
   EXPECT_EQ(a.low64(), 0x1234ull);
   EXPECT_EQ(a.to_string(), "2001:db8::1234");
-}
-
-TEST(IPv6Addr, BitAccess) {
-  auto a = IPv6Addr::from_halves(0x8000000000000000ull, 1);
-  EXPECT_TRUE(a.bit(0));
-  EXPECT_FALSE(a.bit(1));
-  EXPECT_TRUE(a.bit(127));
-  EXPECT_FALSE(a.bit(126));
 }
 
 class IPv6RoundTrip : public ::testing::TestWithParam<const char*> {};

@@ -220,14 +220,45 @@ TEST(ProviderCatalogTest, Top15PlusTail) {
 
 TEST(ProviderCatalogTest, AddressPlanRoundTrips) {
   cloud::ProviderCatalog catalog;
+  // First, a middle and the last host index of each provider's slot: v4
+  // indices wrap at 2^20 - 1 inside the /12, v6 ones at 2^32 - 1.
   for (size_t p = 0; p < catalog.size(); ++p) {
-    auto v4 = catalog.v4_address(p, 12345);
-    auto v6 = catalog.v6_address(p, 12345);
-    EXPECT_EQ(catalog.provider_of(net::IpAddr{v4}).value(), p)
-        << catalog.at(p).org_name;
-    EXPECT_EQ(catalog.provider_of(net::IpAddr{v6}).value(), p)
-        << catalog.at(p).org_name;
+    for (std::uint32_t i : {0u, 12345u, 0xffffeu}) {
+      const auto v4 = catalog.v4_address(p, i);
+      EXPECT_EQ(catalog.provider_of(net::IpAddr{v4}), p)
+          << catalog.at(p).org_name << " " << v4.to_string();
+    }
+    for (std::uint32_t i : {0u, 12345u, 0xfffffffeu}) {
+      const auto v6 = catalog.v6_address(p, i);
+      EXPECT_EQ(catalog.provider_of(net::IpAddr{v6}), p)
+          << catalog.at(p).org_name << " " << v6.to_string();
+    }
   }
+  EXPECT_EQ(catalog.v4_address(0, 0), net::IPv4Addr(40, 0, 0, 1));
+  EXPECT_EQ(catalog.v4_address(0, 0xffffeu), net::IPv4Addr(40, 15, 255, 255));
+
+  // The edges of the plan: inside the first and last AS slot of each
+  // family, and just outside them.
+  std::uint32_t slots = 0;
+  for (const auto& p : catalog.providers())
+    slots += static_cast<std::uint32_t>(p.asns.size());
+  auto attributed = [&](net::IpAddr a) {
+    return catalog.provider_of(a).has_value();
+  };
+  // v4: one /12 per AS slot from 40.0.0.0 on.
+  const std::uint32_t v4_end = (40u << 24) + (slots << 20);
+  EXPECT_FALSE(attributed(net::IPv4Addr(39, 255, 255, 255)));
+  EXPECT_TRUE(attributed(net::IPv4Addr(40, 0, 0, 0)));
+  EXPECT_TRUE(attributed(net::IPv4Addr(v4_end - 1)));
+  EXPECT_FALSE(attributed(net::IPv4Addr(v4_end)));
+  // v6: one /44 per AS slot, 2^24 apart in the high half, from 2a00:: on.
+  const std::uint64_t first_hi = 0x2a00ull << 48;
+  const std::uint64_t last_hi =
+      first_hi | (static_cast<std::uint64_t>(slots - 1) << 24);
+  EXPECT_FALSE(attributed(net::IPv6Addr::from_halves(first_hi - 1, ~0ull)));
+  EXPECT_TRUE(attributed(net::IPv6Addr::from_halves(first_hi, 0)));
+  EXPECT_TRUE(attributed(net::IPv6Addr::from_halves(last_hi | 0xfffff, ~0ull)));
+  EXPECT_FALSE(attributed(net::IPv6Addr::from_halves(last_hi + (1 << 20), 0)));
 }
 
 TEST(ProviderCatalogTest, OrgOfAsnJoins) {
