@@ -114,6 +114,15 @@ inline void register_fleet_flags(Cli& cli, engine::FleetConfig& cfg,
   cli.flag_int("threads", &threads, "worker lanes, 0 = hw concurrency");
 }
 
+/// FleetConfig::check on a config assembled from flags, which parse()
+/// never saw. Prints the violation to stderr; on false the binary exits 2,
+/// as for a malformed flag.
+inline bool fleet_flags_valid(const engine::FleetConfig& cfg) {
+  const auto error = cfg.check();
+  if (error) std::fprintf(stderr, "%s\n", error->c_str());
+  return !error;
+}
+
 /// Worker lanes for a `--threads` value: <= 0 selects hardware concurrency.
 inline int resolve_lanes(int threads) {
   if (threads > 0) return threads;

@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_cli.h"
+#include "bench_common.h"
 #include "engine/firehose.h"
 #include "engine/fleet.h"
 #include "traffic/arrival.h"
@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   cli.flag_string("mode", &mode, "arrival mode: batch|poisson|uniform");
   cli.flag_u64("seed", &cfg.seed.mut(), "scenario master seed");
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  if (!bench::fleet_flags_valid(cfg)) return 2;
   if (!traffic::parse_arrival_mode(mode, cfg.arrival->mode)) {
     std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());
     return 2;

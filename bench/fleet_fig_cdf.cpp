@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   cli.flag_string("cdf-out", &cdf_path, "CDF curves output");
   cli.flag_string("summary-out", &summary_path, "box/summary output");
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  if (!bench::fleet_flags_valid(cfg)) return 2;
 
   bench::section("Fleet figure: population CDFs of per-residence metrics");
   auto catalog = traffic::build_paper_catalog();

@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   bench::register_fleet_flags(cli, cfg, threads);
   cli.flag_string("panel-out", &panel_path, "panel TSV output");
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  if (!bench::fleet_flags_valid(cfg)) return 2;
 
   bench::section("Fleet figure: Wilcoxon group-comparison panels");
   auto catalog = traffic::build_paper_catalog();

@@ -12,18 +12,9 @@
 // first variant then demonstrates the fully-cached fixpoint (zero
 // executed passes).
 //
-// With --workers > 1 (or --overlap) the driver re-runs the same forest
-// overlapped: engine::ForestScheduler merges all N pipelines into one
-// frontier and dispatches independent passes from different variants
-// concurrently (variant B simulates while variant A computes panels),
-// releasing transient fleets (population, planned_fleet) once their last
-// consumer ran. The overlapped outputs are diffed byte-for-byte against
-// the serial pass — any divergence exits non-zero — and the RESULT line
-// reports both wall-clocks plus the peak transient residency.
-//
-//   ./build/sweep_scenarios [--variants=25 --lanes=0 --workers=0 --overlap
-//                            --residences=48 --days=14 --seed=20260808
-//                            --outdir=DIR --scenario=base.cfg]
+//   ./build/sweep_scenarios [--variants=25 --lanes=0 --residences=48
+//                            --days=14 --seed=20260808 --outdir=DIR
+//                            --scenario=base.cfg]
 //
 // With --outdir, each variant's window panel, CDF and summary are written
 // there after the serial run, as variant_<v>_{panel.tsv,cdf.csv,summary.csv}.
@@ -44,25 +35,11 @@
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
 #include "engine/thread_pool.h"
-#include "testutil.h"
 #include "traffic/service_catalog.h"
 
 using namespace nbv6;
 
 namespace {
-
-// Canonical text of one variant's pipelined outcome — the byte-level
-// equality the serial-vs-overlapped diff runs on (the same serializer the
-// golden suite pins across compilers and lane counts).
-std::string serialize_variant(const engine::FleetConfig& cfg,
-                              engine::Pipeline& pipe) {
-  testutil::ScenarioRun run;
-  run.cfg = cfg;
-  run.result = pipe.output<engine::FleetResult>("fleet_result");
-  run.report = pipe.output<core::FleetStatsReport>("stats_report");
-  run.window_panel = pipe.output<core::GroupComparison>("window_panel");
-  return testutil::canonical_serialize(run);
-}
 
 // One variant's figure files: <dir>/variant_<v>_{panel.tsv,cdf.csv,
 // summary.csv}, rendered from its window panel and stats report.
@@ -88,8 +65,6 @@ bool write_variant_files(const std::string& dir, int v,
 int main(int argc, char** argv) {
   int variants = 25;
   int lanes = 0;
-  int workers = 0;
-  bool overlap = false;
   std::string outdir;
   std::string scenario_path;
   engine::FleetConfig base;
@@ -101,12 +76,6 @@ int main(int argc, char** argv) {
                  "What-if scenario forest on the shared-cache pass pipeline");
   cli.flag_int("variants", &variants, "what-if variants to run");
   cli.flag_int("lanes", &lanes, "worker lanes, 0 = hw concurrency");
-  cli.flag_int("workers", &workers,
-               "overlapped passes in flight (>1 enables the overlapped "
-               "forest; 0 = lanes when --overlap)");
-  cli.flag_bool("overlap", &overlap,
-                "run the overlapped cross-variant forest and diff it "
-                "against the serial path");
   cli.flag_int("residences", &base.residences.mut(), "base fleet size");
   cli.flag_int("days", &base.days.mut(), "base horizon in days");
   cli.flag_u64("seed", &base.seed.mut(), "base scenario master seed");
@@ -137,19 +106,14 @@ int main(int argc, char** argv) {
     }
     base = *loaded;
   }
+  if (!bench::fleet_flags_valid(base)) return 2;
 
   const auto catalog = traffic::build_paper_catalog();
   lanes = bench::resolve_lanes(lanes);
   const auto pool = bench::lane_pool(lanes);
-  if (workers > 1) overlap = true;
-  if (overlap && workers <= 1) workers = lanes;
-  if (!overlap) workers = 1;
 
-  std::printf("sweep: %d variants of %d residences x %d days on %d lane(s)",
+  std::printf("sweep: %d variants of %d residences x %d days on %d lane(s)\n",
               variants, base.residences.get(), base.days.get(), lanes);
-  if (overlap)
-    std::printf(", overlapped at %d worker(s)", workers);
-  std::printf("\n");
 
   // Variant configs: variant v > 0 appends a cpe_fix wave whose repair
   // fraction sweeps (0, 1]: only the timeline slice changes, so sample
@@ -169,9 +133,8 @@ int main(int argc, char** argv) {
     cfgs.push_back(std::move(cfg));
   }
 
-  // ------------------------------------------------------ serial reference
   // One pipeline per variant, one cache for the forest, run to completion
-  // in variant order — the reference the overlapped pass is diffed against.
+  // in variant order.
   engine::PassCache cache;
   std::vector<std::unique_ptr<engine::Pipeline>> pipes;
   std::size_t executed = 0;
@@ -208,10 +171,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<std::string> serial_canon;
-  for (int v = 0; v < variants; ++v)
-    serial_canon.push_back(serialize_variant(cfgs[v], *pipes[v]));
-
   std::printf(
       "  base sampled once; %zu passes executed, %zu served from cache\n"
       "  warm re-run: %zu executed / %zu cached; cache holds %zu results\n",
@@ -223,71 +182,11 @@ int main(int argc, char** argv) {
     std::printf("  wrote %d files to %s\n", 3 * variants, outdir.c_str());
   }
 
-  // ----------------------------------------------------- overlapped forest
-  // Fresh pipelines, fresh cache: the overlapped run must reproduce the
-  // serial outputs from nothing, not bind the serial run's warm entries.
-  double overlap_secs = 0.0;
-  engine::ForestScheduler::Stats fstats;
-  std::uint64_t forest_sample_execs = 0;
-  if (overlap) {
-    std::unique_ptr<engine::ThreadPool> forest_pool;
-    if (workers > 1)
-      forest_pool = std::make_unique<engine::ThreadPool>(workers);
-
-    engine::PassCache forest_cache;
-    std::vector<std::unique_ptr<engine::Pipeline>> forest_pipes;
-    std::vector<engine::Pipeline*> ptrs;
-    for (int v = 0; v < variants; ++v) {
-      forest_pipes.push_back(std::make_unique<engine::Pipeline>(
-          core::make_scenario_pipeline(cfgs[v], catalog)));
-      ptrs.push_back(forest_pipes.back().get());
-    }
-    engine::ForestScheduler::Options fopts;
-    fopts.pool = forest_pool ? forest_pool.get() : pool.get();
-    fopts.workers = workers;
-    fopts.transient = core::scenario_transient_resources();
-
-    const auto f0 = std::chrono::steady_clock::now();
-    fstats = engine::ForestScheduler::run(ptrs, forest_cache, fopts);
-    const auto f1 = std::chrono::steady_clock::now();
-    overlap_secs = std::chrono::duration<double>(f1 - f0).count();
-
-    for (const auto& p : forest_pipes)
-      forest_sample_execs += p->executions("sample");
-    if (forest_sample_execs != 1) {
-      std::fprintf(stderr,
-                   "FAIL: overlapped forest executed sample %llu times "
-                   "(expected exactly 1 — in-flight dedup is broken)\n",
-                   static_cast<unsigned long long>(forest_sample_execs));
-      return 1;
-    }
-    for (int v = 0; v < variants; ++v) {
-      const std::string got = serialize_variant(cfgs[v], *forest_pipes[v]);
-      if (got != serial_canon[v]) {
-        std::fprintf(stderr,
-                     "FAIL: overlapped variant %d diverges from serial:\n%s\n",
-                     v, testutil::first_diff(got, serial_canon[v]).c_str());
-        return 1;
-      }
-    }
-    std::printf(
-        "  overlapped: %zu executed / %zu cached / %zu deduped; "
-        "%zu transients released, peak residency %zu\n"
-        "  serial %.3fs vs overlapped %.3fs — outputs byte-identical\n",
-        fstats.executed, fstats.cached, fstats.deduped, fstats.released,
-        fstats.peak_resident, serial_secs, overlap_secs);
-  }
-
   std::printf(
-      "RESULT variants=%d lanes=%d workers=%d sample_executions=%llu "
+      "RESULT variants=%d lanes=%d sample_executions=%llu "
       "passes_executed=%zu passes_cached=%zu warm_executed=%zu "
-      "cache_entries=%zu seconds=%.6f overlap_seconds=%.6f "
-      "overlap_sample_executions=%llu overlap_deduped=%zu "
-      "peak_pass_residency=%zu released=%zu identical=%d\n",
-      variants, lanes, workers,
-      static_cast<unsigned long long>(sample_execs), executed, cached,
-      warm.executed, cache.size(), serial_secs, overlap_secs,
-      static_cast<unsigned long long>(forest_sample_execs), fstats.deduped,
-      fstats.peak_resident, fstats.released, overlap ? 1 : 0);
+      "cache_entries=%zu seconds=%.6f\n",
+      variants, lanes, static_cast<unsigned long long>(sample_execs), executed,
+      cached, warm.executed, cache.size(), serial_secs);
   return 0;
 }

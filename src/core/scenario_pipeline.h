@@ -56,12 +56,9 @@ inline PanelWindows panel_windows(int days) {
   return {{0, days / 2 - 1}, {days / 2, days - 1}};
 }
 
-/// Resource names safe to release mid-forest (engine::ForestScheduler's
-/// Options::transient): intermediates every scenario pipeline consumes
-/// exactly once and no caller reads back after the run. "population" and
-/// "planned_fleet" are whole sampled fleets — the forest's dominant RSS
-/// term — while "fleet_result"/"stats_report"/"window_panel" stay bound
-/// (they are what a sweep exists to read).
+/// The scenario chain's intermediates, {"population", "planned_fleet"}:
+/// resources no caller reads back after a run. Kept for callers that fill
+/// engine::ForestScheduler::Options::transient, which the forest ignores.
 std::vector<std::string> scenario_transient_resources();
 
 // ------------------------------------------------------------- auditing

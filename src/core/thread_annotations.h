@@ -1,8 +1,8 @@
 // Clang Thread Safety Analysis wiring for the concurrent engine pieces.
 //
-// PR 9 made correctness depend on a hand-enforced invariant: every member
-// the ThreadPool / PassCache / ForestRun mutexes guard must only ever be
-// touched with the right lock held. TSan catches violations at runtime —
+// Correctness depends on a hand-enforced invariant: every member the
+// ThreadPool / PassCache mutexes guard must only ever be touched with the
+// right lock held. TSan catches violations at runtime —
 // if the racing schedule happens to fire in CI. This header turns the
 // invariant into a compile-time check instead: mutex-guarded members carry
 // NBV6_GUARDED_BY, lock-requiring helpers carry NBV6_REQUIRES, and the

@@ -104,31 +104,36 @@ std::optional<FleetConfig> FleetConfig::parse(std::string_view text,
                                        "' for key '" + std::string(key) +
                                        "'"));
   }
-  if (cfg.residences < 1)
-    return fail("residences must be >= 1 (got " +
-                std::to_string(cfg.residences) + ")");
-  if (cfg.days < 1)
-    return fail("days must be >= 1 (got " + std::to_string(cfg.days) + ")");
-  if (cfg.activity_scale_min > cfg.activity_scale_max)
-    return fail("activity_scale_min exceeds activity_scale_max");
-  // Timeline events are validated against the horizon only now: `days` may
-  // appear anywhere in the file, including after the event lines. An event
-  // whose window starts past the last simulated day can never fire — that
-  // is a scenario bug (typo'd day, horizon shrunk without moving events),
-  // not intent, so it fails the parse. Open-ended windows (no `end=`) and
-  // windows whose tail runs past the horizon stay legal: evaluation clamps
-  // them to [start_day, days - 1] deterministically.
-  for (size_t e = 0; e < cfg.timeline->events.size(); ++e) {
-    const auto& ev = cfg.timeline->events[e];
-    if (ev.start_day >= cfg.days)
-      return fail(at_line(event_lines[e],
-                          std::string("timeline.") + to_string(ev.kind) +
-                              ": window starts on day " +
-                              std::to_string(ev.start_day) +
-                              ", at or past the " + std::to_string(cfg.days) +
-                              "-day horizon"));
-  }
+  if (auto message = cfg.check(event_lines)) return fail(std::move(*message));
   return cfg;
+}
+
+std::optional<std::string> FleetConfig::check(
+    std::span<const int> event_lines) const {
+  if (residences < 1)
+    return "residences must be >= 1 (got " + std::to_string(residences) + ")";
+  if (days < 1) return "days must be >= 1 (got " + std::to_string(days) + ")";
+  if (activity_scale_min > activity_scale_max)
+    return "activity_scale_min exceeds activity_scale_max";
+  // Timeline events are validated against the horizon only here: `days`
+  // may appear anywhere in a file, including after the event lines. An
+  // event whose window starts past the last simulated day can never fire —
+  // that is a scenario bug (typo'd day, horizon shrunk without moving
+  // events), not intent. Open-ended windows (no `end=`) and windows whose
+  // tail runs past the horizon stay legal: evaluation clamps them to
+  // [start_day, days - 1] deterministically.
+  for (std::size_t e = 0; e < timeline->events.size(); ++e) {
+    const auto& ev = timeline->events[e];
+    if (ev.start_day < days) continue;
+    std::string message = std::string("timeline.") + to_string(ev.kind) +
+                          ": window starts on day " +
+                          std::to_string(ev.start_day) + ", at or past the " +
+                          std::to_string(days) + "-day horizon";
+    if (e < event_lines.size())
+      message = "line " + std::to_string(event_lines[e]) + ": " + message;
+    return message;
+  }
+  return std::nullopt;
 }
 
 std::optional<FleetConfig> FleetConfig::load(const std::string& path,

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,6 +106,16 @@ struct FleetConfig {
   /// optional `error` distinguishes the two.
   static std::optional<FleetConfig> load(const std::string& path,
                                          std::string* error = nullptr);
+
+  /// The checks that need the whole config, which parse() runs after the
+  /// last line and a binary runs on a config it assembled from flags:
+  /// residences >= 1, days >= 1, activity_scale_min <= activity_scale_max,
+  /// and every timeline event starting before the horizon. nullopt if all
+  /// hold; otherwise the first violation's message. `event_lines`, when
+  /// given, holds each event's source line, and an event message then
+  /// starts with "line N: ".
+  [[nodiscard]] std::optional<std::string> check(
+      std::span<const int> event_lines = {}) const;
 
   friend bool operator==(const FleetConfig&, const FleetConfig&) = default;
 };

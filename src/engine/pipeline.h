@@ -29,6 +29,11 @@
 // bit-identical for any lane count (the replay guarantee the golden suite
 // pins), so a cached result is valid across thread configurations.
 //
+// Pipeline::run is the one executor: it walks the passes in topological
+// order on the calling thread, and a pass uses the run's pool for lanes
+// inside itself. A what-if forest (ForestScheduler::run) is a loop of
+// Pipeline::run over one shared cache.
+//
 // The runtime is type-agnostic (PipelineValue erases the payload); the
 // standard scenario passes are registered by core/scenario_pipeline.h.
 #pragma once
@@ -125,11 +130,10 @@ class PipelineValue {
 /// collision between two different passes must never bind one pass's
 /// outputs (wrong arity, wrong types) as another's.
 ///
-/// Thread-safe: find/store/erase take an internal lock, and find copies
-/// the entry out (PipelineValue is a shared handle, so the copy is a few
-/// refcount bumps, not a fleet result). The old "pointer valid until the
-/// next store" contract is gone — it was unenforceable once the forest
-/// scheduler started storing from concurrent passes.
+/// Thread-safe: find/store take an internal lock, because simulate's lanes
+/// store residence shards concurrently. find copies the entry out
+/// (PipelineValue is a shared handle, so the copy is a few refcount bumps,
+/// not a fleet result).
 class PassCache {
  public:
   /// Hit iff the digest maps to an entry stored by a pass with the same
@@ -139,9 +143,6 @@ class PassCache {
       std::size_t output_count) const;
   void store(std::uint64_t digest, std::string_view pass,
              std::vector<PipelineValue> outputs);
-  /// Drop the entry (transient-resource release); name-guarded like find.
-  /// Returns whether an entry was removed.
-  bool erase(std::uint64_t digest, std::string_view pass);
 
   [[nodiscard]] std::size_t size() const;
 
@@ -157,10 +158,7 @@ class PassCache {
 // ---------------------------------------------------------------- passes
 
 class Pipeline;
-
-namespace detail {
-struct ForestRun;  // scheduler implementation, defined in pipeline.cpp
-}  // namespace detail
+struct Pass;
 
 /// What a pass's run function sees: its bound inputs, a place to put its
 /// outputs, and the run's worker pool.
@@ -179,8 +177,10 @@ class PassContext {
     set_output(resource, PipelineValue::wrap(std::move(value)));
   }
 
-  /// The run's pool; nullptr = sequential. Passes must produce
-  /// lane-invariant results (everything built on the fleet stages does).
+  /// The pool handed to Pipeline::run; nullptr = sequential. The pass runs
+  /// on the calling thread, so it may parallel_for on this pool. Passes
+  /// must produce lane-invariant results (everything built on the fleet
+  /// stages does).
   [[nodiscard]] ThreadPool* pool() const { return pool_; }
   /// The run's PassCache; nullptr when the run is uncached. A pass may
   /// store and look up sub-results of its own under names no pass uses
@@ -191,10 +191,9 @@ class PassContext {
   void set_output(std::string_view name, PipelineValue v);
 
  private:
-  friend struct detail::ForestRun;
-  const std::vector<std::string>* input_names_ = nullptr;
-  const std::vector<PipelineValue*>* inputs_ = nullptr;
-  const std::vector<std::string>* output_names_ = nullptr;
+  friend class Pipeline;
+  const Pass* pass_ = nullptr;
+  const std::unordered_map<std::string, PipelineValue>* bound_ = nullptr;
   std::vector<PipelineValue>* outputs_ = nullptr;
   ThreadPool* pool_ = nullptr;
   PassCache* cache_ = nullptr;
@@ -221,74 +220,35 @@ struct Pass {
 
 // ---------------------------------------------------------------- forest
 
-/// Cross-pipeline overlapped scheduler: runs N pipelines that share one
-/// PassCache as a single merged frontier, dispatching ready passes from
-/// *different* pipelines concurrently as tasks on a ThreadPool (variant B
-/// simulates while variant A computes panels). Per-pipeline results are
-/// identical to running each pipeline serially — passes are deterministic
-/// and lane-invariant, so only wall-clock and peak memory change.
-///
-/// Two forest-only mechanisms on top of plain per-pipeline runs:
-///
-///   - In-flight dedup. When two pipelines need the same uncomputed pass
-///     (equal digest, same pass name and output arity), the first to become
-///     ready executes it and the second binds the finished outputs — the
-///     pass runs once for the whole forest even when both variants hit the
-///     frontier before either result lands in the cache.
-///   - Transient resource release. A resource named in Options::transient
-///     is dropped — unbound from every holding pipeline and erased from the
-///     cache — as soon as its last consumer anywhere in the forest has run.
-///     This caps peak RSS for hundred-variant forests whose intermediates
-///     (e.g. planned_fleet) would otherwise all stay live. Transient
-///     resources are not retrievable via output_value after the run.
-///
-/// Passes executed on pool tasks receive a null PassContext::pool() (the
-/// pool's one rule is no nested parallel_for from inside a task);
-/// cross-variant overlap replaces intra-pass lanes. With workers <= 1 or
-/// no pool the same scheduler runs inline on the caller — dedup, release,
-/// and stats behave identically, and passes keep Options::pool for
-/// intra-pass parallel_for.
-///
-/// Without a cache (nullptr) nothing is shared: no lookup, no store, no
-/// in-flight dedup, and every pass of every pipeline executes. This is the
-/// only executor; Pipeline::run is a one-pipeline forest run.
-///
-/// On a pass failure the first exception is rethrown after all in-flight
-/// tasks drain, and every pipeline's bound state is cleared: output_value
-/// never serves a mix of stale and fresh resources from a partial run.
+/// A what-if forest: N pipelines that share one PassCache, run one after
+/// another. Each pipeline's results are exactly those of running it alone
+/// against the cache as the earlier pipelines left it.
 class ForestScheduler {
  public:
   struct Options {
-    /// Task pool for overlapped execution (also handed to passes when
-    /// running inline). nullptr or workers <= 1 = inline scheduling.
+    /// Handed to every Pipeline::run for intra-pass lanes.
     ThreadPool* pool = nullptr;
-    /// Maximum passes in flight at once (effective concurrency is capped
-    /// by the pool size).
+    /// Ignored: pipelines run one at a time on the calling thread.
     int workers = 1;
-    /// Resource names to release once their last forest consumer ran.
-    /// A transient should have at least one consumer in every pipeline
-    /// that produces it; a consumerless instance is released as soon as
-    /// every pipeline producing it has bound it (never earlier — an early
-    /// release would evict the cache entry a digest-identical twin
-    /// producer still needs, breaking forest-wide dedup).
+    /// Ignored: every bound resource stays bound after the run.
     std::vector<std::string> transient;
   };
   struct Stats {
     std::size_t executed = 0;   ///< passes actually run
     std::size_t cached = 0;     ///< passes bound from the shared cache
-    std::size_t deduped = 0;    ///< passes bound from an in-flight twin
-    std::size_t released = 0;   ///< transient instances released
-    /// Peak number of transient resource instances live at once — the
-    /// residency figure the sweep driver reports (25 variants with release
-    /// hold ~1, without release all 25 planned fleets stay resident).
+    /// Always 0: nothing is shared in flight, and nothing is released.
+    std::size_t deduped = 0;
+    std::size_t released = 0;
     std::size_t peak_resident = 0;
   };
 
-  /// Run every pipeline in `pipelines` to completion. Pipelines must be
-  /// distinct objects; results (bound resources, execution counters) land
-  /// exactly as if each had run alone against the same warm cache. Throws
-  /// std::invalid_argument on an input no pass produces and on dependency
-  /// cycles.
+  /// Run every pipeline in `pipelines`, in order, with
+  /// Pipeline::run(cache, opts.pool), and sum their stats. Throws
+  /// std::invalid_argument on a null or repeated pipeline, an input no
+  /// pass produces, or a dependency cycle, before any pass runs. If a pass
+  /// throws, every pipeline's bound state is cleared before the exception
+  /// propagates: output_value never serves a mix of stale and fresh
+  /// resources from a partial run.
   static Stats run(const std::vector<Pipeline*>& pipelines, PassCache* cache,
                    const Options& opts);
   static Stats run(const std::vector<Pipeline*>& pipelines, PassCache& cache,
@@ -301,20 +261,24 @@ class ForestScheduler {
 
 class Pipeline {
  public:
-  /// Register a pass. Throws std::invalid_argument on a duplicate pass
-  /// name, a duplicate output resource, or a missing run function.
+  /// Register a pass. Throws std::invalid_argument, leaving the pipeline
+  /// unchanged, on a duplicate pass name, a missing run function, an output
+  /// listed twice, or an output another pass already produces.
   Pipeline& add(Pass pass);
 
   /// Replace a registered pass wholesale (same-name passes swap in place,
   /// keeping execution counters) — the in-place path for dirty-node
-  /// experiments. Throws std::invalid_argument if no such pass exists.
+  /// experiments. Throws std::invalid_argument, leaving the pipeline
+  /// unchanged, if no such pass exists or on any output add() rejects.
   Pipeline& replace(const Pass& pass);
 
-  /// Execute every pass: a one-pipeline ForestScheduler run, inline on the
-  /// caller (no thread is started). With a cache, digest-matching passes
-  /// bind their cached outputs instead of running. `pool` is handed to pass
-  /// contexts for intra-pass lanes; it never affects results. Throws and
-  /// rolls back exactly as ForestScheduler::run does.
+  /// Execute every pass in schedule() order on the calling thread. With a
+  /// cache, a pass whose digest hits binds the cached outputs instead of
+  /// running; a pass that runs stores its outputs. `pool` is handed to pass
+  /// contexts for intra-pass lanes; it never affects results. Throws
+  /// std::invalid_argument on an input no pass produces or a dependency
+  /// cycle; if a pass throws, the bound state is cleared and the exception
+  /// propagates.
   ForestScheduler::Stats run(PassCache* cache = nullptr,
                              ThreadPool* pool = nullptr);
 
@@ -331,21 +295,23 @@ class Pipeline {
   [[nodiscard]] std::uint64_t executions(std::string_view pass) const;
 
   /// Pass names in topological order (registration order among
-  /// independent passes) — the order the digest cascade walks.
+  /// independent passes) — the order run() and the digest cascade walk.
   [[nodiscard]] std::vector<std::string> schedule();
 
   [[nodiscard]] std::size_t pass_count() const { return nodes_.size(); }
 
  private:
-  friend struct detail::ForestRun;
+  friend class ForestScheduler;
 
   struct Node {
     Pass pass;
     std::uint64_t executions = 0;
-    std::uint64_t last_digest = 0;
   };
 
   std::size_t index_of(std::string_view pass) const;
+  /// Throws unless `pass` has a run function and each of its outputs is
+  /// listed once and produced by no node other than `self`.
+  void check_pass(const Pass& pass, std::size_t self) const;
   void ensure_order();
 
   std::vector<Node> nodes_;

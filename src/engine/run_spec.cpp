@@ -153,8 +153,8 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
     slot.stats = sim.run(table);
   };
   // With a cache, a shard another run already simulated is copied in; a
-  // miss is simulated and stored. Lanes (or overlapped twins) that miss on
-  // one key at once both simulate it and store equal shards.
+  // miss is simulated and stored. Lanes that miss on one key at once both
+  // simulate it and store equal shards.
   auto run_one = [&](std::size_t i) {
     if (cache == nullptr) {
       simulate_one(i);

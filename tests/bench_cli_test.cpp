@@ -99,6 +99,29 @@ TEST(BenchCli, BareArgumentFailsWithExitCode2) {
   EXPECT_EQ(cli.exit_code(), 2);
 }
 
+// Fleet-size flags bypass FleetConfig::parse, so the binaries hold the
+// assembled config to the same rules through fleet_flags_valid. Unchecked,
+// a negative fleet dies in std::length_error and a zero horizon runs with
+// events at or past it.
+TEST(BenchFleetFlags, RejectWhatTheScenarioParserRejects) {
+  for (const char* bad : {"--residences=-3", "--residences=0", "--days=0"}) {
+    auto cfg = nbv6::bench::default_bench_fleet();
+    int threads = 0;
+    Cli cli("t", "test");
+    nbv6::bench::register_fleet_flags(cli, cfg, threads);
+    Argv a({bad});
+    ASSERT_TRUE(cli.parse(a.argc(), a.argv())) << bad;
+    EXPECT_FALSE(nbv6::bench::fleet_flags_valid(cfg)) << bad;
+    // The message is the one parse() gives for the same config as text.
+    std::string error;
+    EXPECT_FALSE(nbv6::engine::FleetConfig::parse(
+        nbv6::engine::to_config_text(cfg), &error));
+    EXPECT_EQ(cfg.check(), error) << bad;
+  }
+  auto cfg = nbv6::bench::default_bench_fleet();
+  EXPECT_TRUE(nbv6::bench::fleet_flags_valid(cfg));
+}
+
 TEST(BenchEnv, UnsetUsesFallbackAndValidValueParses) {
   ::unsetenv("NBV6_TEST_KNOB");
   EXPECT_EQ(nbv6::bench::env_int("NBV6_TEST_KNOB", 274), 274);

@@ -211,6 +211,25 @@ TEST(FleetConfigParse, ErrorMessagesCarryLineAndToken) {
   EXPECT_EQ(error, "sentinel");
 }
 
+// check() is parse()'s whole-config half, callable on a config built in
+// code: the same rules and the same messages, minus the line prefix.
+TEST(FleetConfigCheck, HoldsBuiltConfigsToParseRules) {
+  FleetConfig cfg;
+  EXPECT_FALSE(cfg.check().has_value());
+  cfg.days = 30;
+  TimelineEvent late;
+  late.kind = TimelineEventKind::outage;
+  late.start_day = 50;
+  cfg.timeline->events.push_back(late);
+  EXPECT_EQ(cfg.check(), "timeline.outage: window starts on day 50, at or "
+                         "past the 30-day horizon");
+  const int lines[] = {4};
+  EXPECT_EQ(cfg.check(lines), "line 4: timeline.outage: window starts on "
+                              "day 50, at or past the 30-day horizon");
+  cfg.residences = -3;
+  EXPECT_EQ(cfg.check(), "residences must be >= 1 (got -3)");
+}
+
 TEST(SampleStage, DeterministicPerSeedAndIndex) {
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
