@@ -10,13 +10,12 @@
 //   NBV6_DAYS   residence days      (default 274, Nov 2024 - Aug 2025)
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_cli.h"
@@ -123,10 +122,15 @@ inline bool fleet_flags_valid(const engine::FleetConfig& cfg) {
   return !error;
 }
 
-/// Worker lanes for a `--threads` value: <= 0 selects hardware concurrency.
-inline int resolve_lanes(int threads) {
-  if (threads > 0) return threads;
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+/// engine::resolve_lanes on the value of the lane-count flag `--<flag>`.
+/// Prints the violation, naming the flag, to stderr; on nullopt the binary
+/// exits 2, as for a malformed flag.
+inline std::optional<int> lanes_flag(const char* flag, int value) {
+  const auto lanes = engine::resolve_lanes(value);
+  if (!lanes)
+    std::fprintf(stderr, "--%s=%d: expected 0 (hardware concurrency) to %d\n",
+                 flag, value, engine::kMaxLanes);
+  return lanes;
 }
 
 /// The pool for `lanes` lanes: the calling thread is one lane, the pool
@@ -144,7 +148,7 @@ inline engine::FleetResult simulate_residences(
   auto configs = traffic::paper_residences();
   const int days = env_int("NBV6_DAYS", 274);
   for (auto& cfg : configs) cfg.days = days;
-  const auto pool = lane_pool(resolve_lanes(0));
+  const auto pool = lane_pool(*engine::resolve_lanes(0));
   return engine::simulate_fleet(catalog, configs, pool.get());
 }
 

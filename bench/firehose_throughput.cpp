@@ -42,13 +42,15 @@ int main(int argc, char** argv) {
   cli.flag_u64("seed", &cfg.seed.mut(), "scenario master seed");
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!bench::fleet_flags_valid(cfg)) return 2;
+  const auto lanes = bench::lanes_flag("threads", threads);
+  if (!lanes) return 2;
   if (!traffic::parse_arrival_mode(mode, cfg.arrival->mode)) {
     std::fprintf(stderr, "unknown --mode '%s'\n", mode.c_str());
     return 2;
   }
 
   auto catalog = traffic::build_paper_catalog();
-  engine::Firehose hose(catalog, threads);
+  engine::Firehose hose(catalog, *lanes);
 
   std::uint64_t bytes = 0;
   std::uint64_t external = 0;

@@ -33,13 +33,14 @@ int main(int argc, char** argv) {
   cli.flag_string("panel-out", &panel_path, "panel TSV output");
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!bench::fleet_flags_valid(cfg)) return 2;
+  const auto lanes = bench::lanes_flag("threads", threads);
+  if (!lanes) return 2;
 
   bench::section("Fleet figure: Wilcoxon group-comparison panels");
   auto catalog = traffic::build_paper_catalog();
-  const int lanes = bench::resolve_lanes(threads);
-  const auto pool = bench::lane_pool(lanes);
+  const auto pool = bench::lane_pool(*lanes);
   std::printf("fleet: %d residences x %d days on %d lane(s)\n",
-              cfg.residences.get(), cfg.days.get(), lanes);
+              cfg.residences.get(), cfg.days.get(), *lanes);
   engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
   pipe.run(nullptr, pool.get());
   const auto& report = pipe.output<core::FleetStatsReport>("stats_report");

@@ -208,7 +208,8 @@ void BM_DomainRecords(benchmark::State& state) {
 }
 BENCHMARK(BM_DomainRecords)->Unit(benchmark::kMillisecond);
 
-// Open/account/close churn against the flat open-addressing table.
+// Open/account/close churn against the conntrack table, one flow at a time
+// as the generator drives it.
 void BM_FlatConntrackChurn(benchmark::State& state) {
   engine::FlatConntrack table;
   stats::Rng rng(3);

@@ -88,6 +88,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--variants must be >= 1\n");
     return 2;
   }
+  const auto resolved = bench::lanes_flag("lanes", lanes);
+  if (!resolved) return 2;
+  lanes = *resolved;
   if (!outdir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(outdir, ec);
@@ -109,7 +112,6 @@ int main(int argc, char** argv) {
   if (!bench::fleet_flags_valid(base)) return 2;
 
   const auto catalog = traffic::build_paper_catalog();
-  lanes = bench::resolve_lanes(lanes);
   const auto pool = bench::lane_pool(lanes);
 
   std::printf("sweep: %d variants of %d residences x %d days on %d lane(s)\n",

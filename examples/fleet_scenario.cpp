@@ -17,12 +17,13 @@
 //   ./build/example_fleet_scenario [scenario.cfg [threads]]
 //
 // `threads` is the lane count (default 0 = hardware concurrency, 1 =
-// sequential); the output is byte-identical for any value.
+// sequential, at most engine::kMaxLanes; anything else exits 2); the output
+// is byte-identical for any value.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 
 #include "core/client_analysis.h"
 #include "core/fleet_analysis.h"
@@ -46,13 +47,19 @@ int main(int argc, char** argv) {
     }
     cfg = *loaded;
   }
-  int lanes = 0;
-  if (argc > 2 && !engine::cfgparse::parse_int(argv[2], lanes)) {
-    std::fprintf(stderr, "invalid lane count: %s\n", argv[2]);
-    return 1;
+  int requested = 0;
+  const bool parsed =
+      argc <= 2 || engine::cfgparse::parse_int(argv[2], requested);
+  const auto resolved =
+      parsed ? engine::resolve_lanes(requested) : std::nullopt;
+  if (!resolved) {
+    std::fprintf(stderr,
+                 "invalid lane count (second argument) %s: expected 0 "
+                 "(hardware concurrency) to %d\n",
+                 argv[2], engine::kMaxLanes);
+    return 2;
   }
-  if (lanes <= 0)
-    lanes = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int lanes = *resolved;
   std::unique_ptr<engine::ThreadPool> pool;
   if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
 

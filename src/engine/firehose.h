@@ -105,14 +105,16 @@ class Firehose {
     traffic::SimulationStats totals;
   };
 
-  /// `threads` worker lanes: <= 0 selects hardware concurrency, 1 is the
-  /// sequential reference. Never changes the stream.
+  /// `threads` worker lanes, resolved by engine::resolve_lanes: 0 selects
+  /// hardware concurrency, 1 is the sequential reference; anything outside
+  /// [0, kMaxLanes] throws std::invalid_argument. Never changes the stream.
   explicit Firehose(const traffic::ServiceCatalog& catalog, int threads = 0);
 
-  /// Sample + timeline + simulate the scenario, streaming every flow to
-  /// `sink`. Lanes parallelize within each day; emission happens on the
-  /// calling thread in canonical order, so the sink needs no locking and
-  /// sees a lane-count-invariant stream.
+  /// Sample + timeline the scenario (engine/run_spec.h), then drive the
+  /// fleet day by day, streaming every flow to `sink` in the canonical
+  /// (day, tick, residence, generation) order. Lanes parallelize within
+  /// each day; emission happens on the calling thread, so the sink needs no
+  /// locking and sees a lane-count-invariant stream.
   Result run(const FleetConfig& cfg, const Sink& sink);
 
   [[nodiscard]] int lanes() const { return lanes_; }

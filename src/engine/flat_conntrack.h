@@ -1,18 +1,14 @@
-// FlatConntrack: the flow-ingest hot-path conntrack table.
+// FlatConntrack: the conntrack table every fleet shard owns.
 //
 // NEW on open, DESTROY with final counters on close/sweep/flush, delivered
-// to flowmon::ConntrackListener subscribers. The live-flow store is an
-// open-addressing flat table instead of std::unordered_map:
+// to flowmon::ConntrackListener subscribers. The live flows sit in a short
+// vector, found by a linear key scan and removed by swapping with the back
+// entry. That is the whole design because the traffic generator opens,
+// accounts and closes each flow back to back, so a shard never holds more
+// than one live flow (engine_test pins this over every committed scenario);
+// a workload that overlapped flows would make each operation O(live).
 //
-//   - keyed by the fused 5-tuple hash (net::fused_flow_hash), computed once
-//     per operation instead of per probe,
-//   - linear probing over a power-of-two slot array with backward-shift
-//     deletion (no tombstones, probe chains stay short under churn),
-//   - account() resolves find-or-insert in a single probe sequence where
-//     an unordered_map table pays up to three lookups.
-//
-// Every fleet shard owns one of these. The unordered_map table it
-// replaced is the behavioural reference in the tests
+// The std::unordered_map table is the behavioural reference in the tests
 // (tests/reference_conntrack.h; tests/flowmon_test.cpp runs both through
 // one typed suite).
 #pragma once
@@ -30,8 +26,8 @@ class FlatConntrack {
  public:
   /// `idle_timeout` in seconds: flows with no activity for this long are
   /// evicted on the next sweep, as real conntrack does.
-  explicit FlatConntrack(flowmon::Timestamp idle_timeout = 600,
-                         std::size_t initial_capacity = 64);
+  explicit FlatConntrack(flowmon::Timestamp idle_timeout = 600)
+      : idle_timeout_(idle_timeout) {}
 
   void subscribe(flowmon::ConntrackListener listener) {
     listeners_.push_back(std::move(listener));
@@ -57,42 +53,25 @@ class FlatConntrack {
   /// Close everything (end of capture).
   void flush(flowmon::Timestamp now);
 
-  [[nodiscard]] std::size_t live_count() const { return live_; }
+  [[nodiscard]] std::size_t live_count() const { return live_.size(); }
 
  private:
-  struct Slot {
-    std::uint64_t hash = 0;  ///< 0 = empty (fused_flow_hash never yields 0)
+  struct Live {
     flowmon::FlowRecord record;
     flowmon::Timestamp last_activity = 0;
   };
 
-  /// True when the memoized hot slot currently holds `key`.
-  [[nodiscard]] bool hot_hit(const net::FlowKey& key) const;
-  /// Find the slot holding `key`, or the empty slot where it would be
-  /// inserted. `hash` must be fused_flow_hash(key).
-  [[nodiscard]] std::size_t probe(const net::FlowKey& key,
-                                  std::uint64_t hash) const;
-  /// Insert into a probed empty slot, growing (and re-probing) if needed.
-  Slot& insert_at(std::size_t idx, const net::FlowKey& key,
-                  std::uint64_t hash, flowmon::Timestamp now,
-                  flowmon::Scope scope);
-  /// Backward-shift removal keeping probe chains intact.
-  void erase_slot(std::size_t idx);
-  void grow();
-  void emit_new(const net::FlowKey& key, flowmon::Timestamp now);
-  void emit_destroy(const flowmon::FlowRecord& r);
+  /// Index of `key` in live_, or live_.size() when it is not live.
+  [[nodiscard]] std::size_t find(const net::FlowKey& key) const;
+  /// Append a new live flow and emit NEW.
+  Live& insert(const net::FlowKey& key, flowmon::Timestamp now,
+               flowmon::Scope scope);
+  /// Emit DESTROY for live_[idx] and remove it (swap with the back entry).
+  void destroy(std::size_t idx);
 
   flowmon::Timestamp idle_timeout_;
-  std::vector<Slot> slots_;
-  /// Most recently touched slot. Flow events arrive in per-flow bursts
-  /// (open → account… → close on one key), so checking this slot first
-  /// skips the hash + probe walk for the common consecutive-hit case. The
-  /// memo is only ever trusted after a full key comparison, so a stale
-  /// index (rehash, backward shift) degrades to the normal probe.
-  std::size_t hot_idx_ = 0;
-  std::size_t live_ = 0;
+  std::vector<Live> live_;
   std::vector<flowmon::ConntrackListener> listeners_;
-  std::vector<flowmon::FlowRecord> sweep_scratch_;
 };
 
 }  // namespace nbv6::engine

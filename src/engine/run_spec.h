@@ -1,20 +1,21 @@
 // The scenario stage functions: sample_stage, then apply_timeline
-// (engine/timeline.h), then simulate_fleet or stream_fleet. Each is a pure
-// function of its arguments; none depends on the pool's lane count.
+// (engine/timeline.h), then simulate_fleet. Each is a pure function of its
+// arguments; none depends on the pool's lane count.
 //
 // These are the one implementation of each stage. The pass-graph pipeline
 // (engine/pipeline.h + core/scenario_pipeline.h) registers them as passes,
 // which is how a scenario runs end to end and how a sweep shares the
-// sampled base population across variants; Firehose::run chains them for
-// the streaming path. Callers that want one stage call it directly with a
-// pool they own.
+// sampled base population across variants. Firehose::run
+// (engine/firehose.h) samples and plans with the first two, then streams
+// the fleet day by day instead of simulating it. Callers that want one
+// stage call it directly with a pool they own.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
-#include "engine/firehose.h"
 #include "engine/fleet.h"
+#include "engine/thread_pool.h"
 #include "engine/timeline.h"
 
 namespace nbv6::engine {
@@ -62,21 +63,5 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            const SampledFleet& fleet, ThreadPool* pool,
                            PassCache* cache = nullptr);
-
-/// Streaming outcome of stream_fleet.
-struct StreamStats {
-  std::uint64_t flows = 0;  ///< records handed to the sink
-  traffic::SimulationStats totals;
-};
-
-/// Drive the fleet day-by-day, emitting every generated flow to `sink` in
-/// the canonical (day, tick, residence, generation) order on the calling
-/// thread — the streaming stage behind Firehose::run. `days` and `arrival`
-/// come from the scenario config (every sampled ResidenceConfig carries
-/// copies of both).
-StreamStats stream_fleet(const traffic::ServiceCatalog& catalog,
-                         const SampledFleet& fleet, int days,
-                         const traffic::ArrivalConfig& arrival,
-                         ThreadPool* pool, const Firehose::Sink& sink);
 
 }  // namespace nbv6::engine

@@ -3,14 +3,24 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 namespace nbv6::engine {
 
+std::optional<int> resolve_lanes(int lanes) {
+  if (lanes < 0 || lanes > kMaxLanes) return std::nullopt;
+  if (lanes > 0) return lanes;
+  const auto hw = static_cast<int>(
+      std::min<unsigned>(std::thread::hardware_concurrency(), kMaxLanes));
+  return std::max(hw, 1);
+}
+
 ThreadPool::ThreadPool(int threads) {
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    threads = std::max(threads, 1);
-  }
+  if (threads < 1 || threads > kMaxLanes)
+    throw std::invalid_argument("ThreadPool: " + std::to_string(threads) +
+                                " threads, expected 1.." +
+                                std::to_string(kMaxLanes));
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });

@@ -37,12 +37,12 @@ struct FlowKey {
 
 /// Fused 5-tuple hash: the whole key is folded through three (IPv4) or
 /// five (IPv6) 128-bit multiply-fold rounds instead of a per-byte loop.
-/// Never returns 0, so flat tables can use 0 as their empty-slot marker.
-/// This is the hash of the flow-ingest hot path (engine::FlatConntrack).
+/// Never returns 0. FlowKeyHash delegates to it, and perfbench's
+/// firehose_stream workload digests the flow stream with it.
 std::uint64_t fused_flow_hash(const FlowKey& k) noexcept;
 
-/// Hash for unordered containers keyed by FlowKey. Delegates to
-/// fused_flow_hash so the std::unordered_map and flat-table paths agree.
+/// Hash for unordered containers keyed by FlowKey (the tests' reference
+/// conntrack table). Delegates to fused_flow_hash.
 struct FlowKeyHash {
   size_t operator()(const FlowKey& k) const noexcept {
     return static_cast<size_t>(fused_flow_hash(k));

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_cli.h"
@@ -120,6 +121,21 @@ TEST(BenchFleetFlags, RejectWhatTheScenarioParserRejects) {
   }
   auto cfg = nbv6::bench::default_bench_fleet();
   EXPECT_TRUE(nbv6::bench::fleet_flags_valid(cfg));
+}
+
+// Lane-count flags used to reach ThreadPool unchecked, so --threads=100000
+// asked the OS for about 100k threads. lanes_flag rejects the value before
+// any pool exists, with a message naming the flag.
+TEST(BenchLaneFlags, RejectNegativeAndAboveTheBoundNamingTheFlag) {
+  const int above = nbv6::engine::kMaxLanes + 1;
+  for (const auto& [flag, value] :
+       {std::pair{"threads", above}, std::pair{"lanes", -1},
+        std::pair{"threads", 100000}}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(nbv6::bench::lanes_flag(flag, value).has_value()) << flag;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(std::string("--") + flag), std::string::npos) << err;
+  }
 }
 
 TEST(BenchEnv, UnsetUsesFallbackAndValidValueParses) {

@@ -1,13 +1,15 @@
-// Deletion-heavy churn: randomized differential test of the flat
-// open-addressing conntrack against the std::unordered_map reference
-// implementation (testutil::ReferenceConntrack).
+// Deletion-heavy churn: randomized differential test of engine::FlatConntrack
+// against the std::unordered_map reference implementation
+// (testutil::ReferenceConntrack).
 //
 // The existing conntrack suites cover steady-state behaviour; this one
-// targets exactly the machinery that only misbehaves under churn:
-//   - backward-shift deletion (erase bursts punch holes mid-probe-chain),
-//   - hot-slot memo invalidation (close the memoized key, then touch it
-//     again; rehash and shifts making the memo stale), and
-//   - grow/rehash interleaved with live traffic.
+// drives the table past the one live flow production traffic holds
+// (dozens live at once) and checks the behaviour that churn stresses:
+//   - erase bursts in random order, which move the last live entry into
+//     each erased position: every survivor must stay findable;
+//   - a key closed and then touched again, which must re-open it as a
+//     new flow instead of reaching its old counters;
+//   - idle sweeps and a final flush over a large live set.
 // Every operation is applied to both tables; live counts, sweep eviction
 // counts, return codes, event counts, and the full multiset of DESTROY
 // records must agree at every checkpoint.
@@ -80,8 +82,7 @@ void expect_same_records(std::vector<FlowRecord> a, std::vector<FlowRecord> b,
 }
 
 TEST(FlatConntrackChurn, RandomizedDifferentialWithEraseBursts) {
-  // Tiny initial capacity so the op stream forces several grows.
-  FlatConntrack flat(/*idle_timeout=*/120, /*initial_capacity=*/4);
+  FlatConntrack flat(/*idle_timeout=*/120);
   testutil::ReferenceConntrack ref(/*idle_timeout=*/120);
   Sink flat_sink, ref_sink;
   flat.subscribe(flat_sink.listener());
@@ -112,33 +113,33 @@ TEST(FlatConntrackChurn, RandomizedDifferentialWithEraseBursts) {
   std::uint32_t next_id = 0;
   for (int phase = 0; phase < 40; ++phase) {
     // Insert-heavy burst: open a few dozen flows, account on them (and on
-    // the most recent key repeatedly: hot-memo hits).
+    // the most recent key twice in a row).
     int inserts = 10 + static_cast<int>(rng.below(40));
     for (int i = 0; i < inserts; ++i) {
       net::FlowKey k = make_key(next_id++, rng.chance(0.4));
       apply_open(k);
       live.push_back(k);
       apply_account(k);
-      if (rng.chance(0.5)) apply_account(k);  // consecutive hot-slot hits
+      if (rng.chance(0.5)) apply_account(k);  // consecutive hits on one key
       now += static_cast<Timestamp>(rng.below(5));
     }
     ASSERT_EQ(flat.live_count(), ref.live_count()) << "after inserts";
 
-    // Hot-slot memo attack: touch one key, close it, then account it again
-    // (stale memo must fall back to the probe and implicitly re-open).
+    // Close-then-touch: account one key, close it, then account it again
+    // (the closed flow must not be found: account implicitly re-opens).
     if (!live.empty()) {
       size_t pick = static_cast<size_t>(rng.below(live.size()));
       net::FlowKey k = live[pick];
       apply_account(k);
       apply_close(k);
-      apply_account(k);  // re-opens: memo points at an erased slot
+      apply_account(k);  // re-opens as a new flow with fresh counters
       apply_close(k);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     }
 
     // Erase burst: close a random half (or nearly all, sometimes) of the
-    // live flows in random order — this is what exercises backward-shift
-    // deletion across probe chains.
+    // live flows in random order, so entries are removed from every
+    // position of the live set, not just the end.
     double kill_frac = rng.chance(0.25) ? 0.9 : 0.5;
     size_t targets = static_cast<size_t>(
         static_cast<double>(live.size()) * kill_frac);
@@ -176,11 +177,12 @@ TEST(FlatConntrackChurn, RandomizedDifferentialWithEraseBursts) {
   expect_same_records(flat_sink.destroyed, ref_sink.destroyed, "final");
 }
 
-TEST(FlatConntrackChurn, BackwardShiftKeepsChainsFindable) {
-  // Deterministic small-table scenario: fill one table tight, erase from
-  // the middle of probe chains, and verify every surviving key is still
-  // findable (account must NOT implicitly re-open it).
-  FlatConntrack flat(600, 4);
+TEST(FlatConntrackChurn, EraseFromTheMiddleKeepsSurvivorsFindable) {
+  // Deterministic scenario: open 64 flows, erase every third one (each
+  // erase moves another live entry into the freed position), and verify
+  // every surviving key is still findable (account must NOT implicitly
+  // re-open it).
+  FlatConntrack flat(600);
   std::vector<net::FlowKey> keys;
   for (std::uint32_t i = 0; i < 64; ++i) keys.push_back(make_key(i, i % 2));
   for (const auto& k : keys) flat.open(k, 1, Scope::external);

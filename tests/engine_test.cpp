@@ -4,6 +4,7 @@
 // same residence seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstring>
@@ -91,6 +92,33 @@ TEST(ThreadPool, ParallelForRethrowsLaneExceptionsOnTheCaller) {
   std::atomic<int> sum{0};
   pool.parallel_for(64, [&](size_t i) { sum.fetch_add(static_cast<int>(i)); });
   EXPECT_EQ(sum.load(), 64 * 63 / 2);
+}
+
+TEST(ThreadPool, RejectsOutOfRangeWorkerCountsBeforeStartingThreads) {
+  EXPECT_THROW(ThreadPool(0), std::invalid_argument);
+  EXPECT_THROW(ThreadPool(-4), std::invalid_argument);
+  EXPECT_THROW(ThreadPool(kMaxLanes + 1), std::invalid_argument);
+  EXPECT_THROW(ThreadPool(100000), std::invalid_argument);
+}
+
+TEST(ResolveLanes, RejectsNegativeAndAboveTheBound) {
+  EXPECT_FALSE(resolve_lanes(-1).has_value());
+  EXPECT_FALSE(resolve_lanes(kMaxLanes + 1).has_value());
+  EXPECT_FALSE(resolve_lanes(100000).has_value());
+  // Resolving constructs nothing, so the accepted edges are checked by
+  // value only.
+  EXPECT_EQ(resolve_lanes(3), 3);
+  EXPECT_EQ(resolve_lanes(kMaxLanes), kMaxLanes);
+  const auto hw = resolve_lanes(0);
+  ASSERT_TRUE(hw.has_value());
+  EXPECT_GE(*hw, 1);
+  EXPECT_LE(*hw, kMaxLanes);
+}
+
+TEST(ResolveLanes, FirehoseRejectsOutOfRangeLaneCounts) {
+  auto catalog = traffic::build_paper_catalog();
+  EXPECT_THROW(Firehose(catalog, -1), std::invalid_argument);
+  EXPECT_THROW(Firehose(catalog, kMaxLanes + 1), std::invalid_argument);
 }
 
 // ------------------------------------------------------ scenario layer
@@ -557,6 +585,45 @@ TEST(SimulateFleet, FlatShardMatchesReferenceTableAggregates) {
   EXPECT_EQ(capture_stats.flows, flat_stats.flows);
   EXPECT_EQ(stream.events().size(), flat_mon.destroy_events());
   expect_same_aggregates(ref_mon, flat_mon);
+}
+
+TEST(SimulateFleet, GeneratorHoldsAtMostOneLiveFlowPerShard) {
+  // FlatConntrack keeps its live flows in a vector scanned per operation,
+  // and FlowEventBuffer completes only its latest record: both rely on the
+  // generator opening, accounting and closing each flow back to back. Run
+  // every committed scenario (shrunk to 4 homes and at most 14 days) with a
+  // listener counting NEW - DESTROY; a generator that overlapped flows
+  // would push it past 1.
+  auto catalog = traffic::build_paper_catalog();
+  const auto files = testutil::scenario_files();
+  ASSERT_FALSE(files.empty());
+  for (const auto& file : files) {
+    SCOPED_TRACE(file);
+    auto loaded = FleetConfig::load(file);
+    ASSERT_TRUE(loaded.has_value());
+    FleetConfig cfg = *loaded;
+    cfg.residences = std::min(cfg.residences.get(), 4);
+    cfg.days = std::min(cfg.days.get(), 14);
+    SampledFleet fleet = sample_stage(cfg, catalog);
+    apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
+
+    std::uint64_t news = 0;
+    for (const auto& config : fleet.configs) {
+      FlatConntrack table;
+      std::int64_t live = 0;
+      std::int64_t peak = 0;
+      table.subscribe({[&](const net::FlowKey&, flowmon::Timestamp) {
+                         ++news;
+                         peak = std::max(peak, ++live);
+                       },
+                       [&](const flowmon::FlowRecord&) { --live; }});
+      traffic::ResidenceSimulator sim(catalog, config);
+      sim.run(table);
+      EXPECT_LE(peak, 1) << config.name;
+      EXPECT_EQ(live, 0) << config.name;
+    }
+    EXPECT_GT(news, 0u);
+  }
 }
 
 TEST(SimulateFleet, FleetViewFeedsCoreAnalyses) {

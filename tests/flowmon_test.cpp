@@ -32,8 +32,8 @@ net::FlowKey make_key(std::uint8_t host, std::uint16_t port,
 }
 
 // Shared fixture: every conntrack behaviour test runs against both the
-// std::unordered_map reference table and the flat open-addressing table,
-// pinning engine::FlatConntrack to the reference semantics.
+// std::unordered_map reference table and engine::FlatConntrack, pinning
+// the latter to the reference semantics.
 template <typename Table>
 class ConntrackLike : public ::testing::Test {};
 
@@ -130,9 +130,10 @@ TYPED_TEST(ConntrackLike, FlushClosesEverything) {
   EXPECT_EQ(table.live_count(), 0u);
 }
 
-// High-churn workload crossing several table growths: bookkeeping must
-// stay exact through rehashes and backward-shift deletions.
-TYPED_TEST(ConntrackLike, ChurnThroughGrowthKeepsBookkeeping) {
+// High-churn workload with thousands of flows live at once (production
+// holds at most one): bookkeeping must stay exact through interleaved
+// opens, closes and a sweep of the survivors.
+TYPED_TEST(ConntrackLike, HighChurnKeepsBookkeeping) {
   TypeParam table(/*idle_timeout=*/600);
   std::uint64_t destroyed_bytes = 0;
   int destroys = 0;

@@ -1,8 +1,8 @@
-// ReferenceConntrack: the std::unordered_map conntrack table that
-// engine::FlatConntrack replaced, kept as the behavioural reference the
-// flat table is tested against: flowmon_test runs both through one typed
-// suite, conntrack_churn_test diffs them under churn, and engine_test
-// replays a simulated residence's flow stream into both.
+// ReferenceConntrack: a std::unordered_map conntrack table, kept as the
+// behavioural reference engine::FlatConntrack is tested against:
+// flowmon_test runs both through one typed suite, conntrack_churn_test
+// diffs them under churn, and engine_test replays a simulated residence's
+// flow stream into both.
 // Semantics: NEW on open, DESTROY with the final counters on close, sweep
 // and flush; account() opens unknown keys implicitly (mid-stream pickup).
 #pragma once
