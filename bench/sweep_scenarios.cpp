@@ -1,16 +1,14 @@
 // Scenario sweep driver: an N-variant what-if forest off one base scenario,
-// executed on the pass-graph pipeline (engine/pipeline.h +
-// core/scenario_pipeline.h) with a shared pass cache.
+// run as a loop of the scenario chain (engine/pipeline.h) over one cache.
 //
 // Every variant keeps the base population slice and differs only in its
 // timeline (variant v > 0 appends one cpe_fix wave with a variant-specific
-// repair fraction), so all N "sample" passes digest identically: the base
-// population is sampled exactly once for the whole forest, every other
-// variant binds the cached value. The driver *asserts* that via the
-// per-pass execution counters — if sampling ran more than once the reuse
-// machinery is broken and the run exits non-zero. A warm re-run of the
-// first variant then demonstrates the fully-cached fixpoint (zero
-// executed passes).
+// repair fraction), so the base population is sampled exactly once for the
+// whole forest, and each residence's shard is re-simulated only by the
+// variants that re-plan it. The driver then re-runs the first variant warm
+// and *asserts* the reuse: one sample in all (per-stage execution
+// counters), and a warm run that hits on every cache lookup, the
+// population and each residence's shard. It exits non-zero otherwise.
 //
 //   ./build/sweep_scenarios [--variants=25 --lanes=0 --residences=48
 //                            --days=14 --seed=20260808 --outdir=DIR
@@ -73,7 +71,7 @@ int main(int argc, char** argv) {
   base.seed = 20260808;
 
   bench::Cli cli("sweep_scenarios",
-                 "What-if scenario forest on the shared-cache pass pipeline");
+                 "What-if scenario forest on one shared cache");
   cli.flag_int("variants", &variants, "what-if variants to run");
   cli.flag_int("lanes", &lanes, "worker lanes, 0 = hw concurrency");
   cli.flag_int("residences", &base.residences.mut(), "base fleet size");
@@ -118,9 +116,9 @@ int main(int argc, char** argv) {
               variants, base.residences.get(), base.days.get(), lanes);
 
   // Variant configs: variant v > 0 appends a cpe_fix wave whose repair
-  // fraction sweeps (0, 1]: only the timeline slice changes, so sample
-  // stays digest-identical across the whole forest while
-  // timeline/simulate/analysis re-run per variant.
+  // fraction sweeps (0, 1]: only the timeline changes, so the population
+  // key stays identical across the whole forest while timeline, simulate
+  // and the analysis re-run per variant.
   std::vector<engine::FleetConfig> cfgs;
   for (int v = 0; v < variants; ++v) {
     engine::FleetConfig cfg = base;
@@ -135,8 +133,8 @@ int main(int argc, char** argv) {
     cfgs.push_back(std::move(cfg));
   }
 
-  // One pipeline per variant, one cache for the forest, run to completion
-  // in variant order.
+  // One pipeline per variant, one cache for the forest, run in variant
+  // order.
   engine::PassCache cache;
   std::vector<std::unique_ptr<engine::Pipeline>> pipes;
   std::size_t executed = 0;
@@ -152,31 +150,35 @@ int main(int argc, char** argv) {
   const auto t1 = std::chrono::steady_clock::now();
   const double serial_secs = std::chrono::duration<double>(t1 - t0).count();
 
-  // The tentpole invariant: the base population was sampled exactly once
-  // across the whole forest.
-  std::uint64_t sample_execs = 0;
-  for (const auto& p : pipes) sample_execs += p->executions("sample");
-  if (sample_execs != 1) {
-    std::fprintf(stderr,
-                 "FAIL: sample pass executed %llu times across %d variants "
-                 "(expected exactly 1 — shared-pass reuse is broken)\n",
-                 static_cast<unsigned long long>(sample_execs), variants);
-    return 1;
-  }
-
-  // Warm re-run of the base variant: every pass must hit.
+  // The reuse invariants: the base population is sampled exactly once,
+  // across the forest and a warm re-run of the base variant together, and
+  // the warm re-run hits on every cache lookup it makes: the population and
+  // each residence's shard.
+  const std::uint64_t lookups_before = cache.lookups();
+  const std::uint64_t hits_before = cache.hits();
   const auto warm = pipes[0]->run(&cache, pool.get());
-  if (warm.executed != 0) {
+  const unsigned long long warm_lookups = cache.lookups() - lookups_before;
+  const unsigned long long warm_hits = cache.hits() - hits_before;
+  const unsigned long long want_lookups = 1ull + base.residences.get();
+  unsigned long long sample_execs = 0;
+  for (const auto& p : pipes) sample_execs += p->executions("sample");
+  if (sample_execs != 1 || warm_lookups != want_lookups ||
+      warm_hits != warm_lookups) {
     std::fprintf(stderr,
-                 "FAIL: warm re-run executed %zu passes (expected 0)\n",
-                 warm.executed);
+                 "FAIL: sample executed %llu times across %d variants and a "
+                 "warm re-run, which hit %llu of %llu cache lookups "
+                 "(expected 1, and %llu of %llu)\n",
+                 sample_execs, variants, warm_hits, warm_lookups,
+                 want_lookups, want_lookups);
     return 1;
   }
 
   std::printf(
-      "  base sampled once; %zu passes executed, %zu served from cache\n"
-      "  warm re-run: %zu executed / %zu cached; cache holds %zu results\n",
-      executed, cached, warm.executed, warm.cached, cache.size());
+      "  base sampled once; %zu stages executed, %zu served from cache\n"
+      "  warm re-run: %zu executed / %zu cached, %llu of %llu lookups hit; "
+      "cache holds %zu results\n",
+      executed, cached, warm.executed, warm.cached, warm_hits, warm_lookups,
+      cache.size());
 
   if (!outdir.empty()) {
     for (int v = 0; v < variants; ++v)
@@ -187,8 +189,8 @@ int main(int argc, char** argv) {
   std::printf(
       "RESULT variants=%d lanes=%d sample_executions=%llu "
       "passes_executed=%zu passes_cached=%zu warm_executed=%zu "
-      "cache_entries=%zu seconds=%.6f\n",
-      variants, lanes, static_cast<unsigned long long>(sample_execs), executed,
-      cached, warm.executed, cache.size(), serial_secs);
+      "warm_lookups=%llu warm_hits=%llu cache_entries=%zu seconds=%.6f\n",
+      variants, lanes, sample_execs, executed, cached, warm.executed,
+      warm_lookups, warm_hits, cache.size(), serial_secs);
   return 0;
 }

@@ -1,12 +1,13 @@
 // scenario_whatif: compare a scenario against a what-if variant on the
-// pass-graph pipeline — the cheap way to ask "what changes if the ISP
-// also ships a CPE firmware fix?".
+// scenario chain — the cheap way to ask "what changes if the ISP also
+// ships a CPE firmware fix?".
 //
-// Both runs execute as pipelines over one shared pass cache. The variant
-// differs from the base only in its timeline slice, so its "sample" pass
-// is a cache hit: the population is sampled once, the simulation and
-// statistics re-run only for the changed world. The closing panel puts
-// the two pre/post window comparisons side by side.
+// Both runs share one cache. The variant differs from the base only in its
+// timeline, so its population key hits: the population is sampled once,
+// and of the simulation only the homes the fix re-plans run again (every
+// other home's shard is a cache hit). The timeline, the statistics and the
+// panel re-run for the changed world. The closing panel puts the two
+// pre/post window comparisons side by side.
 //
 //   ./build/example_scenario_whatif [scenario.cfg]
 #include <cstdio>

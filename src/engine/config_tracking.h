@@ -1,21 +1,20 @@
 // Opt-in per-field read tracking for engine::FleetConfig.
 //
-// PRs 8–9 made pass identity hinge on hand-written digest slices
-// (core/scenario_pipeline.cpp): a pass that reads a config field its
-// digest does not cover silently serves stale cache hits when that field
-// changes — the exact bug class PR 9 chased. This header is the
-// enforcement half: every FleetConfig field is wrapped in Tracked<>, and
-// while a ConfigReadTracker::Scope is active on the current thread, each
-// const read of a field sets its bit in a per-scope bitmap. The digest
-// auditor (audit_scenario_passes + tests/digest_audit_test.cpp) runs every
-// pass under one scope for its digest computation and another for its
-// body, then fails if the body read a field the digest slice missed.
+// The scenario chain caches the sampled population under a hand-written key
+// (engine::population_key): a field sample_stage reads but the key misses
+// would let a what-if forest bind another config's population. Every
+// FleetConfig field is wrapped in Tracked<>, and while a
+// ConfigReadTracker::Scope is active on the current thread, each const read
+// sets the field's bit in a per-scope bitmap. The auditor
+// (core::audit_scenario_passes + tests/digest_audit_test.cpp) records the
+// key's reads and the stage's under separate scopes and fails if the stage
+// read a field the key missed.
 //
 // Cost model: with no active scope (all production paths), a read is one
 // thread_local pointer load and a branch. Nothing allocates. Copying a
-// config never records — a pass capturing cfg by value must not charge the
-// whole struct to its read set; only the fields the pass body actually
-// touches count.
+// config never records — a pipeline holding cfg by value must not charge
+// the whole struct to a read set; only the fields a stage actually touches
+// count.
 //
 // Field access syntax after wrapping:
 //   - scalars read as before (implicit conversion): `cfg.days / 2`
@@ -88,8 +87,8 @@ class ConfigReadTracker {
     if (active_ != nullptr) active_->set(static_cast<std::size_t>(f));
   }
 
-  /// RAII activation. The audit runs pipelines inline (no pool), so every
-  /// read a pass makes lands on the thread that owns the scope.
+  /// RAII activation. The audit runs its stage inline (no pool), so every
+  /// read it makes lands on the thread that owns the scope.
   class Scope {
    public:
     Scope() : prev_(active_) { active_ = &reads_; }

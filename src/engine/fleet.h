@@ -45,8 +45,8 @@ namespace nbv6::engine {
 /// (seed, residence index), never on sampling order or thread count.
 ///
 /// Every field is wrapped in Tracked<> (engine/config_tracking.h) so the
-/// digest-coverage auditor can record which fields each pipeline pass
-/// actually reads. Scalars behave like the bare type; struct fields
+/// digest-coverage auditor can record which fields sample_stage and
+/// population_key actually read. Scalars behave like the bare type; struct fields
 /// (arrival, timeline) are reached via `->`; out-parameter writes use
 /// `.mut()`; varargs call sites use `.get()`.
 struct FleetConfig {
@@ -86,7 +86,7 @@ struct FleetConfig {
   /// Scheduled mid-observation changes (rollout waves, CPE fixes, outages,
   /// NAT64 migrations, seasonal scaling). Built from repeatable
   /// "timeline.<kind> = ..." config lines; see engine/timeline.h.
-  /// Applied by the pipeline's timeline pass — or explicitly via
+  /// Applied by the scenario chain's timeline stage — or explicitly via
   /// apply_timeline() when running the stages by hand.
   Tracked<Timeline, ConfigField::timeline> timeline;
 

@@ -1,45 +1,32 @@
-// Pass-graph pipeline runtime: the scenario pipeline as an explicit DAG.
+// The scenario chain and the cache its runs share.
 //
-// Every experiment binary used to hard-wire the same chain — sample →
-// timeline → simulate → reduce → extract → panels → figure files — with its
-// own entry point and knobs. This module makes the chain a data structure,
-// modeled on render-graph pass registration: each *pass* declares the named
-// *resources* it consumes and produces plus a digest of the config slice it
-// reads; the runtime topologically orders the passes, content-hashes each
-// one over (pass name, config slice, upstream output digests), and consults
-// a shared PassCache before executing. Two consequences fall out:
+// A scenario runs as five stages, always in this order, on the calling
+// thread (a stage uses the run's pool for lanes inside itself):
 //
-//   - Shared sub-results across scenario variants. Fifty what-if variants
-//     of one base scenario differ only in their timeline slice, so their
-//     "sample" passes digest identically — the base population is sampled
-//     once and every variant binds the cached value (asserted by the sweep
-//     driver's per-pass execution counters). Below the passes, the
-//     simulate pass keeps each residence's shard in the same cache under
-//     engine::shard_key (pass name "simulate.shard"): the catalog digest,
-//     the ResidenceConfig without its day_plan_fn, and the DayPlans that
-//     closure returns for the horizon. A variant whose timeline re-plans
-//     a few homes re-simulates only those homes.
-//   - Dirty-node sweeps. Changing one timeline parameter changes the
-//     timeline pass's config digest, which cascades through downstream
-//     digests; upstream passes keep hitting the cache and only the dirty
-//     suffix re-executes. Re-running an unchanged pipeline executes
-//     nothing at all.
+//   sample        ->  "population"     (engine::SampledFleet)
+//   timeline      ->  "planned_fleet"  (engine::SampledFleet)
+//   simulate      ->  "fleet_result"   (engine::FleetResult)
+//   report        ->  "stats_report"   (core::FleetStatsReport)
+//   window_panel  ->  "window_panel"   (core::GroupComparison)
 //
-// Digests deliberately exclude lane count and pool identity: every stage is
-// bit-identical for any lane count (the replay guarantee the golden suite
-// pins), so a cached result is valid across thread configurations.
+// Pipeline is that chain for one FleetConfig. core::make_scenario_pipeline
+// builds one; Pipeline::run is defined in core/scenario_pipeline.cpp, the
+// one file that knows the stage functions. Outputs are held type-erased,
+// so this header needs no core/ analysis types.
 //
-// Pipeline::run is the one executor: it walks the passes in topological
-// order on the calling thread, and a pass uses the run's pool for lanes
-// inside itself. A what-if forest (ForestScheduler::run) is a loop of
-// Pipeline::run over one shared cache.
-//
-// The runtime is type-agnostic (PipelineValue erases the payload); the
-// standard scenario passes are registered by core/scenario_pipeline.h.
+// A PassCache shared across runs holds two kinds of entry: the sampled
+// population under engine::population_key (pass name "sample"), so
+// variants that differ only in their timeline sample their base once; and
+// each residence's simulation under engine::shard_key (pass name
+// "simulate.shard"), so a variant re-simulates only the homes its timeline
+// re-plans. Timeline, report and window panel always run. Keys exclude lane
+// count: every stage is bit-identical for any lane count, so a cached
+// result is valid across thread configurations. A what-if forest
+// (ForestScheduler::run) is a loop of Pipeline::run over one cache.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -50,15 +37,17 @@
 #include <vector>
 
 #include "core/thread_annotations.h"
+#include "engine/fleet.h"
 #include "engine/thread_pool.h"
+#include "traffic/service_catalog.h"
 
 namespace nbv6::engine {
 
 // --------------------------------------------------------------- digests
 
-/// FNV-1a accumulator for pass config-slice digests. Doubles are folded by
-/// bit pattern, so a digest is equal iff every input is bit-identical —
-/// the same equality the golden serializer uses.
+/// FNV-1a accumulator for cache keys. Doubles are folded by bit pattern, so
+/// a digest is equal iff every input is bit-identical — the same equality
+/// the golden serializer uses.
 class DigestBuilder {
  public:
   DigestBuilder& u64(std::uint64_t v) {
@@ -87,7 +76,7 @@ class DigestBuilder {
 
 // ---------------------------------------------------------------- values
 
-/// Type-erased, immutable, shareable pass result. Cache entries and bound
+/// Type-erased, immutable, shareable stage result. Cache entries and bound
 /// resources hold the same shared payload, so a cache hit never copies.
 class PipelineValue {
  public:
@@ -121,14 +110,13 @@ class PipelineValue {
 
 // ----------------------------------------------------------------- cache
 
-/// Content-addressed pass-result store, shared across pipelines (the
-/// vehicle for cross-variant reuse in scenario sweeps). Keyed by the pass
-/// digest; the value is the pass's output list, output-index aligned.
+/// Content-addressed result store, shared across runs (see the top of this
+/// header). The value is an output list, output-index aligned.
 ///
-/// Entries also record the producing pass's name and output count, and a
-/// lookup whose name or count disagrees is a miss: a 64-bit digest
-/// collision between two different passes must never bind one pass's
-/// outputs (wrong arity, wrong types) as another's.
+/// Entries also record the producer's name and output count, and a lookup
+/// whose name or count disagrees is a miss: a 64-bit key collision between
+/// two different producers must never bind one's outputs (wrong arity,
+/// wrong types) as the other's.
 ///
 /// Thread-safe: find/store take an internal lock, because simulate's lanes
 /// store residence shards concurrently. find copies the entry out
@@ -136,8 +124,9 @@ class PipelineValue {
 /// not a fleet result).
 class PassCache {
  public:
-  /// Hit iff the digest maps to an entry stored by a pass with the same
-  /// name and output count; nullopt otherwise.
+  /// Hit iff the digest maps to an entry stored by a producer with the same
+  /// name and output count; nullopt otherwise. Counts one lookup, and one
+  /// hit when it hits.
   [[nodiscard]] std::optional<std::vector<PipelineValue>> find(
       std::uint64_t digest, std::string_view pass,
       std::size_t output_count) const;
@@ -145,6 +134,9 @@ class PassCache {
              std::vector<PipelineValue> outputs);
 
   [[nodiscard]] std::size_t size() const;
+  /// Lifetime find calls, and how many of them hit.
+  [[nodiscard]] std::uint64_t lookups() const;
+  [[nodiscard]] std::uint64_t hits() const;
 
  private:
   struct Entry {
@@ -153,72 +145,13 @@ class PassCache {
   };
   mutable core::Mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> map_ NBV6_GUARDED_BY(mutex_);
-};
-
-// ---------------------------------------------------------------- passes
-
-class Pipeline;
-struct Pass;
-
-/// What a pass's run function sees: its bound inputs, a place to put its
-/// outputs, and the run's worker pool.
-class PassContext {
- public:
-  /// Input resource by name; throws std::logic_error if the pass did not
-  /// declare it (undeclared reads would break digest soundness).
-  template <typename T>
-  [[nodiscard]] const T& in(std::string_view resource) const {
-    return input_value(resource).get<T>();
-  }
-  /// Bind one declared output. Every declared output must be set exactly
-  /// once; the runtime throws otherwise.
-  template <typename T>
-  void out(std::string_view resource, T value) {
-    set_output(resource, PipelineValue::wrap(std::move(value)));
-  }
-
-  /// The pool handed to Pipeline::run; nullptr = sequential. The pass runs
-  /// on the calling thread, so it may parallel_for on this pool. Passes
-  /// must produce lane-invariant results (everything built on the fleet
-  /// stages does).
-  [[nodiscard]] ThreadPool* pool() const { return pool_; }
-  /// The run's PassCache; nullptr when the run is uncached. A pass may
-  /// store and look up sub-results of its own under names no pass uses
-  /// (simulate keeps residence shards under "simulate.shard").
-  [[nodiscard]] PassCache* cache() const { return cache_; }
-
-  [[nodiscard]] const PipelineValue& input_value(std::string_view name) const;
-  void set_output(std::string_view name, PipelineValue v);
-
- private:
-  friend class Pipeline;
-  const Pass* pass_ = nullptr;
-  const std::unordered_map<std::string, PipelineValue>* bound_ = nullptr;
-  std::vector<PipelineValue>* outputs_ = nullptr;
-  ThreadPool* pool_ = nullptr;
-  PassCache* cache_ = nullptr;
-};
-
-/// One registered pass. `config_digest` must cover every configuration
-/// input the run function reads that is not a declared resource — it is
-/// the pass's half of the content hash, so an undigested config read makes
-/// cache reuse unsound.
-///
-/// The digest cascade (the cache key of every pass, walked in topological
-/// order): a pass's digest is
-///   DigestBuilder().str(name).u64(config_digest)
-/// followed by .u64(d) for each declared input's resource digest d, in
-/// declaration order; output o of a pass with digest p has resource digest
-/// DigestBuilder().u64(p).u64(o).
-struct Pass {
-  std::string name;                   ///< unique within the pipeline
-  std::vector<std::string> inputs;    ///< resource names consumed
-  std::vector<std::string> outputs;   ///< resource names produced (unique)
-  std::uint64_t config_digest = 0;
-  std::function<void(PassContext&)> run;
+  mutable std::uint64_t lookups_ NBV6_GUARDED_BY(mutex_) = 0;
+  mutable std::uint64_t hits_ NBV6_GUARDED_BY(mutex_) = 0;
 };
 
 // ---------------------------------------------------------------- forest
+
+class Pipeline;
 
 /// A what-if forest: N pipelines that share one PassCache, run one after
 /// another. Each pipeline's results are exactly those of running it alone
@@ -226,7 +159,7 @@ struct Pass {
 class ForestScheduler {
  public:
   struct Options {
-    /// Handed to every Pipeline::run for intra-pass lanes.
+    /// Handed to every Pipeline::run for intra-stage lanes.
     ThreadPool* pool = nullptr;
     /// Ignored: pipelines run one at a time on the calling thread.
     int workers = 1;
@@ -234,8 +167,8 @@ class ForestScheduler {
     std::vector<std::string> transient;
   };
   struct Stats {
-    std::size_t executed = 0;   ///< passes actually run
-    std::size_t cached = 0;     ///< passes bound from the shared cache
+    std::size_t executed = 0;   ///< stages actually run
+    std::size_t cached = 0;     ///< stages bound from the shared cache
     /// Always 0: nothing is shared in flight, and nothing is released.
     std::size_t deduped = 0;
     std::size_t released = 0;
@@ -244,11 +177,10 @@ class ForestScheduler {
 
   /// Run every pipeline in `pipelines`, in order, with
   /// Pipeline::run(cache, opts.pool), and sum their stats. Throws
-  /// std::invalid_argument on a null or repeated pipeline, an input no
-  /// pass produces, or a dependency cycle, before any pass runs. If a pass
-  /// throws, every pipeline's bound state is cleared before the exception
-  /// propagates: output_value never serves a mix of stale and fresh
-  /// resources from a partial run.
+  /// std::invalid_argument on a null or repeated pipeline, before any
+  /// pipeline runs. If a stage throws, every pipeline's bound state is
+  /// cleared before the exception propagates: output_value never serves a
+  /// mix of stale and fresh resources from a partial forest.
   static Stats run(const std::vector<Pipeline*>& pipelines, PassCache* cache,
                    const Options& opts);
   static Stats run(const std::vector<Pipeline*>& pipelines, PassCache& cache,
@@ -259,31 +191,25 @@ class ForestScheduler {
 
 // -------------------------------------------------------------- pipeline
 
+/// The scenario chain for one config (see the top of this header). Built by
+/// core::make_scenario_pipeline; `catalog` must outlive the pipeline.
 class Pipeline {
  public:
-  /// Register a pass. Throws std::invalid_argument, leaving the pipeline
-  /// unchanged, on a duplicate pass name, a missing run function, an output
-  /// listed twice, or an output another pass already produces.
-  Pipeline& add(Pass pass);
+  Pipeline(FleetConfig cfg, const traffic::ServiceCatalog& catalog)
+      : cfg_(std::move(cfg)), catalog_(&catalog) {}
 
-  /// Replace a registered pass wholesale (same-name passes swap in place,
-  /// keeping execution counters) — the in-place path for dirty-node
-  /// experiments. Throws std::invalid_argument, leaving the pipeline
-  /// unchanged, if no such pass exists or on any output add() rejects.
-  Pipeline& replace(const Pass& pass);
-
-  /// Execute every pass in schedule() order on the calling thread. With a
-  /// cache, a pass whose digest hits binds the cached outputs instead of
-  /// running; a pass that runs stores its outputs. `pool` is handed to pass
-  /// contexts for intra-pass lanes; it never affects results. Throws
-  /// std::invalid_argument on an input no pass produces or a dependency
-  /// cycle; if a pass throws, the bound state is cleared and the exception
-  /// propagates.
+  /// Run the five stages in order. With a cache, the population is looked
+  /// up under population_key and stored there on a miss, and simulate looks
+  /// up and stores residence shards; everything else runs. `pool` gives
+  /// stages their lanes; it never affects results. Stats count the stages
+  /// that ran (executed) and the population bound from the cache (cached).
+  /// If a stage throws, nothing stays bound — not even resources an earlier
+  /// successful run bound — and the exception propagates.
   ForestScheduler::Stats run(PassCache* cache = nullptr,
                              ThreadPool* pool = nullptr);
 
   /// A resource bound by the last run. Throws std::logic_error when the
-  /// resource is unknown or the pipeline has not run yet.
+  /// resource is unknown or the pipeline has not run (or its run failed).
   [[nodiscard]] const PipelineValue& output_value(
       std::string_view resource) const;
   template <typename T>
@@ -291,37 +217,33 @@ class Pipeline {
     return output_value(resource).get<T>();
   }
 
-  /// Lifetime count of actual executions (cache hits excluded) of `pass`.
-  [[nodiscard]] std::uint64_t executions(std::string_view pass) const;
-
-  /// Pass names in topological order (registration order among
-  /// independent passes) — the order run() and the digest cascade walk.
-  [[nodiscard]] std::vector<std::string> schedule();
-
-  [[nodiscard]] std::size_t pass_count() const { return nodes_.size(); }
+  /// Lifetime count of actual executions (cache hits excluded) of `stage`.
+  /// Throws std::invalid_argument for a name that is not a stage.
+  [[nodiscard]] std::uint64_t executions(std::string_view stage) const;
 
  private:
   friend class ForestScheduler;
 
-  struct Node {
-    Pass pass;
-    std::uint64_t executions = 0;
+  struct Stage {
+    std::string_view name;
+    std::string_view resource;
   };
+  static constexpr std::array<Stage, 5> kStages = {{
+      {"sample", "population"},
+      {"timeline", "planned_fleet"},
+      {"simulate", "fleet_result"},
+      {"report", "stats_report"},
+      {"window_panel", "window_panel"},
+  }};
 
-  std::size_t index_of(std::string_view pass) const;
-  /// Throws unless `pass` has a run function and each of its outputs is
-  /// listed once and produced by no node other than `self`.
-  void check_pass(const Pass& pass, std::size_t self) const;
-  void ensure_order();
+  /// Empty every bound resource.
+  void unbind() { bound_ = {}; }
 
-  std::vector<Node> nodes_;
-  /// resource name -> producing node index.
-  std::unordered_map<std::string, std::size_t> producer_;
-  /// Topological order (registration order among independent passes).
-  std::vector<std::size_t> order_;
-  bool order_valid_ = false;
-  /// resource name -> value bound by the last run.
-  std::unordered_map<std::string, PipelineValue> bound_;
+  FleetConfig cfg_;
+  const traffic::ServiceCatalog* catalog_;
+  std::array<std::uint64_t, kStages.size()> executions_{};
+  /// Stage i's output bound by the last run, kStages-aligned.
+  std::array<PipelineValue, kStages.size()> bound_;
 };
 
 }  // namespace nbv6::engine

@@ -93,6 +93,27 @@ SampledFleet sample_stage(const FleetConfig& cfg,
   return out;
 }
 
+std::uint64_t population_key(const FleetConfig& cfg,
+                             const traffic::ServiceCatalog& catalog) {
+  return DigestBuilder()
+      .str("population")
+      .i64(cfg.residences)
+      .i64(cfg.days)
+      .u64(cfg.seed)
+      .f64(cfg.dual_stack_isp_frac)
+      .f64(cfg.broken_v6_frac)
+      .f64(cfg.heavy_streamer_frac)
+      .f64(cfg.background_only_frac)
+      .f64(cfg.opt_out_frac)
+      .f64(cfg.absence_prob)
+      .f64(cfg.activity_scale_min)
+      .f64(cfg.activity_scale_max)
+      .u64(static_cast<std::uint64_t>(cfg.arrival->mode))
+      .i64(cfg.arrival->ticks_per_hour)
+      .u64(catalog.content_digest())
+      .value();
+}
+
 std::uint64_t shard_key(const traffic::ServiceCatalog& catalog,
                         const traffic::ResidenceConfig& config) {
   DigestBuilder db;

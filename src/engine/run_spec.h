@@ -2,13 +2,14 @@
 // (engine/timeline.h), then simulate_fleet. Each is a pure function of its
 // arguments; none depends on the pool's lane count.
 //
-// These are the one implementation of each stage. The pass-graph pipeline
-// (engine/pipeline.h + core/scenario_pipeline.h) registers them as passes,
-// which is how a scenario runs end to end and how a sweep shares the
-// sampled base population across variants. Firehose::run
-// (engine/firehose.h) samples and plans with the first two, then streams
-// the fleet day by day instead of simulating it. Callers that want one
-// stage call it directly with a pool they own.
+// These are the one implementation of each stage. The scenario chain
+// (engine::Pipeline, run in core/scenario_pipeline.cpp) calls them in order,
+// which is how a scenario runs end to end. Its two cache keys live here too:
+// population_key for the sampled population, shared across what-if variants
+// that differ only in their timeline, and shard_key for one residence's
+// simulation. Firehose::run (engine/firehose.h) samples and plans with the
+// first two stages, then streams the fleet day by day instead of simulating
+// it. Callers that want one stage call it directly with a pool they own.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,15 @@ class PassCache;  // engine/pipeline.h
 /// supplies service names for the per-household mix tilts.
 SampledFleet sample_stage(const FleetConfig& cfg,
                           const traffic::ServiceCatalog& catalog);
+
+/// Cache key of the sampled population (pass name "sample"). It folds a
+/// "population" tag, everything sample_stage reads (residences, days, seed,
+/// the six population fractions, the activity-scale range, arrival mode and
+/// ticks) and catalog.content_digest(). The timeline is left out: it cannot
+/// change what is sampled. digest_audit_test checks that these reads cover
+/// sample_stage's.
+std::uint64_t population_key(const FleetConfig& cfg,
+                             const traffic::ServiceCatalog& catalog);
 
 /// Cache key of one residence's simulation. A shard is a pure function of
 /// the catalog, its ResidenceConfig and the DayPlans it is handed, so the

@@ -1,5 +1,5 @@
 // A small reusable worker pool for the fleet engine and the parallel
-// analysis passes.
+// analysis stages.
 //
 // Design goals, in order: deterministic results (the pool never decides
 // *what* work produces — callers partition work into index-addressed units

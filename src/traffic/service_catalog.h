@@ -98,8 +98,8 @@ class ServiceCatalog {
 
   /// FNV-1a digest over every field of every service, in index order.
   /// Two catalogs digest equal iff their service lists are bit-identical,
-  /// which is the identity the pipeline layer's content-addressed pass
-  /// caching keys simulation results on.
+  /// which is the identity the scenario chain's cache keys (the sampled
+  /// population and each residence's simulation) fold.
   [[nodiscard]] std::uint64_t content_digest() const;
 
  private:

@@ -1,20 +1,19 @@
-// Digest-coverage auditor: every config field a scenario pass reads must
-// be covered by that pass's digest slice, or the content-addressed
-// PassCache can serve stale hits when the uncovered field changes — the
-// PR 8/9 bug class. The audit records per-field FleetConfig reads (see
-// engine/config_tracking.h) separately for each pass's digest computation
-// and its body, then checks run_reads ⊆ digest_reads for every committed
-// scenario. A negative test pairs the sample pass's real read set with a
-// deliberately broken population digest and proves the check catches it.
+// Digest-coverage auditor: every config field sample_stage reads must be
+// covered by engine::population_key, or a shared PassCache can bind one
+// config's population to another that differs only in the uncovered field
+// — the PR 8/9 stale-cache bug class. The audit records per-field
+// FleetConfig reads (see engine/config_tracking.h) separately for the key
+// and for the stage, then checks run_reads ⊆ digest_reads for every
+// committed scenario. A negative test pairs the stage's real read set with a
+// deliberately broken population key and proves the check catches it.
 //
-// The same stale-cache class exists one level down: the simulate pass
+// The same stale-cache class exists one level down: the simulate stage
 // caches each residence's shard under engine::shard_key, so a
 // ResidenceConfig or DayPlan field missing from that key would bind another
 // variant's shard. The shard-key tests mutate every field one at a time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,9 +86,9 @@ TEST(ConfigTracking, ScopesNestAndRestore) {
 
 // ------------------------------------------------------------- the audit
 
-// The audit simulates the full scenario; a small fleet keeps the sweep
+// The audit samples the full population; a small fleet keeps the sweep
 // over every committed scenario cheap without changing which fields the
-// passes read (field reads depend on code paths, not population size —
+// stage reads (field reads depend on code paths, not population size —
 // the one day-count-dependent path, absence sampling, keys off `days`,
 // which scenarios control).
 FleetConfig shrunk(FleetConfig cfg) {
@@ -105,37 +104,14 @@ TEST(DigestAudit, EveryCommittedScenarioIsCovered) {
     std::string err;
     auto cfg = FleetConfig::load(path, &err);
     ASSERT_TRUE(cfg.has_value()) << path << ": " << err;
-    const auto audits = core::audit_scenario_passes(shrunk(*cfg), catalog);
-    ASSERT_EQ(audits.size(), 5u) << path;
-    for (const auto& a : audits) {
-      const ConfigReadSet uncovered = core::uncovered_config_reads(a);
-      EXPECT_TRUE(uncovered.none())
-          << path << ": pass '" << a.pass << "' reads {"
-          << core::describe_read_set(a.run_reads)
-          << "} but its digest slice only covers {"
-          << core::describe_read_set(a.digest_reads) << "}; uncovered: {"
-          << core::describe_read_set(uncovered) << "}";
-    }
-  }
-}
-
-TEST(DigestAudit, AuditCoversEveryPipelinePass) {
-  // The audit and the production pipeline build from one pass list: a pass
-  // registered in make_scenario_pipeline but missing from the audit would
-  // go unaudited silently.
-  const auto catalog = traffic::build_paper_catalog();
-  const auto files = testutil::scenario_files();
-  ASSERT_FALSE(files.empty());
-  for (const auto& path : files) {
-    std::string err;
-    auto cfg = FleetConfig::load(path, &err);
-    ASSERT_TRUE(cfg.has_value()) << path << ": " << err;
-    const FleetConfig small = shrunk(*cfg);
-    std::vector<std::string> audited;
-    for (const auto& a : core::audit_scenario_passes(small, catalog))
-      audited.push_back(a.pass);
-    EXPECT_EQ(audited, core::make_scenario_pipeline(small, catalog).schedule())
-        << path;
+    const auto a = core::audit_scenario_passes(shrunk(*cfg), catalog);
+    const ConfigReadSet uncovered = core::uncovered_config_reads(a);
+    EXPECT_TRUE(uncovered.none())
+        << path << ": sample_stage reads {"
+        << core::describe_read_set(a.run_reads)
+        << "} but its key only covers {"
+        << core::describe_read_set(a.digest_reads) << "}; uncovered: {"
+        << core::describe_read_set(uncovered) << "}";
   }
 }
 
@@ -144,51 +120,42 @@ TEST(DigestAudit, SamplePassActuallyReadsThePopulationSlice) {
   // EveryCommittedScenarioIsCovered would pass trivially. The default
   // config must show sample reading its core fields.
   const auto catalog = traffic::build_paper_catalog();
-  const auto audits = core::audit_scenario_passes(shrunk(FleetConfig{}), catalog);
-  const auto& sample = audits.front();
-  ASSERT_EQ(sample.pass, "sample");
+  const auto sample =
+      core::audit_scenario_passes(shrunk(FleetConfig{}), catalog);
   for (ConfigField f :
        {ConfigField::residences, ConfigField::seed, ConfigField::arrival,
         ConfigField::dual_stack_isp_frac, ConfigField::broken_v6_frac}) {
     EXPECT_TRUE(sample.run_reads.test(bit(f)))
         << "sample did not read " << std::string(to_string(f));
     EXPECT_TRUE(sample.digest_reads.test(bit(f)))
-        << "population digest missed " << std::string(to_string(f));
+        << "population key missed " << std::string(to_string(f));
   }
 }
 
 TEST(DigestAudit, DigestReadSetsAreSlices) {
-  // Guard the other direction: digest read sets are recorded while each
-  // pass is built, so a by-value capture of the config that started
-  // counting as a read would make every slice "cover" every field and the
-  // audit vacuous. Each pass's digest slice must stay its own slice.
+  // Guard the other direction: a key's read set is recorded while it is
+  // computed, so a copy of the config that started counting as a read
+  // would make the key "cover" every field and the audit vacuous. The
+  // population key must stay its own slice: the timeline, which cannot
+  // change what is sampled, is neither read by the stage nor folded.
   const auto catalog = traffic::build_paper_catalog();
-  const auto audits =
+  const auto audit =
       core::audit_scenario_passes(shrunk(FleetConfig{}), catalog);
-  ASSERT_EQ(audits.size(), 5u);
-  ASSERT_EQ(audits[0].pass, "sample");
-  EXPECT_FALSE(audits[0].digest_reads.test(bit(ConfigField::timeline)));
-  ASSERT_EQ(audits[1].pass, "timeline");
-  ConfigReadSet timeline_slice;
-  for (ConfigField f : {ConfigField::seed, ConfigField::days,
-                        ConfigField::timeline})
-    timeline_slice.set(bit(f));
-  EXPECT_EQ(audits[1].digest_reads, timeline_slice)
-      << core::describe_read_set(audits[1].digest_reads);
-  ASSERT_EQ(audits[2].pass, "simulate");
-  EXPECT_TRUE(audits[2].digest_reads.none())
-      << core::describe_read_set(audits[2].digest_reads);
+  EXPECT_FALSE(audit.digest_reads.test(bit(ConfigField::timeline)))
+      << core::describe_read_set(audit.digest_reads);
+  EXPECT_FALSE(audit.run_reads.test(bit(ConfigField::timeline)))
+      << core::describe_read_set(audit.run_reads);
 }
 
 TEST(DigestAudit, CatchesAnOmittedDigestField) {
-  // Seed the PR 8/9 bug on purpose: a population digest that forgets
+  // Seed the PR 8/9 bug on purpose: a population key that forgets
   // broken_v6_frac. Two configs differing only there would collide in the
-  // cache; paired with what the sample pass really reads, the audit must
-  // flag the omission.
+  // cache; paired with what sample_stage really reads, the audit must flag
+  // the omission. The broken key is engine::population_key minus one field.
   const auto catalog = traffic::build_paper_catalog();
   const FleetConfig config = shrunk(FleetConfig{});
-  auto broken_population_digest = [](const FleetConfig& cfg,
-                                     const traffic::ServiceCatalog& cat) {
+  auto broken_population_key = [](const FleetConfig& cfg,
+                                  const traffic::ServiceCatalog& cat) {
     return engine::DigestBuilder()
         .str("population")
         .i64(cfg.residences)
@@ -207,12 +174,10 @@ TEST(DigestAudit, CatchesAnOmittedDigestField) {
         .u64(cat.content_digest())
         .value();
   };
-  core::PassReadAudit sample =
-      core::audit_scenario_passes(config, catalog).front();
-  ASSERT_EQ(sample.pass, "sample");
+  core::PassReadAudit sample = core::audit_scenario_passes(config, catalog);
   {
     ConfigReadTracker::Scope scope;
-    (void)broken_population_digest(config, catalog);
+    (void)broken_population_key(config, catalog);
     sample.digest_reads = scope.reads();
   }
   const ConfigReadSet uncovered = core::uncovered_config_reads(sample);

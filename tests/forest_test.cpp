@@ -1,7 +1,7 @@
 // ForestScheduler: what-if forests as a loop of Pipeline::run over one
 // shared PassCache — byte-identical to uncached per-variant runs at any lane
-// count, with the passes executed, the passes cached and the cache entries
-// pinned exactly.
+// count, with the stages executed, the populations cached and the cache
+// entries pinned exactly, and no pipeline left bound after a failure.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +12,7 @@
 #include "core/scenario_pipeline.h"
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
+#include "engine/run_spec.h"
 #include "engine/thread_pool.h"
 #include "testutil.h"
 #include "traffic/service_catalog.h"
@@ -20,131 +21,8 @@ namespace {
 
 using namespace nbv6;
 using engine::ForestScheduler;
-using engine::Pass;
 using engine::PassCache;
-using engine::PassContext;
 using engine::Pipeline;
-
-Pass count_pass(std::string name, std::vector<std::string> inputs,
-                std::vector<std::string> outputs, int* counter = nullptr,
-                std::uint64_t config_digest = 0) {
-  Pass p;
-  p.name = std::move(name);
-  p.inputs = std::move(inputs);
-  p.outputs = std::move(outputs);
-  p.config_digest = config_digest;
-  p.run = [outputs = p.outputs, counter](PassContext& ctx) {
-    if (counter != nullptr) ++*counter;
-    for (const auto& out : outputs) ctx.out(out, int{1});
-  };
-  return p;
-}
-
-// ------------------------------------------------------------ reuse
-
-// Two pipelines share one digest-identical generator pass but diverge
-// downstream. The generator runs once: the second pipeline binds the
-// first one's result from the cache.
-TEST(ForestScheduler, SharesDigestIdenticalPassesThroughTheCache) {
-  int gen_runs = 0;
-  Pipeline p1;
-  p1.add(count_pass("gen", {}, {"base"}, &gen_runs));
-  p1.add(count_pass("use", {"base"}, {"out"}, nullptr, /*digest=*/1));
-  Pipeline p2;
-  p2.add(count_pass("gen", {}, {"base"}, &gen_runs));
-  p2.add(count_pass("use", {"base"}, {"out"}, nullptr, /*digest=*/2));
-
-  PassCache cache;
-  const auto stats = ForestScheduler::run({&p1, &p2}, cache, {});
-
-  EXPECT_EQ(gen_runs, 1);
-  EXPECT_EQ(p1.executions("gen"), 1u);
-  EXPECT_EQ(p2.executions("gen"), 0u);
-  EXPECT_EQ(stats.executed, 3u);
-  EXPECT_EQ(stats.cached, 1u);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(p1.output<int>("out"), 1);
-  EXPECT_EQ(p2.output<int>("out"), 1);
-}
-
-// Against a cache that already holds every digest, every pass of every
-// pipeline binds from the cache exactly once and nothing runs.
-TEST(ForestScheduler, WarmCacheBindsEveryPassOnce) {
-  int gen_runs = 0;
-  int mid_runs = 0;
-  auto make_pipe = [&](std::uint64_t use_digest) {
-    auto pipe = std::make_unique<Pipeline>();
-    pipe->add(count_pass("gen", {}, {"base"}, &gen_runs));
-    pipe->add(count_pass("mid", {"base"}, {"refined"}, &mid_runs));
-    pipe->add(count_pass("use", {"refined"}, {"out"}, nullptr, use_digest));
-    return pipe;
-  };
-
-  PassCache cache;
-  {  // Warm-up: every digest in both variants lands in the cache.
-    auto w1 = make_pipe(1);
-    auto w2 = make_pipe(2);
-    w1->run(&cache);
-    w2->run(&cache);
-  }
-  gen_runs = 0;
-  mid_runs = 0;
-
-  auto p1 = make_pipe(1);
-  auto p2 = make_pipe(2);
-  const auto stats = ForestScheduler::run({p1.get(), p2.get()}, cache, {});
-
-  EXPECT_EQ(stats.cached, 6u);
-  EXPECT_EQ(stats.executed, 0u);
-  EXPECT_EQ(gen_runs, 0);
-  EXPECT_EQ(mid_runs, 0);
-  EXPECT_EQ(p1->output<int>("out"), 1);
-  EXPECT_EQ(p2->output<int>("out"), 1);
-}
-
-// ------------------------------------------------------ failure handling
-
-TEST(ForestScheduler, PassFailureClearsEveryPipelinesBoundState) {
-  Pipeline ok;
-  ok.add(count_pass("a", {}, {"x"}));
-  Pipeline bad;
-  Pass boom;
-  boom.name = "boom";
-  boom.outputs = {"y"};
-  boom.run = [](PassContext&) { throw std::runtime_error("forest boom"); };
-  bad.add(std::move(boom));
-
-  engine::ThreadPool pool(2);
-  PassCache cache;
-  ForestScheduler::Options opts;
-  opts.pool = &pool;
-  EXPECT_THROW(ForestScheduler::run({&ok, &bad}, cache, opts),
-               std::runtime_error);
-  // No partial state anywhere in the forest: `ok` ran to completion before
-  // `bad` threw, and its outputs are unbound too.
-  EXPECT_EQ(ok.executions("a"), 1u);
-  EXPECT_THROW((void)ok.output_value("x"), std::logic_error);
-  EXPECT_THROW((void)bad.output_value("y"), std::logic_error);
-}
-
-// Null, repeated and unschedulable pipelines are rejected before any pass
-// of any pipeline runs.
-TEST(ForestScheduler, RejectsBadPipelinesBeforeRunningAny) {
-  int runs = 0;
-  Pipeline pipe;
-  pipe.add(count_pass("a", {}, {"x"}, &runs));
-  Pipeline orphan;
-  orphan.add(count_pass("b", {"missing"}, {"y"}));
-  PassCache cache;
-  EXPECT_THROW(ForestScheduler::run({&pipe, &pipe}, cache, {}),
-               std::invalid_argument);
-  EXPECT_THROW(ForestScheduler::run({&pipe, nullptr}, cache, {}),
-               std::invalid_argument);
-  EXPECT_THROW(ForestScheduler::run({&pipe, &orphan}, cache, {}),
-               std::invalid_argument);
-  EXPECT_EQ(runs, 0);
-  EXPECT_EQ(cache.size(), 0u);
-}
 
 // ------------------------------------------- scenario forest determinism
 
@@ -182,10 +60,10 @@ std::string serialize_pipe(const engine::FleetConfig& cfg, Pipeline& pipe) {
   return testutil::canonical_serialize(run);
 }
 
-// Without a cache, a one-pipeline forest run executes every pass on every
+// Without a cache, a one-pipeline forest run executes every stage on every
 // call (nothing is looked up, stored or shared) and binds the same outputs
-// as Pipeline::run(nullptr) — the run Pipeline::run itself delegates to.
-TEST(ForestScheduler, NullCacheRunExecutesEveryPassAndMatchesPipelineRun) {
+// as Pipeline::run(nullptr).
+TEST(ForestScheduler, NullCacheRunExecutesEveryStageAndMatchesPipelineRun) {
   const auto catalog = traffic::build_paper_catalog();
   const engine::FleetConfig cfg = variant_configs(2)[1];
 
@@ -199,10 +77,11 @@ TEST(ForestScheduler, NullCacheRunExecutesEveryPassAndMatchesPipelineRun) {
   opts.pool = &pool;
   for (std::uint64_t call = 1; call <= 2; ++call) {
     const auto stats = ForestScheduler::run({&pipe}, nullptr, opts);
-    EXPECT_EQ(stats.executed, pipe.pass_count()) << "call " << call;
+    EXPECT_EQ(stats.executed, 5u) << "call " << call;
     EXPECT_EQ(stats.cached, 0u) << "call " << call;
-    for (const auto& pass : pipe.schedule())
-      EXPECT_EQ(pipe.executions(pass), call) << pass << ", call " << call;
+    for (const char* stage :
+         {"sample", "timeline", "simulate", "report", "window_panel"})
+      EXPECT_EQ(pipe.executions(stage), call) << stage << ", call " << call;
     EXPECT_EQ(serialize_pipe(cfg, pipe), expected) << "call " << call;
   }
 }
@@ -218,7 +97,7 @@ TEST(ForestScheduler, TwentyFiveVariantForestMatchesSerialByteForByte) {
   const int variants = 25;
   const auto cfgs = variant_configs(variants);
 
-  // Cold reference: each variant alone, uncached, so no pass and no
+  // Cold reference: each variant alone, uncached, so no population and no
   // residence shard is shared with any other variant.
   std::vector<std::string> expected;
   for (int v = 0; v < variants; ++v) {
@@ -247,14 +126,18 @@ TEST(ForestScheduler, TwentyFiveVariantForestMatchesSerialByteForByte) {
     std::uint64_t sample_execs = 0;
     for (const auto& p : pipes) sample_execs += p->executions("sample");
     EXPECT_EQ(sample_execs, 1u) << at;
-    // Variant 0 runs all 5 passes; each later variant binds the sample and
+    // Variant 0 runs all 5 stages; each later variant binds the sample and
     // runs timeline, simulate, report and window_panel.
     EXPECT_EQ(stats.executed, 101u) << at;
     EXPECT_EQ(stats.cached, 24u) << at;
-    // The 101 pass entries plus one "simulate.shard" entry per home: no
-    // tiny home has a broken CPE, so no cpe_fix variant re-plans a home and
-    // all 25 share the 6 shards.
-    EXPECT_EQ(cache.size(), 107u) << at;
+    // The one population plus one "simulate.shard" entry per home: no tiny
+    // home has a broken CPE, so no cpe_fix variant re-plans a home and all
+    // 25 share the 6 shards.
+    EXPECT_EQ(cache.size(), 7u) << at;
+    // Variant 0 misses its population and 6 shards; each of the other 24
+    // hits its population and all 6 shards.
+    EXPECT_EQ(cache.lookups(), 25u * 7u) << at;
+    EXPECT_EQ(cache.hits(), 24u * 7u) << at;
 
     for (int v = 0; v < variants; ++v) {
       EXPECT_EQ(serialize_pipe(cfgs[v], *pipes[v]), expected[v])
@@ -286,17 +169,63 @@ TEST(ForestScheduler, ScenarioForestAgainstWarmCacheMatchesSerial) {
   }
   const auto stats = ForestScheduler::run(ptrs, cache, {});
 
-  EXPECT_EQ(stats.executed, 0u);
-  EXPECT_EQ(stats.cached, 15u);  // 3 variants x 5 passes, all warm
+  // Each variant binds its population from the cache and runs the other
+  // four stages, every shard a hit.
+  EXPECT_EQ(stats.executed, 12u);
+  EXPECT_EQ(stats.cached, 3u);
   for (std::size_t v = 0; v < cfgs.size(); ++v) {
     EXPECT_EQ(serialize_pipe(cfgs[v], *pipes[v]), expected[v])
         << "variant " << v;
   }
-  // Nothing is erased: 1 shared sample + 3 variants x 4 passes = 13 pass
-  // entries. The 6 homes' shards are the other 6: no tiny home has a
-  // broken CPE, so the cpe_fix variants change no plan and all three share
-  // one shard per home. 13 + 6 = 19.
-  EXPECT_EQ(cache.size(), 19u);
+  // 1 shared population + the 6 homes' shards: no tiny home has a broken
+  // CPE, so the cpe_fix variants change no plan and all three share one
+  // shard per home.
+  EXPECT_EQ(cache.size(), 7u);
+}
+
+// ------------------------------------------------------ failure handling
+
+// Null and repeated pipelines are rejected before any pipeline runs.
+TEST(ForestScheduler, RejectsBadPipelinesBeforeRunningAny) {
+  const auto catalog = traffic::build_paper_catalog();
+  Pipeline pipe = core::make_scenario_pipeline(tiny_config(), catalog);
+  PassCache cache;
+  EXPECT_THROW(ForestScheduler::run({&pipe, &pipe}, cache, {}),
+               std::invalid_argument);
+  EXPECT_THROW(ForestScheduler::run({&pipe, nullptr}, cache, {}),
+               std::invalid_argument);
+  EXPECT_EQ(pipe.executions("sample"), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.lookups(), 0u);
+}
+
+// A stage failure anywhere in the forest leaves no pipeline bound: `good`
+// runs to completion before `poisoned` throws (its population key holds a
+// wrong-typed "sample" entry), and its outputs are unbound too.
+TEST(ForestScheduler, FailureClearsEveryPipelinesBoundState) {
+  const auto catalog = traffic::build_paper_catalog();
+  const auto cfgs = variant_configs(2);
+  auto other_seed = cfgs[1];
+  other_seed.seed.mut() += 1;
+  Pipeline good = core::make_scenario_pipeline(cfgs[0], catalog);
+  Pipeline poisoned = core::make_scenario_pipeline(other_seed, catalog);
+
+  PassCache cache;
+  cache.store(engine::population_key(other_seed, catalog), "sample",
+              {engine::PipelineValue::wrap(std::string("not a fleet"))});
+  engine::ThreadPool pool(2);
+  ForestScheduler::Options opts;
+  opts.pool = &pool;
+  EXPECT_THROW(ForestScheduler::run({&good, &poisoned}, cache, opts),
+               std::logic_error);
+  EXPECT_EQ(good.executions("window_panel"), 1u);
+  for (const char* resource : {"population", "planned_fleet", "fleet_result",
+                               "stats_report", "window_panel"}) {
+    EXPECT_THROW((void)good.output_value(resource), std::logic_error)
+        << resource;
+    EXPECT_THROW((void)poisoned.output_value(resource), std::logic_error)
+        << resource;
+  }
 }
 
 }  // namespace

@@ -148,28 +148,30 @@ ScenarioRun run_scenario(const engine::FleetConfig& cfg,
                          PlanSource plans, engine::PassCache* cache) {
   std::unique_ptr<engine::ThreadPool> pool;
   if (lanes > 1) pool = std::make_unique<engine::ThreadPool>(lanes - 1);
-  engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
-  if (plans == PlanSource::materialized) {
-    engine::Pass timeline;
-    timeline.name = "timeline";
-    timeline.inputs = {"population"};
-    timeline.outputs = {"planned_fleet"};
-    timeline.run = [cfg](engine::PassContext& ctx) {
-      engine::SampledFleet planned = ctx.in<engine::SampledFleet>("population");
-      apply_materialized_timeline(planned, cfg.timeline, cfg.seed, cfg.days);
-      ctx.out("planned_fleet", std::move(planned));
-    };
-    pipe.replace(timeline);
-  }
-  pipe.run(cache, pool.get());
-
   ScenarioRun run;
   run.cfg = cfg;
-  run.result = pipe.output<engine::FleetResult>("fleet_result");
-  run.report = pipe.output<core::FleetStatsReport>("stats_report");
-  // Pre/post panel over the horizon's halves: with timeline events this is
-  // the before/after comparison; without, a self-check near the null.
-  run.window_panel = pipe.output<core::GroupComparison>("window_panel");
+  if (plans == PlanSource::lazy) {
+    engine::Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+    pipe.run(cache, pool.get());
+    run.result = pipe.output<engine::FleetResult>("fleet_result");
+    run.report = pipe.output<core::FleetStatsReport>("stats_report");
+    // Pre/post panel over the horizon's halves: with timeline events this
+    // is the before/after comparison; without, a self-check near the null.
+    run.window_panel = pipe.output<core::GroupComparison>("window_panel");
+    return run;
+  }
+
+  // The reference: the chain's stage functions called here, with the
+  // timeline's plans materialized up front.
+  engine::SampledFleet planned = engine::sample_stage(cfg, catalog);
+  apply_materialized_timeline(planned, cfg.timeline, cfg.seed, cfg.days);
+  run.result = engine::simulate_fleet(catalog, planned, pool.get(), cache);
+  run.report =
+      core::fleet_stats_report(run.result, pool.get(), core::kScenarioAlpha);
+  const core::PanelWindows w = core::panel_windows(cfg.days);
+  run.window_panel = core::compare_windows(
+      run.result, core::default_fleet_metrics(), w.pre, w.post,
+      core::FleetGroup::all, pool.get(), core::kScenarioAlpha);
   return run;
 }
 

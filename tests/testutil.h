@@ -61,14 +61,16 @@ enum class PlanSource {
   materialized,
 };
 
-/// Runs the scenario pipeline (core::make_scenario_pipeline) on `lanes`
-/// lanes and copies out its fleet_result, stats_report and window_panel.
-/// Uncached unless a `cache` is given, in which case passes and residence
-/// shards are looked up in it and stored to it. With
-/// PlanSource::materialized the timeline pass is swapped for one
-/// installing providers that index materialize_day_plans' vectors; both
-/// sources must serialize byte-identically — the parity the golden-replay
-/// suite pins.
+/// With PlanSource::lazy, runs the scenario chain
+/// (core::make_scenario_pipeline) on `lanes` lanes and copies out its
+/// fleet_result, stats_report and window_panel. With
+/// PlanSource::materialized, calls the chain's stage functions here instead
+/// (sample_stage, then providers that index materialize_day_plans' vectors,
+/// simulate_fleet, the report and the window panel): the test-side parity
+/// reference, which must serialize byte-identically to the chain — the
+/// parity the golden-replay suite pins. Uncached unless a `cache` is given,
+/// in which case the chain looks up and stores its population and residence
+/// shards there (the reference, its shards only).
 ScenarioRun run_scenario(const engine::FleetConfig& cfg,
                          const traffic::ServiceCatalog& catalog, int lanes,
                          PlanSource plans = PlanSource::lazy,
