@@ -1,53 +1,27 @@
 // Shared plumbing for the experiment harness binaries.
 //
-// Every table and figure of the paper has its own binary under bench/.
-// Each prints the same rows/series the paper reports, against the synthetic
-// substrate, so the *shape* of every result can be compared directly with
-// the published numbers.
-//
-// Scale knobs via environment (positive integers; anything else exits 2):
-//   NBV6_SITES  web universe size   (default 100000, the paper's scale)
-//   NBV6_DAYS   residence days      (default 274, Nov 2024 - Aug 2025)
+// The paper's figures, tables and ablations are sections of one binary,
+// `paper` (bench/paper.cpp, sections in bench/paper/), which prints the
+// same rows/series the paper reports, against the synthetic substrate, so
+// the *shape* of every result can be compared directly with the published
+// numbers. Its two scale knobs are flags: --sites (default 100000, the
+// paper's scale) and --days (default 274, Nov 2024 - Aug 2025); a value
+// below 1 exits 2 through positive_flag, a malformed one through Cli.
+// The fleet binaries share the fleet flags and lane checks below.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "bench_cli.h"
-#include "cloud/providers.h"
-#include "core/client_analysis.h"
 #include "engine/fleet.h"
-#include "engine/run_spec.h"
 #include "engine/thread_pool.h"
-#include "core/server_analysis.h"
-#include "flowmon/monitor.h"
 #include "stats/descriptive.h"
-#include "traffic/generator.h"
-#include "traffic/residence.h"
-#include "traffic/service_catalog.h"
-#include "web/universe.h"
 
 namespace nbv6::bench {
-
-/// A scale knob from the environment, `fallback` when unset. The value goes
-/// through the same strict lexer as the flags; a malformed value or one
-/// below 1 exits with status 2 and a message naming the variable, so a typo
-/// never silently runs a 0-day or 1-site experiment.
-inline int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  int out = 0;
-  if (!engine::cfgparse::parse_int(v, out) || out < 1) {
-    std::fprintf(stderr, "%s must be a positive integer, got '%s'\n", name, v);
-    std::exit(2);
-  }
-  return out;
-}
 
 /// Write `path` through `render(FILE*)`. False, with the reason on stderr,
 /// when the file cannot be opened, written or closed. The file is closed on
@@ -133,30 +107,20 @@ inline std::optional<int> lanes_flag(const char* flag, int value) {
   return lanes;
 }
 
+/// False, with the violation naming the flag `--<flag>` on stderr, unless
+/// `value` is positive; on false the binary exits 2, as for a malformed
+/// flag, so a typo never runs a 0-day or 1-site experiment.
+inline bool positive_flag(const char* flag, int value) {
+  if (value < 1)
+    std::fprintf(stderr, "--%s=%d: expected a positive integer\n", flag, value);
+  return value >= 1;
+}
+
 /// The pool for `lanes` lanes: the calling thread is one lane, the pool
 /// supplies the rest (nullptr for one lane).
 inline std::unique_ptr<engine::ThreadPool> lane_pool(int lanes) {
   if (lanes <= 1) return nullptr;
   return std::make_unique<engine::ThreadPool>(lanes - 1);
-}
-
-/// Run all five paper residences for NBV6_DAYS days through
-/// engine::simulate_fleet on a hardware-concurrency pool; `residences[i]`
-/// is paper residence i.
-inline engine::FleetResult simulate_residences(
-    const traffic::ServiceCatalog& catalog) {
-  auto configs = traffic::paper_residences();
-  const int days = env_int("NBV6_DAYS", 274);
-  for (auto& cfg : configs) cfg.days = days;
-  const auto pool = lane_pool(*engine::resolve_lanes(0));
-  return engine::simulate_fleet(catalog, configs, pool.get());
-}
-
-/// The standard web universe at NBV6_SITES scale.
-inline web::Universe make_universe(const cloud::ProviderCatalog& providers) {
-  web::UniverseConfig cfg;
-  cfg.site_count = env_int("NBV6_SITES", 100000);
-  return web::Universe(cfg, providers);
 }
 
 }  // namespace nbv6::bench

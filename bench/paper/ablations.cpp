@@ -1,4 +1,4 @@
-// Ablation experiments for the design choices DESIGN.md calls out:
+// Ablation experiments for the measurement choices the paper discusses:
 //   1. Crawl depth: main page only vs +5 same-site link clicks (§4.2 notes
 //      main-page-only inflates IPv6-full from 12.5% to 14.1%).
 //   2. Byte- vs flow-based client fractions (§3.2: Happy Eyeballs duplicate
@@ -7,20 +7,18 @@
 //      IPv6 fractions at a fixed byte-level ground truth.
 //   4. AS-level vs domain-level service attribution (§3.4: reverse DNS of
 //      cloud-hosted services collapses to the cloud's domain).
+//   5. Version-specific subdomains (§4.4: a site whose only IPv4-only FQDNs
+//      carry v4/ipv4/px4 markers may be misclassified as IPv6-partial).
 #include <map>
 
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
 namespace {
 
-void ablation_crawl_depth() {
+void ablation_crawl_depth(const web::Universe& universe) {
   bench::section("Ablation 1: crawl depth (main page only vs +5 link clicks)");
-  cloud::ProviderCatalog providers;
-  web::UniverseConfig cfg;
-  cfg.site_count = std::min(30000, bench::env_int("NBV6_SITES", 30000));
-  web::Universe universe(cfg, providers);
   auto ab = core::link_click_ablation(universe, web::Epoch::jul2025, 42);
   std::printf("  IPv6-full with 5 link clicks: %.1f%%\n",
               ab.pct_full_with_clicks);
@@ -30,11 +28,9 @@ void ablation_crawl_depth() {
               ab.pct_full_main_only - ab.pct_full_with_clicks);
 }
 
-void ablation_bytes_vs_flows() {
+void ablation_bytes_vs_flows(const bench::Paper& p) {
   bench::section("Ablation 2: byte- vs flow-based IPv6 fractions");
-  auto catalog = traffic::build_paper_catalog();
-  const auto residences = bench::simulate_residences(catalog).residences;
-  for (const auto& r : residences) {
+  for (const auto& r : p.residences) {
     auto bytes = r.monitor.daily_v6_fractions(flowmon::Scope::external, true);
     auto flows = r.monitor.daily_v6_fractions(flowmon::Scope::external, false);
     std::printf(
@@ -66,21 +62,19 @@ void ablation_dup_flows() {
   }
 }
 
-void ablation_as_vs_domain() {
+void ablation_as_vs_domain(const bench::Paper& p) {
   bench::section("Ablation 4: AS-level vs domain-level attribution");
-  auto catalog = traffic::build_paper_catalog();
-  const auto residences = bench::simulate_residences(catalog).residences;
-  const auto& r = residences[0];
-  auto by_as = core::as_usage(r.monitor, catalog.as_map(), 0.0);
-  auto by_domain = core::domain_usage(r.monitor, catalog, 0);
+  const auto& r = p.residences[0];
+  auto by_as = core::as_usage(r.monitor, p.catalog.as_map(), 0.0);
+  auto by_domain = core::domain_usage(r.monitor, p.catalog, 0);
   std::printf("  Residence A: %zu ASes vs %zu reverse-DNS domains\n",
               by_as.size(), by_domain.size());
   // Domains that several ASes collapse into (the cloud-canonical-name
   // limitation): amazonaws.com spans AMAZON-02 and AMAZON-AES, etc.
   std::map<std::string, int> domain_as_count;
   for (const auto& a : by_as) {
-    auto idx = catalog.find_by_asn(a.asn);
-    if (idx) ++domain_as_count[catalog.at(*idx).rdns_domain];
+    auto idx = p.catalog.find_by_asn(a.asn);
+    if (idx) ++domain_as_count[p.catalog.at(*idx).rdns_domain];
   }
   for (const auto& [domain, n] : domain_as_count)
     if (n > 1)
@@ -88,13 +82,9 @@ void ablation_as_vs_domain() {
                   domain.c_str(), n);
 }
 
-void ablation_version_subdomains() {
+void ablation_version_subdomains(const web::Universe& universe) {
   bench::section(
       "Ablation 5: version-specific subdomain misclassification (Sec 4.4)");
-  cloud::ProviderCatalog providers;
-  web::UniverseConfig cfg;
-  cfg.site_count = std::min(30000, bench::env_int("NBV6_SITES", 30000));
-  web::Universe universe(cfg, providers);
   auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
   auto est = web::estimate_version_subdomain_misclassification(
       universe, survey.crawls, survey.classifications);
@@ -107,11 +97,14 @@ void ablation_version_subdomains() {
 
 }  // namespace
 
-int main() {
-  ablation_crawl_depth();
-  ablation_bytes_vs_flows();
+void bench::ablations(const Paper& p) {
+  // Ablations 1 and 5 share one universe of at most 30,000 sites.
+  web::UniverseConfig cfg;
+  cfg.site_count = std::min(30000, p.universe.config().site_count);
+  const web::Universe universe(cfg, p.providers);
+  ablation_crawl_depth(universe);
+  ablation_bytes_vs_flows(p);
   ablation_dup_flows();
-  ablation_as_vs_domain();
-  ablation_version_subdomains();
-  return 0;
+  ablation_as_vs_domain(p);
+  ablation_version_subdomains(universe);
 }

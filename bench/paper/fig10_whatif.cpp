@@ -1,21 +1,14 @@
 // Figure 10: what-if adoption simulation — IPv4-only dependency domains
 // enable IPv6 one at a time in descending span order; how many IPv6-partial
 // sites become IPv6-full at each step.
-#include "web/metrics.h"
-
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig10_whatif(const Paper& p) {
   bench::section("Figure 10: cumulative sites fixed as top-span domains adopt IPv6");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-  auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
-  web::SpanAnalysis span(universe, survey.crawls, survey.classifications);
-
-  auto curve = span.whatif_adoption_curve();
-  const int partial = static_cast<int>(span.partial_sites().size());
+  auto curve = p.span.whatif_adoption_curve();
+  const int partial = static_cast<int>(p.span.partial_sites().size());
   std::printf("partial sites: %d, IPv4-only dependency domains: %zu\n",
               partial, curve.size());
 
@@ -44,5 +37,4 @@ int main() {
       "\nPaper reference: top 500 domains (3.3%%) fix >25%% of partial "
       "sites, but full\ncoverage requires over 15,000 domains — a long "
       "tail.\n");
-  return 0;
 }

@@ -1,21 +1,15 @@
 // Figure 11 / Table 3: IPv6-readiness breakdown (IPv4-only / IPv6-full /
 // IPv6-only) of the top cloud providers by number of hosted domains, from
 // the FQDNs observed during the crawl, attributed via BGP + AS-to-Org.
-#include "core/cloud_analysis.h"
-
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig11_cloud_providers(const Paper& p) {
   bench::section("Figure 11 / Table 3: per-provider IPv6 readiness");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-  auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
-  auto records = core::build_domain_records(universe, survey);
-  std::printf("observed FQDN records: %zu\n", records.size());
+  std::printf("observed FQDN records: %zu\n", p.records.size());
 
-  auto rows = cloud::provider_breakdown(records, providers);
+  auto rows = cloud::provider_breakdown(p.records, p.providers);
   std::printf("%-44s %8s %9s %9s %9s\n", "Organization", "domains",
               "IPv4-only", "IPv6-full", "IPv6-only");
   for (const auto& r : rows) {
@@ -29,5 +23,4 @@ int main() {
       "34.3%%, Amazon 24.6%%, OVH 13.0%%,\nDigitalOcean 9.2%%, Akamai Tech "
       "3.4%%, Incapsula 3.5%%; Bunnyway is 99.5%% IPv6-only\n(its A records "
       "live in Datacamp's address space).\n");
-  return 0;
 }

@@ -4,20 +4,13 @@
 // differing tenants in parentheses.
 #include <algorithm>
 
-#include "core/cloud_analysis.h"
-
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig12_wilcoxon_heatmap(const Paper& p) {
   bench::section("Figure 12: pairwise Wilcoxon heatmap of provider IPv6 preference");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-  auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
-  auto records = core::build_domain_records(universe, survey);
-
-  cloud::MultiCloudComparison cmp(records, providers,
+  cloud::MultiCloudComparison cmp(p.records, p.providers,
                                   core::paper_org_merge_map());
   std::printf("multi-cloud tenants: %d; orgs: %zu; pairs: %zu\n",
               cmp.multi_cloud_tenant_count(), cmp.orgs().size(),
@@ -35,11 +28,11 @@ int main() {
     std::printf("  %-44s wins=%d\n", o.c_str(), cmp.wins(o));
 
   std::printf("\nsignificant pairs (Holm-Bonferroni alpha=0.05):\n");
-  for (const auto& p : cmp.pairs()) {
-    if (!p.comparable) continue;
-    std::printf("  %-34s vs %-34s r=%+.2f (n=%d)%s\n", p.org1.c_str(),
-                p.org2.c_str(), p.effect_size_r, p.differing_tenants,
-                p.significant ? "  *significant*" : "");
+  for (const auto& pair : cmp.pairs()) {
+    if (!pair.comparable) continue;
+    std::printf("  %-34s vs %-34s r=%+.2f (n=%d)%s\n", pair.org1.c_str(),
+                pair.org2.c_str(), pair.effect_size_r, pair.differing_tenants,
+                pair.significant ? "  *significant*" : "");
   }
 
   std::printf(
@@ -47,5 +40,4 @@ int main() {
       "(merged\nentities) show consistently better-than-typical IPv6 "
       "support; Bunnyway stands out\nvia Datacamp shared hosting; smaller "
       "traditional hosts rank lowest.\n");
-  return 0;
 }

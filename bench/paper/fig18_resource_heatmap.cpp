@@ -1,27 +1,20 @@
 // Figure 18: heatmap of the top-20 IPv4-only resource domains by span,
 // broken down by the resource types they serve to IPv6-partial sites.
-#include "web/metrics.h"
-
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig18_resource_heatmap(const Paper& p) {
   bench::section("Figure 18: top-20 IPv4-only domains x resource type");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-  auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
-  web::SpanAnalysis span(universe, survey.crawls, survey.classifications);
-
   std::printf("%-24s %6s", "domain", "(any)");
   for (int t = 0; t < web::kResourceTypeCount; ++t)
     std::printf(" %14s",
                 std::string(to_string(static_cast<web::ResourceType>(t))).c_str());
   std::printf("\n");
 
-  size_t rows = std::min<size_t>(20, span.impacts().size());
+  size_t rows = std::min<size_t>(20, p.span.impacts().size());
   for (size_t i = 0; i < rows; ++i) {
-    const auto& d = span.impacts()[i];
+    const auto& d = p.span.impacts()[i];
     std::printf("%-24s %6d", d.etld1.c_str(), d.span);
     for (int t = 0; t < web::kResourceTypeCount; ++t)
       std::printf(" %14d", d.type_site_counts[static_cast<size_t>(t)]);
@@ -32,5 +25,4 @@ int main() {
       "\nPaper reference: doubleclick.net tops the list (span 6666); images "
       "dominate,\nfollowed by sub_frame, xmlhttprequest, and script — "
       "IPv6-only users see broken\nimages and impaired functionality.\n");
-  return 0;
 }

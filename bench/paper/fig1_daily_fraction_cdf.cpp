@@ -1,15 +1,12 @@
 // Figure 1 (and Figure 16): CDFs of per-day IPv6 byte and flow fractions at
 // all five residences, external (solid in the paper) and internal (dashed).
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig1_daily_fraction_cdf(const Paper& p) {
   bench::section("Figure 1 / Figure 16: daily IPv6 fraction CDFs");
-  auto catalog = traffic::build_paper_catalog();
-  const auto residences = bench::simulate_residences(catalog).residences;
-
-  for (const auto& r : residences) {
+  for (const auto& r : p.residences) {
     for (auto scope : {flowmon::Scope::external, flowmon::Scope::internal}) {
       for (bool by_bytes : {true, false}) {
         auto fracs = r.monitor.daily_v6_fractions(scope, by_bytes);
@@ -26,5 +23,4 @@ int main() {
       "\nShape check vs paper: byte-fraction CDFs rise near-linearly with "
       "heavy tails;\nflow-fraction CDFs rise sharply over a narrow range "
       "(flow mixes are stable day to day).\n");
-  return 0;
 }

@@ -7,7 +7,7 @@
 // fractions at B and C.
 #include <cmath>
 
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
@@ -52,26 +52,22 @@ void describe(const core::DiurnalDecomposition& d, const std::string& label) {
 
 }  // namespace
 
-int main() {
+void bench::fig2_mstl(const Paper& p) {
   bench::section("Figure 2 / 13-15: MSTL decomposition of IPv6 fractions");
-  auto catalog = traffic::build_paper_catalog();
-  const auto residences = bench::simulate_residences(catalog).residences;
-
   // Fig. 2: Residence A, byte fraction.
-  describe(core::diurnal_decomposition(residences[0].monitor, true),
+  describe(core::diurnal_decomposition(p.residences[0].monitor, true),
            "Fig 2: Residence A, hourly IPv6 byte fraction");
   // Fig. 13: Residence A, flow fraction.
-  describe(core::diurnal_decomposition(residences[0].monitor, false),
+  describe(core::diurnal_decomposition(p.residences[0].monitor, false),
            "Fig 13: Residence A, hourly IPv6 flow fraction");
   // Figs. 14-15: Residences B and C, byte fraction, full period.
-  describe(core::diurnal_decomposition(residences[1].monitor, true),
+  describe(core::diurnal_decomposition(p.residences[1].monitor, true),
            "Fig 14: Residence B, hourly IPv6 byte fraction");
-  describe(core::diurnal_decomposition(residences[2].monitor, true),
+  describe(core::diurnal_decomposition(p.residences[2].monitor, true),
            "Fig 15: Residence C, hourly IPv6 byte fraction");
 
   std::printf(
       "\nShape check vs paper: clear daily component (evening peak, "
       "mid-morning bump),\nweak weekly component, and a trend dip during "
       "Residence A's spring-break absence.\n");
-  return 0;
 }

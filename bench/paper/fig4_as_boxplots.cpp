@@ -4,27 +4,24 @@
 #include <algorithm>
 #include <map>
 
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig4_as_boxplots(const Paper& p) {
   bench::section("Figure 4: per-AS IPv6 fraction box plots by category");
-  auto catalog = traffic::build_paper_catalog();
-  const auto residences = bench::simulate_residences(catalog).residences;
-
   std::vector<std::vector<core::AsUsage>> per_res;
-  for (const auto& r : residences)
-    per_res.push_back(core::as_usage(r.monitor, catalog.as_map(), 1e-4));
+  for (const auto& r : p.residences)
+    per_res.push_back(core::as_usage(r.monitor, p.catalog.as_map(), 1e-4));
   auto shared = core::ases_at_min_residences(per_res, 3);
 
   // Group by catalog category; sort by median within each group.
   std::map<traffic::ServiceCategory, std::vector<core::CrossResidenceUsage>>
       groups;
   for (auto& s : shared) {
-    auto idx = catalog.find_by_asn(s.asn);
+    auto idx = p.catalog.find_by_asn(s.asn);
     if (!idx) continue;
-    groups[catalog.at(*idx).category].push_back(s);
+    groups[p.catalog.at(*idx).category].push_back(s);
   }
   for (auto& [cat, members] : groups) {
     std::printf("\n-- %s --\n", std::string(to_string(cat)).c_str());
@@ -41,8 +38,8 @@ int main() {
 
   bench::section("Figure 17: per-domain (reverse DNS) IPv6 fraction box plots");
   std::vector<std::vector<core::DomainUsage>> dom_per_res;
-  for (const auto& r : residences)
-    dom_per_res.push_back(core::domain_usage(r.monitor, catalog, 0));
+  for (const auto& r : p.residences)
+    dom_per_res.push_back(core::domain_usage(r.monitor, p.catalog, 0));
   // Paper threshold: >= 3 residences and >= 100 MB total.
   auto domains = core::domains_at_min_residences(dom_per_res, 3, 100'000'000);
   std::sort(domains.begin(), domains.end(), [](const auto& a, const auto& b) {
@@ -55,5 +52,4 @@ int main() {
       "\nShape check vs paper: ISPs uniformly low (medians <= 20%%); "
       "Web/Social >90%%\nexcept ByteDance; Zoom, Twitch (justin.tv), GitHub, "
       "USC at zero.\n");
-  return 0;
 }

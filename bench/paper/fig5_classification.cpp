@@ -2,7 +2,7 @@
 // IPv4-only / IPv6-partial / IPv6-full, across the three measurement
 // epochs (Oct 2024, Apr 2025, Jul 2025), including the Sankey-diagram
 // branch counts and the browser-used-IPv4 split.
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
@@ -34,20 +34,15 @@ void print_epoch(const web::ClassificationCounts& c, web::Epoch e) {
 
 }  // namespace
 
-int main() {
+void bench::fig5_classification(const Paper& p) {
   bench::section("Figure 5: top-list IPv6 readiness across three epochs");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-
-  for (auto e : {web::Epoch::oct2024, web::Epoch::apr2025, web::Epoch::jul2025}) {
-    auto survey = core::run_server_survey(universe, e, 42);
-    print_epoch(survey.counts, e);
-  }
+  for (auto e : {web::Epoch::oct2024, web::Epoch::apr2025})
+    print_epoch(core::run_server_survey(p.universe, e, 42).counts, e);
+  print_epoch(p.survey.counts, web::Epoch::jul2025);
 
   std::printf(
       "\nPaper reference (Jul 2025, %% of connection successes): IPv4-only "
       "57.6%%,\nAAAA-enabled 42.4%%, IPv6-partial 29.8%%, IPv6-full 12.6%%, "
       "browser-used-IPv4 1.5%%\n(of successes; ~11.6%% of full sites). "
       "Adoption drifts up ~0.6%% over the epochs.\n");
-  return 0;
 }

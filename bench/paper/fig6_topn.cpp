@@ -1,16 +1,12 @@
 // Figure 6: stacked IPv6-readiness (IPv4-only / partial / full) for the top
 // N sites, N in {100, 1k, 10k, 100k}.
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig6_topn(const Paper& p) {
   bench::section("Figure 6: IPv6 readiness by top-N rank prefix");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-  auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
-
-  int n_sites = static_cast<int>(universe.sites().size());
+  int n_sites = static_cast<int>(p.universe.sites().size());
   std::vector<int> ns;
   for (int n : {100, 1000, 10000, 100000})
     if (n <= n_sites) ns.push_back(n);
@@ -18,7 +14,7 @@ int main() {
 
   std::printf("%8s %12s %12s %12s\n", "Top N", "IPv4-only%", "partial%",
               "full%");
-  for (const auto& row : core::topn_breakdown(universe, survey, ns)) {
+  for (const auto& row : core::topn_breakdown(p.universe, p.survey, ns)) {
     std::printf("%8d %12.1f %12.1f %12.1f\n", row.n, row.pct_v4only,
                 row.pct_partial, row.pct_full);
   }
@@ -26,5 +22,4 @@ int main() {
   std::printf(
       "\nPaper reference: top-100 sites are 30.1%% IPv6-full, more than "
       "double the 12.6%%\nacross the top-100k; the long tail lags.\n");
-  return 0;
 }

@@ -1,23 +1,16 @@
 // Figure 7: CDFs of the count and the fraction of IPv4-only resources used
 // by IPv6-partial websites.
-#include "web/metrics.h"
-
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig7_partial_resources(const Paper& p) {
   bench::section("Figure 7: IPv4-only resources on IPv6-partial sites");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-  auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
-  web::SpanAnalysis span(universe, survey.crawls, survey.classifications);
-
   std::vector<double> counts, fracs;
-  for (const auto& p : span.partial_sites()) {
-    counts.push_back(p.v4only_resources);
-    fracs.push_back(static_cast<double>(p.v4only_resources) /
-                    static_cast<double>(p.total_resources));
+  for (const auto& site : p.span.partial_sites()) {
+    counts.push_back(site.v4only_resources);
+    fracs.push_back(static_cast<double>(site.v4only_resources) /
+                    static_cast<double>(site.total_resources));
   }
 
   bench::print_cdf(counts, "number of IPv4-only resources per partial site", 10);
@@ -33,6 +26,5 @@ int main() {
       "IPv4-only resources fixed.\n");
   std::printf("first-party-only partial sites (easily fixable): %d of %zu "
               "(paper: 565)\n",
-              span.first_party_only_count(), span.partial_sites().size());
-  return 0;
+              p.span.first_party_only_count(), p.span.partial_sites().size());
 }

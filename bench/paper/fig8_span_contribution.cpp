@@ -1,20 +1,13 @@
 // Figure 8: CDFs of span and median contribution for IPv4-only eTLD+1
 // domains used by IPv6-partial websites.
-#include "web/metrics.h"
-
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig8_span_contribution(const Paper& p) {
   bench::section("Figure 8: span and median contribution of IPv4-only domains");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-  auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
-  web::SpanAnalysis span(universe, survey.crawls, survey.classifications);
-
   std::vector<double> spans, contribs;
-  for (const auto& d : span.impacts()) {
+  for (const auto& d : p.span.impacts()) {
     spans.push_back(d.span);
     contribs.push_back(d.median_contribution);
   }
@@ -29,8 +22,8 @@ int main() {
               stats::quantile(contribs, .95));
 
   std::printf("\nTop-10 spans:\n");
-  for (size_t i = 0; i < std::min<size_t>(10, span.impacts().size()); ++i) {
-    const auto& d = span.impacts()[i];
+  for (size_t i = 0; i < std::min<size_t>(10, p.span.impacts().size()); ++i) {
+    const auto& d = p.span.impacts()[i];
     std::printf("  %-28s span=%5d median_contribution=%.2f\n",
                 d.etld1.c_str(), d.span, d.median_contribution);
   }
@@ -39,5 +32,4 @@ int main() {
       "\nPaper reference: span p75=2, p95=20, a handful above 1000; "
       "contribution p75=0.13,\np95=0.72 — most IPv4-only domains touch one "
       "or two sites, a few are everywhere.\n");
-  return 0;
 }

@@ -2,29 +2,22 @@
 // resource domains (span >= 100 at paper scale; scaled threshold here).
 #include <map>
 
-#include "web/metrics.h"
-
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::fig9_categories(const Paper& p) {
   bench::section("Figure 9: categories of heavy-hitter IPv4-only domains");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-  auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
-  web::SpanAnalysis span(universe, survey.crawls, survey.classifications);
-
   // Paper threshold is span >= 100 on 24k partial sites; scale it.
   int threshold = std::max(
-      5, static_cast<int>(100.0 * static_cast<double>(span.partial_sites().size()) /
+      5, static_cast<int>(100.0 * static_cast<double>(p.span.partial_sites().size()) /
                           24384.0));
-  auto hh = span.heavy_hitters(threshold);
+  auto hh = p.span.heavy_hitters(threshold);
   std::printf("heavy hitters (span >= %d): %zu\n", threshold, hh.size());
 
   std::map<std::string, int> counts;
   for (const auto& d : hh) {
-    auto cat = universe.categorize(d.etld1);
+    auto cat = p.universe.categorize(d.etld1);
     std::string label =
         cat ? std::string(to_string(*cat)) : std::string("uncategorized");
     ++counts[label];
@@ -36,5 +29,4 @@ int main() {
       "\nPaper reference: of 396 heavy hitters, advertising accounts for "
       "nearly half,\nfollowed by information technology, trackers, content "
       "delivery, and analytics.\n");
-  return 0;
 }

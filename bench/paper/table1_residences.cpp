@@ -1,6 +1,6 @@
 // Table 1: per-residence IPv6 traffic volume, flow count, and fractions,
 // external and internal, with daily mean (s.d.).
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
@@ -22,12 +22,9 @@ void print_scope_row(const char* scope, const core::ScopeReport& r) {
 
 }  // namespace
 
-int main() {
+void bench::table1_residences(const Paper& p) {
   bench::section("Table 1: per-residence IPv6 traffic (external & internal)");
-  auto catalog = traffic::build_paper_catalog();
-  const auto residences = bench::simulate_residences(catalog).residences;
-
-  for (const auto& r : residences) {
+  for (const auto& r : p.residences) {
     auto report = core::analyze_residence(r.config.name, r.monitor);
     std::printf("Residence %s\n", report.name.c_str());
     print_scope_row("External", report.external);
@@ -40,5 +37,4 @@ int main() {
   std::printf(
       "Paper reference (external, fraction IPv6 flows overall): "
       "A=0.503 B=0.633 C=0.089 D=0.824 E=0.110\n");
-  return 0;
 }

@@ -1,19 +1,12 @@
 // Table 2: IPv6 adoption across cloud services, identified by CNAME suffix,
 // with each service's IPv6 enablement policy.
-#include "core/cloud_analysis.h"
-
-#include "bench_common.h"
+#include "paper.h"
 
 using namespace nbv6;
 
-int main() {
+void bench::table2_cloud_services(const Paper& p) {
   bench::section("Table 2: per-service IPv6 adoption (CNAME identification)");
-  cloud::ProviderCatalog providers;
-  auto universe = bench::make_universe(providers);
-  auto survey = core::run_server_survey(universe, web::Epoch::jul2025, 42);
-  auto records = core::build_domain_records(universe, survey);
-
-  auto rows = cloud::service_breakdown(records, providers);
+  auto rows = cloud::service_breakdown(p.records, p.providers);
   std::printf("%-28s %-30s %-22s %7s %7s %8s\n", "Provider", "Service",
               "IPv6 policy", "ready", "total", "% ready");
   for (const auto& r : rows) {
@@ -28,5 +21,4 @@ int main() {
       "Door); default-on\nCDNs at 48-71%% (tenants opt out); opt-in at "
       "2.7-7.4%%; opt-in-by-code-change\nnear zero (S3 at 0.4%% nine years "
       "after launch).\n");
-  return 0;
 }

@@ -26,19 +26,4 @@ size_t DiscreteSampler::sample(Rng& rng) const {
   return static_cast<size_t>(it - cumulative_.begin());
 }
 
-namespace {
-std::vector<double> zipf_weights(size_t n, double s) {
-  std::vector<double> w(n);
-  for (size_t i = 0; i < n; ++i)
-    w[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
-  return w;
-}
-}  // namespace
-
-ZipfSampler::ZipfSampler(size_t n, double s)
-    : inner_([&] {
-        auto w = zipf_weights(n, s);
-        return DiscreteSampler(w);
-      }()) {}
-
 }  // namespace nbv6::stats

@@ -126,18 +126,4 @@ class DiscreteSampler {
   std::vector<double> cumulative_;
 };
 
-/// Zipf ranks: weight(rank) = 1 / rank^s for rank = 1..n. The standard
-/// popularity model for top lists; the web universe uses it to make site
-/// traffic (and third-party reuse) heavy-tailed like the real Tranco list.
-class ZipfSampler {
- public:
-  ZipfSampler(size_t n, double s);
-
-  /// Rank in [0, n), rank 0 most popular.
-  [[nodiscard]] size_t sample(Rng& rng) const { return inner_.sample(rng); }
-
- private:
-  DiscreteSampler inner_;
-};
-
 }  // namespace nbv6::stats

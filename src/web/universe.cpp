@@ -80,28 +80,6 @@ double category_base_adoption(DomainCategory c) {
   return 0.6;
 }
 
-double category_adoption_factor(DomainCategory c) {
-  // Advertising lags hardest (nearly half of Fig. 9's heavy hitters);
-  // social platforms lead (Facebook, Wikimedia at >90% in Fig. 4).
-  switch (c) {
-    case DomainCategory::ads:
-      return 0.42;
-    case DomainCategory::trackers:
-      return 0.48;
-    case DomainCategory::analytics:
-      return 0.55;
-    case DomainCategory::content_delivery:
-      return 0.95;
-    case DomainCategory::information_technology:
-      return 0.72;
-    case DomainCategory::social:
-      return 1.20;
-    case DomainCategory::first_party:
-      return 1.0;
-  }
-  return 1.0;
-}
-
 namespace {
 
 // Generator constants. Every universe differs only in site_count and seed.

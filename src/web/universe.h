@@ -126,9 +126,6 @@ struct UniverseConfig {
   std::uint64_t seed = 0x7eb0'1234;
 };
 
-/// Per-category adoption multipliers (ads lag, social leads).
-double category_adoption_factor(DomainCategory c);
-
 /// Baseline AAAA adoption for a third-party domain of a category when the
 /// hosting choice is left to the tenant (generic/self hosting).
 double category_base_adoption(DomainCategory c);

@@ -1,9 +1,7 @@
 // The shared experiment-harness flag grammar (bench/bench_cli.h): one
-// parser, one --help. Also the environment scale knobs (bench_common.h),
-// which go through the same lexer.
+// parser, one --help. Also the flag checks of bench_common.h.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,24 +136,30 @@ TEST(BenchLaneFlags, RejectNegativeAndAboveTheBoundNamingTheFlag) {
   }
 }
 
-TEST(BenchEnv, UnsetUsesFallbackAndValidValueParses) {
-  ::unsetenv("NBV6_TEST_KNOB");
-  EXPECT_EQ(nbv6::bench::env_int("NBV6_TEST_KNOB", 274), 274);
-  ::setenv("NBV6_TEST_KNOB", "30", 1);
-  EXPECT_EQ(nbv6::bench::env_int("NBV6_TEST_KNOB", 274), 30);
-  ::unsetenv("NBV6_TEST_KNOB");
-}
-
-TEST(BenchEnvDeathTest, MalformedOrNonPositiveValueExitsNamingTheVariable) {
-  // Each of these used to run: atoi read "abc" and "" as 0 days and "1e5"
-  // as a 1-site universe.
-  for (const char* bad : {"abc", "1e5", "", "0", "-3", "12x"}) {
-    ::setenv("NBV6_DAYS", bad, 1);
-    EXPECT_EXIT(nbv6::bench::env_int("NBV6_DAYS", 274),
-                ::testing::ExitedWithCode(2), "NBV6_DAYS")
-        << "value '" << bad << "'";
+// The paper binary's scale flags, --sites and --days: a malformed or empty
+// value fails the parse and a value below 1 fails positive_flag, each with
+// a message naming the flag (the binary then exits 2), so a typo never runs
+// a 0-day or 1-site experiment.
+TEST(BenchScaleFlags, RejectMalformedEmptyAndNonPositiveNamingTheFlag) {
+  for (const char* flag : {"sites", "days"}) {
+    for (const char* bad : {"0", "-3", "x", "", "1e5", "12x"}) {
+      int sites = 100000;
+      int days = 274;
+      Cli cli("t", "test");
+      cli.flag_int("sites", &sites, "");
+      cli.flag_int("days", &days, "");
+      Argv a({std::string("--") + flag + "=" + bad});
+      ::testing::internal::CaptureStderr();
+      const bool ok = cli.parse(a.argc(), a.argv()) &&
+                      nbv6::bench::positive_flag("sites", sites) &&
+                      nbv6::bench::positive_flag("days", days);
+      const std::string err = ::testing::internal::GetCapturedStderr();
+      EXPECT_FALSE(ok) << flag << "=" << bad;
+      EXPECT_NE(err.find(std::string("--") + flag), std::string::npos)
+          << flag << "=" << bad << ": " << err;
+    }
   }
-  ::unsetenv("NBV6_DAYS");
+  EXPECT_TRUE(nbv6::bench::positive_flag("sites", 1));
 }
 
 }  // namespace

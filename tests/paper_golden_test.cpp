@@ -1,7 +1,11 @@
-// Paper goldens: the scenario chain's binaries, run as a user runs them,
-// compared byte for byte with tests/golden/paper/.
+// Paper goldens: the paper binary, the examples and the scenario chain's
+// binaries, run as a user runs them, compared byte for byte with
+// tests/golden/paper/.
 //
 // Each run's stdout, and every file it writes, has a golden of its own:
+//   - paper --sites=2000 --days=14 (every figure, table and ablation);
+//   - example_quickstart, example_website_audit, example_cloud_comparison
+//     and example_residence_monitor 7;
 //   - example_scenario_whatif (base vs a CPE-fix what-if on one cache);
 //   - example_fleet_scenario examples/fleet.cfg at 1 and 4 lanes;
 //   - fleet_fig_cdf and fleet_fig_wilcoxon at --residences=32 --days=28,
@@ -70,22 +74,27 @@ struct Invocation {
   std::vector<std::pair<std::string, std::string>> files;
 };
 
+// Runs shell command `cmd`; returns its stdout and its wait status.
+std::pair<std::string, int> run_command(const std::string& cmd) {
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) {
+    ADD_FAILURE() << "cannot start: " << cmd;
+    return {{}, -1};
+  }
+  std::string out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  return {out, pclose(pipe)};
+}
+
 // Runs `inv` in `dir` and returns its stdout; fails the test on a non-zero
 // exit.
 std::string run_in(const std::string& dir, const Invocation& inv) {
   std::string cmd = "cd '" + dir + "' && '" + NBV6_BIN_DIR + "/" + inv.binary +
                     "'";
   for (const auto& a : inv.args) cmd += " '" + a + "'";
-  std::FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) {
-    ADD_FAILURE() << "cannot start: " << cmd;
-    return {};
-  }
-  std::string out;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
-  const int status = pclose(pipe);
+  auto [out, status] = run_command(cmd);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
       << cmd << " exited with status " << status;
   return out;
@@ -147,6 +156,43 @@ void check_run(const Invocation& inv) {
     ASSERT_TRUE(written.has_value()) << where << " did not write " << file;
     check_against_golden(*written, golden, where + " -> " + file);
   }
+}
+
+TEST(PaperGolden, PaperBinary) {
+  check_run({"paper", {"--sites=2000", "--days=14"}, 0, "paper.txt", {}});
+}
+
+// A scale flag that is malformed, empty or below 1 exits 2 before anything
+// is built, with a message naming the flag.
+TEST(PaperGolden, PaperRejectsBadScaleFlags) {
+  for (const std::string flag : {"--sites", "--days"}) {
+    for (const char* bad : {"0", "-3", "x", ""}) {
+      const std::string arg = flag + "=" + bad;
+      auto [out, status] = run_command("'" + std::string(NBV6_BIN_DIR) +
+                                       "/paper' '" + arg + "' 2>&1");
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+          << arg << " exited with status " << status;
+      EXPECT_NE(out.find(flag), std::string::npos) << arg << ": " << out;
+    }
+  }
+}
+
+TEST(PaperGolden, Quickstart) {
+  check_run({"example_quickstart", {}, 0, "example_quickstart.txt", {}});
+}
+
+TEST(PaperGolden, WebsiteAudit) {
+  check_run({"example_website_audit", {}, 0, "example_website_audit.txt", {}});
+}
+
+TEST(PaperGolden, CloudComparison) {
+  check_run({"example_cloud_comparison", {}, 0, "example_cloud_comparison.txt",
+             {}});
+}
+
+TEST(PaperGolden, ResidenceMonitorSevenDays) {
+  check_run({"example_residence_monitor", {"7"}, 0,
+             "example_residence_monitor.txt", {}});
 }
 
 TEST(PaperGolden, ScenarioWhatIf) {

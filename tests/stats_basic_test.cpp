@@ -188,17 +188,5 @@ TEST(DiscreteSampler, SingleBucket) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(s.sample(rng), 0u);
 }
 
-TEST(ZipfSampler, HeadHeavierThanTail) {
-  ZipfSampler z(1000, 1.1);
-  Rng rng(10);
-  int head = 0, tail = 0;
-  for (int i = 0; i < 20000; ++i) {
-    auto r = z.sample(rng);
-    if (r < 10) ++head;
-    if (r >= 500) ++tail;
-  }
-  EXPECT_GT(head, tail * 3);
-}
-
 }  // namespace
 }  // namespace nbv6::stats

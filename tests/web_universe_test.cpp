@@ -203,13 +203,6 @@ TEST_F(UniverseTest, DeterministicBySeed) {
   }
 }
 
-TEST_F(UniverseTest, CategoryFactorsOrderAdsLast) {
-  EXPECT_LT(category_adoption_factor(DomainCategory::ads),
-            category_adoption_factor(DomainCategory::analytics));
-  EXPECT_LT(category_adoption_factor(DomainCategory::analytics),
-            category_adoption_factor(DomainCategory::social));
-}
-
 TEST(ProviderCatalogTest, Top15PlusTail) {
   cloud::ProviderCatalog catalog;
   EXPECT_GE(catalog.size(), 16u);
