@@ -28,12 +28,22 @@ web::UniverseConfig universe_config(int sites) {
   return cfg;
 }
 
+web::ClassificationCounts survey_counts(const web::Universe& universe,
+                                        web::Epoch epoch) {
+  return core::run_server_survey(universe, epoch, 42).counts;
+}
+
 }  // namespace
 
-Paper::Paper(int sites, int days)
-    : catalog(traffic::build_paper_catalog()),
-      residences(simulate_residences(catalog, days)),
+Paper::Paper(const traffic::ServiceCatalog& catalog,
+             const std::vector<engine::ResidenceRun>& residences,
+             const cloud::ProviderCatalog& providers, int sites)
+    : catalog(catalog),
+      residences(residences),
+      providers(providers),
       universe(universe_config(sites), providers),
+      oct2024_counts(survey_counts(universe, web::Epoch::oct2024)),
+      apr2025_counts(survey_counts(universe, web::Epoch::apr2025)),
       survey(core::run_server_survey(universe, web::Epoch::jul2025, 42)),
       span(universe, survey.crawls, survey.classifications),
       records(core::build_domain_records(universe, survey)) {}
@@ -50,13 +60,21 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!positive_flag("sites", sites) || !positive_flag("days", days)) return 2;
 
-  const Paper p(sites, days);
-  for (auto section :
-       {fig1_daily_fraction_cdf, fig2_mstl, fig3_as_cdf, fig4_as_boxplots,
-        fig5_classification, fig6_topn, fig7_partial_resources,
-        fig8_span_contribution, fig9_categories, fig10_whatif,
-        fig11_cloud_providers, fig12_wilcoxon_heatmap, fig18_resource_heatmap,
-        table1_residences, table2_cloud_services, ablations})
-    section(p);
+  const auto catalog = nbv6::traffic::build_paper_catalog();
+  const auto residences = simulate_residences(catalog, days);
+  const nbv6::cloud::ProviderCatalog providers;
+  {
+    const Paper p(catalog, residences, providers, sites);
+    for (auto section :
+         {fig1_daily_fraction_cdf, fig2_mstl, fig3_as_cdf, fig4_as_boxplots,
+          fig5_classification, fig6_topn, fig7_partial_resources,
+          fig8_span_contribution, fig9_categories, fig10_whatif,
+          fig11_cloud_providers, fig12_wilcoxon_heatmap,
+          fig18_resource_heatmap, table1_residences, table2_cloud_services})
+      section(p);
+  }
+  // The §4/§5 inputs are freed first: the ablations build a universe and a
+  // survey of their own.
+  ablations(catalog, residences, providers, sites);
   return 0;
 }

@@ -28,9 +28,10 @@ void ablation_crawl_depth(const web::Universe& universe) {
               ab.pct_full_main_only - ab.pct_full_with_clicks);
 }
 
-void ablation_bytes_vs_flows(const bench::Paper& p) {
+void ablation_bytes_vs_flows(
+    const std::vector<engine::ResidenceRun>& residences) {
   bench::section("Ablation 2: byte- vs flow-based IPv6 fractions");
-  for (const auto& r : p.residences) {
+  for (const auto& r : residences) {
     auto bytes = r.monitor.daily_v6_fractions(flowmon::Scope::external, true);
     auto flows = r.monitor.daily_v6_fractions(flowmon::Scope::external, false);
     std::printf(
@@ -62,19 +63,19 @@ void ablation_dup_flows() {
   }
 }
 
-void ablation_as_vs_domain(const bench::Paper& p) {
+void ablation_as_vs_domain(const traffic::ServiceCatalog& catalog,
+                           const engine::ResidenceRun& r) {
   bench::section("Ablation 4: AS-level vs domain-level attribution");
-  const auto& r = p.residences[0];
-  auto by_as = core::as_usage(r.monitor, p.catalog.as_map(), 0.0);
-  auto by_domain = core::domain_usage(r.monitor, p.catalog, 0);
+  auto by_as = core::as_usage(r.monitor, catalog.as_map(), 0.0);
+  auto by_domain = core::domain_usage(r.monitor, catalog, 0);
   std::printf("  Residence A: %zu ASes vs %zu reverse-DNS domains\n",
               by_as.size(), by_domain.size());
   // Domains that several ASes collapse into (the cloud-canonical-name
   // limitation): amazonaws.com spans AMAZON-02 and AMAZON-AES, etc.
   std::map<std::string, int> domain_as_count;
   for (const auto& a : by_as) {
-    auto idx = p.catalog.find_by_asn(a.asn);
-    if (idx) ++domain_as_count[p.catalog.at(*idx).rdns_domain];
+    auto idx = catalog.find_by_asn(a.asn);
+    if (idx) ++domain_as_count[catalog.at(*idx).rdns_domain];
   }
   for (const auto& [domain, n] : domain_as_count)
     if (n > 1)
@@ -97,14 +98,16 @@ void ablation_version_subdomains(const web::Universe& universe) {
 
 }  // namespace
 
-void bench::ablations(const Paper& p) {
+void bench::ablations(const traffic::ServiceCatalog& catalog,
+                      const std::vector<engine::ResidenceRun>& residences,
+                      const cloud::ProviderCatalog& providers, int sites) {
   // Ablations 1 and 5 share one universe of at most 30,000 sites.
   web::UniverseConfig cfg;
-  cfg.site_count = std::min(30000, p.universe.config().site_count);
-  const web::Universe universe(cfg, p.providers);
+  cfg.site_count = std::min(30000, sites);
+  const web::Universe universe(cfg, providers);
   ablation_crawl_depth(universe);
-  ablation_bytes_vs_flows(p);
+  ablation_bytes_vs_flows(residences);
   ablation_dup_flows();
-  ablation_as_vs_domain(p);
+  ablation_as_vs_domain(catalog, residences[0]);
   ablation_version_subdomains(universe);
 }

@@ -36,8 +36,8 @@ void print_epoch(const web::ClassificationCounts& c, web::Epoch e) {
 
 void bench::fig5_classification(const Paper& p) {
   bench::section("Figure 5: top-list IPv6 readiness across three epochs");
-  for (auto e : {web::Epoch::oct2024, web::Epoch::apr2025})
-    print_epoch(core::run_server_survey(p.universe, e, 42).counts, e);
+  print_epoch(p.oct2024_counts, web::Epoch::oct2024);
+  print_epoch(p.apr2025_counts, web::Epoch::apr2025);
   print_epoch(p.survey.counts, web::Epoch::jul2025);
 
   std::printf(

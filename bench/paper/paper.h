@@ -14,20 +14,25 @@
 
 namespace nbv6::bench {
 
-/// The inputs the sections share. Members are built in declaration order;
-/// `universe` refers to `providers`, so a Paper stays where it is built.
+/// The inputs the figure and table sections share: the §3 inputs, which
+/// the binary builds first and which outlive the Paper, and the §4/§5 web
+/// inputs, which the Paper owns.
 struct Paper {
-  /// Builds every input: the five paper residences over `days` days and a
-  /// `sites`-site web universe surveyed at Jul 2025 (seed 42).
-  Paper(int sites, int days);
-  Paper(const Paper&) = delete;
-  Paper& operator=(const Paper&) = delete;
+  /// Surveys a `sites`-site web universe at all three epochs (seed 42),
+  /// keeping only the counts of the two earlier ones.
+  Paper(const traffic::ServiceCatalog& catalog,
+        const std::vector<engine::ResidenceRun>& residences,
+        const cloud::ProviderCatalog& providers, int sites);
 
-  traffic::ServiceCatalog catalog;
+  const traffic::ServiceCatalog& catalog;
   /// §3: residences[i] is paper residence i.
-  std::vector<engine::ResidenceRun> residences;
-  cloud::ProviderCatalog providers;
+  const std::vector<engine::ResidenceRun>& residences;
+  const cloud::ProviderCatalog& providers;
   web::Universe universe;
+  /// Figure 5's two earlier epochs. They are surveyed before the Jul 2025
+  /// survey is built, so no two full surveys are ever resident at once.
+  web::ClassificationCounts oct2024_counts;
+  web::ClassificationCounts apr2025_counts;
   /// §4 and §5 read the Jul 2025 survey, its span analysis and the FQDN
   /// records it observed.
   core::ServerSurvey survey;
@@ -50,6 +55,10 @@ void fig12_wilcoxon_heatmap(const Paper& p);
 void fig18_resource_heatmap(const Paper& p);
 void table1_residences(const Paper& p);
 void table2_cloud_services(const Paper& p);
-void ablations(const Paper& p);
+/// Builds its own universe of min(30000, sites) sites, so the binary runs
+/// it after the Paper's 100k-site inputs are gone.
+void ablations(const traffic::ServiceCatalog& catalog,
+               const std::vector<engine::ResidenceRun>& residences,
+               const cloud::ProviderCatalog& providers, int sites);
 
 }  // namespace nbv6::bench

@@ -76,38 +76,6 @@ std::vector<std::string> scenario_transient_resources() {
   return {"population", "planned_fleet"};
 }
 
-PassReadAudit audit_scenario_passes(const engine::FleetConfig& cfg,
-                                    const traffic::ServiceCatalog& catalog) {
-  PassReadAudit audit;
-  {
-    engine::ConfigReadTracker::Scope scope;
-    (void)engine::population_key(cfg, catalog);
-    audit.digest_reads = scope.reads();
-  }
-  {
-    // Poolless by construction: every read lands on this thread, where the
-    // scope is active.
-    engine::ConfigReadTracker::Scope scope;
-    (void)engine::sample_stage(cfg, catalog);
-    audit.run_reads = scope.reads();
-  }
-  return audit;
-}
-
-engine::ConfigReadSet uncovered_config_reads(const PassReadAudit& audit) {
-  return audit.run_reads & ~audit.digest_reads;
-}
-
-std::string describe_read_set(const engine::ConfigReadSet& reads) {
-  std::string out;
-  for (std::size_t i = 0; i < engine::kConfigFieldCount; ++i) {
-    if (!reads.test(i)) continue;
-    if (!out.empty()) out += ", ";
-    out += to_string(static_cast<engine::ConfigField>(i));
-  }
-  return out;
-}
-
 }  // namespace core
 
 }  // namespace nbv6

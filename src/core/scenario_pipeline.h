@@ -5,14 +5,15 @@
 // copy, simulate_fleet (residence shards cached under engine::shard_key),
 // fleet_stats_report, then compare_windows over panel_windows(days). Both
 // analyses are Holm-corrected at kScenarioAlpha. The golden-replay suite
-// pins the chain's output byte for byte at 1, 4 and 8 lanes.
+// pins the chain's output byte for byte at 1, 4 and 8 lanes, and
+// digest_audit_test proves both cache keys by mutating every field they
+// must cover.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "core/fleet_analysis.h"
-#include "engine/config_tracking.h"
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
 #include "traffic/service_catalog.h"
@@ -41,27 +42,5 @@ inline PanelWindows panel_windows(int days) {
 /// resources no caller reads back after a run. Kept for callers that fill
 /// engine::ForestScheduler::Options::transient, which the forest ignores.
 std::vector<std::string> scenario_transient_resources();
-
-// ------------------------------------------------------------- auditing
-
-/// The FleetConfig fields engine::population_key folds (digest_reads) and
-/// those sample_stage reads (run_reads), each recorded inline under its own
-/// ConfigReadTracker scope. tests/digest_audit_test.cpp fails when the
-/// stage reads a field the key misses, which would let a forest bind
-/// another config's population.
-struct PassReadAudit {
-  engine::ConfigReadSet digest_reads;
-  engine::ConfigReadSet run_reads;
-};
-PassReadAudit audit_scenario_passes(const engine::FleetConfig& cfg,
-                                    const traffic::ServiceCatalog& catalog);
-
-/// Fields the stage read that its key does not cover. A non-empty result
-/// is a stale-cache bug. (Lane count is not a config field: it belongs to
-/// the run, so no key can depend on it.)
-engine::ConfigReadSet uncovered_config_reads(const PassReadAudit& audit);
-
-/// "days, seed, timeline"-style rendering for audit failure messages.
-std::string describe_read_set(const engine::ConfigReadSet& reads);
 
 }  // namespace nbv6::core

@@ -29,9 +29,9 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "engine/config_tracking.h"
 #include "engine/timeline.h"
 #include "flowmon/monitor.h"
 #include "traffic/generator.h"
@@ -40,39 +40,64 @@
 
 namespace nbv6::engine {
 
+/// A FleetConfig field: a plain box kept only for perfbench's `.get()` and
+/// `->` spellings, until perfbench reads the fields as plain values.
+template <typename T>
+class Field {
+ public:
+  Field() = default;
+  Field(T v) : v_(std::move(v)) {}  // NOLINT(google-explicit-constructor)
+
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  operator const T&() const { return v_; }
+  [[nodiscard]] const T& get() const { return v_; }
+  [[nodiscard]] T& mut() { return v_; }
+  const T* operator->() const { return &v_; }
+  T* operator->() { return &v_; }
+
+  friend bool operator==(const Field&, const Field&) = default;
+  /// Field == T; without it the conversions in each direction are ambiguous.
+  template <typename U>
+  friend bool operator==(const Field& a, const U& b) {
+    return a.v_ == b;
+  }
+
+ private:
+  T v_{};
+};
+
 /// A whole deployment in one value. Fractions are probabilities applied
 /// independently per residence; every derived quantity depends only on
 /// (seed, residence index), never on sampling order or thread count.
 ///
-/// Every field is wrapped in Tracked<> (engine/config_tracking.h) so the
-/// digest-coverage auditor can record which fields sample_stage and
-/// population_key actually read. Scalars behave like the bare type; struct fields
-/// (arrival, timeline) are reached via `->`; out-parameter writes use
-/// `.mut()`; varargs call sites use `.get()`.
+/// Scalar fields read like the bare type; struct fields (arrival, timeline)
+/// are reached via `->`; out-parameter writes use `.mut()`; varargs call
+/// sites use `.get()`. engine::population_key must fold every field
+/// sample_stage reads; digest_audit_test proves it by mutating each field.
 struct FleetConfig {
-  Tracked<int, ConfigField::residences> residences = 64;
-  Tracked<int, ConfigField::days> days = 30;
-  Tracked<std::uint64_t, ConfigField::seed> seed = 1;
+  Field<int> residences = 64;
+  Field<int> days = 30;
+  Field<std::uint64_t> seed = 1;
 
   // ---- population mix -------------------------------------------------
   /// Fraction of households whose ISP delegates IPv6 at all (v4-only ISPs
   /// leave every device without working IPv6).
-  Tracked<double, ConfigField::dual_stack_isp_frac> dual_stack_isp_frac = 0.85;
+  Field<double> dual_stack_isp_frac = 0.85;
   /// Among dual-stack homes: fraction with partly broken device IPv6
   /// (Residence C's pattern).
-  Tracked<double, ConfigField::broken_v6_frac> broken_v6_frac = 0.10;
+  Field<double> broken_v6_frac = 0.10;
   /// Households whose service mix is dominated by streaming/downloads.
-  Tracked<double, ConfigField::heavy_streamer_frac> heavy_streamer_frac = 0.25;
+  Field<double> heavy_streamer_frac = 0.25;
   /// Vacant or instrumentation-only homes: background chatter only.
-  Tracked<double, ConfigField::background_only_frac> background_only_frac =
+  Field<double> background_only_frac =
       0.05;
   /// Privacy opt-outs: the router sees only part of the household.
-  Tracked<double, ConfigField::opt_out_frac> opt_out_frac = 0.20;
+  Field<double> opt_out_frac = 0.20;
   /// Chance of one scripted multi-day absence window (spring-break style).
-  Tracked<double, ConfigField::absence_prob> absence_prob = 0.30;
+  Field<double> absence_prob = 0.30;
   /// Interactive activity range (mean sessions per fully-active hour).
-  Tracked<double, ConfigField::activity_scale_min> activity_scale_min = 1.0;
-  Tracked<double, ConfigField::activity_scale_max> activity_scale_max = 9.5;
+  Field<double> activity_scale_min = 1.0;
+  Field<double> activity_scale_max = 9.5;
 
   // ---- arrivals --------------------------------------------------------
   /// How sessions land inside each simulated day: the original per-hour
@@ -80,7 +105,7 @@ struct FleetConfig {
   /// process. Config keys: `arrival.mode = batch|poisson|uniform` and
   /// `arrival.ticks_per_hour = N` (1..3600). Copied onto every sampled
   /// ResidenceConfig by sample_stage.
-  Tracked<traffic::ArrivalConfig, ConfigField::arrival> arrival;
+  Field<traffic::ArrivalConfig> arrival;
 
   // ---- timeline --------------------------------------------------------
   /// Scheduled mid-observation changes (rollout waves, CPE fixes, outages,
@@ -88,7 +113,7 @@ struct FleetConfig {
   /// "timeline.<kind> = ..." config lines; see engine/timeline.h.
   /// Applied by the scenario chain's timeline stage — or explicitly via
   /// apply_timeline() when running the stages by hand.
-  Tracked<Timeline, ConfigField::timeline> timeline;
+  Field<Timeline> timeline;
 
   /// Parse "key = value" lines ('#' starts a comment). The parse fails on:
   /// unknown keys, malformed or non-finite numbers, fractions outside

@@ -34,8 +34,8 @@ SampledFleet sample_stage(const FleetConfig& cfg,
 /// "population" tag, everything sample_stage reads (residences, days, seed,
 /// the six population fractions, the activity-scale range, arrival mode and
 /// ticks) and catalog.content_digest(). The timeline is left out: it cannot
-/// change what is sampled. digest_audit_test checks that these reads cover
-/// sample_stage's.
+/// change what is sampled. digest_audit_test mutates each FleetConfig
+/// field and checks that every change to the sample changes the key.
 std::uint64_t population_key(const FleetConfig& cfg,
                              const traffic::ServiceCatalog& catalog);
 

@@ -84,13 +84,6 @@ class Rng {
 
   double normal(double mean, double sd) { return mean + sd * normal(); }
 
-  /// Exponential with the given mean.
-  double exponential(double mean) {
-    double u = uniform();
-    while (u <= 1e-300) u = uniform();
-    return -mean * std::log(u);
-  }
-
   /// Pareto (Lomax-style, xm scale, alpha shape) — used for heavy-tailed
   /// flow sizes (downloads, streams).
   double pareto(double xm, double alpha) {

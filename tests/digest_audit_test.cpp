@@ -1,16 +1,15 @@
-// Digest-coverage auditor: every config field sample_stage reads must be
-// covered by engine::population_key, or a shared PassCache can bind one
-// config's population to another that differs only in the uncovered field
-// — the PR 8/9 stale-cache bug class. The audit records per-field
-// FleetConfig reads (see engine/config_tracking.h) separately for the key
-// and for the stage, then checks run_reads ⊆ digest_reads for every
-// committed scenario. A negative test pairs the stage's real read set with a
-// deliberately broken population key and proves the check catches it.
+// Digest-coverage audit. The scenario chain caches each sampled population
+// under engine::population_key, so a FleetConfig field that changes what
+// sample_stage returns but not the key would let a what-if forest bind one
+// config's population to another, a stale-cache bug. The population-key
+// tests mutate every FleetConfig field in turn, on every committed
+// scenario, and check that whenever the sample moved, the key moved too. A
+// deliberately broken key proves the check catches an omission.
 //
-// The same stale-cache class exists one level down: the simulate stage
-// caches each residence's shard under engine::shard_key, so a
-// ResidenceConfig or DayPlan field missing from that key would bind another
-// variant's shard. The shard-key tests mutate every field one at a time.
+// The same class exists one level down: the simulate stage caches each
+// residence's shard under engine::shard_key, so a ResidenceConfig or
+// DayPlan field missing from that key would bind another variant's shard.
+// The shard-key tests mutate every field one at a time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,8 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/scenario_pipeline.h"
-#include "engine/config_tracking.h"
 #include "engine/fleet.h"
 #include "engine/pipeline.h"
 #include "engine/run_spec.h"
@@ -30,73 +27,121 @@
 namespace {
 
 using namespace nbv6;
-using engine::ConfigField;
-using engine::ConfigReadSet;
-using engine::ConfigReadTracker;
 using engine::FleetConfig;
 
-std::size_t bit(ConfigField f) { return static_cast<std::size_t>(f); }
+// ------------------------------------------------------ sampled population
 
-// --------------------------------------------------- tracking primitives
+// A field-for-field mirror of FleetConfig, the tripwire for a new field:
+// fold it into engine::population_key, give it a mutation below, then
+// extend the mirror. (As with the shard-key mirrors further down, a field
+// small enough to fit in padding slips past; the mutations are the proof.)
+struct FleetConfigFields {
+  int residences;
+  int days;
+  std::uint64_t seed;
+  double dual_stack_isp_frac;
+  double broken_v6_frac;
+  double heavy_streamer_frac;
+  double background_only_frac;
+  double opt_out_frac;
+  double absence_prob;
+  double activity_scale_min;
+  double activity_scale_max;
+  traffic::ArrivalConfig arrival;
+  engine::Timeline timeline;
+};
+static_assert(sizeof(FleetConfig) == sizeof(FleetConfigFields),
+              "FleetConfig changed: cover the new field in "
+              "engine::population_key");
 
-TEST(ConfigTracking, OffByDefault) {
-  FleetConfig cfg;
-  // No scope active: reads must not crash and must record nowhere.
-  EXPECT_GE(cfg.days, 1);
-  ConfigReadTracker::Scope scope;
-  EXPECT_TRUE(scope.reads().none());
+// Moves a fraction by a quarter, staying inside [0, 1].
+double moved(double frac) { return frac < 0.5 ? frac + 0.25 : frac - 0.25; }
+
+using ConfigMutation = void (*)(FleetConfig&);
+
+// One mutation per FleetConfig field, and one per member of `arrival`,
+// each of which the key folds on its own. Every one moves its field on
+// any base config; only the timeline's may leave the sample as it was.
+const std::vector<std::pair<const char*, ConfigMutation>> kFieldMutations = {
+    {"residences", [](FleetConfig& c) { c.residences.mut() += 1; }},
+    {"days", [](FleetConfig& c) { c.days.mut() += 1; }},
+    {"seed", [](FleetConfig& c) { c.seed.mut() += 1; }},
+    {"dual_stack_isp_frac",
+     [](FleetConfig& c) {
+       c.dual_stack_isp_frac = moved(c.dual_stack_isp_frac);
+     }},
+    {"broken_v6_frac",
+     [](FleetConfig& c) { c.broken_v6_frac = moved(c.broken_v6_frac); }},
+    {"heavy_streamer_frac",
+     [](FleetConfig& c) {
+       c.heavy_streamer_frac = moved(c.heavy_streamer_frac);
+     }},
+    {"background_only_frac",
+     [](FleetConfig& c) {
+       c.background_only_frac = moved(c.background_only_frac);
+     }},
+    {"opt_out_frac",
+     [](FleetConfig& c) { c.opt_out_frac = moved(c.opt_out_frac); }},
+    {"absence_prob",
+     [](FleetConfig& c) { c.absence_prob = moved(c.absence_prob); }},
+    {"activity_scale_min",
+     [](FleetConfig& c) { c.activity_scale_min.mut() -= 0.5; }},
+    {"activity_scale_max",
+     [](FleetConfig& c) { c.activity_scale_max.mut() += 0.5; }},
+    {"arrival.mode",
+     [](FleetConfig& c) {
+       c.arrival->mode = c.arrival->mode == traffic::ArrivalMode::batch
+                             ? traffic::ArrivalMode::poisson
+                             : traffic::ArrivalMode::batch;
+     }},
+    {"arrival.ticks_per_hour",
+     [](FleetConfig& c) {
+       c.arrival->ticks_per_hour = c.arrival->ticks_per_hour % 3600 + 1;
+     }},
+    {"timeline",
+     [](FleetConfig& c) { c.timeline->events.emplace_back(); }},
+};
+
+// Two samples are the same population exactly when their strata are equal
+// and every residence has the same shard key: that key covers every
+// ResidenceConfig field, and sample_stage never sets day_plan_fn.
+bool same_population(const engine::SampledFleet& a,
+                     const engine::SampledFleet& b,
+                     const traffic::ServiceCatalog& catalog) {
+  if (a.traits != b.traits || a.configs.size() != b.configs.size())
+    return false;
+  for (std::size_t i = 0; i < a.configs.size(); ++i)
+    if (engine::shard_key(catalog, a.configs[i]) !=
+        engine::shard_key(catalog, b.configs[i]))
+      return false;
+  return true;
 }
 
-TEST(ConfigTracking, RecordsScalarStructAndWholeValueReads) {
-  FleetConfig cfg;
-  ConfigReadTracker::Scope scope;
-  const int d = cfg.days;
-  (void)d;
-  (void)cfg.timeline->events.size();      // struct member via operator->
-  const engine::Timeline& t = cfg.timeline;  // whole-value conversion
-  (void)t;
-  EXPECT_TRUE(scope.reads().test(bit(ConfigField::days)));
-  EXPECT_TRUE(scope.reads().test(bit(ConfigField::timeline)));
-  EXPECT_FALSE(scope.reads().test(bit(ConfigField::seed)));
-}
+using PopulationKey = std::uint64_t (*)(const FleetConfig&,
+                                        const traffic::ServiceCatalog&);
 
-TEST(ConfigTracking, CopyAndWriteDoNotRecord) {
-  FleetConfig cfg;
-  ConfigReadTracker::Scope scope;
-  FleetConfig copy = cfg;  // by-value capture of a config is not a read
-  copy.days = 3;
-  copy.seed.mut() += 1;
-  copy.timeline->events.clear();
-  EXPECT_TRUE(scope.reads().none());
-}
-
-TEST(ConfigTracking, ScopesNestAndRestore) {
-  FleetConfig cfg;
-  ConfigReadTracker::Scope outer;
-  {
-    ConfigReadTracker::Scope inner;
-    (void)static_cast<int>(cfg.days);
-    EXPECT_TRUE(inner.reads().test(bit(ConfigField::days)));
+// The fields whose mutation moves the sample of `base` but not `key`. Any
+// entry is a stale-cache bug: two configs that sample differently would
+// share one cached population.
+std::vector<std::string> uncovered_fields(
+    const FleetConfig& base, const traffic::ServiceCatalog& catalog,
+    PopulationKey key) {
+  const engine::SampledFleet base_sample = engine::sample_stage(base, catalog);
+  const std::uint64_t base_key = key(base, catalog);
+  std::vector<std::string> out;
+  for (const auto& [field, mutate] : kFieldMutations) {
+    FleetConfig c = base;
+    mutate(c);
+    EXPECT_FALSE(c == base) << field << ": the mutation did not move it";
+    if (!same_population(engine::sample_stage(c, catalog), base_sample,
+                         catalog) &&
+        key(c, catalog) == base_key)
+      out.emplace_back(field);
   }
-  // The inner scope's reads stay its own; the outer scope is active again.
-  EXPECT_TRUE(outer.reads().none());
-  (void)static_cast<std::uint64_t>(cfg.seed);
-  EXPECT_TRUE(outer.reads().test(bit(ConfigField::seed)));
+  return out;
 }
 
-// ------------------------------------------------------------- the audit
-
-// The audit samples the full population; a small fleet keeps the sweep
-// over every committed scenario cheap without changing which fields the
-// stage reads (field reads depend on code paths, not population size —
-// the one day-count-dependent path, absence sampling, keys off `days`,
-// which scenarios control).
-FleetConfig shrunk(FleetConfig cfg) {
-  if (cfg.residences > 8) cfg.residences = 8;
-  return cfg;
-}
-
-TEST(DigestAudit, EveryCommittedScenarioIsCovered) {
+TEST(PopulationKey, EveryCommittedScenarioIsCovered) {
   const auto catalog = traffic::build_paper_catalog();
   const auto files = testutil::scenario_files();
   ASSERT_FALSE(files.empty());
@@ -104,58 +149,39 @@ TEST(DigestAudit, EveryCommittedScenarioIsCovered) {
     std::string err;
     auto cfg = FleetConfig::load(path, &err);
     ASSERT_TRUE(cfg.has_value()) << path << ": " << err;
-    const auto a = core::audit_scenario_passes(shrunk(*cfg), catalog);
-    const ConfigReadSet uncovered = core::uncovered_config_reads(a);
-    EXPECT_TRUE(uncovered.none())
-        << path << ": sample_stage reads {"
-        << core::describe_read_set(a.run_reads)
-        << "} but its key only covers {"
-        << core::describe_read_set(a.digest_reads) << "}; uncovered: {"
-        << core::describe_read_set(uncovered) << "}";
+    EXPECT_EQ(uncovered_fields(*cfg, catalog, engine::population_key),
+              std::vector<std::string>{})
+        << path << ": these fields change the sample but not the key";
   }
 }
 
-TEST(DigestAudit, SamplePassActuallyReadsThePopulationSlice) {
-  // Guard against a vacuous auditor: if tracking broke (recording nothing),
-  // EveryCommittedScenarioIsCovered would pass trivially. The default
-  // config must show sample reading its core fields.
+TEST(PopulationKey, EveryFieldButTheTimelineMovesSampleAndKey) {
+  // Guards against a vacuous audit: on the default config every mutation
+  // but the timeline's reaches the sample, and the key follows it. The
+  // timeline cannot change what is sampled, so the key leaves it out.
   const auto catalog = traffic::build_paper_catalog();
-  const auto sample =
-      core::audit_scenario_passes(shrunk(FleetConfig{}), catalog);
-  for (ConfigField f :
-       {ConfigField::residences, ConfigField::seed, ConfigField::arrival,
-        ConfigField::dual_stack_isp_frac, ConfigField::broken_v6_frac}) {
-    EXPECT_TRUE(sample.run_reads.test(bit(f)))
-        << "sample did not read " << std::string(to_string(f));
-    EXPECT_TRUE(sample.digest_reads.test(bit(f)))
-        << "population key missed " << std::string(to_string(f));
+  const FleetConfig base;
+  const engine::SampledFleet base_sample = engine::sample_stage(base, catalog);
+  const std::uint64_t base_key = engine::population_key(base, catalog);
+  for (const auto& [field, mutate] : kFieldMutations) {
+    FleetConfig c = base;
+    mutate(c);
+    const bool timeline = std::string(field) == "timeline";
+    EXPECT_EQ(same_population(engine::sample_stage(c, catalog), base_sample,
+                              catalog),
+              timeline)
+        << field;
+    EXPECT_EQ(engine::population_key(c, catalog) == base_key, timeline)
+        << field;
   }
 }
 
-TEST(DigestAudit, DigestReadSetsAreSlices) {
-  // Guard the other direction: a key's read set is recorded while it is
-  // computed, so a copy of the config that started counting as a read
-  // would make the key "cover" every field and the audit vacuous. The
-  // population key must stay its own slice: the timeline, which cannot
-  // change what is sampled, is neither read by the stage nor folded.
+TEST(PopulationKey, CatchesAnOmittedField) {
+  // Seed a stale-cache bug on purpose: engine::population_key minus
+  // broken_v6_frac. The check must flag that field and only that one.
   const auto catalog = traffic::build_paper_catalog();
-  const auto audit =
-      core::audit_scenario_passes(shrunk(FleetConfig{}), catalog);
-  EXPECT_FALSE(audit.digest_reads.test(bit(ConfigField::timeline)))
-      << core::describe_read_set(audit.digest_reads);
-  EXPECT_FALSE(audit.run_reads.test(bit(ConfigField::timeline)))
-      << core::describe_read_set(audit.run_reads);
-}
-
-TEST(DigestAudit, CatchesAnOmittedDigestField) {
-  // Seed the PR 8/9 bug on purpose: a population key that forgets
-  // broken_v6_frac. Two configs differing only there would collide in the
-  // cache; paired with what sample_stage really reads, the audit must flag
-  // the omission. The broken key is engine::population_key minus one field.
-  const auto catalog = traffic::build_paper_catalog();
-  const FleetConfig config = shrunk(FleetConfig{});
-  auto broken_population_key = [](const FleetConfig& cfg,
-                                  const traffic::ServiceCatalog& cat) {
+  const PopulationKey broken_key = [](const FleetConfig& cfg,
+                                      const traffic::ServiceCatalog& cat) {
     return engine::DigestBuilder()
         .str("population")
         .i64(cfg.residences)
@@ -174,22 +200,8 @@ TEST(DigestAudit, CatchesAnOmittedDigestField) {
         .u64(cat.content_digest())
         .value();
   };
-  core::PassReadAudit sample = core::audit_scenario_passes(config, catalog);
-  {
-    ConfigReadTracker::Scope scope;
-    (void)broken_population_key(config, catalog);
-    sample.digest_reads = scope.reads();
-  }
-  const ConfigReadSet uncovered = core::uncovered_config_reads(sample);
-  EXPECT_TRUE(uncovered.test(bit(ConfigField::broken_v6_frac)))
-      << "auditor failed to flag the seeded omission; uncovered: {"
-      << core::describe_read_set(uncovered) << "}";
-  // And only that field: the rest of the slice is intact.
-  ConfigReadSet expected;
-  expected.set(bit(ConfigField::broken_v6_frac));
-  EXPECT_EQ(uncovered, expected)
-      << "unexpected extra uncovered fields: {"
-      << core::describe_read_set(uncovered) << "}";
+  EXPECT_EQ(uncovered_fields(FleetConfig{}, catalog, broken_key),
+            std::vector<std::string>{"broken_v6_frac"});
 }
 
 // ------------------------------------------------------- residence shards

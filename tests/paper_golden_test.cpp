@@ -3,7 +3,8 @@
 // tests/golden/paper/.
 //
 // Each run's stdout, and every file it writes, has a golden of its own:
-//   - paper --sites=2000 --days=14 (every figure, table and ablation);
+//   - paper --sites=2000 --days=14 (every figure, table and ablation), and
+//     paper --sites=20000 --days=30;
 //   - example_quickstart, example_website_audit, example_cloud_comparison
 //     and example_residence_monitor 7;
 //   - example_scenario_whatif (base vs a CPE-fix what-if on one cache);
@@ -160,6 +161,12 @@ void check_run(const Invocation& inv) {
 
 TEST(PaperGolden, PaperBinary) {
   check_run({"paper", {"--sites=2000", "--days=14"}, 0, "paper.txt", {}});
+}
+
+// Ten times the sites: the ablations' universe is still the whole one,
+// and every §4/§5 count is large enough to move on a small change.
+TEST(PaperGolden, PaperBinaryAt20kSites) {
+  check_run({"paper", {"--sites=20000", "--days=30"}, 0, "paper_20k.txt", {}});
 }
 
 // A scale flag that is malformed, empty or below 1 exits 2 before anything

@@ -148,14 +148,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(5);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(3.0);
-  EXPECT_NEAR(sum / n, 3.0, 0.15);
-}
-
 TEST(Rng, ParetoRespectsScale) {
   Rng rng(6);
   for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(5.0, 1.5), 5.0);

@@ -13,6 +13,8 @@
 //   wall-clock       system_clock / steady_clock / time(nullptr|NULL|0):
 //                    results must not depend on when the run happened.
 //                    (Benchmarks live in bench/, outside the scanned tree.)
+//   thread-local     thread_local storage: per-lane state is how a lane
+//                    count would leak into results.
 //   getenv           environment reads outside an explicit allowlist:
 //                    config comes from files/flags, or goldens diverge
 //                    between machines.
@@ -299,6 +301,10 @@ void lint_file(const fs::path& path, const std::string& rel,
           "when the run happened");
     if (has_wall_time_call(code))
       add(i, "wall-clock", "time(nullptr) is banned: wall-clock seed/state");
+    if (has_token(code, "thread_local"))
+      add(i, "thread-local",
+          "thread_local is banned: per-lane state is how a lane count "
+          "would leak into results");
     if (has_call(code, "getenv") && !getenv_allowed(rel))
       add(i, "getenv",
           "environment reads are banned outside the allowlist: config "
