@@ -227,8 +227,10 @@ void BM_FlatConntrackChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatConntrackChurn);
 
-// End-to-end fleet ingest: N sampled residences simulated into flat shards
-// across 4 lanes and reduced. Arg = residence count (2 simulated days).
+// End-to-end fleet ingest: N sampled residences simulated into their
+// monitors across 4 lanes and reduced. Args = residence count (2 simulated
+// days) and engine::ShardTallies (0 full, 1 lean), so the per-flow cost of
+// lean shards shows next to full ones.
 void BM_FleetIngest(benchmark::State& state) {
   auto catalog = nbv6::traffic::build_paper_catalog();
   engine::FleetConfig cfg;
@@ -236,17 +238,23 @@ void BM_FleetIngest(benchmark::State& state) {
   cfg.days = 2;
   cfg.seed = 99;
   const auto configs = engine::sample_stage(cfg, catalog).configs;
+  const auto tallies = state.range(1) == 0 ? engine::ShardTallies::full
+                                            : engine::ShardTallies::lean;
   engine::ThreadPool pool(3);  // + the calling thread = 4 lanes
   std::uint64_t flows = 0;
   for (auto _ : state) {
-    auto result = engine::simulate_fleet(catalog, configs, &pool);
+    auto result = engine::simulate_fleet(catalog, configs, &pool, nullptr,
+                                         tallies);
     flows += result.totals.flows;
     benchmark::DoNotOptimize(result);
   }
   state.counters["flows"] =
       benchmark::Counter(static_cast<double>(flows), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_FleetIngest)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetIngest)
+    ->ArgsProduct({{16, 64}, {0, 1}})
+    ->ArgNames({"homes", "lean"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MstlDecompose(benchmark::State& state) {
   stats::Rng rng(4);

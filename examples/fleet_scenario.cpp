@@ -5,8 +5,8 @@
 // Reads an optional key=value scenario config (see examples/fleet.cfg for
 // every knob) and runs it through the scenario pipeline: sample the
 // residence population deterministically from the scenario seed, apply the
-// timeline, fan the simulation out over a FlatConntrack shard per
-// residence, reduce the shard monitors into one fleet view, and build the
+// timeline, fan the simulation out over one monitor shard per residence,
+// reduce the shard monitors into one fleet view, and build the
 // statistics report and pre/post window panel.
 //
 // Closes with the fleet-statistics layer: population stratum sizes and the

@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "core/client_analysis.h"
-#include "engine/flat_conntrack.h"
 #include "engine/timeline.h"
 #include "flowmon/monitor.h"
 #include "traffic/generator.h"
@@ -41,11 +40,10 @@ int main(int argc, char** argv) {
   };
   home.seed = 2026;
 
-  engine::FlatConntrack conntrack;
   flowmon::FlowMonitor monitor;
-  monitor.attach(conntrack);
+  flowmon::MonitorSink sink(monitor, monitor);
   traffic::ResidenceSimulator simulator(catalog, home);
-  auto stats = simulator.run(conntrack);
+  auto stats = simulator.run(sink);
   std::printf("simulated %d days: %llu sessions, %llu flows\n", days,
               static_cast<unsigned long long>(stats.sessions),
               static_cast<unsigned long long>(stats.flows));

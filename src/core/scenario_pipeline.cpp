@@ -43,9 +43,10 @@ ForestScheduler::Stats Pipeline::run(PassCache* cache, ThreadPool* pool) {
     const auto& fleet =
         ran(1, PipelineValue::wrap(std::move(planned))).get<SampledFleet>();
 
+    // Nothing downstream reads a residence's hourly or destination tallies.
     const auto& result =
-        ran(2, PipelineValue::wrap(
-                   simulate_fleet(*catalog_, fleet, pool, cache)))
+        ran(2, PipelineValue::wrap(simulate_fleet(*catalog_, fleet, pool, cache,
+                                                  ShardTallies::lean)))
             .get<FleetResult>();
 
     ran(3, PipelineValue::wrap(

@@ -1,16 +1,12 @@
-// FlatConntrack: the conntrack table every fleet shard owns.
+// FlatConntrack: a conntrack table with listeners. Fleet shards no longer
+// use it (the generator feeds flowmon::MonitorSink); it is kept only for
+// the conntrack tests, its churn microbenchmark and perfbench's split.
 //
 // NEW on open, DESTROY with final counters on close/sweep/flush, delivered
 // to flowmon::ConntrackListener subscribers. The live flows sit in a short
 // vector, found by a linear key scan and removed by swapping with the back
-// entry. That is the whole design because the traffic generator opens,
-// accounts and closes each flow back to back, so a shard never holds more
-// than one live flow (engine_test pins this over every committed scenario);
-// a workload that overlapped flows would make each operation O(live).
-//
-// The std::unordered_map table is the behavioural reference in the tests
-// (tests/reference_conntrack.h; tests/flowmon_test.cpp runs both through
-// one typed suite).
+// entry: the generator never holds more than one live flow (engine_test
+// pins this). tests/reference_conntrack.h is its behavioural reference.
 #pragma once
 
 #include <cstdint>

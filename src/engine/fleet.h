@@ -4,13 +4,12 @@
 // population-level claims (Table 1 daily means across residences, the
 // cross-residence Wilcoxon comparisons) needs *many* residences run under
 // one roof. The simulate stage (engine/run_spec.h) runs N residences
-// concurrently — each worker lane owns a shard consisting of the
-// residence's own RNG (seeded per residence), its own FlatConntrack table,
-// and its own FlowMonitor — and reduces shard monitors into one
-// fleet-level view in residence-index order. Because residences share no
-// mutable state and the reduction is a fixed-order fold over associative
-// counter merges, a T-lane run is bit-identical to the sequential run of
-// the same seeds for any T.
+// concurrently — each a shard of its own RNG (seeded per residence) and its
+// own FlowMonitor, which the generator feeds through a flowmon::MonitorSink
+// — and reduces shard monitors into one fleet-level view. Because
+// residences share no mutable state and the reduction only adds integers,
+// a T-lane run is bit-identical to the sequential run of the same seeds for
+// any T.
 //
 // FleetConfig is the scenario layer: one small config (parseable from a
 // key=value file) describes a whole deployment — dual-stack rollout
@@ -181,7 +180,9 @@ struct SampledFleet {
 };
 
 /// One shard's outcome: the residence, its generator stats, and its
-/// monitor (detached — the shard's conntrack table died with the worker).
+/// monitor. Under ShardTallies::lean (engine/run_spec.h) the monitor holds
+/// totals, daily series and NEW/DESTROY counts only: its hourly and
+/// destination tallies went to the fleet view.
 struct ResidenceRun {
   traffic::ResidenceConfig config;
   traffic::SimulationStats stats;

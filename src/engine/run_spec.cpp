@@ -1,12 +1,11 @@
 #include "engine/run_spec.h"
 
-#include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "engine/flat_conntrack.h"
 #include "engine/pipeline.h"
 #include "stats/rng.h"
 #include "traffic/arrival.h"
@@ -158,70 +157,68 @@ std::uint64_t shard_key(const traffic::ServiceCatalog& catalog,
 
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            std::span<const traffic::ResidenceConfig> configs,
-                           ThreadPool* pool, PassCache* cache) {
+                           ThreadPool* pool, PassCache* cache,
+                           ShardTallies tallies) {
   FleetResult out;
   out.residences.resize(configs.size());
+  const bool lean = tallies == ShardTallies::lean && cache == nullptr;
+  const std::size_t lanes =
+      pool != nullptr ? static_cast<std::size_t>(pool->size()) + 1 : 1;
+  std::vector<flowmon::FlowMonitor> lane_tallies(lean ? lanes : 0);
+  std::atomic<std::size_t> next{0};
 
-  // One shard per residence: private RNG (seeded from the config), private
-  // flat conntrack table, private monitor. The slot vector is preallocated,
-  // so each monitor is attached at its final address and never moves while
-  // its table is alive.
-  auto simulate_one = [&](std::size_t i) {
-    ResidenceRun& slot = out.residences[i];
-    slot.config = configs[i];
-    FlatConntrack table;
-    slot.monitor.attach(table);
-    traffic::ResidenceSimulator sim(catalog, configs[i]);
-    slot.stats = sim.run(table);
-  };
-  // With a cache, a shard another run already simulated is copied in; a
-  // miss is simulated and stored. Lanes that miss on one key at once both
-  // simulate it and store equal shards.
-  auto run_one = [&](std::size_t i) {
-    if (cache == nullptr) {
-      simulate_one(i);
-      return;
-    }
-    const std::uint64_t key = shard_key(catalog, configs[i]);
-    ResidenceRun& slot = out.residences[i];
-    if (auto hit = cache->find(key, kShardPass, 2)) {
+  // One shard per residence: private RNG (seeded from the config) and
+  // private monitor, fed straight by the generator. The slot vector is
+  // preallocated, so each monitor sits at its final address. With a cache,
+  // a shard another run already simulated is copied in; a miss is simulated
+  // and stored. Lanes that miss on one key at once both simulate it and
+  // store equal shards.
+  auto lane = [&](std::size_t l) {
+    for (std::size_t i; (i = next.fetch_add(1)) < configs.size();) {
+      ResidenceRun& slot = out.residences[i];
       slot.config = configs[i];
-      slot.stats = (*hit)[0].get<traffic::SimulationStats>();
-      slot.monitor = (*hit)[1].get<flowmon::FlowMonitor>();
-      return;
+      const std::uint64_t key = cache ? shard_key(catalog, configs[i]) : 0;
+      if (auto hit = cache ? cache->find(key, kShardPass, 2) : std::nullopt) {
+        slot.stats = (*hit)[0].get<traffic::SimulationStats>();
+        slot.monitor = (*hit)[1].get<flowmon::FlowMonitor>();
+        continue;
+      }
+      flowmon::MonitorSink sink(slot.monitor,
+                                lean ? lane_tallies[l] : slot.monitor);
+      slot.stats = traffic::ResidenceSimulator(catalog, configs[i]).run(sink);
+      if (cache != nullptr)
+        cache->store(key, kShardPass,
+                     {PipelineValue::wrap(slot.stats),
+                      PipelineValue::wrap(slot.monitor)});
     }
-    simulate_one(i);
-    cache->store(key, kShardPass,
-                 {PipelineValue::wrap(slot.stats),
-                  PipelineValue::wrap(slot.monitor)});
   };
-
-  if (pool != nullptr) {
-    pool->parallel_for(configs.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < configs.size(); ++i) run_one(i);
-  }
+  if (pool != nullptr)
+    pool->parallel_for(lanes, lane);
+  else
+    lane(0);
 
   // The fold only adds integers, so it is associative and commutative and
   // the order does not matter: the fleet view is bit-identical for any
-  // lane count.
+  // lane count. Lane tallies (hourly and destinations only) fold in last.
   for (const auto& run : out.residences) {
     out.fleet.merge(run.monitor);
     out.totals += run.stats;  // horizon totals + the per-day series
   }
+  for (const auto& t : lane_tallies) out.fleet.merge(t);
   return out;
 }
 
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            const SampledFleet& fleet, ThreadPool* pool,
-                           PassCache* cache) {
+                           PassCache* cache, ShardTallies tallies) {
   // Traits index into the residence vector downstream (group comparisons),
   // so a hand-built SampledFleet with mismatched sizes must fail here, not
   // as an out-of-bounds read later.
   if (fleet.traits.size() != fleet.configs.size())
     throw std::invalid_argument(
         "simulate_fleet: SampledFleet traits/configs size mismatch");
-  FleetResult out = simulate_fleet(catalog, fleet.configs, pool, cache);
+  FleetResult out =
+      simulate_fleet(catalog, fleet.configs, pool, cache, tallies);
   out.traits = fleet.traits;
   return out;
 }

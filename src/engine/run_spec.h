@@ -52,26 +52,36 @@ std::uint64_t population_key(const FleetConfig& cfg,
 std::uint64_t shard_key(const traffic::ServiceCatalog& catalog,
                         const traffic::ResidenceConfig& config);
 
+/// Where residences' hourly and destination tallies go: `full` keeps them in
+/// each residence's monitor (paper's per-home figures read them); `lean`
+/// sends them to one accumulator per lane, folded into FleetResult::fleet,
+/// so residences keep totals, daily series and NEW/DESTROY counts only.
+enum class ShardTallies { full, lean };
+
 /// Simulate every residence into its own shard and reduce in residence-
 /// index order. `pool` may be null (sequential); results are bit-identical
-/// for any lane count. The result carries no stratum labels.
+/// for any lane count. The result carries no stratum labels. One task per
+/// lane (pool size + 1) takes residences off a ticket and runs each
+/// straight into its monitor through a flowmon::MonitorSink.
 ///
 /// With a `cache`, each residence is looked up under its shard_key (pass
 /// name "simulate.shard"): a hit copies the cached {SimulationStats,
-/// FlowMonitor} into the slot, a miss simulates on the pool's lanes and
-/// stores its shard. The config always comes from `configs`, and the fold
-/// is the same index-order fold, so a cached run is byte-identical to an
-/// uncached one. This is how what-if variants that change a few homes
-/// re-simulate only those homes. Without a cache no key is computed and
-/// nothing is looked up or stored.
+/// FlowMonitor} into the slot, a miss simulates and stores its shard. The
+/// config always comes from `configs`, and the fold is the same, so a
+/// cached run is byte-identical to an uncached one. This is how what-if
+/// variants that change a few homes re-simulate only those homes. Without a
+/// cache no key is computed and nothing is looked up or stored. A cache
+/// forces ShardTallies::full: a later hit needs the stored shard's tallies.
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            std::span<const traffic::ResidenceConfig> configs,
-                           ThreadPool* pool, PassCache* cache = nullptr);
+                           ThreadPool* pool, PassCache* cache = nullptr,
+                           ShardTallies tallies = ShardTallies::full);
 
 /// simulate_fleet(fleet.configs) carrying the stratum labels into the
 /// result. Throws std::invalid_argument on traits/configs size mismatch.
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            const SampledFleet& fleet, ThreadPool* pool,
-                           PassCache* cache = nullptr);
+                           PassCache* cache = nullptr,
+                           ShardTallies tallies = ShardTallies::full);
 
 }  // namespace nbv6::engine

@@ -45,7 +45,7 @@ ConntrackListener FlowMonitor::make_listener() {
   ConntrackListener listener;
   listener.on_new = [this](const net::FlowKey&, Timestamp) { ++new_events_; };
   listener.on_destroy = [this](const FlowRecord& r) {
-    ingest(r);  // may throw; counts nothing then
+    ingest(r, *this);  // may throw; counts nothing then
     ++destroy_events_;
   };
   return listener;
@@ -91,7 +91,7 @@ Tally& FlowMonitor::dest_tally(const net::IpAddr& addr) {
   return dests_.back().tally;
 }
 
-void FlowMonitor::ingest(const FlowRecord& r) {
+void FlowMonitor::ingest(const FlowRecord& r, FlowMonitor& tallies) {
   if (r.start < 0)
     throw std::out_of_range("FlowMonitor: flow starts before time 0 (start=" +
                             std::to_string(r.start) + ")");
@@ -109,14 +109,41 @@ void FlowMonitor::ingest(const FlowRecord& r) {
   }
 
   if (r.scope == Scope::external) {
-    auto& hourly =
-        cell(hourly_external_, static_cast<size_t>(r.start / kSecondsPerHour));
+    auto& hourly = cell(tallies.hourly_external_,
+                        static_cast<size_t>(r.start / kSecondsPerHour));
     if (v6)
       hourly.v6 += t;
     else
       hourly.v4 += t;
-    dest_tally(r.key.dst) += t;
+    tallies.dest_tally(r.key.dst) += t;
   }
+}
+
+void MonitorSink::open(const net::FlowKey& key, Timestamp now, Scope scope) {
+  if (live_ && live_->key == key) return;
+  if (live_)
+    throw std::logic_error("MonitorSink: a second live flow (it holds one)");
+  live_ = FlowRecord{.key = key, .start = now, .scope = scope};
+  ++monitor_->new_events_;
+}
+
+bool MonitorSink::account(const net::FlowKey& key, Timestamp now,
+                          std::uint64_t bytes_out, std::uint64_t bytes_in,
+                          Scope scope) {
+  const bool known = live_ && live_->key == key;
+  if (!known) open(key, now, scope);
+  live_->bytes_out += bytes_out;
+  live_->bytes_in += bytes_in;
+  return known;
+}
+
+bool MonitorSink::close(const net::FlowKey& key, Timestamp now) {
+  if (!live_ || live_->key != key) return false;
+  live_->end = now;
+  monitor_->ingest(*live_, *tallies_);  // may throw; the flow stays live
+  ++monitor_->destroy_events_;
+  live_.reset();  // `key` may be the live key (flush): it is not read again
+  return true;
 }
 
 std::vector<double> FlowMonitor::daily_v6_fractions(Scope s,

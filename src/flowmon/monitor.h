@@ -1,7 +1,7 @@
 // FlowMonitor: the router-side aggregation the paper's measurement runs on.
 //
-// Subscribes to a conntrack table and incrementally maintains exactly the
-// aggregates §3 reports on:
+// Fed by a MonitorSink (or a conntrack table it subscribes to), it
+// incrementally maintains exactly the aggregates §3 reports on:
 //   - per-(day, scope, family) byte and flow tallies (Table 1, Fig. 1),
 //   - per-(hour, family) external tallies (the MSTL series of Fig. 2),
 //   - per-destination-address external tallies (the AS- and domain-level
@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "flowmon/conntrack.h"
@@ -84,7 +85,8 @@ class FlowMonitor {
   /// (engine::FlatConntrack, ...); a monitor never attached is a pure
   /// reduction target for merge(). The table must not outlive the monitor,
   /// and the monitor must not be moved while attached (the listener holds
-  /// a pointer to it); moving it *after* the table is gone is fine.
+  /// a pointer to it); moving it *after* the table is gone is fine. Kept
+  /// for the conntrack tests and perfbench only: fleets use MonitorSink.
   template <typename Table>
   void attach(Table& table) {
     table.subscribe(make_listener());
@@ -139,11 +141,14 @@ class FlowMonitor {
   [[nodiscard]] std::uint64_t destroy_events() const { return destroy_events_; }
 
  private:
+  friend class MonitorSink;
+
   static size_t index(Scope s) { return s == Scope::external ? 0 : 1; }
   ConntrackListener make_listener();
-  /// Throws std::out_of_range for a record starting before time 0, before
-  /// touching any counter.
-  void ingest(const FlowRecord& r);
+  /// Hourly and destination tallies go to `tallies`, the rest here. Throws
+  /// std::out_of_range for a record starting before time 0, before touching
+  /// any counter.
+  void ingest(const FlowRecord& r, FlowMonitor& tallies);
   /// The destination's tally, inserted as zero on first sight.
   Tally& dest_tally(const net::IpAddr& addr);
   void grow_dest_slots();
@@ -156,6 +161,36 @@ class FlowMonitor {
   std::vector<std::uint32_t> dest_slots_;
   std::uint64_t new_events_ = 0;
   std::uint64_t destroy_events_ = 0;
+};
+
+/// The monitor as the generator's table: the conntrack shape with no table
+/// behind it. The generator opens, accounts and closes each flow back to
+/// back (engine_test pins this), so the sink holds the one live flow. NEW
+/// counts on open; close ingests, then counts DESTROY, so a record ingest
+/// rejects stays live and counts nothing, as with an attached FlatConntrack.
+/// Packets are not counted (no view reads them). Hourly and destination
+/// tallies go to `tallies`, the rest to `monitor`; both outlive the sink.
+class MonitorSink {
+ public:
+  MonitorSink(FlowMonitor& monitor, FlowMonitor& tallies)
+      : monitor_(&monitor), tallies_(&tallies) {}
+
+  /// Reopening the live flow is a no-op; opening a second one throws
+  /// std::logic_error and counts nothing.
+  void open(const net::FlowKey& key, Timestamp now, Scope scope);
+  /// Returns false if the key had to be implicitly opened.
+  bool account(const net::FlowKey& key, Timestamp now, std::uint64_t bytes_out,
+               std::uint64_t bytes_in, Scope scope = Scope::external);
+  /// Returns false if `key` is not the live flow.
+  bool close(const net::FlowKey& key, Timestamp now);
+  void flush(Timestamp now) {
+    if (live_) close(live_->key, now);
+  }
+
+ private:
+  FlowMonitor* monitor_;
+  FlowMonitor* tallies_;
+  std::optional<FlowRecord> live_;
 };
 
 }  // namespace nbv6::flowmon

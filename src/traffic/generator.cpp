@@ -5,6 +5,7 @@
 
 #include "engine/firehose.h"
 #include "engine/flat_conntrack.h"
+#include "flowmon/monitor.h"
 #include "traffic/arrival.h"
 
 namespace nbv6::traffic {
@@ -450,11 +451,11 @@ SimulationStats ResidenceSimulator::run(Table& table) {
   return stats_;
 }
 
-// The conntrack table the library ships plus the firehose capture buffer.
-// New table types only need an explicit instantiation here.
+// Fleet shards' sink, the firehose capture buffer and the conntrack table
+// (kept for tests and perfbench). New tables only need an instantiation here.
+template SimulationStats ResidenceSimulator::run(flowmon::MonitorSink&);
 template SimulationStats ResidenceSimulator::run(engine::FlatConntrack&);
 template SimulationStats ResidenceSimulator::run(engine::FlowEventBuffer&);
-template void ResidenceSimulator::run_day(engine::FlatConntrack&, int);
 template void ResidenceSimulator::run_day(engine::FlowEventBuffer&, int);
 
 }  // namespace nbv6::traffic

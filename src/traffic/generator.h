@@ -85,11 +85,11 @@ class ResidenceSimulator {
  public:
   ResidenceSimulator(const ServiceCatalog& catalog, ResidenceConfig config);
 
-  /// Run the full configured period, feeding `table`. Callers typically
-  /// attach a FlowMonitor to the table first. `Table` is any conntrack-
-  /// shaped sink (open/account/close/flush); instantiated in generator.cpp
-  /// for engine::FlatConntrack and the firehose's engine::FlowEventBuffer,
-  /// so fleet shards and the firehose drive the exact same generator code.
+  /// Run the full configured period, feeding `table`. `Table` is any
+  /// conntrack-shaped sink (open/account/close/flush); instantiated in
+  /// generator.cpp for flowmon::MonitorSink, engine::FlatConntrack and the
+  /// firehose's engine::FlowEventBuffer, so fleet shards and the firehose
+  /// drive the exact same generator code.
   /// If the table additionally exposes `advance(int day, int tick)`, the
   /// generator calls it at the start of every time slot (hour in batch
   /// mode, tick otherwise) — how the firehose attributes flows to ticks

@@ -515,9 +515,21 @@ TEST(MonitorMerge, SeriesStayCanonicalThroughIngestAndMerge) {
 
 // -------------------------------------------------- fleet determinism
 
+bool same_stats(const traffic::SimulationStats& a,
+                const traffic::SimulationStats& b) {
+  return a.sessions == b.sessions && a.flows == b.flows &&
+         a.skipped_invisible == b.skipped_invisible &&
+         a.he_failures == b.he_failures &&
+         a.outage_suppressed == b.outage_suppressed &&
+         a.service_outage_failed == b.service_outage_failed &&
+         a.cgn_failures == b.cgn_failures && a.daily == b.daily;
+}
+
 // The acceptance bar: a 4-lane fleet run of 64 residences produces
-// aggregates bit-identical to the sequential run of the same seeds.
+// aggregates bit-identical to the sequential run of the same seeds, and so
+// do lean runs (ShardTallies::lean) at 1, 4 and 8 lanes.
 TEST(SimulateFleet, FourLaneRunMatchesSequentialBitForBit) {
+  using flowmon::Scope;
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 64;
@@ -551,6 +563,33 @@ TEST(SimulateFleet, FourLaneRunMatchesSequentialBitForBit) {
   ThreadPool eight(7);
   auto w = simulate_fleet(catalog, configs, &eight);
   expect_same_aggregates(seq.fleet, w.fleet);
+
+  // Lean shards at 1, 4 and 8 lanes: the same fleet view and the same
+  // per-residence totals, daily series and events; the hourly and
+  // destination tallies live only in the fleet view.
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four, &eight}) {
+    SCOPED_TRACE(pool == nullptr ? 1 : pool->size() + 1);
+    auto lean = simulate_fleet(catalog, configs, pool, nullptr,
+                               ShardTallies::lean);
+    expect_same_aggregates(seq.fleet, lean.fleet);
+    EXPECT_TRUE(same_stats(seq.totals, lean.totals));
+    ASSERT_EQ(seq.residences.size(), lean.residences.size());
+    for (size_t i = 0; i < seq.residences.size(); ++i) {
+      SCOPED_TRACE(i);
+      const auto& full = seq.residences[i];
+      const auto& shard = lean.residences[i];
+      EXPECT_TRUE(same_stats(full.stats, shard.stats));
+      for (auto scope : {Scope::external, Scope::internal}) {
+        EXPECT_EQ(full.monitor.totals(scope), shard.monitor.totals(scope));
+        EXPECT_EQ(full.monitor.daily(scope), shard.monitor.daily(scope));
+      }
+      EXPECT_EQ(full.monitor.new_events(), shard.monitor.new_events());
+      EXPECT_EQ(full.monitor.destroy_events(),
+                shard.monitor.destroy_events());
+      EXPECT_TRUE(shard.monitor.hourly_external().empty());
+      EXPECT_TRUE(shard.monitor.destination_tallies().empty());
+    }
+  }
 }
 
 TEST(SimulateFleet, FlatShardMatchesReferenceTableAggregates) {
@@ -588,9 +627,10 @@ TEST(SimulateFleet, FlatShardMatchesReferenceTableAggregates) {
 }
 
 TEST(SimulateFleet, GeneratorHoldsAtMostOneLiveFlowPerShard) {
+  // flowmon::MonitorSink holds a single live flow (a second open throws),
   // FlatConntrack keeps its live flows in a vector scanned per operation,
-  // and FlowEventBuffer completes only its latest record: both rely on the
-  // generator opening, accounting and closing each flow back to back. Run
+  // and FlowEventBuffer completes only its latest record: all three rely on
+  // the generator opening, accounting and closing each flow back to back. Run
   // every committed scenario (shrunk to 4 homes and at most 14 days) with a
   // listener counting NEW - DESTROY; a generator that overlapped flows
   // would push it past 1.

@@ -422,6 +422,109 @@ TEST(Monitor, DestinationTableMatchesMapReference) {
   EXPECT_EQ(mon.totals(Scope::external).total_flows(), flows.size());
 }
 
+// ------------------------------------------------------------ monitor sink
+
+// The sink and a monitor attached to a FlatConntrack take the same
+// operations: return values and monitors must agree after each case.
+class MonitorSinkVsTable : public ::testing::Test {
+ protected:
+  MonitorSinkVsTable() { via_table_.attach(table_); }
+
+  void open(const net::FlowKey& k, Timestamp t, Scope scope) {
+    sink_.open(k, t, scope);
+    table_.open(k, t, scope);
+  }
+  void account(const net::FlowKey& k, Timestamp t, std::uint64_t out,
+               std::uint64_t in) {
+    EXPECT_EQ(sink_.account(k, t, out, in), table_.account(k, t, out, in));
+  }
+  void close(const net::FlowKey& k, Timestamp t) {
+    EXPECT_EQ(sink_.close(k, t), table_.close(k, t));
+  }
+  void flush(Timestamp t) {
+    sink_.flush(t);
+    table_.flush(t);
+  }
+  void expect_same() const {
+    testutil::expect_same_aggregates(via_sink_, via_table_);
+  }
+
+  FlowMonitor via_sink_;
+  MonitorSink sink_{via_sink_, via_sink_};
+  FlowMonitor via_table_;
+  engine::FlatConntrack table_;
+};
+
+TEST_F(MonitorSinkVsTable, OpenAccountClose) {
+  for (bool v6 : {false, true}) {
+    const auto k = make_key(1, 70, v6);
+    open(k, 3 * kSecondsPerHour, Scope::external);
+    account(k, 3 * kSecondsPerHour, 400, 9000);
+    account(k, 3 * kSecondsPerHour + 1, 10, 20);
+    close(k, 3 * kSecondsPerHour + 9);
+  }
+  const auto lan = make_key(2, 71);
+  open(lan, kSecondsPerDay, Scope::internal);
+  open(lan, kSecondsPerDay + 1, Scope::internal);  // reopen: a no-op
+  close(lan, kSecondsPerDay + 2);
+  expect_same();
+  EXPECT_EQ(via_sink_.destroy_events(), 3u);
+}
+
+TEST_F(MonitorSinkVsTable, AccountOnUnknownKeyOpensImplicitly) {
+  const auto k = make_key(3, 72);
+  account(k, 50, 10, 700);
+  EXPECT_EQ(via_sink_.new_events(), 1u);
+  close(k, 60);
+  expect_same();
+}
+
+TEST_F(MonitorSinkVsTable, CloseOnUnknownKeyReturnsFalse) {
+  close(make_key(4, 73), 10);
+  const auto live = make_key(5, 74);
+  open(live, 20, Scope::external);
+  close(make_key(4, 73), 30);
+  close(live, 40);
+  expect_same();
+  EXPECT_EQ(via_sink_.destroy_events(), 1u);
+}
+
+TEST_F(MonitorSinkVsTable, FlushClosesTheLiveFlow) {
+  const auto k = make_key(6, 75, true);
+  open(k, 100, Scope::external);
+  account(k, 100, 5, 5000);
+  flush(kSecondsPerDay);
+  flush(2 * kSecondsPerDay);  // nothing live: a no-op
+  expect_same();
+  EXPECT_EQ(via_sink_.destroy_events(), 1u);
+}
+
+TEST_F(MonitorSinkVsTable, RejectedIngestLeavesEveryCounterUnchanged) {
+  const auto prior = make_key(7, 76, true);
+  account(prior, 10, 100, 200);
+  close(prior, 20);
+  const auto early = make_key(8, 77);
+  open(early, -30, Scope::external);
+  account(early, -20, 100, 900);
+  const FlowMonitor before = via_sink_;
+  EXPECT_THROW(sink_.close(early, -10), std::out_of_range);
+  EXPECT_THROW(table_.close(early, -10), std::out_of_range);
+  testutil::expect_same_aggregates(via_sink_, before);
+  expect_same();
+}
+
+TEST_F(MonitorSinkVsTable, SecondLiveFlowIsALogicError) {
+  const auto k = make_key(9, 78);
+  sink_.open(k, 10, Scope::external);
+  const FlowMonitor before = via_sink_;
+  EXPECT_THROW(sink_.open(make_key(9, 79), 11, Scope::external),
+               std::logic_error);
+  EXPECT_THROW(sink_.account(make_key(9, 80), 12, 1, 1), std::logic_error);
+  testutil::expect_same_aggregates(via_sink_, before);
+  EXPECT_TRUE(sink_.close(k, 13));  // the first flow is still the live one
+  EXPECT_EQ(via_sink_.destroy_events(), 1u);
+}
+
 TEST(FlowRecordHelpers, DayAndHour) {
   FlowRecord r;
   r.start = 2 * kSecondsPerDay + 5 * kSecondsPerHour + 123;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/client_analysis.h"
 #include "engine/flat_conntrack.h"
@@ -319,6 +322,45 @@ TEST(ClientAnalysis, AsUsageAttributesTraffic) {
   }
   // All external bytes land in some catalogued AS.
   EXPECT_EQ(total, mon.totals(flowmon::Scope::external).total_bytes());
+}
+
+TEST(ClientAnalysis, AsUsageTakesLongestMatch) {
+  // Nested announcements, each to its own AS: a destination inside the
+  // more specific prefix belongs to that prefix's AS, not the covering one.
+  net::AsMap as_map;
+  as_map.announce(net::Prefix4(net::IPv4Addr(10, 1, 0, 0), 16), 100);
+  as_map.announce(net::Prefix4(net::IPv4Addr(10, 1, 2, 0), 24), 200);
+  const auto v6 = [](std::uint64_t high) {
+    return net::IPv6Addr::from_halves(high, 1);
+  };
+  as_map.announce(net::Prefix6(v6(0x20010db800000000ull), 32), 300);
+  as_map.announce(net::Prefix6(v6(0x20010db800050000ull), 48), 400);
+
+  flowmon::FlowMonitor mon;
+  flowmon::MonitorSink sink(mon, mon);
+  const std::vector<std::pair<net::IpAddr, std::uint64_t>> dests = {
+      {net::IPv4Addr(10, 1, 2, 9), 1000},  // /24 -> AS 200
+      {net::IPv4Addr(10, 1, 7, 9), 2000},  // /16 only -> AS 100
+      {v6(0x20010db800050001ull), 3000},   // /48 -> AS 400
+      {v6(0x20010db800060000ull), 4000}};  // /32 only -> AS 300
+  std::uint16_t port = 1000;
+  for (const auto& [dst, bytes] : dests) {
+    net::FlowKey k;
+    k.dst = dst;
+    k.src = dst.is_v6() ? net::IpAddr(v6(0x2600880000000000ull))
+                        : net::IpAddr(net::IPv4Addr(192, 168, 1, 2));
+    k.src_port = ++port;
+    sink.account(k, 0, 0, bytes);
+    sink.close(k, 1);
+  }
+
+  std::map<net::Asn, std::pair<std::uint64_t, std::uint64_t>> got;
+  for (const auto& u : core::as_usage(mon, as_map, 0.0))
+    got[u.asn] = {u.bytes, u.v6_bytes};
+  const std::map<net::Asn, std::pair<std::uint64_t, std::uint64_t>> want = {
+      {100, {2000, 0}}, {200, {1000, 0}}, {300, {4000, 4000}},
+      {400, {3000, 3000}}};
+  EXPECT_EQ(got, want);
 }
 
 TEST(ClientAnalysis, V4OnlyServicesShowZeroV6) {
