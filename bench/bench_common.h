@@ -6,11 +6,13 @@
 // the *shape* of every result can be compared directly with the published
 // numbers. Its two scale knobs are flags: --sites (default 100000, the
 // paper's scale) and --days (default 274, Nov 2024 - Aug 2025); a value
-// below 1 exits 2 through positive_flag, a malformed one through Cli.
+// below 1, or sites above web::kMaxSites, exits 2 through positive_flag,
+// a malformed one through Cli.
 // The fleet binaries share the fleet flags and lane checks below.
 #pragma once
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -108,12 +110,16 @@ inline std::optional<int> lanes_flag(const char* flag, int value) {
 }
 
 /// False, with the violation naming the flag `--<flag>` on stderr, unless
-/// `value` is positive; on false the binary exits 2, as for a malformed
-/// flag, so a typo never runs a 0-day or 1-site experiment.
-inline bool positive_flag(const char* flag, int value) {
+/// `value` is in 1..max; on false the binary exits 2, as for a malformed
+/// flag, so a typo never runs a 0-day or 1-site experiment, and a size
+/// above what the program can hold is refused before anything is built.
+inline bool positive_flag(const char* flag, int value,
+                          int max = std::numeric_limits<int>::max()) {
   if (value < 1)
     std::fprintf(stderr, "--%s=%d: expected a positive integer\n", flag, value);
-  return value >= 1;
+  else if (value > max)
+    std::fprintf(stderr, "--%s=%d: expected at most %d\n", flag, value, max);
+  return value >= 1 && value <= max;
 }
 
 /// The pool for `lanes` lanes: the calling thread is one lane, the pool

@@ -7,7 +7,8 @@
 // The shared inputs (bench/paper/paper.h) are built once: the five paper
 // residences, the web universe, its Jul 2025 survey, the span analysis and
 // the FQDN records. Small values run in about a second (CI runs 2000 sites
-// and 14 days); the defaults are the paper's scale.
+// and 14 days); the defaults are the paper's scale. --sites above
+// web::kMaxSites exits 2 before any input is built.
 #include "engine/run_spec.h"
 #include "paper/paper.h"
 
@@ -58,7 +59,9 @@ int main(int argc, char** argv) {
   cli.flag_int("sites", &sites, "web universe size (the paper's top 100k)");
   cli.flag_int("days", &days, "residence days (Nov 2024 - Aug 2025)");
   if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!positive_flag("sites", sites) || !positive_flag("days", days)) return 2;
+  if (!positive_flag("sites", sites, nbv6::web::kMaxSites) ||
+      !positive_flag("days", days))
+    return 2;
 
   const auto catalog = nbv6::traffic::build_paper_catalog();
   const auto residences = simulate_residences(catalog, days);

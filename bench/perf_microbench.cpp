@@ -139,6 +139,23 @@ const web::Universe& survey_universe() {
   return universe;
 }
 
+// The universe itself, at 2,000 and 20,000 sites: third parties, sites,
+// their pages as flat rows, and the by-name index.
+void BM_UniverseBuild(benchmark::State& state) {
+  static const cloud::ProviderCatalog providers;
+  web::UniverseConfig cfg;
+  cfg.site_count = static_cast<int>(state.range(0));
+  cfg.seed = 5;
+  for (auto _ : state) {
+    const web::Universe universe(cfg, providers);
+    benchmark::DoNotOptimize(universe.sites().data());
+  }
+}
+BENCHMARK(BM_UniverseBuild)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_BuildZone(benchmark::State& state) {
   const auto& universe = survey_universe();
   std::size_t names = 0;

@@ -1,7 +1,7 @@
 #include "web/crawler.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <bit>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -39,10 +39,9 @@ std::shared_ptr<const FqdnTable> build_table(const Universe& universe,
                                              const dns::ZoneDb& zone) {
   const auto& fqdns = universe.fqdns();
   const auto& tenants = universe.tenants();
-  // Distinct registrable domains never outnumber FQDNs, so this bounds
-  // every interned id below the 30-bit field.
-  if (fqdns.size() >= (std::size_t{1} << 30))
-    throw std::length_error("Crawler: too many FQDNs for a 30-bit site id");
+  // Distinct registrable domains never outnumber FQDNs, whose ids fit a
+  // ResourceRef, so every interned id fits the 30-bit field.
+  static_assert(kMaxFqdnId < (1u << 30) - 1);
 
   auto t = std::make_shared<FqdnTable>();
   t->facts.reserve(fqdns.size());
@@ -105,15 +104,14 @@ stats::Rng Crawler::site_rng(std::uint64_t seed, std::uint32_t site_index) {
 }
 
 void Crawler::load_page(const Page& page, std::uint32_t main_site,
-                        std::vector<std::uint64_t>& seen, SiteCrawl& out,
+                        std::vector<std::uint32_t>& seen, SiteCrawl& out,
                         stats::Rng& rng) const {
-  // Dedup observations by (fqdn, type): re-fetches of the same resource on
-  // later pages don't create new observations. A site has at most a few
-  // hundred distinct keys (a few dozen on average), so a flat vector
-  // scanned linearly is enough.
-  for (const auto& ref : page.resources) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(ref.fqdn) << 3) |
-                              static_cast<std::uint64_t>(ref.type);
+  // Dedup observations by (fqdn, type), the ref's 32 bits: re-fetches of
+  // the same resource on later pages don't create new observations. A site
+  // has at most a few hundred distinct keys (a few dozen on average), so a
+  // flat vector scanned linearly is enough.
+  for (const ResourceRef ref : page.resources) {
+    const auto key = std::bit_cast<std::uint32_t>(ref);
     if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
     seen.push_back(key);
 
@@ -174,18 +172,20 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
   out.main_used = race(out.main_has_a, out.main_has_aaaa, rng);
 
   // Load the main page.
-  std::vector<std::uint64_t> seen;
-  load_page(site.pages[0], host.site, seen, out, rng);
+  std::vector<std::uint32_t> seen;
+  const Page main_page = universe_->page(site, 0);
+  load_page(main_page, host.site, seen, out, rng);
   out.pages_loaded = 1;
 
   // Click up to `link_clicks` distinct same-site links, chosen at random
   // like OpenWPM's five clicks.
-  std::vector<std::uint32_t> candidates = site.pages[0].internal_links;
+  std::vector<std::uint32_t> candidates(main_page.internal_links.begin(),
+                                        main_page.internal_links.end());
   for (int c = 0; c < link_clicks && !candidates.empty(); ++c) {
     size_t pick = rng.below(candidates.size());
     std::uint32_t page_idx = candidates[pick];
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
-    load_page(site.pages[page_idx], host.site, seen, out, rng);
+    load_page(universe_->page(site, page_idx), host.site, seen, out, rng);
     ++out.pages_loaded;
   }
   return out;

@@ -18,7 +18,9 @@
 // registrable domain is its tenant's eTLD+1 reuses the tenant's site id.
 // The table is shared, not private: a survey keeps it, and the §5 cloud
 // attribution reads addresses, CNAME terminals and eTLD+1 from it by FQDN
-// id.
+// id. Pages are read as Universe::page views into the universe's flat
+// arrays; a 4-byte ResourceRef's bits are the crawl's (FQDN, type) dedup
+// key.
 #pragma once
 
 #include <cstdint>
@@ -132,7 +134,7 @@ class Crawler {
                        int link_clicks) const;
   /// `seen` holds the (fqdn, type) keys already observed on this site.
   void load_page(const Page& page, std::uint32_t main_site,
-                 std::vector<std::uint64_t>& seen, SiteCrawl& out,
+                 std::vector<std::uint32_t>& seen, SiteCrawl& out,
                  stats::Rng& rng) const;
 
   const Universe* universe_;

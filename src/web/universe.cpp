@@ -1,83 +1,40 @@
 #include "web/universe.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <numeric>
+#include <stdexcept>
 
 namespace nbv6::web {
 
+// Names and rates by enumerator, in declaration order.
 std::string_view to_string(ResourceType t) {
-  switch (t) {
-    case ResourceType::image:
-      return "image";
-    case ResourceType::script:
-      return "script";
-    case ResourceType::stylesheet:
-      return "stylesheet";
-    case ResourceType::xmlhttprequest:
-      return "xmlhttprequest";
-    case ResourceType::sub_frame:
-      return "sub_frame";
-    case ResourceType::font:
-      return "font";
-    case ResourceType::media:
-      return "media";
-    case ResourceType::beacon:
-      return "beacon";
-  }
-  return "?";
+  static constexpr std::string_view kNames[] = {
+      "image",     "script", "stylesheet", "xmlhttprequest",
+      "sub_frame", "font",   "media",      "beacon"};
+  static_assert(std::size(kNames) == kResourceTypeCount);
+  return kNames[static_cast<std::size_t>(t)];
 }
 
 std::string_view to_string(DomainCategory c) {
-  switch (c) {
-    case DomainCategory::ads:
-      return "ads";
-    case DomainCategory::trackers:
-      return "trackers";
-    case DomainCategory::analytics:
-      return "analytics";
-    case DomainCategory::content_delivery:
-      return "content delivery";
-    case DomainCategory::information_technology:
-      return "information technology";
-    case DomainCategory::social:
-      return "social";
-    case DomainCategory::first_party:
-      return "first party";
-  }
-  return "?";
+  static constexpr std::string_view kNames[] = {
+      "ads", "trackers", "analytics", "content delivery",
+      "information technology", "social", "first party"};
+  static_assert(std::size(kNames) == kDomainCategoryCount);
+  return kNames[static_cast<std::size_t>(c)];
 }
 
 std::string_view to_string(Epoch e) {
-  switch (e) {
-    case Epoch::oct2024:
-      return "Oct 2024";
-    case Epoch::apr2025:
-      return "Apr 2025";
-    case Epoch::jul2025:
-      return "Jul 2025";
-  }
-  return "?";
+  static constexpr std::string_view kNames[] = {"Oct 2024", "Apr 2025",
+                                                "Jul 2025"};
+  static_assert(std::size(kNames) == kEpochCount);
+  return kNames[static_cast<std::size_t>(e)];
 }
 
 double category_base_adoption(DomainCategory c) {
-  switch (c) {
-    case DomainCategory::ads:
-      return 0.45;
-    case DomainCategory::trackers:
-      return 0.55;
-    case DomainCategory::analytics:
-      return 0.80;
-    case DomainCategory::content_delivery:
-      return 0.94;
-    case DomainCategory::information_technology:
-      return 0.88;
-    case DomainCategory::social:
-      return 0.96;
-    case DomainCategory::first_party:
-      return 0.6;
-  }
-  return 0.6;
+  static constexpr double kRates[] = {0.45, 0.55, 0.80, 0.94, 0.88, 0.96, 0.6};
+  static_assert(std::size(kRates) == kDomainCategoryCount);
+  return kRates[static_cast<std::size_t>(c)];
 }
 
 namespace {
@@ -123,6 +80,18 @@ constexpr double kEpochFailureDrift = 0.006;
 constexpr double kCloudHostedFraction = 0.78;
 /// Probability a multi-FQDN third-party tenant spreads across providers.
 constexpr double kMultiCloudProb = 0.35;
+/// FQDNs per third-party tenant.
+constexpr int kTenantFqdnsMax = 4;
+// At kMaxSites, every FQDN id (a site's main, first-party and ipv4. names,
+// then each third-party tenant's) fits a ResourceRef, and every page, ref
+// and link offset fits a uint32_t (a site has at most two internal links
+// per subpage and one external link per page).
+constexpr double kMaxPages = 1.0 * kMaxSites * (1 + kSubpagesMax);
+static_assert(1.0 * kMaxSites * (kFirstPartyFqdns + 2) +
+                  kTenantFqdnsMax * (kThirdPartyRatio * kMaxSites + 8) <=
+              kMaxFqdnId + 1.0);
+static_assert(kMaxPages * kResourcesPerPageMax <= UINT32_MAX);
+static_assert(kMaxPages * 2 <= UINT32_MAX);
 
 // Paper-named heavy hitters seeded into the most popular pool slots so the
 // Fig. 9 / Fig. 18 outputs read like the originals.
@@ -162,23 +131,10 @@ constexpr double kSeedSpanTargets[] = {
 static_assert(std::size(kSeedSpanTargets) == std::size(kSeedThirdParties));
 
 const char* category_prefix(DomainCategory c) {
-  switch (c) {
-    case DomainCategory::ads:
-      return "ads";
-    case DomainCategory::trackers:
-      return "trk";
-    case DomainCategory::analytics:
-      return "metrics";
-    case DomainCategory::content_delivery:
-      return "cdn";
-    case DomainCategory::information_technology:
-      return "svc";
-    case DomainCategory::social:
-      return "social";
-    case DomainCategory::first_party:
-      return "site";
-  }
-  return "x";
+  static constexpr const char* kPrefixes[] = {"ads", "trk",    "metrics", "cdn",
+                                              "svc", "social", "site"};
+  static_assert(std::size(kPrefixes) == kDomainCategoryCount);
+  return kPrefixes[static_cast<std::size_t>(c)];
 }
 
 DomainCategory sample_category(stats::Rng& rng) {
@@ -239,19 +195,32 @@ const char* kTlds[] = {"com", "com", "com", "com", "org", "net",  "io",
                        "co",  "de",  "fr",  "nl",  "ru",  "co.uk", "com.au",
                        "com.br", "in", "it", "pl", "jp", "app"};
 
+const UniverseConfig& checked(const UniverseConfig& cfg) {
+  if (cfg.site_count >= 0 && cfg.site_count <= kMaxSites) return cfg;
+  throw std::invalid_argument(
+      "Universe: site_count " + std::to_string(cfg.site_count) +
+      " is outside 0.." + std::to_string(kMaxSites) + " (web::kMaxSites)");
+}
+
 }  // namespace
 
 Universe::Universe(const UniverseConfig& cfg,
                    const cloud::ProviderCatalog& providers)
-    : cfg_(cfg), providers_(&providers), psl_(PublicSuffixList::builtin()) {
+    : cfg_(checked(cfg)),
+      providers_(&providers),
+      psl_(PublicSuffixList::builtin()) {
   stats::Rng rng(cfg_.seed);
   build_third_parties(rng);
   build_sites(rng);
+  tenants_by_name_.resize(tenants_.size());
+  std::iota(tenants_by_name_.begin(), tenants_by_name_.end(), 0u);
+  std::ranges::sort(tenants_by_name_, {}, [&](std::uint32_t t) {
+    return std::string_view(tenants_[t].etld1);
+  });
 }
 
 std::uint32_t Universe::add_tenant(std::string etld1, DomainCategory cat) {
   auto id = static_cast<std::uint32_t>(tenants_.size());
-  tenant_by_name_.emplace(etld1, id);
   Tenant t;
   t.etld1 = std::move(etld1);
   t.category = cat;
@@ -345,7 +314,7 @@ void Universe::build_third_parties(stats::Rng& rng) {
             ? 0.06
             : 0.10;
 
-    int nfqdns = static_cast<int>(rng.between(1, 4));
+    int nfqdns = static_cast<int>(rng.between(1, kTenantFqdnsMax));
     auto [p0, s0] = sample_hosting(rng, /*prefer_cdn=*/t < 200, affinity);
     for (int k = 0; k < nfqdns; ++k) {
       int provider = p0;
@@ -426,6 +395,10 @@ void Universe::build_third_parties(stats::Rng& rng) {
 void Universe::build_sites(stats::Rng& rng) {
   stats::DiscreteSampler tp_sampler(third_party_weights_);
   sites_.reserve(static_cast<size_t>(cfg_.site_count));
+  // Room for the most refs the draws can make; capacity that is never
+  // written is never touched, so it costs no memory.
+  pages_.resources.items.reserve(static_cast<size_t>(cfg_.site_count) *
+                                 (1 + kSubpagesMax) * kResourcesPerPageMax);
 
   for (int rank = 0; rank < cfg_.site_count; ++rank) {
     Site site;
@@ -534,14 +507,14 @@ void Universe::build_sites(stats::Rng& rng) {
     if (site_tp.empty())
       site_tp.push_back(third_party_pool_[tp_sampler.sample(rng)]);
 
-    // Pages.
+    // Pages, appended as rows of the flat arrays.
     int nsub = static_cast<int>(rng.between(kSubpagesMin, kSubpagesMax));
-    site.pages.resize(static_cast<size_t>(1 + nsub));
-    for (size_t pi = 0; pi < site.pages.size(); ++pi) {
-      Page& page = site.pages[pi];
+    site.first_page =
+        static_cast<std::uint32_t>(pages_.resources.begin.size() - 1);
+    site.page_count = static_cast<std::uint32_t>(1 + nsub);
+    for (std::uint32_t pi = 0; pi < site.page_count; ++pi) {
       int nres = static_cast<int>(
           rng.between(kResourcesPerPageMin, kResourcesPerPageMax));
-      page.resources.reserve(static_cast<size_t>(nres));
       for (int r = 0; r < nres; ++r) {
         ResourceRef ref;
         if (rng.chance(0.38)) {
@@ -552,22 +525,25 @@ void Universe::build_sites(stats::Rng& rng) {
           ref.type = sample_type_for_category(
               tenants_[fqdns_[ref.fqdn].tenant].category, rng);
         }
-        page.resources.push_back(ref);
+        pages_.resources.items.push_back(ref);
       }
       // Link structure: the main page links to every subpage; subpages
       // link onward to a couple of peers.
       if (pi == 0) {
         for (std::uint32_t j = 1; j <= static_cast<std::uint32_t>(nsub); ++j)
-          page.internal_links.push_back(j);
+          pages_.internal_links.items.push_back(j);
       } else if (nsub > 1) {
-        page.internal_links.push_back(
+        pages_.internal_links.items.push_back(
             1 + static_cast<std::uint32_t>(rng.below(static_cast<std::uint64_t>(nsub))));
       }
       // Off-site links the crawler must refuse (same-site check).
       if (rng.chance(0.3) && !third_party_pool_.empty()) {
-        page.external_links.push_back(
+        pages_.external_links.items.push_back(
             third_party_pool_[tp_sampler.sample(rng)]);
       }
+      pages_.resources.end_row();
+      pages_.internal_links.end_row();
+      pages_.external_links.end_row();
     }
 
     sites_.push_back(std::move(site));
@@ -645,9 +621,12 @@ dns::ZoneDb Universe::build_zone(Epoch e) const {
 
 std::optional<DomainCategory> Universe::categorize(
     std::string_view etld1) const {
-  auto it = tenant_by_name_.find(etld1);
-  if (it == tenant_by_name_.end()) return std::nullopt;
-  return tenants_[it->second].category;
+  const auto it = std::ranges::lower_bound(
+      tenants_by_name_, etld1, {},
+      [&](std::uint32_t t) { return std::string_view(tenants_[t].etld1); });
+  if (it == tenants_by_name_.end() || tenants_[*it].etld1 != etld1)
+    return std::nullopt;
+  return tenants_[*it].category;
 }
 
 }  // namespace nbv6::web

@@ -26,11 +26,20 @@
 // Everything is registered in a dns::ZoneDb per epoch, so the crawler and
 // the cloud analyses operate purely through DNS + BGP lookups, exactly like
 // the paper's pipeline.
+//
+// Layout: pages are not objects. A Site names a range of page indices, and
+// each page is one row of three flat arrays (4-byte resource refs, internal
+// links, external links), each with a uint32_t begin offset per page and an
+// end sentinel; Universe::page() returns a row as three spans. A universe
+// holds at most kMaxSites sites, which keeps every FQDN id within a ref's
+// 29 bits and every offset within 32; the constructor checks the size
+// before it allocates. categorize() binary-searches tenant ids sorted by
+// eTLD+1.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,17 +100,29 @@ struct Tenant {
   std::vector<std::uint32_t> fqdns;
 };
 
+/// One fetch on a page, packed into 4 bytes: a 29-bit FQDN id and the
+/// 3-bit type. Its 32 bits are the crawler's (fqdn, type) dedup key.
 struct ResourceRef {
-  std::uint32_t fqdn = 0;
-  ResourceType type = ResourceType::image;
+  std::uint32_t fqdn : 29 = 0;
+  ResourceType type : 3 = ResourceType::image;
 };
+static_assert(sizeof(ResourceRef) == 4);
+static_assert(kResourceTypeCount <= 8);
+/// Largest FQDN id a ResourceRef holds.
+constexpr std::uint32_t kMaxFqdnId = (1u << 29) - 1;
 
+/// Largest site_count a Universe accepts. universe.cpp derives from the
+/// generator constants that every FQDN id fits a ResourceRef and every
+/// page, ref and link offset fits a uint32_t at this size.
+constexpr int kMaxSites = 10'000'000;
+
+/// One page: views into the universe's flat arrays.
 struct Page {
-  std::vector<ResourceRef> resources;
+  std::span<const ResourceRef> resources;
   /// Indices of same-site pages this page links to.
-  std::vector<std::uint32_t> internal_links;
+  std::span<const std::uint32_t> internal_links;
   /// FQDNs of off-site link targets (the crawler must refuse these).
-  std::vector<std::uint32_t> external_links;
+  std::span<const std::uint32_t> external_links;
 };
 
 /// Why a site fails to load, when it does (§4.2's loading-failure split).
@@ -114,7 +135,30 @@ struct Site {
   double fail_u = 1.0;  ///< latent failure propensity
   /// Optional redirect: main_fqdn 301s here before content loads.
   std::optional<std::uint32_t> redirect_to;
-  std::vector<Page> pages;  ///< pages[0] is the main page
+  /// Pages first_page .. first_page + page_count - 1 of the universe; the
+  /// first is the main page.
+  std::uint32_t first_page = 0;
+  std::uint32_t page_count = 0;
+};
+
+/// Variable-length rows stored back to back: row i is
+/// items[begin[i], begin[i + 1]), and begin ends with items.size().
+template <class T>
+struct FlatRows {
+  std::vector<T> items;
+  std::vector<std::uint32_t> begin{0};
+
+  [[nodiscard]] std::span<const T> row(std::uint32_t i) const {
+    return std::span<const T>(items).subspan(begin[i], begin[i + 1] - begin[i]);
+  }
+  void end_row() { begin.push_back(static_cast<std::uint32_t>(items.size())); }
+};
+
+/// The flat arrays behind every page, one row per page in site order.
+struct PageRows {
+  FlatRows<ResourceRef> resources;
+  FlatRows<std::uint32_t> internal_links;
+  FlatRows<std::uint32_t> external_links;
 };
 
 /// What varies between universes: the top-list size and the generator
@@ -132,6 +176,8 @@ double category_base_adoption(DomainCategory c);
 
 class Universe {
  public:
+  /// Throws std::invalid_argument, before allocating anything, when
+  /// cfg.site_count is negative or above kMaxSites.
   explicit Universe(const UniverseConfig& cfg,
                     const cloud::ProviderCatalog& providers);
 
@@ -143,6 +189,14 @@ class Universe {
     return *providers_;
   }
   [[nodiscard]] const PublicSuffixList& psl() const { return psl_; }
+
+  [[nodiscard]] const PageRows& page_rows() const { return pages_; }
+  /// Page `i` of site `s` (0 is the main page).
+  [[nodiscard]] Page page(const Site& s, std::uint32_t i) const {
+    const std::uint32_t p = s.first_page + i;
+    return {pages_.resources.row(p), pages_.internal_links.row(p),
+            pages_.external_links.row(p)};
+  }
 
   /// Site fate at an epoch (failure rates drift upward).
   [[nodiscard]] SiteFate fate(const Site& s, Epoch e) const;
@@ -180,12 +234,14 @@ class Universe {
   std::vector<Site> sites_;
   std::vector<Tenant> tenants_;
   std::vector<Fqdn> fqdns_;
+  PageRows pages_;
   /// Third-party FQDN ids weighted by Zipf popularity, for page building.
   std::vector<std::uint32_t> third_party_pool_;
   std::vector<double> third_party_weights_;
   /// FQDNs of unpopular tenants, for uniform niche-partner draws.
   std::vector<std::uint32_t> tail_pool_;
-  std::map<std::string, std::uint32_t, std::less<>> tenant_by_name_;
+  /// Tenant ids sorted by eTLD+1 (every eTLD+1 is distinct).
+  std::vector<std::uint32_t> tenants_by_name_;
 };
 
 }  // namespace nbv6::web

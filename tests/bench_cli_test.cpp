@@ -8,6 +8,7 @@
 
 #include "bench_cli.h"
 #include "bench_common.h"
+#include "web/universe.h"
 
 namespace {
 
@@ -160,6 +161,20 @@ TEST(BenchScaleFlags, RejectMalformedEmptyAndNonPositiveNamingTheFlag) {
     }
   }
   EXPECT_TRUE(nbv6::bench::positive_flag("sites", 1));
+}
+
+// --sites above web::kMaxSites fails positive_flag too, with a message
+// naming the flag and the bound, so paper exits 2 before it builds an input;
+// the bound itself passes (no universe is built here, at any size).
+TEST(BenchScaleFlags, RejectSitesAboveTheUniverseBoundNamingIt) {
+  using nbv6::web::kMaxSites;
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(nbv6::bench::positive_flag("sites", kMaxSites + 1, kMaxSites));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--sites"), std::string::npos) << err;
+  EXPECT_NE(err.find(std::to_string(kMaxSites)), std::string::npos) << err;
+  EXPECT_TRUE(nbv6::bench::positive_flag("sites", kMaxSites, kMaxSites));
+  EXPECT_EQ(kMaxSites, 10'000'000);
 }
 
 }  // namespace

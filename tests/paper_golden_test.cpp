@@ -169,8 +169,9 @@ TEST(PaperGolden, PaperBinaryAt20kSites) {
   check_run({"paper", {"--sites=20000", "--days=30"}, 0, "paper_20k.txt", {}});
 }
 
-// A scale flag that is malformed, empty or below 1 exits 2 before anything
-// is built, with a message naming the flag.
+// A scale flag that is malformed, empty or below 1, or --sites above the
+// universe's bound, exits 2 before anything is built, with a message naming
+// the flag.
 TEST(PaperGolden, PaperRejectsBadScaleFlags) {
   for (const std::string flag : {"--sites", "--days"}) {
     for (const char* bad : {"0", "-3", "x", ""}) {
@@ -182,6 +183,14 @@ TEST(PaperGolden, PaperRejectsBadScaleFlags) {
       EXPECT_NE(out.find(flag), std::string::npos) << arg << ": " << out;
     }
   }
+  // Above web::kMaxSites (10,000,000) likewise, naming the bound.
+  std::string cmd = "'";
+  cmd += NBV6_BIN_DIR;
+  cmd += "/paper' --sites=10000001 2>&1";
+  auto [out, status] = run_command(cmd);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+      << cmd << " exited with status " << status;
+  EXPECT_NE(out.find("10000000"), std::string::npos) << out;
 }
 
 TEST(PaperGolden, Quickstart) {

@@ -3,6 +3,7 @@
 #include <map>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/server_analysis.h"
 #include "dns/resolver.h"
@@ -86,15 +87,44 @@ TEST_F(CrawlerTest, FirstPartyDetectionUsesEtld1) {
   }
 }
 
+// The prefix law: the main page's draws come first, so for every site at
+// every epoch a main-page-only crawl from the site's stream has the full
+// crawl's main-host fields, and its N observations are the full crawl's
+// first N, field by field.
 TEST_F(CrawlerTest, MainPageOnlySeesSubsetOfResources) {
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    stats::Rng rng1(50 + i), rng2(50 + i);
-    auto full = crawler_.crawl(i, rng1);
-    auto main_only = crawler_.crawl_main_page_only(i, rng2);
-    if (full.fate != SiteFate::ok) continue;
-    EXPECT_LE(main_only.resources.size(), full.resources.size());
-    EXPECT_EQ(main_only.pages_loaded, 1);
+  const auto fields = [](const ResourceObservation& r) {
+    return std::tuple(r.fqdn, r.type, r.first_party, r.has_a, r.has_aaaa,
+                      r.used, r.failed);
+  };
+  std::size_t prefix_obs = 0;
+  int strict = 0;
+  for (int e = 0; e < kEpochCount; ++e) {
+    const auto epoch = static_cast<Epoch>(e);
+    const dns::ZoneDb zone = universe_.build_zone(epoch);
+    const Crawler crawler(universe_, zone, epoch);
+    const std::uint64_t seed = 50 + static_cast<std::uint64_t>(e);
+    for (std::uint32_t i = 0; i < universe_.sites().size(); ++i) {
+      stats::Rng rng1 = Crawler::site_rng(seed, i);
+      stats::Rng rng2 = Crawler::site_rng(seed, i);
+      const auto full = crawler.crawl(i, rng1);
+      const auto main_only = crawler.crawl_main_page_only(i, rng2);
+      ASSERT_EQ(main_only.fate, full.fate) << i;
+      EXPECT_EQ(main_only.unknown_primary, full.unknown_primary) << i;
+      EXPECT_EQ(main_only.main_has_a, full.main_has_a) << i;
+      EXPECT_EQ(main_only.main_has_aaaa, full.main_has_aaaa) << i;
+      EXPECT_EQ(main_only.main_used, full.main_used) << i;
+      EXPECT_EQ(main_only.main_host, full.main_host) << i;
+      ASSERT_LE(main_only.resources.size(), full.resources.size()) << i;
+      for (std::size_t k = 0; k < main_only.resources.size(); ++k)
+        ASSERT_EQ(fields(main_only.resources[k]), fields(full.resources[k]))
+            << "site " << i << " observation " << k << " at epoch " << e;
+      prefix_obs += main_only.resources.size();
+      strict += main_only.resources.size() < full.resources.size();
+      EXPECT_EQ(main_only.pages_loaded, full.fate == SiteFate::ok ? 1 : 0);
+    }
   }
+  EXPECT_GT(prefix_obs, 10'000u);
+  EXPECT_GT(strict, 1'000);
 }
 
 TEST_F(CrawlerTest, DualStackResourcesPreferV6) {

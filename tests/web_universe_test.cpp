@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "cloud/providers.h"
 #include "dns/resolver.h"
 #include "web/universe.h"
@@ -29,11 +34,82 @@ TEST_F(UniverseTest, BuildsRequestedSites) {
 
 TEST_F(UniverseTest, EverySiteHasPagesAndResources) {
   for (const auto& site : universe_.sites()) {
-    ASSERT_GE(site.pages.size(), 2u);
-    EXPECT_FALSE(site.pages[0].resources.empty());
-    EXPECT_FALSE(site.pages[0].internal_links.empty());
-    for (auto link : site.pages[0].internal_links)
-      EXPECT_LT(link, site.pages.size());
+    ASSERT_GE(site.page_count, 2u);
+    const Page main = universe_.page(site, 0);
+    EXPECT_FALSE(main.resources.empty());
+    EXPECT_FALSE(main.internal_links.empty());
+    for (auto link : main.internal_links) EXPECT_LT(link, site.page_count);
+  }
+}
+
+// The sites' page ranges tile the pages from 0 in site order, and each
+// page's rows tile the three flat arrays in page order, ending at their
+// ends.
+TEST_F(UniverseTest, PagesPartitionTheArrays) {
+  const PageRows& rows = universe_.page_rows();
+  const auto& refs = rows.resources.items;
+  const auto& internal = rows.internal_links.items;
+  const auto& external = rows.external_links.items;
+  const ResourceRef* next_ref = refs.data();
+  const std::uint32_t* next_internal = internal.data();
+  const std::uint32_t* next_external = external.data();
+  std::uint32_t next_page = 0;
+  for (const auto& site : universe_.sites()) {
+    ASSERT_EQ(site.first_page, next_page);
+    next_page += site.page_count;
+    for (std::uint32_t i = 0; i < site.page_count; ++i) {
+      const Page page = universe_.page(site, i);
+      ASSERT_EQ(page.resources.data(), next_ref);
+      ASSERT_EQ(page.internal_links.data(), next_internal);
+      ASSERT_EQ(page.external_links.data(), next_external);
+      next_ref += page.resources.size();
+      next_internal += page.internal_links.size();
+      next_external += page.external_links.size();
+      for (auto link : page.internal_links) EXPECT_LT(link, site.page_count);
+      for (auto fqdn : page.external_links) {
+        ASSERT_LT(fqdn, universe_.fqdns().size());
+        EXPECT_NE(universe_.tenants()[universe_.fqdns()[fqdn].tenant].category,
+                  DomainCategory::first_party);
+      }
+    }
+  }
+  EXPECT_EQ(rows.resources.begin.size(), next_page + 1u);
+  EXPECT_EQ(rows.internal_links.begin.size(), next_page + 1u);
+  EXPECT_EQ(rows.external_links.begin.size(), next_page + 1u);
+  EXPECT_EQ(next_ref, refs.data() + refs.size());
+  EXPECT_EQ(next_internal, internal.data() + internal.size());
+  EXPECT_EQ(next_external, external.data() + external.size());
+}
+
+TEST_F(UniverseTest, ResourceRefPacksIdAndType) {
+  for (std::uint32_t fqdn : {0u, kMaxFqdnId}) {
+    for (int t = 0; t < kResourceTypeCount; ++t) {
+      const auto type = static_cast<ResourceType>(t);
+      ResourceRef ref;
+      ref.fqdn = fqdn;
+      ref.type = type;
+      EXPECT_EQ(ref.fqdn, fqdn) << t;
+      EXPECT_EQ(ref.type, type) << fqdn;
+    }
+  }
+  EXPECT_EQ(kMaxFqdnId, (1u << 29) - 1);
+}
+
+// A size outside 0..kMaxSites is refused before anything is built. (A
+// universe at the bound itself would take gigabytes, so none is built.)
+TEST(UniverseSize, RejectsNegativeAndAboveTheBound) {
+  const cloud::ProviderCatalog providers;
+  for (int sites : {-1, kMaxSites + 1}) {
+    UniverseConfig cfg;
+    cfg.site_count = sites;
+    try {
+      const Universe u(cfg, providers);
+      ADD_FAILURE() << sites << " sites were accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxSites)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -192,6 +268,30 @@ TEST_F(UniverseTest, CategorizerKnowsThirdParties) {
   EXPECT_EQ(universe_.categorize("doubleclick.net"), DomainCategory::ads);
   EXPECT_EQ(universe_.categorize("demdex.net"), DomainCategory::trackers);
   EXPECT_FALSE(universe_.categorize("unknown-domain.example").has_value());
+}
+
+// Every tenant's eTLD+1 maps to its category, names that share a prefix
+// included (site1.*, site10.*, site100.*), and names that sort before the
+// first entry or after the last one map to none.
+TEST_F(UniverseTest, CategorizerKnowsEveryTenant) {
+  std::string first = universe_.tenants()[0].etld1;
+  std::string last = first;
+  for (const auto& t : universe_.tenants()) {
+    EXPECT_EQ(universe_.categorize(t.etld1), t.category) << t.etld1;
+    first = std::min(first, t.etld1);
+    last = std::max(last, t.etld1);
+  }
+  for (int rank : {1, 10, 100}) {
+    const auto& site = universe_.sites()[static_cast<std::size_t>(rank)];
+    const auto& name = universe_.tenants()[site.tenant].etld1;
+    ASSERT_TRUE(name.starts_with("site" + std::to_string(rank) + ".")) << name;
+    EXPECT_EQ(universe_.categorize(name), DomainCategory::first_party) << name;
+  }
+  EXPECT_FALSE(universe_.categorize("site1").has_value());
+  EXPECT_FALSE(universe_.categorize("").has_value());
+  EXPECT_FALSE(
+      universe_.categorize(first.substr(0, first.size() - 1)).has_value());
+  EXPECT_FALSE(universe_.categorize(last + "a").has_value());
 }
 
 TEST_F(UniverseTest, DeterministicBySeed) {
