@@ -36,6 +36,10 @@
 using namespace nbv6;
 
 int main(int argc, char** argv) {
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: %s [scenario.cfg [threads]]\n", argv[0]);
+    return 2;
+  }
   engine::FleetConfig cfg;  // defaults: 64 residences, 30 days
   if (argc > 1) {
     std::string error;

@@ -18,6 +18,10 @@
 using namespace nbv6;
 
 int main(int argc, char** argv) {
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [days]\n", argv[0]);
+    return 2;
+  }
   int days = 90;
   if (argc > 1 && (!engine::cfgparse::parse_int(argv[1], days) || days < 1)) {
     std::fprintf(stderr, "days must be a positive integer, got '%s'\n",

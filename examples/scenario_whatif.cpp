@@ -21,6 +21,10 @@
 using namespace nbv6;
 
 int main(int argc, char** argv) {
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [scenario.cfg]\n", argv[0]);
+    return 2;
+  }
   engine::FleetConfig base;
   base.residences = 48;
   base.days = 14;

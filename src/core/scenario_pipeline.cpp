@@ -1,7 +1,7 @@
 #include "core/scenario_pipeline.h"
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -14,48 +14,44 @@ namespace engine {
 ForestScheduler::Stats Pipeline::run(PassCache* cache, ThreadPool* pool) {
   unbind();
   ForestScheduler::Stats stats;
-  // Stage i ran: count it and bind its output.
-  auto ran = [&](std::size_t i, PipelineValue v) -> const PipelineValue& {
+  // Stage i ran: count it and bind its output to `slot`.
+  auto ran = [&]<typename T>(std::size_t i, std::shared_ptr<const T>& slot,
+                             T value) -> const T& {
     ++executions_[i];
     ++stats.executed;
-    return bound_[i] = std::move(v);
+    slot = std::make_shared<const T>(std::move(value));
+    return *slot;
   };
   try {
     // The population is the one stage result worth caching: every what-if
     // variant of a base samples the same one.
-    std::uint64_t key = 0;
-    std::optional<std::vector<PipelineValue>> hit;
-    if (cache != nullptr) {
-      key = population_key(cfg_, *catalog_);
-      hit = cache->find(key, kStages[0].name, 1);
-    }
-    if (hit) {
-      bound_[0] = std::move((*hit)[0]);
+    const std::uint64_t key = cache ? population_key(cfg_, *catalog_) : 0;
+    if (cache != nullptr) bound_.population = cache->population(key);
+    if (bound_.population != nullptr) {
       ++stats.cached;
     } else {
-      ran(0, PipelineValue::wrap(sample_stage(cfg_, *catalog_)));
-      if (cache != nullptr) cache->store(key, kStages[0].name, {bound_[0]});
+      ran(0, bound_.population, sample_stage(cfg_, *catalog_));
+      if (cache != nullptr) cache->store(key, bound_.population);
     }
 
     // Bound values are immutable and may be shared; plan onto a copy.
-    SampledFleet planned = bound_[0].get<SampledFleet>();
+    SampledFleet planned = *bound_.population;
     apply_timeline(planned, cfg_.timeline, cfg_.seed, cfg_.days);
-    const auto& fleet =
-        ran(1, PipelineValue::wrap(std::move(planned))).get<SampledFleet>();
+    const auto& fleet = ran(1, bound_.planned, std::move(planned));
 
     // Nothing downstream reads a residence's hourly or destination tallies.
     const auto& result =
-        ran(2, PipelineValue::wrap(simulate_fleet(*catalog_, fleet, pool, cache,
-                                                  ShardTallies::lean)))
-            .get<FleetResult>();
+        ran(2, bound_.result,
+            simulate_fleet(*catalog_, fleet, pool, cache, ShardTallies::lean));
 
-    ran(3, PipelineValue::wrap(
-               core::fleet_stats_report(result, pool, core::kScenarioAlpha)));
+    ran(3, bound_.report,
+        core::fleet_stats_report(result, pool, core::kScenarioAlpha));
 
     const core::PanelWindows w = core::panel_windows(cfg_.days);
-    ran(4, PipelineValue::wrap(core::compare_windows(
-               result, core::default_fleet_metrics(), w.pre, w.post,
-               core::FleetGroup::all, pool, core::kScenarioAlpha)));
+    ran(4, bound_.panel,
+        core::compare_windows(result, core::default_fleet_metrics(), w.pre,
+                              w.post, core::FleetGroup::all, pool,
+                              core::kScenarioAlpha));
   } catch (...) {
     // No partial state: a failed run serves no stale/fresh mix.
     unbind();

@@ -1,13 +1,14 @@
 // The scenario chain's stage functions and analysis settings: the one
 // place that knows them. engine::Pipeline (engine/pipeline.h, which lists
-// the stages and their resources) is run by scenario_pipeline.cpp:
-// sample_stage (cached under engine::population_key), apply_timeline on a
-// copy, simulate_fleet (residence shards cached under engine::shard_key),
-// fleet_stats_report, then compare_windows over panel_windows(days). Both
-// analyses are Holm-corrected at kScenarioAlpha. The golden-replay suite
-// pins the chain's output byte for byte at 1, 4 and 8 lanes, and
-// digest_audit_test proves both cache keys by mutating every field they
-// must cover.
+// the stages and holds their outputs as typed members) is run by
+// scenario_pipeline.cpp: sample_stage (the population, cached under
+// engine::population_key and bound as the cache's own entry on a hit),
+// apply_timeline on a copy, simulate_fleet (residence shards cached under
+// engine::shard_key), fleet_stats_report, then compare_windows over
+// panel_windows(days). Both analyses are Holm-corrected at kScenarioAlpha.
+// The golden-replay suite pins the chain's output byte for byte at 1, 4 and
+// 8 lanes, and digest_audit_test proves both cache keys by mutating every
+// field they must cover.
 #pragma once
 
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 #include <utility>
 
 namespace nbv6::engine {
@@ -12,30 +13,44 @@ DigestBuilder& DigestBuilder::f64(double v) {
 
 // ----------------------------------------------------------------- cache
 
-std::optional<std::vector<PipelineValue>> PassCache::find(
-    std::uint64_t digest, std::string_view pass,
-    std::size_t output_count) const {
-  core::MutexLock lock(mutex_);
-  ++lookups_;
-  auto it = map_.find(digest);
-  if (it == map_.end()) return std::nullopt;
-  // A key collision across producers (different name, or a different
-  // arity) must read as a miss, not as someone else's outputs.
-  if (it->second.pass != pass || it->second.outputs.size() != output_count)
-    return std::nullopt;
-  ++hits_;
-  return it->second.outputs;  // copies shared handles, not payloads
+// The entry under `key` in `map`, or null, counted as one lookup (and one
+// hit when found). Called with the cache's lock held.
+template <typename Map>
+static typename Map::mapped_type counted_find(const Map& map, std::uint64_t key,
+                                              std::uint64_t& lookups,
+                                              std::uint64_t& hits) {
+  ++lookups;
+  const auto it = map.find(key);
+  if (it == map.end()) return nullptr;
+  ++hits;
+  return it->second;
 }
 
-void PassCache::store(std::uint64_t digest, std::string_view pass,
-                      std::vector<PipelineValue> outputs) {
+std::shared_ptr<const SampledFleet> PassCache::population(
+    std::uint64_t key) const {
   core::MutexLock lock(mutex_);
-  map_[digest] = Entry{std::string(pass), std::move(outputs)};
+  return counted_find(populations_, key, lookups_, hits_);
+}
+
+std::shared_ptr<const Shard> PassCache::shard(std::uint64_t key) const {
+  core::MutexLock lock(mutex_);
+  return counted_find(shards_, key, lookups_, hits_);
+}
+
+void PassCache::store(std::uint64_t key,
+                      std::shared_ptr<const SampledFleet> population) {
+  core::MutexLock lock(mutex_);
+  populations_[key] = std::move(population);
+}
+
+void PassCache::store(std::uint64_t key, std::shared_ptr<const Shard> shard) {
+  core::MutexLock lock(mutex_);
+  shards_[key] = std::move(shard);
 }
 
 std::size_t PassCache::size() const {
   core::MutexLock lock(mutex_);
-  return map_.size();
+  return populations_.size() + shards_.size();
 }
 
 std::uint64_t PassCache::lookups() const {
@@ -50,21 +65,11 @@ std::uint64_t PassCache::hits() const {
 
 // -------------------------------------------------------------- pipeline
 
-const PipelineValue& Pipeline::output_value(std::string_view resource) const {
-  for (std::size_t i = 0; i < kStages.size(); ++i) {
-    if (kStages[i].resource == resource && bound_[i].has_value())
-      return bound_[i];
-  }
-  throw std::logic_error("resource '" + std::string(resource) +
-                         "' is not bound (unknown, or the pipeline has not "
-                         "run)");
-}
-
 std::uint64_t Pipeline::executions(std::string_view stage) const {
-  for (std::size_t i = 0; i < kStages.size(); ++i) {
-    if (kStages[i].name == stage) return executions_[i];
-  }
-  throw std::invalid_argument("unknown stage '" + std::string(stage) + "'");
+  const auto it = std::ranges::find(kStages, stage);
+  if (it == kStages.end())
+    throw std::invalid_argument("unknown stage '" + std::string(stage) + "'");
+  return executions_[static_cast<std::size_t>(it - kStages.begin())];
 }
 
 // ---------------------------------------------------------------- forest

@@ -9,30 +9,30 @@
 //   report        ->  "stats_report"   (core::FleetStatsReport)
 //   window_panel  ->  "window_panel"   (core::GroupComparison)
 //
-// Pipeline is that chain for one FleetConfig. core::make_scenario_pipeline
-// builds one; Pipeline::run is defined in core/scenario_pipeline.cpp, the
-// one file that knows the stage functions. Outputs are held type-erased,
-// so this header needs no core/ analysis types.
+// Pipeline is that chain for one FleetConfig, holding each output as a
+// typed member. core::make_scenario_pipeline builds one; Pipeline::run is
+// defined in core/scenario_pipeline.cpp, the one file that knows the stage
+// functions. This header only forward-declares the two core/ analysis
+// types.
 //
-// A PassCache shared across runs holds two kinds of entry: the sampled
-// population under engine::population_key (pass name "sample"), so
-// variants that differ only in their timeline sample their base once; and
-// each residence's simulation under engine::shard_key (pass name
-// "simulate.shard"), so a variant re-simulates only the homes its timeline
-// re-plans. Timeline, report and window panel always run. Keys exclude lane
-// count: every stage is bit-identical for any lane count, so a cached
-// result is valid across thread configurations. A what-if forest
-// (ForestScheduler::run) is a loop of Pipeline::run over one cache.
+// A PassCache shared across runs holds two kinds of entry, one map each:
+// the sampled population under engine::population_key, so variants that
+// differ only in their timeline sample their base once; and each
+// residence's simulation (a Shard) under engine::shard_key, so a variant
+// re-simulates only the homes its timeline re-plans. Timeline, report and
+// window panel always run. Keys exclude lane count: every stage is
+// bit-identical for any lane count, so a cached result is valid across
+// thread configurations. A what-if forest (ForestScheduler::run) is a loop
+// of Pipeline::run over one cache.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <typeinfo>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -40,6 +40,11 @@
 #include "engine/fleet.h"
 #include "engine/thread_pool.h"
 #include "traffic/service_catalog.h"
+
+namespace nbv6::core {
+struct FleetStatsReport;  // core/fleet_analysis.h
+struct GroupComparison;   // core/fleet_analysis.h
+}  // namespace nbv6::core
 
 namespace nbv6::engine {
 
@@ -74,77 +79,45 @@ class DigestBuilder {
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
-// ---------------------------------------------------------------- values
-
-/// Type-erased, immutable, shareable stage result. Cache entries and bound
-/// resources hold the same shared payload, so a cache hit never copies.
-class PipelineValue {
- public:
-  PipelineValue() = default;
-
-  template <typename T>
-  static PipelineValue wrap(T value) {
-    PipelineValue v;
-    v.ptr_ = std::make_shared<const T>(std::move(value));
-    v.type_ = &typeid(T);
-    return v;
-  }
-
-  template <typename T>
-  [[nodiscard]] const T& get() const {
-    if (ptr_ == nullptr)
-      throw std::logic_error("PipelineValue::get on an empty value");
-    if (*type_ != typeid(T))
-      throw std::logic_error(std::string("PipelineValue::get type mismatch: "
-                                         "held ") +
-                             type_->name() + ", asked for " + typeid(T).name());
-    return *static_cast<const T*>(ptr_.get());
-  }
-
-  [[nodiscard]] bool has_value() const { return ptr_ != nullptr; }
-
- private:
-  std::shared_ptr<const void> ptr_;
-  const std::type_info* type_ = nullptr;
-};
-
 // ----------------------------------------------------------------- cache
 
+/// One residence's simulation as the cache keeps it: what simulate_fleet
+/// copies into the residence's slot on a hit.
+struct Shard {
+  traffic::SimulationStats stats;
+  flowmon::FlowMonitor monitor;
+};
+
 /// Content-addressed result store, shared across runs (see the top of this
-/// header). The value is an output list, output-index aligned.
+/// header): sampled populations under population_key and residence shards
+/// under shard_key, in one map each, so an entry of one kind is never
+/// bound as the other. Entries are immutable and shared, so a hit copies a
+/// handle, not a fleet.
 ///
-/// Entries also record the producer's name and output count, and a lookup
-/// whose name or count disagrees is a miss: a 64-bit key collision between
-/// two different producers must never bind one's outputs (wrong arity,
-/// wrong types) as the other's.
-///
-/// Thread-safe: find/store take an internal lock, because simulate's lanes
-/// store residence shards concurrently. find copies the entry out
-/// (PipelineValue is a shared handle, so the copy is a few refcount bumps,
-/// not a fleet result).
+/// Thread-safe: every method takes one internal lock, because simulate's
+/// lanes look up and store residence shards concurrently.
 class PassCache {
  public:
-  /// Hit iff the digest maps to an entry stored by a producer with the same
-  /// name and output count; nullopt otherwise. Counts one lookup, and one
-  /// hit when it hits.
-  [[nodiscard]] std::optional<std::vector<PipelineValue>> find(
-      std::uint64_t digest, std::string_view pass,
-      std::size_t output_count) const;
-  void store(std::uint64_t digest, std::string_view pass,
-             std::vector<PipelineValue> outputs);
+  /// The entry stored under `key`, or null. Every call counts one lookup,
+  /// and one hit when it finds an entry.
+  [[nodiscard]] std::shared_ptr<const SampledFleet> population(
+      std::uint64_t key) const;
+  [[nodiscard]] std::shared_ptr<const Shard> shard(std::uint64_t key) const;
+  void store(std::uint64_t key, std::shared_ptr<const SampledFleet> population);
+  void store(std::uint64_t key, std::shared_ptr<const Shard> shard);
 
+  /// Entries of both kinds.
   [[nodiscard]] std::size_t size() const;
-  /// Lifetime find calls, and how many of them hit.
+  /// Lifetime lookups of both kinds, and how many of them hit.
   [[nodiscard]] std::uint64_t lookups() const;
   [[nodiscard]] std::uint64_t hits() const;
 
  private:
-  struct Entry {
-    std::string pass;
-    std::vector<PipelineValue> outputs;
-  };
   mutable core::Mutex mutex_;
-  std::unordered_map<std::uint64_t, Entry> map_ NBV6_GUARDED_BY(mutex_);
+  std::unordered_map<std::uint64_t, std::shared_ptr<const SampledFleet>>
+      populations_ NBV6_GUARDED_BY(mutex_);
+  std::unordered_map<std::uint64_t, std::shared_ptr<const Shard>> shards_
+      NBV6_GUARDED_BY(mutex_);
   mutable std::uint64_t lookups_ NBV6_GUARDED_BY(mutex_) = 0;
   mutable std::uint64_t hits_ NBV6_GUARDED_BY(mutex_) = 0;
 };
@@ -179,8 +152,8 @@ class ForestScheduler {
   /// Pipeline::run(cache, opts.pool), and sum their stats. Throws
   /// std::invalid_argument on a null or repeated pipeline, before any
   /// pipeline runs. If a stage throws, every pipeline's bound state is
-  /// cleared before the exception propagates: output_value never serves a
-  /// mix of stale and fresh resources from a partial forest.
+  /// cleared before the exception propagates: output never serves a mix
+  /// of stale and fresh resources from a partial forest.
   static Stats run(const std::vector<Pipeline*>& pipelines, PassCache* cache,
                    const Options& opts);
   static Stats run(const std::vector<Pipeline*>& pipelines, PassCache& cache,
@@ -208,13 +181,30 @@ class Pipeline {
   ForestScheduler::Stats run(PassCache* cache = nullptr,
                              ThreadPool* pool = nullptr);
 
-  /// A resource bound by the last run. Throws std::logic_error when the
-  /// resource is unknown or the pipeline has not run (or its run failed).
-  [[nodiscard]] const PipelineValue& output_value(
-      std::string_view resource) const;
+  /// The resource named `resource`, bound by the last run, as a T; a T
+  /// that no resource has does not compile. Throws std::logic_error when no
+  /// resource of type T has that name, or the pipeline has not run (or its
+  /// run failed).
   template <typename T>
   [[nodiscard]] const T& output(std::string_view resource) const {
-    return output_value(resource).get<T>();
+    const T* value = nullptr;
+    if constexpr (std::is_same_v<T, SampledFleet>) {
+      if (resource == "population") value = bound_.population.get();
+      if (resource == "planned_fleet") value = bound_.planned.get();
+    } else if constexpr (std::is_same_v<T, FleetResult>) {
+      if (resource == "fleet_result") value = bound_.result.get();
+    } else if constexpr (std::is_same_v<T, core::FleetStatsReport>) {
+      if (resource == "stats_report") value = bound_.report.get();
+    } else if constexpr (std::is_same_v<T, core::GroupComparison>) {
+      if (resource == "window_panel") value = bound_.panel.get();
+    } else {
+      static_assert(kNoResource<T>, "no pipeline resource has this type");
+    }
+    if (value == nullptr)
+      throw std::logic_error("resource '" + std::string(resource) +
+                             "' is not bound (unknown, of another type, or "
+                             "the pipeline has not run)");
+    return *value;
   }
 
   /// Lifetime count of actual executions (cache hits excluded) of `stage`.
@@ -224,17 +214,20 @@ class Pipeline {
  private:
   friend class ForestScheduler;
 
-  struct Stage {
-    std::string_view name;
-    std::string_view resource;
+  template <typename>
+  static constexpr bool kNoResource = false;
+  static constexpr std::array<std::string_view, 5> kStages = {
+      "sample", "timeline", "simulate", "report", "window_panel"};
+
+  /// The outputs of the last run. The population is the cache's entry
+  /// itself when it hit; every other output is this pipeline's own.
+  struct Bound {
+    std::shared_ptr<const SampledFleet> population;
+    std::shared_ptr<const SampledFleet> planned;
+    std::shared_ptr<const FleetResult> result;
+    std::shared_ptr<const core::FleetStatsReport> report;
+    std::shared_ptr<const core::GroupComparison> panel;
   };
-  static constexpr std::array<Stage, 5> kStages = {{
-      {"sample", "population"},
-      {"timeline", "planned_fleet"},
-      {"simulate", "fleet_result"},
-      {"report", "stats_report"},
-      {"window_panel", "window_panel"},
-  }};
 
   /// Empty every bound resource.
   void unbind() { bound_ = {}; }
@@ -242,8 +235,7 @@ class Pipeline {
   FleetConfig cfg_;
   const traffic::ServiceCatalog* catalog_;
   std::array<std::uint64_t, kStages.size()> executions_{};
-  /// Stage i's output bound by the last run, kStages-aligned.
-  std::array<PipelineValue, kStages.size()> bound_;
+  Bound bound_;
 };
 
 }  // namespace nbv6::engine

@@ -1,9 +1,9 @@
 #include "engine/run_spec.h"
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "engine/pipeline.h"
@@ -11,13 +11,6 @@
 #include "traffic/arrival.h"
 
 namespace nbv6::engine {
-
-namespace {
-
-// Pass name of cached residence shards; shard_key's tag.
-constexpr std::string_view kShardPass = "simulate.shard";
-
-}  // namespace
 
 SampledFleet sample_stage(const FleetConfig& cfg,
                           const traffic::ServiceCatalog& catalog) {
@@ -117,7 +110,7 @@ std::uint64_t population_key(const FleetConfig& cfg,
 std::uint64_t shard_key(const traffic::ServiceCatalog& catalog,
                         const traffic::ResidenceConfig& config) {
   DigestBuilder db;
-  db.str(kShardPass).u64(catalog.content_digest());
+  db.str("simulate.shard").u64(catalog.content_digest());
   db.str(config.name)
       .i64(config.days)
       .i64(config.start_weekday)
@@ -178,18 +171,17 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
       ResidenceRun& slot = out.residences[i];
       slot.config = configs[i];
       const std::uint64_t key = cache ? shard_key(catalog, configs[i]) : 0;
-      if (auto hit = cache ? cache->find(key, kShardPass, 2) : std::nullopt) {
-        slot.stats = (*hit)[0].get<traffic::SimulationStats>();
-        slot.monitor = (*hit)[1].get<flowmon::FlowMonitor>();
+      if (auto hit = cache ? cache->shard(key) : nullptr) {
+        slot.stats = hit->stats;
+        slot.monitor = hit->monitor;
         continue;
       }
       flowmon::MonitorSink sink(slot.monitor,
                                 lean ? lane_tallies[l] : slot.monitor);
       slot.stats = traffic::ResidenceSimulator(catalog, configs[i]).run(sink);
       if (cache != nullptr)
-        cache->store(key, kShardPass,
-                     {PipelineValue::wrap(slot.stats),
-                      PipelineValue::wrap(slot.monitor)});
+        cache->store(key, std::make_shared<const Shard>(
+                              Shard{slot.stats, slot.monitor}));
     }
   };
   if (pool != nullptr)

@@ -30,7 +30,7 @@ class PassCache;  // engine/pipeline.h
 SampledFleet sample_stage(const FleetConfig& cfg,
                           const traffic::ServiceCatalog& catalog);
 
-/// Cache key of the sampled population (pass name "sample"). It folds a
+/// Cache key of the sampled population (PassCache::population). It folds a
 /// "population" tag, everything sample_stage reads (residences, days, seed,
 /// the six population fractions, the activity-scale range, arrival mode and
 /// ticks) and catalog.content_digest(). The timeline is left out: it cannot
@@ -39,16 +39,16 @@ SampledFleet sample_stage(const FleetConfig& cfg,
 std::uint64_t population_key(const FleetConfig& cfg,
                              const traffic::ServiceCatalog& catalog);
 
-/// Cache key of one residence's simulation. A shard is a pure function of
-/// the catalog, its ResidenceConfig and the DayPlans it is handed, so the
-/// key folds a "simulate.shard" tag, catalog.content_digest(), every
-/// ResidenceConfig field except day_plan_fn (name, days, start weekday, the
-/// six scalars, each override's name and weight, the away ranges, arrival
-/// mode and ticks, seed), and every field of the evaluated DayPlan for days
-/// 0..days-1 — taken from day_plan_fn, or kStaticDayPlan without one,
-/// exactly as the simulator takes it. The closure itself never enters the
-/// key: two providers that return equal plans share a key, and so do a null
-/// provider and one that returns kStaticDayPlan.
+/// Cache key of one residence's simulation (PassCache::shard). A shard is a
+/// pure function of the catalog, its ResidenceConfig and the DayPlans it is
+/// handed, so the key folds a "simulate.shard" tag, catalog.content_digest(),
+/// every ResidenceConfig field except day_plan_fn (name, days, start
+/// weekday, the six scalars, each override's name and weight, the away
+/// ranges, arrival mode and ticks, seed), and every field of the evaluated
+/// DayPlan for days 0..days-1 — taken from day_plan_fn, or kStaticDayPlan
+/// without one, exactly as the simulator takes it. The closure itself never
+/// enters the key: two providers that return equal plans share a key, and
+/// so do a null provider and one that returns kStaticDayPlan.
 std::uint64_t shard_key(const traffic::ServiceCatalog& catalog,
                         const traffic::ResidenceConfig& config);
 
@@ -64,9 +64,9 @@ enum class ShardTallies { full, lean };
 /// lane (pool size + 1) takes residences off a ticket and runs each
 /// straight into its monitor through a flowmon::MonitorSink.
 ///
-/// With a `cache`, each residence is looked up under its shard_key (pass
-/// name "simulate.shard"): a hit copies the cached {SimulationStats,
-/// FlowMonitor} into the slot, a miss simulates and stores its shard. The
+/// With a `cache`, each residence's Shard is looked up under its shard_key:
+/// a hit copies the cached stats and monitor into the slot, a miss
+/// simulates and stores its shard. The
 /// config always comes from `configs`, and the fold is the same, so a
 /// cached run is byte-identical to an uncached one. This is how what-if
 /// variants that change a few homes re-simulate only those homes. Without a

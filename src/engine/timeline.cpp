@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -489,6 +490,11 @@ traffic::DayPlan timeline_day_plan(const Timeline& tl, std::uint64_t seed,
 
 void apply_timeline(SampledFleet& fleet, const Timeline& tl,
                     std::uint64_t seed, int days) {
+  // A provider captures its residence's traits: a hand-built fleet with
+  // mismatched sizes must fail before any config changes.
+  if (fleet.traits.size() != fleet.configs.size())
+    throw std::invalid_argument(
+        "apply_timeline: SampledFleet traits/configs size mismatch");
   if (tl.empty()) {
     for (auto& cfg : fleet.configs) cfg.day_plan_fn = nullptr;
     return;

@@ -194,7 +194,9 @@ traffic::DayPlan timeline_day_plan(const Timeline& tl, std::uint64_t seed,
 /// O(lanes x days) — nothing proportional to residences x days is ever
 /// allocated. An empty timeline clears the providers, leaving the static
 /// fast path untouched. `seed` and `days` are the scenario's master seed
-/// and horizon. Idempotent: each call recomputes from scratch.
+/// and horizon. Idempotent: each call recomputes from scratch. Throws
+/// std::invalid_argument, touching no config, on a traits/configs size
+/// mismatch.
 void apply_timeline(SampledFleet& fleet, const Timeline& tl,
                     std::uint64_t seed, int days);
 

@@ -224,6 +224,7 @@ std::uint32_t Universe::add_tenant(std::string etld1, DomainCategory cat) {
   Tenant t;
   t.etld1 = std::move(etld1);
   t.category = cat;
+  t.first_fqdn = static_cast<std::uint32_t>(fqdns_.size());
   tenants_.push_back(std::move(t));
   return id;
 }
@@ -240,7 +241,7 @@ std::uint32_t Universe::add_fqdn(std::string name, std::uint32_t tenant,
   f.adopt_u = rng.uniform();
   f.adoption_rate = rate;
   fqdns_.push_back(std::move(f));
-  tenants_[tenant].fqdns.push_back(id);
+  ++tenants_[tenant].fqdn_count;  // ids stay contiguous: see Tenant
   return id;
 }
 
@@ -387,7 +388,7 @@ void Universe::build_third_parties(stats::Rng& rng) {
     if (tenant >= std::size(kSeedThirdParties)) continue;
     double share = kSeedSpanTargets[tenant] / seed_span_total;
     double per_fqdn =
-        share / static_cast<double>(tenants_[tenant].fqdns.size());
+        share / static_cast<double>(tenants_[tenant].fqdn_count);
     third_party_weights_[i] = rest * kSeedMass / (1.0 - kSeedMass) * per_fqdn;
   }
 }
@@ -610,7 +611,8 @@ dns::ZoneDb Universe::build_zone(Epoch e) const {
   std::vector<bool> skip(fqdns_.size(), false);
   for (const auto& site : sites_) {
     if (fate(site, e) == SiteFate::nxdomain) {
-      for (auto id : tenants_[site.tenant].fqdns) skip[id] = true;
+      const Tenant& t = tenants_[site.tenant];
+      std::fill_n(skip.begin() + t.first_fqdn, t.fqdn_count, true);
     }
   }
   for (std::uint32_t id = 0; id < fqdns_.size(); ++id)

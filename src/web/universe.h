@@ -93,11 +93,13 @@ struct Fqdn {
   double adoption_rate = 0;   ///< epoch-0 threshold; drifts upward per epoch
 };
 
-/// An eTLD+1 and the FQDNs under it.
+/// An eTLD+1 and the FQDNs under it, ids [first_fqdn, first_fqdn +
+/// fqdn_count): every FQDN of a tenant is added right after the tenant.
 struct Tenant {
   std::string etld1;
   DomainCategory category = DomainCategory::first_party;
-  std::vector<std::uint32_t> fqdns;
+  std::uint32_t first_fqdn = 0;
+  std::uint32_t fqdn_count = 0;
 };
 
 /// One fetch on a page, packed into 4 bytes: a 29-bit FQDN id and the

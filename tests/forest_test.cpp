@@ -130,9 +130,9 @@ TEST(ForestScheduler, TwentyFiveVariantForestMatchesSerialByteForByte) {
     // runs timeline, simulate, report and window_panel.
     EXPECT_EQ(stats.executed, 101u) << at;
     EXPECT_EQ(stats.cached, 24u) << at;
-    // The one population plus one "simulate.shard" entry per home: no tiny
-    // home has a broken CPE, so no cpe_fix variant re-plans a home and all
-    // 25 share the 6 shards.
+    // The one population plus one shard per home: no tiny home has a
+    // broken CPE, so no cpe_fix variant re-plans a home and all 25 share
+    // the 6 shards.
     EXPECT_EQ(cache.size(), 7u) << at;
     // Variant 0 misses its population and 6 shards; each of the other 24
     // hits its population and all 6 shards.
@@ -201,7 +201,8 @@ TEST(ForestScheduler, RejectsBadPipelinesBeforeRunningAny) {
 
 // A stage failure anywhere in the forest leaves no pipeline bound: `good`
 // runs to completion before `poisoned` throws (its population key holds a
-// wrong-typed "sample" entry), and its outputs are unbound too.
+// population with one trait too few, which the timeline stage rejects), and
+// its outputs are unbound too.
 TEST(ForestScheduler, FailureClearsEveryPipelinesBoundState) {
   const auto catalog = traffic::build_paper_catalog();
   const auto cfgs = variant_configs(2);
@@ -210,22 +211,20 @@ TEST(ForestScheduler, FailureClearsEveryPipelinesBoundState) {
   Pipeline good = core::make_scenario_pipeline(cfgs[0], catalog);
   Pipeline poisoned = core::make_scenario_pipeline(other_seed, catalog);
 
+  auto short_traits = std::make_shared<engine::SampledFleet>(
+      engine::sample_stage(other_seed, catalog));
+  short_traits->traits.pop_back();
   PassCache cache;
-  cache.store(engine::population_key(other_seed, catalog), "sample",
-              {engine::PipelineValue::wrap(std::string("not a fleet"))});
+  cache.store(engine::population_key(other_seed, catalog),
+              std::shared_ptr<const engine::SampledFleet>(short_traits));
   engine::ThreadPool pool(2);
   ForestScheduler::Options opts;
   opts.pool = &pool;
   EXPECT_THROW(ForestScheduler::run({&good, &poisoned}, cache, opts),
-               std::logic_error);
+               std::invalid_argument);
   EXPECT_EQ(good.executions("window_panel"), 1u);
-  for (const char* resource : {"population", "planned_fleet", "fleet_result",
-                               "stats_report", "window_panel"}) {
-    EXPECT_THROW((void)good.output_value(resource), std::logic_error)
-        << resource;
-    EXPECT_THROW((void)poisoned.output_value(resource), std::logic_error)
-        << resource;
-  }
+  EXPECT_EQ(testutil::bound_resources(good), 0);
+  EXPECT_EQ(testutil::bound_resources(poisoned), 0);
 }
 
 }  // namespace

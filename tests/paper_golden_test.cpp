@@ -193,6 +193,23 @@ TEST(PaperGolden, PaperRejectsBadScaleFlags) {
   EXPECT_NE(out.find("10000000"), std::string::npos) << out;
 }
 
+// An example given more positional arguments than it documents exits 2
+// with a usage line on stderr, before it runs anything.
+TEST(PaperGolden, ExamplesRejectExtraArguments) {
+  const std::string cfg = testutil::source_dir() + "/examples/fleet.cfg";
+  for (const std::string& args : std::vector<std::string>{
+           "example_fleet_scenario '" + cfg + "' 1 oops",
+           "example_residence_monitor 3 oops",
+           "example_scenario_whatif '" + cfg + "' oops"}) {
+    const std::string cmd =
+        "'" + std::string(NBV6_BIN_DIR) + "'/" + args + " 2>&1 >/dev/null";
+    auto [err, status] = run_command(cmd);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+        << cmd << " exited with status " << status;
+    EXPECT_NE(err.find("usage: "), std::string::npos) << cmd << ": " << err;
+  }
+}
+
 TEST(PaperGolden, Quickstart) {
   check_run({"example_quickstart", {}, 0, "example_quickstart.txt", {}});
 }

@@ -25,9 +25,6 @@ using engine::Pipeline;
 
 const char* const kStages[] = {"sample", "timeline", "simulate", "report",
                                "window_panel"};
-const char* const kResources[] = {"population", "planned_fleet",
-                                  "fleet_result", "stats_report",
-                                  "window_panel"};
 
 engine::FleetConfig small_config() {
   engine::FleetConfig cfg;
@@ -48,43 +45,62 @@ engine::TimelineEvent fix_event(double fraction) {
 
 // ---------------------------------------------------------------- cache
 
-// A cache hit must require more than a matching 64-bit digest: a colliding
-// entry stored by a different producer (different name, or different output
-// arity) previously bound out of bounds / wrong-typed values silently.
-TEST(PassCache, CollidingEntryFromDifferentPassIsAMiss) {
+// Populations and residence shards live in one map each: a shard stored
+// under a population's key is a miss for population(key), and the other way
+// round, so neither kind is ever bound as the other. A pipeline whose
+// population key holds only a shard samples, and stores its own entry.
+TEST(PassCache, KindsNeverCrossBind) {
+  const auto catalog = traffic::build_paper_catalog();
+  const auto cfg = small_config();
+  const std::uint64_t key = engine::population_key(cfg, catalog);
+  const auto shard = std::make_shared<const engine::Shard>();
+  const auto population = std::make_shared<const engine::SampledFleet>();
   PassCache cache;
-  cache.store(42, "alpha",
-              {engine::PipelineValue::wrap(int{1}),
-               engine::PipelineValue::wrap(int{2})});
-  EXPECT_FALSE(cache.find(42, "beta", 2).has_value());   // name mismatch
-  EXPECT_FALSE(cache.find(42, "alpha", 1).has_value());  // arity mismatch
-  EXPECT_TRUE(cache.find(42, "alpha", 2).has_value());
-  EXPECT_FALSE(cache.find(43, "alpha", 2).has_value());  // plain miss
-  EXPECT_EQ(cache.size(), 1u);
-  // Every find is a lookup; only the one full match is a hit.
-  EXPECT_EQ(cache.lookups(), 4u);
-  EXPECT_EQ(cache.hits(), 1u);
+  cache.store(key, shard);
+  cache.store(key + 1, population);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.population(key), nullptr);
+  EXPECT_EQ(cache.shard(key + 1), nullptr);
+  EXPECT_EQ(cache.shard(key), shard);
+  EXPECT_EQ(cache.population(key + 1), population);
+  EXPECT_EQ(cache.shard(key + 2), nullptr);  // plain miss
+  // Every lookup counts; only a found entry is a hit.
+  EXPECT_EQ(cache.lookups(), 5u);
+  EXPECT_EQ(cache.hits(), 2u);
+
+  Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
+  const auto stats = pipe.run(&cache);
+  EXPECT_EQ(stats.executed, 5u);
+  EXPECT_EQ(stats.cached, 0u);
+  EXPECT_EQ(cache.population(key).get(),
+            &pipe.output<engine::SampledFleet>("population"));
+  EXPECT_EQ(cache.shard(key), shard);
 }
 
 // ------------------------------------------------------------ the chain
 
 // Every stage runs once per uncached run, in chain order, and binds its
-// resource; names that are no stage or resource throw.
+// resource; names that are no stage, no resource or a resource of another
+// type throw.
 TEST(ScenarioPipeline, UncachedRunExecutesEveryStageEveryTime) {
   const auto catalog = traffic::build_paper_catalog();
   Pipeline pipe = core::make_scenario_pipeline(small_config(), catalog);
-  EXPECT_THROW((void)pipe.output_value("fleet_result"), std::logic_error);
+  EXPECT_EQ(testutil::bound_resources(pipe), 0);
   for (std::uint64_t call = 1; call <= 2; ++call) {
     const auto stats = pipe.run();
     EXPECT_EQ(stats.executed, 5u) << "call " << call;
     EXPECT_EQ(stats.cached, 0u) << "call " << call;
     for (const char* stage : kStages)
       EXPECT_EQ(pipe.executions(stage), call) << stage << ", call " << call;
-    for (const char* resource : kResources)
-      EXPECT_TRUE(pipe.output_value(resource).has_value()) << resource;
+    EXPECT_EQ(testutil::bound_resources(pipe), 5) << "call " << call;
   }
   EXPECT_THROW((void)pipe.executions("extract"), std::invalid_argument);
-  EXPECT_THROW((void)pipe.output_value("matrix"), std::logic_error);
+  EXPECT_THROW((void)pipe.output<engine::FleetResult>("matrix"),
+               std::logic_error);
+  EXPECT_THROW((void)pipe.output<engine::SampledFleet>("fleet_result"),
+               std::logic_error);
+  EXPECT_THROW((void)pipe.output<core::GroupComparison>("stats_report"),
+               std::logic_error);
   // The planned fleet is the population with the timeline applied to a
   // copy: the two are distinct values.
   EXPECT_NE(&pipe.output<engine::SampledFleet>("population"),
@@ -178,49 +194,29 @@ TEST(ScenarioPipeline, WhatIfForestSamplesBaseExactlyOnce) {
 
 // ------------------------------------------------------ failure handling
 
-// An entry under the population key stored by another producer is a miss:
-// sample runs and its own entry replaces the impostor.
-TEST(ScenarioPipeline, PopulationKeyCollisionFromAnotherProducerIsAMiss) {
-  const auto catalog = traffic::build_paper_catalog();
-  const auto cfg = small_config();
-  const std::uint64_t key = engine::population_key(cfg, catalog);
-  PassCache cache;
-  cache.store(key, "impostor",
-              {engine::PipelineValue::wrap(std::string("not a fleet"))});
-
-  Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
-  const auto stats = pipe.run(&cache);
-  EXPECT_EQ(stats.executed, 5u);
-  EXPECT_EQ(stats.cached, 0u);
-  EXPECT_TRUE(cache.find(key, "sample", 1).has_value());
-}
-
 // A failed run leaves nothing bound: not the stage results it produced
 // before the failure, and not what an earlier successful run of the same
-// pipeline bound. Here the failure is a wrong-typed "sample" entry (right
-// name, one output) under the population key, which the timeline stage
-// cannot read as a SampledFleet.
+// pipeline bound. Here the failure is a population under the population key
+// with one trait too few, which the timeline stage rejects.
 TEST(ScenarioPipeline, FailedRunLeavesNothingBound) {
   const auto catalog = traffic::build_paper_catalog();
   const auto cfg = small_config();
   Pipeline pipe = core::make_scenario_pipeline(cfg, catalog);
   pipe.run();
-  for (const char* resource : kResources)
-    ASSERT_TRUE(pipe.output_value(resource).has_value()) << resource;
+  ASSERT_EQ(testutil::bound_resources(pipe), 5);
 
+  auto short_traits =
+      std::make_shared<engine::SampledFleet>(engine::sample_stage(cfg, catalog));
+  short_traits->traits.pop_back();
   PassCache poisoned;
-  poisoned.store(engine::population_key(cfg, catalog), "sample",
-                 {engine::PipelineValue::wrap(int{7})});
-  EXPECT_THROW(pipe.run(&poisoned), std::logic_error);
-  for (const char* resource : kResources)
-    EXPECT_THROW((void)pipe.output_value(resource), std::logic_error)
-        << resource;
-  EXPECT_THROW((void)pipe.output<engine::FleetResult>("fleet_result"),
-               std::logic_error);
+  poisoned.store(engine::population_key(cfg, catalog),
+                 std::shared_ptr<const engine::SampledFleet>(short_traits));
+  EXPECT_THROW(pipe.run(&poisoned), std::invalid_argument);
+  EXPECT_EQ(testutil::bound_resources(pipe), 0);
 
   // The pipeline stays usable.
   pipe.run();
-  EXPECT_TRUE(pipe.output_value("window_panel").has_value());
+  EXPECT_EQ(testutil::bound_resources(pipe), 5);
 }
 
 // -------------------------------------------------------- golden parity

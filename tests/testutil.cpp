@@ -10,6 +10,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/scenario_pipeline.h"
 #include "engine/pipeline.h"
@@ -141,6 +142,23 @@ std::vector<std::string> scenario_files() {
 
 std::string scenario_stem(const std::string& path) {
   return std::filesystem::path(path).stem().string();
+}
+
+int bound_resources(const engine::Pipeline& pipe) {
+  int bound = 0;
+  auto probe = [&](auto read) {
+    try {
+      read();
+      ++bound;
+    } catch (const std::logic_error&) {
+    }
+  };
+  probe([&] { (void)pipe.output<engine::SampledFleet>("population"); });
+  probe([&] { (void)pipe.output<engine::SampledFleet>("planned_fleet"); });
+  probe([&] { (void)pipe.output<engine::FleetResult>("fleet_result"); });
+  probe([&] { (void)pipe.output<core::FleetStatsReport>("stats_report"); });
+  probe([&] { (void)pipe.output<core::GroupComparison>("window_panel"); });
+  return bound;
 }
 
 ScenarioRun run_scenario(const engine::FleetConfig& cfg,

@@ -76,6 +76,11 @@ ScenarioRun run_scenario(const engine::FleetConfig& cfg,
                          PlanSource plans = PlanSource::lazy,
                          engine::PassCache* cache = nullptr);
 
+/// How many of the scenario chain's five resources `pipe` has bound, each
+/// read by name and type through Pipeline::output: 5 after a successful
+/// run, 0 before any run and after a failed one.
+int bound_resources(const engine::Pipeline& pipe);
+
 /// The stage chain alone, for tests that need only the FleetResult:
 /// sample_stage → apply_timeline → simulate_fleet on `pool` (nullptr =
 /// sequential).

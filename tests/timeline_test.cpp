@@ -451,6 +451,36 @@ TEST(TimelineApply, EmptyTimelineLeavesPlansEmpty) {
     EXPECT_FALSE(c.day_plan_fn);  // static fast path stays function-free
 }
 
+// A fleet with fewer traits than configs is rejected before any config is
+// touched, with or without events: a provider captures its residence's
+// traits, and reading them past the end is undefined.
+TEST(TimelineApply, TraitsConfigsMismatchThrowsAndTouchesNothing) {
+  auto catalog = traffic::build_paper_catalog();
+  FleetConfig cfg;
+  cfg.residences = 3;
+  cfg.days = 10;
+  cfg.timeline->events.push_back(
+      *Timeline::parse_event("cpe_fix", "start=2 frac=1.0"));
+  auto fleet = sample_stage(cfg, catalog);
+  fleet.traits.resize(1);
+  // Each config keeps the provider it had, and a sentinel day tells them
+  // apart from freshly installed ones.
+  for (auto& c : fleet.configs)
+    c.day_plan_fn = [](int) {
+      traffic::DayPlan p;
+      p.prefix_epoch = 99;
+      return p;
+    };
+  for (const Timeline& tl : {cfg.timeline.get(), Timeline{}}) {
+    EXPECT_THROW(apply_timeline(fleet, tl, cfg.seed, cfg.days),
+                 std::invalid_argument);
+    for (const auto& c : fleet.configs) {
+      ASSERT_TRUE(c.day_plan_fn);
+      EXPECT_EQ(c.day_plan_fn(0).prefix_epoch, 99);
+    }
+  }
+}
+
 // ------------------------------------------------------------ behaviour
 
 TEST(TimelineBehaviour, RolloutWaveRaisesPostWindowV6) {

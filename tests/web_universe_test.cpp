@@ -113,14 +113,26 @@ TEST(UniverseSize, RejectsNegativeAndAboveTheBound) {
   }
 }
 
+// Tenants' FQDN ranges partition the FQDN ids in tenant order: each range
+// starts where the previous one ends, none is empty, and the last one ends
+// at fqdns().size().
+TEST_F(UniverseTest, TenantFqdnRangesPartitionTheIds) {
+  std::uint32_t next = 0;
+  for (const auto& t : universe_.tenants()) {
+    EXPECT_EQ(t.first_fqdn, next) << t.etld1;
+    EXPECT_GT(t.fqdn_count, 0u) << t.etld1;
+    next = t.first_fqdn + t.fqdn_count;
+  }
+  EXPECT_EQ(next, universe_.fqdns().size());
+}
+
 TEST_F(UniverseTest, FqdnTenantLinksAreConsistent) {
   for (std::uint32_t id = 0; id < universe_.fqdns().size(); ++id) {
     const auto& f = universe_.fqdns()[id];
     ASSERT_LT(f.tenant, universe_.tenants().size());
     const auto& t = universe_.tenants()[f.tenant];
-    bool found = false;
-    for (auto fid : t.fqdns) found |= fid == id;
-    EXPECT_TRUE(found) << f.name;
+    EXPECT_GE(id, t.first_fqdn) << f.name;
+    EXPECT_LT(id, t.first_fqdn + t.fqdn_count) << f.name;
     // Every FQDN name ends with its tenant's eTLD+1.
     EXPECT_TRUE(f.name == t.etld1 ||
                 f.name.ends_with("." + t.etld1))
