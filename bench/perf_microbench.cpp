@@ -13,6 +13,7 @@
 #include "engine/firehose.h"
 #include "engine/flat_conntrack.h"
 #include "engine/fleet.h"
+#include "engine/pipeline.h"
 #include "engine/run_spec.h"
 #include "engine/thread_pool.h"
 #include "net/asn.h"
@@ -271,6 +272,35 @@ void BM_FleetIngest(benchmark::State& state) {
 BENCHMARK(BM_FleetIngest)
     ->ArgsProduct({{16, 64}, {0, 1}})
     ->ArgNames({"homes", "lean"})
+    ->Unit(benchmark::kMillisecond);
+
+// Warm-cache fleet simulate: 48 sampled residences x 42 days whose shards
+// are all in the cache, so every residence is a hit (copy the stats and
+// monitor, merge the tallies). Arg = engine::ShardTallies (0 full, 1 lean).
+void BM_CachedSimulate(benchmark::State& state) {
+  auto catalog = nbv6::traffic::build_paper_catalog();
+  engine::FleetConfig cfg;
+  cfg.residences = 48;
+  cfg.days = 42;
+  cfg.seed = 99;
+  const auto configs = engine::sample_stage(cfg, catalog).configs;
+  const auto tallies = state.range(0) == 0 ? engine::ShardTallies::full
+                                            : engine::ShardTallies::lean;
+  engine::ThreadPool pool(3);  // + the calling thread = 4 lanes
+  engine::PassCache cache;
+  engine::simulate_fleet(catalog, configs, &pool, &cache, tallies);
+  for (auto _ : state) {
+    auto result = engine::simulate_fleet(catalog, configs, &pool, &cache,
+                                         tallies);
+    benchmark::DoNotOptimize(result);
+  }
+  if (cache.hits() != cache.lookups() - configs.size())
+    state.SkipWithError("a warm lookup missed");
+}
+BENCHMARK(BM_CachedSimulate)
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgNames({"lean"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_MstlDecompose(benchmark::State& state) {

@@ -180,9 +180,9 @@ struct SampledFleet {
 };
 
 /// One shard's outcome: the residence, its generator stats, and its
-/// monitor. Under ShardTallies::lean (engine/run_spec.h) the monitor holds
-/// totals, daily series and NEW/DESTROY counts only: its hourly and
-/// destination tallies went to the fleet view.
+/// monitor. Under ShardTallies::lean (engine/run_spec.h), with or without a
+/// cache, the monitor holds totals, daily series and NEW/DESTROY counts
+/// only: its hourly and destination tallies went to the fleet view.
 struct ResidenceRun {
   traffic::ResidenceConfig config;
   traffic::SimulationStats stats;

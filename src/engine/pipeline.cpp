@@ -39,11 +39,13 @@ std::shared_ptr<const Shard> PassCache::shard(std::uint64_t key) const {
 
 void PassCache::store(std::uint64_t key,
                       std::shared_ptr<const SampledFleet> population) {
+  if (population == nullptr) throw std::invalid_argument("PassCache: null");
   core::MutexLock lock(mutex_);
   populations_[key] = std::move(population);
 }
 
 void PassCache::store(std::uint64_t key, std::shared_ptr<const Shard> shard) {
+  if (shard == nullptr) throw std::invalid_argument("PassCache: null");
   core::MutexLock lock(mutex_);
   shards_[key] = std::move(shard);
 }

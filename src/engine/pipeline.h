@@ -81,11 +81,14 @@ class DigestBuilder {
 
 // ----------------------------------------------------------------- cache
 
-/// One residence's simulation as the cache keeps it: what simulate_fleet
-/// copies into the residence's slot on a hit.
+/// One residence's simulation as the cache keeps it, split the way a
+/// flowmon::MonitorSink splits it: `monitor` holds totals, daily series and
+/// NEW/DESTROY counts, `tallies` the hourly and destination tallies, so one
+/// entry serves lean and full simulate_fleet runs alike.
 struct Shard {
   traffic::SimulationStats stats;
   flowmon::FlowMonitor monitor;
+  flowmon::FlowMonitor tallies;
 };
 
 /// Content-addressed result store, shared across runs (see the top of this
@@ -103,6 +106,7 @@ class PassCache {
   [[nodiscard]] std::shared_ptr<const SampledFleet> population(
       std::uint64_t key) const;
   [[nodiscard]] std::shared_ptr<const Shard> shard(std::uint64_t key) const;
+  /// Throw std::invalid_argument on a null entry, storing nothing.
   void store(std::uint64_t key, std::shared_ptr<const SampledFleet> population);
   void store(std::uint64_t key, std::shared_ptr<const Shard> shard);
 

@@ -154,34 +154,43 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            ShardTallies tallies) {
   FleetResult out;
   out.residences.resize(configs.size());
-  const bool lean = tallies == ShardTallies::lean && cache == nullptr;
+  const bool lean = tallies == ShardTallies::lean;
   const std::size_t lanes =
       pool != nullptr ? static_cast<std::size_t>(pool->size()) + 1 : 1;
   std::vector<flowmon::FlowMonitor> lane_tallies(lean ? lanes : 0);
   std::atomic<std::size_t> next{0};
 
   // One shard per residence: private RNG (seeded from the config) and
-  // private monitor, fed straight by the generator. The slot vector is
-  // preallocated, so each monitor sits at its final address. With a cache,
-  // a shard another run already simulated is copied in; a miss is simulated
-  // and stored. Lanes that miss on one key at once both simulate it and
-  // store equal shards.
+  // private monitor, fed straight by the generator, at its final address in
+  // the preallocated slot vector. With a cache, a miss is simulated into a
+  // fresh Shard and stored, then served like a hit; lanes that miss on one
+  // key at once both simulate it and store equal shards.
   auto lane = [&](std::size_t l) {
     for (std::size_t i; (i = next.fetch_add(1)) < configs.size();) {
       ResidenceRun& slot = out.residences[i];
       slot.config = configs[i];
-      const std::uint64_t key = cache ? shard_key(catalog, configs[i]) : 0;
-      if (auto hit = cache ? cache->shard(key) : nullptr) {
-        slot.stats = hit->stats;
-        slot.monitor = hit->monitor;
+      if (cache == nullptr) {
+        flowmon::MonitorSink sink(slot.monitor,
+                                  lean ? lane_tallies[l] : slot.monitor);
+        slot.stats = traffic::ResidenceSimulator(catalog, configs[i]).run(sink);
         continue;
       }
-      flowmon::MonitorSink sink(slot.monitor,
-                                lean ? lane_tallies[l] : slot.monitor);
-      slot.stats = traffic::ResidenceSimulator(catalog, configs[i]).run(sink);
-      if (cache != nullptr)
-        cache->store(key, std::make_shared<const Shard>(
-                              Shard{slot.stats, slot.monitor}));
+      const std::uint64_t key = shard_key(catalog, configs[i]);
+      auto shard = cache->shard(key);
+      if (shard == nullptr) {
+        auto own = std::make_shared<Shard>();
+        flowmon::MonitorSink sink(own->monitor, own->tallies);
+        own->stats = traffic::ResidenceSimulator(catalog, configs[i]).run(sink);
+        cache->store(key, shard = std::move(own));
+      }
+      slot.stats = shard->stats;
+      if (lean) {  // the tallies go to the lane, as the sink would send them
+        slot.monitor = shard->monitor;
+        lane_tallies[l].merge(shard->tallies);
+      } else {  // copying the destination table beats re-inserting it
+        slot.monitor = shard->tallies;
+        slot.monitor.merge(shard->monitor);
+      }
     }
   };
   if (pool != nullptr)

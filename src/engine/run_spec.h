@@ -65,13 +65,13 @@ enum class ShardTallies { full, lean };
 /// straight into its monitor through a flowmon::MonitorSink.
 ///
 /// With a `cache`, each residence's Shard is looked up under its shard_key:
-/// a hit copies the cached stats and monitor into the slot, a miss
-/// simulates and stores its shard. The
-/// config always comes from `configs`, and the fold is the same, so a
-/// cached run is byte-identical to an uncached one. This is how what-if
-/// variants that change a few homes re-simulate only those homes. Without a
-/// cache no key is computed and nothing is looked up or stored. A cache
-/// forces ShardTallies::full: a later hit needs the stored shard's tallies.
+/// a hit copies the cached stats and monitor into the slot and merges the
+/// shard's tallies where `tallies` sends them, a miss simulates and stores
+/// its shard and is then served the same way. The config always comes from
+/// `configs`, and every fold adds integers, so a cached run is
+/// byte-identical to an uncached one under either ShardTallies. This is how
+/// what-if variants that change a few homes re-simulate only those homes.
+/// Without a cache no key is computed and nothing is looked up or stored.
 FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
                            std::span<const traffic::ResidenceConfig> configs,
                            ThreadPool* pool, PassCache* cache = nullptr,

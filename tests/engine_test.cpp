@@ -19,6 +19,7 @@
 #include "engine/firehose.h"
 #include "engine/fleet.h"
 #include "engine/flat_conntrack.h"
+#include "engine/pipeline.h"
 #include "engine/run_spec.h"
 #include "engine/thread_pool.h"
 #include "flowmon/monitor.h"
@@ -525,11 +526,35 @@ bool same_stats(const traffic::SimulationStats& a,
          a.cgn_failures == b.cgn_failures && a.daily == b.daily;
 }
 
+// `lean` is the ShardTallies::lean run of `full`'s residences: the same
+// fleet view, per-residence stats, totals, daily series and events, and no
+// per-residence hourly or destination tallies (those live only in the
+// fleet view).
+void expect_lean_copy_of(const FleetResult& full, const FleetResult& lean) {
+  using flowmon::Scope;
+  expect_same_aggregates(full.fleet, lean.fleet);
+  EXPECT_TRUE(same_stats(full.totals, lean.totals));
+  ASSERT_EQ(full.residences.size(), lean.residences.size());
+  for (size_t i = 0; i < full.residences.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto& home = full.residences[i];
+    const auto& shard = lean.residences[i];
+    EXPECT_TRUE(same_stats(home.stats, shard.stats));
+    for (auto scope : {Scope::external, Scope::internal}) {
+      EXPECT_EQ(home.monitor.totals(scope), shard.monitor.totals(scope));
+      EXPECT_EQ(home.monitor.daily(scope), shard.monitor.daily(scope));
+    }
+    EXPECT_EQ(home.monitor.new_events(), shard.monitor.new_events());
+    EXPECT_EQ(home.monitor.destroy_events(), shard.monitor.destroy_events());
+    EXPECT_TRUE(shard.monitor.hourly_external().empty());
+    EXPECT_TRUE(shard.monitor.destination_tallies().empty());
+  }
+}
+
 // The acceptance bar: a 4-lane fleet run of 64 residences produces
 // aggregates bit-identical to the sequential run of the same seeds, and so
 // do lean runs (ShardTallies::lean) at 1, 4 and 8 lanes.
 TEST(SimulateFleet, FourLaneRunMatchesSequentialBitForBit) {
-  using flowmon::Scope;
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;
   cfg.residences = 64;
@@ -569,27 +594,78 @@ TEST(SimulateFleet, FourLaneRunMatchesSequentialBitForBit) {
   // destination tallies live only in the fleet view.
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four, &eight}) {
     SCOPED_TRACE(pool == nullptr ? 1 : pool->size() + 1);
-    auto lean = simulate_fleet(catalog, configs, pool, nullptr,
-                               ShardTallies::lean);
-    expect_same_aggregates(seq.fleet, lean.fleet);
-    EXPECT_TRUE(same_stats(seq.totals, lean.totals));
-    ASSERT_EQ(seq.residences.size(), lean.residences.size());
-    for (size_t i = 0; i < seq.residences.size(); ++i) {
-      SCOPED_TRACE(i);
-      const auto& full = seq.residences[i];
-      const auto& shard = lean.residences[i];
-      EXPECT_TRUE(same_stats(full.stats, shard.stats));
-      for (auto scope : {Scope::external, Scope::internal}) {
-        EXPECT_EQ(full.monitor.totals(scope), shard.monitor.totals(scope));
-        EXPECT_EQ(full.monitor.daily(scope), shard.monitor.daily(scope));
-      }
-      EXPECT_EQ(full.monitor.new_events(), shard.monitor.new_events());
-      EXPECT_EQ(full.monitor.destroy_events(),
-                shard.monitor.destroy_events());
-      EXPECT_TRUE(shard.monitor.hourly_external().empty());
-      EXPECT_TRUE(shard.monitor.destination_tallies().empty());
-    }
+    expect_lean_copy_of(seq, simulate_fleet(catalog, configs, pool, nullptr,
+                                            ShardTallies::lean));
   }
+}
+
+// Residence count of the cached-run tests: enough shards for every lane.
+constexpr int kCachedHomes = 24;
+
+std::vector<traffic::ResidenceConfig> cached_run_configs(
+    const traffic::ServiceCatalog& catalog) {
+  FleetConfig cfg;
+  cfg.residences = kCachedHomes;
+  cfg.days = 3;
+  cfg.seed = 20261020;
+  return sample_stage(cfg, catalog).configs;
+}
+
+// A lean run with a cache, cold (every lookup misses) and then warm (every
+// lookup hits), at 1, 4 and 8 lanes, equals the sequential uncached full
+// run wherever a lean run keeps data, and keeps no per-home hourly or
+// destination tallies: a cache no longer turns lean shards full.
+TEST(SimulateFleet, CachedLeanRunMatchesUncachedFull) {
+  const auto catalog = traffic::build_paper_catalog();
+  const auto configs = cached_run_configs(catalog);
+  const auto full = simulate_fleet(catalog, configs, nullptr);
+  ThreadPool four(3), eight(7);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four, &eight}) {
+    SCOPED_TRACE(pool == nullptr ? 1 : pool->size() + 1);
+    PassCache cache;
+    for (const char* pass : {"cold", "warm"}) {
+      SCOPED_TRACE(pass);
+      expect_lean_copy_of(full, simulate_fleet(catalog, configs, pool, &cache,
+                                               ShardTallies::lean));
+    }
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(kCachedHomes));
+    EXPECT_EQ(cache.lookups(), 2u * kCachedHomes);
+    EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kCachedHomes));
+  }
+}
+
+// A shard stored by a lean run serves a full run, and one stored by a full
+// run serves a lean run: every home's full monitor equals the uncached
+// full run's, and every lean run is its lean copy.
+TEST(SimulateFleet, OneCacheServesLeanAndFullRuns) {
+  const auto catalog = traffic::build_paper_catalog();
+  const auto configs = cached_run_configs(catalog);
+  const auto full = simulate_fleet(catalog, configs, nullptr);
+  ThreadPool four(3);
+  auto expect_full = [&](const FleetResult& got) {
+    expect_same_aggregates(full.fleet, got.fleet);
+    EXPECT_TRUE(same_stats(full.totals, got.totals));
+    ASSERT_EQ(full.residences.size(), got.residences.size());
+    for (size_t i = 0; i < full.residences.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_TRUE(
+          same_stats(full.residences[i].stats, got.residences[i].stats));
+      expect_same_aggregates(full.residences[i].monitor,
+                             got.residences[i].monitor);
+    }
+  };
+
+  PassCache lean_first;
+  expect_lean_copy_of(full, simulate_fleet(catalog, configs, &four,
+                                           &lean_first, ShardTallies::lean));
+  expect_full(simulate_fleet(catalog, configs, &four, &lean_first));
+  EXPECT_EQ(lean_first.hits(), static_cast<std::uint64_t>(kCachedHomes));
+
+  PassCache full_first;
+  expect_full(simulate_fleet(catalog, configs, &four, &full_first));
+  expect_lean_copy_of(full, simulate_fleet(catalog, configs, &four,
+                                           &full_first, ShardTallies::lean));
+  EXPECT_EQ(full_first.hits(), static_cast<std::uint64_t>(kCachedHomes));
 }
 
 TEST(SimulateFleet, FlatShardMatchesReferenceTableAggregates) {

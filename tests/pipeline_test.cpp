@@ -77,6 +77,26 @@ TEST(PassCache, KindsNeverCrossBind) {
   EXPECT_EQ(cache.shard(key), shard);
 }
 
+// A null entry of either kind is refused before the cache changes: stored,
+// it would count a hit and serve null, and the caller would re-simulate.
+TEST(PassCache, StoreRejectsNullEntries) {
+  PassCache cache;
+  const auto shard = std::make_shared<const engine::Shard>();
+  cache.store(1, shard);
+  EXPECT_THROW(cache.store(1, std::shared_ptr<const engine::Shard>()),
+               std::invalid_argument);
+  EXPECT_THROW(cache.store(2, std::shared_ptr<const engine::Shard>()),
+               std::invalid_argument);
+  EXPECT_THROW(cache.store(3, std::shared_ptr<const engine::SampledFleet>()),
+               std::invalid_argument);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.shard(1), shard);
+  EXPECT_EQ(cache.shard(2), nullptr);
+  EXPECT_EQ(cache.population(3), nullptr);
+  EXPECT_EQ(cache.lookups(), 3u);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
 // ------------------------------------------------------------ the chain
 
 // Every stage runs once per uncached run, in chain order, and binds its
