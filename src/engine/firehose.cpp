@@ -64,25 +64,10 @@ Firehose::Result Firehose::run(const FleetConfig& cfg, const Sink& sink) {
         }
       }
     }
-    // Defensive drain: nothing should remain past the last slot, but a
-    // record must never be dropped silently.
-    for (size_t i = 0; i < n; ++i) {
-      auto& ev = buffers[i].events();
-      for (size_t& c = cursor[i]; c < ev.size(); ++c) {
-        ev[c].residence = static_cast<std::uint32_t>(i);
-        sink(ev[c]);
-        ++out.flows;
-      }
-    }
     for (auto& b : buffers) b.clear();
   }
 
-  const auto horizon =
-      static_cast<flowmon::Timestamp>(days) * flowmon::kSecondsPerDay;
-  for (size_t i = 0; i < n; ++i) {
-    buffers[i].flush(horizon);
-    out.totals += sims[i].stats();
-  }
+  for (const auto& sim : sims) out.totals += sim.stats();
   return out;
 }
 

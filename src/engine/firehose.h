@@ -45,40 +45,26 @@ struct FlowEvent {
   flowmon::Scope scope = flowmon::Scope::external;
 };
 
-/// A conntrack-shaped sink that records generated flows instead of
-/// tracking them. The generator drives each flow as one consecutive
-/// open → account → close triple, so the buffer appends on open and
-/// completes the latest record on account/close; `advance(day, tick)` —
-/// the generator's optional per-slot hook — stamps the coordinates.
-/// Records accumulate until clear(); Firehose drains per day.
+/// A generator sink that records finished flows: `add` appends one
+/// FlowEvent stamped with the coordinates of the latest `advance(day, tick)`
+/// (the generator's optional per-slot hook). Records accumulate until
+/// clear(); Firehose drains per day.
 class FlowEventBuffer {
  public:
   void advance(int day, int tick) {
     day_ = day;
     tick_ = tick;
   }
-  void open(const net::FlowKey& key, flowmon::Timestamp now,
-            flowmon::Scope scope) {
-    FlowEvent ev;
-    ev.day = day_;
-    ev.tick = tick_;
-    ev.start = now;
-    ev.end = now;
-    ev.key = key;
-    ev.scope = scope;
-    events_.push_back(ev);
+  void add(const flowmon::FlowRecord& r) {
+    events_.push_back({.day = day_,
+                       .tick = tick_,
+                       .start = r.start,
+                       .end = r.end,
+                       .key = r.key,
+                       .bytes_out = r.bytes_out,
+                       .bytes_in = r.bytes_in,
+                       .scope = r.scope});
   }
-  void account(const net::FlowKey&, flowmon::Timestamp, std::uint64_t out,
-               std::uint64_t in) {
-    if (events_.empty()) return;
-    events_.back().bytes_out += out;
-    events_.back().bytes_in += in;
-  }
-  void close(const net::FlowKey&, flowmon::Timestamp now) {
-    if (events_.empty()) return;
-    events_.back().end = now;
-  }
-  void flush(flowmon::Timestamp) {}  // nothing is retained open
 
   [[nodiscard]] std::vector<FlowEvent>& events() { return events_; }
   [[nodiscard]] const std::vector<FlowEvent>& events() const {

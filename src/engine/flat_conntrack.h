@@ -1,12 +1,14 @@
-// FlatConntrack: a conntrack table with listeners. Fleet shards no longer
-// use it (the generator feeds flowmon::MonitorSink); it is kept only for
-// the conntrack tests, its churn microbenchmark and perfbench's split.
+// FlatConntrack: a conntrack table with listeners. Fleet shards and the
+// firehose do not use it (the generator hands finished flows to
+// flowmon::MonitorSink or engine::FlowEventBuffer); it is kept only for the
+// conntrack tests, its churn microbenchmark and perfbench's split.
 //
 // NEW on open, DESTROY with final counters on close/sweep/flush, delivered
 // to flowmon::ConntrackListener subscribers. The live flows sit in a short
 // vector, found by a linear key scan and removed by swapping with the back
-// entry: the generator never holds more than one live flow (engine_test
-// pins this). tests/reference_conntrack.h is its behavioural reference.
+// entry. As the generator's sink, add() opens, accounts and closes each
+// flow in turn, so no flow stays live between calls.
+// tests/reference_conntrack.h is its behavioural reference.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +44,15 @@ class FlatConntrack {
 
   /// Close a flow now, emitting DESTROY. Returns false if unknown.
   bool close(const net::FlowKey& key, flowmon::Timestamp now);
+
+  /// A finished flow, as the generator hands it over: open, account (packets
+  /// estimated from bytes when the record has none) and close.
+  void add(const flowmon::FlowRecord& r) {
+    open(r.key, r.start, r.scope);
+    account(r.key, r.start, r.bytes_out, r.bytes_in, r.packets_out,
+            r.packets_in, r.scope);
+    close(r.key, r.end);
+  }
 
   /// Evict flows idle past the timeout. Returns number evicted.
   std::size_t sweep(flowmon::Timestamp now);

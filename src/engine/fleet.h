@@ -5,11 +5,11 @@
 // cross-residence Wilcoxon comparisons) needs *many* residences run under
 // one roof. The simulate stage (engine/run_spec.h) runs N residences
 // concurrently — each a shard of its own RNG (seeded per residence) and its
-// own FlowMonitor, which the generator feeds through a flowmon::MonitorSink
-// — and reduces shard monitors into one fleet-level view. Because
-// residences share no mutable state and the reduction only adds integers,
-// a T-lane run is bit-identical to the sequential run of the same seeds for
-// any T.
+// own FlowMonitor, into which a flowmon::MonitorSink ingests each finished
+// flow the generator hands it — and reduces shard monitors into one
+// fleet-level view. Because residences share no mutable state and the
+// reduction only adds integers, a T-lane run is bit-identical to the
+// sequential run of the same seeds for any T.
 //
 // FleetConfig is the scenario layer: one small config (parseable from a
 // key=value file) describes a whole deployment — dual-stack rollout

@@ -184,13 +184,9 @@ FleetResult simulate_fleet(const traffic::ServiceCatalog& catalog,
         cache->store(key, shard = std::move(own));
       }
       slot.stats = shard->stats;
-      if (lean) {  // the tallies go to the lane, as the sink would send them
-        slot.monitor = shard->monitor;
-        lane_tallies[l].merge(shard->tallies);
-      } else {  // copying the destination table beats re-inserting it
-        slot.monitor = shard->tallies;
-        slot.monitor.merge(shard->monitor);
-      }
+      slot.monitor = shard->monitor;
+      // The tallies go where the sink would have sent them.
+      (lean ? lane_tallies[l] : slot.monitor).merge(shard->tallies);
     }
   };
   if (pool != nullptr)

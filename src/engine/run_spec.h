@@ -62,7 +62,8 @@ enum class ShardTallies { full, lean };
 /// index order. `pool` may be null (sequential); results are bit-identical
 /// for any lane count. The result carries no stratum labels. One task per
 /// lane (pool size + 1) takes residences off a ticket and runs each
-/// straight into its monitor through a flowmon::MonitorSink.
+/// straight into its monitor: the generator hands every finished flow to a
+/// flowmon::MonitorSink, which ingests it.
 ///
 /// With a `cache`, each residence's Shard is looked up under its shard_key:
 /// a hit copies the cached stats and monitor into the slot and merges the

@@ -5,8 +5,9 @@
 // packet counters while live (nf_conntrack_acct), and emit a DESTROY event
 // carrying the final counters when closed or when the idle timeout garbage-
 // collects them. Listeners (the FlowMonitor) receive both events from a
-// conntrack table (engine::FlatConntrack). Fleet runs count both events in
-// flowmon::MonitorSink instead; this is kept for the tests and perfbench.
+// conntrack table (engine::FlatConntrack). Fleet runs keep no table: the
+// generator hands each finished flow to flowmon::MonitorSink, which counts
+// one NEW and one DESTROY for it; this is kept for the tests and perfbench.
 #pragma once
 
 #include <functional>

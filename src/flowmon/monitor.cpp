@@ -55,18 +55,26 @@ void FlowMonitor::merge(const FlowMonitor& o) {
   for (size_t i = 0; i < totals_.size(); ++i) totals_[i] += o.totals_[i];
   for (size_t i = 0; i < daily_.size(); ++i) add_series(daily_[i], o.daily_[i]);
   add_series(hourly_external_, o.hourly_external_);
-  // By index and by value: dest_tally() may grow dests_, and `o` may be
-  // *this (self-merge doubles every tally).
-  for (size_t i = 0, n = o.dests_.size(); i < n; ++i) {
-    const DestTally d = o.dests_[i];
-    dest_tally(d.addr) += d.tally;
+  if (dests_.empty()) {
+    dests_ = o.dests_;
+    dest_slots_ = o.dest_slots_;
+  } else {
+    // One rehash at most: size the table for every entry `o` could add.
+    std::size_t cap = dest_slots_.size();
+    while ((dests_.size() + o.dests_.size()) * 2 > cap) cap *= 2;
+    if (cap != dest_slots_.size()) rehash_dest_slots(cap);
+    // By index and by value: dest_tally() may append to dests_, and `o`
+    // may be *this (self-merge doubles every tally).
+    for (size_t i = 0, n = o.dests_.size(); i < n; ++i) {
+      const DestTally d = o.dests_[i];
+      dest_tally(d.addr) += d.tally;
+    }
   }
   new_events_ += o.new_events_;
   destroy_events_ += o.destroy_events_;
 }
 
-void FlowMonitor::grow_dest_slots() {
-  const std::size_t cap = dest_slots_.empty() ? 16 : dest_slots_.size() * 2;
+void FlowMonitor::rehash_dest_slots(std::size_t cap) {
   dest_slots_.assign(cap, 0);
   const std::size_t mask = cap - 1;
   for (std::uint32_t i = 0; i < dests_.size(); ++i) {
@@ -78,7 +86,8 @@ void FlowMonitor::grow_dest_slots() {
 
 Tally& FlowMonitor::dest_tally(const net::IpAddr& addr) {
   // Keep load at or under 1/2 so probe chains stay short.
-  if ((dests_.size() + 1) * 2 > dest_slots_.size()) grow_dest_slots();
+  if ((dests_.size() + 1) * 2 > dest_slots_.size())
+    rehash_dest_slots(dest_slots_.empty() ? 16 : dest_slots_.size() * 2);
   const std::size_t mask = dest_slots_.size() - 1;
   std::size_t s = hash_addr(addr) & mask;
   while (dest_slots_[s] != 0) {
@@ -119,31 +128,10 @@ void FlowMonitor::ingest(const FlowRecord& r, FlowMonitor& tallies) {
   }
 }
 
-void MonitorSink::open(const net::FlowKey& key, Timestamp now, Scope scope) {
-  if (live_ && live_->key == key) return;
-  if (live_)
-    throw std::logic_error("MonitorSink: a second live flow (it holds one)");
-  live_ = FlowRecord{.key = key, .start = now, .scope = scope};
+void MonitorSink::add(const FlowRecord& r) {
+  monitor_->ingest(r, *tallies_);
   ++monitor_->new_events_;
-}
-
-bool MonitorSink::account(const net::FlowKey& key, Timestamp now,
-                          std::uint64_t bytes_out, std::uint64_t bytes_in,
-                          Scope scope) {
-  const bool known = live_ && live_->key == key;
-  if (!known) open(key, now, scope);
-  live_->bytes_out += bytes_out;
-  live_->bytes_in += bytes_in;
-  return known;
-}
-
-bool MonitorSink::close(const net::FlowKey& key, Timestamp now) {
-  if (!live_ || live_->key != key) return false;
-  live_->end = now;
-  monitor_->ingest(*live_, *tallies_);  // may throw; the flow stays live
   ++monitor_->destroy_events_;
-  live_.reset();  // `key` may be the live key (flush): it is not read again
-  return true;
 }
 
 std::vector<double> FlowMonitor::daily_v6_fractions(Scope s,

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "flowmon/conntrack.h"
@@ -151,7 +150,8 @@ class FlowMonitor {
   void ingest(const FlowRecord& r, FlowMonitor& tallies);
   /// The destination's tally, inserted as zero on first sight.
   Tally& dest_tally(const net::IpAddr& addr);
-  void grow_dest_slots();
+  /// Rebuild dest_slots_ at `cap` slots (a power of two).
+  void rehash_dest_slots(std::size_t cap);
 
   std::array<FamilySplit, 2> totals_{};
   std::array<std::vector<FamilySplit>, 2> daily_{};
@@ -163,34 +163,23 @@ class FlowMonitor {
   std::uint64_t destroy_events_ = 0;
 };
 
-/// The monitor as the generator's table: the conntrack shape with no table
-/// behind it. The generator opens, accounts and closes each flow back to
-/// back (engine_test pins this), so the sink holds the one live flow. NEW
-/// counts on open; close ingests, then counts DESTROY, so a record ingest
-/// rejects stays live and counts nothing, as with an attached FlatConntrack.
-/// Packets are not counted (no view reads them). Hourly and destination
-/// tallies go to `tallies`, the rest to `monitor`; both outlive the sink.
+/// The generator's sink for fleet shards: each finished flow is ingested,
+/// then counted as one NEW and one DESTROY event, as an attached conntrack
+/// table would count it. Packets are not counted (no view reads them).
+/// Hourly and destination tallies go to `tallies`, the rest to `monitor`;
+/// both outlive the sink and may be the same monitor.
 class MonitorSink {
  public:
   MonitorSink(FlowMonitor& monitor, FlowMonitor& tallies)
       : monitor_(&monitor), tallies_(&tallies) {}
 
-  /// Reopening the live flow is a no-op; opening a second one throws
-  /// std::logic_error and counts nothing.
-  void open(const net::FlowKey& key, Timestamp now, Scope scope);
-  /// Returns false if the key had to be implicitly opened.
-  bool account(const net::FlowKey& key, Timestamp now, std::uint64_t bytes_out,
-               std::uint64_t bytes_in, Scope scope = Scope::external);
-  /// Returns false if `key` is not the live flow.
-  bool close(const net::FlowKey& key, Timestamp now);
-  void flush(Timestamp now) {
-    if (live_) close(live_->key, now);
-  }
+  /// Throws std::out_of_range for a record starting before time 0, and
+  /// then changes no counter.
+  void add(const FlowRecord& r);
 
  private:
   FlowMonitor* monitor_;
   FlowMonitor* tallies_;
-  std::optional<FlowRecord> live_;
 };
 
 }  // namespace nbv6::flowmon

@@ -2,11 +2,6 @@
 
 #include <cstddef>
 
-#if defined(__AES__) && defined(__SSSE3__)
-#include <tmmintrin.h>
-#include <wmmintrin.h>
-#endif
-
 using std::size_t;
 
 namespace nbv6::net {
@@ -100,52 +95,10 @@ Aes128::Aes128(const Key& key) {
     round_keys_[static_cast<size_t>(i)] =
         round_keys_[static_cast<size_t>(i - 4)] ^ t;
   }
-  for (int i = 0; i < 44; ++i)
-    round_keys_raw_[static_cast<size_t>(i)] =
-        __builtin_bswap32(round_keys_[static_cast<size_t>(i)]);
 }
-
-#if defined(__AES__) && defined(__SSSE3__)
-namespace {
-
-// Hardware core: one AESENC per round against the precomputed raw-order
-// schedule. Operates on the FIPS byte-order state AES-NI expects.
-inline __m128i hw_encrypt(__m128i s, const std::uint32_t* rk_raw) {
-  auto load_rk = [rk_raw](int r) {
-    return _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(rk_raw + 4 * r));
-  };
-  s = _mm_xor_si128(s, load_rk(0));
-  s = _mm_aesenc_si128(s, load_rk(1));
-  s = _mm_aesenc_si128(s, load_rk(2));
-  s = _mm_aesenc_si128(s, load_rk(3));
-  s = _mm_aesenc_si128(s, load_rk(4));
-  s = _mm_aesenc_si128(s, load_rk(5));
-  s = _mm_aesenc_si128(s, load_rk(6));
-  s = _mm_aesenc_si128(s, load_rk(7));
-  s = _mm_aesenc_si128(s, load_rk(8));
-  s = _mm_aesenc_si128(s, load_rk(9));
-  return _mm_aesenclast_si128(s, load_rk(10));
-}
-
-}  // namespace
-#endif
 
 std::array<std::uint32_t, 4> Aes128::encrypt_words(
     const std::array<std::uint32_t, 4>& words) const {
-#if defined(__AES__) && defined(__SSSE3__)
-  // The caller-facing words are big-endian packed, so reverse bytes within
-  // each 32-bit lane on the way in and out.
-  const __m128i kLaneSwap =
-      _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
-  __m128i s =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(words.data()));
-  s = hw_encrypt(_mm_shuffle_epi8(s, kLaneSwap), round_keys_raw_.data());
-  s = _mm_shuffle_epi8(s, kLaneSwap);
-  std::array<std::uint32_t, 4> out;
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data()), s);
-  return out;
-#else
   const std::uint32_t* rk = round_keys_.data();
   std::uint32_t s0 = words[0] ^ rk[0];
   std::uint32_t s1 = words[1] ^ rk[1];
@@ -190,19 +143,9 @@ std::array<std::uint32_t, 4> Aes128::encrypt_words(
   };
   return {sub4(s0, s1, s2, s3) ^ rk[40], sub4(s1, s2, s3, s0) ^ rk[41],
           sub4(s2, s3, s0, s1) ^ rk[42], sub4(s3, s0, s1, s2) ^ rk[43]};
-#endif
 }
 
 Aes128::Block Aes128::encrypt(const Block& plaintext) const {
-#if defined(__AES__) && defined(__SSSE3__)
-  // Block bytes are already in the order AES-NI consumes — no marshalling.
-  __m128i s =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(plaintext.data()));
-  s = hw_encrypt(s, round_keys_raw_.data());
-  Block out;
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data()), s);
-  return out;
-#else
   std::array<std::uint32_t, 4> w;
   for (int i = 0; i < 4; ++i) {
     w[static_cast<size_t>(i)] =
@@ -224,7 +167,6 @@ Aes128::Block Aes128::encrypt(const Block& plaintext) const {
         static_cast<std::uint8_t>(w[static_cast<size_t>(i)]);
   }
   return out;
-#endif
 }
 
 }  // namespace nbv6::net

@@ -40,9 +40,6 @@ class Aes128 {
   // 44 expanded key words (AES-128 = 10 rounds + initial), packed
   // big-endian: word i holds key bytes 4i..4i+3 MSB-first.
   std::array<std::uint32_t, 44> round_keys_{};
-  // The same schedule in raw FIPS byte order (word i byte-swapped), loadable
-  // directly by the hardware-AES path without per-round marshalling.
-  std::array<std::uint32_t, 44> round_keys_raw_{};
 };
 
 }  // namespace nbv6::net

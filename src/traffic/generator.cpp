@@ -155,8 +155,8 @@ ResidenceSimulator::FlowSpec ResidenceSimulator::sample_flow(
   return f;
 }
 
-template <typename Table>
-void ResidenceSimulator::run_session(stats::Rng& rng, Table& table,
+template <typename Sink>
+void ResidenceSimulator::run_session(stats::Rng& rng, Sink& sink,
                                      Timestamp t, size_t service_idx,
                                      bool background, const DayPlan& day) {
   // Opt-outs: some devices bypass the study router entirely.
@@ -257,10 +257,13 @@ void ResidenceSimulator::run_session(stats::Rng& rng, Table& table,
     key.src_port = next_port();
     key.dst_port = 443;
 
-    Timestamp start = t + static_cast<Timestamp>(rng.below(60));
-    table.open(key, start, Scope::external);
-    table.account(key, start, spec.bytes_out, spec.bytes_in);
-    table.close(key, start + spec.duration);
+    const Timestamp start = t + static_cast<Timestamp>(rng.below(60));
+    sink.add({.key = key,
+              .start = start,
+              .end = start + spec.duration,
+              .bytes_out = spec.bytes_out,
+              .bytes_in = spec.bytes_in,
+              .scope = Scope::external});
     ++stats_.flows;
   }
 
@@ -281,15 +284,18 @@ void ResidenceSimulator::run_session(stats::Rng& rng, Table& table,
     }
     key.src_port = next_port();
     key.dst_port = 443;
-    table.open(key, t, Scope::external);
-    table.account(key, t, 400, 300);  // SYN/handshake remnants
-    table.close(key, t + 1);
+    sink.add({.key = key,
+              .start = t,
+              .end = t + 1,
+              .bytes_out = 400,  // SYN/handshake remnants
+              .bytes_in = 300,
+              .scope = Scope::external});
     ++stats_.flows;
   }
 }
 
-template <typename Table>
-void ResidenceSimulator::run_internal(stats::Rng& rng, Table& table,
+template <typename Sink>
+void ResidenceSimulator::run_internal(stats::Rng& rng, Sink& sink,
                                       Timestamp t, Timestamp window,
                                       const DayPlan& day) {
   int a = static_cast<int>(rng.below(static_cast<std::uint64_t>(device_count_)));
@@ -310,11 +316,14 @@ void ResidenceSimulator::run_internal(stats::Rng& rng, Table& table,
 
   auto bytes = static_cast<std::uint64_t>(
       std::min(rng.lognormal(std::log(50e3), 1.6), 5e8));
-  Timestamp start =
+  const Timestamp start =
       t + static_cast<Timestamp>(rng.below(static_cast<std::uint64_t>(window)));
-  table.open(key, start, Scope::internal);
-  table.account(key, start, bytes / 2, bytes / 2);
-  table.close(key, start + static_cast<Timestamp>(rng.between(1, 300)));
+  sink.add({.key = key,
+            .start = start,
+            .end = start + static_cast<Timestamp>(rng.between(1, 300)),
+            .bytes_out = bytes / 2,
+            .bytes_in = bytes / 2,
+            .scope = Scope::internal});
   ++stats_.flows;
 }
 
@@ -348,12 +357,12 @@ double ResidenceSimulator::hour_lambda(int day, int hour,
   return lam * presence(day, hour);
 }
 
-template <typename Table>
-void ResidenceSimulator::simulate_slot(Table& table, int day, int tick,
+template <typename Sink>
+void ResidenceSimulator::simulate_slot(Sink& sink, int day, int tick,
                                        int tph, stats::Rng& rng,
                                        const DayPlan& today) {
-  if constexpr (requires(Table& t) { t.advance(0, 0); })
-    table.advance(day, tick);
+  if constexpr (requires(Sink& s) { s.advance(0, 0); })
+    sink.advance(day, tick);
   const int hour = tick / tph;
   const int slot = tick % tph;
   const Timestamp hour_start =
@@ -378,7 +387,7 @@ void ResidenceSimulator::simulate_slot(Table& table, int day, int tick,
     }
     Timestamp t =
         t0 + static_cast<Timestamp>(rng.below(static_cast<std::uint64_t>(tick_len)));
-    run_session(rng, table, t, service_sampler_.sample(rng),
+    run_session(rng, sink, t, service_sampler_.sample(rng),
                 /*background=*/false, today);
   }
 
@@ -393,7 +402,7 @@ void ResidenceSimulator::simulate_slot(Table& table, int day, int tick,
     Timestamp t =
         t0 + static_cast<Timestamp>(rng.below(static_cast<std::uint64_t>(tick_len)));
     size_t idx = background_service(rng);
-    run_session(rng, table, t, idx, /*background=*/true, today);
+    run_session(rng, sink, t, idx, /*background=*/true, today);
   }
 
   // Internal LAN flows: the one thing an outage does not stop.
@@ -402,7 +411,7 @@ void ResidenceSimulator::simulate_slot(Table& table, int day, int tick,
       cfg_.internal_flows_per_hour * std::max(0.2, presence(day, hour)) *
           inv_tph);
   for (int s = 0; s < internal; ++s)
-    run_internal(rng, table, t0, tick_len, today);
+    run_internal(rng, sink, t0, tick_len, today);
 }
 
 void ResidenceSimulator::begin_run() {
@@ -411,8 +420,8 @@ void ResidenceSimulator::begin_run() {
                       DaySessionStats{});
 }
 
-template <typename Table>
-void ResidenceSimulator::run_day(Table& table, int day) {
+template <typename Sink>
+void ResidenceSimulator::run_day(Sink& sink, int day) {
   // The plan is a pure function of the day; one evaluation governs all
   // 24 hours (and keeps lazy providers out of the hour/tick loop).
   const DayPlan today = plan(day);
@@ -426,12 +435,12 @@ void ResidenceSimulator::run_day(Table& table, int day) {
     if (cfg_.arrival.mode == ArrivalMode::batch) {
       // One slot per hour on the run-long stream: at tph = 1 the slot
       // arithmetic is exact, so this is the original per-hour generator.
-      simulate_slot(table, day, tick, tph, rng_, today);
+      simulate_slot(sink, day, tick, tph, rng_, today);
     } else {
       // The whole slot runs off one fresh counter-based stream — arrivals
       // and session bodies alike are pure in (seed, index, day, tick).
       stats::Rng rng = arrival_tick_rng(cfg_.seed, day, tick);
-      simulate_slot(table, day, tick, tph, rng, today);
+      simulate_slot(sink, day, tick, tph, rng, today);
     }
   }
   if (day >= 0 && static_cast<size_t>(day) < stats_.daily.size())
@@ -443,16 +452,15 @@ void ResidenceSimulator::run_day(Table& table, int day) {
         stats_.cgn_failures - before.cgn_failures};
 }
 
-template <typename Table>
-SimulationStats ResidenceSimulator::run(Table& table) {
+template <typename Sink>
+SimulationStats ResidenceSimulator::run(Sink& sink) {
   begin_run();
-  for (int day = 0; day < cfg_.days; ++day) run_day(table, day);
-  table.flush(static_cast<Timestamp>(cfg_.days) * flowmon::kSecondsPerDay);
+  for (int day = 0; day < cfg_.days; ++day) run_day(sink, day);
   return stats_;
 }
 
 // Fleet shards' sink, the firehose capture buffer and the conntrack table
-// (kept for tests and perfbench). New tables only need an instantiation here.
+// (kept for tests and perfbench). New sinks only need an instantiation here.
 template SimulationStats ResidenceSimulator::run(flowmon::MonitorSink&);
 template SimulationStats ResidenceSimulator::run(engine::FlatConntrack&);
 template SimulationStats ResidenceSimulator::run(engine::FlowEventBuffer&);

@@ -1,8 +1,8 @@
 // ResidenceSimulator: generates nine months of household traffic.
 //
 // The synthetic stand-in for the paper's IRB-protected residence captures.
-// Drives a conntrack table with flows whose statistical structure follows
-// the causal model §3 establishes:
+// Hands each finished flow to a sink, as one flowmon::FlowRecord, with a
+// statistical structure that follows the causal model §3 establishes:
 //
 //   - Interactive traffic follows human presence: strong evening peak, a
 //     mid-morning bump, weekday work-hours dips, scripted absences with
@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "flowmon/conntrack.h"
+#include "flowmon/flow_record.h"
 #include "stats/rng.h"
 #include "traffic/happy_eyeballs.h"
 #include "traffic/residence.h"
@@ -85,24 +85,24 @@ class ResidenceSimulator {
  public:
   ResidenceSimulator(const ServiceCatalog& catalog, ResidenceConfig config);
 
-  /// Run the full configured period, feeding `table`. `Table` is any
-  /// conntrack-shaped sink (open/account/close/flush); instantiated in
-  /// generator.cpp for flowmon::MonitorSink, engine::FlatConntrack and the
-  /// firehose's engine::FlowEventBuffer, so fleet shards and the firehose
-  /// drive the exact same generator code.
-  /// If the table additionally exposes `advance(int day, int tick)`, the
+  /// Run the full configured period, calling `sink.add(record)` once per
+  /// finished flow, in generation order. Instantiated in generator.cpp for
+  /// flowmon::MonitorSink, engine::FlatConntrack and the firehose's
+  /// engine::FlowEventBuffer, so fleet shards and the firehose drive the
+  /// exact same generator code.
+  /// If the sink additionally exposes `advance(int day, int tick)`, the
   /// generator calls it at the start of every time slot (hour in batch
   /// mode, tick otherwise) — how the firehose attributes flows to ticks
   /// without widening the sink API.
-  template <typename Table>
-  SimulationStats run(Table& table);
+  template <typename Sink>
+  SimulationStats run(Sink& sink);
 
   /// Stepped interface for day-granular drivers (engine::Firehose):
   /// begin_run() resets the run's statistics, then run_day() simulates one
-  /// day — run(table) is exactly begin_run + run_day for every day + flush.
+  /// day — run(sink) is exactly begin_run + run_day for every day.
   void begin_run();
-  template <typename Table>
-  void run_day(Table& table, int day);
+  template <typename Sink>
+  void run_day(Sink& sink, int day);
   /// Counters accumulated so far by begin_run/run_day stepping.
   [[nodiscard]] const SimulationStats& stats() const { return stats_; }
 
@@ -129,17 +129,17 @@ class ResidenceSimulator {
   /// tph = 1; open-loop modes pass a fresh counter-based stream keyed on
   /// (residence seed, day, tick), so everything inside the slot is pure in
   /// (seed, index, day, tick).
-  template <typename Table>
-  void simulate_slot(Table& table, int day, int tick, int tph,
+  template <typename Sink>
+  void simulate_slot(Sink& sink, int day, int tick, int tph,
                      stats::Rng& rng, const DayPlan& today);
   /// Session/flow bodies draw from the caller's stream: the batch path
   /// passes the run-long rng_ (bit-identical to the pre-arrival generator),
   /// the open-loop path passes the per-tick stream.
-  template <typename Table>
-  void run_session(stats::Rng& rng, Table& table, flowmon::Timestamp t,
+  template <typename Sink>
+  void run_session(stats::Rng& rng, Sink& sink, flowmon::Timestamp t,
                    size_t service_idx, bool background, const DayPlan& day);
-  template <typename Table>
-  void run_internal(stats::Rng& rng, Table& table, flowmon::Timestamp t,
+  template <typename Sink>
+  void run_internal(stats::Rng& rng, Sink& sink, flowmon::Timestamp t,
                     flowmon::Timestamp window, const DayPlan& day);
   /// The background-chatter service pick (with its single re-roll toward
   /// background-profile services).

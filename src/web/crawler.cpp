@@ -156,16 +156,14 @@ SiteCrawl Crawler::crawl_impl(std::uint32_t site_index, stats::Rng& rng,
 
   // Follow the main-page redirect; classification applies to the final
   // page of the redirect chain (§4.2).
-  std::uint32_t effective_main = site.main_fqdn;
   if (site.redirect_to) {
-    effective_main = *site.redirect_to;
-    host = facts_[effective_main];
+    host = facts_[*site.redirect_to];
     if (!host.reachable()) {
       out.fate = SiteFate::other_failure;  // broken redirect target
       return out;
     }
   }
-  out.main_host = universe_->fqdns()[effective_main].name;
+  out.main_fqdn = site.redirect_to.value_or(site.main_fqdn);
   out.main_has_a = host.has_a;
   out.main_has_aaaa = host.has_aaaa;
   out.unknown_primary = host.site == 0;

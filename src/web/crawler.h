@@ -89,8 +89,9 @@ struct SiteCrawl {
   bool main_has_aaaa = false;
   /// Family used to fetch the main page.
   net::Family main_used = net::Family::v4;
-  /// Name of the final (post-redirect) main host.
-  std::string main_host;
+  /// FQDN id (into Universe::fqdns()) of the final (post-redirect) main
+  /// host; set when the main page loads.
+  std::uint32_t main_fqdn = 0;
   /// Distinct (FQDN, type) observations across all loaded pages.
   std::vector<ResourceObservation> resources;
   /// Off-site links refused by the same-site rule (sanity counter).

@@ -3,8 +3,8 @@
 // (testutil::ReferenceConntrack).
 //
 // The existing conntrack suites cover steady-state behaviour; this one
-// drives the table past the one live flow production traffic holds
-// (dozens live at once) and checks the behaviour that churn stresses:
+// drives the table past the one live flow FlatConntrack::add opens and
+// closes (dozens live at once) and checks the behaviour that churn stresses:
 //   - erase bursts in random order, which move the last live entry into
 //     each erased position: every survivor must stay findable;
 //   - a key closed and then touched again, which must re-open it as a

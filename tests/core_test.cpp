@@ -105,7 +105,7 @@ TEST_F(SurveyFixture, VersionSubdomainEstimatorCountsOnlyPureCases) {
   web::SiteCrawl pure;
   pure.fate = web::SiteFate::ok;
   pure.main_has_a = pure.main_has_aaaa = true;
-  pure.main_host = universe_->fqdns()[universe_->sites()[0].main_fqdn].name;
+  pure.main_fqdn = universe_->sites()[0].main_fqdn;
 
   // Find a planted ipv4.* FQDN if present; otherwise skip.
   std::optional<std::uint32_t> marked;

@@ -702,46 +702,6 @@ TEST(SimulateFleet, FlatShardMatchesReferenceTableAggregates) {
   expect_same_aggregates(ref_mon, flat_mon);
 }
 
-TEST(SimulateFleet, GeneratorHoldsAtMostOneLiveFlowPerShard) {
-  // flowmon::MonitorSink holds a single live flow (a second open throws),
-  // FlatConntrack keeps its live flows in a vector scanned per operation,
-  // and FlowEventBuffer completes only its latest record: all three rely on
-  // the generator opening, accounting and closing each flow back to back. Run
-  // every committed scenario (shrunk to 4 homes and at most 14 days) with a
-  // listener counting NEW - DESTROY; a generator that overlapped flows
-  // would push it past 1.
-  auto catalog = traffic::build_paper_catalog();
-  const auto files = testutil::scenario_files();
-  ASSERT_FALSE(files.empty());
-  for (const auto& file : files) {
-    SCOPED_TRACE(file);
-    auto loaded = FleetConfig::load(file);
-    ASSERT_TRUE(loaded.has_value());
-    FleetConfig cfg = *loaded;
-    cfg.residences = std::min(cfg.residences.get(), 4);
-    cfg.days = std::min(cfg.days.get(), 14);
-    SampledFleet fleet = sample_stage(cfg, catalog);
-    apply_timeline(fleet, cfg.timeline, cfg.seed, cfg.days);
-
-    std::uint64_t news = 0;
-    for (const auto& config : fleet.configs) {
-      FlatConntrack table;
-      std::int64_t live = 0;
-      std::int64_t peak = 0;
-      table.subscribe({[&](const net::FlowKey&, flowmon::Timestamp) {
-                         ++news;
-                         peak = std::max(peak, ++live);
-                       },
-                       [&](const flowmon::FlowRecord&) { --live; }});
-      traffic::ResidenceSimulator sim(catalog, config);
-      sim.run(table);
-      EXPECT_LE(peak, 1) << config.name;
-      EXPECT_EQ(live, 0) << config.name;
-    }
-    EXPECT_GT(news, 0u);
-  }
-}
-
 TEST(SimulateFleet, FleetViewFeedsCoreAnalyses) {
   auto catalog = traffic::build_paper_catalog();
   FleetConfig cfg;

@@ -424,105 +424,71 @@ TEST(Monitor, DestinationTableMatchesMapReference) {
 
 // ------------------------------------------------------------ monitor sink
 
-// The sink and a monitor attached to a FlatConntrack take the same
-// operations: return values and monitors must agree after each case.
-class MonitorSinkVsTable : public ::testing::Test {
- protected:
-  MonitorSinkVsTable() { via_table_.attach(table_); }
-
-  void open(const net::FlowKey& k, Timestamp t, Scope scope) {
-    sink_.open(k, t, scope);
-    table_.open(k, t, scope);
+// Finished flows in both families and scopes, over several days and hours,
+// with repeated destinations.
+std::vector<FlowRecord> finished_flows() {
+  std::vector<FlowRecord> out;
+  stats::Rng rng(35);
+  for (std::uint16_t i = 0; i < 400; ++i) {
+    const auto start = static_cast<Timestamp>(rng.below(5 * kSecondsPerDay));
+    out.push_back({.key = make_key(static_cast<std::uint8_t>(i % 37), i,
+                                   i % 3 == 0),
+                   .start = start,
+                   .end = start + static_cast<Timestamp>(rng.below(600)),
+                   .bytes_out = rng.below(5000),
+                   .bytes_in = rng.below(90000),
+                   .scope = i % 5 == 0 ? Scope::internal : Scope::external});
   }
-  void account(const net::FlowKey& k, Timestamp t, std::uint64_t out,
-               std::uint64_t in) {
-    EXPECT_EQ(sink_.account(k, t, out, in), table_.account(k, t, out, in));
-  }
-  void close(const net::FlowKey& k, Timestamp t) {
-    EXPECT_EQ(sink_.close(k, t), table_.close(k, t));
-  }
-  void flush(Timestamp t) {
-    sink_.flush(t);
-    table_.flush(t);
-  }
-  void expect_same() const {
-    testutil::expect_same_aggregates(via_sink_, via_table_);
-  }
-
-  FlowMonitor via_sink_;
-  MonitorSink sink_{via_sink_, via_sink_};
-  FlowMonitor via_table_;
-  engine::FlatConntrack table_;
-};
-
-TEST_F(MonitorSinkVsTable, OpenAccountClose) {
-  for (bool v6 : {false, true}) {
-    const auto k = make_key(1, 70, v6);
-    open(k, 3 * kSecondsPerHour, Scope::external);
-    account(k, 3 * kSecondsPerHour, 400, 9000);
-    account(k, 3 * kSecondsPerHour + 1, 10, 20);
-    close(k, 3 * kSecondsPerHour + 9);
-  }
-  const auto lan = make_key(2, 71);
-  open(lan, kSecondsPerDay, Scope::internal);
-  open(lan, kSecondsPerDay + 1, Scope::internal);  // reopen: a no-op
-  close(lan, kSecondsPerDay + 2);
-  expect_same();
-  EXPECT_EQ(via_sink_.destroy_events(), 3u);
+  return out;
 }
 
-TEST_F(MonitorSinkVsTable, AccountOnUnknownKeyOpensImplicitly) {
-  const auto k = make_key(3, 72);
-  account(k, 50, 10, 700);
-  EXPECT_EQ(via_sink_.new_events(), 1u);
-  close(k, 60);
-  expect_same();
+TEST(MonitorSinkVsTable, AddMatchesAnAttachedFlatConntrack) {
+  FlowMonitor via_table;
+  engine::FlatConntrack table;
+  via_table.attach(table);
+  FlowMonitor one;  // a sink that keeps everything in one monitor
+  MonitorSink one_sink(one, one);
+  FlowMonitor monitor, tallies;  // and one that splits them
+  MonitorSink split_sink(monitor, tallies);
+  for (const FlowRecord& r : finished_flows()) {
+    table.add(r);
+    one_sink.add(r);
+    split_sink.add(r);
+  }
+  EXPECT_EQ(table.live_count(), 0u);
+  EXPECT_EQ(via_table.new_events(), 400u);
+  EXPECT_EQ(via_table.destroy_events(), 400u);
+  testutil::expect_same_aggregates(one, via_table);
+
+  // The split keeps hourly and destination tallies out of `monitor`.
+  EXPECT_TRUE(monitor.hourly_external().empty());
+  EXPECT_TRUE(monitor.destination_tallies().empty());
+  EXPECT_EQ(tallies.new_events(), 0u);
+  EXPECT_EQ(tallies.totals(Scope::external), FamilySplit{});
+  monitor.merge(tallies);
+  testutil::expect_same_aggregates(monitor, via_table);
 }
 
-TEST_F(MonitorSinkVsTable, CloseOnUnknownKeyReturnsFalse) {
-  close(make_key(4, 73), 10);
-  const auto live = make_key(5, 74);
-  open(live, 20, Scope::external);
-  close(make_key(4, 73), 30);
-  close(live, 40);
-  expect_same();
-  EXPECT_EQ(via_sink_.destroy_events(), 1u);
-}
-
-TEST_F(MonitorSinkVsTable, FlushClosesTheLiveFlow) {
-  const auto k = make_key(6, 75, true);
-  open(k, 100, Scope::external);
-  account(k, 100, 5, 5000);
-  flush(kSecondsPerDay);
-  flush(2 * kSecondsPerDay);  // nothing live: a no-op
-  expect_same();
-  EXPECT_EQ(via_sink_.destroy_events(), 1u);
-}
-
-TEST_F(MonitorSinkVsTable, RejectedIngestLeavesEveryCounterUnchanged) {
-  const auto prior = make_key(7, 76, true);
-  account(prior, 10, 100, 200);
-  close(prior, 20);
-  const auto early = make_key(8, 77);
-  open(early, -30, Scope::external);
-  account(early, -20, 100, 900);
-  const FlowMonitor before = via_sink_;
-  EXPECT_THROW(sink_.close(early, -10), std::out_of_range);
-  EXPECT_THROW(table_.close(early, -10), std::out_of_range);
-  testutil::expect_same_aggregates(via_sink_, before);
-  expect_same();
-}
-
-TEST_F(MonitorSinkVsTable, SecondLiveFlowIsALogicError) {
-  const auto k = make_key(9, 78);
-  sink_.open(k, 10, Scope::external);
-  const FlowMonitor before = via_sink_;
-  EXPECT_THROW(sink_.open(make_key(9, 79), 11, Scope::external),
-               std::logic_error);
-  EXPECT_THROW(sink_.account(make_key(9, 80), 12, 1, 1), std::logic_error);
-  testutil::expect_same_aggregates(via_sink_, before);
-  EXPECT_TRUE(sink_.close(k, 13));  // the first flow is still the live one
-  EXPECT_EQ(via_sink_.destroy_events(), 1u);
+TEST(MonitorSinkVsTable, PreZeroRecordThrowsAndCountsNothing) {
+  FlowMonitor monitor, tallies;
+  MonitorSink sink(monitor, tallies);
+  const auto flows = finished_flows();
+  for (size_t i = 0; i < 20; ++i) sink.add(flows[i]);
+  const FlowMonitor monitor_before = monitor;
+  const FlowMonitor tallies_before = tallies;
+  for (Scope scope : {Scope::external, Scope::internal}) {
+    const FlowRecord early{.key = make_key(3, 62, scope == Scope::internal),
+                           .start = -30,
+                           .end = -10,
+                           .bytes_out = 100,
+                           .bytes_in = 900,
+                           .scope = scope};
+    EXPECT_THROW(sink.add(early), std::out_of_range) << to_string(scope);
+    testutil::expect_same_aggregates(monitor, monitor_before);
+    testutil::expect_same_aggregates(tallies, tallies_before);
+  }
+  EXPECT_EQ(monitor.new_events(), 20u);
+  EXPECT_EQ(monitor.destroy_events(), 20u);
 }
 
 TEST(FlowRecordHelpers, DayAndHour) {

@@ -350,8 +350,7 @@ TEST(ClientAnalysis, AsUsageTakesLongestMatch) {
     k.src = dst.is_v6() ? net::IpAddr(v6(0x2600880000000000ull))
                         : net::IpAddr(net::IPv4Addr(192, 168, 1, 2));
     k.src_port = ++port;
-    sink.account(k, 0, 0, bytes);
-    sink.close(k, 1);
+    sink.add({.key = k, .start = 0, .end = 1, .bytes_in = bytes});
   }
 
   std::map<net::Asn, std::pair<std::uint64_t, std::uint64_t>> got;

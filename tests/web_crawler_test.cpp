@@ -54,7 +54,8 @@ TEST_F(CrawlerTest, OkCrawlLoadsResources) {
     EXPECT_FALSE(crawl.resources.empty()) << i;
     EXPECT_GE(crawl.pages_loaded, 1);
     EXPECT_LE(crawl.pages_loaded, 6);  // main + up to 5 clicks
-    EXPECT_FALSE(crawl.main_host.empty());
+    const Site& site = universe_.sites()[i];
+    EXPECT_EQ(crawl.main_fqdn, site.redirect_to.value_or(site.main_fqdn));
   }
   EXPECT_GT(ok, 200);
 }
@@ -113,7 +114,7 @@ TEST_F(CrawlerTest, MainPageOnlySeesSubsetOfResources) {
       EXPECT_EQ(main_only.main_has_a, full.main_has_a) << i;
       EXPECT_EQ(main_only.main_has_aaaa, full.main_has_aaaa) << i;
       EXPECT_EQ(main_only.main_used, full.main_used) << i;
-      EXPECT_EQ(main_only.main_host, full.main_host) << i;
+      EXPECT_EQ(main_only.main_fqdn, full.main_fqdn) << i;
       ASSERT_LE(main_only.resources.size(), full.resources.size()) << i;
       for (std::size_t k = 0; k < main_only.resources.size(); ++k)
         ASSERT_EQ(fields(main_only.resources[k]), fields(full.resources[k]))
@@ -166,20 +167,21 @@ TEST_F(CrawlerTest, ObservationsMatchResolverAndPsl) {
           << main_name << " at " << to_string(epoch);
       if (c.fate != SiteFate::ok) continue;
       ++ok;
-      const auto main = resolver.resolve_dual(c.main_host);
-      EXPECT_EQ(c.main_has_a, main.has_v4()) << c.main_host;
-      EXPECT_EQ(c.main_has_aaaa, main.has_v6()) << c.main_host;
+      const auto& main_host = universe_.fqdns()[c.main_fqdn].name;
+      const auto main = resolver.resolve_dual(main_host);
+      EXPECT_EQ(c.main_has_a, main.has_v4()) << main_host;
+      EXPECT_EQ(c.main_has_aaaa, main.has_v6()) << main_host;
       EXPECT_EQ(c.unknown_primary,
-                !psl.registrable_domain(c.main_host).has_value())
-          << c.main_host;
+                !psl.registrable_domain(main_host).has_value())
+          << main_host;
       for (const auto& r : c.resources) {
         const auto& name = universe_.fqdns()[r.fqdn].name;
         const auto dual = resolver.resolve_dual(name);
         EXPECT_EQ(r.has_a, dual.has_v4()) << name;
         EXPECT_EQ(r.has_aaaa, dual.has_v6()) << name;
         EXPECT_EQ(r.failed, !dual.reachable()) << name;
-        EXPECT_EQ(r.first_party, psl.same_site(name, c.main_host))
-            << name << " on " << c.main_host;
+        EXPECT_EQ(r.first_party, psl.same_site(name, main_host))
+            << name << " on " << main_host;
       }
     }
     EXPECT_GT(ok, 900) << to_string(epoch);
@@ -215,7 +217,7 @@ TEST(CrawlerWildcardPsl, SuffixSitesClassifyByRegistrableDomain) {
   stats::Rng rng2(2);
   const auto www_site = crawler.crawl(60029, rng2);
   ASSERT_EQ(www_site.fate, SiteFate::ok);
-  ASSERT_EQ(www_site.main_host, "www.zone60029.ck");
+  ASSERT_EQ(universe.fqdns()[www_site.main_fqdn].name, "www.zone60029.ck");
   EXPECT_FALSE(www_site.unknown_primary);
   int www = 0, siblings = 0;
   for (const auto& r : www_site.resources) {
